@@ -3,9 +3,10 @@ import pytest
 from quatlfun.admraise import (CongruencePair, eisenstein_test,
                                is_n_admissible, raise_level_search,
                                search_admissible)
-from quatlfun.brandtforms import EigenSystem
+from quatlfun.brandtforms import EigenSystem, QuotientGraph
 from quatlfun.errors import DataMissingError, UsageError
 from quatlfun.exactalg.groupring import is_prime
+from quatlfun.quatarith import algebra_from_discriminant, maximal_order
 
 from oracles import curve_a_ell, kronecker_oracle
 
@@ -89,16 +90,52 @@ class TestEisenstein:
             eisenstein_test(f11a_mod5, [])
 
 
-@pytest.fixture(scope="module")
-def raised_pair(f11a_mod5):
-    sample = [ell for ell in range(2, 51) if is_prime(ell)
+SAMPLE_374 = [ell for ell in range(2, 51) if is_prime(ell)
               and (2 * 5 * 11 * 17) % ell != 0]
+
+# Every cuspidal vertex eigensystem mod 5 on disc 374 = 2·11·17, as
+# (T_ell at the samples, U_q at 2, 11, 17, Eisenstein flag), in search order.
+CUSPIDAL_374 = [
+    ({3: 0, 7: 0, 13: 4, 19: 2, 23: 3, 29: 2, 31: 4, 37: 3, 41: 2, 43: 3, 47: 3},
+     {2: 4, 11: 4, 17: 1}, False),
+    ({3: 0, 7: 3, 13: 3, 19: 1, 23: 1, 29: 1, 31: 3, 37: 1, 41: 3, 43: 1, 47: 0},
+     {2: 4, 11: 4, 17: 4}, False),
+    ({3: 1, 7: 4, 13: 1, 19: 4, 23: 0, 29: 2, 31: 0, 37: 0, 41: 0, 43: 1, 47: 4},
+     {2: 4, 11: 1, 17: 4}, False),
+    ({3: 2, 7: 1, 13: 4, 19: 2, 23: 1, 29: 4, 31: 1, 37: 4, 41: 2, 43: 2, 47: 3},
+     {2: 1, 11: 1, 17: 1}, False),
+    ({3: 2, 7: 3, 13: 1, 19: 3, 23: 2, 29: 3, 31: 0, 37: 3, 41: 0, 43: 2, 47: 0},
+     {2: 4, 11: 4, 17: 1}, False),
+    ({3: 4, 7: 1, 13: 1, 19: 2, 23: 0, 29: 0, 31: 0, 37: 3, 41: 0, 43: 2, 47: 0},
+     {2: 1, 11: 4, 17: 4}, False),
+    ({3: 4, 7: 3, 13: 4, 19: 0, 23: 4, 29: 0, 31: 2, 37: 3, 41: 2, 43: 4, 47: 3},
+     {2: 1, 11: 1, 17: 1}, True),
+]
+
+
+def assignments(candidates):
+    return [(c.a, c.u, c.eisenstein) for c in candidates]
+
+
+@pytest.fixture(scope="module")
+def graph374():
+    """Vertex data on disc 374 at the search's own auxiliary prime 3, shared so
+    the Brandt matrices are computed once for every search below."""
+    return QuotientGraph(maximal_order(algebra_from_discriminant(374)), 3)
+
+
+@pytest.fixture(scope="module")
+def report374(f11a_mod5, graph374):
     c1, _ = is_n_admissible(2, f11a_mod5, -3, 5, 1, 55)
     c2, _ = is_n_admissible(17, f11a_mod5, -3, 5, 1, 55)
-    report = raise_level_search(f11a_mod5, c1, c2, old_disc=11, level=1,
-                                sample_primes=sample)
-    assert report.success, report.detail
-    return report.pair
+    return raise_level_search(f11a_mod5, c1, c2, old_disc=11, level=1,
+                              sample_primes=SAMPLE_374, graph=graph374)
+
+
+@pytest.fixture(scope="module")
+def raised_pair(report374):
+    assert report374.success, report374.detail
+    return report374.pair
 
 
 class TestRaiseLevel:
@@ -127,6 +164,28 @@ class TestRaiseLevel:
 
     def test_cuspidal_certificate(self, raised_pair):
         assert raised_pair.cuspidal_certified
+
+    def test_success_report_pinned(self, report374):
+        assert report374.success
+        assert report374.detail == "found on disc 374"
+        assert assignments(report374.candidates) == CUSPIDAL_374[-1:]
+        assert report374.pair.new is report374.candidates[0]
+
+    def test_falsifier_lists_every_cuspidal_system(self, f11a_mod5, graph374):
+        # a_3 moved off 11a: 2 and 17 stay admissible (they read a_2, a_17)
+        # but no system on disc 374 is congruent any more
+        avals = dict(f11a_mod5.a)
+        avals[3] = (avals[3] + 1) % 5
+        perturbed = EigenSystem(5, 1, avals, {11: 1}, "perturbed a_3")
+        c1, _ = is_n_admissible(2, perturbed, -3, 5, 1, 55)
+        c2, _ = is_n_admissible(17, perturbed, -3, 5, 1, 55)
+        assert c1 is not None and c2 is not None
+        report = raise_level_search(perturbed, c1, c2, old_disc=11, level=1,
+                                    sample_primes=SAMPLE_374, graph=graph374)
+        assert not report.success and report.pair is None
+        assert report.detail == ("no congruent eigensystem on disc 374: "
+                                 "falsifier for the level-raising instance")
+        assert assignments(report.candidates) == CUSPIDAL_374
 
     def test_second_reciprocity_l_element(self, raised_pair):
         # the L-side object of the second reciprocity law exists and computes

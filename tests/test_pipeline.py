@@ -1,0 +1,25 @@
+"""Byte-for-byte pin of the L-element pipeline's artifacts.
+
+The golden files under golden/N11-p5-n1-m2-K-3/ were written by
+write_artifacts for run_lfun(N- = 11, p = 5, n = 1, m_max = 2, K = -3); any
+change to the eigenform, the measure or the certificates shows up here.
+"""
+
+import os
+
+from quatlfun.pipeline import PipelineConfig, run_lfun, write_artifacts
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "N11-p5-n1-m2-K-3")
+
+
+def test_artifacts_match_golden_files(tmp_path):
+    result = run_lfun(PipelineConfig(n_plus=1, n_minus=11, p=5, n=1, m_max=2,
+                                     disc_k=-3))
+    write_artifacts(result, str(tmp_path))
+    names = sorted(os.listdir(GOLDEN))
+    assert names == ["L_p.json", "L_phi.json", "certificate.json", "mu_report.json"]
+    assert sorted(os.listdir(tmp_path)) == names
+    for name in names:
+        with open(os.path.join(GOLDEN, name), "rb") as want, \
+                open(os.path.join(tmp_path, name), "rb") as got:
+            assert got.read() == want.read(), name
