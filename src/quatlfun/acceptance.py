@@ -358,7 +358,7 @@ def criterion_8():
     """Two-prime level raising on disc 374 with certified U signs."""
     from .admraise import is_n_admissible, raise_level_search
     from .brandtforms import EigenSystem
-    from .exactalg.groupring import is_prime
+    from .primes import is_prime
     start = time.monotonic()
     sample = [ell for ell in range(2, 51)
               if is_prime(ell) and (2 * 5 * 11 * 17) % ell != 0]

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 from .brandtforms import EigenSystem, QuotientGraph, eigensystems_mod
 from .errors import DataMissingError, UsageError
-from .exactalg.groupring import is_prime
-from .quatarith import (algebra_from_discriminant, eichler_order, kronecker,
-                        local_splitting, maximal_order, prime_factors)
+from .primes import first_coprime_prime, is_prime, prime_factors
+from .quatarith import eichler_order_for, kronecker
 
 
 @dataclass(frozen=True)
@@ -148,6 +147,10 @@ def raise_level_search(system: EigenSystem, cert1: AdmissibleCert,
     the Eisenstein-orthogonal sublattice (the trivial line is excluded), which
     realizes the construction's nontriviality. The input itself must not be
     the trivial system of its own level.
+
+    The search cuts straight to these targets (an old prime whose a_w is
+    unknown is searched over its full range); only when nothing survives
+    are all cuspidal systems enumerated, to fill the falsifier report.
     """
     v1, v2 = cert1.v, cert2.v
     if v1 == v2:
@@ -161,34 +164,22 @@ def raise_level_search(system: EigenSystem, cert1: AdmissibleCert,
     p, n = system.p, system.n
     new_disc = old_disc * v1 * v2
     if graph is None:
-        alg = algebra_from_discriminant(new_disc)
-        order = maximal_order(alg)
-        if level != 1:
-            order = eichler_order(order, level, local_splitting)
-        graph = QuotientGraph(order, _aux_p(new_disc * level * p))
+        graph = QuotientGraph(eichler_order_for(new_disc, level),
+                              first_coprime_prime(new_disc * level * p))
     samples = tuple(ell for ell in sample_primes
                     if new_disc * level * p % ell != 0)
-    candidates = eigensystems_mod(graph, samples, p, n, level_tag="vertex",
-                                  cuspidal_only=True)
-    q = p ** n
-    matches = []
-    for cand in candidates:
-        if any((cand.value(ell) - system.value(ell)) % q for ell in samples):
-            continue
-        if (cand.u.get(v1, None) is None) or (cand.u[v1] - cert1.eps) % q:
-            continue
-        if (cand.u.get(v2, None) is None) or (cand.u[v2] - cert2.eps) % q:
-            continue
-        ok = True
-        for w in prime_factors(old_disc):
-            try:
-                if (cand.value(w) - system.value(w)) % q:
-                    ok = False
-            except DataMissingError:
-                pass  # old eigenvalue unavailable: congruence not testable there
-        if ok:
-            matches.append(cand)
+    targets = {ell: system.value(ell) for ell in samples}
+    targets.update({v1: cert1.eps, v2: cert2.eps})
+    for w in prime_factors(old_disc):
+        try:
+            targets[w] = system.value(w)
+        except DataMissingError:
+            pass  # a_w unknown: U_w is searched over its full range
+    matches = eigensystems_mod(graph, samples, p, n, level_tag="vertex",
+                               cuspidal_only=True, fixed=targets)
     if not matches:
+        candidates = eigensystems_mod(graph, samples, p, n, level_tag="vertex",
+                                      cuspidal_only=True)
         return RaiseReport(False, None,
                            "no congruent eigensystem on disc "
                            f"{new_disc}: falsifier for the level-raising instance",
@@ -201,11 +192,3 @@ def raise_level_search(system: EigenSystem, cert1: AdmissibleCert,
     if not pair.verify():
         raise UsageError("internal: congruence pair fails its own verification")
     return RaiseReport(True, pair, f"found on disc {new_disc}", tuple(matches))
-
-
-def _aux_p(bad: int) -> int:
-    ell = 2
-    while True:
-        if is_prime(ell) and bad % ell != 0:
-            return ell
-        ell += 1

@@ -11,14 +11,15 @@ certificates, so any inconsistency surfaces loudly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from . import bttree
 from .errors import (DataMissingError, InvariantViolationError, UsageError)
-from .exactalg import IntMatrix, kernel_mod
+from .exactalg import IntMatrix, kernel_basis, kernel_mod
+from .primes import first_coprime_prime, prime_factors
 from .quatarith import (RightIdeal, eichler_mass, ideal_class_set,
-                        local_splitting, neighbor_matrix, prime_factors,
-                        two_sided_prime)
+                        local_splitting, neighbor_matrix, two_sided_prime)
 from .quatarith.classset import ClassSet
 from .quatarith.ideal import reduce_ideal
 from .quatarith.lattice import Lattice4
@@ -99,8 +100,8 @@ class QuotientGraph:
         self.base_order = base_order
         self.max_radius = max_radius
         self.splitting = local_splitting(base_order, p, prec)
-        self.vertex_classes = ideal_class_set(base_order,
-                                              _aux_prime(disc * level * p))
+        self.vertex_classes = ideal_class_set(
+            base_order, first_coprime_prime(disc * level * p))
         self._vertex_memo = {}
         self._edge_memo = {}
         self._matrix_memo = {}
@@ -124,7 +125,7 @@ class QuotientGraph:
     def edge_classes(self) -> ClassSet:
         if self._edge_classes_cache is None:
             self._edge_classes_cache = ideal_class_set(
-                self.edge_order, _aux_prime(self.disc * self.level * self.p))
+                self.edge_order, first_coprime_prime(self.disc * self.level * self.p))
         return self._edge_classes_cache
 
     def ensure_walk(self):
@@ -401,25 +402,6 @@ def _unit_coords(i):
     return tuple(v)
 
 
-def _aux_prime(bad: int) -> int:
-    ell = 2
-    while True:
-        if _is_prime_small(ell) and bad % ell != 0:
-            return ell
-        ell += 1
-
-
-def _is_prime_small(n):
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
-
-
 def _chain_sublattice(e):
     """Integer 2x2 matrix of the index-p sublattice of L_s in the class of t."""
     p = e.p
@@ -501,75 +483,116 @@ def p_stabilize(system: EigenSystem, p: int) -> EigenSystem:
     return out
 
 
-def _submodule_has_primitive(gens, p, n):
-    return any(any(x % p for x in g) for g in gens)
+def eigenspace_cut(mat, a, basis, modulus=None):
+    """Generators of {v in span(basis) : (mat - a·I) v = 0}, zero vectors dropped.
+
+    mat is an h x h integer matrix and basis a list of length-h integer
+    vectors. M - a·I is restricted to the span of the basis (an h x k
+    matrix), its kernel is taken, and each kernel generator c is lifted back
+    to sum_i c_i·basis[i].
+
+    Over Z (modulus None) the kernel is exact (`kernel_basis`): the result is
+    a Z-basis of the vectors of the lattice spanned by `basis` that mat sends
+    to a times themselves, so the span shrinks to the rational eigenspace.
+    Over Z/p^n (modulus (p, n)) the kernel is the submodule of coefficient
+    vectors killed mod p^n (`kernel_mod`), and the lifts, reduced mod p^n,
+    generate {v in span(basis) mod p^n : mat·v ≡ a·v mod p^n}.
+    """
+    h = len(mat)
+    shifted = [[mat[i][j] - (a if i == j else 0) for j in range(h)] for i in range(h)]
+    restricted = [[sum(row[k] * b[k] for k in range(h)) for b in basis]
+                  for row in shifted]
+    if modulus is None:
+        gens = kernel_basis(IntMatrix.from_rows(restricted))
+    else:
+        p, n = modulus
+        q = p ** n
+        restricted = [[x % q for x in row] for row in restricted]
+        gens = kernel_mod(IntMatrix.from_rows(restricted), p, n)
+    out = []
+    for g in gens:
+        vec = tuple(sum(g[c] * basis[c][k] for c in range(len(basis))) for k in range(h))
+        if modulus is not None:
+            vec = tuple(x % q for x in vec)
+        if any(vec):
+            out.append(vec)
+    return out
+
+
+def joint_eigenspaces(operators, choices, basis, modulus=None):
+    """Depth-first search for joint eigenspaces of commuting operators.
+
+    Operator i is tried at each value in choices[i] in turn (one target
+    value, or the full candidate range); every step is an `eigenspace_cut`
+    of the span reached so far. A branch dies when its cut is empty and, over
+    Z/p^n, also when no generator has a unit coordinate (no primitive joint
+    eigenvector). Returns the surviving (assignment, basis) leaves in
+    lexicographic order of the choices, so fixing some coordinates to one
+    value returns exactly the matching leaves of the full search, in order.
+    """
+    leaves = []
+
+    def extend(idx, assignment, span):
+        if idx == len(operators):
+            leaves.append((tuple(assignment), span))
+            return
+        for a in choices[idx]:
+            cut = eigenspace_cut(operators[idx], a, span, modulus)
+            if cut and (modulus is None or any(x % modulus[0] for g in cut for x in g)):
+                extend(idx + 1, assignment + [a], cut)
+
+    extend(0, [], basis)
+    return leaves
+
+
+def _identity_basis(h):
+    return [tuple(1 if i == j else 0 for i in range(h)) for j in range(h)]
+
+
+def _hecke_operators(graph: QuotientGraph, sample_primes, level_tag, with_up):
+    """Labelled operators in search order: ("a", ell) for T_ell at the sorted
+    sample primes, ("u", q) for U_q at the discriminant primes, and
+    ("up", p) for U_p on the edge level when asked."""
+    ops = [(("a", ell), graph.brandt_matrix(ell, level_tag))
+           for ell in sorted(sample_primes)]
+    ops += [(("u", qq), graph.uq_matrix(qq, level_tag))
+            for qq in prime_factors(graph.disc)]
+    if with_up:
+        ops.append((("up", graph.p), graph.up_matrix()))
+    return ops
+
+
+def _start_basis(graph: QuotientGraph, level_tag, p, n, cuspidal_only):
+    cs = graph.vertex_classes if level_tag == "vertex" else graph.edge_classes
+    if cuspidal_only:
+        return _cuspidal_sublattice(cs, p, n)
+    return _identity_basis(len(cs))
 
 
 def eigensystems_mod(graph: QuotientGraph, sample_primes, p: int, n: int,
-                     level_tag: str = "vertex", include_up: bool = None,
-                     cuspidal_only: bool = False):
+                     level_tag: str = "vertex", cuspidal_only: bool = False,
+                     fixed: dict = None):
     """All primitive simultaneous eigensystems of the Hecke action mod p^n.
 
     Operators: T_ell for the sample primes, U_q at discriminant primes, and
-    U_p on the edge level (on by default there). Systems must admit a common
-    eigenvector with a unit coordinate; with cuspidal_only the search runs in
-    the sublattice orthogonal to the trivial (norm-form) line under the
-    unit-weight pairing.
+    U_p on the edge level. Systems must admit a common eigenvector with a
+    unit coordinate; with cuspidal_only the search runs in the sublattice
+    orthogonal to the trivial (norm-form) line under the unit-weight
+    pairing. `fixed` maps primes to known eigenvalues: those operators are
+    cut at that value only, which returns exactly the systems of the full
+    search that carry these values, in the same order.
     """
     q = p ** n
-    cs = graph.vertex_classes if level_tag == "vertex" else graph.edge_classes
-    h = len(cs)
-    if include_up is None:
-        include_up = level_tag == "edge"
-    operators = []
-    labels = []
-    for ell in sorted(sample_primes):
-        operators.append(graph.brandt_matrix(ell, level_tag))
-        labels.append(("a", ell))
-    for qq in prime_factors(graph.disc):
-        operators.append(graph.uq_matrix(qq, level_tag))
-        labels.append(("u", qq))
-    if include_up and level_tag == "edge":
-        operators.append(graph.up_matrix())
-        labels.append(("u", p))
-
-    start_basis = [tuple(1 if i == j else 0 for i in range(h)) for j in range(h)]
-    if cuspidal_only:
-        start_basis = _cuspidal_sublattice(cs, p, n)
-
-    results = []
-
-    def extend(idx, assignment, basis):
-        if idx == len(operators):
-            results.append(list(assignment))
-            return
-        mat = operators[idx]
-        for a in range(q):
-            rows = [[(mat[i][j] - (a if i == j else 0)) % q for j in range(h)]
-                    for i in range(h)]
-            mb = [[sum(rows[i][k] * basis[col][k] for k in range(h)) % q
-                   for col in range(len(basis))] for i in range(h)]
-            gens = kernel_mod(IntMatrix.from_rows(mb), p, n)
-            new_basis = []
-            for gvec in gens:
-                vec = tuple(sum(gvec[c] * basis[c][k] for c in range(len(basis))) % q
-                            for k in range(h))
-                if any(vec):
-                    new_basis.append(vec)
-            if new_basis and _submodule_has_primitive(new_basis, p, n):
-                extend(idx + 1, assignment + [a], new_basis)
-
-    extend(0, [], start_basis)
-
+    fixed = fixed or {}
+    ops = _hecke_operators(graph, sample_primes, level_tag, level_tag == "edge")
+    choices = [(fixed[ell] % q,) if ell in fixed else range(q) for (_, ell), _ in ops]
+    leaves = joint_eigenspaces([mat for _, mat in ops], choices,
+                               _start_basis(graph, level_tag, p, n, cuspidal_only),
+                               (p, n))
     systems = []
-    seen = set()
-    for assignment in results:
-        key = tuple(assignment)
-        if key in seen:
-            continue
-        seen.add(key)
+    for assignment, _ in leaves:
         a_map, u_map = {}, {}
-        for (kind, ell), val in zip(labels, assignment):
+        for ((kind, ell), _), val in zip(ops, assignment):
             (a_map if kind == "a" else u_map)[ell] = val
         sys_ = EigenSystem(p, n, a_map, u_map, "computed")
         sys_.eisenstein = all((ell + 1 - a_map[ell]) % q == 0 for ell in a_map)
@@ -588,18 +611,10 @@ def _cuspidal_sublattice(cs: ClassSet, p: int, n: int):
     if any(w % p == 0 for w in weights):
         raise UsageError("a unit-group order is divisible by p; "
                          "the trivial line does not split off")
-    scale = 1
-    for w in weights:
-        scale = scale * w // _gcd(scale, w)
+    scale = math.lcm(*weights)
     functional = [(scale // w) % q for w in weights]
     m = IntMatrix.from_rows([functional])
     return [g for g in kernel_mod(m, p, n) if any(g)]
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def eigenvector_mod(graph: QuotientGraph, system: EigenSystem, sample_primes,
@@ -607,24 +622,14 @@ def eigenvector_mod(graph: QuotientGraph, system: EigenSystem, sample_primes,
     """A canonical primitive joint eigenvector realizing the system mod p^n."""
     p, n = system.p, system.n
     q = p ** n
-    operators = []
-    assignments = []
-    for ell in sorted(sample_primes):
-        operators.append(graph.brandt_matrix(ell, level_tag))
-        assignments.append(system.value(ell))
-    for qq in prime_factors(graph.disc):
-        operators.append(graph.uq_matrix(qq, level_tag))
-        assignments.append(system.value(qq))
-    if level_tag == "edge" and p in system.u:
-        operators.append(graph.up_matrix())
-        assignments.append(system.u[p])
-    h = len(graph.edge_classes if level_tag == "edge" else graph.vertex_classes)
-    basis = [tuple(1 if i == j else 0 for i in range(h)) for j in range(h)]
-    if cuspidal_only:
-        basis = _cuspidal_sublattice(
-            graph.edge_classes if level_tag == "edge" else graph.vertex_classes, p, n)
-    gens = joint_eigenvectors_mod_from(operators, assignments, p, n, h, basis)
-    prim = [g for g in gens if any(x % p for x in g)]
+    ops = _hecke_operators(graph, sample_primes, level_tag,
+                           level_tag == "edge" and p in system.u)
+    choices = [(system.u[p] if kind == "up" else system.value(ell),)
+               for (kind, ell), _ in ops]
+    leaves = joint_eigenspaces([mat for _, mat in ops], choices,
+                               _start_basis(graph, level_tag, p, n, cuspidal_only),
+                               (p, n))
+    prim = [g for _, span in leaves for g in span if any(x % p for x in g)]
     if not prim:
         raise DataMissingError("no primitive eigenvector realizes the system")
     vec = prim[0]
@@ -637,26 +642,6 @@ def eigenvector_mod(graph: QuotientGraph, system: EigenSystem, sample_primes,
     return AutomorphicForm(vec, level_tag, (p, n))
 
 
-def joint_eigenvectors_mod_from(operators, assignments, p, n, h, basis):
-    q = p ** n
-    for mat, a in zip(operators, assignments):
-        rows = [[(mat[i][j] - (a if i == j else 0)) % q for j in range(h)]
-                for i in range(h)]
-        mb = [[sum(rows[i][k] * basis[col][k] for k in range(h)) % q
-               for col in range(len(basis))] for i in range(h)]
-        gens = kernel_mod(IntMatrix.from_rows(mb), p, n)
-        new_basis = []
-        for gvec in gens:
-            vec = tuple(sum(gvec[c] * basis[c][k] for c in range(len(basis))) % q
-                        for k in range(h))
-            if any(vec):
-                new_basis.append(vec)
-        basis = new_basis
-        if not basis:
-            return []
-    return basis
-
-
 def rational_eigensystems(matrices, labels):
     """Integer joint eigensystems of commuting integer matrices.
 
@@ -664,35 +649,12 @@ def rational_eigensystems(matrices, labels):
     matrices); eigenspaces are cut exactly over Z. Returns (assignment, basis)
     pairs covering the rationally split part of the space.
     """
-    from .exactalg import kernel_basis
-    h = len(matrices[0])
-    results = []
-
-    def extend(idx, assignment, basis_rows):
-        if idx == len(matrices):
-            results.append((dict(zip(labels, assignment)), basis_rows))
-            return
-        mat = matrices[idx]
+    choices = []
+    for mat in matrices:
         bound = max(sum(abs(x) for x in row) for row in mat)
-        for a in range(-bound, bound + 1):
-            rows = [[mat[i][j] - (a if i == j else 0) for j in range(h)]
-                    for i in range(h)]
-            # restrict to the current rational subspace
-            mb = [[sum(rows[i][k] * b[k] for k in range(h)) for b in basis_rows]
-                  for i in range(h)]
-            gens = kernel_basis(IntMatrix.from_rows(mb)) if basis_rows else ()
-            new_basis = []
-            for g in gens:
-                vec = tuple(sum(g[c] * basis_rows[c][k] for c in range(len(basis_rows)))
-                            for k in range(h))
-                if any(vec):
-                    new_basis.append(vec)
-            if new_basis:
-                extend(idx + 1, assignment + [a], new_basis)
-
-    start = [tuple(1 if i == j else 0 for i in range(h)) for j in range(h)]
-    extend(0, [], start)
-    return results
+        choices.append(range(-bound, bound + 1))
+    leaves = joint_eigenspaces(matrices, choices, _identity_basis(len(matrices[0])))
+    return [(dict(zip(labels, assignment)), span) for assignment, span in leaves]
 
 
 def mk_dual_graph(graph: QuotientGraph):

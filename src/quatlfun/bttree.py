@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UnsupportedConfigurationError, UsageError
+from .errors import UsageError
 
 
 def _vp(x, p):
@@ -225,9 +225,6 @@ def standard_edge_sequence(j: int, torus, tie_break: str = "lex_min"):
     triple is chosen; any fixed deterministic choice yields the same
     L-function element up to the documented group-translation ambiguity.
     """
-    if not torus.is_inert:
-        raise UnsupportedConfigurationError(
-            "edge rays are only defined for the inert (non-split) torus")
     if j < 0:
         raise UsageError("edge index must be nonnegative")
     ray = torus.edge_ray(j + 1, tie_break=tie_break)

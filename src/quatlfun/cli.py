@@ -147,15 +147,11 @@ def _table(rows):
 
 
 def _cmd_brandt(args) -> int:
-    from .quatarith import (algebra_from_discriminant, eichler_order,
-                            ideal_class_set, local_splitting, maximal_order,
-                            neighbor_matrix)
+    from .primes import first_coprime_prime
+    from .quatarith import eichler_order_for, ideal_class_set, neighbor_matrix
     primes = [int(x) for x in args.primes.split(",")]
-    order = maximal_order(algebra_from_discriminant(args.disc))
-    if args.level != 1:
-        order = eichler_order(order, args.level, local_splitting)
-    aux = _first_coprime(args.disc * args.level)
-    cs = ideal_class_set(order, aux)
+    order = eichler_order_for(args.disc, args.level)
+    cs = ideal_class_set(order, first_coprime_prime(args.disc * args.level))
     print(f"disc {args.disc}, level {args.level}: class number {len(cs)}, "
           f"mass {cs.mass}")
     out = {}
@@ -177,15 +173,11 @@ def _eigensystem_from_args(args, sample_need):
             return EigenSystem.from_json(fh.read())
     from .pipeline import PipelineConfig, select_vertex_system
     from .brandtforms import QuotientGraph
-    from .quatarith import (algebra_from_discriminant, eichler_order,
-                            local_splitting, maximal_order)
+    from .quatarith import eichler_order_for
     config = PipelineConfig(args.nplus, args.nminus, args.p, args.n, 0, args.K,
                             sample_bound=sample_need)
     config.validate()
-    order = maximal_order(algebra_from_discriminant(args.nminus))
-    if args.nplus != 1:
-        order = eichler_order(order, args.nplus, local_splitting)
-    graph = QuotientGraph(order, args.p)
+    graph = QuotientGraph(eichler_order_for(args.nminus, args.nplus), args.p)
     return select_vertex_system(graph, config)
 
 
@@ -204,7 +196,7 @@ def _cmd_admissible(args) -> int:
 
 def _cmd_raise(args) -> int:
     from .admraise import is_n_admissible, raise_level_search
-    from .exactalg.groupring import is_prime
+    from .primes import is_prime
     bad = args.p * args.nplus * args.nminus
     sample = [ell for ell in range(2, args.bound + 1) if is_prime(ell)
               and (bad * args.v1 * args.v2) % ell != 0]
@@ -283,15 +275,6 @@ def _cmd_selftest(args) -> int:
         subset = [int(x) for x in args.criteria.split(",")]
     ok = run_acceptance(subset)
     return 0 if ok else 5
-
-
-def _first_coprime(bad: int) -> int:
-    from .exactalg.groupring import is_prime
-    ell = 2
-    while True:
-        if is_prime(ell) and bad % ell != 0:
-            return ell
-        ell += 1
 
 
 if __name__ == "__main__":

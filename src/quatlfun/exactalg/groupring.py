@@ -12,23 +12,8 @@ import json
 from dataclasses import dataclass
 
 from ..errors import UsageError
+from ..primes import is_prime
 from .intmatrix import IntMatrix, solve_mod
-
-
-def is_prime(q: int) -> bool:
-    """Deterministic trial-division primality test; fine at desk scale."""
-    if q < 2:
-        return False
-    if q < 4:
-        return True
-    if q % 2 == 0:
-        return False
-    f = 3
-    while f * f <= q:
-        if q % f == 0:
-            return False
-        f += 2
-    return True
 
 
 @dataclass(frozen=True)

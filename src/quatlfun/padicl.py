@@ -121,19 +121,6 @@ class MeasurePipeline:
         return out
 
 
-def pairing_value(pipeline: MeasurePipeline, t: int, j: int, m: int) -> int:
-    return pipeline.pairing_value(t, j, m)
-
-
-def theta(pipeline: MeasurePipeline, t: int, j: int, m: int) -> int:
-    return pipeline.theta(t, j, m)
-
-
-def partial_L(pipeline: MeasurePipeline, m: int) -> GroupRingElement:
-    pipeline.check_distribution(m)
-    return pipeline.partial_l(m)
-
-
 def full_Lp(pipeline: MeasurePipeline, m: int,
             provenance: str = "") -> LFunctionElement:
     pipeline.check_distribution(m)

@@ -14,12 +14,10 @@ from dataclasses import dataclass
 from .brandtforms import (EigenSystem, QuotientGraph, eigenvector_mod,
                           hensel_unit_root, p_stabilize, rational_eigensystems)
 from .errors import (ConfigurationError, DataMissingError)
-from .exactalg.groupring import is_prime
 from .padicl import (LFunctionElement, MeasurePipeline, check_projection_tower,
                      full_Lp, mu_two_nu_check)
-from .quatarith import (algebra_from_discriminant, eichler_order,
-                        ideal_class_set, kronecker, local_splitting,
-                        maximal_order, prime_factors)
+from .primes import first_coprime_prime, is_prime, prime_factors
+from .quatarith import eichler_order_for, ideal_class_set, kronecker
 from .quatarith.embedding import embedding_with_base
 from .toruscm import build_torus
 
@@ -67,7 +65,6 @@ class PipelineConfig:
         if kronecker(self.disc_k, self.p) == 1:
             raise ConfigurationError(
                 f"factorization rule violated: p = {self.p} splits in K")
-        bad = self.p * self.n_plus * self.n_minus
         for q in minus_primes:
             if self.n_plus % q == 0 or self.p == q:
                 raise ConfigurationError("level parts must be pairwise coprime")
@@ -131,41 +128,23 @@ def select_vertex_system(graph: QuotientGraph, config: PipelineConfig):
     needed = [config.p] + list(sample)
     mats = [graph.brandt_matrix(ell) for ell in needed]
     systems = rational_eigensystems(mats, needed)
-    nontrivial = [a for a, _ in systems
+    nontrivial = [(a, basis) for a, basis in systems
                   if any(a[ell] != ell + 1 for ell in needed)]
     if len(nontrivial) != 1:
         raise DataMissingError(
             f"{len(nontrivial)} non-trivial rational systems found; "
             "supply an eigensystem fixture to disambiguate")
-    chosen = nontrivial[0]
+    chosen, basis = nontrivial[0]
+    vec = basis[0]
     q = config.p ** config.n
     a_map = {ell: chosen[ell] % q for ell in needed}
     u_map = {}
     for qq in prime_factors(config.n_minus):
         mat = graph.uq_matrix(qq)
-        vec = _rational_vector_for(graph, mats, needed, chosen)
         image = [sum(mat[i][j] * vec[j] for j in range(len(vec)))
                  for i in range(len(vec))]
-        ratio = _eigen_ratio(image, vec)
-        u_map[qq] = ratio % q
+        u_map[qq] = _eigen_ratio(image, vec) % q
     return EigenSystem(config.p, config.n, a_map, u_map, "computed (Brandt)")
-
-
-def _rational_vector_for(graph, mats, labels, assignment):
-    from .exactalg import IntMatrix, kernel_basis
-    h = len(mats[0])
-    basis = [tuple(1 if i == j else 0 for i in range(h)) for j in range(h)]
-    for mat, ell in zip(mats, labels):
-        a = assignment[ell]
-        rows = [[mat[i][j] - (a if i == j else 0) for j in range(h)] for i in range(h)]
-        mb = [[sum(rows[i][k] * b[k] for k in range(h)) for b in basis]
-              for i in range(h)]
-        gens = kernel_basis(IntMatrix.from_rows(mb))
-        basis = [tuple(sum(g[c] * basis[c][k] for c in range(len(basis)))
-                       for k in range(h)) for g in gens if any(g)]
-        if not basis:
-            raise DataMissingError("rational system lost its eigenvector")
-    return basis[0]
 
 
 def _eigen_ratio(image, vec):
@@ -177,19 +156,38 @@ def _eigen_ratio(image, vec):
     raise DataMissingError("zero eigenvector")
 
 
+def _torus_quotient(disc: int, level: int, p: int, disc_k: int):
+    """Head of every L-element build: the Eichler order of (disc, level), its
+    class set, a base order with an optimal embedding of K, and the quotient
+    graph at p. Returns (base order, embedding, graph)."""
+    order = eichler_order_for(disc, level)
+    class_set = ideal_class_set(order, first_coprime_prime(p * level * disc))
+    base, embedding = embedding_with_base(class_set, disc_k, 1)
+    return base, embedding, QuotientGraph(base, p)
+
+
+def _l_element(graph, embedding, disc_k: int, target: EigenSystem, sample,
+               m: int, provenance: str):
+    """Tail of every L-element build: the edge eigenform realizing `target`
+    (which carries the unit root alpha as its U_p eigenvalue), the torus, the
+    measure with its certificates (distribution relation, then projection
+    tower), L_p, and the mu report. Returns (element, report)."""
+    form = eigenvector_mod(graph, target, sample, "edge")
+    torus = build_torus(disc_k, embedding, graph)
+    pipeline = MeasurePipeline(graph, torus, form, target.u[target.p], target.n)
+    pipeline.check_distribution(m)
+    check_projection_tower(pipeline, m)
+    element = full_Lp(pipeline, m, provenance=provenance)
+    return element, mu_two_nu_check(pipeline, element)
+
+
 def run_lfun(config: PipelineConfig) -> LfunResult:
     config.validate()
     if config.cache_dir:
         from . import cache
         cache.configure(config.cache_dir)
-    alg = algebra_from_discriminant(config.n_minus)
-    maxorder = maximal_order(alg)
-    order = maxorder if config.n_plus == 1 else \
-        eichler_order(maxorder, config.n_plus, local_splitting)
-    aux = _first_coprime(config.p * config.n_plus * config.n_minus)
-    class_set = ideal_class_set(order, aux)
-    base, embedding = embedding_with_base(class_set, config.disc_k, 1)
-    graph = QuotientGraph(base, config.p)
+    base, embedding, graph = _torus_quotient(config.n_minus, config.n_plus,
+                                             config.p, config.disc_k)
     system = select_vertex_system(graph, config)
 
     q = config.p ** config.n
@@ -212,25 +210,11 @@ def run_lfun(config: PipelineConfig) -> LfunResult:
                           **{qq: stabilized.value(qq)
                              for qq in prime_factors(config.n_minus)}},
                          stabilized.provenance)
-    form = eigenvector_mod(graph, target, sample, "edge")
-    torus = build_torus(config.disc_k, embedding, graph)
-    pipeline = MeasurePipeline(graph, torus, form, alpha, config.n)
-    pipeline.check_distribution(config.m_max)
-    check_projection_tower(pipeline, config.m_max)
-    element = full_Lp(pipeline, config.m_max,
-                      provenance=f"disc {config.n_minus}, level {config.n_plus}, "
-                                 f"p {config.p}, K {config.disc_k}")
-    report = mu_two_nu_check(pipeline, element)
+    element, report = _l_element(
+        graph, embedding, config.disc_k, target, sample, config.m_max,
+        f"disc {config.n_minus}, level {config.n_plus}, p {config.p}, K {config.disc_k}")
     return LfunResult(config, target, alpha, element, report, sample,
                       base.unit_count())
-
-
-def _first_coprime(bad: int) -> int:
-    ell = 2
-    while True:
-        if is_prime(ell) and bad % ell != 0:
-            return ell
-        ell += 1
 
 
 def raised_l_element(pair, disc_k: int, n_plus: int, m: int,
@@ -239,22 +223,15 @@ def raised_l_element(pair, disc_k: int, n_plus: int, m: int,
     right-hand object, computed on the raised discriminant.
 
     The raised system must be ordinary at p (its T_p eigenvalue is read off
-    its own eigenvector); everything else mirrors the main pipeline.
+    its own eigenvector); head and tail are the main pipeline's.
     """
     system = pair.new
     p, n = system.p, system.n
     q = p ** n
     new_disc = pair.v1 * pair.v2 * pair.old_disc
-    alg = algebra_from_discriminant(new_disc)
-    order = maximal_order(alg)
-    if n_plus != 1:
-        order = eichler_order(order, n_plus, local_splitting)
-    class_set = ideal_class_set(order, _first_coprime(new_disc * n_plus * p))
-    base, embedding = embedding_with_base(class_set, disc_k, 1)
-    graph = QuotientGraph(base, p)
+    _, embedding, graph = _torus_quotient(new_disc, n_plus, p, disc_k)
 
     pins = [ell for ell in pin_primes if (new_disc * n_plus * p) % ell != 0]
-    from .brandtforms import eigenvector_mod
     vertex_target = EigenSystem(p, n, {ell: system.value(ell) for ell in pins},
                                 {qq: system.value(qq)
                                  for qq in prime_factors(new_disc)},
@@ -269,14 +246,8 @@ def raised_l_element(pair, disc_k: int, n_plus: int, m: int,
     edge_target = EigenSystem(p, n, dict(vertex_target.a),
                               {p: alpha, **vertex_target.u},
                               system.provenance)
-    form = eigenvector_mod(graph, edge_target, pins, "edge")
-    torus = build_torus(disc_k, embedding, graph)
-    from .padicl import MeasurePipeline
-    pipeline = MeasurePipeline(graph, torus, form, alpha, n)
-    pipeline.check_distribution(m)
-    element = full_Lp(pipeline, m, provenance=f"raised disc {new_disc}")
-    report = mu_two_nu_check(pipeline, element)
-    return element, report
+    return _l_element(graph, embedding, disc_k, edge_target, pins, m,
+                      f"raised disc {new_disc}")
 
 
 def _mod_ratio(image, vec, p, n):

@@ -7,15 +7,17 @@ from .classset import (ClassSet, eichler_mass, ideal_class_set,
 from .embedding import Embedding, optimal_embedding, quadratic_generator
 from .ideal import RightIdeal, isometric, neighbors
 from .lattice import Lattice4
-from .order import (QuaternionOrder, eichler_order, left_order_of,
-                    maximal_order, standard_order, two_sided_prime)
+from .order import (QuaternionOrder, eichler_order, eichler_order_for,
+                    left_order_of, maximal_order, standard_order,
+                    two_sided_prime)
 from .splitting import LocalSplitting, local_splitting
 
 __all__ = [
     "ClassSet", "Embedding", "Lattice4", "LocalSplitting", "QuaternionAlgebra",
     "QuaternionOrder", "RightIdeal", "algebra_from_discriminant",
-    "eichler_mass", "eichler_order", "hilbert_symbol", "ideal_class_set",
-    "isometric", "kronecker", "left_order_of", "legendre", "local_splitting",
+    "eichler_mass", "eichler_order", "eichler_order_for", "hilbert_symbol",
+    "ideal_class_set", "isometric", "kronecker", "left_order_of", "legendre",
+    "local_splitting",
     "maximal_order", "neighbor_matrix", "neighbors", "optimal_embedding",
     "prime_factors", "quadratic_generator", "ramified_primes",
     "standard_order", "two_sided_prime",

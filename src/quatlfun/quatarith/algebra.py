@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from ..errors import SearchExhaustedError, UsageError
+from ..primes import prime_factors
 
 
 def legendre(a: int, p: int) -> int:
@@ -66,17 +68,7 @@ def hilbert_symbol(a: int, b: int, p) -> int:
 
 def ramified_primes(a: int, b: int):
     """Finite ramification set of (a,b | Q), via Hilbert symbols at p | 2ab."""
-    primes = set()
-    for x in (2, abs(a), abs(b)):
-        n = x
-        f = 2
-        while f * f <= n:
-            while n % f == 0:
-                primes.add(f)
-                n //= f
-            f += 1
-        if n > 1:
-            primes.add(n)
+    primes = {q for x in (2, abs(a), abs(b)) for q in prime_factors(x)}
     return tuple(sorted(p for p in primes if hilbert_symbol(a, b, p) == -1))
 
 
@@ -150,19 +142,9 @@ def algebra_from_discriminant(d: int, search_bound: int = 600) -> QuaternionAlge
     """
     if d < 2:
         raise UsageError("discriminant must be a squarefree integer > 1")
-    primes = []
-    n = d
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            primes.append(f)
-            n //= f
-            if n % f == 0:
-                raise UsageError("discriminant must be squarefree")
-        else:
-            f += 1
-    if n > 1:
-        primes.append(n)
+    primes = prime_factors(d)
+    if prod(primes) != d:
+        raise UsageError("discriminant must be squarefree")
     if len(primes) % 2 == 0:
         raise UsageError("a definite rational quaternion algebra has an odd "
                          "number of finite ramified primes")

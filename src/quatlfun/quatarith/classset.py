@@ -15,24 +15,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import InvariantViolationError, ResourceLimitError, UsageError
+from ..primes import prime_factors
 from .ideal import RightIdeal, isometric, neighbors, reduce_ideal
 from .order import QuaternionOrder
 from .splitting import local_splitting
-
-
-def prime_factors(n: int):
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        else:
-            f += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def eichler_mass(disc: int, level: int) -> Fraction:

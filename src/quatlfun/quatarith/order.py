@@ -3,17 +3,20 @@
 The maximal-order routine saturates the obvious order Z<1,i,j,k> prime by
 prime: index-q superorders are found by brute force for q in {2, 3} and by the
 radical idealizer for q >= 5 (where the trace form detects the radical, since
-the characteristic exceeds the dimension).
+the characteristic exceeds the dimension), again by brute force when the
+order is already hereditary at q and the idealizers add nothing.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from math import gcd, isqrt
 
 from ..errors import InvariantViolationError, UsageError
 from ..exactalg import IntMatrix
-from .algebra import QuaternionAlgebra
+from ..primes import prime_factors
+from .algebra import QuaternionAlgebra, algebra_from_discriminant
 from .lattice import Lattice4, hnf_rows, preimage_lattice, vectors_of_value
 
 ONE = (1, 0, 0, 0)
@@ -179,7 +182,7 @@ def maximal_order(alg: QuaternionAlgebra) -> QuaternionOrder:
         if guard > 64:
             raise InvariantViolationError("maximal-order saturation did not terminate")
         ratio = order.reduced_discriminant() // target
-        q = _smallest_prime_factor(ratio)
+        q = prime_factors(ratio)[0]
         bigger = _enlarge_at(order, q)
         if bigger is None:
             raise InvariantViolationError(f"could not enlarge order at {q}")
@@ -187,19 +190,16 @@ def maximal_order(alg: QuaternionAlgebra) -> QuaternionOrder:
     return order
 
 
-def _smallest_prime_factor(n):
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return f
-        f += 1
-    return n
-
-
 def _enlarge_at(order: QuaternionOrder, q: int):
+    """An order of index q over `order`, or None.
+
+    For q >= 5 the radical's idealizers are tried first; when O/qO is already
+    hereditary at q they give nothing new, and brute force over the index-q
+    superlattices decides.
+    """
     if q <= 3:
         return _enlarge_brute(order, q)
-    return _enlarge_radical(order, q)
+    return _enlarge_radical(order, q) or _enlarge_brute(order, q)
 
 
 def _enlarge_brute(order: QuaternionOrder, q: int):
@@ -327,17 +327,8 @@ def eichler_order(maximal: QuaternionOrder, level: int, splitting_factory) -> Qu
     if gcd(level, maximal.reduced_discriminant()) != 1:
         raise UsageError("level must be coprime to the discriminant")
     order = maximal
-    n = level
-    f = 2
-    factors = []
-    while f * f <= n:
-        while n % f == 0:
-            factors.append(f)
-            n //= f
-        f += 1
-    if n > 1:
-        factors.append(n)
-    if len(set(factors)) != len(factors):
+    factors = prime_factors(level)
+    if math.prod(factors) != level:
         raise UsageError("only squarefree levels are supported")
     for ell in factors:
         spl = splitting_factory(maximal, ell, 1)
@@ -361,6 +352,13 @@ def eichler_order(maximal: QuaternionOrder, level: int, splitting_factory) -> Qu
     if order.reduced_discriminant() != expected:
         raise InvariantViolationError("Eichler order has wrong reduced discriminant")
     return order
+
+
+def eichler_order_for(disc: int, level: int) -> QuaternionOrder:
+    """The Eichler order of the given level in the maximal order of disc."""
+    from .splitting import local_splitting
+    return eichler_order(maximal_order(algebra_from_discriminant(disc)), level,
+                         local_splitting)
 
 
 def two_sided_prime(order: QuaternionOrder, q: int) -> Lattice4:

@@ -39,10 +39,6 @@ class TorusData:
     torsion_pair: tuple  # Teichmueller unit generating the torsion mod units
     torsion_order: int  # (p+1) / (order of the global-unit image)
 
-    @property
-    def is_inert(self) -> bool:
-        return True  # split/ramified cases are rejected at construction
-
     def unit_matrix(self, x: int, y: int):
         """Matrix of x + y·g mod p^prec."""
         q = self.p ** self.prec

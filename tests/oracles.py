@@ -3,10 +3,24 @@
 These deliberately avoid the library's own code paths: naive row/column
 reduction, minor enumeration, direct convolution, point counts, exhaustive
 graph searches. Slow is fine; they only run on small inputs.
+
+Point counts, Legendre/Kronecker symbols by square search, spanning-tree sums
+and the Fitting minors oracle are the acceptance suite's own oracles
+(quatlfun.acceptance), imported here under their test-suite names: they
+share no code path with the routines they check.
 """
 
-from fractions import Fraction
-from itertools import combinations
+from quatlfun.acceptance import (curve_point_count_a as curve_a_ell,
+                                 fitting_minors_oracle, kronecker_oracle,
+                                 legendre_by_squares as legendre_oracle,
+                                 spanning_tree_sum as spanning_tree_weight_sum)
+
+__all__ = [
+    "convolution_oracle", "count_vectors_of_norm", "curve_a_ell",
+    "fitting_exponent_oracle", "hilbert_symbol_oracle", "inner_product_oracle",
+    "kronecker_oracle", "legendre_oracle", "snf_diagonal_oracle",
+    "spanning_tree_weight_sum",
+]
 
 
 # -- Smith form via naive repeated gcd reduction (no pivot strategy shared
@@ -84,33 +98,8 @@ def snf_diagonal_oracle(rows):
 
 def fitting_exponent_oracle(rows, p, n=None):
     """Minimal p-valuation over all maximal minors; None iff every minor is 0."""
-    nr = len(rows)
-    nc = len(rows[0])
-    assert nc >= nr
-    best = None
-    for cols in combinations(range(nc), nr):
-        sub = [[rows[i][j] for j in cols] for i in range(nr)]
-        d = _det_oracle(sub)
-        if d == 0:
-            continue
-        v = 0
-        while d % p == 0:
-            d //= p
-            v += 1
-        best = v if best is None else min(best, v)
-    return best
-
-
-def _det_oracle(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = 0
-    for j in range(n):
-        if m[0][j]:
-            minor = [row[:j] + row[j + 1:] for row in m[1:]]
-            total += (-1) ** j * m[0][j] * _det_oracle(minor)
-    return total
+    assert len(rows[0]) >= len(rows)
+    return fitting_minors_oracle(rows, p)
 
 
 def convolution_oracle(a, b, mod, order):
@@ -121,40 +110,7 @@ def convolution_oracle(a, b, mod, order):
     return out
 
 
-# -- elliptic curve point counts -------------------------------------------
-
-def curve_a_ell(ell, a1=0, a2=-1, a3=1, a4=-10, a6=-20):
-    """a_ell = ell + 1 - #E(F_ell) for a long Weierstrass equation.
-
-    Defaults are the conductor-11 curve y^2 + y = x^3 - x^2 - 10x - 20.
-    """
-    count = 1  # point at infinity
-    for x in range(ell):
-        rhs = (x ** 3 + a2 * x ** 2 + a4 * x + a6) % ell
-        for y in range(ell):
-            if (y * y + a1 * x * y + a3 * y - rhs) % ell == 0:
-                count += 1
-    return ell + 1 - count
-
-
-# -- Legendre / Kronecker and Hilbert symbols --------------------------------
-
-def legendre_oracle(a, p):
-    """Legendre symbol by exhaustive square search (p an odd prime)."""
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if any((x * x - a) % p == 0 for x in range(1, p)) else -1
-
-
-def kronecker_oracle(d, q):
-    """Kronecker symbol (d|q) for prime q, by square search / 8-pattern."""
-    if q == 2:
-        if d % 2 == 0:
-            return 0
-        return 1 if d % 8 in (1, 7) else -1
-    return legendre_oracle(d, q)
-
+# -- Hilbert symbols -----------------------------------------------------------
 
 def hilbert_symbol_oracle(a, b, p, box=None):
     """(a,b)_p for odd p by searching ax^2 + by^2 = z^2 mod p^3 (desk scale)."""
@@ -171,47 +127,6 @@ def hilbert_symbol_oracle(a, b, p, box=None):
 
 
 # -- graphs -------------------------------------------------------------------
-
-def spanning_tree_weight_sum(n_vertices, edge_list):
-    """Sum over spanning trees of the product of lengths of edges NOT in the tree.
-
-    edge_list entries are (s, t, length); loops contribute no trees and their
-    lengths never enter (they lie in every complement, so loops must be
-    removed by the caller, matching the character-group convention).
-    """
-    m = len(edge_list)
-    if n_vertices == 1:
-        return 1 if m == 0 else _prod(length for _, _, length in edge_list)
-    total = 0
-    for subset in combinations(range(m), n_vertices - 1):
-        # check the subset is a spanning tree
-        parent = list(range(n_vertices))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        ok = True
-        for idx in subset:
-            s, t, _ = edge_list[idx]
-            rs, rt = find(s), find(t)
-            if rs == rt:
-                ok = False
-                break
-            parent[rs] = rt
-        if ok and len({find(v) for v in range(n_vertices)}) == 1:
-            total += _prod(edge_list[i][2] for i in range(m) if i not in subset)
-    return total
-
-
-def _prod(it):
-    out = 1
-    for x in it:
-        out *= x
-    return out
-
 
 def inner_product_oracle(x, y):
     return sum(a * b for a, b in zip(x, y))

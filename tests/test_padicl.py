@@ -7,7 +7,7 @@ from quatlfun.exactalg import (Character, GroupRingElement, group_ring_mul,
                                involution, mu_invariant, project_level,
                                specialize)
 from quatlfun.padicl import (MeasurePipeline, check_projection_tower, full_Lp,
-                             mu_two_nu_check, partial_L)
+                             mu_two_nu_check)
 from quatlfun.quatarith import (algebra_from_discriminant, ideal_class_set,
                                 maximal_order)
 from quatlfun.quatarith.embedding import embedding_with_base
@@ -93,7 +93,8 @@ class TestMeasure:
 class TestLElements:
     def test_partial_level_zero_single_coefficient(self, setup):
         pipe = make_pipeline(setup, 1)
-        el = partial_L(pipe, 0)
+        pipe.check_distribution(0)
+        el = pipe.partial_l(0)
         assert el.group_order == 1
 
     def test_lp_involution_invariant(self, setup):

@@ -6,7 +6,8 @@ import pytest
 from quatlfun.errors import SearchExhaustedError, UsageError
 from quatlfun.quatarith import (Lattice4, QuaternionAlgebra, RightIdeal,
                                 algebra_from_discriminant, eichler_mass,
-                                eichler_order, hilbert_symbol,
+                                eichler_order, eichler_order_for,
+                                hilbert_symbol,
                                 ideal_class_set, isometric, local_splitting,
                                 maximal_order, neighbor_matrix, neighbors,
                                 optimal_embedding, quadratic_generator,
@@ -106,6 +107,18 @@ class TestMaximalOrder:
     def test_standard_order_discriminant(self):
         alg = QuaternionAlgebra(-1, -11)
         assert standard_order(alg).reduced_discriminant() == 4 * 11
+
+    @pytest.mark.parametrize("disc, ab", [(73, (-5, -146)), (97, (-5, -194))])
+    def test_hereditary_at_five(self, disc, ab):
+        # Z<1,i,j,k> in (-5, -2·disc) is already hereditary at 5: the
+        # radical's idealizers add nothing there, and saturation must still
+        # reach a maximal order
+        alg = algebra_from_discriminant(disc)
+        assert (alg.a, alg.b) == ab
+        assert maximal_order(alg).reduced_discriminant() == disc
+        for level, psi in ((1, 1), (2, 3)):
+            cs = ideal_class_set(eichler_order_for(disc, level), 3)
+            assert cs.mass == Fraction(disc - 1, 24) * psi
 
 
 class TestClassSets:

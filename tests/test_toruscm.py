@@ -27,7 +27,6 @@ class TestBuildTorus:
         graph, torus = torus_setup
         assert kronecker_oracle(-3, 5) == -1  # oracle agrees p is inert
         assert torus.fixed_vertex == root_vertex(5)
-        assert torus.is_inert
 
     def test_fixed_vertex_is_fixed(self, torus_setup):
         _, torus = torus_setup
