@@ -12,15 +12,7 @@ share no code path with the routines they check.
 
 from quatlfun.acceptance import (curve_point_count_a as curve_a_ell,
                                  fitting_minors_oracle, kronecker_oracle,
-                                 legendre_by_squares as legendre_oracle,
                                  spanning_tree_sum as spanning_tree_weight_sum)
-
-__all__ = [
-    "convolution_oracle", "count_vectors_of_norm", "curve_a_ell",
-    "fitting_exponent_oracle", "hilbert_symbol_oracle", "inner_product_oracle",
-    "kronecker_oracle", "legendre_oracle", "snf_diagonal_oracle",
-    "spanning_tree_weight_sum",
-]
 
 
 # -- Smith form via naive repeated gcd reduction (no pivot strategy shared
