@@ -17,13 +17,15 @@ from itertools import combinations
 
 
 def curve_point_count_a(ell, a1=0, a2=-1, a3=1, a4=-10, a6=-20):
-    """a_ell of the conductor-11 curve y^2 + y = x^3 - x^2 - 10x - 20."""
-    count = 1
+    """a_ell = ell + 1 - #E(F_ell) for a long Weierstrass equation.
+
+    Defaults are the conductor-11 curve y^2 + y = x^3 - x^2 - 10x - 20.
+    """
+    count = 1  # point at infinity
     for x in range(ell):
+        rhs = (x ** 3 + a2 * x * x + a4 * x + a6) % ell
         for y in range(ell):
-            lhs = (y * y + a1 * x * y + a3 * y) % ell
-            rhs = (x ** 3 + a2 * x * x + a4 * x + a6) % ell
-            if lhs == rhs:
+            if (y * y + a1 * x * y + a3 * y - rhs) % ell == 0:
                 count += 1
     return ell + 1 - count
 
