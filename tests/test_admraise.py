@@ -194,6 +194,10 @@ class TestRaiseLevel:
         element, report = raised_l_element(raised_pair, -3, 1, m=1)
         assert element.l_p.group_order == 5
         assert report.mu_lp >= 2 * report.nu
+        # values pinned from the run that first computed them
+        assert element.l_phi.coeffs == (1, 0, 2, 2, 0)
+        assert element.l_p.coeffs == (4, 4, 4, 4, 4)
+        assert (report.mu_lp, report.nu) == (0, 0)
         chi = Character(5, 1, 1, 1)
         lhs = specialize(element.l_p, chi)
         rhs = specialize(element.l_phi, chi) * \

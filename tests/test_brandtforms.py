@@ -1,3 +1,5 @@
+import json
+import os
 import random
 
 import pytest
@@ -5,11 +7,11 @@ import pytest
 from quatlfun.brandtforms import (AutomorphicForm, EigenSystem, QuotientGraph,
                                   degeneracy_and_vnew, eigensystems_mod,
                                   eigenvector_mod, hensel_unit_root,
-                                  p_stabilize, rational_eigensystems, tp_apply,
-                                  up_apply)
+                                  mk_dual_graph, p_stabilize,
+                                  rational_eigensystems, tp_apply, up_apply)
 from quatlfun.errors import UsageError
 from quatlfun.quatarith import (algebra_from_discriminant, eichler_mass,
-                                maximal_order)
+                                eichler_order_for, maximal_order)
 
 from oracles import curve_a_ell
 
@@ -273,3 +275,32 @@ class TestDoubledGraph:
         doubled = mk_dual_graph(graph11_p5)
         if doubled.is_connected():
             component_group(doubled)  # must not raise
+
+
+# (disc, p, level) cases whose quotient data is pinned in golden/quotient.json
+QUOTIENT_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "quotient.json")
+QUOTIENT_CASES = [(11, 2, 1), (11, 3, 1), (11, 5, 1), (2, 3, 1), (23, 5, 1),
+                  (13, 5, 2), (7, 5, 3)]
+
+
+def quotient_data(graph):
+    """Everything the consumers read off the walk; all of it is defined on
+    classes, so it does not depend on which tree cell represents a class."""
+    return {
+        "tp": graph.tp_matrix(),
+        "up": graph.up_matrix(),
+        "incidence_source": graph.incidence_source(),
+        "incidence_target": graph.incidence_target(),
+        "dual_edges": [list(e) for e in mk_dual_graph(graph).edges],
+        "source_target": [[graph.source_class(e), graph.target_class(e)]
+                          for e in range(graph.edge_count())],
+        "vnew_basis": [list(v) for v in degeneracy_and_vnew(graph).vnew_basis],
+    }
+
+
+@pytest.mark.parametrize("disc,p,level", QUOTIENT_CASES)
+def test_quotient_matches_golden(disc, p, level):
+    with open(QUOTIENT_GOLDEN) as fh:
+        want = json.load(fh)[f"{disc}-{p}-{level}"]
+    graph = QuotientGraph(eichler_order_for(disc, level), p)
+    assert quotient_data(graph) == want
