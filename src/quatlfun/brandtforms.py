@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 from . import bttree
@@ -84,12 +85,13 @@ class QuotientGraph:
     """Tree quotient data for an Eichler order at an auxiliary prime p.
 
     Vertex classes live at level N+; edge classes at level p N+. Both class
-    sets carry mass certificates; the tree walk must rediscover every class
-    or construction fails.
+    sets carry mass certificates. The walk (see `_walk`) visits one tree
+    vertex per (vertex class, parity) state and must rediscover every class,
+    or construction fails. Representatives are whichever cells the walk meets
+    first; every operator read off them is defined on classes.
     """
 
-    def __init__(self, base_order: QuaternionOrder, p: int, prec: int = 16,
-                 max_radius: int = 40):
+    def __init__(self, base_order: QuaternionOrder, p: int, prec: int = 16):
         disc = base_order.alg.discriminant
         level = base_order.reduced_discriminant() // disc
         if (disc * level) % p == 0:
@@ -98,7 +100,6 @@ class QuotientGraph:
         self.disc = disc
         self.level = level
         self.base_order = base_order
-        self.max_radius = max_radius
         self.splitting = local_splitting(base_order, p, prec)
         self.vertex_classes = ideal_class_set(
             base_order, first_coprime_prime(disc * level * p))
@@ -130,7 +131,7 @@ class QuotientGraph:
 
     def ensure_walk(self):
         if not self._walked:
-            self._walk(self.max_radius)
+            self._walk()
             self._walked = True
 
     # -- construction --------------------------------------------------------
@@ -152,28 +153,28 @@ class QuotientGraph:
             raise InvariantViolationError("edge order has wrong discriminant")
         return order
 
-    def _walk(self, max_radius: int):
-        """BFS the tree, classifying vertices and edges until all classes appear."""
-        p = self.p
-        root = bttree.root_vertex(p)
-        frontier = [root]
-        seen = {root}
+    def _walk(self):
+        """BFS over (vertex class, parity) states of the quotient.
+
+        Only the first tree vertex met in each state is expanded: its p+1
+        neighbours and its p+1 out-edges are classified. This is complete.
+        The p-unit group Gamma maps neighbours to neighbours and keeps vertex
+        and edge classes, and two vertices in the same state differ by an
+        element of Gamma whose norm has even valuation. So every state is
+        reached along the image of a tree path, and every edge class occurs
+        among the out-edges of some state's representative. With h vertex
+        classes the walk classifies at most 2h(p+1)+1 vertex cells and
+        2h(p+1) edge cells. The class sets are computed independently, so
+        the final check certifies the transport.
+        """
+        root = bttree.root_vertex(self.p)
         self._note_vertex(root)
-        radius = 0
-        while frontier and radius < max_radius:
-            if self._complete():
-                break
-            radius += 1
-            nxt = []
-            for v in frontier:
-                for w in bttree.neighbors(v):
-                    self._note_edge(bttree.TreeEdge(v, w))
-                    self._note_edge(bttree.TreeEdge(w, v))
-                    if w not in seen:
-                        seen.add(w)
-                        self._note_vertex(w)
-                        nxt.append(w)
-            frontier = nxt
+        queue = deque([root])
+        while queue:
+            for e in bttree.edges_from(queue.popleft()):
+                self._note_edge(e)
+                if self._note_vertex(e.target):
+                    queue.append(e.target)
         if not self._complete():
             raise InvariantViolationError(
                 "tree walk did not reach every ideal class; transport broken")
@@ -183,17 +184,20 @@ class QuotientGraph:
                 and len(self.edge_reps) == len(self.edge_classes)
                 and len(self.parity_reps) == 2 * len(self.vertex_classes))
 
-    def _note_vertex(self, v):
+    def _note_vertex(self, v) -> bool:
+        """Record v; True when it is the first vertex of its state."""
         idx = self.classify_vertex(v)
         self.vertex_reps.setdefault(idx, v)
-        self.parity_reps.setdefault((idx, v.parity()), v)
-        return idx
+        state = (idx, v.parity())
+        if state in self.parity_reps:
+            return False
+        self.parity_reps[state] = v
+        return True
 
     def _note_edge(self, e):
         idx = self.classify_edge(e)
         self.edge_reps.setdefault(idx, e)
         self.edge_parity_reps.setdefault((idx, e.source.parity()), e)
-        return idx
 
     # -- transport -----------------------------------------------------------
 

@@ -304,3 +304,21 @@ def test_quotient_matches_golden(disc, p, level):
         want = json.load(fh)[f"{disc}-{p}-{level}"]
     graph = QuotientGraph(eichler_order_for(disc, level), p)
     assert quotient_data(graph) == want
+
+
+@pytest.mark.parametrize("disc,p,level", [(47, 5, 1), (71, 5, 1), (89, 5, 1),
+                                          (11, 7, 1), (13, 5, 2), (7, 5, 3)])
+def test_transport_sweep(disc, p, level):
+    from quatlfun.brandtforms import mk_graph_checks
+    graph = QuotientGraph(eichler_order_for(disc, level), p)
+    graph.ensure_walk()
+    h = graph.vertex_count()
+    # the walk expands one tree vertex per (class, parity) state
+    assert len(graph._vertex_memo) <= 2 * h * (p + 1) + 1
+    assert len(graph._edge_memo) <= 2 * h * (p + 1)
+    tp = graph.tp_matrix()
+    assert tp == graph.brandt_matrix(p)
+    assert tp == _mul(graph.incidence_source(),
+                      degeneracy_and_vnew(graph).pull_target)
+    assert all(sum(row) == p for row in graph.up_matrix())
+    mk_graph_checks(graph)
