@@ -115,28 +115,23 @@ _fixtures = {}
 def _disc11_graph(p):
     key = ("graph11", p)
     if key not in _fixtures:
-        from .quatarith import algebra_from_discriminant, maximal_order
+        from .quatarith import eichler_order_for
         from .brandtforms import QuotientGraph
-        order = maximal_order(algebra_from_discriminant(11))
-        _fixtures[key] = QuotientGraph(order, p)
+        _fixtures[key] = QuotientGraph(eichler_order_for(11, 1), p)
     return _fixtures[key]
 
 
 def _eleven_a_pipeline(n):
     key = ("pipe11a", n)
     if key not in _fixtures:
-        from .quatarith import (algebra_from_discriminant, ideal_class_set,
-                                maximal_order)
-        from .quatarith.embedding import embedding_with_base
-        from .brandtforms import (EigenSystem, QuotientGraph, eigenvector_mod,
-                                  hensel_unit_root)
+        from .brandtforms import EigenSystem, eigenvector_mod, hensel_unit_root
         from .toruscm import build_torus
         from .padicl import MeasurePipeline
+        from .pipeline import _torus_quotient
+        if "torus11" not in _fixtures:
+            _fixtures["torus11"] = _torus_quotient(11, 1, 5, -3)
+        _, emb, graph = _fixtures["torus11"]
         q = 5 ** n
-        order = maximal_order(algebra_from_discriminant(11))
-        cs = ideal_class_set(order, 2)
-        base, emb = embedding_with_base(cs, -3, 1)
-        graph = QuotientGraph(base, 5)
         torus = build_torus(-3, emb, graph)
         alpha = hensel_unit_root(curve_point_count_a(5) % q, 5, n)
         target = EigenSystem(5, n, {2: curve_point_count_a(2) % q,

@@ -135,25 +135,28 @@ def select_vertex_system(graph: QuotientGraph, config: PipelineConfig):
             f"{len(nontrivial)} non-trivial rational systems found; "
             "supply an eigensystem fixture to disambiguate")
     chosen, basis = nontrivial[0]
-    vec = basis[0]
     q = config.p ** config.n
     a_map = {ell: chosen[ell] % q for ell in needed}
-    u_map = {}
-    for qq in prime_factors(config.n_minus):
-        mat = graph.uq_matrix(qq)
-        image = [sum(mat[i][j] * vec[j] for j in range(len(vec)))
-                 for i in range(len(vec))]
-        u_map[qq] = _eigen_ratio(image, vec) % q
+    u_map = {qq: _eigenvalue_mod(graph.uq_matrix(qq), basis[0], config.p, config.n)
+             for qq in prime_factors(config.n_minus)}
     return EigenSystem(config.p, config.n, a_map, u_map, "computed (Brandt)")
 
 
-def _eigen_ratio(image, vec):
-    for a, b in zip(image, vec):
-        if b != 0:
-            if a % b:
-                raise DataMissingError("U_q does not act by an integer on the system")
-            return a // b
-    raise DataMissingError("zero eigenvector")
+def _eigenvalue_mod(matrix, vec, p, n):
+    """a with matrix·vec ≡ a·vec mod p^n, read off the first unit coordinate
+    of vec and checked on every coordinate."""
+    q = p ** n
+    image = [sum(x * y for x, y in zip(row, vec)) % q for row in matrix]
+    for x, y in zip(image, vec):
+        if y % p:
+            a = x * pow(y, -1, q) % q
+            break
+    else:
+        raise DataMissingError("eigenvector has no unit coordinate")
+    for x, y in zip(image, vec):
+        if (x - a * y) % q:
+            raise DataMissingError("vector is not an eigenvector of the operator")
+    return a
 
 
 def _torus_quotient(disc: int, level: int, p: int, disc_k: int):
@@ -170,14 +173,14 @@ def _l_element(graph, embedding, disc_k: int, target: EigenSystem, sample,
                m: int, provenance: str):
     """Tail of every L-element build: the edge eigenform realizing `target`
     (which carries the unit root alpha as its U_p eigenvalue), the torus, the
-    measure with its certificates (distribution relation, then projection
-    tower), L_p, and the mu report. Returns (element, report)."""
+    measure, L_p with its certificates (`full_Lp` checks the distribution
+    relation, then the projection tower is checked), and the mu report.
+    Returns (element, report)."""
     form = eigenvector_mod(graph, target, sample, "edge")
     torus = build_torus(disc_k, embedding, graph)
     pipeline = MeasurePipeline(graph, torus, form, target.u[target.p], target.n)
-    pipeline.check_distribution(m)
-    check_projection_tower(pipeline, m)
     element = full_Lp(pipeline, m, provenance=provenance)
+    check_projection_tower(pipeline, m)
     return element, mu_two_nu_check(pipeline, element)
 
 
@@ -227,7 +230,6 @@ def raised_l_element(pair, disc_k: int, n_plus: int, m: int,
     """
     system = pair.new
     p, n = system.p, system.n
-    q = p ** n
     new_disc = pair.v1 * pair.v2 * pair.old_disc
     _, embedding, graph = _torus_quotient(new_disc, n_plus, p, disc_k)
 
@@ -238,31 +240,13 @@ def raised_l_element(pair, disc_k: int, n_plus: int, m: int,
                                 system.provenance)
     vec = eigenvector_mod(graph, vertex_target, pins, "vertex",
                           cuspidal_only=True)
-    tp = graph.brandt_matrix(p)
-    h = len(vec.values)
-    image = [sum(tp[i][j] * vec.values[j] for j in range(h)) % q for i in range(h)]
-    a_p = _mod_ratio(image, vec.values, p, n)
+    a_p = _eigenvalue_mod(graph.brandt_matrix(p), vec.values, p, n)
     alpha = hensel_unit_root(a_p, p, n)
     edge_target = EigenSystem(p, n, dict(vertex_target.a),
                               {p: alpha, **vertex_target.u},
                               system.provenance)
     return _l_element(graph, embedding, disc_k, edge_target, pins, m,
                       f"raised disc {new_disc}")
-
-
-def _mod_ratio(image, vec, p, n):
-    """a with image ≡ a·vec mod p^n, read off a unit coordinate."""
-    q = p ** n
-    for x, y in zip(image, vec):
-        if y % p:
-            a = x * pow(y, -1, q) % q
-            break
-    else:
-        raise DataMissingError("eigenvector has no unit coordinate")
-    for x, y in zip(image, vec):
-        if (x - a * y) % q:
-            raise DataMissingError("vector is not an eigenvector of T_p")
-    return a
 
 
 def write_artifacts(result: LfunResult, out_dir: str):

@@ -7,7 +7,11 @@ change to the eigenform, the measure or the certificates shows up here.
 
 import os
 
-from quatlfun.pipeline import PipelineConfig, run_lfun, write_artifacts
+import pytest
+
+from quatlfun.errors import DataMissingError
+from quatlfun.pipeline import (PipelineConfig, _eigenvalue_mod, run_lfun,
+                               write_artifacts)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "N11-p5-n1-m2-K-3")
 
@@ -23,3 +27,10 @@ def test_artifacts_match_golden_files(tmp_path):
         with open(os.path.join(GOLDEN, name), "rb") as want, \
                 open(os.path.join(tmp_path, name), "rb") as got:
             assert got.read() == want.read(), name
+
+
+def test_eigenvalue_mod_checks_every_coordinate():
+    # the first unit coordinate of (0, 1) reads 1; the other coordinate refutes it
+    with pytest.raises(DataMissingError):
+        _eigenvalue_mod([[1, 1], [0, 1]], (0, 1), 5, 1)
+    assert _eigenvalue_mod([[1, 1], [0, 1]], (1, 0), 5, 1) == 1
