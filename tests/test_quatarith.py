@@ -19,7 +19,7 @@ from quatlfun.quatarith.lattice import (count_values, enumerate_by_value,
                                         hnf_rows, integer_kernel,
                                         vectors_of_value)
 
-from oracles import count_vectors_of_norm, kronecker_oracle
+from oracles import count_vectors_of_norm, hilbert_symbol_oracle, kronecker_oracle
 
 
 class TestSymbols:
@@ -40,6 +40,15 @@ class TestSymbols:
             for s in signs:
                 prod *= s
             assert prod == 1
+
+    @pytest.mark.parametrize("p,box", [(3, 9), (5, 6)])
+    def test_against_brute_force_oracle(self, p, box):
+        # every nonzero a, b with |a|, |b| <= box and v_p <= 1; the oracle
+        # spends ~0.15 s on each pair with symbol -1 at p = 5
+        values = [a for a in range(-box, box + 1) if a and a % (p * p)]
+        for a in values:
+            for b in values:
+                assert hilbert_symbol(a, b, p) == hilbert_symbol_oracle(a, b, p), (a, b)
 
     def test_ramification_matches_declared(self):
         alg = algebra_from_discriminant(11)
