@@ -7,7 +7,7 @@ import pytest
 from quatlfun.brandtforms import (AutomorphicForm, EigenSystem, QuotientGraph,
                                   degeneracy_and_vnew, eigensystems_mod,
                                   eigenvector_mod, hensel_unit_root,
-                                  mk_dual_graph, p_stabilize,
+                                  mk_dual_graph, mk_graph_checks, p_stabilize,
                                   rational_eigensystems, tp_apply, up_apply)
 from quatlfun.errors import UsageError
 from quatlfun.quatarith import (algebra_from_discriminant, eichler_mass,
@@ -309,7 +309,6 @@ def test_quotient_matches_golden(disc, p, level):
 @pytest.mark.parametrize("disc,p,level", [(47, 5, 1), (71, 5, 1), (89, 5, 1),
                                           (11, 7, 1), (13, 5, 2), (7, 5, 3)])
 def test_transport_sweep(disc, p, level):
-    from quatlfun.brandtforms import mk_graph_checks
     graph = QuotientGraph(eichler_order_for(disc, level), p)
     graph.ensure_walk()
     h = graph.vertex_count()
