@@ -95,6 +95,22 @@ class TestCompgroup:
         assert code == 0
         assert "Phi = Z/5" in out
 
+    def test_json_line_matches_golden(self, tmp_path, capsys):
+        # the disc-29 dual graph at p = 5: Phi = Z/5 + Z/70, two divisors
+        golden = os.path.join(os.path.dirname(__file__), "golden",
+                              "component_groups.json")
+        with open(golden) as fh:
+            data = json.load(fh)
+        want = data["cli"]
+        fixture = tmp_path / "dual.json"
+        fixture.write_text(json.dumps(data[want["graph"]]["graph"]))
+        argv = ["compgroup", "--graph", str(fixture)]
+        for chain in want["divisors"]:
+            argv += ["--divisor", chain]
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        assert out.strip().splitlines()[-1] == want["line"]
+
 
 class TestFitting:
     def test_demo_presentation(self, capsys):

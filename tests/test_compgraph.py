@@ -1,3 +1,5 @@
+import json
+import os
 import random
 
 import pytest
@@ -255,3 +257,23 @@ class TestSerialization:
         assert sub.n_vertices == 2 + 1 + 2
         assert len(sub.edges) == 5
         assert intersection_matrix(sub).rows == 5
+
+
+# Component-group data of the p = 5 dual graphs of discs 29, 37 and 47
+# (mk_dual_graph of the quotient graph of the maximal order), pinned with
+# class_of of omega_map on four degree-zero chains each.
+COMPONENT_GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
+                                "component_groups.json")
+
+
+@pytest.mark.parametrize("disc", ["29", "37", "47"])
+def test_component_group_matches_golden(disc):
+    with open(COMPONENT_GOLDEN) as fh:
+        want = json.load(fh)[disc]
+    g = LengthGraph.from_json(json.dumps(want["graph"]))
+    phi = component_group(g)
+    assert list(phi.shape.invariant_factors) == want["invariant_factors"]
+    assert phi.shape.free_rank == want["free_rank"]
+    assert phi.rank == want["cycle_rank"]
+    for chain, cls in want["omega"]:
+        assert list(omega_map(g, phi, chain)) == cls
