@@ -23,7 +23,6 @@ from .quatarith import (RightIdeal, eichler_mass, ideal_class_set,
                         local_splitting, neighbor_matrix, two_sided_prime)
 from .quatarith.classset import ClassSet
 from .quatarith.ideal import reduce_ideal
-from .quatarith.lattice import Lattice4
 from .quatarith.order import QuaternionOrder
 
 
@@ -138,17 +137,11 @@ class QuotientGraph:
 
     def _edge_order(self) -> QuaternionOrder:
         """Level-p suborder cut out by the transport splitting itself."""
-        spl = self.splitting
         p = self.p
-        rows = []
-        base = self.base_order.lattice
-        cond = [[spl.apply(_unit_coords(i))[1][0] % p for i in range(4)]]
+        cond = [[self.splitting.apply(_unit_coords(i))[1][0] % p for i in range(4)]]
         gens = kernel_mod(IntMatrix.from_rows(cond), p, 1)
-        new_rows = [[x * p for x in r] for r in base.rows]
-        for g in gens:
-            new_rows.append([sum(g[i] * base.rows[i][k] for i in range(4))
-                             for k in range(4)])
-        order = QuaternionOrder(self.base_order.alg, Lattice4(base.den, new_rows))
+        order = QuaternionOrder(self.base_order.alg,
+                                self.base_order.lattice.sublattice_mod(p, gens))
         if order.reduced_discriminant() != self.disc * self.level * p:
             raise InvariantViolationError("edge order has wrong discriminant")
         return order
@@ -256,7 +249,6 @@ class QuotientGraph:
         q = p ** k
         if self.splitting.prec < k + 2:
             raise InvariantViolationError("transport splitting precision too low")
-        base = self.base_order
         images = [self.splitting.apply(_unit_coords(i)) for i in range(4)]
         rows = []
         for g, mult, col_scales in conditions:
@@ -269,12 +261,7 @@ class QuotientGraph:
                         row.append(val * mult * col_scales[s] % q)
                     rows.append(row)
         gens = kernel_mod(IntMatrix.from_rows(rows), p, k)
-        lat_rows = [[x * q for x in r] for r in base.lattice.rows]
-        for gvec in gens:
-            lat_rows.append([sum(gvec[i] * base.lattice.rows[i][c] for i in range(4))
-                             for c in range(4)])
-        lat = Lattice4(base.lattice.den, lat_rows)
-        return RightIdeal(target_order, lat)
+        return RightIdeal(target_order, self.base_order.lattice.sublattice_mod(q, gens))
 
     # -- operators ------------------------------------------------------------
 

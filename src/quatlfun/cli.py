@@ -225,18 +225,19 @@ def _cmd_raise(args) -> int:
 
 
 def _cmd_compgroup(args) -> int:
-    from .compgraph import (LengthGraph, character_group, component_group,
-                            edixhoven_check, omega_map)
+    from .compgraph import (LengthGraph, component_group, edixhoven_check,
+                            omega_map)
     with open(args.graph) as fh:
         graph = LengthGraph.from_json(fh.read())
-    cycles = character_group(graph)
-    print(f"vertices {graph.n_vertices}, edge pairs {len(graph.edges)}, "
-          f"cycle rank {cycles.rank}")
     phi = component_group(graph)
     groups = phi if isinstance(phi, tuple) else (phi,)
+    # the cycle space of a disjoint union is the sum of its components'
+    rank = sum(grp.rank for grp in groups)
+    print(f"vertices {graph.n_vertices}, edge pairs {len(graph.edges)}, "
+          f"cycle rank {rank}")
     for i, grp in enumerate(groups):
         print(f"component {i}: Phi = {grp.shape.describe()}")
-    result = {"rank": cycles.rank,
+    result = {"rank": rank,
               "phi": [g.shape.describe() for g in groups]}
     if graph.is_connected():
         rep = edixhoven_check(graph)

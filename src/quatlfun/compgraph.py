@@ -174,11 +174,16 @@ class ComponentGroup:
     """Finite component group together with its cokernel presentation."""
 
     shape: AbelianGroupShape
-    rank: int  # cycle rank; the presentation is rank x rank
+    cycles: CharacterGroup  # the cycle basis the presentation is built on
     presentation: IntMatrix  # the Gram matrix whose cokernel this is
     # canonical coordinates: class vectors reduce via U * w mod diag(S)
     _snf_u: IntMatrix
     _snf_s: IntMatrix
+
+    @property
+    def rank(self) -> int:
+        """Cycle rank; the presentation is rank x rank."""
+        return self.cycles.rank
 
     @property
     def order(self):
@@ -222,11 +227,13 @@ def _component_group_connected(g: LengthGraph) -> ComponentGroup:
     gram = monodromy_map(g, x)
     if x.rank == 0:
         ident = IntMatrix.identity(1)
-        return ComponentGroup(AbelianGroupShape((), 0), 0, ident, ident, ident)
+        return ComponentGroup(AbelianGroupShape((), 0), x, ident, ident, ident)
     _check_positive_definite(gram)
-    shape = cokernel_shape(gram)
+    # one Smith form gives both the shape and the class_of transform; the
+    # Gram is nonsingular, so there is no free part
     u, s, _ = smith_normal_form(gram)
-    return ComponentGroup(shape, x.rank, gram, u, s)
+    shape = AbelianGroupShape(tuple(d for d in s.diagonal() if d > 1), 0)
+    return ComponentGroup(shape, x, gram, u, s)
 
 
 def _check_positive_definite(gram: IntMatrix):
@@ -236,21 +243,21 @@ def _check_positive_definite(gram: IntMatrix):
             raise UsageError("monodromy pairing fails positive definiteness")
 
 
-def omega_map(g: LengthGraph, phi: ComponentGroup, x_chain, cycles: CharacterGroup = None):
+def omega_map(g: LengthGraph, phi: ComponentGroup, x_chain):
     """Class in the component group of a degree-zero vertex chain.
 
     Finds y with d_*(y) = x, then pairs l(e)-weighted y against the cycle
-    basis; the class is independent of the choice of y (two preimages differ
-    by a cycle, whose pairing lies in the Gram image).
+    basis phi was built on; the class is independent of the choice of y (two
+    preimages differ by a cycle, whose pairing lies in the Gram image).
     """
-    fn, _ = omega_functional(g, x_chain, cycles)
+    if phi.cycles.graph != g:
+        raise UsageError("component group belongs to another graph")
+    fn, _ = omega_functional(g, x_chain, phi.cycles)
     return phi.class_of(fn)
 
 
-def omega_functional(g: LengthGraph, x_chain, cycles: CharacterGroup = None):
+def omega_functional(g: LengthGraph, x_chain, cycles: CharacterGroup):
     """The raw dual vector <λ0 y, x_i> with d_* y = x, plus the preimage y."""
-    if cycles is None:
-        cycles = character_group(g)
     comps = g.components()
     if len(x_chain) != g.n_vertices:
         raise UsageError("vertex chain has wrong length")
@@ -271,8 +278,7 @@ def _pair_against_cycles(g, cycles, y):
                  for basis_vec in cycles.basis)
 
 
-def specialize_divisor(g: LengthGraph, phi: ComponentGroup, points,
-                       cycles: CharacterGroup = None):
+def specialize_divisor(g: LengthGraph, phi: ComponentGroup, points):
     """Specialize a formal divisor sum n_P * (reduction of P) into Φ.
 
     points: iterable of (coefficient, target) with target either
@@ -285,7 +291,7 @@ def specialize_divisor(g: LengthGraph, phi: ComponentGroup, points,
         if kind != "vertex":
             raise UsageError("a point reduces to a singular point; divisor rejected")
         chain[idx] += coeff
-    return omega_map(g, phi, chain, cycles)
+    return omega_map(g, phi, chain)
 
 
 # ---------------------------------------------------------------------------

@@ -57,16 +57,7 @@ def fitting_exponent(presentation: IntMatrix, ring: PrimePowerRing):
     """
     if presentation.cols < presentation.rows:
         raise UsageError("presentation needs at least as many columns as generators")
-    _, S, _ = smith_normal_form(presentation)
-    t = 0
-    for i in range(presentation.rows):
-        d = S.entries[i][i]
-        if d == 0:
-            return None
-        while d % ring.p == 0:
-            d //= ring.p
-            t += 1
-    return t
+    return module_length(presentation, ring.p)
 
 
 def module_length(presentation: IntMatrix, p: int):

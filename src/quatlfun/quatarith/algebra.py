@@ -9,6 +9,9 @@ from math import prod
 from ..errors import SearchExhaustedError, UsageError
 from ..primes import prime_factors
 
+# largest |a|, |b| tried by the (a, b) search in algebra_from_discriminant
+SEARCH_BOUND = 600
+
 
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a|p) for an odd prime p."""
@@ -133,7 +136,7 @@ class QuaternionAlgebra:
         return [[Fraction(cols[c][r]) for c in range(4)] for r in range(4)]
 
 
-def algebra_from_discriminant(d: int, search_bound: int = 600) -> QuaternionAlgebra:
+def algebra_from_discriminant(d: int) -> QuaternionAlgebra:
     """Definite algebra with finite ramification exactly at the primes of d.
 
     d must be squarefree with an odd number of prime factors (otherwise no
@@ -160,16 +163,16 @@ def algebra_from_discriminant(d: int, search_bound: int = 600) -> QuaternionAlge
             return QuaternionAlgebra(-1, -p)
         if p % 8 == 5 and ok(-2, -p):
             return QuaternionAlgebra(-2, -p)
-    for a in range(1, search_bound + 1):
+    for a in range(1, SEARCH_BOUND + 1):
         for mult in (1, 2):
             b = d * mult
             if ok(-a, -b):
                 return QuaternionAlgebra(-a, -b)
         if ok(-a, -d * a):
             return QuaternionAlgebra(-a, -d * a)
-    for a in range(1, search_bound + 1):
-        for b in range(a, search_bound + 1):
+    for a in range(1, SEARCH_BOUND + 1):
+        for b in range(a, SEARCH_BOUND + 1):
             if ok(-a, -b):
                 return QuaternionAlgebra(-a, -b)
     raise SearchExhaustedError(f"no (a,b) pair found for discriminant {d} "
-                               f"within bound {search_bound}")
+                               f"within bound {SEARCH_BOUND}")

@@ -20,6 +20,9 @@ from .ideal import RightIdeal, isometric, neighbors, reduce_ideal
 from .order import QuaternionOrder
 from .splitting import local_splitting
 
+# class-number bound of the neighbour walk
+MAX_CLASSES = 500
+
 
 def eichler_mass(disc: int, level: int) -> Fraction:
     """Exact mass: sum over classes of 1/#O_left(I)^×."""
@@ -71,9 +74,7 @@ class ClassSet:
                 f"mass certificate failed: {self.mass} != {expected}")
 
 
-def ideal_class_set(order: QuaternionOrder, neighbor_prime: int,
-                    max_classes: int = 500,
-                    splitting_factory=None) -> ClassSet:
+def ideal_class_set(order: QuaternionOrder, neighbor_prime: int) -> ClassSet:
     """Enumerate all right-ideal classes of an Eichler order.
 
     neighbor_prime must be coprime to disc*level. The walk is deterministic:
@@ -90,8 +91,7 @@ def ideal_class_set(order: QuaternionOrder, neighbor_prime: int,
     cached = _cache.load_class_set(order, neighbor_prime)
     if cached is not None:
         return cached
-    factory = splitting_factory or local_splitting
-    spl = factory(order, neighbor_prime, 1)
+    spl = local_splitting(order, neighbor_prime, 1)
 
     start = RightIdeal.unit_ideal(order)
     reps = [start]
@@ -107,7 +107,7 @@ def ideal_class_set(order: QuaternionOrder, neighbor_prime: int,
                     found = True
                     break
             if not found:
-                if len(reps) >= max_classes:
+                if len(reps) >= MAX_CLASSES:
                     raise ResourceLimitError("class-number bound exceeded")
                 reps.append(nb)
                 queue.append(nb)
@@ -118,14 +118,12 @@ def ideal_class_set(order: QuaternionOrder, neighbor_prime: int,
     return cs
 
 
-def neighbor_matrix(class_set: ClassSet, ell: int,
-                    splitting_factory=None):
+def neighbor_matrix(class_set: ClassSet, ell: int):
     """Integer matrix B with B[i][j] = #(ell-neighbors of I_i in class j).
 
     Row sums are ell+1. This is the Hecke action on class functions.
     """
-    factory = splitting_factory or local_splitting
-    spl = factory(class_set.order, ell, 1)
+    spl = local_splitting(class_set.order, ell, 1)
     h = len(class_set)
     rows = []
     for i in range(h):

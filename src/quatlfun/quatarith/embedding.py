@@ -15,8 +15,11 @@ from ..errors import SearchExhaustedError, UsageError
 from ..exactalg import IntMatrix, kernel_basis, solve
 from .algebra import kronecker
 from .classset import prime_factors
-from .lattice import enumerate_by_value, integer_kernel
+from .lattice import enumerate_by_value, hnf_rows, integer_kernel, invert
 from .order import QuaternionOrder
+
+# short vectors the trace-norm enumeration may visit before giving up
+MAX_CANDIDATES = 200000
 
 
 class Embedding:
@@ -45,8 +48,7 @@ def quadratic_generator(disc_k: int, conductor: int = 1):
     return conductor * t1, conductor * conductor * n1
 
 
-def optimal_embedding(disc_k: int, conductor: int, order: QuaternionOrder,
-                      max_candidates: int = 200000) -> Embedding:
+def optimal_embedding(disc_k: int, conductor: int, order: QuaternionOrder) -> Embedding:
     """Embed O_c = Z + c·O_K optimally into the given Eichler order.
 
     Preconditions (the paper's factorization constraints): every prime of the
@@ -65,7 +67,7 @@ def optimal_embedding(disc_k: int, conductor: int, order: QuaternionOrder,
     t, n = quadratic_generator(disc_k, conductor)
 
     best = None
-    for coords in _trace_norm_solutions(order, t, n, max_candidates):
+    for coords in _trace_norm_solutions(order, t, n):
         element = order.element_from_coords(coords)
         emb = Embedding(order, disc_k, conductor, element, t, n)
         if emb.optimality_index() == 1:
@@ -97,7 +99,7 @@ def embedding_with_base(class_set, disc_k: int, conductor: int):
     ) from last
 
 
-def _trace_norm_solutions(order: QuaternionOrder, t: int, n: int, max_candidates: int):
+def _trace_norm_solutions(order: QuaternionOrder, t: int, n: int):
     """All coordinate vectors in the order with trd = t and nrd = n.
 
     Solve the linear trace condition, then enumerate the positive definite
@@ -133,7 +135,8 @@ def _trace_norm_solutions(order: QuaternionOrder, t: int, n: int, max_candidates
     target = Fraction(n)
     # nrd(part + Kz) = c0 + 2 b.z + z^T a z = (z - w)^T a (z - w) + const,
     # with a w = -b and const = c0 - w^T a w.
-    w = _solve3(a, [-x for x in b])
+    a_inv = invert(a)
+    w = [-sum(a_inv[r][s] * b[s] for s in range(3)) for r in range(3)]
     waw = sum(w[r] * a[r][s] * w[s] for r in range(3) for s in range(3))
     radius = target - c0 + waw
     if radius < 0:
@@ -149,26 +152,11 @@ def _trace_norm_solutions(order: QuaternionOrder, t: int, n: int, max_candidates
     count = 0
     for _, z in enumerate_by_value(a, budget):
         count += 1
-        if count > max_candidates:
+        if count > MAX_CANDIDATES:
             raise SearchExhaustedError("trace-norm enumeration exceeded its budget")
         coords = coords_of(z)
         if bilinear(coords, coords) == target:
             yield coords
-
-
-def _solve3(a, rhs):
-    """Solve a w = rhs exactly for a 3x3 invertible Fraction matrix."""
-    m = [[Fraction(a[i][j]) for j in range(3)] + [Fraction(rhs[i])] for i in range(3)]
-    for col in range(3):
-        piv = next(r for r in range(col, 3) if m[r][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        d = m[col][col]
-        m[col] = [x / d for x in m[col]]
-        for r in range(3):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[r][3] for r in range(3)]
 
 
 def _subring_index(order: QuaternionOrder, element) -> int:
@@ -195,7 +183,6 @@ def _subring_index(order: QuaternionOrder, element) -> int:
     pairs = [(v[0], v[1]) for v in ker]
     lat_rows = [list(p) for p in pairs if any(p)]
     # Hermite-reduce the rank-2 (alpha, beta) lattice
-    from .lattice import hnf_rows
     red = hnf_rows(lat_rows, expect_rank=2)
     det = red[0][0] * red[1][1]
     if det == 0:

@@ -11,9 +11,10 @@ from fractions import Fraction
 from math import gcd
 
 from ..errors import InvariantViolationError, UsageError
+from ..exactalg import IntMatrix, kernel_mod
 from .algebra import QuaternionAlgebra
 from .lattice import (Lattice4, count_values, represents_value,
-                      shortest_value_and_vector, vectors_of_value)
+                      shortest_value_and_vector)
 from .order import QuaternionOrder, left_order_of
 from .splitting import LocalSplitting
 
@@ -99,7 +100,7 @@ class RightIdeal:
         return RightIdeal(self.order, self.lattice.scaled(c))
 
 
-def reduce_ideal(ideal: RightIdeal, norm_bound: int = 64) -> RightIdeal:
+def reduce_ideal(ideal: RightIdeal) -> RightIdeal:
     """Equivalent right ideal of minimal reduced norm.
 
     For a minimal-norm x in J the ideal (conj(x)/nrd(J))·J is in the same
@@ -214,7 +215,6 @@ def _ell_valuation(fr: Fraction, ell: int) -> int:
 
 def _line_preimage_basis(order: QuaternionOrder, spl: LocalSplitting, u, ell):
     """Coordinates mod ell of {y in O : columns of iota(y) lie on the line u}."""
-    from ..exactalg import IntMatrix, kernel_mod
     u0, u1 = u
     # conditions: for both columns c of iota(y): u1*c0 - u0*c1 ≡ 0 (line test)
     rows = []
@@ -224,47 +224,10 @@ def _line_preimage_basis(order: QuaternionOrder, spl: LocalSplitting, u, ell):
             m = spl.basis_images[i]
             row.append((u1 * m[0][col] - u0 * m[1][col]) % ell)
         rows.append(row)
+    # over F_ell the generators are columns of an invertible transform, so
+    # they are independent: two of them exactly when the conditions have rank 2
     gens = kernel_mod(IntMatrix.from_rows(rows), ell, 1)
-    # keep two independent generators mod ell
-    out = []
-    seen_rank = 0
-    mat = []
-    for g in gens:
-        cand = [x % ell for x in g]
-        if not any(cand):
-            continue
-        test = mat + [cand]
-        if _f_ell_rank(test, ell) > seen_rank:
-            mat = test
-            seen_rank += 1
-            out.append(tuple(cand))
-        if seen_rank == 2:
-            break
-    if len(out) != 2:
+    if len(gens) != 2:
         raise InvariantViolationError("line preimage is not 2-dimensional")
-    return out
+    return gens
 
-
-def _f_ell_rank(rows, ell):
-    work = [list(r) for r in rows]
-    rank = 0
-    ncols = len(work[0])
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(work)):
-            if work[i][c] % ell:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = pow(work[r][c], -1, ell)
-        work[r] = [x * inv % ell for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] % ell:
-                f = work[i][c]
-                work[i] = [(x - f * y) % ell for x, y in zip(work[i], work[r])]
-        r += 1
-        rank += 1
-    return rank

@@ -182,6 +182,17 @@ class Lattice4:
         rows += [[x * (den // other.den) for x in r] for r in other.rows]
         return Lattice4(den, rows)
 
+    def sublattice_mod(self, q: int, coords) -> "Lattice4":
+        """Preimage in L of the span of `coords` (basis coordinates) in L/qL.
+
+        That is q·L plus the lifts of the coordinate vectors, over the same
+        denominator.
+        """
+        rows = [[x * q for x in r] for r in self.rows]
+        for c in coords:
+            rows.append([sum(c[i] * self.rows[i][k] for i in range(4)) for k in range(4)])
+        return Lattice4(self.den, rows)
+
     def intersection(self, other: "Lattice4") -> "Lattice4":
         den = self.den * other.den // gcd(self.den, other.den)
         a = [[x * (den // self.den) for x in r] for r in self.rows]
@@ -203,7 +214,7 @@ def preimage_lattice(lat: Lattice4, mat_cols):
 
     mat_cols is M as a list of rows of Fractions; returns a Lattice4.
     """
-    minv = invert4(mat_cols)
+    minv = invert(mat_cols)
     # lattice rows are vectors v; preimage basis rows are (M^{-1} v^T)^T
     rows = []
     for r in lat.basis_fractions():
@@ -211,9 +222,9 @@ def preimage_lattice(lat: Lattice4, mat_cols):
     return Lattice4.from_fraction_rows(rows)
 
 
-def invert4(m):
-    """Exact inverse of a 4x4 matrix of Fractions via Gauss-Jordan."""
-    n = 4
+def invert(m):
+    """Exact inverse of a square matrix of Fractions via Gauss-Jordan."""
+    n = len(m)
     a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
          for i in range(n)]
     for col in range(n):
@@ -363,9 +374,9 @@ def represents_value(gram, value) -> bool:
     return any(val == target for val, _ in _enumerate_integer(gram_int, target))
 
 
-def shortest_value_and_vector(gram, start_bound=8):
+def shortest_value_and_vector(gram):
     """(value, vector) attaining the minimum of Q on nonzero vectors."""
-    bound = start_bound
+    bound = 8
     while True:
         best = None
         for val, vec in _enumerate_integer(*_scaled(gram, bound)):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from ..errors import InvariantViolationError, UsageError
-from ..exactalg import IntMatrix
+from ..exactalg import IntMatrix, det, kernel_mod
 from ..primes import prime_factors
 from .algebra import QuaternionAlgebra, algebra_from_discriminant
 from .lattice import Lattice4, hnf_rows, preimage_lattice, vectors_of_value
@@ -61,12 +61,14 @@ class QuaternionOrder:
     def reduced_discriminant(self) -> int:
         if self._discrd is None:
             b = self.basis()
-            m = [[self.alg.trd(self.alg.mul(b[i], b[j])) for j in range(4)]
-                 for i in range(4)]
-            d = _det4_fraction(m)
-            d = abs(d)
-            num, den = d.numerator, d.denominator
-            if den != 1:
+            form = [[Fraction(self.alg.trd(self.alg.mul(b[i], b[j]))) for j in range(4)]
+                    for i in range(4)]
+            # clear the denominators, take the integer determinant, scale back
+            scale = math.lcm(*(x.denominator for row in form for x in row))
+            d = Fraction(abs(det(IntMatrix.from_rows([[x * scale for x in row]
+                                                      for row in form]))), scale ** 4)
+            num = d.numerator
+            if d.denominator != 1:
                 raise InvariantViolationError("trace form of an order must be integral")
             r = isqrt(num)
             if r * r != num:
@@ -137,34 +139,6 @@ class QuaternionOrder:
             gram = [[Fraction(x, 2 * den) for x in row] for row in n]
             self._unit_count = len(vectors_of_value(gram, 1))
         return self._unit_count
-
-
-def _det4_fraction(m):
-    from itertools import permutations
-    total = Fraction(0)
-    for perm in permutations(range(4)):
-        sign = _perm_sign(perm)
-        prod = Fraction(1)
-        for i, j in enumerate(perm):
-            prod *= Fraction(m[i][j])
-        total += sign * prod
-    return total
-
-
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def standard_order(alg: QuaternionAlgebra) -> QuaternionOrder:
@@ -268,7 +242,6 @@ def _radical_mod(order: QuaternionOrder, q: int):
     if q < 5:
         raise UsageError("trace-form radical needs q >= 5; small q goes brute force")
     rows = [[left_mult_trace(i, j) for j in range(4)] for i in range(4)]
-    from ..exactalg import kernel_mod
     gens = kernel_mod(IntMatrix.from_rows(rows), q, 1)
     return [tuple(x % q for x in g) for g in gens]
 
@@ -280,13 +253,8 @@ def _unit_vec(k):
 
 
 def _enlarge_radical(order: QuaternionOrder, q: int):
-    rad = _radical_mod(order, q)
     # J = qO + (radical lifts), a sublattice of O over the same denominator
-    rows = [[x * q for x in r] for r in order.lattice.rows]
-    for g in rad:
-        vec = [sum(g[i] * order.lattice.rows[i][k] for i in range(4)) for k in range(4)]
-        rows.append(vec)
-    j_lat = Lattice4(order.lattice.den, rows)
+    j_lat = order.lattice.sublattice_mod(q, _radical_mod(order, q))
     for side in ("left", "right"):
         idl = _idealizer(order.alg, j_lat, side)
         if idl.covolume() < order.lattice.covolume():
@@ -333,21 +301,10 @@ def eichler_order(maximal: QuaternionOrder, level: int, splitting_factory) -> Qu
     for ell in factors:
         spl = splitting_factory(maximal, ell, 1)
         # sublattice of `order` where the (1,0) matrix entry vanishes mod ell
-        rows = []
-        coords_rows = []
-        for idx, b in enumerate(order.basis()):
-            coords_in_max = maximal.lattice.coordinates(b)
-            mat = spl.apply(coords_in_max)
-            coords_rows.append([mat[1][0] % ell])
-        m = IntMatrix.from_rows([[coords_rows[i][0] for i in range(4)]])
-        from ..exactalg import kernel_mod
-        gens = kernel_mod(m, ell, 1)
-        base = order.lattice
-        new_rows = [[x * ell for x in r] for r in base.rows]
-        for gvec in gens:
-            vec = [sum(gvec[i] * base.rows[i][k] for i in range(4)) for k in range(4)]
-            new_rows.append(vec)
-        order = QuaternionOrder(alg, Lattice4(base.den, new_rows))
+        cond = [spl.apply(maximal.lattice.coordinates(b))[1][0] % ell
+                for b in order.basis()]
+        gens = kernel_mod(IntMatrix.from_rows([cond]), ell, 1)
+        order = QuaternionOrder(alg, order.lattice.sublattice_mod(ell, gens))
     expected = maximal.reduced_discriminant() * level
     if order.reduced_discriminant() != expected:
         raise InvariantViolationError("Eichler order has wrong reduced discriminant")
@@ -369,12 +326,7 @@ def two_sided_prime(order: QuaternionOrder, q: int) -> Lattice4:
     """
     if order.reduced_discriminant() % q != 0:
         raise UsageError("two-sided prime only at ramified primes")
-    rad = _radical_mod_local(order, q)
-    rows = [[x * q for x in r] for r in order.lattice.rows]
-    for g in rad:
-        vec = [sum(g[i] * order.lattice.rows[i][k] for i in range(4)) for k in range(4)]
-        rows.append(vec)
-    return Lattice4(order.lattice.den, rows)
+    return order.lattice.sublattice_mod(q, _radical_mod_local(order, q))
 
 
 def _radical_mod_local(order: QuaternionOrder, q: int):

@@ -115,8 +115,7 @@ class TorusData:
         return True
 
 
-def build_torus(disc_k: int, embedding: Embedding, graph: QuotientGraph,
-                prec: int = None) -> TorusData:
+def build_torus(disc_k: int, embedding: Embedding, graph: QuotientGraph) -> TorusData:
     """Torus data for an inert p, wired to the graph's own local splitting.
 
     The embedding must target the graph's base order so the matrix of the
@@ -128,9 +127,6 @@ def build_torus(disc_k: int, embedding: Embedding, graph: QuotientGraph,
             f"p = {p} is not inert in the field of discriminant {disc_k}")
     if embedding.order != graph.base_order:
         raise UsageError("embedding must land in the graph's base order")
-    prec = prec or graph.splitting.prec
-    if prec > graph.splitting.prec:
-        raise UsageError("requested precision exceeds the transport splitting")
     coords = graph.base_order.lattice.coordinates(embedding.element)
     if coords is None:
         raise InvariantViolationError("embedding image is not integral")

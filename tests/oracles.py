@@ -104,17 +104,20 @@ def convolution_oracle(a, b, mod, order):
 
 # -- Hilbert symbols -----------------------------------------------------------
 
-def hilbert_symbol_oracle(a, b, p, box=None):
-    """(a,b)_p for odd p by searching ax^2 + by^2 = z^2 mod p^3 (desk scale)."""
+def hilbert_symbol_oracle(a, b, p):
+    """(a,b)_p for odd p by searching ax^2 + by^2 = z^2 mod p^3 (desk scale).
+
+    Brute force over (x, y) with x, y not both divisible by p; z^2 is looked
+    up in the set of squares mod p^3.
+    """
     mod = p ** 3
+    squares = {z * z % mod for z in range(mod)}
     for x in range(mod):
         for y in range(mod):
-            z2 = (a * x * x + b * y * y) % mod
             if x % p == 0 and y % p == 0:
                 continue
-            for z in range(mod):
-                if (z * z - z2) % mod == 0:
-                    return 1
+            if (a * x * x + b * y * y) % mod in squares:
+                return 1
     return -1
 
 

@@ -277,3 +277,32 @@ def test_component_group_matches_golden(disc):
     assert phi.rank == want["cycle_rank"]
     for chain, cls in want["omega"]:
         assert list(omega_map(g, phi, chain)) == cls
+
+
+def test_gram_smith_form_computed_once(monkeypatch):
+    import sys
+
+    from quatlfun.exactalg import intmatrix
+    g = LengthGraph.make(4, [(0, 1, 2), (1, 2, 1), (2, 3, 3), (3, 0, 1), (0, 2, 2)])
+    gram = monodromy_map(g, character_group(g))
+    original = intmatrix.smith_normal_form
+    reduced = []
+
+    def counting(m):
+        reduced.append(m)
+        return original(m)
+    # every module binding, as the benchmark tracer patches them
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("quatlfun") and \
+                getattr(mod, "smith_normal_form", None) is original:
+            monkeypatch.setattr(mod, "smith_normal_form", counting)
+    component_group(g)
+    assert reduced.count(gram) == 1
+
+
+def test_omega_map_rejects_another_graphs_group():
+    # the tree component leaves the cycle ranks equal, so nothing else fails
+    g = LengthGraph.make(4, [(0, 1, 1), (1, 0, 2), (2, 3, 1)])
+    first, _ = component_group(g)
+    with pytest.raises(UsageError):
+        omega_map(g, first, (1, -1, 0, 0))

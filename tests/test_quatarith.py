@@ -41,10 +41,10 @@ class TestSymbols:
                 prod *= s
             assert prod == 1
 
-    @pytest.mark.parametrize("p,box", [(3, 9), (5, 6)])
+    @pytest.mark.parametrize("p,box", [(3, 9), (5, 10), (7, 7)])
     def test_against_brute_force_oracle(self, p, box):
-        # every nonzero a, b with |a|, |b| <= box and v_p <= 1; the oracle
-        # spends ~0.15 s on each pair with symbol -1 at p = 5
+        # every nonzero a, b with |a|, |b| <= box and v_p <= 1, so every
+        # square class of Q_p^x appears among a and among b
         values = [a for a in range(-box, box + 1) if a and a % (p * p)]
         for a in values:
             for b in values:

@@ -1,0 +1,40 @@
+"""The benchmark's hooks into the package still resolve.
+
+perfbench/tracer.py patches every function and method named in its SPANS
+table, and perfbench/run.py asks quatlfun.cache.cache_directory() before each
+pass. A rename in the package would break the benchmark; these tests fail
+first. The tracer module is only read, never installed.
+"""
+
+import importlib
+import importlib.util
+import os
+
+TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+
+
+def _tracer_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.SPANS
+
+
+def test_traced_targets_resolve():
+    missing = []
+    for span, (module, attr) in _tracer_spans().items():
+        mod = importlib.import_module(module)
+        if "." in attr:
+            # a method is patched on its class, so it must be defined there
+            cls_name, meth = attr.split(".")
+            target = vars(getattr(mod, cls_name, object)).get(meth)
+        else:
+            target = getattr(mod, attr, None)
+        if not callable(target):
+            missing.append(span)
+    assert missing == []
+
+
+def test_cache_directory_exists():
+    from quatlfun import cache
+    assert callable(cache.cache_directory)
