@@ -95,6 +95,17 @@ class TestCompgroup:
         assert code == 0
         assert "Phi = Z/5" in out
 
+    def test_disconnected_graph_sums_cycle_ranks(self, tmp_path, capsys):
+        fixture = tmp_path / "two.json"
+        fixture.write_text(json.dumps(
+            {"vertices": 5, "edges": [[0, 1, 1], [1, 0, 1], [2, 3, 2], [3, 2, 3],
+                                      [3, 4, 1], [4, 4, 1]]}))
+        code, out = run_cli(["compgroup", "--graph", str(fixture)], capsys)
+        assert code == 0
+        assert "cycle rank 2" in out
+        data = json.loads(out.strip().splitlines()[-1])
+        assert data == {"rank": 2, "phi": ["Z/2", "Z/5"]}
+
     def test_json_line_matches_golden(self, tmp_path, capsys):
         # the disc-29 dual graph at p = 5: Phi = Z/5 + Z/70, two divisors
         golden = os.path.join(os.path.dirname(__file__), "golden",
