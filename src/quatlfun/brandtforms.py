@@ -274,9 +274,6 @@ class QuotientGraph:
     def vertex_weights(self):
         return list(self.vertex_classes.unit_counts)
 
-    def edge_weights(self):
-        return list(self.edge_classes.unit_counts)
-
     def source_class(self, edge_idx: int) -> int:
         self.ensure_walk()
         return self.classify_vertex(self.edge_reps[edge_idx].source)
@@ -668,12 +665,9 @@ def mk_dual_graph(graph: QuotientGraph):
             if odd is None:
                 raise InvariantViolationError("edge class missing parity data")
             rep = odd.reverse()
-            s_idx = graph.classify_vertex(rep.source)
-            t_idx = graph.classify_vertex(rep.target)
-        else:
-            s_idx = graph.classify_vertex(rep.source)
-            t_idx = graph.classify_vertex(rep.target)
         # source even, target odd
+        s_idx = graph.classify_vertex(rep.source)
+        t_idx = graph.classify_vertex(rep.target)
         edges.append((2 * s_idx, 2 * t_idx + 1, 1))
     return LengthGraph.make(2 * h, edges)
 

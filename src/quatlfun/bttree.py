@@ -33,15 +33,6 @@ def _vp(x, p):
     return v
 
 
-def _unit_part_inverse(x, p, prec):
-    """Inverse mod p^prec of the unit part of a rational with v_p(x) = 0."""
-    fr = Fraction(x)
-    mod = p ** prec
-    num = fr.numerator % mod
-    den = fr.denominator % mod
-    return pow(num, -1, mod) * den % mod
-
-
 @dataclass(frozen=True)
 class TreeVertex:
     """Canonical homothety-class representative [[p^a, b], [0, p^d]]."""

@@ -12,7 +12,16 @@ import json
 import sys
 
 from . import cache
-from .errors import QuatlfunError
+from .errors import QuatlfunError, UsageError
+
+
+def _int_list(text: str):
+    """argparse type for a comma-separated list of integers."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def main(argv=None) -> int:
@@ -38,7 +47,7 @@ def main(argv=None) -> int:
     br = sub.add_parser("brandt", help="Brandt matrices for a discriminant/level")
     br.add_argument("--disc", type=int, required=True)
     br.add_argument("--level", type=int, default=1)
-    br.add_argument("--primes", required=True,
+    br.add_argument("--primes", required=True, type=_int_list,
                     help="comma-separated Hecke primes")
     br.add_argument("--cache", default=None)
 
@@ -68,7 +77,7 @@ def main(argv=None) -> int:
 
     cg = sub.add_parser("compgroup", help="dual-graph component-group report")
     cg.add_argument("--graph", required=True, help="graph fixture (JSON)")
-    cg.add_argument("--divisor", action="append", default=[],
+    cg.add_argument("--divisor", action="append", default=[], type=_int_list,
                     help="degree-zero vertex chain 'c0,c1,...' to push to Phi")
 
     ft = sub.add_parser("fitting", help="Fitting exponent of a presentation")
@@ -78,7 +87,7 @@ def main(argv=None) -> int:
     ft.add_argument("--n", type=int, required=True)
 
     st = sub.add_parser("selftest", help="run the acceptance suite")
-    st.add_argument("--criteria", default=None,
+    st.add_argument("--criteria", default=None, type=_int_list,
                     help="comma-separated subset, e.g. 1,2,7")
     st.add_argument("--cache", default=None)
 
@@ -149,13 +158,12 @@ def _table(rows):
 def _cmd_brandt(args) -> int:
     from .primes import first_coprime_prime
     from .quatarith import eichler_order_for, ideal_class_set, neighbor_matrix
-    primes = [int(x) for x in args.primes.split(",")]
     order = eichler_order_for(args.disc, args.level)
     cs = ideal_class_set(order, first_coprime_prime(args.disc * args.level))
     print(f"disc {args.disc}, level {args.level}: class number {len(cs)}, "
           f"mass {cs.mass}")
     out = {}
-    for ell in primes:
+    for ell in args.primes:
         mat = neighbor_matrix(cs, ell)
         out[str(ell)] = mat
         print(f"T_{ell} =")
@@ -244,8 +252,7 @@ def _cmd_compgroup(args) -> int:
         print("comparison diagram:", "agrees" if rep.ok else "FAILS")
         result["edixhoven"] = rep.ok
         images = []
-        for chain_text in args.divisor:
-            chain = tuple(int(x) for x in chain_text.split(","))
+        for chain in map(tuple, args.divisor):
             cls = omega_map(graph, groups[0], chain)
             print(f"omega({chain}) = {cls}")
             images.append(list(cls))
@@ -257,7 +264,10 @@ def _cmd_compgroup(args) -> int:
 
 def _cmd_fitting(args) -> int:
     from .exactalg import IntMatrix, PrimePowerRing, fitting_exponent
-    rows = json.loads(args.matrix)
+    try:
+        rows = json.loads(args.matrix)
+    except ValueError as ex:
+        raise UsageError(f"--matrix is not JSON: {ex}") from None
     ring = PrimePowerRing(args.p, args.n)
     t = fitting_exponent(IntMatrix.from_rows(rows), ring)
     if t is None:
@@ -271,10 +281,7 @@ def _cmd_fitting(args) -> int:
 
 def _cmd_selftest(args) -> int:
     from .acceptance import run_acceptance
-    subset = None
-    if args.criteria:
-        subset = [int(x) for x in args.criteria.split(",")]
-    ok = run_acceptance(subset)
+    ok = run_acceptance(args.criteria)
     return 0 if ok else 5
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import UsageError
 from .exactalg import (AbelianGroupShape, IntMatrix, cokernel_shape, det,
-                       kernel_basis, smith_normal_form, solve)
+                       eliminate, solve)
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,11 @@ class LengthGraph:
 
     @staticmethod
     def from_json(text: str) -> "LengthGraph":
-        d = json.loads(text)
-        return LengthGraph.make(d["vertices"], d["edges"])
+        try:
+            d = json.loads(text)
+            return LengthGraph.make(d["vertices"], d["edges"])
+        except (ValueError, KeyError, TypeError) as ex:
+            raise UsageError(f"graph is not a length-graph JSON object: {ex!r}") from None
 
 
 def boundary_matrix(g: LengthGraph) -> IntMatrix:
@@ -133,28 +136,29 @@ class CharacterGroup:
 
 
 def character_group(g: LengthGraph) -> CharacterGroup:
-    """Cycle lattice of the graph minus loops, with the Raynaud exactness check."""
-    m = boundary_matrix(g)
-    basis = kernel_basis(m) if g.non_loop_edges() else ()
-    cg = CharacterGroup(g, basis)
+    """Cycle lattice of the graph minus loops, with the Raynaud exactness check.
+
+    One reduction of d_*, with an identity appended below it, gives both the
+    cycle basis (the columns of V past the rank) and the invariant factors.
+    """
     n_edges = len(g.non_loop_edges())
-    expected = n_edges - g.n_vertices + g.n_components()
-    if cg.rank != expected:
+    diag, basis = (), ()
+    if n_edges:
+        m = boundary_matrix(g)
+        a = [list(row) for row in m.entries] + \
+            [[int(i == j) for j in range(n_edges)] for i in range(n_edges)]
+        diag = tuple(d for d in eliminate(a, m.rows, n_edges) if d)
+        basis = tuple(tuple(row[j] for row in a[m.rows:])
+                      for j in range(len(diag), n_edges))
+    cg = CharacterGroup(g, basis)
+    if cg.rank != n_edges - g.n_vertices + g.n_components():
         raise UsageError("cycle rank disagrees with the Betti count")
-    _check_raynaud_exactness(g, m, cg)
-    return cg
-
-
-def _check_raynaud_exactness(g, m, cg):
-    """Verify 0 -> X -> Z[E] -> Z[V]^0 -> 0 on the computed pieces."""
-    _, S, _ = smith_normal_form(m)
-    diag = [d for d in S.diagonal() if d != 0]
-    # image is a direct summand (all invariant factors 1) of the right rank,
-    # hence equals the degree-zero sublattice on each component
+    # 0 -> X -> Z[E] -> Z[V]^0 -> 0: the image is a direct summand (all
+    # invariant factors 1) of the right rank, hence equals the degree-zero
+    # sublattice on each component
     if any(d != 1 for d in diag):
         raise UsageError("boundary image is not saturated")
-    if len(diag) + cg.rank != max(len(g.non_loop_edges()), 0) and g.non_loop_edges():
-        raise UsageError("rank count fails in the boundary sequence")
+    return cg
 
 
 def monodromy_map(g: LengthGraph, x: CharacterGroup) -> IntMatrix:
@@ -200,9 +204,6 @@ class ComponentGroup:
             out.append(x % d if d else x)
         return tuple(out)
 
-    def is_trivial_class(self, functional) -> bool:
-        return all(c == 0 for c in self.class_of(functional))
-
 
 def component_group(g: LengthGraph):
     """Component group(s) of the graph: one ComponentGroup per connected component.
@@ -229,10 +230,15 @@ def _component_group_connected(g: LengthGraph) -> ComponentGroup:
         ident = IntMatrix.identity(1)
         return ComponentGroup(AbelianGroupShape((), 0), x, ident, ident, ident)
     _check_positive_definite(gram)
-    # one Smith form gives both the shape and the class_of transform; the
-    # Gram is nonsingular, so there is no free part
-    u, s, _ = smith_normal_form(gram)
-    shape = AbelianGroupShape(tuple(d for d in s.diagonal() if d > 1), 0)
+    # one reduction, with an identity appended to the right, gives both the
+    # shape and the class_of transform U (V is never built); the Gram is
+    # nonsingular, so there is no free part
+    k = gram.rows
+    a = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(gram.entries)]
+    diag = eliminate(a, k, k)
+    shape = AbelianGroupShape(tuple(d for d in diag if d > 1), 0)
+    u = IntMatrix.from_rows([row[k:] for row in a])
+    s = IntMatrix.from_rows([row[:k] for row in a])
     return ComponentGroup(shape, x, gram, u, s)
 
 
@@ -290,6 +296,8 @@ def specialize_divisor(g: LengthGraph, phi: ComponentGroup, points):
         kind, idx = target
         if kind != "vertex":
             raise UsageError("a point reduces to a singular point; divisor rejected")
+        if not 0 <= idx < g.n_vertices:
+            raise UsageError("vertex index out of range")
         chain[idx] += coeff
     return omega_map(g, phi, chain)
 

@@ -4,17 +4,16 @@ from .fitting import (AbelianGroupShape, InequalityReport, cokernel_shape,
                       fitting_exponent, inequality_check, module_length)
 from .groupring import (Character, CyclotomicElement, CyclotomicQuotientRing,
                         GroupRingElement, PrimePowerRing, group_ring_mul,
-                        involution, is_prime, mu_invariant, project_level,
-                        specialize)
-from .intmatrix import (IntMatrix, det, diagonalize_mod, kernel_basis,
+                        involution, mu_invariant, project_level, specialize)
+from .intmatrix import (IntMatrix, det, eliminate, eliminate_mod, kernel_basis,
                         kernel_mod, rank, smith_normal_form, solve, solve_mod)
 
 __all__ = [
     "AbelianGroupShape", "Character", "CyclotomicElement",
     "CyclotomicQuotientRing", "GroupRingElement", "InequalityReport",
-    "IntMatrix", "PrimePowerRing", "cokernel_shape", "det", "diagonalize_mod",
-    "fitting_exponent", "group_ring_mul", "inequality_check", "involution",
-    "is_prime", "kernel_basis", "kernel_mod", "module_length", "mu_invariant",
+    "IntMatrix", "PrimePowerRing", "cokernel_shape", "det", "eliminate",
+    "eliminate_mod", "fitting_exponent", "group_ring_mul", "inequality_check",
+    "involution", "kernel_basis", "kernel_mod", "module_length", "mu_invariant",
     "project_level", "rank", "smith_normal_form", "solve", "solve_mod",
     "specialize",
 ]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from ..errors import UsageError
 from .groupring import Character, GroupRingElement, PrimePowerRing, specialize
-from .intmatrix import IntMatrix, smith_normal_form
+from .intmatrix import IntMatrix, eliminate
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,7 @@ class AbelianGroupShape:
 
 def cokernel_shape(M: IntMatrix) -> AbelianGroupShape:
     """Shape of coker(M) = Z^rows / column span, via Smith normal form."""
-    _, S, _ = smith_normal_form(M)
-    diag = S.diagonal()
+    diag = eliminate([list(row) for row in M.entries], M.rows, M.cols)
     rank = sum(1 for d in diag if d != 0)
     factors = tuple(d for d in diag if d > 1)
     return AbelianGroupShape(factors, M.rows - rank)
@@ -62,8 +61,8 @@ def fitting_exponent(presentation: IntMatrix, ring: PrimePowerRing):
 
 def module_length(presentation: IntMatrix, p: int):
     """Z_p-length of coker(presentation), or None when the cokernel has free rank."""
-    _, S, _ = smith_normal_form(presentation)
-    diag = S.diagonal()
+    diag = eliminate([list(row) for row in presentation.entries],
+                     presentation.rows, presentation.cols)
     rank = sum(1 for d in diag if d != 0)
     if rank < presentation.rows:
         return None

@@ -1,7 +1,10 @@
-"""Exact integer matrices: Smith/Hermite forms and kernels mod p^n.
+"""Exact integer matrices: Smith forms over Z and diagonal forms over Z/p^n.
 
 Everything is arbitrary-precision; no floating point enters anywhere in this
-package. Matrices are immutable tuples of tuples, row-major.
+package. IntMatrix values are immutable tuples of tuples, row-major. Each
+ring has one elimination (`eliminate`, `eliminate_mod`), which reduces a
+list-of-lists array in place and carries along only the blocks its caller
+appended: an identity to the right for U, below for V, a column for U*b.
 """
 
 from __future__ import annotations
@@ -102,37 +105,35 @@ def det(M: IntMatrix) -> int:
     return _det(M.entries)
 
 
-def smith_normal_form(M: IntMatrix):
-    """Return (U, S, V) with U*M*V = S in Smith normal form.
+def _identity(k):
+    return [[int(i == j) for j in range(k)] for i in range(k)]
 
-    U, V are unimodular; S is diagonal with non-negative entries forming a
-    divisibility chain d1 | d2 | ... Pivoting is deterministic: the nonzero
-    entry of smallest absolute value, first occurrence (row-major) on ties.
+
+def eliminate(a, r, c):
+    """Reduce the top-left r x c block of the integer array a to Smith form, in place.
+
+    Row operations act on whole rows and column operations on whole columns,
+    so a block R right of the pivot block ends as U*R and a block B below it
+    as B*V, where U*M*V = S; rows below need only the block's c columns.
+    Appending identities therefore gives U and V, and appending nothing
+    builds neither. Pivoting is deterministic: the nonzero entry of smallest
+    absolute value, first occurrence (row-major) on ties. Returns the
+    diagonal d1 | d2 | ... of S, non-negative.
     """
-    r, c = M.rows, M.cols
-    a = [list(row) for row in M.entries]
-    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
 
     def row_op(i1, i2, q):
         # row i2 -= q * row i1
         a[i2] = [x - q * y for x, y in zip(a[i2], a[i1])]
-        u[i2] = [x - q * y for x, y in zip(u[i2], u[i1])]
 
     def col_op(j1, j2, q):
         for row in a:
             row[j2] -= q * row[j1]
-        for row in v:
-            row[j2] -= q * row[j1]
 
     def swap_rows(i1, i2):
         a[i1], a[i2] = a[i2], a[i1]
-        u[i1], u[i2] = u[i2], u[i1]
 
     def swap_cols(j1, j2):
         for row in a:
-            row[j1], row[j2] = row[j2], row[j1]
-        for row in v:
             row[j1], row[j2] = row[j2], row[j1]
 
     def pivot(t):
@@ -200,14 +201,22 @@ def smith_normal_form(M: IntMatrix):
     # Normalize signs.
     for i in range(k):
         if a[i][i] < 0:
-            for j in range(c):
-                a[i][j] = -a[i][j]
-            for j in range(r):
-                u[i][j] = -u[i][j]
+            a[i] = [-x for x in a[i]]
+    return tuple(a[i][i] for i in range(k))
 
-    U = IntMatrix.from_rows(u)
-    S = IntMatrix.from_rows(a)
-    V = IntMatrix.from_rows(v)
+
+def smith_normal_form(M: IntMatrix):
+    """Return (U, S, V) with U*M*V = S in Smith normal form.
+
+    U, V are unimodular; S is diagonal with non-negative entries forming a
+    divisibility chain d1 | d2 | ... (see `eliminate`).
+    """
+    r, c = M.rows, M.cols
+    a = [list(row) + e for row, e in zip(M.entries, _identity(r))] + _identity(c)
+    eliminate(a, r, c)
+    U = IntMatrix.from_rows([row[c:] for row in a[:r]])
+    S = IntMatrix.from_rows([row[:c] for row in a[:r]])
+    V = IntMatrix.from_rows(a[r:])
     return U, S, V
 
 
@@ -216,35 +225,42 @@ def kernel_basis(M: IntMatrix):
 
     The basis spans the kernel lattice saturatedly (V unimodular).
     """
-    U, S, V = smith_normal_form(M)
-    k = min(M.rows, M.cols)
-    rank = sum(1 for i in range(k) if S.entries[i][i] != 0)
-    cols = []
-    for j in range(rank, M.cols):
-        cols.append(tuple(V.entries[i][j] for i in range(M.cols)))
-    return tuple(cols)
+    r, c = M.rows, M.cols
+    a = [list(row) for row in M.entries] + _identity(c)
+    rank = sum(1 for d in eliminate(a, r, c) if d)
+    return tuple(tuple(row[j] for row in a[r:]) for j in range(rank, c))
+
+
+def _check_rhs(M: IntMatrix, b):
+    if len(b) != M.rows:
+        raise UsageError("dimension mismatch in matrix-vector product")
+
+
+def _times(rows, y):
+    return tuple(sum(x * w for x, w in zip(row, y)) for row in rows)
 
 
 def solve(M: IntMatrix, b):
     """One integer solution x of M x = b, or None if there is none."""
-    U, S, V = smith_normal_form(M)
-    c = U.mul_vec(tuple(b))
-    y = [0] * M.cols
-    k = min(M.rows, M.cols)
-    for i in range(M.rows):
-        d = S.entries[i][i] if i < k else 0
-        if i < k and d != 0:
-            if c[i] % d != 0:
+    _check_rhs(M, b)
+    r, c = M.rows, M.cols
+    a = [list(row) + [x] for row, x in zip(M.entries, b)] + _identity(c)
+    diag = eliminate(a, r, c)
+    y = [0] * c
+    for i in range(r):
+        d = diag[i] if i < len(diag) else 0
+        ub = a[i][c]  # (U b)_i
+        if d != 0:
+            if ub % d != 0:
                 return None
-            y[i] = c[i] // d
-        elif c[i] != 0:
+            y[i] = ub // d
+        elif ub != 0:
             return None
-    return V.mul_vec(tuple(y))
+    return _times(a[r:], y)
 
 
 def rank(M: IntMatrix) -> int:
-    _, S, _ = smith_normal_form(M)
-    return sum(1 for d in S.diagonal() if d != 0)
+    return sum(1 for d in eliminate([list(row) for row in M.entries], M.rows, M.cols) if d)
 
 
 # ---------------------------------------------------------------------------
@@ -262,18 +278,19 @@ def _val(x: int, p: int, n: int) -> int:
     return v
 
 
-def diagonalize_mod(M: IntMatrix, p: int, n: int):
-    """Return (U, diag, V) over Z/p^n with U*M*V ≡ diag(p^{a_1}, ...) mod p^n.
+def eliminate_mod(a, r, c, p: int, n: int):
+    """Diagonalize the top-left r x c block of a over Z/p^n, in place.
 
-    U and V are invertible mod p^n. Used for kernels and solving where the
-    integer Smith form would blow up entries.
+    As in `eliminate`, row operations act on whole rows and column operations
+    on whole columns, so a block R right of the pivot block ends as U*R and a
+    block B below it as B*V, with U, V invertible mod p^n and
+    U*M*V ≡ diag(p^{a_1}, ...) mod p^n; every entry of a is reduced mod p^n.
+    Pivots have minimal p-valuation, first occurrence (row-major) on ties.
+    Returns the diagonal of the reduced block.
     """
     q = p ** n
-    r, c = M.rows, M.cols
-    a = [[x % q for x in row] for row in M.entries]
-    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
-
+    for i, row in enumerate(a):
+        a[i] = [x % q for x in row]
     t = 0
     while t < min(r, c):
         # minimal-valuation pivot
@@ -289,31 +306,24 @@ def diagonalize_mod(M: IntMatrix, p: int, n: int):
             break
         i0, j0 = best
         a[t], a[i0] = a[i0], a[t]
-        u[t], u[i0] = u[i0], u[t]
         for row in a:
-            row[t], row[j0] = row[j0], row[t]
-        for row in v:
             row[t], row[j0] = row[j0], row[t]
         piv = a[t][t]
         unit = piv // (p ** bv)
         inv_unit = pow(unit, -1, q)
         # scale row t so the pivot is exactly p^bv
         a[t] = [(x * inv_unit) % q for x in a[t]]
-        u[t] = [(x * inv_unit) % q for x in u[t]]
         for i in range(t + 1, r):
             if a[i][t] % q:
                 f = a[i][t] // (p ** bv)  # divisible: pivot has minimal valuation
                 a[i] = [(x - f * y) % q for x, y in zip(a[i], a[t])]
-                u[i] = [(x - f * y) % q for x, y in zip(u[i], u[t])]
         for j in range(t + 1, c):
             if a[t][j] % q:
                 f = a[t][j] // (p ** bv)
                 for row in a:
                     row[j] = (row[j] - f * row[t]) % q
-                for row in v:
-                    row[j] = (row[j] - f * row[t]) % q
         t += 1
-    return (IntMatrix.from_rows(u), IntMatrix.from_rows(a), IntMatrix.from_rows(v))
+    return tuple(a[i][i] for i in range(min(r, c)))
 
 
 def kernel_mod(M: IntMatrix, p: int, n: int):
@@ -323,39 +333,38 @@ def kernel_mod(M: IntMatrix, p: int, n: int):
     p^{a_k}, plus free columns; every kernel element is a Z/p^n-combination.
     """
     q = p ** n
-    U, Dg, V = diagonalize_mod(M, p, n)
+    r, c = M.rows, M.cols
+    a = [list(row) for row in M.entries] + _identity(c)
+    diag = eliminate_mod(a, r, c, p, n)
     gens = []
-    k = min(M.rows, M.cols)
-    for j in range(M.cols):
-        if j < k:
-            d = Dg.entries[j][j] % q
-            aj = _val(d, p, n) if d else n
-        else:
-            aj = 0  # beyond diagonal: column of zeros, free variable
-        if j >= k:
-            coeff = 1
-        elif aj == 0:
-            continue  # unit pivot: no kernel contribution
-        else:
+    for j in range(c):
+        if j < len(diag):
+            aj = _val(diag[j], p, n) if diag[j] else n
+            if aj == 0:
+                continue  # unit pivot: no kernel contribution
             coeff = p ** (n - aj)
-        gens.append(tuple((coeff * V.entries[i][j]) % q for i in range(M.cols)))
+        else:
+            coeff = 1  # beyond diagonal: column of zeros, free variable
+        gens.append(tuple((coeff * row[j]) % q for row in a[r:]))
     return tuple(gens)
 
 
 def solve_mod(M: IntMatrix, b, p: int, n: int):
     """One solution x of M x ≡ b mod p^n, or None."""
+    _check_rhs(M, b)
     q = p ** n
-    U, Dg, V = diagonalize_mod(M, p, n)
-    c = [x % q for x in U.mul_vec(tuple(b))]
-    y = [0] * M.cols
-    k = min(M.rows, M.cols)
-    for i in range(M.rows):
-        d = Dg.entries[i][i] % q if i < k else 0
+    r, c = M.rows, M.cols
+    a = [list(row) + [x] for row, x in zip(M.entries, b)] + _identity(c)
+    diag = eliminate_mod(a, r, c, p, n)
+    y = [0] * c
+    for i in range(r):
+        d = diag[i] if i < len(diag) else 0
+        ub = a[i][c]  # (U b)_i mod p^n
         if d:
-            a = _val(d, p, n)
-            if c[i] % (p ** a) != 0:
+            e = _val(d, p, n)
+            if ub % (p ** e) != 0:
                 return None
-            y[i] = (c[i] // (p ** a)) % q
-        elif c[i] % q != 0:
+            y[i] = (ub // (p ** e)) % q
+        elif ub != 0:
             return None
-    return tuple(x % q for x in V.mul_vec(tuple(y)))
+    return tuple(x % q for x in _times(a[r:], y))

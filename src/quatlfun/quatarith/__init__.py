@@ -3,7 +3,7 @@
 from .algebra import (QuaternionAlgebra, algebra_from_discriminant,
                       hilbert_symbol, kronecker, legendre, ramified_primes)
 from .classset import (ClassSet, eichler_mass, ideal_class_set,
-                       neighbor_matrix, prime_factors)
+                       neighbor_matrix)
 from .embedding import Embedding, optimal_embedding, quadratic_generator
 from .ideal import RightIdeal, isometric, neighbors
 from .lattice import Lattice4
@@ -19,6 +19,6 @@ __all__ = [
     "ideal_class_set", "isometric", "kronecker", "left_order_of", "legendre",
     "local_splitting",
     "maximal_order", "neighbor_matrix", "neighbors", "optimal_embedding",
-    "prime_factors", "quadratic_generator", "ramified_primes",
+    "quadratic_generator", "ramified_primes",
     "standard_order", "two_sided_prime",
 ]

@@ -13,8 +13,8 @@ from math import gcd
 
 from ..errors import SearchExhaustedError, UsageError
 from ..exactalg import IntMatrix, kernel_basis, solve
+from ..primes import prime_factors
 from .algebra import kronecker
-from .classset import prime_factors
 from .lattice import enumerate_by_value, hnf_rows, integer_kernel, invert
 from .order import QuaternionOrder
 
@@ -165,8 +165,6 @@ def _subring_index(order: QuaternionOrder, element) -> int:
     x = tuple(Fraction(v) for v in element)
     # lattice of (alpha, beta) with alpha + beta*x in O
     den = order.lattice.den
-    rows = []
-    cols = []
     # unknowns: alpha, beta, and integer coordinates c of the order element
     # alpha*1 + beta*x = sum c_i b_i  -> 4 equations
     basis = order.basis()

@@ -167,10 +167,6 @@ class Lattice4:
     def _pivot(self, i):
         return next(c for c, x in enumerate(self.rows[i]) if x)
 
-    def index_in(self, other: "Lattice4") -> Fraction:
-        """[other : self] as a positive rational (integer when self ⊆ other)."""
-        return self.covolume() / other.covolume()
-
     def scaled(self, c) -> "Lattice4":
         c = Fraction(c)
         return Lattice4(self.den * c.denominator,

@@ -279,10 +279,6 @@ def left_order_of(alg: QuaternionAlgebra, lat: Lattice4) -> QuaternionOrder:
     return QuaternionOrder(alg, _idealizer(alg, lat, "left"))
 
 
-def right_order_of(alg: QuaternionAlgebra, lat: Lattice4) -> QuaternionOrder:
-    return QuaternionOrder(alg, _idealizer(alg, lat, "right"))
-
-
 def eichler_order(maximal: QuaternionOrder, level: int, splitting_factory) -> QuaternionOrder:
     """Eichler order of squarefree level M inside a maximal order.
 

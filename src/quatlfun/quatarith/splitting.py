@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import InvariantViolationError, SearchExhaustedError, UsageError
+from ..exactalg import eliminate_mod
 from .algebra import legendre
 from .order import QuaternionOrder, _tuples
 
@@ -189,10 +190,7 @@ def _verify_splitting(order: QuaternionOrder, spl: LocalSplitting):
             if lhs != rhs:
                 raise InvariantViolationError("splitting is not multiplicative")
     # surjectivity mod ell: the four images span M_2(F_ell)
-    from ..exactalg import IntMatrix
-    rows = [[spl.basis_images[i][r][s] % ell for r in range(2) for s in range(2)]
+    rows = [[spl.basis_images[i][r][s] for r in range(2) for s in range(2)]
             for i in range(4)]
-    from ..exactalg import diagonalize_mod
-    _, diag, _ = diagonalize_mod(IntMatrix.from_rows(rows), ell, 1)
-    if any(diag.entries[k][k] % ell == 0 for k in range(4)):
+    if any(d == 0 for d in eliminate_mod(rows, 4, 4, ell, 1)):
         raise InvariantViolationError("splitting misses M_2 mod ell")

@@ -5,7 +5,7 @@ from quatlfun.admraise import (CongruencePair, eisenstein_test,
                                search_admissible)
 from quatlfun.brandtforms import EigenSystem, QuotientGraph
 from quatlfun.errors import DataMissingError, UsageError
-from quatlfun.exactalg.groupring import is_prime
+from quatlfun.primes import is_prime
 from quatlfun.quatarith import algebra_from_discriminant, maximal_order
 
 from oracles import curve_a_ell, kronecker_oracle

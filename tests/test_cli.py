@@ -145,6 +145,51 @@ class TestSelftest:
         assert "criterion 9: PASS" in out
 
 
+class TestMalformedInput:
+    """Bad outside input exits 2 with an error line, not a traceback."""
+
+    @staticmethod
+    def exit_code_and_stderr(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as ex:  # argparse rejects a flag value this way
+            code = ex.code
+        return code, capsys.readouterr().err
+
+    @pytest.fixture
+    def graph_file(self, tmp_path):
+        fixture = tmp_path / "cyc.json"
+        fixture.write_text(json.dumps({"vertices": 2, "edges": [[0, 1, 2], [1, 0, 3]]}))
+        return str(fixture)
+
+    @pytest.mark.parametrize("argv", [
+        ["brandt", "--disc", "11", "--primes", "2,x"],
+        ["selftest", "--criteria", "1,x"],
+        ["fitting", "--matrix", "[[1,2]", "--p", "5", "--n", "1"],
+    ], ids=["brandt-primes", "selftest-criteria", "fitting-matrix"])
+    def test_rejected_with_exit_2(self, argv, capsys):
+        code, err = self.exit_code_and_stderr(argv, capsys)
+        assert code == 2
+        assert "error:" in err
+
+    def test_compgroup_divisor(self, graph_file, capsys):
+        code, err = self.exit_code_and_stderr(
+            ["compgroup", "--graph", graph_file, "--divisor", "1,x"], capsys)
+        assert code == 2
+        assert "error:" in err
+
+    @pytest.mark.parametrize("text", ["{vertices: 2", "[]", '{"vertices": 2}',
+                                      '{"vertices": 2, "edges": [[0, 1]]}'],
+                             ids=["not-json", "not-object", "no-edges", "short-edge"])
+    def test_compgroup_graph_malformed(self, text, tmp_path, capsys):
+        fixture = tmp_path / "bad.json"
+        fixture.write_text(text)
+        code, err = self.exit_code_and_stderr(["compgroup", "--graph", str(fixture)],
+                                              capsys)
+        assert code == 2
+        assert "error:" in err
+
+
 class TestRaise:
     def test_two_prime_raise(self, capsys):
         code, out = run_cli(["raise", "--v1", "2", "--v2", "17", "--K", "-3",

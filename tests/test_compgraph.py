@@ -214,6 +214,14 @@ class TestSpecializeDivisor:
         with pytest.raises(UsageError):
             specialize_divisor(g, phi, [(2, ("vertex", 1)), (-1, ("vertex", 0))])
 
+    @pytest.mark.parametrize("idx", [-1, 2])
+    def test_vertex_index_out_of_range_rejected(self, idx):
+        # -1 would otherwise alias vertex 1 and give its class (2,)
+        g = two_cycle(1, 2)
+        phi = component_group(g)
+        with pytest.raises(UsageError):
+            specialize_divisor(g, phi, [(1, ("vertex", 0)), (-1, ("vertex", idx))])
+
 
 class TestEdixhoven:
     def test_two_cycle_unit(self):
@@ -279,25 +287,38 @@ def test_component_group_matches_golden(disc):
         assert list(omega_map(g, phi, chain)) == cls
 
 
-def test_gram_smith_form_computed_once(monkeypatch):
+def _count_reductions(monkeypatch):
+    """Record the pivot block of every Z elimination, through every module binding."""
     import sys
 
     from quatlfun.exactalg import intmatrix
-    g = LengthGraph.make(4, [(0, 1, 2), (1, 2, 1), (2, 3, 3), (3, 0, 1), (0, 2, 2)])
-    gram = monodromy_map(g, character_group(g))
-    original = intmatrix.smith_normal_form
+    original = intmatrix.eliminate
     reduced = []
 
-    def counting(m):
-        reduced.append(m)
-        return original(m)
+    def counting(a, r, c):
+        reduced.append(IntMatrix.from_rows([row[:c] for row in a[:r]]))
+        return original(a, r, c)
     # every module binding, as the benchmark tracer patches them
     for name, mod in list(sys.modules.items()):
-        if name.startswith("quatlfun") and \
-                getattr(mod, "smith_normal_form", None) is original:
-            monkeypatch.setattr(mod, "smith_normal_form", counting)
-    component_group(g)
+        if name.startswith("quatlfun") and getattr(mod, "eliminate", None) is original:
+            monkeypatch.setattr(mod, "eliminate", counting)
+    return reduced
+
+
+GRAM_GRAPH = LengthGraph.make(4, [(0, 1, 2), (1, 2, 1), (2, 3, 3), (3, 0, 1), (0, 2, 2)])
+
+
+def test_gram_smith_form_computed_once(monkeypatch):
+    gram = monodromy_map(GRAM_GRAPH, character_group(GRAM_GRAPH))
+    reduced = _count_reductions(monkeypatch)
+    component_group(GRAM_GRAPH)
     assert reduced.count(gram) == 1
+
+
+def test_boundary_matrix_reduced_once(monkeypatch):
+    reduced = _count_reductions(monkeypatch)
+    character_group(GRAM_GRAPH)
+    assert reduced.count(boundary_matrix(GRAM_GRAPH)) == 1
 
 
 def test_omega_map_rejects_another_graphs_group():

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from quatlfun.errors import UsageError
 from quatlfun.exactalg import (Character, GroupRingElement, IntMatrix,
-                               PrimePowerRing, cokernel_shape, det,
-                               fitting_exponent, group_ring_mul,
+                               PrimePowerRing, cokernel_shape, det, eliminate,
+                               eliminate_mod, fitting_exponent, group_ring_mul,
                                inequality_check, involution, kernel_basis,
                                kernel_mod, mu_invariant, project_level, rank,
                                smith_normal_form, solve, solve_mod, specialize)
@@ -59,6 +59,52 @@ class TestSmithNormalForm:
         S = snf_checks(IntMatrix.from_rows(rows))
         expect = snf_diagonal_oracle(rows)
         assert list(S.diagonal()) == expect
+
+
+def _mul(x, y):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)] for row in x]
+
+
+def _draw_rows(data, r, c, lo, hi):
+    return [[data.draw(st.integers(lo, hi)) for _ in range(c)] for _ in range(r)]
+
+
+class TestAugmentedElimination:
+    """The blocks appended to the pivot block carry exactly the transforms."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 3),
+           st.integers(0, 3), st.data())
+    def test_side_blocks_end_as_u_r_and_b_v(self, r, c, k_right, k_below, data):
+        m = _draw_rows(data, r, c, -9, 9)
+        right = _draw_rows(data, r, k_right, -9, 9)
+        below = _draw_rows(data, k_below, c, -9, 9)
+        a = [row + extra for row, extra in zip(m, right)] + [list(row) for row in below]
+        diag = eliminate(a, r, c)
+        U, S, V = smith_normal_form(IntMatrix.from_rows(m))
+        assert [row[:c] for row in a[:r]] == [list(row) for row in S.entries]
+        assert diag == S.diagonal()
+        assert [row[c:] for row in a[:r]] == _mul(U.entries, right)
+        assert a[r:] == _mul(below, V.entries)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.sampled_from([2, 3, 5]),
+           st.integers(1, 3), st.data())
+    def test_mod_identities_give_invertible_transforms(self, r, c, p, n, data):
+        q = p ** n
+        m = _draw_rows(data, r, c, -30, 30)
+        a = [row + [int(i == j) for j in range(r)] for i, row in enumerate(m)] + \
+            [[int(i == j) for j in range(c)] for i in range(c)]
+        diag = eliminate_mod(a, r, c, p, n)
+        u = [row[c:] for row in a[:r]]
+        d = [row[:c] for row in a[:r]]
+        v = a[r:]
+        assert [[x % q for x in row] for row in _mul(_mul(u, m), v)] == d
+        assert all(d[i][j] == 0 for i in range(r) for j in range(c) if i != j)
+        assert diag == tuple(d[i][i] for i in range(min(r, c)))
+        assert all(x == 0 or x in {p ** e for e in range(n)} for x in diag)
+        assert det(IntMatrix.from_rows(u)) % p != 0
+        assert det(IntMatrix.from_rows(v)) % p != 0
 
 
 class TestKernelAndSolve:

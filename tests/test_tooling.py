@@ -1,14 +1,18 @@
-"""The benchmark's hooks into the package still resolve.
+"""The benchmark's hooks into the package, and the package's exports, still resolve.
 
 perfbench/tracer.py patches every function and method named in its SPANS
 table, and perfbench/run.py asks quatlfun.cache.cache_directory() before each
 pass. A rename in the package would break the benchmark; these tests fail
-first. The tracer module is only read, never installed.
+first. The tracer module is only read, never installed. Every name a
+subpackage lists in __all__ must exist, so a deleted helper cannot stay
+advertised.
 """
 
 import importlib
 import importlib.util
 import os
+
+import pytest
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
 
@@ -33,6 +37,12 @@ def test_traced_targets_resolve():
         if not callable(target):
             missing.append(span)
     assert missing == []
+
+
+@pytest.mark.parametrize("package", ["quatlfun.exactalg", "quatlfun.quatarith"])
+def test_package_exports_resolve(package):
+    mod = importlib.import_module(package)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 def test_cache_directory_exists():
