@@ -352,15 +352,14 @@ class QuotientGraph:
     def brandt_matrix(self, ell: int, level_tag: str = "vertex"):
         """Neighbor-count Hecke matrix T_ell on the chosen class set.
 
-        ell must be coprime to disc·level (and to p for the edge level).
+        ell must be a prime coprime to disc·level (and to p for the edge
+        level); neighbor_matrix rejects any other. Asking for the largest
+        ell first enumerates each theta series once.
         """
         key = ("brandt", ell, level_tag)
         if key in self._matrix_memo:
             return self._matrix_memo[key]
         cs = self.vertex_classes if level_tag == "vertex" else self.edge_classes
-        total = self.disc * self.level * (self.p if level_tag == "edge" else 1)
-        if total % ell == 0:
-            raise UsageError("Brandt matrix wants a prime coprime to the level data")
         mat = neighbor_matrix(cs, ell)
         self._matrix_memo[key] = mat
         return mat
@@ -541,6 +540,9 @@ def _hecke_operators(graph: QuotientGraph, sample_primes, level_tag, with_up):
     """Labelled operators in search order: ("a", ell) for T_ell at the sorted
     sample primes, ("u", q) for U_q at the discriminant primes, and
     ("up", p) for U_p on the edge level when asked."""
+    # the largest prime first: its theta series serves the smaller ones
+    for ell in sorted(sample_primes, reverse=True):
+        graph.brandt_matrix(ell, level_tag)
     ops = [(("a", ell), graph.brandt_matrix(ell, level_tag))
            for ell in sorted(sample_primes)]
     ops += [(("u", qq), graph.uq_matrix(qq, level_tag))

@@ -162,9 +162,11 @@ def _cmd_brandt(args) -> int:
     cs = ideal_class_set(order, first_coprime_prime(args.disc * args.level))
     print(f"disc {args.disc}, level {args.level}: class number {len(cs)}, "
           f"mass {cs.mass}")
+    # the largest prime first: its theta series serves the smaller ones
+    mats = {ell: neighbor_matrix(cs, ell) for ell in sorted(set(args.primes), reverse=True)}
     out = {}
     for ell in args.primes:
-        mat = neighbor_matrix(cs, ell)
+        mat = mats[ell]
         out[str(ell)] = mat
         print(f"T_{ell} =")
         for row in mat:

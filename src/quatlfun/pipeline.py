@@ -126,6 +126,9 @@ def select_vertex_system(graph: QuotientGraph, config: PipelineConfig):
     bad = config.p * config.n_plus * config.n_minus
     sample = good_primes(config.sample_bound, bad)
     needed = [config.p] + list(sample)
+    # the largest prime first: its theta series serves the smaller ones
+    for ell in sorted(needed, reverse=True):
+        graph.brandt_matrix(ell)
     mats = [graph.brandt_matrix(ell) for ell in needed]
     systems = rational_eigensystems(mats, needed)
     nontrivial = [(a, basis) for a, basis in systems

@@ -8,6 +8,12 @@ certified by the Eichler mass identity
 
 which holds exactly (psi(M) = M * prod_{l | M} (1 + 1/l)); connectivity of the
 neighbor graph makes the walk exhaustive, and the certificate catches any gap.
+
+Brandt matrices come from the theta series of the pairs of representatives
+(Pizer, J. Algebra 64 (1980); Gross, "Heights and the special values of
+L-series" (1987), sections 1-2): the ell-neighbours of I_i in class j are
+counted by the elements of I_i·conj(I_j) of reduced norm
+ell·nrd(I_i)·nrd(I_j), one orbit of #O_l(I_j)^× for each neighbour.
 """
 
 from __future__ import annotations
@@ -15,8 +21,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import InvariantViolationError, ResourceLimitError, UsageError
-from ..primes import prime_factors
+from ..primes import is_prime, prime_factors
 from .ideal import RightIdeal, isometric, neighbors, reduce_ideal
+from .lattice import lagrange_reduce, value_counts
 from .order import QuaternionOrder
 from .splitting import local_splitting
 
@@ -46,6 +53,10 @@ class ClassSet:
         self.reps = reps
         self.unit_counts = unit_counts
         self._classify_memo = {}
+        # theta series of the pairs, in memory only: the cache stores none
+        self._pair_grams = None  # (i, j), i <= j -> see _reduced_pair_grams
+        self._pair_counts = {}  # (i, j) -> [N_ij(0), ..., N_ij(_counts_upto)]
+        self._counts_upto = 0
 
     def __len__(self):
         return len(self.reps)
@@ -66,6 +77,53 @@ class ClassSet:
                 self._classify_memo[memo_key] = idx
                 return idx
         raise InvariantViolationError("ideal matches no class; certificate broken")
+
+    def representation_counts(self, m: int):
+        """N[i][j] = #{x in I_i·conj(I_j) : nrd(x) = m·nrd(I_i)·nrd(I_j)}.
+
+        Conjugation swaps (i, j), so each unordered pair is enumerated once,
+        up to the largest m asked so far; a smaller m costs nothing. Each
+        time the counts grow, N(1) = diag(unit counts) is certified: the
+        representatives are pairwise non-isometric and the counts are right.
+        """
+        if m > self._counts_upto:
+            if self._pair_grams is None:
+                self._pair_grams = self._reduced_pair_grams()
+            counts = {pair: value_counts(gram, 2 * m)[::2]
+                      for pair, gram in self._pair_grams.items()}
+            self._certify_units(counts)  # before they are kept, so a retry fails too
+            self._pair_counts, self._counts_upto = counts, m
+        h = len(self)
+        return [[self._pair_counts[min(i, j), max(i, j)][m] for j in range(h)]
+                for i in range(h)]
+
+    def _reduced_pair_grams(self):
+        """Lagrange-reduced Gram of x -> 2·nrd(x)/(nrd(I_i)·nrd(I_j)) on I_i·conj(I_j).
+
+        The form is integral since nrd(I_i·conj(I_j)) = nrd(I_i)·nrd(I_j).
+        """
+        alg = self.order.alg
+        conjugates = [rep.conjugate_lattice() for rep in self.reps]
+        norms = [rep.nrd() for rep in self.reps]
+        grams = {}
+        for i, rep in enumerate(self.reps):
+            for j in range(i, len(self.reps)):
+                lat = rep.product_lattice(conjugates[j])
+                scale = lat.den ** 2 * norms[i] * norms[j]
+                gram = [[alg.trd_pair(a, b) / scale for b in lat.rows] for a in lat.rows]
+                if any(x.denominator != 1 for row in gram for x in row):
+                    raise InvariantViolationError(
+                        f"norm form of I_{i}·conj(I_{j}) is not integral")
+                grams[i, j] = lagrange_reduce([[int(x) for x in row] for row in gram])[0]
+        return grams
+
+    def _certify_units(self, pair_counts):
+        for (i, j), counts in pair_counts.items():
+            want = self.unit_counts[i] if i == j else 0
+            if counts[1] != want:
+                raise InvariantViolationError(
+                    f"B(1) is not the identity: N_({i},{j})(1) = {counts[1]}, "
+                    f"want {want}; duplicate classes or wrong unit counts")
 
     def verify_mass(self):
         expected = eichler_mass(self.disc, self.level)
@@ -121,14 +179,22 @@ def ideal_class_set(order: QuaternionOrder, neighbor_prime: int) -> ClassSet:
 def neighbor_matrix(class_set: ClassSet, ell: int):
     """Integer matrix B with B[i][j] = #(ell-neighbors of I_i in class j).
 
-    Row sums are ell+1. This is the Hecke action on class functions.
+    Row sums are ell+1. This is the Hecke action on class functions. It is
+    read off the theta series: B[i][j] = N_ij(ell) / w_j with N the
+    representation counts and w_j = #O_l(I_j)^×. Certificates: B(1) = I,
+    w_j | N_ij(ell), and every row sums to ell+1.
     """
-    spl = local_splitting(class_set.order, ell, 1)
-    h = len(class_set)
+    if not is_prime(ell) or (class_set.disc * class_set.level) % ell == 0:
+        raise UsageError(f"Brandt matrix wants a prime coprime to disc·level, "
+                         f"got {ell}")
+    units = class_set.unit_counts
     rows = []
-    for i in range(h):
-        row = [0] * h
-        for nb in neighbors(class_set.reps[i], ell, spl):
-            row[class_set.classify(reduce_ideal(nb))] += 1
+    for i, counts in enumerate(class_set.representation_counts(ell)):
+        if any(n % w for n, w in zip(counts, units)):
+            raise InvariantViolationError(
+                f"unit count does not divide N_{i}j({ell}): {counts} vs {units}")
+        row = [n // w for n, w in zip(counts, units)]
+        if sum(row) != ell + 1:
+            raise InvariantViolationError(f"row {i} of B({ell}) sums to {sum(row)}")
         rows.append(row)
     return rows

@@ -8,7 +8,7 @@ enumerated by an exact Fincke-Pohst recursion with isqrt-based bounds.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import floor, gcd, isqrt, lcm
 
 from ..errors import InvariantViolationError, UsageError
 
@@ -237,13 +237,6 @@ def invert(m):
     return [row[n:] for row in a]
 
 
-def _floor_sqrt_frac(fr: Fraction) -> int:
-    """floor(sqrt(fr)) for fr >= 0."""
-    if fr < 0:
-        raise UsageError("negative radicand")
-    return isqrt(fr.numerator * fr.denominator) // fr.denominator
-
-
 def lagrange_reduce(gram):
     """Greedy pairwise reduction of an integer Gram matrix (optimal in dim <= 4).
 
@@ -308,6 +301,52 @@ def _scale_to_integer_gram(gram):
     return out, scale
 
 
+def _fincke_pohst(q, max_value):
+    """Yield (value, x) with 0 < Q(x) <= max_value, x over the Cholesky basis of q.
+
+    q is `_cholesky` data of an integral positive definite Gram, best a
+    Lagrange-reduced one (fewer nodes). The one exact Fincke-Pohst recursion
+    of the package. Both x and -x appear; the last coordinate is outermost
+    and each coordinate runs upwards. Lazy: callers may stop early.
+
+    It runs on integers: with m_i the common denominator of row i above the
+    diagonal, the centre of coordinate i is -C_i/m_i for the integer
+    C_i = sum_{j>i} m_i·q_ij·x_j, and q_ii·(x_i - centre)^2 = k_i·s^2/scale
+    with s = m_i·x_i + C_i and integers k_i, scale. So every x_i with
+    k_i·s^2 <= remaining budget is visited, and no other.
+    """
+    if max_value < 0:
+        raise UsageError("negative radicand")
+    n = len(q)
+    m = [1] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i] = lcm(m[i], q[i][j].denominator)
+    num = [[int(q[i][j] * m[i]) if j > i else 0 for j in range(n)] for i in range(n)]
+    weights = [q[i][i] / (m[i] * m[i]) for i in range(n)]
+    scale = 1
+    for w in weights:
+        scale = lcm(scale, w.denominator)
+    k = [int(w * scale) for w in weights]
+    top = floor(max_value) * scale
+    x = [0] * n
+
+    def recurse(i, budget):
+        if i < 0:
+            if any(x):
+                yield Fraction(top - budget, scale), tuple(x)
+            return
+        mi, ki, row = m[i], k[i], num[i]
+        c = sum(row[j] * x[j] for j in range(i + 1, n))
+        b = isqrt(budget // ki)
+        for t in range(-((c + b) // mi), (b - c) // mi + 1):
+            s = mi * t + c
+            x[i] = t
+            yield from recurse(i - 1, budget - ki * s * s)
+
+    yield from recurse(n - 1, top)
+
+
 def _enumerate_integer(gram_int, max_value):
     """Yield (value, vector) with 0 < Q(x) = x^T G x <= max_value, G integral.
 
@@ -316,29 +355,8 @@ def _enumerate_integer(gram_int, max_value):
     """
     red, u = lagrange_reduce(gram_int)
     n = len(red)
-    q = _cholesky(red)
-    limit = Fraction(max_value)
-
-    def recurse(i, rem, partial):
-        if i < 0:
-            vec = tuple(partial[::-1])
-            if any(vec):
-                orig = tuple(sum(u[r][c] * vec[c] for c in range(n)) for r in range(n))
-                yield (limit - rem, orig)
-            return
-        qi = q[i][i]
-        center = -sum(q[i][j] * partial[n - 1 - j] for j in range(i + 1, n))
-        bound = _floor_sqrt_frac(rem / qi) + 1
-        lo = int(center) - bound - 1
-        hi = int(center) + bound + 1
-        for t in range(lo, hi + 1):
-            diff = qi * (t - center) ** 2
-            if diff <= rem:
-                partial.append(t)
-                yield from recurse(i - 1, rem - diff, partial)
-                partial.pop()
-
-    yield from recurse(n - 1, limit, [])
+    for value, vec in _fincke_pohst(_cholesky(red), max_value):
+        yield value, tuple(sum(u[r][c] * vec[c] for c in range(n)) for r in range(n))
 
 
 def enumerate_by_value(gram, max_value):
@@ -391,12 +409,20 @@ def _scaled(gram, bound):
     return gram_int, Fraction(bound) * scale
 
 
+def value_counts(gram_int, max_value: int):
+    """counts[v] = #{x != 0 : x^T G x = v} for v = 0..max_value, G integral.
+
+    Pass a Lagrange-reduced G: the counts are basis-free, so no vector is
+    mapped back.
+    """
+    counts = [0] * (max_value + 1)
+    for val, _ in _fincke_pohst(_cholesky(gram_int), max_value):
+        counts[int(val)] += 1
+    return counts
+
+
 def count_values(gram, upto):
     """Counts of Q(x) = v for v = 1..upto over nonzero vectors."""
     gram_int, scale = _scale_to_integer_gram(gram)
-    counts = [0] * (upto + 1)
-    for val, _ in _enumerate_integer(gram_int, upto * scale):
-        v = val / scale
-        if v.denominator == 1 and 1 <= v <= upto:
-            counts[int(v)] += 1
-    return tuple(counts[1:])
+    counts = value_counts(lagrange_reduce(gram_int)[0], upto * scale)
+    return tuple(counts[v * scale] for v in range(1, upto + 1))

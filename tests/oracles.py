@@ -127,6 +127,27 @@ def inner_product_oracle(x, y):
     return sum(a * b for a, b in zip(x, y))
 
 
+# -- Brandt matrices by neighbour classification ------------------------------
+
+def neighbor_matrix_oracle(class_set, ell):
+    """B[i][j] = #(ell-neighbours of I_i in class j), by walking the neighbours.
+
+    The route the library used before the theta series: each of the ell+1
+    neighbour sublattices of each representative is reduced and classified
+    by exact isometry. It enumerates no I_i·conj(I_j) and reads no unit count.
+    """
+    from quatlfun.quatarith import local_splitting, neighbors
+    from quatlfun.quatarith.ideal import reduce_ideal
+    spl = local_splitting(class_set.order, ell, 1)
+    rows = []
+    for rep in class_set.reps:
+        row = [0] * len(class_set)
+        for nb in neighbors(rep, ell, spl):
+            row[class_set.classify(reduce_ideal(nb))] += 1
+        rows.append(row)
+    return rows
+
+
 # -- naive short vector search (rank <= 4, small boxes) ----------------------
 
 def count_vectors_of_norm(gram, value, box):

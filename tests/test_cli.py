@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from quatlfun import cache
 from quatlfun.cli import main
 
 
@@ -63,6 +64,29 @@ class TestBrandt:
         assert "class number 2" in out and "mass 5/12" in out
         data = json.loads(out.strip().splitlines()[-1])
         assert data["matrices"]["2"] == [[1, 2], [3, 0]]
+
+    @pytest.mark.parametrize("ell", ["0", "1", "4", "11"])
+    def test_bad_prime_exits_2(self, ell, capsys):
+        # 11 ramifies; 0, 1 and 4 are not primes
+        code = main(["brandt", "--disc", "11", "--primes", f"3,{ell}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error:" in captured.err and "matrices" not in captured.out
+
+    def test_cached_class_set_with_swapped_units_exits_5(self, tmp_path, capsys):
+        store = tmp_path / "cache"
+        argv = ["brandt", "--disc", "11", "--primes", "3", "--cache", str(store)]
+        try:
+            assert main(argv) == 0
+            (entry,) = store.iterdir()
+            data = json.loads(entry.read_text())
+            assert data["unit_counts"] == [4, 6]
+            data["unit_counts"].reverse()  # the mass still certifies
+            entry.write_text(json.dumps(data))
+            assert main(argv) == 5
+            assert "identity" in capsys.readouterr().err
+        finally:
+            cache.configure(None)
 
 
 class TestAdmissible:
@@ -143,6 +167,13 @@ class TestSelftest:
         code, out = run_cli(["selftest", "--criteria", "9"], capsys)
         assert code == 0
         assert "criterion 9: PASS" in out
+
+    def test_unknown_criterion_exits_2(self, capsys):
+        code = main(["selftest", "--criteria", "9,99"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error:" in captured.err and "99" in captured.err
+        assert "criterion" not in captured.out  # rejected before any runs
 
 
 class TestMalformedInput:

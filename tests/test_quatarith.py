@@ -1,10 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from quatlfun.errors import SearchExhaustedError, UsageError
-from quatlfun.quatarith import (Lattice4, QuaternionAlgebra, RightIdeal,
+from quatlfun.errors import (InvariantViolationError, SearchExhaustedError,
+                             UsageError)
+from quatlfun.primes import first_coprime_prime, is_prime, prime_factors
+from quatlfun.quatarith import (ClassSet, Lattice4, QuaternionAlgebra, RightIdeal,
                                 algebra_from_discriminant, eichler_mass,
                                 eichler_order, eichler_order_for,
                                 hilbert_symbol,
@@ -16,10 +19,11 @@ from quatlfun.quatarith import (Lattice4, QuaternionAlgebra, RightIdeal,
 from quatlfun.quatarith.embedding import embedding_with_base
 from quatlfun.quatarith.ideal import reduce_ideal
 from quatlfun.quatarith.lattice import (count_values, enumerate_by_value,
-                                        hnf_rows, integer_kernel,
+                                        hnf_rows, integer_kernel, invert,
                                         vectors_of_value)
 
-from oracles import count_vectors_of_norm, hilbert_symbol_oracle, kronecker_oracle
+from oracles import (count_vectors_of_norm, hilbert_symbol_oracle,
+                     kronecker_oracle, neighbor_matrix_oracle)
 
 
 class TestSymbols:
@@ -205,6 +209,115 @@ class TestClassSets:
             ideal_class_set(order, 11)
 
 
+def _copy_class_set(cs, reps=None, unit_counts=None):
+    """A ClassSet over the same order with no theta counts yet."""
+    return ClassSet(cs.order, cs.disc, cs.level, cs.neighbor_prime,
+                    list(cs.reps if reps is None else reps),
+                    list(cs.unit_counts if unit_counts is None else unit_counts))
+
+
+def _coprime_primes(n, count, start=2):
+    out = []
+    ell = start
+    while len(out) < count:
+        if is_prime(ell) and n % ell:
+            out.append(ell)
+        ell += 1
+    return out
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+class TestBrandtFromTheta:
+    @pytest.fixture(scope="class")
+    def cs11(self):
+        return ideal_class_set(maximal_order(algebra_from_discriminant(11)), 2)
+
+    @pytest.fixture(scope="class")
+    def cs13_2(self):
+        return ideal_class_set(eichler_order_for(13, 2), 3)
+
+    def test_swapped_unit_counts_caught(self, cs11):
+        assert cs11.unit_counts == [4, 6]
+        swapped = _copy_class_set(cs11, unit_counts=[6, 4])
+        swapped.verify_mass()  # the mass cannot see the swap
+        # nor can the neighbour route, which reads no unit count
+        assert neighbor_matrix_oracle(swapped, 3) == [[2, 2], [3, 1]]
+        for _ in range(2):  # a failed certificate leaves no counts behind
+            with pytest.raises(InvariantViolationError, match="identity"):
+                neighbor_matrix(swapped, 3)
+
+    def test_duplicated_class_caught(self, cs11):
+        rep = cs11.reps[0]
+        x = (1, 1, 0, 0)  # nrd 2
+        rows = [cs11.order.alg.mul(x, tuple(b)) for b in rep.lattice.basis_fractions()]
+        translate = RightIdeal(cs11.order, Lattice4.from_fraction_rows(rows))
+        assert isometric(translate, rep)
+        doubled = _copy_class_set(cs11, reps=cs11.reps + [translate],
+                                  unit_counts=cs11.unit_counts + [cs11.unit_counts[0]])
+        with pytest.raises(InvariantViolationError, match="identity"):
+            neighbor_matrix(doubled, 3)
+
+    @pytest.mark.parametrize("ell", [0, 1, 4, 11, -3])
+    def test_bad_ell_rejected_before_enumeration(self, cs11, ell):
+        fresh = _copy_class_set(cs11)
+        with pytest.raises(UsageError):
+            neighbor_matrix(fresh, ell)
+        assert fresh._pair_grams is None
+
+    def test_weighted_symmetry_and_commutation(self, cs11, cs13_2):
+        for cs in (cs11, cs13_2):
+            w = cs.unit_counts
+            ells = _coprime_primes(cs.disc * cs.level, 4)
+            mats = [neighbor_matrix(cs, ell) for ell in ells]
+            for b in mats:
+                assert all(w[j] * b[i][j] == w[i] * b[j][i]
+                           for i in range(len(w)) for j in range(len(w)))
+            for a in mats:
+                for b in mats:
+                    assert _matmul(a, b) == _matmul(b, a)
+
+    def test_order_of_requests_is_immaterial(self, cs13_2):
+        ells = _coprime_primes(26, 5)
+        up = [neighbor_matrix(_copy_class_set(cs13_2), ell) for ell in ells]
+        down_set = _copy_class_set(cs13_2)
+        down = {ell: neighbor_matrix(down_set, ell) for ell in reversed(ells)}
+        assert up == [down[ell] for ell in ells]
+        ascending = _copy_class_set(cs13_2)
+        assert [neighbor_matrix(ascending, ell) for ell in ells] == up
+
+
+def _oracle_sweep_cases():
+    """Squarefree discs < 100 with an odd number of primes at level 1, and at
+    levels 2, 3, 5 prime to the disc below 30."""
+    cases = []
+    for disc in range(2, 100):
+        primes = prime_factors(disc)
+        if math.prod(primes) != disc or len(primes) % 2 == 0:
+            continue
+        cases.append((disc, 1))
+        if disc < 30:
+            cases += [(disc, level) for level in (2, 3, 5) if disc % level]
+    return cases
+
+
+_SWEEP = _oracle_sweep_cases()
+
+
+@pytest.mark.parametrize("disc,level", _SWEEP,
+                         ids=[f"disc{d}-level{lv}" for d, lv in _SWEEP])
+def test_brandt_matches_neighbour_oracle(disc, level):
+    """The theta route against the neighbour walk at the first two good primes
+    and the first good prime above 20."""
+    n = disc * level
+    cs = ideal_class_set(eichler_order_for(disc, level), first_coprime_prime(n))
+    ells = _coprime_primes(n, 2) + _coprime_primes(n, 1, start=21)
+    got = {ell: neighbor_matrix(cs, ell) for ell in sorted(ells, reverse=True)}
+    assert got == {ell: neighbor_matrix_oracle(cs, ell) for ell in ells}
+
+
 class TestEichlerOrders:
     def test_level2_disc11(self):
         maxo = maximal_order(algebra_from_discriminant(11))
@@ -310,6 +423,26 @@ class TestLattice4:
             got = len(vectors_of_value(gram, value))
             expect = count_vectors_of_norm(gram, value, box=6)
             assert got == expect
+
+    def test_random_forms_against_box_oracle(self):
+        # random positive definite quaternary forms, every value up to 12;
+        # the box holds the whole ellipsoid: |x_i| <= sqrt(v·(G^-1)_ii)
+        rng = random.Random(31)
+        tried = 0
+        while tried < 12:
+            a = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)]
+            gram = [[sum(a[k][i] * a[k][j] for k in range(4)) + (i == j) * rng.randint(1, 3)
+                     for j in range(4)] for i in range(4)]
+            inv = invert(gram)
+            box = max(math.isqrt(math.floor(12 * inv[i][i])) for i in range(4))
+            if box > 4:
+                continue
+            tried += 1
+            for value in range(1, 13):
+                got = vectors_of_value(gram, value)
+                assert len(got) == count_vectors_of_norm(gram, value, box)
+                assert all(sum(x * gram[i][j] * y for i, x in enumerate(v)
+                               for j, y in enumerate(v)) == value for v in got)
 
     def test_count_values(self):
         # Q(x,y) = 2x^2 + 2y^2: value 2 has 4 vectors, value 4 has 4 vectors
