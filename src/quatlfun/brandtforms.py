@@ -284,55 +284,43 @@ class QuotientGraph:
 
     def tp_matrix(self):
         """T_p on vertex classes via tree neighbors of each representative."""
-        self.ensure_walk()
-        if "tp" in self._matrix_memo:
-            return self._matrix_memo["tp"]
-        h = self.vertex_count()
-        rows = []
-        for i in range(h):
-            row = [0] * h
-            for w in bttree.neighbors(self.vertex_reps[i]):
-                row[self.classify_vertex(w)] += 1
-            rows.append(row)
-        self._matrix_memo["tp"] = rows
-        return rows
+        if "tp" not in self._matrix_memo:
+            self._matrix_memo["tp"] = self._step_counts(
+                self.vertex_reps, bttree.neighbors, self.classify_vertex,
+                self.vertex_count)
+        return self._matrix_memo["tp"]
 
     def up_matrix(self):
         """U_p on edge classes: sum over forward edges, reversal excluded."""
-        self.ensure_walk()
-        if "up" in self._matrix_memo:
-            return self._matrix_memo["up"]
-        m = self.edge_count()
-        rows = []
-        for i in range(m):
-            row = [0] * m
-            for f in bttree.forward_edges(self.edge_reps[i]):
-                row[self.classify_edge(f)] += 1
-            rows.append(row)
-        self._matrix_memo["up"] = rows
-        return rows
+        if "up" not in self._matrix_memo:
+            self._matrix_memo["up"] = self._step_counts(
+                self.edge_reps, bttree.forward_edges, self.classify_edge,
+                self.edge_count)
+        return self._matrix_memo["up"]
 
     def incidence_source(self):
         """m_s[v][e] = #edges at rep(v) in edge class e (as sources)."""
-        self.ensure_walk()
-        h, m = self.vertex_count(), self.edge_count()
-        rows = []
-        for i in range(h):
-            row = [0] * m
-            for e in bttree.edges_from(self.vertex_reps[i]):
-                row[self.classify_edge(e)] += 1
-            rows.append(row)
-        return rows
+        return self._step_counts(self.vertex_reps, bttree.edges_from,
+                                 self.classify_edge, self.edge_count)
 
     def incidence_target(self):
         """m_t[v][e] = #edges into rep(v) in edge class e (as targets)."""
+        return self._step_counts(self.vertex_reps, bttree.edges_from,
+                                 lambda e: self.classify_edge(e.reverse()),
+                                 self.edge_count)
+
+    def _step_counts(self, reps, steps, classify, count):
+        """rows[i][c] = #{s in steps(reps[i]) : classify(s) = c}, after the walk.
+
+        count() is the number of classes classify maps to.
+        """
         self.ensure_walk()
-        h, m = self.vertex_count(), self.edge_count()
+        width = count()
         rows = []
-        for i in range(h):
-            row = [0] * m
-            for e in bttree.edges_from(self.vertex_reps[i]):
-                row[self.classify_edge(e.reverse())] += 1
+        for i in range(len(reps)):
+            row = [0] * width
+            for s in steps(reps[i]):
+                row[classify(s)] += 1
             rows.append(row)
         return rows
 
@@ -419,26 +407,23 @@ def tp_apply(graph: QuotientGraph, form: AutomorphicForm) -> AutomorphicForm:
     """Combinatorial T_p on a vertex form: sum over quotient tree neighbors."""
     if form.level_tag != "vertex":
         raise UsageError("T_p acts on vertex forms")
-    mat = graph.tp_matrix()
-    vals = tuple(sum(mat[i][j] * form.values[j] for j in range(len(form.values)))
-                 for i in range(len(form.values)))
-    if form.modulus:
-        p, n = form.modulus
-        vals = tuple(v % p ** n for v in vals)
-    return AutomorphicForm(vals, "vertex", form.modulus)
+    return _apply_matrix(graph.tp_matrix(), form)
 
 
 def up_apply(graph: QuotientGraph, form: AutomorphicForm) -> AutomorphicForm:
     """Combinatorial U_p on an edge form: forward edges minus the reversal."""
     if form.level_tag != "edge":
         raise UsageError("U_p acts on edge forms")
-    mat = graph.up_matrix()
+    return _apply_matrix(graph.up_matrix(), form)
+
+
+def _apply_matrix(mat, form: AutomorphicForm) -> AutomorphicForm:
     vals = tuple(sum(mat[i][j] * form.values[j] for j in range(len(form.values)))
                  for i in range(len(form.values)))
     if form.modulus:
         p, n = form.modulus
         vals = tuple(v % p ** n for v in vals)
-    return AutomorphicForm(vals, "edge", form.modulus)
+    return AutomorphicForm(vals, form.level_tag, form.modulus)
 
 
 def hensel_unit_root(a_p: int, p: int, n: int) -> int:

@@ -103,8 +103,7 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    if getattr(args, "cache", None):
-        cache.configure(args.cache)
+    cache.configure(getattr(args, "cache", None))
     return {
         "lfun": _cmd_lfun,
         "brandt": _cmd_brandt,
@@ -120,7 +119,7 @@ def _cmd_lfun(args) -> int:
     from .pipeline import PipelineConfig, run_lfun, write_artifacts
     config = PipelineConfig(args.nplus, args.nminus, args.p, args.n, args.mmax,
                             args.K, fixture_path=args.eigenform,
-                            cache_dir=args.cache, sample_bound=args.sample_bound)
+                            sample_bound=args.sample_bound)
     result = run_lfun(config)
     print(f"eigensystem ({result.system.provenance}):")
     _table([("ell", "a_ell")] + [(str(k), str(v))

@@ -33,7 +33,6 @@ class PipelineConfig:
     m_max: int
     disc_k: int
     fixture_path: str = None
-    cache_dir: str = None
     sample_bound: int = 20
 
     def validate(self):
@@ -189,9 +188,6 @@ def _l_element(graph, embedding, disc_k: int, target: EigenSystem, sample,
 
 def run_lfun(config: PipelineConfig) -> LfunResult:
     config.validate()
-    if config.cache_dir:
-        from . import cache
-        cache.configure(config.cache_dir)
     base, embedding, graph = _torus_quotient(config.n_minus, config.n_plus,
                                              config.p, config.disc_k)
     system = select_vertex_system(graph, config)

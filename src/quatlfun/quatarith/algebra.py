@@ -119,6 +119,15 @@ class QuaternionAlgebra:
         """trd(x * conj(y)), the bilinear form polarizing nrd."""
         return self.trd(self.mul(x, self.conj(y)))
 
+    def norm_gram(self, lat):
+        """Integer T with nrd(sum c_i r_i / den) = c^T T c / (2 den^2).
+
+        r_i are the integer rows of `lat` over its denominator den. The one
+        builder of a norm Gram in the package; T has an even diagonal.
+        """
+        rows = lat.rows
+        return [[self.trd_pair(a, b) for b in rows] for a in rows]
+
     def right_mul_matrix(self, y):
         """Matrix M with M @ x-coords = coords of x*y (columns act on x)."""
         cols = []

@@ -8,6 +8,9 @@ certified by the Eichler mass identity
 
 which holds exactly (psi(M) = M * prod_{l | M} (1 + 1/l)); connectivity of the
 neighbor graph makes the walk exhaustive, and the certificate catches any gap.
+The walk and `ClassSet.classify` share one lookup, `_match`: representatives
+are bucketed by theta key in a dict, and only those in the ideal's own bucket
+get an isometry test.
 
 Brandt matrices come from the theta series of the pairs of representatives
 (Pizer, J. Algebra 64 (1980); Gross, "Heights and the special values of
@@ -18,6 +21,7 @@ ell·nrd(I_i)·nrd(I_j), one orbit of #O_l(I_j)^× for each neighbour.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 
 from ..errors import InvariantViolationError, ResourceLimitError, UsageError
@@ -53,6 +57,7 @@ class ClassSet:
         self.reps = reps
         self.unit_counts = unit_counts
         self._classify_memo = {}
+        self._buckets = None  # theta key -> [(index, rep)], built on first use
         # theta series of the pairs, in memory only: the cache stores none
         self._pair_grams = None  # (i, j), i <= j -> see _reduced_pair_grams
         self._pair_counts = {}  # (i, j) -> [N_ij(0), ..., N_ij(_counts_upto)]
@@ -71,12 +76,15 @@ class ClassSet:
         hit = self._classify_memo.get(memo_key)
         if hit is not None:
             return hit
-        key = ideal.theta_key()
-        for idx, rep in enumerate(self.reps):
-            if rep.theta_key() == key and isometric(ideal, rep):
-                self._classify_memo[memo_key] = idx
-                return idx
-        raise InvariantViolationError("ideal matches no class; certificate broken")
+        if self._buckets is None:
+            self._buckets = {}
+            for idx, rep in enumerate(self.reps):
+                _add(self._buckets, idx, rep)
+        idx = _match(self._buckets, ideal)
+        if idx is None:
+            raise InvariantViolationError("ideal matches no class; certificate broken")
+        self._classify_memo[memo_key] = idx
+        return idx
 
     def representation_counts(self, m: int):
         """N[i][j] = #{x in I_i·conj(I_j) : nrd(x) = m·nrd(I_i)·nrd(I_j)}.
@@ -110,11 +118,13 @@ class ClassSet:
             for j in range(i, len(self.reps)):
                 lat = rep.product_lattice(conjugates[j])
                 scale = lat.den ** 2 * norms[i] * norms[j]
-                gram = [[alg.trd_pair(a, b) / scale for b in lat.rows] for a in lat.rows]
-                if any(x.denominator != 1 for row in gram for x in row):
+                num, den = scale.numerator, scale.denominator
+                gram = alg.norm_gram(lat)
+                if any(x * den % num for row in gram for x in row):
                     raise InvariantViolationError(
                         f"norm form of I_{i}·conj(I_{j}) is not integral")
-                grams[i, j] = lagrange_reduce([[int(x) for x in row] for row in gram])[0]
+                grams[i, j] = lagrange_reduce([[x * den // num for x in row]
+                                               for row in gram])[0]
         return grams
 
     def _certify_units(self, pair_counts):
@@ -153,20 +163,16 @@ def ideal_class_set(order: QuaternionOrder, neighbor_prime: int) -> ClassSet:
 
     start = RightIdeal.unit_ideal(order)
     reps = [start]
-    queue = [start]
+    buckets = {}
+    _add(buckets, 0, start)
+    queue = deque([start])
     while queue:
-        current = queue.pop(0)
-        for nb in neighbors(current, neighbor_prime, spl):
+        for nb in neighbors(queue.popleft(), neighbor_prime, spl):
             nb = reduce_ideal(nb)  # keep norms Minkowski-small along the walk
-            found = False
-            key = nb.theta_key()
-            for rep in reps:
-                if rep.theta_key() == key and isometric(nb, rep):
-                    found = True
-                    break
-            if not found:
+            if _match(buckets, nb) is None:
                 if len(reps) >= MAX_CLASSES:
                     raise ResourceLimitError("class-number bound exceeded")
+                _add(buckets, len(reps), nb)
                 reps.append(nb)
                 queue.append(nb)
     unit_counts = [rep.left_order().unit_count() for rep in reps]
@@ -174,6 +180,22 @@ def ideal_class_set(order: QuaternionOrder, neighbor_prime: int) -> ClassSet:
     cs.verify_mass()
     _cache.store_class_set(cs)
     return cs
+
+
+def _add(buckets, idx, rep):
+    buckets.setdefault(rep.theta_key(), []).append((idx, rep))
+
+
+def _match(buckets, ideal):
+    """Index of the representative isometric to `ideal`, or None.
+
+    buckets maps a theta key to the (index, representative) pairs with that
+    key, so only the representatives sharing the ideal's key are tested.
+    """
+    for idx, rep in buckets.get(ideal.theta_key(), ()):
+        if isometric(ideal, rep):
+            return idx
+    return None
 
 
 def neighbor_matrix(class_set: ClassSet, ell: int):

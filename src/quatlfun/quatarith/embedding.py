@@ -9,7 +9,7 @@ checked by an index computation.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 
 from ..errors import SearchExhaustedError, UsageError
 from ..exactalg import IntMatrix, kernel_basis, solve
@@ -119,21 +119,18 @@ def _trace_norm_solutions(order: QuaternionOrder, t: int, n: int):
     if part is None:
         return
     kern = kernel_basis(m)  # rank 3
-    ngram, gden = order.nrd_gram()
+    gram = order.alg.norm_gram(order.lattice)
 
-    def bilinear(u, v):
-        tot = 0
-        for i in range(4):
-            for j in range(4):
-                tot += u[i] * ngram[i][j] * v[j]
-        return Fraction(tot, 2 * gden)
+    def pair(u, v):
+        # 2·den^2 times the polarized norm of the coordinate vectors u, v
+        return sum(u[i] * gram[i][j] * v[j] for i in range(4) for j in range(4))
 
     kmat = [list(v) for v in kern]
-    a = [[bilinear(kmat[r], kmat[s]) for s in range(3)] for r in range(3)]
-    b = [bilinear(kmat[r], part) for r in range(3)]
-    c0 = bilinear(part, part)
-    target = Fraction(n)
-    # nrd(part + Kz) = c0 + 2 b.z + z^T a z = (z - w)^T a (z - w) + const,
+    a = [[pair(kmat[r], kmat[s]) for s in range(3)] for r in range(3)]
+    b = [pair(kmat[r], part) for r in range(3)]
+    c0 = pair(part, part)
+    target = 2 * order.lattice.den ** 2 * n
+    # 2·den^2·nrd(part + Kz) = c0 + 2 b.z + z^T a z = (z - w)^T a (z - w) + const,
     # with a w = -b and const = c0 - w^T a w.
     a_inv = invert(a)
     w = [-sum(a_inv[r][s] * b[s] for s in range(3)) for r in range(3)]
@@ -141,7 +138,7 @@ def _trace_norm_solutions(order: QuaternionOrder, t: int, n: int):
     radius = target - c0 + waw
     if radius < 0:
         return
-    budget = 2 * radius + 2 * waw
+    budget = floor(2 * radius + 2 * waw)
 
     def coords_of(z):
         return tuple(part[i] + sum(z[r] * kmat[r][i] for r in range(3))
@@ -155,7 +152,7 @@ def _trace_norm_solutions(order: QuaternionOrder, t: int, n: int):
         if count > MAX_CANDIDATES:
             raise SearchExhaustedError("trace-norm enumeration exceeded its budget")
         coords = coords_of(z)
-        if bilinear(coords, coords) == target:
+        if pair(coords, coords) == target:
             yield coords
 
 

@@ -1,8 +1,13 @@
 """Right ideals of quaternion orders: products, isometry, neighbors.
 
-Class equality is decided exactly: [I] = [J] iff the lattice I·conj(J)
-represents nrd(I)·nrd(J), tested by short-vector enumeration at that exact
-value (no slack). Theta-coefficient keys prune the quadratic search.
+Every ideal carries one integer Gram G, built once from
+`QuaternionAlgebra.norm_gram`, with x^T G x = 2·nrd(x)/nrd(I) in its lattice
+basis. Its content gives nrd(I), its value counts at 2, 4, ..., 12 the theta
+key, and its shortest vector the reduced ideal. Class equality is decided
+exactly: [I] = [J] iff the lattice I·conj(J) represents nrd(I)·nrd(J),
+tested by short-vector enumeration at that exact value (no slack). Callers
+bucket representatives by theta key, so only ideals with equal keys are
+tested.
 """
 
 from __future__ import annotations
@@ -12,9 +17,8 @@ from math import gcd
 
 from ..errors import InvariantViolationError, UsageError
 from ..exactalg import IntMatrix, kernel_mod
-from .algebra import QuaternionAlgebra
-from .lattice import (Lattice4, count_values, represents_value,
-                      shortest_value_and_vector)
+from .lattice import (Lattice4, enumerate_by_value, lagrange_reduce,
+                      shortest_value_and_vector, value_counts)
 from .order import QuaternionOrder, left_order_of
 from .splitting import LocalSplitting
 
@@ -22,7 +26,7 @@ from .splitting import LocalSplitting
 class RightIdeal:
     """A full lattice that is a right module over its right order."""
 
-    def __init__(self, order: QuaternionOrder, lat: Lattice4, check: bool = False):
+    def __init__(self, order: QuaternionOrder, lat: Lattice4):
         self.order = order
         self.alg = order.alg
         self.lattice = lat
@@ -30,8 +34,6 @@ class RightIdeal:
         self._gram = None
         self._theta = None
         self._left_order = None
-        if check:
-            self.check_right_stability()
 
     @staticmethod
     def unit_ideal(order: QuaternionOrder) -> "RightIdeal":
@@ -50,34 +52,25 @@ class RightIdeal:
     def nrd(self) -> Fraction:
         """Reduced norm of the ideal: the content of the norm form."""
         if self._nrd is None:
-            gram, den_sq = self._norm_gram()
-            c = 0
-            for i in range(4):
-                c = gcd(c, gram[i][i] // 2)
-                for j in range(i + 1, 4):
-                    c = gcd(c, gram[i][j])
-            self._nrd = Fraction(c, den_sq)
+            self.normalized_gram()
         return self._nrd
 
-    def _norm_gram(self):
-        """(T, den^2) with nrd(sum c_i r_i / den) = c^T T c / (2 den^2)."""
+    def normalized_gram(self):
+        """Integer G with x^T G x = 2·nrd(x)/nrd(I); x^T G x / 2 is primitive."""
         if self._gram is None:
-            rows = self.lattice.rows  # integer rows over the common denominator
-            t = [[self.alg.trd_pair(rows[i], rows[j]) for j in range(4)]
-                 for i in range(4)]
-            self._gram = (t, self.lattice.den ** 2)
+            t = self.alg.norm_gram(self.lattice)
+            c = 0
+            for i in range(4):
+                c = gcd(c, t[i][i] // 2, *t[i][i + 1:])
+            self._nrd = Fraction(c, self.lattice.den ** 2)
+            self._gram = [[x // c for x in row] for row in t]
         return self._gram
 
-    def normalized_gram(self):
-        """Gram of nrd scaled by 1/nrd(I): a primitive integral quaternary form."""
-        gram, den_sq = self._norm_gram()
-        scale = Fraction(1, 2 * den_sq) / self.nrd()
-        return [[x * scale for x in row] for row in gram]
-
-    def theta_key(self, upto: int = 6):
-        """Representation counts of the normalized norm form at 1..upto."""
+    def theta_key(self):
+        """Counts of x with nrd(x)/nrd(I) = 1, ..., 6, i.e. x^T G x = 2, ..., 12."""
         if self._theta is None:
-            self._theta = count_values(self.normalized_gram(), upto)
+            reduced = lagrange_reduce(self.normalized_gram())[0]
+            self._theta = tuple(value_counts(reduced, 12)[2::2])
         return self._theta
 
     def left_order(self) -> QuaternionOrder:
@@ -96,9 +89,6 @@ class RightIdeal:
                 rows.append(self.alg.mul(x, y))
         return Lattice4(self.lattice.den * other_lat.den, rows)
 
-    def scaled(self, c) -> "RightIdeal":
-        return RightIdeal(self.order, self.lattice.scaled(c))
-
 
 def reduce_ideal(ideal: RightIdeal) -> RightIdeal:
     """Equivalent right ideal of minimal reduced norm.
@@ -106,19 +96,20 @@ def reduce_ideal(ideal: RightIdeal) -> RightIdeal:
     For a minimal-norm x in J the ideal (conj(x)/nrd(J))·J is in the same
     class, is integral (conj(x)·J ⊆ conj(J)·J = nrd(J)·O_right), and has
     nrd = nrd(x)/nrd(J), bounded by the Minkowski constant of the norm form.
+    It is built in integers: with J = (1/den)·rows and nrd(J) = n/d, its
+    rows are d·conj(den·x)·r over den^2·n.
     """
-    target_base = ideal.nrd()
-    gram = ideal.normalized_gram()
-    value, coords = shortest_value_and_vector(gram)
-    if value == target_base:
+    value, coords = shortest_value_and_vector(ideal.normalized_gram())
+    norm = ideal.nrd()
+    if Fraction(value, 2) == norm:
         return ideal  # norm already minimal within the class
-    basis = ideal.lattice.basis_fractions()
-    x = tuple(sum(Fraction(coords[i]) * basis[i][k] for i in range(4))
-              for k in range(4))
-    factor = tuple(Fraction(v) / target_base for v in ideal.alg.conj(x))
-    rows = [ideal.alg.mul(factor, tuple(b)) for b in ideal.lattice.basis_fractions()]
-    out = RightIdeal(ideal.order, Lattice4.from_fraction_rows(rows))
-    if out.nrd() != Fraction(ideal.alg.nrd(x)) / target_base:
+    alg = ideal.alg
+    rows = ideal.lattice.rows
+    den = ideal.lattice.den
+    x = alg.conj(tuple(sum(c * r[k] for c, r in zip(coords, rows)) for k in range(4)))
+    out_rows = [[norm.denominator * v for v in alg.mul(x, r)] for r in rows]
+    out = RightIdeal(ideal.order, Lattice4(den * den * norm.numerator, out_rows))
+    if out.nrd() != Fraction(alg.nrd(x), den * den) / norm:
         raise InvariantViolationError("ideal reduction changed the class data")
     return out
 
@@ -126,24 +117,20 @@ def reduce_ideal(ideal: RightIdeal) -> RightIdeal:
 def isometric(i1: RightIdeal, i2: RightIdeal) -> bool:
     """Same right-ideal class: I = x·J for some x in the algebra.
 
-    Equivalent to the product lattice I·conj(J) representing nrd(I)·nrd(J).
+    Equivalent to the product lattice I·conj(J) representing nrd(I)·nrd(J),
+    that is its norm Gram T representing 2·den^2·nrd(I)·nrd(J).
     """
     if i1.order is not i2.order and i1.order != i2.order:
         raise UsageError("ideals must share a right order")
     if i1.theta_key() != i2.theta_key():
         return False
     prod = i1.product_lattice(i2.conjugate_lattice())
-    target = i1.nrd() * i2.nrd()
-    gram, den = _gram_of_lattice(i1.alg, prod)
-    # Q(c) = nrd(sum c_k b_k) = c^T gram c / (2 den); want value == target
-    q = [[Fraction(x, 2 * den) for x in row] for row in gram]
-    return represents_value(q, target)
-
-
-def _gram_of_lattice(alg: QuaternionAlgebra, lat: Lattice4):
-    r = lat.rows
-    rows = [[alg.trd_pair(r[i], r[j]) for j in range(4)] for i in range(4)]
-    return rows, lat.den ** 2
+    target = 2 * prod.den ** 2 * i1.nrd() * i2.nrd()
+    if target.denominator != 1:
+        return False
+    target = target.numerator
+    return any(value == target
+               for value, _ in enumerate_by_value(i1.alg.norm_gram(prod), target))
 
 
 def neighbors(ideal: RightIdeal, ell: int, spl: LocalSplitting):

@@ -1,14 +1,20 @@
 """Exact rank-4 rational lattices: Hermite bases, Gram forms, short vectors.
 
 A lattice is stored as (denominator, 4x4 integer row-Hermite basis); all
-arithmetic is integer or Fraction, never floating point. Short vectors are
-enumerated by an exact Fincke-Pohst recursion with isqrt-based bounds.
+arithmetic is integer or Fraction, never floating point.
+
+The short-vector front end takes integer Gram matrices only (a norm form
+comes from `QuaternionAlgebra.norm_gram`): `enumerate_by_value` lists the
+vectors up to a value, `shortest_value_and_vector` finds a minimum in one
+enumeration, and `value_counts` gives theta coefficients. All three run one
+exact Fincke-Pohst recursion with isqrt-based bounds, behind a pairwise
+Lagrange reduction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, gcd, isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from ..errors import InvariantViolationError, UsageError
 
@@ -290,24 +296,15 @@ def _cholesky(q):
     return a
 
 
-def _scale_to_integer_gram(gram):
-    """(integer gram, scale) with integer = gram * scale entrywise."""
-    scale = 1
-    for row in gram:
-        for x in row:
-            d = Fraction(x).denominator
-            scale = scale * d // gcd(scale, d)
-    out = [[int(Fraction(x) * scale) for x in row] for row in gram]
-    return out, scale
-
-
 def _fincke_pohst(q, max_value):
     """Yield (value, x) with 0 < Q(x) <= max_value, x over the Cholesky basis of q.
 
     q is `_cholesky` data of an integral positive definite Gram, best a
-    Lagrange-reduced one (fewer nodes). The one exact Fincke-Pohst recursion
-    of the package. Both x and -x appear; the last coordinate is outermost
-    and each coordinate runs upwards. Lazy: callers may stop early.
+    Lagrange-reduced one (fewer nodes); max_value is an integer. The one
+    exact Fincke-Pohst recursion of the package. Both x and -x appear; the
+    last coordinate is outermost and each coordinate runs upwards, so the
+    order of the vectors found does not depend on max_value. Lazy: callers
+    may stop early.
 
     It runs on integers: with m_i the common denominator of row i above the
     diagonal, the centre of coordinate i is -C_i/m_i for the integer
@@ -328,13 +325,13 @@ def _fincke_pohst(q, max_value):
     for w in weights:
         scale = lcm(scale, w.denominator)
     k = [int(w * scale) for w in weights]
-    top = floor(max_value) * scale
+    top = max_value * scale
     x = [0] * n
 
     def recurse(i, budget):
         if i < 0:
             if any(x):
-                yield Fraction(top - budget, scale), tuple(x)
+                yield (top - budget) // scale, tuple(x)
             return
         mi, ki, row = m[i], k[i], num[i]
         c = sum(row[j] * x[j] for j in range(i + 1, n))
@@ -347,66 +344,33 @@ def _fincke_pohst(q, max_value):
     yield from recurse(n - 1, top)
 
 
-def _enumerate_integer(gram_int, max_value):
-    """Yield (value, vector) with 0 < Q(x) = x^T G x <= max_value, G integral.
-
-    The basis is Lagrange-reduced first; vectors are mapped back to the
-    original coordinates. Both x and -x appear. Lazy: callers may stop early.
-    """
-    red, u = lagrange_reduce(gram_int)
+def _enumerate_reduced(red, u, max_value):
+    """`enumerate_by_value` on the Lagrange-reduced data (red, u) of a Gram."""
     n = len(red)
     for value, vec in _fincke_pohst(_cholesky(red), max_value):
         yield value, tuple(sum(u[r][c] * vec[c] for c in range(n)) for r in range(n))
 
 
-def enumerate_by_value(gram, max_value):
-    """All integer vectors x != 0 with Q(x) = x^T gram x <= max_value.
+def enumerate_by_value(gram, max_value: int):
+    """Yield (value, x) for every integer x != 0 with x^T gram x = value <= max_value.
 
-    gram: symmetric matrix of Fractions/ints, positive definite. Returns
-    (value, vector) pairs in the original coordinates; x and -x both appear.
+    gram is an integral positive definite Gram matrix. Its basis is
+    Lagrange-reduced first, and the vectors are mapped back to the original
+    coordinates. Both x and -x appear. Lazy: callers may stop early.
     """
-    gram_int, scale = _scale_to_integer_gram(gram)
-    budget = Fraction(max_value) * scale
-    return [(val / scale, vec) for val, vec in _enumerate_integer(gram_int, budget)]
-
-
-def vectors_of_value(gram, value):
-    """Integer vectors with Q(x) exactly `value` (x and -x both included)."""
-    gram_int, scale = _scale_to_integer_gram(gram)
-    target = Fraction(value) * scale
-    if target.denominator != 1:
-        return []
-    return [v for val, v in _enumerate_integer(gram_int, target) if val == target]
-
-
-def represents_value(gram, value) -> bool:
-    """Whether Q(x) = value has a nonzero solution; stops at the first hit."""
-    gram_int, scale = _scale_to_integer_gram(gram)
-    target = Fraction(value) * scale
-    if target.denominator != 1:
-        return False
-    return any(val == target for val, _ in _enumerate_integer(gram_int, target))
+    return _enumerate_reduced(*lagrange_reduce(gram), max_value)
 
 
 def shortest_value_and_vector(gram):
-    """(value, vector) attaining the minimum of Q on nonzero vectors."""
-    bound = 8
-    while True:
-        best = None
-        for val, vec in _enumerate_integer(*_scaled(gram, bound)):
-            if best is None or val < best[0]:
-                best = (val, vec)
-        if best is not None:
-            scale = _scale_to_integer_gram(gram)[1]
-            return best[0] / scale, best[1]
-        bound *= 2
-        if bound > 10 ** 9:
-            raise UsageError("no short vector found; form degenerate?")
+    """(value, x) attaining the minimum of x^T gram x on integer x != 0.
 
-
-def _scaled(gram, bound):
-    gram_int, scale = _scale_to_integer_gram(gram)
-    return gram_int, Fraction(bound) * scale
+    gram is integral and positive definite. One enumeration: the bound is
+    the smallest diagonal entry of the Lagrange-reduced Gram, the value of a
+    basis vector, so the minimum lies within it. Ties go to the first
+    minimal vector in enumeration order, which no bound changes.
+    """
+    red, u = lagrange_reduce(gram)
+    return min(_enumerate_reduced(red, u, red[0][0]), key=lambda hit: hit[0])
 
 
 def value_counts(gram_int, max_value: int):
@@ -417,12 +381,5 @@ def value_counts(gram_int, max_value: int):
     """
     counts = [0] * (max_value + 1)
     for val, _ in _fincke_pohst(_cholesky(gram_int), max_value):
-        counts[int(val)] += 1
+        counts[val] += 1
     return counts
-
-
-def count_values(gram, upto):
-    """Counts of Q(x) = v for v = 1..upto over nonzero vectors."""
-    gram_int, scale = _scale_to_integer_gram(gram)
-    counts = value_counts(lagrange_reduce(gram_int)[0], upto * scale)
-    return tuple(counts[v * scale] for v in range(1, upto + 1))

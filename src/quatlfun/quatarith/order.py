@@ -17,7 +17,7 @@ from ..errors import InvariantViolationError, UsageError
 from ..exactalg import IntMatrix, det, kernel_mod
 from ..primes import prime_factors
 from .algebra import QuaternionAlgebra, algebra_from_discriminant
-from .lattice import Lattice4, hnf_rows, preimage_lattice, vectors_of_value
+from .lattice import Lattice4, enumerate_by_value, hnf_rows, preimage_lattice
 
 ONE = (1, 0, 0, 0)
 
@@ -119,25 +119,14 @@ class QuaternionOrder:
             raise InvariantViolationError("order does not contain 1")
         return c
 
-    def nrd_gram(self):
-        """Integer matrix N with nrd(sum c_i b_i) = c^T N c / 2, over den^2.
-
-        Returns (N, den_sq) with N integral and even on the diagonal.
-        """
-        b = self.basis()
-        n = [[self.alg.trd_pair(b[i], b[j]) for j in range(4)] for i in range(4)]
-        den = 1
-        for row in n:
-            for x in row:
-                den = den * Fraction(x).denominator // gcd(den, Fraction(x).denominator)
-        return ([[int(Fraction(x) * den) for x in row] for row in n], den)
-
     def unit_count(self) -> int:
         """#O^× = number of norm-1 elements (definite algebra)."""
         if self._unit_count is None:
-            n, den = self.nrd_gram()
-            gram = [[Fraction(x, 2 * den) for x in row] for row in n]
-            self._unit_count = len(vectors_of_value(gram, 1))
+            # nrd(x) = 1 reads x^T T x = 2·den^2, the least nonzero value
+            target = 2 * self.lattice.den ** 2
+            self._unit_count = sum(
+                value == target for value, _ in
+                enumerate_by_value(self.alg.norm_gram(self.lattice), target))
         return self._unit_count
 
 

@@ -167,3 +167,15 @@ def count_vectors_of_norm(gram, value, box):
         if q == value:
             count += 1
     return count
+
+
+def minimum_of_form(gram, boxes):
+    """Least x^T G x over nonzero integer x with |x_i| <= boxes[i]."""
+    import itertools
+    n = len(gram)
+    best = None
+    for vec in itertools.product(*(range(-b, b + 1) for b in boxes)):
+        if any(vec):
+            q = sum(vec[i] * gram[i][j] * vec[j] for i in range(n) for j in range(n))
+            best = q if best is None else min(best, q)
+    return best

@@ -88,6 +88,16 @@ class TestBrandt:
         finally:
             cache.configure(None)
 
+    def test_cache_does_not_leak_into_the_next_run(self, tmp_path, capsys):
+        store = tmp_path / "cache"
+        try:
+            assert main(["brandt", "--disc", "11", "--primes", "3",
+                         "--cache", str(store)]) == 0
+            assert main(["brandt", "--disc", "11", "--primes", "3"]) == 0
+            assert cache.cache_directory() is None
+        finally:
+            cache.configure(None)
+
 
 class TestAdmissible:
     def test_search_computed(self, capsys):

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatlfun.errors import (InvariantViolationError, SearchExhaustedError,
                              UsageError)
@@ -18,12 +20,13 @@ from quatlfun.quatarith import (ClassSet, Lattice4, QuaternionAlgebra, RightIdea
                                 two_sided_prime)
 from quatlfun.quatarith.embedding import embedding_with_base
 from quatlfun.quatarith.ideal import reduce_ideal
-from quatlfun.quatarith.lattice import (count_values, enumerate_by_value,
-                                        hnf_rows, integer_kernel, invert,
-                                        vectors_of_value)
+from quatlfun.quatarith.lattice import (enumerate_by_value, hnf_rows,
+                                        integer_kernel, invert,
+                                        shortest_value_and_vector,
+                                        value_counts)
 
 from oracles import (count_vectors_of_norm, hilbert_symbol_oracle,
-                     kronecker_oracle, neighbor_matrix_oracle)
+                     kronecker_oracle, minimum_of_form, neighbor_matrix_oracle)
 
 
 class TestSymbols:
@@ -420,7 +423,7 @@ class TestLattice4:
     def test_enumeration_against_box_oracle(self):
         gram = [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 4, 1], [0, 0, 1, 6]]
         for value in (2, 4, 5, 8):
-            got = len(vectors_of_value(gram, value))
+            got = sum(v == value for v, _ in enumerate_by_value(gram, value))
             expect = count_vectors_of_norm(gram, value, box=6)
             assert got == expect
 
@@ -439,15 +442,35 @@ class TestLattice4:
                 continue
             tried += 1
             for value in range(1, 13):
-                got = vectors_of_value(gram, value)
+                got = [vec for v, vec in enumerate_by_value(gram, value) if v == value]
                 assert len(got) == count_vectors_of_norm(gram, value, box)
                 assert all(sum(x * gram[i][j] * y for i, x in enumerate(v)
                                for j, y in enumerate(v)) == value for v in got)
 
     def test_count_values(self):
         # Q(x,y) = 2x^2 + 2y^2: value 2 has 4 vectors, value 4 has 4 vectors
-        counts = count_values([[2, 0], [0, 2]], 4)
-        assert counts == (0, 4, 0, 4)
+        counts = value_counts([[2, 0], [0, 2]], 4)
+        assert counts == [0, 0, 4, 0, 4]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(-2, 2), min_size=16, max_size=16),
+           st.lists(st.integers(1, 3), min_size=4, max_size=4))
+    def test_shortest_against_box_oracle(self, entries, diagonal):
+        # G = A^T A + diag(d) is a positive definite quaternary integer form;
+        # the box holds every vector of value <= min G_ii, hence a minimum
+        a = [entries[4 * k:4 * k + 4] for k in range(4)]
+        gram = [[sum(a[k][i] * a[k][j] for k in range(4)) + (i == j) * diagonal[i]
+                 for j in range(4)] for i in range(4)]
+        bound = min(gram[i][i] for i in range(4))
+        inv = invert(gram)
+        boxes = [math.isqrt(math.floor(bound * inv[i][i])) for i in range(4)]
+        value, vec = shortest_value_and_vector(gram)
+        assert value == minimum_of_form(gram, boxes)
+        assert any(vec) and sum(x * gram[i][j] * y for i, x in enumerate(vec)
+                                for j, y in enumerate(vec)) == value
+        # the tie-break: the first minimal vector, whatever the bound
+        assert (value, vec) == min(enumerate_by_value(gram, 2 * bound),
+                                   key=lambda hit: hit[0])
 
     def test_integer_kernel(self):
         rows = [[2, 4, 6, 0], [1, 2, 3, 0]]

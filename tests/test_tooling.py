@@ -5,7 +5,7 @@ table, and perfbench/run.py asks quatlfun.cache.cache_directory() before each
 pass. A rename in the package would break the benchmark; these tests fail
 first. The tracer module is only read, never installed. Every name a
 subpackage lists in __all__ must exist, so a deleted helper cannot stay
-advertised.
+advertised. And the package keeps one builder of quaternion norm Grams.
 """
 
 import importlib
@@ -48,3 +48,19 @@ def test_package_exports_resolve(package):
 def test_cache_directory_exists():
     from quatlfun import cache
     assert callable(cache.cache_directory)
+
+
+def test_one_norm_gram_builder():
+    # QuaternionAlgebra.norm_gram is the only place a norm Gram is built;
+    # a trd_pair call anywhere else would be a second builder
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "quatlfun")
+    allowed = os.path.join("quatarith", "algebra.py")
+    callers = []
+    for root, _, files in os.walk(src):
+        for name in files:
+            path = os.path.join(root, name)
+            if name.endswith(".py") and not path.endswith(allowed):
+                with open(path) as fh:
+                    if "trd_pair(" in fh.read():
+                        callers.append(os.path.relpath(path, src))
+    assert callers == []
