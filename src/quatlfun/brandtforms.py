@@ -25,6 +25,10 @@ from .quatarith.classset import ClassSet
 from .quatarith.ideal import reduce_ideal
 from .quatarith.order import QuaternionOrder
 
+# p-adic precision of the local splitting that QuotientGraph builds by
+# default; the torus built on it serves levels m with 2(m + 2) <= this.
+SPLITTING_PREC = 16
+
 
 @dataclass(frozen=True)
 class AutomorphicForm:
@@ -90,7 +94,8 @@ class QuotientGraph:
     first; every operator read off them is defined on classes.
     """
 
-    def __init__(self, base_order: QuaternionOrder, p: int, prec: int = 16):
+    def __init__(self, base_order: QuaternionOrder, p: int,
+                 prec: int = SPLITTING_PREC):
         disc = base_order.alg.discriminant
         level = base_order.reduced_discriminant() // disc
         if (disc * level) % p == 0:

@@ -15,11 +15,14 @@ The chain of maps implemented here:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
-from .errors import UsageError
+from .errors import InvariantViolationError, UsageError
 from .exactalg import (AbelianGroupShape, IntMatrix, cokernel_shape, det,
-                       eliminate, solve)
+                       eliminate, eliminate_mod, solve)
+from .primes import prime_factors
 
 
 @dataclass(frozen=True)
@@ -175,14 +178,16 @@ def monodromy_map(g: LengthGraph, x: CharacterGroup) -> IntMatrix:
 
 @dataclass(frozen=True)
 class ComponentGroup:
-    """Finite component group together with its cokernel presentation."""
+    """Finite component group together with its cokernel presentation.
+
+    The shape comes from det(Gram) and one elimination mod p^(v_p(det) + 1)
+    per prime p | det (see `_local_shape`). The Z reduction that gives the
+    `class_of` coordinates runs on the first `class_of` call only.
+    """
 
     shape: AbelianGroupShape
     cycles: CharacterGroup  # the cycle basis the presentation is built on
     presentation: IntMatrix  # the Gram matrix whose cokernel this is
-    # canonical coordinates: class vectors reduce via U * w mod diag(S)
-    _snf_u: IntMatrix
-    _snf_s: IntMatrix
 
     @property
     def rank(self) -> int:
@@ -193,23 +198,39 @@ class ComponentGroup:
     def order(self):
         return self.shape.order
 
+    @cached_property
+    def _transform(self):
+        """(U, diagonal) of one Z reduction of Gram | I, with U*Gram*V = diag.
+
+        Its nontrivial diagonal must equal the local shape: a second,
+        independent route to the invariant factors.
+        """
+        k = self.presentation.rows
+        a = [list(row) + [int(i == j) for j in range(k)]
+             for i, row in enumerate(self.presentation.entries)]
+        diag = eliminate(a, k, k)
+        if tuple(d for d in diag if d > 1) != self.shape.invariant_factors:
+            raise InvariantViolationError(
+                "Smith form of the Gram disagrees with its local shape")
+        return IntMatrix.from_rows([row[k:] for row in a]), diag
+
     def class_of(self, functional):
-        """Canonical coordinates of a dual vector modulo the Gram image."""
+        """Canonical coordinates of a dual vector modulo the Gram image:
+        U * w reduced mod the Smith diagonal."""
         if self.rank == 0:
             return ()
-        w = self._snf_u.mul_vec(tuple(functional))
-        out = []
-        for i, x in enumerate(w):
-            d = self._snf_s.entries[i][i]
-            out.append(x % d if d else x)
-        return tuple(out)
+        u, diag = self._transform
+        w = u.mul_vec(tuple(functional))
+        return tuple(x % d if d else x for x, d in zip(w, diag))
 
 
 def component_group(g: LengthGraph):
     """Component group(s) of the graph: one ComponentGroup per connected component.
 
     Returns a single ComponentGroup for a connected graph, else a tuple in
-    component order.
+    component order. Shapes come from the Gram determinant and one local
+    elimination per prime dividing it, with no Z reduction of the Gram; the
+    Z transform behind `class_of` is built on its first use.
     """
     if g.is_connected():
         return _component_group_connected(g)
@@ -227,26 +248,50 @@ def _component_group_connected(g: LengthGraph) -> ComponentGroup:
     x = character_group(g)
     gram = monodromy_map(g, x)
     if x.rank == 0:
-        ident = IntMatrix.identity(1)
-        return ComponentGroup(AbelianGroupShape((), 0), x, ident, ident, ident)
-    _check_positive_definite(gram)
-    # one reduction, with an identity appended to the right, gives both the
-    # shape and the class_of transform U (V is never built); the Gram is
-    # nonsingular, so there is no free part
-    k = gram.rows
-    a = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(gram.entries)]
-    diag = eliminate(a, k, k)
-    shape = AbelianGroupShape(tuple(d for d in diag if d > 1), 0)
-    u = IntMatrix.from_rows([row[k:] for row in a])
-    s = IntMatrix.from_rows([row[:k] for row in a])
-    return ComponentGroup(shape, x, gram, u, s)
+        return ComponentGroup(AbelianGroupShape((), 0), x, IntMatrix.identity(1))
+    # the Gram is nonsingular, so there is no free part
+    shape = _local_shape(gram, _check_positive_definite(gram))
+    return ComponentGroup(shape, x, gram)
 
 
-def _check_positive_definite(gram: IntMatrix):
+def _check_positive_definite(gram: IntMatrix) -> int:
+    """Check every leading principal minor is positive; return the last, det(gram)."""
     for k in range(1, gram.rows + 1):
-        sub = [row[:k] for row in gram.entries[:k]]
-        if det(IntMatrix.from_rows(sub)) <= 0:
+        minor = det(IntMatrix.from_rows([row[:k] for row in gram.entries[:k]]))
+        if minor <= 0:
             raise UsageError("monodromy pairing fails positive definiteness")
+    return minor
+
+
+def _local_shape(gram: IntMatrix, d: int) -> AbelianGroupShape:
+    """Invariant factors of coker(gram), whose determinant is d > 0.
+
+    For each p | d with e = v_p(d), the diagonal of the Gram reduced mod
+    p^(e+1) has the p-parts of the invariant factors as its valuations (each
+    is at most e, so none is lost mod p^(e+1)). Sorting each prime's
+    valuations and multiplying position by position gives d1 | d2 | ...
+    Certificates: the valuations at p sum to e, and the factors multiply to d.
+    """
+    k = gram.rows
+    factors = [1] * k
+    for p in prime_factors(d):
+        e = 0
+        while d % p ** (e + 1) == 0:
+            e += 1
+        vals = []
+        for x in eliminate_mod([list(row) for row in gram.entries], k, k, p, e + 1):
+            v = 0
+            while v <= e and x % p ** (v + 1) == 0:
+                v += 1
+            vals.append(v)
+        if sum(vals) != e:
+            raise InvariantViolationError(
+                f"local invariant factors at {p} do not multiply to {p}^{e}")
+        for i, v in enumerate(sorted(vals)):
+            factors[i] *= p ** v
+    if math.prod(factors) != d:
+        raise InvariantViolationError("invariant factors do not multiply to det(Gram)")
+    return AbelianGroupShape(tuple(f for f in factors if f > 1), 0)
 
 
 def omega_map(g: LengthGraph, phi: ComponentGroup, x_chain):

@@ -11,8 +11,9 @@ import json
 import os
 from dataclasses import dataclass
 
-from .brandtforms import (EigenSystem, QuotientGraph, eigenvector_mod,
-                          hensel_unit_root, p_stabilize, rational_eigensystems)
+from .brandtforms import (SPLITTING_PREC, EigenSystem, QuotientGraph,
+                          eigenvector_mod, hensel_unit_root, p_stabilize,
+                          rational_eigensystems)
 from .errors import (ConfigurationError, DataMissingError)
 from .padicl import (LFunctionElement, MeasurePipeline, check_projection_tower,
                      full_Lp, mu_two_nu_check)
@@ -40,6 +41,10 @@ class PipelineConfig:
             raise ConfigurationError(f"p = {self.p} is not prime")
         if self.n < 1 or self.m_max < 0:
             raise ConfigurationError("need n >= 1 and m_max >= 0")
+        if 2 * (self.m_max + 2) > SPLITTING_PREC:
+            raise ConfigurationError(
+                f"m_max = {self.m_max} needs torus precision {2 * (self.m_max + 2)}, "
+                f"above the {SPLITTING_PREC} the quotient graph is built with")
         if self.disc_k >= 0 or self.disc_k % 4 not in (0, 1):
             raise ConfigurationError("K must be given by a negative quadratic discriminant")
         minus_primes = prime_factors(self.n_minus)

@@ -127,6 +127,63 @@ def inner_product_oracle(x, y):
     return sum(a * b for a, b in zip(x, y))
 
 
+def kirchhoff_order_oracle(n_vertices, edges):
+    """Order of the component group of a connected length graph, loops dropped.
+
+    The weighted matrix-tree theorem: with weights 1/l(e), any reduced
+    Laplacian has determinant sum_T prod_{e in T} 1/l(e); times prod_e l(e)
+    this is sum_T prod_{e not in T} l(e). Fraction Gaussian elimination.
+    """
+    from fractions import Fraction
+    lap = [[Fraction(0)] * n_vertices for _ in range(n_vertices)]
+    lengths = 1
+    for s, t, ln in edges:
+        if s == t:
+            continue
+        w = Fraction(1, ln)
+        lap[s][s] += w
+        lap[t][t] += w
+        lap[s][t] -= w
+        lap[t][s] -= w
+        lengths *= ln
+    m = [row[1:] for row in lap[1:]]
+    det = Fraction(1)
+    for c in range(len(m)):
+        piv = next((r for r in range(c, len(m)) if m[r][c] != 0), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            for j in range(c, len(m)):
+                m[r][j] -= f * m[c][j]
+    order = det * lengths
+    assert order.denominator == 1
+    return int(order)
+
+
+def rank_mod_p_oracle(rows, p):
+    """Rank over F_p of an integer matrix, by plain Gaussian elimination."""
+    m = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][c], p - 2, p)
+        m[rank] = [x * inv % p for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][c]:
+                f = m[r][c]
+                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
 # -- Brandt matrices by neighbour classification ------------------------------
 
 def neighbor_matrix_oracle(class_set, ell):

@@ -1,8 +1,12 @@
 import json
 import os
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatlfun.compgraph import (LengthGraph, boundary, boundary_matrix,
                                 character_group, coboundary, component_group,
@@ -11,8 +15,11 @@ from quatlfun.compgraph import (LengthGraph, boundary, boundary_matrix,
                                 specialize_divisor, subdivide)
 from quatlfun.errors import UsageError
 from quatlfun.exactalg import IntMatrix, det
+from quatlfun.primes import prime_factors
 
-from oracles import inner_product_oracle, spanning_tree_weight_sum
+from oracles import (inner_product_oracle, kirchhoff_order_oracle,
+                     rank_mod_p_oracle, snf_diagonal_oracle,
+                     spanning_tree_weight_sum)
 
 
 def two_cycle(a, b):
@@ -309,9 +316,16 @@ GRAM_GRAPH = LengthGraph.make(4, [(0, 1, 2), (1, 2, 1), (2, 3, 3), (3, 0, 1), (0
 
 
 def test_gram_smith_form_computed_once(monkeypatch):
+    # the shape needs no Z reduction of the Gram; the class_of transform is
+    # one reduction, built on the first call and kept
     gram = monodromy_map(GRAM_GRAPH, character_group(GRAM_GRAPH))
     reduced = _count_reductions(monkeypatch)
-    component_group(GRAM_GRAPH)
+    phi = component_group(GRAM_GRAPH)
+    assert reduced.count(gram) == 0
+    functional = (1,) * phi.rank
+    first = phi.class_of(functional)
+    assert reduced.count(gram) == 1
+    assert phi.class_of(functional) == first
     assert reduced.count(gram) == 1
 
 
@@ -327,3 +341,60 @@ def test_omega_map_rejects_another_graphs_group():
     first, _ = component_group(g)
     with pytest.raises(UsageError):
         omega_map(g, first, (1, -1, 0, 0))
+
+
+@st.composite
+def length_graphs(draw, max_v=6, max_extra=6, max_len=6):
+    """Connected length graphs: a random spanning tree plus extra edges and loops."""
+    n = draw(st.integers(1, max_v))
+    edges = [(draw(st.integers(0, v - 1)), v, draw(st.integers(1, max_len)))
+             for v in range(1, n)]
+    edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                     st.integers(1, max_len)), max_size=max_extra))
+    return LengthGraph.make(n, edges)
+
+
+@settings(max_examples=80, deadline=None)
+@given(length_graphs())
+def test_local_shape_matches_smith_oracle(g):
+    phi = component_group(g)
+    gram = monodromy_map(g, character_group(g))
+    want = tuple(d for d in snf_diagonal_oracle(gram.entries) if d > 1)
+    assert phi.shape.invariant_factors == want
+    assert phi.order == kirchhoff_order_oracle(g.n_vertices, g.edges)
+
+
+@contextmanager
+def time_limit(seconds):
+    def expired(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# Shapes of the p = 5 dual graphs of the maximal orders of discs 61, 71 and
+# 89. A Z Smith form of their Gram matrices runs from seconds (61) to well
+# over ten minutes (71); the local route takes well under a second.
+LARGE_DUAL_SHAPES = {61: (3, 3, 92574), 71: (25440660,), 89: (2, 2, 601171480)}
+
+
+@pytest.mark.parametrize("disc", sorted(LARGE_DUAL_SHAPES))
+def test_large_dual_graph_shapes(disc):
+    from quatlfun.brandtforms import QuotientGraph, mk_dual_graph
+    from quatlfun.quatarith import algebra_from_discriminant, maximal_order
+    g = mk_dual_graph(QuotientGraph(maximal_order(algebra_from_discriminant(disc)), 5))
+    with time_limit(60):
+        phi = component_group(g)
+    assert phi.shape.invariant_factors == LARGE_DUAL_SHAPES[disc]
+    assert phi.shape.free_rank == 0
+    order = kirchhoff_order_oracle(g.n_vertices, g.edges)
+    assert phi.order == order
+    gram = phi.presentation.entries
+    for p in prime_factors(order):
+        divisible = sum(1 for d in phi.shape.invariant_factors if d % p == 0)
+        assert divisible == phi.rank - rank_mod_p_oracle(gram, p)

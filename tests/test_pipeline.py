@@ -34,3 +34,21 @@ def test_eigenvalue_mod_checks_every_coordinate():
     with pytest.raises(DataMissingError):
         _eigenvalue_mod([[1, 1], [0, 1]], (0, 1), 5, 1)
     assert _eigenvalue_mod([[1, 1], [0, 1]], (1, 0), 5, 1) == 1
+
+
+def _no_class_set(*args, **kwargs):
+    raise AssertionError("ideal_class_set called for a rejected configuration")
+
+
+def test_mmax_beyond_torus_precision_rejected_before_any_work(monkeypatch):
+    from quatlfun import pipeline
+    from quatlfun.cli import main
+    from quatlfun.errors import ConfigurationError
+    monkeypatch.setattr(pipeline, "ideal_class_set", _no_class_set)
+    config = PipelineConfig(n_plus=1, n_minus=11, p=5, n=1, m_max=7, disc_k=-3)
+    with pytest.raises(ConfigurationError):
+        run_lfun(config)
+    assert main(["lfun", "--nminus", "11", "--p", "5", "--mmax", "7",
+                 "--K", "-3"]) == 2
+    # m_max = 6 needs precision exactly 16 and is accepted
+    PipelineConfig(n_plus=1, n_minus=11, p=5, n=1, m_max=6, disc_k=-3).validate()
