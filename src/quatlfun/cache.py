@@ -1,8 +1,10 @@
 """Content-addressed disk cache for class sets.
 
 Entries are keyed by a hash of the defining data (algebra, order lattice,
-neighbor prime), stored as human-diffable JSON, and re-verify their mass
-certificate on load, so a corrupted cache is caught rather than trusted.
+neighbor prime) and stored as human-diffable JSON. On load every
+representative is re-certified (right-stable under the order, its left
+order's unit count as stored) and then the mass, so a corrupted cache is
+caught rather than trusted: the mass alone cannot see swapped unit counts.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ def store_class_set(cs) -> None:
 
 
 def load_class_set(order, neighbor_prime: int):
-    """Cached ClassSet for the order, or None. Mass re-verified on load."""
+    """Cached ClassSet for the order, or None. Re-certified on load."""
     if _cache_dir is None:
         return None
     from .quatarith.classset import ClassSet
@@ -74,6 +76,15 @@ def load_class_set(order, neighbor_prime: int):
         raise InvariantViolationError("cache entry collides with a different algebra")
     reps = [RightIdeal(order, Lattice4(r["den"], r["rows"], reduce=False))
             for r in data["reps"]]
+    if len(data["unit_counts"]) != len(reps):
+        raise InvariantViolationError("cache entry has one unit count per class")
+    for i, (rep, units) in enumerate(zip(reps, data["unit_counts"])):
+        rep.check_right_stability()
+        found = rep.left_order().unit_count()
+        if found != units:
+            raise InvariantViolationError(
+                f"cached class {i}: its left order has {found} units, "
+                f"the entry says {units}")
     cs = ClassSet(order, data["disc"], data["level"], data["neighbor"],
                   reps, list(data["unit_counts"]))
     cs.verify_mass()

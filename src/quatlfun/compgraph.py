@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InvariantViolationError, UsageError
-from .exactalg import (AbelianGroupShape, IntMatrix, cokernel_shape, det,
-                       eliminate, eliminate_mod, solve)
+from .exactalg import (AbelianGroupShape, IntMatrix, det, eliminate,
+                       eliminate_mod, solve)
 from .primes import prime_factors
 
 
@@ -432,15 +432,17 @@ def edixhoven_check(g: LengthGraph) -> EdixhovenReport:
 
 
 def _intersection_component_shape(g: LengthGraph, mu: IntMatrix) -> AbelianGroupShape:
+    """Shape of Z[V]^0 / μ(Z[V]) on a connected unit-length graph.
+
+    In the basis v_i - v_0 (i >= 1) of Z[V]^0, column j of μ has coordinates
+    μ_1j, ..., μ_(n-1)j, and column 0 is minus the sum of the others (μ·1 = 0),
+    so dropping it keeps the image. What is left is -μ without vertex 0's row
+    and column: the reduced Laplacian, positive definite on a connected graph,
+    whose shape `_local_shape` reads off its determinant.
+    """
     n = g.n_vertices
     if n == 1:
         return AbelianGroupShape((), 0)
-    # basis of Z[V]^0: v_i - v_0 for i >= 1; columns of mu have degree zero
-    rows = []
-    for i in range(1, n):
-        rows.append([mu.entries[i][j] for j in range(n)])
-    m = IntMatrix.from_rows(rows)  # coordinates of mu columns in the basis
-    shape = cokernel_shape(m)
-    if shape.free_rank:
-        raise UsageError("intersection cokernel not finite on a connected graph")
-    return shape
+    reduced = IntMatrix.from_rows([[-mu.entries[i][j] for j in range(1, n)]
+                                   for i in range(1, n)])
+    return _local_shape(reduced, _check_positive_definite(reduced))

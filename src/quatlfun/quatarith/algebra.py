@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 
 from ..errors import SearchExhaustedError, UsageError
@@ -127,22 +126,6 @@ class QuaternionAlgebra:
         """
         rows = lat.rows
         return [[self.trd_pair(a, b) for b in rows] for a in rows]
-
-    def right_mul_matrix(self, y):
-        """Matrix M with M @ x-coords = coords of x*y (columns act on x)."""
-        cols = []
-        basis = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-        for e in basis:
-            cols.append(self.mul(e, y))
-        # column c of M is mul(e_c, y)
-        return [[Fraction(cols[c][r]) for c in range(4)] for r in range(4)]
-
-    def left_mul_matrix(self, y):
-        cols = []
-        basis = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-        for e in basis:
-            cols.append(self.mul(y, e))
-        return [[Fraction(cols[c][r]) for c in range(4)] for r in range(4)]
 
 
 def algebra_from_discriminant(d: int) -> QuaternionAlgebra:

@@ -3,19 +3,19 @@
 The generator of O_c = Z + c·O_K is c·g1 with g1 = (-1+sqrt(dK))/2 for odd dK
 and sqrt(dK)/2 for even dK. An embedding is a solution of trd = t, nrd = n in
 the order; optimality means the quadratic subring it cuts out is exactly O_c,
-checked by an index computation.
+checked by an index computation. Elements are kept as integer coordinates
+in the order's basis.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import floor, gcd
 
 from ..errors import SearchExhaustedError, UsageError
 from ..exactalg import IntMatrix, kernel_basis, solve
 from ..primes import prime_factors
 from .algebra import kronecker
-from .lattice import enumerate_by_value, hnf_rows, integer_kernel, invert
+from .lattice import enumerate_by_value, invert
 from .order import QuaternionOrder
 
 # short vectors the trace-norm enumeration may visit before giving up
@@ -25,16 +25,16 @@ MAX_CANDIDATES = 200000
 class Embedding:
     """Image of the standard generator of O_c in a quaternion order."""
 
-    def __init__(self, order, disc_k, conductor, element, trace, norm):
+    def __init__(self, order, disc_k, conductor, coords, trace, norm):
         self.order = order
         self.disc_k = disc_k
         self.conductor = conductor
-        self.element = element  # 4-tuple of Fractions
+        self.coords = coords  # integer coordinates in the order's basis
         self.trace = trace
         self.norm = norm
 
     def optimality_index(self) -> int:
-        return _subring_index(self.order, self.element)
+        return _subring_index(self.order, self.coords)
 
 
 def quadratic_generator(disc_k: int, conductor: int = 1):
@@ -68,8 +68,7 @@ def optimal_embedding(disc_k: int, conductor: int, order: QuaternionOrder) -> Em
 
     best = None
     for coords in _trace_norm_solutions(order, t, n):
-        element = order.element_from_coords(coords)
-        emb = Embedding(order, disc_k, conductor, element, t, n)
+        emb = Embedding(order, disc_k, conductor, coords, t, n)
         if emb.optimality_index() == 1:
             return emb
         best = best or emb
@@ -107,15 +106,13 @@ def _trace_norm_solutions(order: QuaternionOrder, t: int, n: int):
     center w of the shifted form, every solution z obeys
     z^T a z <= 2R + 2 w^T a w, an exact budget for the lattice enumeration.
     """
-    basis = order.basis()
-    alg = order.alg
-    traces = [alg.trd(b) for b in basis]
-    den = 1
-    for x in traces:
-        den = den * Fraction(x).denominator // gcd(den, Fraction(x).denominator)
-    trow = [int(Fraction(x) * den) for x in traces]
-    m = IntMatrix.from_rows([trow])
-    part = solve(m, (t * den,))
+    # trd of row i is traces[i]/den; the trace condition, divided by the
+    # content g of (den, traces), is trow·c = t·den/g
+    den = order.lattice.den
+    traces = [order.alg.trd(r) for r in order.lattice.rows]
+    g = gcd(den, *traces)
+    m = IntMatrix.from_rows([[x // g for x in traces]])
+    part = solve(m, (t * den // g,))
     if part is None:
         return
     kern = kernel_basis(m)  # rank 3
@@ -156,34 +153,15 @@ def _trace_norm_solutions(order: QuaternionOrder, t: int, n: int):
             yield coords
 
 
-def _subring_index(order: QuaternionOrder, element) -> int:
-    """Index [Q(element) ∩ O : Z[element]] for an integral quadratic element."""
-    one = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-    x = tuple(Fraction(v) for v in element)
-    # lattice of (alpha, beta) with alpha + beta*x in O
-    den = order.lattice.den
-    # unknowns: alpha, beta, and integer coordinates c of the order element
-    # alpha*1 + beta*x = sum c_i b_i  -> 4 equations
-    basis = order.basis()
-    big_den = den
-    for v in list(x) + [Fraction(1)]:
-        big_den = big_den * v.denominator // gcd(big_den, v.denominator)
-    eq_rows = []
-    for coord in range(4):
-        row = [int(Fraction(one[coord]) * big_den), int(x[coord] * big_den)]
-        for i in range(4):
-            row.append(-int(Fraction(basis[i][coord]) * big_den))
-        eq_rows.append(row)
-    ker = integer_kernel(eq_rows)
-    pairs = [(v[0], v[1]) for v in ker]
-    lat_rows = [list(p) for p in pairs if any(p)]
-    # Hermite-reduce the rank-2 (alpha, beta) lattice
-    red = hnf_rows(lat_rows, expect_rank=2)
-    det = red[0][0] * red[1][1]
-    if det == 0:
+def _subring_index(order: QuaternionOrder, coords) -> int:
+    """Index [Q(x) ∩ O : Z[x]] for the element x of O with the given coordinates.
+
+    With u the coordinates of 1, Q(x) ∩ O is the saturation of Zu + Z·coords
+    in Z^4, whose index over Zu + Z·coords is the gcd of the 2x2 minors.
+    """
+    one = order.one_coords()
+    index = gcd(*(one[i] * coords[j] - one[j] * coords[i]
+                  for i in range(4) for j in range(i + 1, 4)))
+    if index == 0:
         raise UsageError("element is rational; no quadratic subring")
-    # Z[x] corresponds to the standard lattice Z^2 in (alpha, beta) coords
-    index = Fraction(1, abs(det))
-    if index.denominator != 1:
-        raise UsageError("quadratic subring index is not integral")
-    return int(index)
+    return index

@@ -43,10 +43,10 @@ class RightIdeal:
         return self.lattice.key()
 
     def check_right_stability(self):
-        for b in self.lattice.basis_fractions():
-            for g in self.order.basis():
-                prod = self.alg.mul(tuple(b), g)
-                if not self.lattice.contains(prod):
+        lat, order_lat = self.lattice, self.order.lattice
+        for x in lat.rows:
+            for y in order_lat.rows:
+                if not lat.contains(self.alg.mul(x, y), lat.den * order_lat.den):
                     raise InvariantViolationError("lattice is not right-stable")
 
     def nrd(self) -> Fraction:

@@ -1,7 +1,11 @@
 """Exact rank-4 rational lattices: Hermite bases, Gram forms, short vectors.
 
-A lattice is stored as (denominator, 4x4 integer row-Hermite basis); all
-arithmetic is integer or Fraction, never floating point.
+A lattice is stored as (denominator, 4x4 integer row-Hermite basis), and
+so is every element it is asked about: `coordinates(vec, den)` and
+`contains(vec, den)` read the element vec/den for an integer 4-tuple vec, by
+an integer triangular solve. Fractions appear only in `covolume`, in
+`invert` and in the Cholesky data of the short-vector search; nothing is
+floating point.
 
 The short-vector front end takes integer Gram matrices only (a norm form
 comes from `QuaternionAlgebra.norm_gram`): `enumerate_by_value` lists the
@@ -116,16 +120,6 @@ class Lattice4:
         self.den = den
         self.rows = tuple(tuple(r) for r in rows)
 
-    @staticmethod
-    def from_fraction_rows(rows):
-        """Build from generator rows of Fractions (or ints); any count >= 4."""
-        den = 1
-        for r in rows:
-            for x in r:
-                den = den * Fraction(x).denominator // gcd(den, Fraction(x).denominator)
-        int_rows = [[int(Fraction(x) * den) for x in r] for r in rows]
-        return Lattice4(den, int_rows)
-
     def key(self):
         return (self.den, self.rows)
 
@@ -135,34 +129,28 @@ class Lattice4:
     def __hash__(self):
         return hash(self.key())
 
-    def basis_fractions(self):
-        return [[Fraction(x, self.den) for x in r] for r in self.rows]
+    def coordinates(self, vec, den=1):
+        """Integer coordinates of the element vec/den in this basis, or None.
 
-    def contains(self, vec) -> bool:
-        """Membership of a rational 4-vector, via the triangular basis."""
-        v = [Fraction(x) * self.den for x in vec]
-        for row in self.rows:
-            pcol = next(c for c, x in enumerate(row) if x)
-            q = v[pcol] / row[pcol]
-            if q.denominator != 1:
-                return False
-            v = [a - q * b for a, b in zip(v, row)]
-        return all(x == 0 for x in v)
-
-    def coordinates(self, vec):
-        """Integer coordinates of vec in this basis, or None."""
-        v = [Fraction(x) * self.den for x in vec]
+        vec is an integer 4-tuple. The rows are triangular, so each
+        coordinate is one exact division.
+        """
+        v = [x * self.den for x in vec]
         coords = []
         for row in self.rows:
             pcol = next(c for c, x in enumerate(row) if x)
-            q = v[pcol] / row[pcol]
-            if q.denominator != 1:
+            q, r = divmod(v[pcol], den * row[pcol])
+            if r:
                 return None
-            coords.append(int(q))
-            v = [a - q * b for a, b in zip(v, row)]
-        if any(x != 0 for x in v):
+            coords.append(q)
+            v = [a - q * den * b for a, b in zip(v, row)]
+        if any(v):
             return None
         return tuple(coords)
+
+    def contains(self, vec, den=1) -> bool:
+        """Membership of the element vec/den, vec an integer 4-tuple."""
+        return self.coordinates(vec, den) is not None
 
     def covolume(self) -> Fraction:
         d = 1
@@ -172,11 +160,6 @@ class Lattice4:
 
     def _pivot(self, i):
         return next(c for c, x in enumerate(self.rows[i]) if x)
-
-    def scaled(self, c) -> "Lattice4":
-        c = Fraction(c)
-        return Lattice4(self.den * c.denominator,
-                        [[x * c.numerator for x in r] for r in self.rows])
 
     def sum(self, other: "Lattice4") -> "Lattice4":
         den = self.den * other.den // gcd(self.den, other.den)
@@ -209,19 +192,6 @@ class Lattice4:
             u = vec[:4]
             rows.append([sum(u[i] * a[i][c] for i in range(4)) for c in range(4)])
         return Lattice4(den, rows)
-
-
-def preimage_lattice(lat: Lattice4, mat_cols):
-    """{x : M x ∈ lat} for an invertible rational 4x4 matrix M (column action).
-
-    mat_cols is M as a list of rows of Fractions; returns a Lattice4.
-    """
-    minv = invert(mat_cols)
-    # lattice rows are vectors v; preimage basis rows are (M^{-1} v^T)^T
-    rows = []
-    for r in lat.basis_fractions():
-        rows.append([sum(minv[i][j] * r[j] for j in range(4)) for i in range(4)])
-    return Lattice4.from_fraction_rows(rows)
 
 
 def invert(m):

@@ -1,5 +1,12 @@
 """Orders in definite quaternion algebras: saturation, levels, units.
 
+An order is a `Lattice4`, integer rows r_i over a denominator den, and every
+question about it is asked in those integers: closure reads the products
+r_i·r_j over den^2, the reduced discriminant is read off the determinant of
+the integer norm Gram, and an idealizer {x : x·L ⊆ L} is the intersection
+over the rows r of L·conj(r)/nrd(r), since x·b ∈ L iff x ∈ L·b^-1 and
+b^-1 = conj(b)/nrd(b) (Voight, "Quaternion Algebras", 16.6-16.7).
+
 The maximal-order routine saturates the obvious order Z<1,i,j,k> prime by
 prime: index-q superorders are found by brute force for q in {2, 3} and by the
 radical idealizer for q >= 5 (where the trace form detects the radical, since
@@ -10,14 +17,13 @@ order is already hereditary at q and the idealizers add nothing.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from math import gcd, isqrt
 
 from ..errors import InvariantViolationError, UsageError
 from ..exactalg import IntMatrix, det, kernel_mod
 from ..primes import prime_factors
 from .algebra import QuaternionAlgebra, algebra_from_discriminant
-from .lattice import Lattice4, enumerate_by_value, hnf_rows, preimage_lattice
+from .lattice import Lattice4, enumerate_by_value, hnf_rows
 
 ONE = (1, 0, 0, 0)
 
@@ -40,10 +46,9 @@ class QuaternionOrder:
         lat = self.lattice
         if not lat.contains(ONE):
             raise UsageError("an order must contain 1")
-        basis = lat.basis_fractions()
-        for x in basis:
-            for y in basis:
-                if not lat.contains(self.alg.mul(tuple(x), tuple(y))):
+        for x in lat.rows:
+            for y in lat.rows:
+                if not lat.contains(self.alg.mul(x, y), lat.den ** 2):
                     raise UsageError("lattice is not multiplicatively closed")
 
     def key(self):
@@ -55,20 +60,12 @@ class QuaternionOrder:
     def __hash__(self):
         return hash(self.key())
 
-    def basis(self):
-        return [tuple(r) for r in self.lattice.basis_fractions()]
-
     def reduced_discriminant(self) -> int:
+        """sqrt|det trd(b_i·b_j)| = sqrt(det(T)/den^8), T the integer norm Gram."""
         if self._discrd is None:
-            b = self.basis()
-            form = [[Fraction(self.alg.trd(self.alg.mul(b[i], b[j]))) for j in range(4)]
-                    for i in range(4)]
-            # clear the denominators, take the integer determinant, scale back
-            scale = math.lcm(*(x.denominator for row in form for x in row))
-            d = Fraction(abs(det(IntMatrix.from_rows([[x * scale for x in row]
-                                                      for row in form]))), scale ** 4)
-            num = d.numerator
-            if d.denominator != 1:
+            num, rem = divmod(det(IntMatrix.from_rows(self.alg.norm_gram(self.lattice))),
+                              self.lattice.den ** 8)
+            if rem:
                 raise InvariantViolationError("trace form of an order must be integral")
             r = isqrt(num)
             if r * r != num:
@@ -79,12 +76,12 @@ class QuaternionOrder:
     def mult_table(self):
         """Structure constants c[i][j] = coordinates of b_i * b_j; integral."""
         if self._mult_table is None:
-            b = self.basis()
+            lat = self.lattice
             table = []
-            for i in range(4):
+            for x in lat.rows:
                 row = []
-                for j in range(4):
-                    coords = self.lattice.coordinates(self.alg.mul(b[i], b[j]))
+                for y in lat.rows:
+                    coords = lat.coordinates(self.alg.mul(x, y), lat.den ** 2)
                     if coords is None:
                         raise InvariantViolationError("order closure failed")
                     row.append(coords)
@@ -107,11 +104,6 @@ class QuaternionOrder:
                         out[2] += f * c[2]
                         out[3] += f * c[3]
         return tuple(out)
-
-    def element_from_coords(self, coords):
-        b = self.basis()
-        return tuple(sum(Fraction(coords[i]) * b[i][c] for i in range(4))
-                     for c in range(4))
 
     def one_coords(self):
         c = self.lattice.coordinates(ONE)
@@ -167,7 +159,6 @@ def _enlarge_at(order: QuaternionOrder, q: int):
 
 def _enlarge_brute(order: QuaternionOrder, q: int):
     """Try all index-q superlattices O + Z*(v/q); keep the first real order."""
-    basis = order.basis()
     den = order.lattice.den
     rows = [[x * q for x in r] for r in order.lattice.rows]
     candidates = []
@@ -252,14 +243,20 @@ def _enlarge_radical(order: QuaternionOrder, q: int):
 
 
 def _idealizer(alg: QuaternionAlgebra, lat: Lattice4, side: str) -> Lattice4:
-    """{x : x L ⊆ L} (left) or {x : L x ⊆ L} (right)."""
+    """{x : x L ⊆ L} (left) or {x : L x ⊆ L} (right), for any full lattice L.
+
+    For a row r of L, b = r/den has b^-1 = den·conj(r)/nrd(r), so
+    {x : x·b ∈ L} = L·b^-1 is spanned by the rows λ·conj(r) over nrd(r)
+    (the den cancels), and {x : b·x ∈ L} by conj(r)·λ.
+    """
     out = None
-    for b in lat.basis_fractions():
+    for r in lat.rows:
+        c = alg.conj(r)
         if side == "left":
-            m = alg.right_mul_matrix(tuple(b))  # x -> x*b
+            rows = [alg.mul(lam, c) for lam in lat.rows]
         else:
-            m = alg.left_mul_matrix(tuple(b))  # x -> b*x
-        pre = preimage_lattice(lat, m)
+            rows = [alg.mul(c, lam) for lam in lat.rows]
+        pre = Lattice4(alg.nrd(r), rows)
         out = pre if out is None else out.intersection(pre)
     return out
 
@@ -286,8 +283,8 @@ def eichler_order(maximal: QuaternionOrder, level: int, splitting_factory) -> Qu
     for ell in factors:
         spl = splitting_factory(maximal, ell, 1)
         # sublattice of `order` where the (1,0) matrix entry vanishes mod ell
-        cond = [spl.apply(maximal.lattice.coordinates(b))[1][0] % ell
-                for b in order.basis()]
+        cond = [spl.apply(maximal.lattice.coordinates(r, order.lattice.den))[1][0] % ell
+                for r in order.lattice.rows]
         gens = kernel_mod(IntMatrix.from_rows([cond]), ell, 1)
         order = QuaternionOrder(alg, order.lattice.sublattice_mod(ell, gens))
     expected = maximal.reduced_discriminant() * level

@@ -67,16 +67,19 @@ def _hensel_roots(t, n, ell, prec):
 
 def _find_split_element(order: QuaternionOrder, ell: int, box: int = 4):
     """Order element whose reduced characteristic polynomial splits at ell."""
-    basis = order.basis()
+    rows, den = order.lattice.rows, order.lattice.den
     alg = order.alg
     for radius in range(1, box + 1):
         for coords in _tuples(2 * radius + 1, 4):
             c = tuple(x - radius for x in coords)
             if not any(c):
                 continue
-            x = tuple(sum(c[i] * basis[i][k] for i in range(4)) for k in range(4))
-            t, n = alg.trd(x), alg.nrd(x)  # integral for order elements
-            t, n = int(t), int(n)
+            x = tuple(sum(c[i] * rows[i][k] for i in range(4)) for k in range(4))
+            # the element x/den is integral: trd(x)/den and nrd(x)/den^2 are exact
+            t, t_rem = divmod(alg.trd(x), den)
+            n, n_rem = divmod(alg.nrd(x), den * den)
+            if t_rem or n_rem:
+                raise InvariantViolationError("order element has a non-integral trace or norm")
             disc = t * t - 4 * n
             if disc == 0:
                 continue

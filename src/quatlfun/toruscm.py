@@ -127,10 +127,7 @@ def build_torus(disc_k: int, embedding: Embedding, graph: QuotientGraph) -> Toru
             f"p = {p} is not inert in the field of discriminant {disc_k}")
     if embedding.order != graph.base_order:
         raise UsageError("embedding must land in the graph's base order")
-    coords = graph.base_order.lattice.coordinates(embedding.element)
-    if coords is None:
-        raise InvariantViolationError("embedding image is not integral")
-    gen_matrix = graph.splitting.apply(coords)
+    gen_matrix = graph.splitting.apply(embedding.coords)
     units_image_order = {-3: 3, -4: 2}.get(disc_k, 1)
     torsion_order = (p + 1) // units_image_order
     draft = TorusData(disc_k, p, graph.splitting.prec, embedding.trace,

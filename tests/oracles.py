@@ -205,6 +205,69 @@ def neighbor_matrix_oracle(class_set, ell):
     return rows
 
 
+# -- idealizers by Fraction linear algebra -------------------------------------
+
+def idealizer_oracle(alg, lat, side):
+    """{x : x·L ⊆ L} (side "left") or {x : L·x ⊆ L} ("right"), over Q.
+
+    The route the library used before it took L·conj(b)/nrd(b): for each
+    basis element b of L, the preimage of L under the Fraction matrix of
+    x -> x·b (or b·x), through a Gauss-Jordan inverse. The preimages are
+    intersected as the dual of the sum of their duals, so the library's
+    lattice intersection is not used either.
+    """
+    basis = _fraction_basis(lat)
+    units = [[int(i == j) for j in range(4)] for i in range(4)]
+    dual_generators = []
+    for b in basis:
+        images = [alg.mul(e, b) if side == "left" else alg.mul(b, e) for e in units]
+        # column c of M is the image of the c-th unit vector; the preimage of
+        # L is spanned by M^-1·v for the basis rows v of L
+        minv = _inverse_oracle([[images[c][r] for c in range(4)] for r in range(4)])
+        preimage = [[sum(minv[i][j] * v[j] for j in range(4)) for i in range(4)]
+                    for v in basis]
+        dual_generators += _dual_basis_oracle(preimage)
+    return _fraction_lattice(_dual_basis_oracle(_fraction_basis(
+        _fraction_lattice(dual_generators))))
+
+
+def _inverse_oracle(m):
+    """Inverse of a nonsingular square Fraction matrix, by Gauss-Jordan."""
+    from fractions import Fraction
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)]
+    for c in range(n):
+        piv = next(r for r in range(c, n) if a[r][c])
+        a[c], a[piv] = a[piv], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c]:
+                f = a[r][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return [row[n:] for row in a]
+
+
+def _dual_basis_oracle(rows):
+    """Rows of (B^-1)^T: the basis d_k with <d_k, b_i> = [i = k]."""
+    inv = _inverse_oracle(rows)
+    return [[inv[j][k] for j in range(len(rows))] for k in range(len(rows))]
+
+
+def _fraction_lattice(rows):
+    """The Lattice4 spanned by rows of Fractions."""
+    from math import lcm
+
+    from quatlfun.quatarith import Lattice4
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return Lattice4(den, [[int(x * den) for x in row] for row in rows])
+
+
+def _fraction_basis(lat):
+    from fractions import Fraction
+    return [[Fraction(x, lat.den) for x in row] for row in lat.rows]
+
+
 # -- naive short vector search (rank <= 4, small boxes) ----------------------
 
 def count_vectors_of_norm(gram, value, box):

@@ -83,8 +83,28 @@ class TestBrandt:
             assert data["unit_counts"] == [4, 6]
             data["unit_counts"].reverse()  # the mass still certifies
             entry.write_text(json.dumps(data))
+            _assert_load_fails(store, data, "units")
             assert main(argv) == 5
-            assert "identity" in capsys.readouterr().err
+            assert "cached class 0: its left order has 4 units" in capsys.readouterr().err
+        finally:
+            cache.configure(None)
+
+    def test_cached_representative_not_right_stable_exits_5(self, tmp_path, capsys):
+        store = tmp_path / "cache"
+        argv = ["brandt", "--disc", "11", "--primes", "3", "--cache", str(store)]
+        try:
+            assert main(argv) == 0
+            (entry,) = store.iterdir()
+            data = json.loads(entry.read_text())
+            # Z<1,i,j,k> in (-1, -11): its left order has the 4 units of the
+            # class it replaces, so only right stability can catch it
+            assert (data["algebra"], data["unit_counts"][0]) == ([-1, -11], 4)
+            data["reps"][0] = {"den": 1, "rows": [[int(i == j) for j in range(4)]
+                                                  for i in range(4)]}
+            entry.write_text(json.dumps(data))
+            _assert_load_fails(store, data, "right-stable")
+            assert main(argv) == 5
+            assert "right-stable" in capsys.readouterr().err
         finally:
             cache.configure(None)
 
@@ -97,6 +117,18 @@ class TestBrandt:
             assert cache.cache_directory() is None
         finally:
             cache.configure(None)
+
+
+def _assert_load_fails(store, data, match):
+    """The tampered entry is refused when it is loaded, before any Brandt matrix."""
+    from quatlfun.errors import InvariantViolationError
+    from quatlfun.quatarith import QuaternionOrder, algebra_from_discriminant
+    from quatlfun.quatarith.lattice import Lattice4
+    order = QuaternionOrder(algebra_from_discriminant(data["disc"]),
+                            Lattice4(data["order"]["den"], data["order"]["rows"]))
+    cache.configure(str(store))
+    with pytest.raises(InvariantViolationError, match=match):
+        cache.load_class_set(order, data["neighbor"])
 
 
 class TestAdmissible:

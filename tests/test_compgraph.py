@@ -379,7 +379,8 @@ def time_limit(seconds):
 
 # Shapes of the p = 5 dual graphs of the maximal orders of discs 61, 71 and
 # 89. A Z Smith form of their Gram matrices runs from seconds (61) to well
-# over ten minutes (71); the local route takes well under a second.
+# over ten minutes (71); the local route takes well under a second, and so
+# does the intersection route of `edixhoven_check`.
 LARGE_DUAL_SHAPES = {61: (3, 3, 92574), 71: (25440660,), 89: (2, 2, 601171480)}
 
 
@@ -390,6 +391,8 @@ def test_large_dual_graph_shapes(disc):
     g = mk_dual_graph(QuotientGraph(maximal_order(algebra_from_discriminant(disc)), 5))
     with time_limit(60):
         phi = component_group(g)
+        # the intersection route reads the reduced Laplacian, not a Z Smith form
+        assert edixhoven_check(g).ok
     assert phi.shape.invariant_factors == LARGE_DUAL_SHAPES[disc]
     assert phi.shape.free_rank == 0
     order = kirchhoff_order_oracle(g.n_vertices, g.edges)

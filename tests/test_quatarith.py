@@ -3,13 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quatlfun.errors import (InvariantViolationError, SearchExhaustedError,
                              UsageError)
 from quatlfun.primes import first_coprime_prime, is_prime, prime_factors
-from quatlfun.quatarith import (ClassSet, Lattice4, QuaternionAlgebra, RightIdeal,
+from quatlfun.quatarith import (ClassSet, Lattice4, QuaternionAlgebra,
+                                QuaternionOrder, RightIdeal,
                                 algebra_from_discriminant, eichler_mass,
                                 eichler_order, eichler_order_for,
                                 hilbert_symbol,
@@ -24,9 +25,11 @@ from quatlfun.quatarith.lattice import (enumerate_by_value, hnf_rows,
                                         integer_kernel, invert,
                                         shortest_value_and_vector,
                                         value_counts)
+from quatlfun.quatarith.order import _idealizer
 
 from oracles import (count_vectors_of_norm, hilbert_symbol_oracle,
-                     kronecker_oracle, minimum_of_form, neighbor_matrix_oracle)
+                     idealizer_oracle, kronecker_oracle, minimum_of_form,
+                     neighbor_matrix_oracle)
 
 
 class TestSymbols:
@@ -108,8 +111,7 @@ class TestMaximalOrder:
         order = maximal_order(algebra_from_discriminant(2))
         assert order.reduced_discriminant() == 2
         assert order.unit_count() == 24
-        half = (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
-        assert order.lattice.contains(half)
+        assert order.lattice.contains((1, 1, 1, 1), 2)  # (1 + i + j + k)/2
 
     def test_disc11(self):
         order = maximal_order(algebra_from_discriminant(11))
@@ -175,8 +177,8 @@ class TestClassSets:
         order = maximal_order(algebra_from_discriminant(11))
         unit = RightIdeal.unit_ideal(order)
         x = (1, 1, 0, 0)  # nrd 2, invertible in D
-        rows = [order.alg.mul(x, tuple(b)) for b in order.lattice.basis_fractions()]
-        principal = RightIdeal(order, Lattice4.from_fraction_rows(rows))
+        rows = [order.alg.mul(x, r) for r in order.lattice.rows]
+        principal = RightIdeal(order, Lattice4(order.lattice.den, rows))
         assert isometric(unit, principal)
         assert isometric(principal, unit)
 
@@ -255,8 +257,8 @@ class TestBrandtFromTheta:
     def test_duplicated_class_caught(self, cs11):
         rep = cs11.reps[0]
         x = (1, 1, 0, 0)  # nrd 2
-        rows = [cs11.order.alg.mul(x, tuple(b)) for b in rep.lattice.basis_fractions()]
-        translate = RightIdeal(cs11.order, Lattice4.from_fraction_rows(rows))
+        rows = [cs11.order.alg.mul(x, r) for r in rep.lattice.rows]
+        translate = RightIdeal(cs11.order, Lattice4(rep.lattice.den, rows))
         assert isometric(translate, rep)
         doubled = _copy_class_set(cs11, reps=cs11.reps + [translate],
                                   unit_counts=cs11.unit_counts + [cs11.unit_counts[0]])
@@ -313,12 +315,32 @@ _SWEEP = _oracle_sweep_cases()
                          ids=[f"disc{d}-level{lv}" for d, lv in _SWEEP])
 def test_brandt_matches_neighbour_oracle(disc, level):
     """The theta route against the neighbour walk at the first two good primes
-    and the first good prime above 20."""
+    and the first good prime above 20; the idealizers of every representative
+    against the Fraction route."""
     n = disc * level
     cs = ideal_class_set(eichler_order_for(disc, level), first_coprime_prime(n))
     ells = _coprime_primes(n, 2) + _coprime_primes(n, 1, start=21)
     got = {ell: neighbor_matrix(cs, ell) for ell in sorted(ells, reverse=True)}
     assert got == {ell: neighbor_matrix_oracle(cs, ell) for ell in ells}
+    for rep in cs.reps:
+        for side in ("left", "right"):
+            assert _idealizer(rep.alg, rep.lattice, side) == \
+                idealizer_oracle(rep.alg, rep.lattice, side)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=16, max_size=16), st.integers(1, 6),
+       st.sampled_from([(-1, -1), (-1, -11), (-2, -5), (-3, -10)]))
+def test_idealizer_matches_oracle(entries, den, ab):
+    # any full lattice, not only an ideal: x·b ∈ L iff x ∈ L·conj(b)/nrd(b)
+    rows = [entries[4 * k:4 * k + 4] for k in range(4)]
+    assume(_naive_det(rows) != 0)
+    alg = QuaternionAlgebra(*ab)
+    lat = Lattice4(den, rows)
+    for side in ("left", "right"):
+        got = _idealizer(alg, lat, side)
+        assert got == idealizer_oracle(alg, lat, side)
+        QuaternionOrder(alg, got)  # an idealizer is an order
 
 
 class TestEichlerOrders:
@@ -341,7 +363,8 @@ class TestTwoSidedPrime:
         order = maximal_order(algebra_from_discriminant(11))
         p11 = two_sided_prime(order, 11)
         sq = RightIdeal(order, p11).product_lattice(p11)
-        assert sq == order.lattice.scaled(11)
+        assert sq == Lattice4(order.lattice.den, [[11 * x for x in r]
+                                                  for r in order.lattice.rows])
 
     def test_unramified_rejected(self):
         order = maximal_order(algebra_from_discriminant(11))
@@ -352,18 +375,23 @@ class TestTwoSidedPrime:
 class TestSplitting:
     def test_trace_and_norm_preserved(self):
         order = maximal_order(algebra_from_discriminant(11))
+        rows, den = order.lattice.rows, order.lattice.den
         rng = random.Random(5)
         for ell, prec in ((2, 4), (3, 3), (5, 2), (13, 2)):
             spl = local_splitting(order, ell, prec)
             q = ell ** prec
             for _ in range(10):
                 coords = tuple(rng.randint(-6, 6) for _ in range(4))
-                elem = order.element_from_coords(coords)
+                # the element x/den, with trd(x)/den and nrd(x)/den^2 integers
+                x = tuple(sum(c * r[k] for c, r in zip(coords, rows)) for k in range(4))
+                trd, trd_rem = divmod(order.alg.trd(x), den)
+                nrd, nrd_rem = divmod(order.alg.nrd(x), den * den)
+                assert trd_rem == nrd_rem == 0
                 m = spl.apply(coords)
                 tr = (m[0][0] + m[1][1]) % q
                 det = (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % q
-                assert tr == int(order.alg.trd(elem)) % q
-                assert det == int(order.alg.nrd(elem)) % q
+                assert tr == trd % q
+                assert det == nrd % q
 
 
 class TestEmbeddings:

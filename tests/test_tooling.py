@@ -5,16 +5,19 @@ table, and perfbench/run.py asks quatlfun.cache.cache_directory() before each
 pass. A rename in the package would break the benchmark; these tests fail
 first. The tracer module is only read, never installed. Every name a
 subpackage lists in __all__ must exist, so a deleted helper cannot stay
-advertised. And the package keeps one builder of quaternion norm Grams.
+advertised. The package keeps one builder of quaternion norm Grams, and
+lattice elements in quatarith stay integer rows over a denominator.
 """
 
 import importlib
 import importlib.util
 import os
+import re
 
 import pytest
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "quatlfun")
 
 
 def _tracer_spans():
@@ -53,14 +56,28 @@ def test_cache_directory_exists():
 def test_one_norm_gram_builder():
     # QuaternionAlgebra.norm_gram is the only place a norm Gram is built;
     # a trd_pair call anywhere else would be a second builder
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "quatlfun")
     allowed = os.path.join("quatarith", "algebra.py")
     callers = []
-    for root, _, files in os.walk(src):
+    for root, _, files in os.walk(SRC):
         for name in files:
             path = os.path.join(root, name)
             if name.endswith(".py") and not path.endswith(allowed):
                 with open(path) as fh:
                     if "trd_pair(" in fh.read():
-                        callers.append(os.path.relpath(path, src))
+                        callers.append(os.path.relpath(path, SRC))
     assert callers == []
+
+
+def test_lattice_elements_are_integer_rows():
+    # orders, ideals and their elements are (den, integer rows); Fractions
+    # stay in lattice.py (Cholesky data, `invert`), ideal.py (nrd(I)) and
+    # classset.py (the mass)
+    allowed = {"lattice.py", "ideal.py", "classset.py"}
+    package = os.path.join(SRC, "quatarith")
+    importers = set()
+    for name in os.listdir(package):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                if re.search(r"^\s*(from|import)\s+fractions\b", fh.read(), re.M):
+                    importers.add(name)
+    assert importers - allowed == set()
