@@ -2,9 +2,10 @@
 
 Entries are keyed by a hash of the defining data (algebra, order lattice,
 neighbor prime) and stored as human-diffable JSON. On load every
-representative is re-certified (right-stable under the order, its left
-order's unit count as stored) and then the mass, so a corrupted cache is
-caught rather than trusted: the mass alone cannot see swapped unit counts.
+representative is re-certified (stored in canonical form, right-stable under
+the order, its left order's unit count as stored) and then the mass, so a
+corrupted cache is caught rather than trusted: the mass alone cannot see
+swapped unit counts.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from math import gcd
 
 from .errors import InvariantViolationError
 
@@ -65,7 +67,6 @@ def load_class_set(order, neighbor_prime: int):
         return None
     from .quatarith.classset import ClassSet
     from .quatarith.ideal import RightIdeal
-    from .quatarith.lattice import Lattice4
     key = class_set_key(order, neighbor_prime)
     path = os.path.join(_cache_dir, f"classset_{key}.json")
     if not os.path.exists(path):
@@ -74,8 +75,7 @@ def load_class_set(order, neighbor_prime: int):
         data = json.load(fh)
     if data["algebra"] != [order.alg.a, order.alg.b]:
         raise InvariantViolationError("cache entry collides with a different algebra")
-    reps = [RightIdeal(order, Lattice4(r["den"], r["rows"], reduce=False))
-            for r in data["reps"]]
+    reps = [RightIdeal(order, _stored_lattice(i, r)) for i, r in enumerate(data["reps"])]
     if len(data["unit_counts"]) != len(reps):
         raise InvariantViolationError("cache entry has one unit count per class")
     for i, (rep, units) in enumerate(zip(reps, data["unit_counts"])):
@@ -89,3 +89,28 @@ def load_class_set(order, neighbor_prime: int):
                   reps, list(data["unit_counts"]))
     cs.verify_mass()
     return cs
+
+
+def _stored_lattice(i, entry):
+    """The lattice of cached class i, refused unless stored canonically.
+
+    Canonical means what `Lattice4` stores: a 4x4 integer Hermite basis
+    (`hnf_rows(rows, expect_rank=4)` returns it unchanged) over a positive
+    denominator, with gcd 1 over the denominator and all the entries. A zero
+    row or another basis of the same lattice is refused here, by name, before
+    any lattice arithmetic reads the rows.
+    """
+    from .quatarith.lattice import Lattice4, hnf_rows
+    den, rows = entry["den"], entry["rows"]
+    try:
+        entries = [den, *(x for r in rows for x in r)]
+        canonical = (len(rows) == 4 and all(len(r) == 4 for r in rows)
+                     and all(type(x) is int for x in entries) and den > 0
+                     and gcd(*entries) == 1 and hnf_rows(rows, expect_rank=4) == rows)
+    except (InvariantViolationError, TypeError):
+        canonical = False
+    if not canonical:
+        raise InvariantViolationError(
+            f"cached class {i}: its lattice is not stored as a Hermite basis "
+            f"of rank 4 over a positive denominator in lowest terms")
+    return Lattice4(den, rows, reduce=False)

@@ -2,8 +2,9 @@
 
 Every ideal carries one integer Gram G, built once from
 `QuaternionAlgebra.norm_gram`, with x^T G x = 2·nrd(x)/nrd(I) in its lattice
-basis. Its content gives nrd(I), its value counts at 2, 4, ..., 12 the theta
-key, and its shortest vector the reduced ideal. Class equality is decided
+basis, and one Lagrange reduction of G. The content of G gives nrd(I); the
+reduced Gram gives the value counts at 2, 4, ..., 12 (the theta key) and the
+shortest vector (the reduced ideal). Class equality is decided
 exactly: [I] = [J] iff the lattice I·conj(J) represents nrd(I)·nrd(J),
 tested by short-vector enumeration at that exact value (no slack). Callers
 bucket representatives by theta key, so only ideals with equal keys are
@@ -32,8 +33,10 @@ class RightIdeal:
         self.lattice = lat
         self._nrd = None
         self._gram = None
+        self._reduced = None
         self._theta = None
         self._left_order = None
+        self._conjugate = None
 
     @staticmethod
     def unit_ideal(order: QuaternionOrder) -> "RightIdeal":
@@ -66,11 +69,16 @@ class RightIdeal:
             self._gram = [[x // c for x in row] for row in t]
         return self._gram
 
+    def reduced_gram(self):
+        """(R, U): the Lagrange reduction R = U^T G U of the normalized Gram G."""
+        if self._reduced is None:
+            self._reduced = lagrange_reduce(self.normalized_gram())
+        return self._reduced
+
     def theta_key(self):
         """Counts of x with nrd(x)/nrd(I) = 1, ..., 6, i.e. x^T G x = 2, ..., 12."""
         if self._theta is None:
-            reduced = lagrange_reduce(self.normalized_gram())[0]
-            self._theta = tuple(value_counts(reduced, 12)[2::2])
+            self._theta = tuple(value_counts(self.reduced_gram()[0], 12)[2::2])
         return self._theta
 
     def left_order(self) -> QuaternionOrder:
@@ -79,8 +87,10 @@ class RightIdeal:
         return self._left_order
 
     def conjugate_lattice(self) -> Lattice4:
-        rows = [self.alg.conj(r) for r in self.lattice.rows]
-        return Lattice4(self.lattice.den, rows)
+        if self._conjugate is None:
+            rows = [self.alg.conj(r) for r in self.lattice.rows]
+            self._conjugate = Lattice4(self.lattice.den, rows)
+        return self._conjugate
 
     def product_lattice(self, other_lat: Lattice4) -> Lattice4:
         rows = []
@@ -97,15 +107,18 @@ def reduce_ideal(ideal: RightIdeal) -> RightIdeal:
     class, is integral (conj(x)·J ⊆ conj(J)·J = nrd(J)·O_right), and has
     nrd = nrd(x)/nrd(J), bounded by the Minkowski constant of the norm form.
     It is built in integers: with J = (1/den)·rows and nrd(J) = n/d, its
-    rows are d·conj(den·x)·r over den^2·n.
+    rows are d·conj(den·x)·r over den^2·n. The search runs on the ideal's
+    reduced Gram R = U^T G U, so x has coordinates U·y for the y it finds.
     """
-    value, coords = shortest_value_and_vector(ideal.normalized_gram())
+    reduced, u = ideal.reduced_gram()
+    value, y = shortest_value_and_vector(reduced)
     norm = ideal.nrd()
-    if Fraction(value, 2) == norm:
+    if value * norm.denominator == 2 * norm.numerator:
         return ideal  # norm already minimal within the class
     alg = ideal.alg
     rows = ideal.lattice.rows
     den = ideal.lattice.den
+    coords = [sum(ur[c] * y[c] for c in range(4)) for ur in u]
     x = alg.conj(tuple(sum(c * r[k] for c, r in zip(coords, rows)) for k in range(4)))
     out_rows = [[norm.denominator * v for v in alg.mul(x, r)] for r in rows]
     out = RightIdeal(ideal.order, Lattice4(den * den * norm.numerator, out_rows))
@@ -125,10 +138,11 @@ def isometric(i1: RightIdeal, i2: RightIdeal) -> bool:
     if i1.theta_key() != i2.theta_key():
         return False
     prod = i1.product_lattice(i2.conjugate_lattice())
-    target = 2 * prod.den ** 2 * i1.nrd() * i2.nrd()
-    if target.denominator != 1:
+    n1, n2 = i1.nrd(), i2.nrd()
+    target, rest = divmod(2 * prod.den ** 2 * n1.numerator * n2.numerator,
+                          n1.denominator * n2.denominator)
+    if rest:
         return False
-    target = target.numerator
     return any(value == target
                for value, _ in enumerate_by_value(i1.alg.norm_gram(prod), target))
 

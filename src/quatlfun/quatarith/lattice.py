@@ -3,8 +3,8 @@
 A lattice is stored as (denominator, 4x4 integer row-Hermite basis), and
 so is every element it is asked about: `coordinates(vec, den)` and
 `contains(vec, den)` read the element vec/den for an integer 4-tuple vec, by
-an integer triangular solve. Fractions appear only in `covolume`, in
-`invert` and in the Cholesky data of the short-vector search; nothing is
+an integer triangular solve. Hermite bases are built by inserting one row
+at a time. Fractions appear only in `covolume` and `invert`; nothing is
 floating point.
 
 The short-vector front end takes integer Gram matrices only (a norm form
@@ -12,7 +12,8 @@ comes from `QuaternionAlgebra.norm_gram`): `enumerate_by_value` lists the
 vectors up to a value, `shortest_value_and_vector` finds a minimum in one
 enumeration, and `value_counts` gives theta coefficients. All three run one
 exact Fincke-Pohst recursion with isqrt-based bounds, behind a pairwise
-Lagrange reduction.
+Lagrange reduction; its setup reads the leading minors of the Gram off one
+fraction-free elimination.
 """
 
 from __future__ import annotations
@@ -27,48 +28,50 @@ def hnf_rows(rows, expect_rank=None):
     """Row Hermite normal form of an integer matrix given as lists.
 
     Positive pivots, entries above each pivot reduced into [0, pivot).
-    Zero rows dropped. Deterministic.
+    Zero rows dropped. The form is unique for the lattice the rows span, so
+    it does not depend on the order of the rows.
+
+    Each row is inserted into an echelon basis keyed by pivot column. Where
+    its leading column already has a pivot, the row loses a multiple of that
+    basis row if the pivot divides its entry; otherwise one unimodular
+    extended-gcd step replaces the two by a basis row with the gcd as pivot
+    and a row that is zero in that column. The row then goes on to its next
+    nonzero column.
     """
-    m = [list(r) for r in rows if any(r)]
-    if not m:
-        return []
-    ncols = len(m[0])
-    res = []
-    col = 0
-    while col < ncols and m:
-        # gcd-reduce all rows into one pivot at `col`
-        live = [r for r in m if r[col] != 0]
-        rest = [r for r in m if r[col] == 0]
-        while len(live) > 1:
-            live.sort(key=lambda r: abs(r[col]))
-            piv = live[0]
-            new_live = [piv]
-            for r in live[1:]:
-                q = r[col] // piv[col]
-                rr = [x - q * y for x, y in zip(r, piv)]
-                if rr[col] != 0:
-                    new_live.append(rr)
-                elif any(rr):
-                    rest.append(rr)
-            live = new_live
-        if live:
-            piv = live[0]
-            if piv[col] < 0:
-                piv = [-x for x in piv]
-            res.append(piv)
-            m = rest
-        else:
-            m = rest
-        col += 1
+    basis = {}  # pivot column -> row with a positive pivot
+    for row in rows:
+        n = len(row)
+        col = 0
+        while col < n and not row[col]:
+            col += 1
+        while col < n:
+            piv, b = basis.get(col), row[col]
+            if piv is None:
+                basis[col] = list(row) if b > 0 else [-x for x in row]
+                break
+            a = piv[col]
+            if b % a:
+                g = gcd(a, b)
+                ag, bg = a // g, b // g
+                t = pow(bg, -1, ag)  # ag > 1, as a does not divide b
+                s = (g - t * b) // a  # so s·a + t·b = g
+                basis[col] = [s * x + t * y for x, y in zip(piv, row)]
+                row = [bg * x - ag * y for x, y in zip(piv, row)]
+            else:
+                q = b // a
+                row = [y - q * x for x, y in zip(piv, row)]
+            col += 1
+            while col < n and not row[col]:
+                col += 1
+    cols = sorted(basis)
+    res = [basis[c] for c in cols]
     # reduce above pivots, left to right so later columns stay reduced
-    res = [r for r in res if any(r)]
-    res.sort(key=lambda r: next(i for i, x in enumerate(r) if x))
-    for i in range(len(res)):
-        pcol = next(c for c, x in enumerate(res[i]) if x)
+    for i, pcol in enumerate(cols):
+        piv = res[i]
         for j in range(i):
-            q = res[j][pcol] // res[i][pcol]
+            q = res[j][pcol] // piv[pcol]
             if q:
-                res[j] = [x - q * y for x, y in zip(res[j], res[i])]
+                res[j] = [x - q * y for x, y in zip(res[j], piv)]
     if expect_rank is not None and len(res) != expect_rank:
         raise InvariantViolationError(f"expected rank {expect_rank}, got {len(res)}")
     return res
@@ -250,51 +253,53 @@ def lagrange_reduce(gram):
     return [tuple(r) for r in g], u
 
 
-def _cholesky(q):
-    """Rational Cholesky data for a symmetric positive definite matrix."""
-    n = len(q)
-    a = [[Fraction(q[i][j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        if a[i][i] <= 0:
-            raise UsageError("form is not positive definite")
-        for j in range(i + 1, n):
-            a[j][i] = a[i][j]
-            a[i][j] = a[i][j] / a[i][i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                a[k][l] -= a[k][i] * a[i][l]
-    return a
+def _fincke_pohst(gram, max_value):
+    """Yield (value, x) with 0 < x^T gram x <= max_value, x integer.
 
+    gram is an integral positive definite Gram, best a Lagrange-reduced one
+    (fewer nodes); max_value is an integer. The one exact Fincke-Pohst
+    recursion of the package. Both x and -x appear; the last coordinate is
+    outermost and each coordinate runs upwards, so the order of the vectors
+    found does not depend on max_value. Lazy: callers may stop early.
 
-def _fincke_pohst(q, max_value):
-    """Yield (value, x) with 0 < Q(x) <= max_value, x over the Cholesky basis of q.
-
-    q is `_cholesky` data of an integral positive definite Gram, best a
-    Lagrange-reduced one (fewer nodes); max_value is an integer. The one
-    exact Fincke-Pohst recursion of the package. Both x and -x appear; the
-    last coordinate is outermost and each coordinate runs upwards, so the
-    order of the vectors found does not depend on max_value. Lazy: callers
-    may stop early.
-
-    It runs on integers: with m_i the common denominator of row i above the
-    diagonal, the centre of coordinate i is -C_i/m_i for the integer
+    Its data come from one fraction-free (Bareiss) elimination of gram, whose
+    pivots are the leading minors D_1, ..., D_n (D_0 = 1). In
+    Q(x) = sum_i q_ii·(x_i + sum_{j>i} q_ij·x_j)^2 they give
+    q_ii = D_{i+1}/D_i and q_ij = a_ij/D_{i+1}, for a_ij the entries of row i
+    when it is the pivot row. A pivot D_{i+1} <= 0 means gram is not
+    positive definite. With m_i the least common denominator of the q_ij
+    (j > i), the centre of coordinate i is -C_i/m_i for the integer
     C_i = sum_{j>i} m_i·q_ij·x_j, and q_ii·(x_i - centre)^2 = k_i·s^2/scale
-    with s = m_i·x_i + C_i and integers k_i, scale. So every x_i with
+    with s = m_i·x_i + C_i, k_i = scale·D_{i+1}/(D_i·m_i^2), and scale the
+    least integer that makes every k_i integral. So every x_i with
     k_i·s^2 <= remaining budget is visited, and no other.
     """
+    n = len(gram)
+    a = [list(r) for r in gram]
+    m, num, k_num, k_den = [], [], [], []
+    prev = 1  # D_i
+    for i in range(n):
+        d, row = a[i][i], a[i]  # D_{i+1} and the pivot row
+        if d <= 0:
+            raise UsageError("form is not positive definite")
+        mi = 1
+        for j in range(i + 1, n):
+            mi = lcm(mi, d // gcd(row[j], d))
+        m.append(mi)
+        num.append([0] * (i + 1) + [row[j] * mi // d for j in range(i + 1, n)])
+        wd = prev * mi * mi
+        g = gcd(d, wd)
+        k_num.append(d // g)
+        k_den.append(wd // g)
+        for r in range(i + 1, n):
+            ar, ari = a[r], a[r][i]
+            for c in range(i + 1, n):
+                ar[c] = (d * ar[c] - ari * row[c]) // prev
+        prev = d
     if max_value < 0:
         raise UsageError("negative radicand")
-    n = len(q)
-    m = [1] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            m[i] = lcm(m[i], q[i][j].denominator)
-    num = [[int(q[i][j] * m[i]) if j > i else 0 for j in range(n)] for i in range(n)]
-    weights = [q[i][i] / (m[i] * m[i]) for i in range(n)]
-    scale = 1
-    for w in weights:
-        scale = lcm(scale, w.denominator)
-    k = [int(w * scale) for w in weights]
+    scale = lcm(1, *k_den)
+    k = [kn * (scale // kd) for kn, kd in zip(k_num, k_den)]
     top = max_value * scale
     x = [0] * n
 
@@ -317,7 +322,7 @@ def _fincke_pohst(q, max_value):
 def _enumerate_reduced(red, u, max_value):
     """`enumerate_by_value` on the Lagrange-reduced data (red, u) of a Gram."""
     n = len(red)
-    for value, vec in _fincke_pohst(_cholesky(red), max_value):
+    for value, vec in _fincke_pohst(red, max_value):
         yield value, tuple(sum(u[r][c] * vec[c] for c in range(n)) for r in range(n))
 
 
@@ -350,6 +355,6 @@ def value_counts(gram_int, max_value: int):
     mapped back.
     """
     counts = [0] * (max_value + 1)
-    for val, _ in _fincke_pohst(_cholesky(gram_int), max_value):
+    for val, _ in _fincke_pohst(gram_int, max_value):
         counts[val] += 1
     return counts

@@ -13,6 +13,7 @@ share no code path with the routines they check.
 from quatlfun.acceptance import (curve_point_count_a as curve_a_ell,
                                  fitting_minors_oracle, kronecker_oracle,
                                  spanning_tree_sum as spanning_tree_weight_sum)
+from quatlfun.errors import InvariantViolationError
 
 
 # -- Smith form via naive repeated gcd reduction (no pivot strategy shared
@@ -266,6 +267,60 @@ def _fraction_lattice(rows):
 def _fraction_basis(lat):
     from fractions import Fraction
     return [[Fraction(x, lat.den) for x in row] for row in lat.rows]
+
+
+# -- Hermite form by repeated sorting and Euclid, column by column ------------
+#    (the library's route before it inserted rows one at a time)
+
+def hnf_oracle(rows, expect_rank=None):
+    """Row Hermite normal form of an integer matrix given as lists.
+
+    Positive pivots, entries above each pivot reduced into [0, pivot).
+    Zero rows dropped. Deterministic.
+    """
+    m = [list(r) for r in rows if any(r)]
+    if not m:
+        return []
+    ncols = len(m[0])
+    res = []
+    col = 0
+    while col < ncols and m:
+        # gcd-reduce all rows into one pivot at `col`
+        live = [r for r in m if r[col] != 0]
+        rest = [r for r in m if r[col] == 0]
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[col]))
+            piv = live[0]
+            new_live = [piv]
+            for r in live[1:]:
+                q = r[col] // piv[col]
+                rr = [x - q * y for x, y in zip(r, piv)]
+                if rr[col] != 0:
+                    new_live.append(rr)
+                elif any(rr):
+                    rest.append(rr)
+            live = new_live
+        if live:
+            piv = live[0]
+            if piv[col] < 0:
+                piv = [-x for x in piv]
+            res.append(piv)
+            m = rest
+        else:
+            m = rest
+        col += 1
+    # reduce above pivots, left to right so later columns stay reduced
+    res = [r for r in res if any(r)]
+    res.sort(key=lambda r: next(i for i, x in enumerate(r) if x))
+    for i in range(len(res)):
+        pcol = next(c for c, x in enumerate(res[i]) if x)
+        for j in range(i):
+            q = res[j][pcol] // res[i][pcol]
+            if q:
+                res[j] = [x - q * y for x, y in zip(res[j], res[i])]
+    if expect_rank is not None and len(res) != expect_rank:
+        raise InvariantViolationError(f"expected rank {expect_rank}, got {len(res)}")
+    return res
 
 
 # -- naive short vector search (rank <= 4, small boxes) ----------------------

@@ -108,6 +108,27 @@ class TestBrandt:
         finally:
             cache.configure(None)
 
+    @pytest.mark.parametrize("case", ["zero row", "other basis"])
+    def test_cached_representative_not_canonical_exits_5(self, case, tmp_path, capsys):
+        store = tmp_path / "cache"
+        argv = ["brandt", "--disc", "11", "--primes", "3", "--cache", str(store)]
+        try:
+            assert main(argv) == 0
+            (entry,) = store.iterdir()
+            data = json.loads(entry.read_text())
+            rows = data["reps"][1]["rows"]
+            if case == "zero row":
+                rows[0] = [0, 0, 0, 0]
+            else:
+                # the same lattice, but not its Hermite basis
+                rows[0] = [x + y for x, y in zip(rows[0], rows[1])]
+            entry.write_text(json.dumps(data))
+            _assert_load_fails(store, data, "cached class 1: .* Hermite basis")
+            assert main(argv) == 5
+            assert "cached class 1" in capsys.readouterr().err
+        finally:
+            cache.configure(None)
+
     def test_cache_does_not_leak_into_the_next_run(self, tmp_path, capsys):
         store = tmp_path / "cache"
         try:

@@ -27,7 +27,7 @@ from quatlfun.quatarith.lattice import (enumerate_by_value, hnf_rows,
                                         value_counts)
 from quatlfun.quatarith.order import _idealizer
 
-from oracles import (count_vectors_of_norm, hilbert_symbol_oracle,
+from oracles import (count_vectors_of_norm, hilbert_symbol_oracle, hnf_oracle,
                      idealizer_oracle, kronecker_oracle, minimum_of_form,
                      neighbor_matrix_oracle)
 
@@ -440,6 +440,33 @@ class TestLattice4:
             l2 = Lattice4(1, shuffled)
             assert l1 == l2
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.lists(st.integers(-60, 60), min_size=4, max_size=4),
+                    min_size=1, max_size=16),
+           st.lists(st.integers(0, 15), max_size=15), st.integers(0, 4))
+    def test_hnf_matches_oracle(self, rows, copies, zero_cols):
+        # copies repeat earlier rows (up to 16 rows in all), and the last
+        # zero_cols columns are cleared, so duplicates and rank < 4 both occur
+        rows = [r[:4 - zero_cols] + [0] * zero_cols for r in rows]
+        rows += [rows[i % len(rows)] for i in copies][:16 - len(rows)]
+        expect = hnf_oracle(rows)
+        assert hnf_rows(rows) == expect
+        if len(expect) < 4:
+            with pytest.raises(InvariantViolationError, match="expected rank 4"):
+                hnf_rows(rows, expect_rank=4)
+        else:
+            assert hnf_rows(rows, expect_rank=4) == expect
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([4, 8]), st.lists(st.integers(-60, 60), min_size=64, max_size=64))
+    def test_hnf_matches_oracle_on_kernel_input(self, n, entries):
+        # integer_kernel's augmented array: n rows of length 12, each the
+        # coefficients of one unknown in the 12 - n equations, then the unit
+        # row that records it (n = 8 is what Lattice4.intersection passes)
+        m = 12 - n
+        rows = [entries[m * i:m * i + m] + [int(i == j) for j in range(n)] for i in range(n)]
+        assert hnf_rows(rows) == hnf_oracle(rows)
+
     def test_intersection_and_sum(self):
         a = Lattice4(1, [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
         b = Lattice4(1, [[1, 0, 0, 0], [0, 3, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
@@ -499,6 +526,33 @@ class TestLattice4:
         # the tie-break: the first minimal vector, whatever the bound
         assert (value, vec) == min(enumerate_by_value(gram, 2 * bound),
                                    key=lambda hit: hit[0])
+
+    def test_short_vector_kernel_makes_no_fractions(self, monkeypatch):
+        made = []
+        plain_new = Fraction.__dict__["__new__"].__func__
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(args)
+            return plain_new(cls, *args, **kwargs)
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        Fraction(1, 2)
+        assert len(made) == 1  # the counter sees every Fraction
+        made.clear()
+        gram = [[4, 1, 2, 0], [1, 6, -1, 1], [2, -1, 8, 3], [0, 1, 3, 10]]
+        assert value_counts(gram, 20)[4] > 0
+        assert list(enumerate_by_value(gram, 20))
+        assert shortest_value_and_vector(gram)[0] == 4
+        assert hnf_rows(gram + [[1, 2, 3, 4]], expect_rank=4)
+        assert made == []
+
+    @pytest.mark.parametrize("gram", [[[1, 2], [2, 1]], [[0, 0], [0, 1]]])
+    def test_not_positive_definite_raises_before_any_vector(self, gram):
+        with pytest.raises(UsageError, match="not positive definite"):
+            next(enumerate_by_value(gram, 5))
+        with pytest.raises(UsageError, match="not positive definite"):
+            shortest_value_and_vector(gram)
+        with pytest.raises(UsageError, match="not positive definite"):
+            value_counts(gram, 5)
 
     def test_integer_kernel(self):
         rows = [[2, 4, 6, 0], [1, 2, 3, 0]]

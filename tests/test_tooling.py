@@ -70,7 +70,7 @@ def test_one_norm_gram_builder():
 
 def test_lattice_elements_are_integer_rows():
     # orders, ideals and their elements are (den, integer rows); Fractions
-    # stay in lattice.py (Cholesky data, `invert`), ideal.py (nrd(I)) and
+    # stay in lattice.py (`covolume`, `invert`), ideal.py (nrd(I)) and
     # classset.py (the mass)
     allowed = {"lattice.py", "ideal.py", "classset.py"}
     package = os.path.join(SRC, "quatarith")
