@@ -2,34 +2,38 @@
 
 Vertices are homothety classes of rank-2 Z_p-lattices in Q_p^2, stored as the
 canonical column-Hermite triple (a, b, d): the lattice spanned by the columns
-of [[p^a, b], [0, p^d]] with 0 <= b < p^a and min(a, v_p(b), d) = 0. Rational
-matrices with p-bounded denominators act exactly; no p-adic precision
-management is needed because canonical forms only depend on entries modulo a
-power of p controlled by the determinant valuation.
+of [[p^a, b], [0, p^d]] with 0 <= b < p^a and min(a, v_p(b), d) = 0.
+
+Only integer matrices act; a matrix with rational entries is first cleared of
+its denominators, which is a homothety and moves no class. The class of the
+column span of M = [[x, y], [z, w]] is read off valuations and one inverse
+mod a power of p, with no division in Q:
+
+- swap the columns unless w != 0 and v(w) <= v(z);
+- then d = v(w) and a = v(det M) - d (column reduction over Z_(p) turns M
+  into [[det M / w, y], [0, w]]);
+- with s = min(a, d, v(y)) the class is (a - s, b, d - s), where
+  b = (y / p^s) * (w / p^d)^(-1) mod p^(a - s).
+
+The distance between the classes of M_u and M_v is v(det R) - 2 min v(R_ij)
+for R = adj(M_u) M_v: the spread of the elementary divisors of M_u^(-1) M_v.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import UsageError
 
 
-def _vp(x, p):
-    """p-adic valuation of a nonzero int/Fraction."""
-    fr = Fraction(x)
-    if fr == 0:
+def _vp(x: int, p: int) -> int:
+    """p-adic valuation of a nonzero integer."""
+    if x == 0:
         raise UsageError("valuation of zero")
     v = 0
-    n = fr.numerator
-    while n % p == 0:
-        n //= p
+    while x % p == 0:
+        x //= p
         v += 1
-    d = fr.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
     return v
 
 
@@ -67,53 +71,31 @@ def root_vertex(p: int) -> TreeVertex:
 def canonical_vertex(p: int, cols) -> TreeVertex:
     """Canonical class representative of the column span of a 2x2 matrix.
 
-    cols is ((m00, m01), (m10, m11)) with rational entries, nonzero det.
+    cols is ((m00, m01), (m10, m11)) with integer entries and nonzero det.
     """
-    m = [[Fraction(cols[0][0]), Fraction(cols[0][1])],
-         [Fraction(cols[1][0]), Fraction(cols[1][1])]]
-    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    (x, y), (z, w) = cols
+    if not all(type(e) is int for e in (x, y, z, w)):
+        raise UsageError("tree matrices must have integer entries")
+    det = x * w - y * z
     if det == 0:
         raise UsageError("matrix is singular")
-    # column operations over Z_(p): make the bottom row (0, unit-scaled)
-    v0 = _vp(m[1][0], p) if m[1][0] else None
-    v1 = _vp(m[1][1], p) if m[1][1] else None
-    if v1 is None or (v0 is not None and v0 < v1):
-        m[0][0], m[0][1] = m[0][1], m[0][0]
-        m[1][0], m[1][1] = m[1][1], m[1][0]
-    if m[1][0] != 0:
-        f = m[1][0] / m[1][1]  # p-integral by the valuation choice
-        m[0][0] -= f * m[0][1]
-        m[1][0] = Fraction(0)
-    # normalize column 2 so the bottom is an exact power of p
-    d_exp = _vp(m[1][1], p)
-    unit = m[1][1] / Fraction(p) ** d_exp
-    m[0][1] = m[0][1] / unit
-    m[1][1] = Fraction(p) ** d_exp
-    # normalize column 1 to an exact power of p
-    a_exp = _vp(m[0][0], p)
-    m[0][0] = Fraction(p) ** a_exp
-    # homothety normalization: shift so min valuation is 0
-    b_val = _vp(m[0][1], p) if m[0][1] else None
-    shift = min(a_exp, d_exp, b_val if b_val is not None else a_exp + d_exp + 1)
-    a_exp -= shift
-    d_exp -= shift
-    top = m[0][1] / Fraction(p) ** shift
-    # reduce b into [0, p^a) as the canonical residue of a p-integral rational
-    mod = p ** a_exp
+    if w == 0 or (z != 0 and _vp(z, p) < _vp(w, p)):
+        x, y, z, w = y, x, w, z
+    d = _vp(w, p)
+    a = _vp(det, p) - d
+    s = min(a, d, _vp(y, p)) if y else min(a, d)
+    a -= s
+    mod = p ** a
     if mod == 1:
-        b_canon = 0
+        b = 0
     else:
-        prec_num = top.numerator % mod
-        b_canon = prec_num * pow(top.denominator % mod, -1, mod) % mod
-    return TreeVertex(p, a_exp, b_canon, d_exp)
+        b = (y // p ** s) * pow(w // p ** d, -1, mod) % mod
+    return TreeVertex(p, a, b, d - s)
 
 
 def act(g, v: TreeVertex) -> TreeVertex:
-    """Left action of an invertible rational matrix on lattice classes."""
+    """Left action of an invertible integer matrix on lattice classes."""
     m = v.matrix()
-    g = [[Fraction(g[0][0]), Fraction(g[0][1])], [Fraction(g[1][0]), Fraction(g[1][1])]]
-    if g[0][0] * g[1][1] - g[0][1] * g[1][0] == 0:
-        raise UsageError("group action needs an invertible matrix")
     prod = ((g[0][0] * m[0][0] + g[0][1] * m[1][0],
              g[0][0] * m[0][1] + g[0][1] * m[1][1]),
             (g[1][0] * m[0][0] + g[1][1] * m[1][0],
@@ -139,26 +121,16 @@ def neighbors(v: TreeVertex, p: int = None):
 
 
 def distance(u: TreeVertex, v: TreeVertex) -> int:
-    """Tree distance: spread of the elementary divisors of the relative position."""
+    """Tree distance: v(det R) - 2 min v(R_ij) for R = adj(M_u) M_v."""
     if u.p != v.p:
         raise UsageError("prime mismatch")
     p = u.p
-    mu = u.matrix()
-    mv = v.matrix()
-    # relative matrix mu^{-1} mv over Q
-    det = Fraction(mu[0][0]) * mu[1][1]
-    inv = ((Fraction(mu[1][1]) / det, Fraction(-mu[0][1]) / det),
-           (Fraction(0), Fraction(mu[0][0]) / det))
-    rel = [[inv[0][0] * mv[0][0] + inv[0][1] * mv[1][0],
-            inv[0][0] * mv[0][1] + inv[0][1] * mv[1][1]],
-           [inv[1][0] * mv[0][0] + inv[1][1] * mv[1][0],
-            inv[1][0] * mv[0][1] + inv[1][1] * mv[1][1]]]
-    # elementary divisor valuations of rel
-    entries = [x for row in rel for x in row if x != 0]
-    alpha = min(_vp(x, p) for x in entries)
-    dets = rel[0][0] * rel[1][1] - rel[0][1] * rel[1][0]
-    beta = _vp(dets, p) - alpha
-    return beta - alpha
+    pu_a, pu_d = p ** u.a, p ** u.d
+    pv_a, pv_d = p ** v.a, p ** v.d
+    # adj(M_u) = [[p^du, -bu], [0, p^au]], M_v = [[p^av, bv], [0, p^dv]]
+    rel = (pu_d * pv_a, pu_d * v.b - u.b * pv_d, pu_a * pv_d)
+    low = min(_vp(r, p) for r in rel if r)
+    return u.a + u.d + v.a + v.d - 2 * low
 
 
 @dataclass(frozen=True)
@@ -206,17 +178,3 @@ def ball(p: int, radius: int, center: TreeVertex = None):
         layers.append(tuple(nxt))
         layer = nxt
     return layers
-
-
-def standard_edge_sequence(j: int, torus, tie_break: str = "lex_min"):
-    """The j-th edge of the torus-compatible consecutive ray from its fixed vertex.
-
-    Among the stabilizer-correct forward extensions the canonical target
-    matrix of least (or greatest, for the alternative tie break) Hermite
-    triple is chosen; any fixed deterministic choice yields the same
-    L-function element up to the documented group-translation ambiguity.
-    """
-    if j < 0:
-        raise UsageError("edge index must be nonnegative")
-    ray = torus.edge_ray(j + 1, tie_break=tie_break)
-    return ray[j]

@@ -56,7 +56,8 @@ class MeasurePipeline:
         self.alpha = alpha
         self.alpha_inv = pow(alpha, -1, self.ring.modulus)
         self.tie_break = tie_break
-        self._tables = {}
+        self._level = -1
+        self._orbits = None
         self._verify_eigenform()
 
     def _verify_eigenform(self):
@@ -69,15 +70,18 @@ class MeasurePipeline:
                 "form is not a U_p eigenvector for the supplied eigenvalue")
 
     def table(self, m: int):
-        if m not in self._tables:
-            self._tables[m] = edge_orbit_table(self.torus, self.graph, m,
-                                               tie_break=self.tie_break)
-        return self._tables[m]
+        """The orbit table and ray, built once at the deepest level asked for;
+        every lower level reads the same table."""
+        if m > self._level:
+            self._orbits = edge_orbit_table(self.torus, self.graph, m,
+                                            tie_break=self.tie_break)
+            self._level = m
+        return self._orbits
 
     def pairing_value(self, t: int, j: int, m: int, s: int = 0) -> int:
         """Phi at the class of tau^s u1^t ⋆ e_j (the group-edge pairing)."""
         table, _ = self.table(m)
-        return self.form.values[table[(s, t, j)]] % self.ring.modulus
+        return self.form.values[table[(s, t % self.p ** j, j)]] % self.ring.modulus
 
     def theta(self, t: int, j: int, m: int, s: int = 0) -> int:
         """Measure of the coset tau^s u1^t · Stab(e_j), at working level m >= j."""
@@ -109,6 +113,8 @@ class MeasurePipeline:
 
     def partial_l(self, m: int) -> GroupRingElement:
         """Sum over the level-m quotient group of theta(h V_m) h, torsion pushed."""
+        if m < 0:
+            raise UsageError("tower depth must be nonnegative")
         coeffs = [self.theta_pushed(t, m, m) for t in range(self.p ** m)]
         return GroupRingElement.make(self.ring, self.p ** m, coeffs)
 
@@ -123,6 +129,8 @@ class MeasurePipeline:
 
 def full_Lp(pipeline: MeasurePipeline, m: int,
             provenance: str = "") -> LFunctionElement:
+    """L_p at level m after the distribution relation up to m. Run it before
+    any lower level is asked for, so the tower builds one orbit table."""
     pipeline.check_distribution(m)
     return pipeline.full_lp(m, provenance)
 

@@ -23,6 +23,17 @@ from .quatarith.embedding import embedding_with_base
 from .toruscm import build_torus
 
 
+def _check_depth(m: int):
+    """A tower depth the torus can carry: m >= 0, and the level groups up to m
+    need precision 2(m + 2), at most the quotient graph's splitting precision."""
+    if m < 0:
+        raise ConfigurationError(f"tower depth m = {m} must be nonnegative")
+    if 2 * (m + 2) > SPLITTING_PREC:
+        raise ConfigurationError(
+            f"m = {m} needs torus precision {2 * (m + 2)}, "
+            f"above the {SPLITTING_PREC} the quotient graph is built with")
+
+
 @dataclass
 class PipelineConfig:
     """Validated run parameters for the L-element pipeline."""
@@ -39,12 +50,9 @@ class PipelineConfig:
     def validate(self):
         if not is_prime(self.p):
             raise ConfigurationError(f"p = {self.p} is not prime")
-        if self.n < 1 or self.m_max < 0:
-            raise ConfigurationError("need n >= 1 and m_max >= 0")
-        if 2 * (self.m_max + 2) > SPLITTING_PREC:
-            raise ConfigurationError(
-                f"m_max = {self.m_max} needs torus precision {2 * (self.m_max + 2)}, "
-                f"above the {SPLITTING_PREC} the quotient graph is built with")
+        if self.n < 1:
+            raise ConfigurationError("need n >= 1")
+        _check_depth(self.m_max)
         if self.disc_k >= 0 or self.disc_k % 4 not in (0, 1):
             raise ConfigurationError("K must be given by a negative quadratic discriminant")
         minus_primes = prime_factors(self.n_minus)
@@ -232,6 +240,7 @@ def raised_l_element(pair, disc_k: int, n_plus: int, m: int,
     The raised system must be ordinary at p (its T_p eigenvalue is read off
     its own eigenvector); head and tail are the main pipeline's.
     """
+    _check_depth(m)
     system = pair.new
     p, n = system.p, system.n
     new_disc = pair.v1 * pair.v2 * pair.old_disc

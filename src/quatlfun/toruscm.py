@@ -224,14 +224,6 @@ class TorusLevelGroup:
     def pair_of(self, t: int):
         return self.torus.pair_power(self.torus.generator_pair(), t % self.order)
 
-    def compose(self, t1: int, t2: int) -> int:
-        return (t1 + t2) % self.order
-
-    def project_to(self, lower: "TorusLevelGroup", t: int) -> int:
-        if lower.level > self.level:
-            raise UsageError("projection goes down the tower")
-        return t % lower.order
-
 
 def level_group(torus: TorusData, m: int) -> TorusLevelGroup:
     """H_m, the order-p^m quotient of the pro-p unit filtration."""
@@ -259,22 +251,26 @@ def _verify_level_group(group: TorusLevelGroup):
 
 def edge_orbit_table(torus: TorusData, graph: QuotientGraph, m: int,
                      tie_break: str = "lex_min"):
-    """table[(s, t, j)] = edge class of tau^s u1^t ⋆ e_j, with j <= m.
+    """table[(s, t, j)] = edge class of tau^s u1^t ⋆ e_j, with j <= m, t < p^j.
 
     s runs over the torsion quotient (the prime-to-p part that survives the
-    global units), t over the cyclic level-m group.
+    global units). u1^(p^j) fixes e_j (checked), so the class depends on t
+    only mod p^j: the entry of any t at level j is table[(s, t % p^j, j)],
+    for every level up to m. One table serves the whole tower below m.
     """
-    group = level_group(torus, m)
+    # every level the table serves gets its generator-order certificate
+    groups = [level_group(torus, level) for level in range(m + 1)]
     ray = torus.edge_ray(m + 1, tie_break=tie_break)
+    u1 = torus.generator_pair()
     table = {}
     for s in range(torus.torsion_order):
         tors = torus.pair_power(torus.torsion_pair, s)
-        for t in group.elements():
-            pair = torus.pair_mul(tors, group.pair_of(t))
-            for j in range(m + 1):
-                moved = torus.act_edge(pair, ray[j])
-                table[(s, t, j)] = graph.classify_edge(moved)
-    _verify_table(torus, graph, group, ray, table)
+        for j, edge in enumerate(ray):
+            pair = tors
+            for t in range(groups[j].order):
+                table[(s, t, j)] = graph.classify_edge(torus.act_edge(pair, edge))
+                pair = torus.pair_mul(pair, u1)
+    _verify_table(torus, graph, groups[m], ray, table)
     return table, ray
 
 
@@ -285,13 +281,11 @@ def _verify_table(torus, graph, group, ray, table):
     for j in range(m + 1):
         if table[(0, 0, j)] != graph.classify_edge(ray[j]):
             raise InvariantViolationError("identity row of the orbit table is wrong")
-    # stabilizer rows fix the edge before quotienting
-    for j in range(min(m, 2) + 1):
-        stab_t = p ** j
-        if stab_t < group.order:
-            pair = group.pair_of(stab_t)
-            if torus.act_edge(pair, ray[j]) != ray[j]:
-                raise InvariantViolationError("stabilizer fails to fix its edge")
+    # u1^(p^j) fixes e_j before quotienting: the table's keys t mod p^j rest on it
+    u1 = torus.generator_pair()
+    for j in range(m + 1):
+        if torus.act_edge(torus.pair_power(u1, p ** j), ray[j]) != ray[j]:
+            raise InvariantViolationError("stabilizer fails to fix its edge")
     # the full torsion power acts through global units: classes unchanged
     full = torus.pair_power(torus.torsion_pair, torus.torsion_order)
     for j in range(m + 1):
@@ -303,34 +297,5 @@ def _verify_table(torus, graph, group, ray, table):
         for (t1, t2, j) in ((1, group.order - 1, m), (1, 1, m)):
             moved = torus.act_edge(group.pair_of(t2), ray[j])
             both = torus.act_edge(group.pair_of(t1), moved)
-            if graph.classify_edge(both) != table[(0, group.compose(t1, t2), j)]:
+            if graph.classify_edge(both) != table[(0, (t1 + t2) % p ** j, j)]:
                 raise InvariantViolationError("orbit table is not translation-consistent")
-
-
-def orbit_size(torus: TorusData, group: TorusLevelGroup, edge) -> int:
-    """Size of the H_m-orbit of a tree edge (before quotienting)."""
-    seen = set()
-    for t in group.elements():
-        moved = torus.act_edge(group.pair_of(t), edge)
-        seen.add(((moved.source.a, moved.source.b, moved.source.d),
-                  (moved.target.a, moved.target.b, moved.target.d)))
-    return len(seen)
-
-
-def serialize_table(table, ray) -> str:
-    import json
-    return json.dumps({
-        "ray": [[[e.source.a, e.source.b, e.source.d],
-                 [e.target.a, e.target.b, e.target.d]] for e in ray],
-        "table": {f"{s},{t},{j}": v for (s, t, j), v in sorted(table.items())},
-    }, sort_keys=True)
-
-
-def deserialize_table(text: str):
-    import json
-    data = json.loads(text)
-    table = {}
-    for key, v in data["table"].items():
-        s, t, j = (int(x) for x in key.split(","))
-        table[(s, t, j)] = v
-    return table, data["ray"]

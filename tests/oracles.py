@@ -13,7 +13,8 @@ share no code path with the routines they check.
 from quatlfun.acceptance import (curve_point_count_a as curve_a_ell,
                                  fitting_minors_oracle, kronecker_oracle,
                                  spanning_tree_sum as spanning_tree_weight_sum)
-from quatlfun.errors import InvariantViolationError
+from quatlfun.bttree import TreeVertex
+from quatlfun.errors import InvariantViolationError, UsageError
 
 
 # -- Smith form via naive repeated gcd reduction (no pivot strategy shared
@@ -354,3 +355,171 @@ def minimum_of_form(gram, boxes):
             q = sum(vec[i] * gram[i][j] * vec[j] for i in range(n) for j in range(n))
             best = q if best is None else min(best, q)
     return best
+
+
+# -- the Bruhat-Tits tree by Fraction column reduction -------------------------
+#    (the library's tree before it went integer-only: rational entries, a
+#    column reduction over Q, and the distance from the inverse over Q)
+
+def _vp_fraction(x, p):
+    """p-adic valuation of a nonzero int/Fraction."""
+    from fractions import Fraction
+    fr = Fraction(x)
+    if fr == 0:
+        raise UsageError("valuation of zero")
+    v = 0
+    n = fr.numerator
+    while n % p == 0:
+        n //= p
+        v += 1
+    d = fr.denominator
+    while d % p == 0:
+        d //= p
+        v -= 1
+    return v
+
+
+def canonical_vertex_oracle(p: int, cols):
+    """Canonical class representative of the column span of a 2x2 matrix.
+
+    cols is ((m00, m01), (m10, m11)) with rational entries, nonzero det.
+    """
+    from fractions import Fraction
+    m = [[Fraction(cols[0][0]), Fraction(cols[0][1])],
+         [Fraction(cols[1][0]), Fraction(cols[1][1])]]
+    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    if det == 0:
+        raise UsageError("matrix is singular")
+    # column operations over Z_(p): make the bottom row (0, unit-scaled)
+    v0 = _vp_fraction(m[1][0], p) if m[1][0] else None
+    v1 = _vp_fraction(m[1][1], p) if m[1][1] else None
+    if v1 is None or (v0 is not None and v0 < v1):
+        m[0][0], m[0][1] = m[0][1], m[0][0]
+        m[1][0], m[1][1] = m[1][1], m[1][0]
+    if m[1][0] != 0:
+        f = m[1][0] / m[1][1]  # p-integral by the valuation choice
+        m[0][0] -= f * m[0][1]
+        m[1][0] = Fraction(0)
+    # normalize column 2 so the bottom is an exact power of p
+    d_exp = _vp_fraction(m[1][1], p)
+    unit = m[1][1] / Fraction(p) ** d_exp
+    m[0][1] = m[0][1] / unit
+    m[1][1] = Fraction(p) ** d_exp
+    # normalize column 1 to an exact power of p
+    a_exp = _vp_fraction(m[0][0], p)
+    m[0][0] = Fraction(p) ** a_exp
+    # homothety normalization: shift so min valuation is 0
+    b_val = _vp_fraction(m[0][1], p) if m[0][1] else None
+    shift = min(a_exp, d_exp, b_val if b_val is not None else a_exp + d_exp + 1)
+    a_exp -= shift
+    d_exp -= shift
+    top = m[0][1] / Fraction(p) ** shift
+    # reduce b into [0, p^a) as the canonical residue of a p-integral rational
+    mod = p ** a_exp
+    if mod == 1:
+        b_canon = 0
+    else:
+        prec_num = top.numerator % mod
+        b_canon = prec_num * pow(top.denominator % mod, -1, mod) % mod
+    return TreeVertex(p, a_exp, b_canon, d_exp)
+
+
+def act_oracle(g, v):
+    """Left action of an invertible rational matrix on lattice classes."""
+    from fractions import Fraction
+    m = v.matrix()
+    g = [[Fraction(g[0][0]), Fraction(g[0][1])], [Fraction(g[1][0]), Fraction(g[1][1])]]
+    if g[0][0] * g[1][1] - g[0][1] * g[1][0] == 0:
+        raise UsageError("group action needs an invertible matrix")
+    prod = ((g[0][0] * m[0][0] + g[0][1] * m[1][0],
+             g[0][0] * m[0][1] + g[0][1] * m[1][1]),
+            (g[1][0] * m[0][0] + g[1][1] * m[1][0],
+             g[1][0] * m[0][1] + g[1][1] * m[1][1]))
+    return canonical_vertex_oracle(v.p, prod)
+
+
+def distance_oracle(u, v) -> int:
+    """Tree distance: spread of the elementary divisors of the relative position."""
+    from fractions import Fraction
+    if u.p != v.p:
+        raise UsageError("prime mismatch")
+    p = u.p
+    mu = u.matrix()
+    mv = v.matrix()
+    # relative matrix mu^{-1} mv over Q
+    det = Fraction(mu[0][0]) * mu[1][1]
+    inv = ((Fraction(mu[1][1]) / det, Fraction(-mu[0][1]) / det),
+           (Fraction(0), Fraction(mu[0][0]) / det))
+    rel = [[inv[0][0] * mv[0][0] + inv[0][1] * mv[1][0],
+            inv[0][0] * mv[0][1] + inv[0][1] * mv[1][1]],
+           [inv[1][0] * mv[0][0] + inv[1][1] * mv[1][0],
+            inv[1][0] * mv[0][1] + inv[1][1] * mv[1][1]]]
+    # elementary divisor valuations of rel
+    entries = [x for row in rel for x in row if x != 0]
+    alpha = min(_vp_fraction(x, p) for x in entries)
+    dets = rel[0][0] * rel[1][1] - rel[0][1] * rel[1][0]
+    beta = _vp_fraction(dets, p) - alpha
+    return beta - alpha
+
+
+def standard_edge_sequence(j: int, torus, tie_break: str = "lex_min"):
+    """The j-th edge of the torus-compatible consecutive ray, built alone."""
+    if j < 0:
+        raise UsageError("edge index must be nonnegative")
+    return torus.edge_ray(j + 1, tie_break=tie_break)[j]
+
+
+# -- torus orbits, one table per level -----------------------------------------
+#    (the library's orbit table before it was built once per tower: every t in
+#    the level-m group, with no use of the edge stabilizers)
+
+def edge_orbit_table_oracle(torus, graph, m: int, tie_break: str = "lex_min"):
+    """table[(s, t, j)] = edge class of tau^s u1^t ⋆ e_j for all t < p^m, j <= m."""
+    from quatlfun.toruscm import level_group
+    group = level_group(torus, m)
+    ray = torus.edge_ray(m + 1, tie_break=tie_break)
+    table = {}
+    for s in range(torus.torsion_order):
+        tors = torus.pair_power(torus.torsion_pair, s)
+        for t in group.elements():
+            pair = torus.pair_mul(tors, group.pair_of(t))
+            for j in range(m + 1):
+                moved = torus.act_edge(pair, ray[j])
+                table[(s, t, j)] = graph.classify_edge(moved)
+    return table, ray
+
+
+def orbit_size(torus, group, edge) -> int:
+    """Size of the H_m-orbit of a tree edge (before quotienting)."""
+    seen = set()
+    for t in group.elements():
+        moved = torus.act_edge(group.pair_of(t), edge)
+        seen.add(((moved.source.a, moved.source.b, moved.source.d),
+                  (moved.target.a, moved.target.b, moved.target.d)))
+    return len(seen)
+
+
+def project_to(upper, lower, t: int) -> int:
+    """The image of t in H_upper under the projection onto H_lower."""
+    if lower.level > upper.level:
+        raise UsageError("projection goes down the tower")
+    return t % lower.order
+
+
+def serialize_table(table, ray) -> str:
+    import json
+    return json.dumps({
+        "ray": [[[e.source.a, e.source.b, e.source.d],
+                 [e.target.a, e.target.b, e.target.d]] for e in ray],
+        "table": {f"{s},{t},{j}": v for (s, t, j), v in sorted(table.items())},
+    }, sort_keys=True)
+
+
+def deserialize_table(text: str):
+    import json
+    data = json.loads(text)
+    table = {}
+    for key, v in data["table"].items():
+        s, t, j = (int(x) for x in key.split(","))
+        table[(s, t, j)] = v
+    return table, data["ray"]

@@ -1,11 +1,22 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatlfun.bttree import (TreeEdge, act, ball, canonical_vertex, distance,
                              edges_from, forward_edges, neighbors, root_vertex)
 from quatlfun.errors import UsageError
+
+from oracles import act_oracle, canonical_vertex_oracle, distance_oracle
+
+
+def _cleared(m):
+    """The integer matrix lcm(denominators)·m: a homothety, so the same class."""
+    den = math.lcm(*(Fraction(x).denominator for row in m for x in row))
+    return tuple(tuple(int(x * den) for x in row) for row in m)
 
 
 class TestVertices:
@@ -21,17 +32,64 @@ class TestVertices:
                 num = lambda: Fraction(rng.randint(-40, 40), rng.choice([1, 1, p, p * p, 3]))
                 m = ((num(), num()), (num(), num()))
                 try:
-                    v = canonical_vertex(p, m)
+                    v = canonical_vertex(p, _cleared(m))
                 except UsageError:
                     continue
+                assert v == canonical_vertex_oracle(p, m)
                 again = canonical_vertex(p, v.matrix())
                 assert again == v
 
     def test_scaling_invariance(self):
         v = canonical_vertex(3, ((9, 1), (3, 6)))
-        w = canonical_vertex(3, ((Fraction(9, 3), Fraction(1, 3)),
-                                 (Fraction(3, 3), Fraction(6, 3))))
+        w = canonical_vertex_oracle(3, ((Fraction(9, 3), Fraction(1, 3)),
+                                        (Fraction(3, 3), Fraction(6, 3))))
         assert v == w
+        assert canonical_vertex(3, ((27, 3), (9, 18))) == v
+        assert canonical_vertex(3, ((-63, -7), (-21, -42))) == v
+
+    def test_fraction_entries_rejected(self):
+        with pytest.raises(UsageError):
+            canonical_vertex(3, ((Fraction(1, 3), 0), (0, 1)))
+        with pytest.raises(UsageError):
+            canonical_vertex(3, ((Fraction(3), 0), (0, 1)))
+        with pytest.raises(UsageError):
+            act(((Fraction(1, 2), 0), (0, 1)), root_vertex(5))
+
+
+_BALLS = {}
+
+
+def _ball3(p):
+    if p not in _BALLS:
+        _BALLS[p] = [v for layer in ball(p, 3) for v in layer]
+    return _BALLS[p]
+
+
+@st.composite
+def _matrix_and_vertex(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    bound = p ** 6
+    entry = st.integers(-bound, bound)
+    g = ((draw(entry), draw(entry)), (draw(entry), draw(entry)))
+    v = draw(st.sampled_from(_ball3(p)))
+    w = draw(st.sampled_from(_ball3(p)))
+    return g, v, w
+
+
+class TestOracleAgreement:
+    """The integer tree against the Fraction tree of tests/oracles.py."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_matrix_and_vertex())
+    def test_action_distance_and_classes_match(self, case):
+        g, v, w = case
+        if g[0][0] * g[1][1] - g[0][1] * g[1][0] == 0:
+            with pytest.raises(UsageError):
+                act(g, v)
+        else:
+            assert act(g, v) == act_oracle(g, v)
+            assert canonical_vertex(v.p, g) == canonical_vertex_oracle(v.p, g)
+        assert distance(v, w) == distance_oracle(v, w)
 
 
 class TestNeighbors:

@@ -11,7 +11,7 @@ from quatlfun.padicl import (MeasurePipeline, check_projection_tower, full_Lp,
 from quatlfun.quatarith import (algebra_from_discriminant, ideal_class_set,
                                 maximal_order)
 from quatlfun.quatarith.embedding import embedding_with_base
-from quatlfun.toruscm import build_torus
+from quatlfun.toruscm import build_torus, edge_orbit_table
 
 from oracles import curve_a_ell
 
@@ -51,7 +51,7 @@ class TestMeasure:
         pipe = make_pipeline(setup, 1)
         for t in range(5):
             for j in range(2):
-                cls = pipe.table(1)[0][(0, t, j)]
+                cls = pipe.table(1)[0][(0, t % 5 ** j, j)]
                 assert const.values[cls] == 2
 
     def test_distribution_relation(self, setup):
@@ -91,6 +91,28 @@ class TestMeasure:
 
 
 class TestLElements:
+    @pytest.mark.parametrize("m", [-1, 7])
+    def test_bad_depth_raises_usage_error(self, setup, m):
+        # -1 has no level group; 7 needs torus precision 18 > 16
+        pipe = make_pipeline(setup, 1)
+        with pytest.raises(UsageError):
+            pipe.partial_l(m)
+        with pytest.raises(UsageError):
+            full_Lp(pipe, m)
+
+    def test_one_table_serves_the_tower(self, setup, monkeypatch):
+        from quatlfun import padicl
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args[2])
+            return edge_orbit_table(*args, **kwargs)
+        monkeypatch.setattr(padicl, "edge_orbit_table", counting)
+        pipe = make_pipeline(setup, 1)
+        full_Lp(pipe, 2)
+        check_projection_tower(pipe, 2)
+        assert built == [2]
+
     def test_partial_level_zero_single_coefficient(self, setup):
         pipe = make_pipeline(setup, 1)
         pipe.check_distribution(0)

@@ -52,3 +52,16 @@ def test_mmax_beyond_torus_precision_rejected_before_any_work(monkeypatch):
                  "--K", "-3"]) == 2
     # m_max = 6 needs precision exactly 16 and is accepted
     PipelineConfig(n_plus=1, n_minus=11, p=5, n=1, m_max=6, disc_k=-3).validate()
+
+
+def _no_quotient(*args, **kwargs):
+    raise AssertionError("quotient graph built for a rejected tower depth")
+
+
+@pytest.mark.parametrize("m", [-1, 7])
+def test_raised_l_element_rejects_bad_depth_before_any_work(monkeypatch, m):
+    from quatlfun import pipeline
+    from quatlfun.errors import ConfigurationError
+    monkeypatch.setattr(pipeline, "_torus_quotient", _no_quotient)
+    with pytest.raises(ConfigurationError):
+        pipeline.raised_l_element(None, -3, 1, m)

@@ -5,8 +5,9 @@ table, and perfbench/run.py asks quatlfun.cache.cache_directory() before each
 pass. A rename in the package would break the benchmark; these tests fail
 first. The tracer module is only read, never installed. Every name a
 subpackage lists in __all__ must exist, so a deleted helper cannot stay
-advertised. The package keeps one builder of quaternion norm Grams, and
-lattice elements in quatarith stay integer rows over a denominator.
+advertised. The package keeps one builder of quaternion norm Grams,
+lattice elements in quatarith stay integer rows over a denominator, and the
+tree, the torus and the measure compute in integers only.
 """
 
 import importlib
@@ -68,16 +69,24 @@ def test_one_norm_gram_builder():
     assert callers == []
 
 
+def _imports_fractions(path):
+    with open(path) as fh:
+        return re.search(r"^\s*(from|import)\s+fractions\b", fh.read(), re.M) is not None
+
+
 def test_lattice_elements_are_integer_rows():
     # orders, ideals and their elements are (den, integer rows); Fractions
     # stay in lattice.py (`covolume`, `invert`), ideal.py (nrd(I)) and
     # classset.py (the mass)
     allowed = {"lattice.py", "ideal.py", "classset.py"}
     package = os.path.join(SRC, "quatarith")
-    importers = set()
-    for name in os.listdir(package):
-        if name.endswith(".py"):
-            with open(os.path.join(package, name)) as fh:
-                if re.search(r"^\s*(from|import)\s+fractions\b", fh.read(), re.M):
-                    importers.add(name)
+    importers = {name for name in os.listdir(package)
+                 if name.endswith(".py") and _imports_fractions(os.path.join(package, name))}
     assert importers - allowed == set()
+
+
+def test_tree_torus_and_measure_are_integer_only():
+    # the Bruhat-Tits tree, the torus orbits and the measure need no Fraction;
+    # the Fraction tree is tests/oracles.py's reference
+    modules = ("bttree.py", "toruscm.py", "padicl.py")
+    assert [m for m in modules if _imports_fractions(os.path.join(SRC, m))] == []

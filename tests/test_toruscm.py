@@ -1,14 +1,17 @@
 import pytest
 
 from quatlfun.brandtforms import QuotientGraph
-from quatlfun.errors import UnsupportedConfigurationError, UsageError
+from quatlfun.errors import (InvariantViolationError,
+                              UnsupportedConfigurationError, UsageError)
 from quatlfun.quatarith import (algebra_from_discriminant, ideal_class_set,
                                 maximal_order)
 from quatlfun.quatarith.embedding import embedding_with_base
-from quatlfun.toruscm import (build_torus, deserialize_table, edge_orbit_table,
-                              level_group, orbit_size, serialize_table)
+from quatlfun.toruscm import (_verify_table, build_torus, edge_orbit_table,
+                              level_group)
 
-from oracles import kronecker_oracle
+from oracles import (deserialize_table, edge_orbit_table_oracle,
+                     kronecker_oracle, orbit_size, project_to,
+                     serialize_table, standard_edge_sequence)
 
 
 @pytest.fixture(scope="module")
@@ -69,10 +72,10 @@ class TestLevelGroups:
         h2 = level_group(torus, 2)
         h1 = level_group(torus, 1)
         for t in h2.elements():
-            down = h2.project_to(h1, t)
+            down = project_to(h2, h1, t)
             assert down == t % 5
         # surjective on generators
-        assert {h2.project_to(h1, t) for t in h2.elements()} == set(range(5))
+        assert {project_to(h2, h1, t) for t in h2.elements()} == set(range(5))
 
     def test_negative_level_rejected(self, torus_setup):
         _, torus = torus_setup
@@ -143,6 +146,16 @@ class TestOrbitTable:
         a, b = (3, 5), (2, 10)
         assert torus.pair_mul(a, b) == torus.pair_mul(b, a)
 
+    def test_stabilizer_certificate_covers_the_top_level(self, torus_setup):
+        # e_2 in place of e_1 at level 1: u1^5 moves it, so the table's
+        # keys t mod 5 would be wrong; the certificate must catch it
+        graph, torus = torus_setup
+        ray = torus.edge_ray(3)
+        bad_ray = [ray[0], ray[2]]
+        table = {(0, 0, j): graph.classify_edge(e) for j, e in enumerate(bad_ray)}
+        with pytest.raises(InvariantViolationError, match="stabilizer"):
+            _verify_table(torus, graph, level_group(torus, 1), bad_ray, table)
+
     def test_serialization_round_trip(self, torus_setup):
         graph, torus = torus_setup
         table, ray = edge_orbit_table(torus, graph, 1)
@@ -154,19 +167,42 @@ class TestOrbitTable:
 
 class TestStandardEdgeSequence:
     def test_matches_ray(self, torus_setup):
-        from quatlfun.bttree import standard_edge_sequence
         _, torus = torus_setup
         ray = torus.edge_ray(3)
         for j in range(3):
             assert standard_edge_sequence(j, torus) == ray[j]
 
     def test_base_case_source(self, torus_setup):
-        from quatlfun.bttree import standard_edge_sequence
         _, torus = torus_setup
         assert standard_edge_sequence(0, torus).source == torus.fixed_vertex
 
     def test_negative_index_rejected(self, torus_setup):
-        from quatlfun.bttree import standard_edge_sequence
         _, torus = torus_setup
         with pytest.raises(UsageError):
             standard_edge_sequence(-1, torus)
+
+
+def _assert_table_matches_oracle(graph, torus, m_max):
+    p = torus.p
+    table, ray = edge_orbit_table(torus, graph, m_max)
+    assert set(table) == {(s, t, j) for s in range(torus.torsion_order)
+                          for j in range(m_max + 1) for t in range(p ** j)}
+    for m in range(m_max + 1):
+        want, want_ray = edge_orbit_table_oracle(torus, graph, m)
+        assert want_ray == ray[:m + 1]
+        for (s, t, j), cls in want.items():
+            assert table[(s, t % p ** j, j)] == cls, (m, s, t, j)
+
+
+class TestCompressedTable:
+    """One table at m_max, read at t mod p^j, against a table per level."""
+
+    def test_w1(self, torus_setup):
+        graph, torus = torus_setup
+        _assert_table_matches_oracle(graph, torus, 2)
+
+    def test_lfun_tower_p3(self):
+        # lfun-tower's (N-, p, m, K) = (11, 3, 4, -4) configuration
+        from quatlfun.pipeline import _torus_quotient
+        _, emb, graph = _torus_quotient(11, 1, 3, -4)
+        _assert_table_matches_oracle(graph, build_torus(-4, emb, graph), 4)
