@@ -56,23 +56,17 @@ class TestVertices:
             act(((Fraction(1, 2), 0), (0, 1)), root_vertex(5))
 
 
-_BALLS = {}
-
-
-def _ball3(p):
-    if p not in _BALLS:
-        _BALLS[p] = [v for layer in ball(p, 3) for v in layer]
-    return _BALLS[p]
+_BALLS = {p: [v for layer in ball(p, 3) for v in layer] for p in (2, 3, 5, 7)}
 
 
 @st.composite
 def _matrix_and_vertex(draw):
-    p = draw(st.sampled_from([2, 3, 5, 7]))
+    p = draw(st.sampled_from(sorted(_BALLS)))
     bound = p ** 6
     entry = st.integers(-bound, bound)
     g = ((draw(entry), draw(entry)), (draw(entry), draw(entry)))
-    v = draw(st.sampled_from(_ball3(p)))
-    w = draw(st.sampled_from(_ball3(p)))
+    v = draw(st.sampled_from(_BALLS[p]))
+    w = draw(st.sampled_from(_BALLS[p]))
     return g, v, w
 
 
