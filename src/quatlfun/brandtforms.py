@@ -6,6 +6,34 @@ is realized through right-ideal classes: a tree vertex L maps to the ideal
 the analogous ideal of the level-p suborder. Completeness of the transport is
 certified against independently computed class sets with their mass
 certificates, so any inconsistency surfaces loudly.
+
+Tree cells are classified by one of two routes (`QuotientGraph`):
+
+- The ideal route builds the cell's ideal, reduces it and looks it up in
+  the class set. Only the walk uses it, for its own cells: the root, and
+  the p+1 neighbours and p+1 out-edges of one representative r_s per
+  (class, parity) state s.
+- The path route answers every other cell after the walk, with the
+  p-unit group Gamma = O[1/p]^× (Franc and Masdeu, LMS J. Comput. Math.
+  17 (2014)). Each vertex v met is memoised with (s, gamma), gamma in the
+  order and A = iota(gamma) mod p^prec, such that A·v = r_s. A neighbour w
+  of v then has A·w = u, a neighbour of r_s that the walk classified, and
+  an edge (v, w) has the class of the walk's out-edge (r_s, u). Going on
+  past w takes the step witness of (s, u): an x in the order with
+  u = iota(x)·r_s', s' the state of u. Then conj(x)·gamma carries w to
+  r_s', and its p-content is divided out in order coordinates, which is
+  exact. Vertices are reached from the root through `bttree.parent`.
+- A step witness is the `isometry_witness` of the vertex ideals of u and
+  r_s', with its p-content removed. It is derived on first use and
+  certified once: x lies in the order, nrd(x) is a power of p, and
+  iota(x) carries r_s' to u on the tree.
+- Precision: A is exact mod p^prec, and an integer matrix N with
+  elementary divisors p^alpha | p^beta spans the same lattice as any
+  N' ≡ N mod p^(beta + 1). For N = A·M_w, beta = e + k_w - alpha with
+  p^e = nrd(gamma), p^(k_w) = det M_w and p^alpha the content of N. So a
+  step from v to w needs e + k_w - alpha + 1 <= prec, which reaches as
+  deep as the ideal route's k + 2 <= prec; a step that needs more raises
+  the same InvariantViolationError as the ideal route's precision guard.
 """
 
 from __future__ import annotations
@@ -20,7 +48,8 @@ from .errors import (DataMissingError, InvariantViolationError, UsageError)
 from .exactalg import IntMatrix, kernel_basis, kernel_mod
 from .primes import first_coprime_prime, prime_factors
 from .quatarith import (RightIdeal, eichler_mass, ideal_class_set,
-                        local_splitting, neighbor_matrix, two_sided_prime)
+                        isometry_witness, local_splitting, neighbor_matrix,
+                        two_sided_prime)
 from .quatarith.classset import ClassSet
 from .quatarith.ideal import reduce_ideal
 from .quatarith.order import QuaternionOrder
@@ -119,6 +148,7 @@ class QuotientGraph:
         self._edge_order_cache = None
         self._edge_classes_cache = None
         self._walked = False
+        self._walking = False
 
     @property
     def edge_order(self) -> QuaternionOrder:
@@ -135,7 +165,11 @@ class QuotientGraph:
 
     def ensure_walk(self):
         if not self._walked:
-            self._walk()
+            self._walking = True
+            try:
+                self._walk()
+            finally:
+                self._walking = False
             self._walked = True
 
     # -- construction --------------------------------------------------------
@@ -176,6 +210,7 @@ class QuotientGraph:
         if not self._complete():
             raise InvariantViolationError(
                 "tree walk did not reach every ideal class; transport broken")
+        self._start_paths()
 
     def _complete(self):
         return (len(self.vertex_reps) == len(self.vertex_classes)
@@ -202,23 +237,175 @@ class QuotientGraph:
     def classify_vertex(self, v) -> int:
         key = (v.a, v.b, v.d)
         hit = self._vertex_memo.get(key)
-        if hit is not None:
-            return hit
-        ideal = self._vertex_ideal(v)
-        idx = self.vertex_classes.classify(reduce_ideal(ideal))
-        self._vertex_memo[key] = idx
-        return idx
+        if hit is None:
+            hit = self._vertex_memo[key] = self._classify_new(
+                v, key, self._vertex_memo, self._vertex_class_by_ideal,
+                self._vertex_class_by_path)
+        return hit
 
     def classify_edge(self, e) -> int:
         key = (e.source.a, e.source.b, e.source.d,
                e.target.a, e.target.b, e.target.d)
         hit = self._edge_memo.get(key)
-        if hit is not None:
-            return hit
-        ideal = self._edge_ideal(e)
-        idx = self.edge_classes.classify(reduce_ideal(ideal))
-        self._edge_memo[key] = idx
-        return idx
+        if hit is None:
+            hit = self._edge_memo[key] = self._classify_new(
+                e, key, self._edge_memo, self._edge_class_by_ideal,
+                self._edge_class_by_path)
+        return hit
+
+    def _classify_new(self, cell, key, memo, by_ideal, by_path):
+        """Class of a cell the memo lacks: by its ideal for the walk's own
+        cells, by its path from the root for every other cell."""
+        if self._walking:
+            return by_ideal(cell)
+        if not self._walked:
+            self.ensure_walk()
+            if key in memo:
+                return memo[key]  # the walk met this cell
+        return by_path(cell)
+
+    def _vertex_class_by_ideal(self, v) -> int:
+        return self.vertex_classes.classify(reduce_ideal(self._vertex_ideal(v)))
+
+    def _edge_class_by_ideal(self, e) -> int:
+        return self.edge_classes.classify(reduce_ideal(self._edge_ideal(e)))
+
+    def _vertex_class_by_path(self, v) -> int:
+        return self._vertex_memo[self._image(self._path(bttree.parent(v)), v)]
+
+    def _edge_class_by_path(self, e) -> int:
+        entry = self._path(e.source)
+        rep = self.parity_reps[entry[0]]
+        return self._edge_memo[(rep.a, rep.b, rep.d) + self._image(entry, e.target)]
+
+    def _start_paths(self):
+        """Path data after the walk: each state representative r_s is its own
+        image, and its p+1 neighbours are the cells a path step lands on."""
+        one = self.base_order.one_coords()
+        self._paths = {}  # vertex key -> (state, gamma, iota(gamma) mod p^prec, e)
+        self._rep_neighbors = {}  # state -> {neighbour key: neighbour of r_s}
+        self._steps = {}  # (state, neighbour key) -> certified witness step
+        for state, rep in self.parity_reps.items():
+            self._paths[(rep.a, rep.b, rep.d)] = (state, one, ((1, 0), (0, 1)), 0)
+            self._rep_neighbors[state] = {(u.a, u.b, u.d): u
+                                          for u in bttree.neighbors(rep)}
+
+    def _path(self, v):
+        """(state, gamma, A, e) with A·v = r_state, found from the root down.
+
+        gamma is an element of the order in basis coordinates, not in p·O,
+        with nrd(gamma) = p^e; A = iota(gamma) mod p^prec. Every vertex on
+        the way is memoised, so a path costs one step per new vertex.
+        """
+        chain = []
+        key = (v.a, v.b, v.d)
+        while key not in self._paths:
+            chain.append((v, key))
+            v = bttree.parent(v)
+            key = (v.a, v.b, v.d)
+        entry = self._paths[key]
+        for w, wkey in reversed(chain):
+            entry = self._paths[wkey] = self._descend(entry, self._image(entry, w))
+        return entry
+
+    def _image(self, entry, w):
+        """Key of A·w for a neighbour w of the vertex that entry describes;
+        A·w is a neighbour of r_state, or the transport is broken."""
+        state, _, mat, e = entry
+        image = self._act(mat, e, w)
+        key = (image.a, image.b, image.d)
+        if key not in self._rep_neighbors[state]:
+            raise InvariantViolationError(
+                f"a path step left the neighbours of the state {state} "
+                f"representative; transport broken")
+        return key
+
+    def _descend(self, entry, image):
+        """Path data of w from that of its parent and the key of A·w.
+
+        With A·w = u = iota(x)·r' (the certified step), conj(x)·gamma carries
+        w to r'; its p-content is divided out exactly, in order coordinates.
+        """
+        state, gamma, _, e = entry
+        state, step, e_step = self._step(state, image)
+        gamma, e = self._primitive(self.base_order.coords_mul(step, gamma), e + e_step)
+        return state, gamma, self.splitting.apply(gamma), e
+
+    def _step(self, state, key):
+        step = self._steps.get((state, key))
+        if step is None:
+            step = self._steps[state, key] = self._certified_step(state, key)
+        return step
+
+    def _certified_step(self, state, key):
+        """(state', conj(x) in basis coordinates, v_p(nrd x)) for the
+        neighbour u = key of r_state, with u = iota(x)·r_state'.
+
+        x is the isometry witness of the vertex ideals of u and r_state',
+        with its p-content removed. It is certified once, here: x lies in
+        the order, nrd(x) is a power of p, and iota(x) carries r_state' to u
+        on the tree.
+        """
+        p = self.p
+        u = self._rep_neighbors[state][key]
+        nxt = (self._vertex_memo[key], u.parity())
+        rep = self.parity_reps[nxt]
+        where = f"transport witness from state {state} to state {nxt}"
+        found = isometry_witness(self._vertex_ideal(u), self._vertex_ideal(rep))
+        if found is None:
+            raise InvariantViolationError(f"{where}: the vertex ideals are not isometric")
+        vec, den = found
+        lat = self.base_order.lattice
+        coords = lat.coordinates(vec, den)
+        if coords is None:
+            raise InvariantViolationError(f"{where} does not lie in the order")
+        norm = self.base_order.alg.nrd(vec) // (den * den)
+        e = 0
+        while norm % p == 0:
+            norm //= p
+            e += 1
+        if norm != 1:
+            raise InvariantViolationError(f"{where}: its reduced norm is not a power of p")
+        coords, e = self._primitive(coords, e)
+        if self._act(self.splitting.apply(coords), e, rep) != u:
+            raise InvariantViolationError(
+                f"{where} does not carry the representative to the neighbour")
+        alg = self.base_order.alg
+        x = tuple(sum(c * r[k] for c, r in zip(coords, lat.rows)) for k in range(4))
+        return nxt, lat.coordinates(alg.conj(x), lat.den), e
+
+    def _primitive(self, coords, e):
+        """(coords / p^c, e - 2c) for the largest c with p^c | coords: an
+        element of the order and p^e its reduced norm."""
+        p = self.p
+        while not any(c % p for c in coords):
+            coords = tuple(c // p for c in coords)
+            e -= 2
+        return coords, e
+
+    def _act(self, mat, e, v):
+        """The class of A·M_v for A = iota(g) mod p^prec, nrd(g) = p^e.
+
+        With p^alpha the content of A·M_v, its elementary divisors are
+        p^alpha and p^beta, beta = e + k_v - alpha, and A·M_v + p^t·E spans
+        the same lattice once t >= beta + 1. A is exact mod p^prec, and alpha
+        is read off the computed product whenever it is below prec, so the
+        step is exact if beta + 1 <= prec and raises otherwise.
+        """
+        p, prec = self.p, self.splitting.prec
+        (a00, a01), (a10, a11) = mat
+        (m00, m01), (_, m11) = v.matrix()
+        prod = ((a00 * m00, a00 * m01 + a01 * m11),
+                (a10 * m00, a10 * m01 + a11 * m11))
+        alpha = 0
+        while alpha < prec and not any(x % p ** (alpha + 1) for row in prod for x in row):
+            alpha += 1
+        need = e + v.det_exponent - alpha + 1
+        if need > prec:
+            raise InvariantViolationError(
+                f"transport splitting precision too low: a path step needs "
+                f"p^{need}, the splitting has p^{prec}")
+        return bttree.canonical_vertex(p, prod)
 
     def _vertex_ideal(self, v) -> RightIdeal:
         """{x in O : iota(x) has columns in L} + p^k O, as a right ideal."""

@@ -120,6 +120,22 @@ def neighbors(v: TreeVertex, p: int = None):
     return out
 
 
+def parent(v: TreeVertex) -> TreeVertex:
+    """The neighbour of v one step nearer the root; v is not the root.
+
+    The triple is primitive, so L_v has cyclic index p^k in Z_p^2 with
+    k = a + d, the distance to the root, and the path to the root runs
+    through L_v + p^(k-1)·Z_p^2. That lattice is (a - 1, b mod p^(a-1), d)
+    when a > 0, since it contains both columns of [[p^(a-1), b], [0, p^d]]
+    and has the same index p^(k-1), and (0, 0, d - 1) when a = 0.
+    """
+    if v.a > 0:
+        return TreeVertex(v.p, v.a - 1, v.b % v.p ** (v.a - 1), v.d)
+    if v.d > 0:
+        return TreeVertex(v.p, 0, 0, v.d - 1)
+    raise UsageError("the root has no parent")
+
+
 def distance(u: TreeVertex, v: TreeVertex) -> int:
     """Tree distance: v(det R) - 2 min v(R_ij) for R = adj(M_u) M_v."""
     if u.p != v.p:

@@ -1,11 +1,14 @@
 """Content-addressed disk cache for class sets.
 
-Entries are keyed by a hash of the defining data (algebra, order lattice,
-neighbor prime) and stored as human-diffable JSON. On load every
-representative is re-certified (stored in canonical form, right-stable under
-the order, its left order's unit count as stored) and then the mass, so a
-corrupted cache is caught rather than trusted: the mass alone cannot see
-swapped unit counts.
+Entries are keyed by the SHA-256 digest of the defining data (algebra,
+order lattice, neighbor prime) and stored as human-diffable JSON with a
+schema version. On load the version must match, every representative is
+re-certified (stored in canonical form, right-stable under the order, its
+left order's unit count as stored), the representatives must be pairwise
+non-isometric (tested within theta-key buckets), and then the mass must
+hold. So a corrupted cache is caught rather than trusted: the mass alone
+cannot see swapped unit counts, and neither the mass nor the unit counts
+see a class stored twice under two of its ideals.
 """
 
 from __future__ import annotations
@@ -16,6 +19,9 @@ import os
 from math import gcd
 
 from .errors import InvariantViolationError
+
+# schema of a stored entry; an entry with another version is refused
+CACHE_VERSION = 1
 
 _cache_dir = None
 
@@ -38,7 +44,7 @@ def class_set_key(order, neighbor_prime: int) -> str:
         "den": order.lattice.den, "rows": [list(r) for r in order.lattice.rows],
         "neighbor": neighbor_prime,
     }, sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:24]
+    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def store_class_set(cs) -> None:
@@ -46,6 +52,7 @@ def store_class_set(cs) -> None:
         return
     key = class_set_key(cs.order, cs.neighbor_prime)
     data = {
+        "version": CACHE_VERSION,
         "disc": cs.disc, "level": cs.level, "neighbor": cs.neighbor_prime,
         "algebra": [cs.order.alg.a, cs.order.alg.b],
         "order": {"den": cs.order.lattice.den,
@@ -73,6 +80,10 @@ def load_class_set(order, neighbor_prime: int):
         return None
     with open(path) as fh:
         data = json.load(fh)
+    if data.get("version") != CACHE_VERSION:
+        raise InvariantViolationError(
+            f"cache entry has schema version {data.get('version')}, "
+            f"this build reads version {CACHE_VERSION}")
     if data["algebra"] != [order.alg.a, order.alg.b]:
         raise InvariantViolationError("cache entry collides with a different algebra")
     reps = [RightIdeal(order, _stored_lattice(i, r)) for i, r in enumerate(data["reps"])]
@@ -85,10 +96,24 @@ def load_class_set(order, neighbor_prime: int):
             raise InvariantViolationError(
                 f"cached class {i}: its left order has {found} units, "
                 f"the entry says {units}")
+    _check_distinct(reps)
     cs = ClassSet(order, data["disc"], data["level"], data["neighbor"],
                   reps, list(data["unit_counts"]))
     cs.verify_mass()
     return cs
+
+
+def _check_distinct(reps):
+    """No two cached representatives are isometric; only equal theta keys
+    can be, so each pair within a theta-key bucket is tested."""
+    from .quatarith.ideal import isometric
+    buckets = {}
+    for i, rep in enumerate(reps):
+        for j in buckets.get(rep.theta_key(), ()):
+            if isometric(rep, reps[j]):
+                raise InvariantViolationError(
+                    f"cached classes {j} and {i} are isometric: one class is stored twice")
+        buckets.setdefault(rep.theta_key(), []).append(i)
 
 
 def _stored_lattice(i, entry):

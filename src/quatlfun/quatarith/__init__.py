@@ -5,7 +5,7 @@ from .algebra import (QuaternionAlgebra, algebra_from_discriminant,
 from .classset import (ClassSet, eichler_mass, ideal_class_set,
                        neighbor_matrix)
 from .embedding import Embedding, optimal_embedding, quadratic_generator
-from .ideal import RightIdeal, isometric, neighbors
+from .ideal import RightIdeal, isometric, isometry_witness, neighbors
 from .lattice import Lattice4
 from .order import (QuaternionOrder, eichler_order, eichler_order_for,
                     left_order_of, maximal_order, standard_order,
@@ -16,8 +16,8 @@ __all__ = [
     "ClassSet", "Embedding", "Lattice4", "LocalSplitting", "QuaternionAlgebra",
     "QuaternionOrder", "RightIdeal", "algebra_from_discriminant",
     "eichler_mass", "eichler_order", "eichler_order_for", "hilbert_symbol",
-    "ideal_class_set", "isometric", "kronecker", "left_order_of", "legendre",
-    "local_splitting",
+    "ideal_class_set", "isometric", "isometry_witness", "kronecker",
+    "left_order_of", "legendre", "local_splitting",
     "maximal_order", "neighbor_matrix", "neighbors", "optimal_embedding",
     "quadratic_generator", "ramified_primes",
     "standard_order", "two_sided_prime",

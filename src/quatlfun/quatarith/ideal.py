@@ -6,9 +6,10 @@ basis, and one Lagrange reduction of G. The content of G gives nrd(I); the
 reduced Gram gives the value counts at 2, 4, ..., 12 (the theta key) and the
 shortest vector (the reduced ideal). Class equality is decided
 exactly: [I] = [J] iff the lattice I·conj(J) represents nrd(I)·nrd(J),
-tested by short-vector enumeration at that exact value (no slack). Callers
-bucket representatives by theta key, so only ideals with equal keys are
-tested.
+tested by short-vector enumeration at that exact value (no slack). The
+element found is kept as a witness: x in I·conj(J) with
+nrd(x) = nrd(I)·nrd(J) gives I = (x/nrd(J))·J. Callers bucket
+representatives by theta key, so only ideals with equal keys are tested.
 """
 
 from __future__ import annotations
@@ -108,17 +109,16 @@ def reduce_ideal(ideal: RightIdeal) -> RightIdeal:
     nrd = nrd(x)/nrd(J), bounded by the Minkowski constant of the norm form.
     It is built in integers: with J = (1/den)·rows and nrd(J) = n/d, its
     rows are d·conj(den·x)·r over den^2·n. The search runs on the ideal's
-    reduced Gram R = U^T G U, so x has coordinates U·y for the y it finds.
+    own Lagrange reduction, so each call reduces the Gram at most once.
     """
-    reduced, u = ideal.reduced_gram()
-    value, y = shortest_value_and_vector(reduced)
+    value, coords = shortest_value_and_vector(ideal.normalized_gram(),
+                                              ideal.reduced_gram())
     norm = ideal.nrd()
     if value * norm.denominator == 2 * norm.numerator:
         return ideal  # norm already minimal within the class
     alg = ideal.alg
     rows = ideal.lattice.rows
     den = ideal.lattice.den
-    coords = [sum(ur[c] * y[c] for c in range(4)) for ur in u]
     x = alg.conj(tuple(sum(c * r[k] for c, r in zip(coords, rows)) for k in range(4)))
     out_rows = [[norm.denominator * v for v in alg.mul(x, r)] for r in rows]
     out = RightIdeal(ideal.order, Lattice4(den * den * norm.numerator, out_rows))
@@ -127,24 +127,40 @@ def reduce_ideal(ideal: RightIdeal) -> RightIdeal:
     return out
 
 
+def isometry_witness(i1: RightIdeal, i2: RightIdeal):
+    """x with I = (x/nrd(J))·J for I = i1 and J = i2, or None if none exists.
+
+    x is the first element of the product lattice I·conj(J) with
+    nrd(x) = nrd(I)·nrd(J) that the enumeration meets, returned as an integer
+    4-tuple vec over a positive den (x = vec/den). When I and J lie in the
+    order, so does x. Ideals with different theta keys get None untested.
+    The identity: x·J ⊆ I·conj(J)·J = nrd(J)·I, and both sides of
+    I ⊇ (x/nrd(J))·J have reduced norm nrd(I), so they are equal.
+    """
+    if i1.order is not i2.order and i1.order != i2.order:
+        raise UsageError("ideals must share a right order")
+    if i1.theta_key() != i2.theta_key():
+        return None
+    prod = i1.product_lattice(i2.conjugate_lattice())
+    n1, n2 = i1.nrd(), i2.nrd()
+    target, rest = divmod(2 * prod.den ** 2 * n1.numerator * n2.numerator,
+                          n1.denominator * n2.denominator)
+    if rest:
+        return None
+    for value, c in enumerate_by_value(i1.alg.norm_gram(prod), target):
+        if value == target:
+            return (tuple(sum(ci * r[k] for ci, r in zip(c, prod.rows))
+                          for k in range(4)), prod.den)
+    return None
+
+
 def isometric(i1: RightIdeal, i2: RightIdeal) -> bool:
     """Same right-ideal class: I = x·J for some x in the algebra.
 
     Equivalent to the product lattice I·conj(J) representing nrd(I)·nrd(J),
     that is its norm Gram T representing 2·den^2·nrd(I)·nrd(J).
     """
-    if i1.order is not i2.order and i1.order != i2.order:
-        raise UsageError("ideals must share a right order")
-    if i1.theta_key() != i2.theta_key():
-        return False
-    prod = i1.product_lattice(i2.conjugate_lattice())
-    n1, n2 = i1.nrd(), i2.nrd()
-    target, rest = divmod(2 * prod.den ** 2 * n1.numerator * n2.numerator,
-                          n1.denominator * n2.denominator)
-    if rest:
-        return False
-    return any(value == target
-               for value, _ in enumerate_by_value(i1.alg.norm_gram(prod), target))
+    return isometry_witness(i1, i2) is not None
 
 
 def neighbors(ideal: RightIdeal, ell: int, spl: LocalSplitting):

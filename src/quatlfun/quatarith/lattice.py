@@ -336,15 +336,16 @@ def enumerate_by_value(gram, max_value: int):
     return _enumerate_reduced(*lagrange_reduce(gram), max_value)
 
 
-def shortest_value_and_vector(gram):
+def shortest_value_and_vector(gram, reduction=None):
     """(value, x) attaining the minimum of x^T gram x on integer x != 0.
 
-    gram is integral and positive definite. One enumeration: the bound is
-    the smallest diagonal entry of the Lagrange-reduced Gram, the value of a
-    basis vector, so the minimum lies within it. Ties go to the first
-    minimal vector in enumeration order, which no bound changes.
+    gram is integral and positive definite; reduction is its Lagrange
+    reduction (R, U) when the caller already has it, and is computed here
+    otherwise. One enumeration: the bound is the smallest diagonal entry of
+    R, the value of a basis vector, so the minimum lies within it. Ties go
+    to the first minimal vector in enumeration order, which no bound changes.
     """
-    red, u = lagrange_reduce(gram)
+    red, u = lagrange_reduce(gram) if reduction is None else reduction
     return min(_enumerate_reduced(red, u, red[0][0]), key=lambda hit: hit[0])
 
 

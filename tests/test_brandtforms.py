@@ -4,14 +4,20 @@ import random
 
 import pytest
 
+from quatlfun import brandtforms
 from quatlfun.brandtforms import (AutomorphicForm, EigenSystem, QuotientGraph,
                                   degeneracy_and_vnew, eigensystems_mod,
                                   eigenvector_mod, hensel_unit_root,
                                   mk_dual_graph, mk_graph_checks, p_stabilize,
                                   rational_eigensystems, tp_apply, up_apply)
-from quatlfun.errors import UsageError
+from quatlfun.bttree import TreeEdge, TreeVertex, ball, neighbors
+from quatlfun.errors import InvariantViolationError, UsageError
+from quatlfun.pipeline import _torus_quotient
 from quatlfun.quatarith import (algebra_from_discriminant, eichler_mass,
                                 eichler_order_for, maximal_order)
+from quatlfun.quatarith.ideal import reduce_ideal
+from quatlfun.quatarith.lattice import enumerate_by_value
+from quatlfun.toruscm import build_torus, edge_orbit_table
 
 from oracles import curve_a_ell
 
@@ -321,3 +327,126 @@ def test_transport_sweep(disc, p, level):
                       degeneracy_and_vnew(graph).pull_target)
     assert all(sum(row) == p for row in graph.up_matrix())
     mk_graph_checks(graph)
+
+
+# ---------------------------------------------------------------------------
+# Path transport against the ideal route
+# ---------------------------------------------------------------------------
+
+# (N-, p, m, K): W1, then the three lfun-tower configurations of perfbench
+TOWERS = [(11, 5, 2, -3), (11, 5, 4, -3), (17, 5, 3, -3), (11, 3, 4, -4)]
+
+
+def _vertex_class_by_ideal(graph, v):
+    """The ideal route on any vertex: the path route's reference."""
+    return graph.vertex_classes.classify(reduce_ideal(graph._vertex_ideal(v)))
+
+
+def _edge_class_by_ideal(graph, e):
+    return graph.edge_classes.classify(reduce_ideal(graph._edge_ideal(e)))
+
+
+@pytest.fixture(scope="module")
+def w1_base():
+    return _torus_quotient(11, 1, 5, -3)[0]
+
+
+def _element_of_norm(order, n):
+    """(vec, den): the first element of the order with reduced norm n."""
+    lat = order.lattice
+    target = 2 * lat.den ** 2 * n
+    for value, c in enumerate_by_value(order.alg.norm_gram(lat), target):
+        if value == target:
+            return tuple(sum(ci * r[k] for ci, r in zip(c, lat.rows))
+                         for k in range(4)), lat.den
+    raise AssertionError(f"no element of norm {n}")
+
+
+class TestPathTransport:
+    @pytest.mark.parametrize("n_minus,p,m,disc_k", TOWERS)
+    def test_orbit_tables_match_the_ideal_route(self, n_minus, p, m, disc_k):
+        _, embedding, graph = _torus_quotient(n_minus, 1, p, disc_k)
+        torus = build_torus(disc_k, embedding, graph)
+        table, ray = edge_orbit_table(torus, graph, m)
+        u1 = torus.generator_pair()
+        checked, wrong = 0, []
+        for s in range(torus.torsion_order):
+            for j, edge in enumerate(ray):
+                pair = torus.pair_power(torus.torsion_pair, s)
+                for t in range(p ** j):
+                    if _edge_class_by_ideal(graph, torus.act_edge(pair, edge)) \
+                            != table[(s, t, j)]:
+                        wrong.append((s, t, j))
+                    checked += 1
+                    pair = torus.pair_mul(pair, u1)
+        assert checked == len(table) and wrong == []
+        # a step witness belongs to a neighbour of a state representative
+        h = graph.vertex_count()
+        assert len(graph._steps) <= 2 * h * (p + 1)
+
+    def test_vertices_and_edges_match_the_ideal_route(self, w1_base):
+        graph = QuotientGraph(w1_base, 5)
+        rng = random.Random(12)
+        cells = [v for layer in ball(5, 3) for v in layer]
+        for _ in range(30):
+            a = rng.randrange(9)
+            d = rng.randrange(9 - a)
+            b = rng.randrange(5 ** a) if a else 0
+            if a and d and b % 5 == 0:
+                b += 1
+            cells.append(TreeVertex(5, a, b, d))
+        for v in cells:
+            assert graph.classify_vertex(v) == _vertex_class_by_ideal(graph, v)
+            e = TreeEdge(v, rng.choice(neighbors(v)))
+            assert graph.classify_edge(e) == _edge_class_by_ideal(graph, e)
+
+    def test_each_witness_is_derived_once(self, w1_base, monkeypatch):
+        calls = []
+        real = brandtforms.isometry_witness
+
+        def counted(i1, i2):
+            calls.append(1)
+            return real(i1, i2)
+        monkeypatch.setattr(brandtforms, "isometry_witness", counted)
+        graph = QuotientGraph(w1_base, 5)
+        for v in ball(5, 4)[4]:
+            graph.classify_vertex(v)
+            graph.classify_vertex(v)
+        assert 0 < len(calls) == len(graph._steps) <= 2 * graph.vertex_count() * 6
+
+    @pytest.mark.parametrize("corruption,message", [
+        ("outside the order", "does not lie in the order"),
+        ("norm not a power of p", "reduced norm is not a power of p"),
+        ("wrong tree action", "does not carry the representative"),
+    ])
+    def test_corrupted_witness_is_refused(self, w1_base, monkeypatch,
+                                          corruption, message):
+        alg = w1_base.alg
+        real = brandtforms.isometry_witness
+        pi_vec, pi_den = _element_of_norm(w1_base, 5)
+
+        def corrupted(i1, i2):
+            vec, den = real(i1, i2)
+            if corruption == "outside the order":
+                return vec, 7 * den  # nrd(x) = 5^k, so x is not in 7·O
+            if corruption == "norm not a power of p":
+                return tuple(2 * c for c in vec), den
+            # x·pi: in the order with norm 5^(k+1), but it moves parity
+            return alg.mul(vec, pi_vec), den * pi_den
+        graph = QuotientGraph(w1_base, 5)
+        graph.ensure_walk()
+        monkeypatch.setattr(brandtforms, "isometry_witness", corrupted)
+        with pytest.raises(InvariantViolationError,
+                           match=r"from state \(\d+, [01]\) to state \(\d+, [01]\)"
+                                 r".*" + message):
+            graph.classify_vertex(TreeVertex(5, 6, 1, 0))
+
+    def test_path_beyond_the_precision_is_refused(self, w1_base):
+        low = QuotientGraph(w1_base, 5, prec=8)
+        with pytest.raises(InvariantViolationError, match="precision too low"):
+            low.classify_vertex(TreeVertex(5, 8, 1, 0))
+        with pytest.raises(InvariantViolationError, match="precision too low"):
+            low.classify_edge(TreeEdge(TreeVertex(5, 8, 1, 0), TreeVertex(5, 9, 1, 0)))
+        # within reach, the low-precision graph gives the ideal route's class
+        for v in (TreeVertex(5, 4, 1, 0), TreeVertex(5, 2, 3, 3)):
+            assert low.classify_vertex(v) == _vertex_class_by_ideal(low, v)

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quatlfun.bttree import (TreeEdge, act, ball, canonical_vertex, distance,
-                             edges_from, forward_edges, neighbors, root_vertex)
+                             edges_from, forward_edges, neighbors, parent,
+                             root_vertex)
 from quatlfun.errors import UsageError
 
 from oracles import act_oracle, canonical_vertex_oracle, distance_oracle
@@ -116,6 +117,19 @@ class TestNeighbors:
     def test_two_step_count(self):
         layers = ball(2, 2)
         assert len(layers[1]) + len(layers[2]) == 3 + 6
+
+    def test_parent_is_the_neighbour_one_layer_up(self):
+        # every vertex of layer r > 0 has exactly one neighbour in layer r - 1
+        for p, vertices in _BALLS.items():
+            root = root_vertex(p)
+            for v in vertices:
+                if v == root:
+                    continue
+                up = parent(v)
+                assert up in neighbors(v)
+                assert distance(root, up) == distance(root, v) - 1
+        with pytest.raises(UsageError):
+            parent(root_vertex(3))
 
 
 class TestAction:

@@ -129,6 +129,56 @@ class TestBrandt:
         finally:
             cache.configure(None)
 
+    def test_cached_translate_of_another_class_exits_5(self, tmp_path, capsys):
+        store = tmp_path / "cache"
+        argv = ["brandt", "--disc", "29", "--primes", "3", "--cache", str(store)]
+        try:
+            assert main(argv) == 0
+            (entry,) = store.iterdir()
+            data = json.loads(entry.read_text())
+            # classes 0 and 1 both have 2 units: storing (1+i)·I_0 in place of
+            # I_1 keeps right stability, the unit counts and the mass
+            assert data["unit_counts"][:2] == [2, 2]
+            data["reps"][1] = _translate(data, (1, 1, 0, 0), data["reps"][0])
+            entry.write_text(json.dumps(data))
+            _assert_load_fails(store, data, "cached classes 0 and 1 are isometric")
+            assert main(argv) == 5
+            assert "cached classes 0 and 1 are isometric" in capsys.readouterr().err
+        finally:
+            cache.configure(None)
+
+    @pytest.mark.parametrize("version", [None, 0, "1"])
+    def test_cache_entry_of_another_schema_exits_5(self, version, tmp_path, capsys):
+        store = tmp_path / "cache"
+        argv = ["brandt", "--disc", "11", "--primes", "3", "--cache", str(store)]
+        try:
+            assert main(argv) == 0
+            (entry,) = store.iterdir()
+            data = json.loads(entry.read_text())
+            assert data["version"] == cache.CACHE_VERSION
+            if version is None:
+                del data["version"]
+            else:
+                data["version"] = version
+            entry.write_text(json.dumps(data))
+            _assert_load_fails(store, data, "schema version")
+            assert main(argv) == 5
+            assert "schema version" in capsys.readouterr().err
+        finally:
+            cache.configure(None)
+
+    def test_cache_key_is_the_full_digest(self, tmp_path):
+        import hashlib
+        from quatlfun.quatarith import maximal_order, algebra_from_discriminant
+        order = maximal_order(algebra_from_discriminant(11))
+        key = cache.class_set_key(order, 3)
+        assert len(key) == 64
+        payload = json.dumps({"a": order.alg.a, "b": order.alg.b,
+                              "den": order.lattice.den,
+                              "rows": [list(r) for r in order.lattice.rows],
+                              "neighbor": 3}, sort_keys=True)
+        assert key == hashlib.sha256(payload.encode()).hexdigest()
+
     def test_cache_does_not_leak_into_the_next_run(self, tmp_path, capsys):
         store = tmp_path / "cache"
         try:
@@ -138,6 +188,15 @@ class TestBrandt:
             assert cache.cache_directory() is None
         finally:
             cache.configure(None)
+
+
+def _translate(data, x, entry):
+    """The stored form of x·I, I the cached lattice `entry` of the algebra."""
+    from quatlfun.quatarith import QuaternionAlgebra
+    from quatlfun.quatarith.lattice import Lattice4
+    alg = QuaternionAlgebra(*data["algebra"])
+    lat = Lattice4(entry["den"], [alg.mul(x, r) for r in entry["rows"]])
+    return {"den": lat.den, "rows": [list(r) for r in lat.rows]}
 
 
 def _assert_load_fails(store, data, match):

@@ -14,13 +14,16 @@ from quatlfun.quatarith import (ClassSet, Lattice4, QuaternionAlgebra,
                                 algebra_from_discriminant, eichler_mass,
                                 eichler_order, eichler_order_for,
                                 hilbert_symbol,
-                                ideal_class_set, isometric, local_splitting,
+                                ideal_class_set, isometric, isometry_witness,
+                                local_splitting,
                                 maximal_order, neighbor_matrix, neighbors,
                                 optimal_embedding, quadratic_generator,
                                 ramified_primes, standard_order,
                                 two_sided_prime)
 from quatlfun.quatarith.embedding import embedding_with_base
 from quatlfun.quatarith.ideal import reduce_ideal
+from quatlfun.quatarith import ideal as ideal_module
+from quatlfun.quatarith import lattice as lattice_module
 from quatlfun.quatarith.lattice import (enumerate_by_value, hnf_rows,
                                         integer_kernel, invert,
                                         shortest_value_and_vector,
@@ -212,6 +215,87 @@ class TestClassSets:
         order = maximal_order(algebra_from_discriminant(11))
         with pytest.raises(UsageError):
             ideal_class_set(order, 11)
+
+
+_WITNESS_CLASS_SETS = {d: ideal_class_set(maximal_order(algebra_from_discriminant(d)), 2)
+                       for d in (11, 23)}
+
+
+def _left_multiple(x, ideal):
+    """x·I for x an integer 4-tuple over the order's denominator."""
+    den = ideal.order.lattice.den
+    rows = [ideal.alg.mul(x, r) for r in ideal.lattice.rows]
+    return RightIdeal(ideal.order, Lattice4(den * ideal.lattice.den, rows))
+
+
+class TestIsometryWitness:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(_WITNESS_CLASS_SETS)), st.data())
+    def test_witness_rebuilds_the_ideal(self, disc, data):
+        cs = _WITNESS_CLASS_SETS[disc]
+        i, j = data.draw(st.integers(0, len(cs) - 1)), data.draw(st.integers(0, len(cs) - 1))
+        c = data.draw(st.tuples(*[st.integers(-3, 3)] * 4).filter(any))
+        rows = cs.order.lattice.rows
+        x = tuple(sum(ci * r[k] for ci, r in zip(c, rows)) for k in range(4))
+        big, small = _left_multiple(x, cs.reps[i]), cs.reps[j]
+        found = isometry_witness(big, small)
+        assert isometric(big, small) == (found is not None) == (i == j)
+        if found is None:
+            return
+        # I = (w/nrd J)·J, as lattices
+        vec, den = found
+        norm = small.nrd()
+        lat = Lattice4(norm.numerator * den * small.lattice.den,
+                       [[norm.denominator * v for v in small.alg.mul(vec, r)]
+                        for r in small.lattice.rows])
+        assert lat == big.lattice
+        assert Fraction(small.alg.nrd(vec), den * den) == big.nrd() * norm
+
+    def test_witness_lies_in_the_order(self):
+        cs = _WITNESS_CLASS_SETS[23]
+        spl = local_splitting(cs.order, 3, 1)
+        for nb in neighbors(cs.reps[1], 3, spl):
+            rep = cs.reps[cs.classify(reduce_ideal(nb))]
+            vec, den = isometry_witness(nb, rep)
+            assert cs.order.lattice.contains(vec, den)
+
+
+class TestReduceIdeal:
+    def _fresh_ideals(self):
+        out = []
+        for disc, ell in ((11, 3), (23, 5), (37, 3)):
+            order = maximal_order(algebra_from_discriminant(disc))
+            spl = local_splitting(order, ell, 1)
+            for nb in neighbors(RightIdeal.unit_ideal(order), ell, spl):
+                out.append(RightIdeal(order, nb.lattice))
+        return out
+
+    def test_one_lagrange_reduction_per_call(self, monkeypatch):
+        calls = []
+        real = lattice_module.lagrange_reduce
+
+        def counted(gram):
+            calls.append(1)
+            return real(gram)
+        monkeypatch.setattr(lattice_module, "lagrange_reduce", counted)
+        monkeypatch.setattr(ideal_module, "lagrange_reduce", counted)
+        for ideal in self._fresh_ideals():
+            del calls[:]
+            reduce_ideal(ideal)
+            assert len(calls) == 1
+            del calls[:]
+            reduce_ideal(ideal)  # the ideal keeps its reduction
+            assert calls == []
+
+    def test_same_vector_as_a_second_reduction(self):
+        # reducing the reduced Gram again, the old route, picks the same
+        # shortest vector, so every reduced ideal is unchanged
+        for ideal in self._fresh_ideals():
+            red, u = ideal.reduced_gram()
+            value, y = shortest_value_and_vector(red)
+            coords = tuple(sum(u[r][c] * y[c] for c in range(4)) for r in range(4))
+            assert shortest_value_and_vector(ideal.normalized_gram(), (red, u)) \
+                == (value, coords)
 
 
 def _copy_class_set(cs, reps=None, unit_counts=None):

@@ -7,7 +7,7 @@ first. The tracer module is only read, never installed. Every name a
 subpackage lists in __all__ must exist, so a deleted helper cannot stay
 advertised. The package keeps one builder of quaternion norm Grams,
 lattice elements in quatarith stay integer rows over a denominator, and the
-tree, the torus and the measure compute in integers only.
+tree, its transport, the torus and the measure compute in integers only.
 """
 
 import importlib
@@ -86,7 +86,8 @@ def test_lattice_elements_are_integer_rows():
 
 
 def test_tree_torus_and_measure_are_integer_only():
-    # the Bruhat-Tits tree, the torus orbits and the measure need no Fraction;
-    # the Fraction tree is tests/oracles.py's reference
-    modules = ("bttree.py", "toruscm.py", "padicl.py")
+    # the Bruhat-Tits tree, the tree transport, the torus orbits and the
+    # measure need no Fraction; the Fraction tree is tests/oracles.py's
+    # reference
+    modules = ("bttree.py", "brandtforms.py", "toruscm.py", "padicl.py")
     assert [m for m in modules if _imports_fractions(os.path.join(SRC, m))] == []
