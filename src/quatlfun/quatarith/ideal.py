@@ -134,7 +134,7 @@ def isometry_witness(i1: RightIdeal, i2: RightIdeal):
     nrd(x) = nrd(I)·nrd(J) that the enumeration meets, returned as an integer
     4-tuple vec over a positive den (x = vec/den). When I and J lie in the
     order, so does x. Ideals with different theta keys get None untested.
-    The identity: x·J ⊆ I·conj(J)·J = nrd(J)·I, and both sides of
+    Why I = (x/nrd(J))·J: x·J ⊆ I·conj(J)·J = nrd(J)·I, and both sides of
     I ⊇ (x/nrd(J))·J have reduced norm nrd(I), so they are equal.
     """
     if i1.order is not i2.order and i1.order != i2.order:

@@ -15,7 +15,6 @@ from quatlfun.errors import InvariantViolationError, UsageError
 from quatlfun.pipeline import _torus_quotient
 from quatlfun.quatarith import (algebra_from_discriminant, eichler_mass,
                                 eichler_order_for, maximal_order)
-from quatlfun.quatarith.ideal import reduce_ideal
 from quatlfun.quatarith.lattice import enumerate_by_value
 from quatlfun.toruscm import build_torus, edge_orbit_table
 
@@ -337,15 +336,6 @@ def test_transport_sweep(disc, p, level):
 TOWERS = [(11, 5, 2, -3), (11, 5, 4, -3), (17, 5, 3, -3), (11, 3, 4, -4)]
 
 
-def _vertex_class_by_ideal(graph, v):
-    """The ideal route on any vertex: the path route's reference."""
-    return graph.vertex_classes.classify(reduce_ideal(graph._vertex_ideal(v)))
-
-
-def _edge_class_by_ideal(graph, e):
-    return graph.edge_classes.classify(reduce_ideal(graph._edge_ideal(e)))
-
-
 @pytest.fixture(scope="module")
 def w1_base():
     return _torus_quotient(11, 1, 5, -3)[0]
@@ -363,6 +353,8 @@ def _element_of_norm(order, n):
 
 
 class TestPathTransport:
+    """The path route against the ideal route, which runs on any cell."""
+
     @pytest.mark.parametrize("n_minus,p,m,disc_k", TOWERS)
     def test_orbit_tables_match_the_ideal_route(self, n_minus, p, m, disc_k):
         _, embedding, graph = _torus_quotient(n_minus, 1, p, disc_k)
@@ -374,7 +366,7 @@ class TestPathTransport:
             for j, edge in enumerate(ray):
                 pair = torus.pair_power(torus.torsion_pair, s)
                 for t in range(p ** j):
-                    if _edge_class_by_ideal(graph, torus.act_edge(pair, edge)) \
+                    if graph._edge_class_by_ideal(torus.act_edge(pair, edge)) \
                             != table[(s, t, j)]:
                         wrong.append((s, t, j))
                     checked += 1
@@ -396,9 +388,9 @@ class TestPathTransport:
                 b += 1
             cells.append(TreeVertex(5, a, b, d))
         for v in cells:
-            assert graph.classify_vertex(v) == _vertex_class_by_ideal(graph, v)
+            assert graph.classify_vertex(v) == graph._vertex_class_by_ideal(v)
             e = TreeEdge(v, rng.choice(neighbors(v)))
-            assert graph.classify_edge(e) == _edge_class_by_ideal(graph, e)
+            assert graph.classify_edge(e) == graph._edge_class_by_ideal(e)
 
     def test_each_witness_is_derived_once(self, w1_base, monkeypatch):
         calls = []
@@ -449,4 +441,4 @@ class TestPathTransport:
             low.classify_edge(TreeEdge(TreeVertex(5, 8, 1, 0), TreeVertex(5, 9, 1, 0)))
         # within reach, the low-precision graph gives the ideal route's class
         for v in (TreeVertex(5, 4, 1, 0), TreeVertex(5, 2, 3, 3)):
-            assert low.classify_vertex(v) == _vertex_class_by_ideal(low, v)
+            assert low.classify_vertex(v) == low._vertex_class_by_ideal(v)
