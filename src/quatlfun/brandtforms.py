@@ -165,6 +165,7 @@ class QuotientGraph:
 
     def ensure_walk(self):
         if not self._walked:
+            self.edge_classes  # built here, not inside the first classify_edge
             self._walking = True
             try:
                 self._walk()

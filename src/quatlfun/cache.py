@@ -5,7 +5,7 @@ order lattice, neighbor prime) and stored as human-diffable JSON with a
 schema version. On load the version must match, every representative is
 re-certified (stored in canonical form, right-stable under the order, its
 left order's unit count as stored), the representatives must be pairwise
-non-isometric (tested within theta-key buckets), and then the mass must
+non-isometric (checked by the class-set lookup), and then the mass must
 hold. So a corrupted cache is caught rather than trusted: the mass alone
 cannot see swapped unit counts, and neither the mass nor the unit counts
 see a class stored twice under two of its ideals.
@@ -104,16 +104,16 @@ def load_class_set(order, neighbor_prime: int):
 
 
 def _check_distinct(reps):
-    """No two cached representatives are isometric; only equal theta keys
-    can be, so each pair within a theta-key bucket is tested."""
-    from .quatarith.ideal import isometric
+    """No two cached representatives are isometric: each is looked up among
+    those before it by the class-set lookup, then added to its buckets."""
+    from .quatarith.classset import _add, _match
     buckets = {}
     for i, rep in enumerate(reps):
-        for j in buckets.get(rep.theta_key(), ()):
-            if isometric(rep, reps[j]):
-                raise InvariantViolationError(
-                    f"cached classes {j} and {i} are isometric: one class is stored twice")
-        buckets.setdefault(rep.theta_key(), []).append(i)
+        j = _match(buckets, rep)
+        if j is not None:
+            raise InvariantViolationError(
+                f"cached classes {j} and {i} are isometric: one class is stored twice")
+        _add(buckets, i, rep)
 
 
 def _stored_lattice(i, entry):

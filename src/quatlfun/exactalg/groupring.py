@@ -132,17 +132,24 @@ class GroupRingElement:
 
 
 def group_ring_mul(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
-    """Cyclic convolution in (Z/p^n)[Z/p^m]."""
+    """Cyclic convolution in (Z/p^n)[Z/p^m], by Kronecker substitution.
+
+    Each coefficient list is packed into one integer with a slot of w bytes
+    per coefficient, 8w >= 2·bits(q) + bits(m) for q = p^n: a coefficient of
+    the linear convolution is a sum of at most m products below q^2, so it
+    fits its slot. One integer product gives all of them; slots k and k + m
+    are folded together and reduced mod q.
+    """
     a._check_compatible(b)
     m = a.group_order
-    out = [0] * m
-    for i, ca in enumerate(a.coeffs):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b.coeffs):
-            if cb:
-                out[(i + j) % m] += ca * cb
-    return GroupRingElement.make(a.ring, m, out)
+    w = (2 * a.ring.modulus.bit_length() + m.bit_length() + 7) // 8
+
+    def pack(coeffs):
+        return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in coeffs),
+                              "little")
+    prod = (pack(a.coeffs) * pack(b.coeffs)).to_bytes(2 * m * w, "little")
+    slots = [int.from_bytes(prod[k:k + w], "little") for k in range(0, 2 * m * w, w)]
+    return GroupRingElement.make(a.ring, m, [x + y for x, y in zip(slots, slots[m:])])
 
 
 def involution(a: GroupRingElement) -> GroupRingElement:

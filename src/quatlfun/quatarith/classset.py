@@ -8,9 +8,13 @@ certified by the Eichler mass identity
 
 which holds exactly (psi(M) = M * prod_{l | M} (1 + 1/l)); connectivity of the
 neighbor graph makes the walk exhaustive, and the certificate catches any gap.
-The walk and `ClassSet.classify` share one lookup, `_match`: representatives
-are bucketed by theta key in a dict, and only those in the ideal's own bucket
-get an isometry test.
+The walk, `ClassSet.classify` and the cache's load check share one lookup,
+`_match`, with two tiers of class invariants: representatives are bucketed by
+theta key in a dict, and only those in the ideal's own bucket get an isometry
+test. In a bucket of two or more, the ideal's theta tail (longer counts,
+computed then and cached on the ideal) must agree too. Equal invariants only
+admit the test; `isometric` decides every match, so the classes found and
+their order do not depend on the tiers.
 
 Brandt matrices come from the theta series of the pairs of representatives
 (Pizer, J. Algebra 64 (1980); Gross, "Heights and the special values of
@@ -190,9 +194,14 @@ def _match(buckets, ideal):
     """Index of the representative isometric to `ideal`, or None.
 
     buckets maps a theta key to the (index, representative) pairs with that
-    key, so only the representatives sharing the ideal's key are tested.
+    key, so only the representatives sharing the ideal's key are tested. In
+    a bucket of two or more, only those that also share its theta tail are.
     """
-    for idx, rep in buckets.get(ideal.theta_key(), ()):
+    bucket = buckets.get(ideal.theta_key(), ())
+    if len(bucket) > 1:
+        tail = ideal.theta_tail()
+        bucket = [(idx, rep) for idx, rep in bucket if rep.theta_tail() == tail]
+    for idx, rep in bucket:
         if isometric(ideal, rep):
             return idx
     return None

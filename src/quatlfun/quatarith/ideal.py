@@ -3,13 +3,16 @@
 Every ideal carries one integer Gram G, built once from
 `QuaternionAlgebra.norm_gram`, with x^T G x = 2·nrd(x)/nrd(I) in its lattice
 basis, and one Lagrange reduction of G. The content of G gives nrd(I); the
-reduced Gram gives the value counts at 2, 4, ..., 12 (the theta key) and the
-shortest vector (the reduced ideal). Class equality is decided
-exactly: [I] = [J] iff the lattice I·conj(J) represents nrd(I)·nrd(J),
-tested by short-vector enumeration at that exact value (no slack). The
-element found is kept as a witness: x in I·conj(J) with
-nrd(x) = nrd(I)·nrd(J) gives I = (x/nrd(J))·J. Callers bucket
-representatives by theta key, so only ideals with equal keys are tested.
+reduced Gram gives the shortest vector (the reduced ideal) and two tiers of
+value counts: the theta key at 2, 4, ..., 12 (nrd(x)/nrd(I) = 1..6), and,
+computed only on demand, the theta tail at 14, ..., 2·THETA_TAIL_NRD. Both
+are class invariants: y -> x·y carries J's normalized norm form onto that of
+I = x·J. Class equality is decided exactly: [I] = [J] iff the lattice
+I·conj(J) represents nrd(I)·nrd(J), tested by short-vector enumeration at
+that exact value (no slack). The element found is kept as a witness: x in
+I·conj(J) with nrd(x) = nrd(I)·nrd(J) gives I = (x/nrd(J))·J. Callers
+bucket representatives by theta key, so only ideals with equal keys are
+tested, and in a crowded bucket only those with equal tails.
 """
 
 from __future__ import annotations
@@ -24,6 +27,12 @@ from .lattice import (Lattice4, enumerate_by_value, lagrange_reduce,
 from .order import QuaternionOrder, left_order_of
 from .splitting import LocalSplitting
 
+# largest nrd(x)/nrd(I) counted by the theta tail: over the 57 sweep class
+# sets and the 20 quotient-sweep discs, 20 or 24 spare only 3 more of ~400
+# failing isometry tests at a higher enumeration cost; 12 leaves twice as
+# many as 16 on disc 374
+THETA_TAIL_NRD = 16
+
 
 class RightIdeal:
     """A full lattice that is a right module over its right order."""
@@ -36,6 +45,7 @@ class RightIdeal:
         self._gram = None
         self._reduced = None
         self._theta = None
+        self._theta_tail = None
         self._left_order = None
         self._conjugate = None
 
@@ -81,6 +91,13 @@ class RightIdeal:
         if self._theta is None:
             self._theta = tuple(value_counts(self.reduced_gram()[0], 12)[2::2])
         return self._theta
+
+    def theta_tail(self):
+        """Counts of x with nrd(x)/nrd(I) = 7, ..., THETA_TAIL_NRD."""
+        if self._theta_tail is None:
+            counts = value_counts(self.reduced_gram()[0], 2 * THETA_TAIL_NRD)
+            self._theta_tail = tuple(counts[14::2])
+        return self._theta_tail
 
     def left_order(self) -> QuaternionOrder:
         if self._left_order is None:

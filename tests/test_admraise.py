@@ -7,6 +7,7 @@ from quatlfun.brandtforms import EigenSystem, QuotientGraph
 from quatlfun.errors import DataMissingError, UsageError
 from quatlfun.primes import is_prime
 from quatlfun.quatarith import algebra_from_discriminant, maximal_order
+from quatlfun.quatarith import classset
 
 from oracles import curve_a_ell, kronecker_oracle
 
@@ -186,6 +187,25 @@ class TestRaiseLevel:
         assert report.detail == ("no congruent eigensystem on disc 374: "
                                  "falsifier for the level-raising instance")
         assert assignments(report.candidates) == CUSPIDAL_374
+
+    def test_few_failed_isometry_tests(self, f11a_mod5, monkeypatch):
+        # a count, not a timing: disc 374's 16 classes share 6 theta keys, so
+        # the key alone left about 345 failing isometry tests in this search
+        failed = []
+        real = classset.isometric
+
+        def counted(i1, i2):
+            found = real(i1, i2)
+            if not found:
+                failed.append(1)
+            return found
+        monkeypatch.setattr(classset, "isometric", counted)
+        c1, _ = is_n_admissible(2, f11a_mod5, -3, 5, 1, 55)
+        c2, _ = is_n_admissible(17, f11a_mod5, -3, 5, 1, 55)
+        report = raise_level_search(f11a_mod5, c1, c2, old_disc=11, level=1,
+                                    sample_primes=SAMPLE_374)
+        assert report.success
+        assert len(failed) <= 60
 
     def test_second_reciprocity_l_element(self, raised_pair):
         # the L-side object of the second reciprocity law exists and computes

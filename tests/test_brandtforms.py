@@ -61,6 +61,20 @@ class TestQuotientGraph:
         graph11_p2.ensure_walk()
         assert len(graph11_p2.parity_reps) == 2 * graph11_p2.vertex_count()
 
+    def test_edge_classes_built_before_the_walk(self):
+        # so the traced span of the walk's first classify_edge holds no
+        # class-set enumeration
+        graph = QuotientGraph(maximal_order(algebra_from_discriminant(11)), 3)
+        built = []
+        real = graph.classify_edge
+
+        def spy(e):
+            built.append(graph._edge_classes_cache is not None)
+            return real(e)
+        graph.classify_edge = spy
+        graph.ensure_walk()
+        assert built and all(built)
+
 
 class TestBrandtMatrices:
     def test_row_sums_and_commutation(self, graph11_p2):

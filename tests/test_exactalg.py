@@ -221,6 +221,22 @@ class TestGroupRing:
         with pytest.raises(UsageError):
             group_ring_mul(a, b)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_product_matches_convolution_oracle(self, data):
+        p = data.draw(st.sampled_from([2, 3, 5]))
+        n = data.draw(st.integers(1, 3))
+        m = data.draw(st.integers(0, {2: 9, 3: 5, 5: 4}[p]))  # p^m <= 625
+        q, order = p ** n, p ** m
+        # coefficients from a drawn seed: up to 1,250 of them would overrun
+        # Hypothesis's buffer; all q - 1 fills every slot to its bound
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        fill = data.draw(st.sampled_from([lambda: rng.randrange(q), lambda: q - 1,
+                                          lambda: rng.choice([0, 0, 0, q - 1])]))
+        a, b = ([fill() for _ in range(order)] for _ in range(2))
+        assert list(group_ring_mul(gre(p, n, m, a), gre(p, n, m, b)).coeffs) == \
+            convolution_oracle(a, b, q, order)
+
     @settings(max_examples=50, deadline=None)
     @given(st.data())
     def test_commutative_associative(self, data):

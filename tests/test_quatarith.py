@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from quatlfun.brandtforms import QuotientGraph
 from quatlfun.errors import (InvariantViolationError, SearchExhaustedError,
                              UsageError)
 from quatlfun.primes import first_coprime_prime, is_prime, prime_factors
@@ -20,6 +24,7 @@ from quatlfun.quatarith import (ClassSet, Lattice4, QuaternionAlgebra,
                                 optimal_embedding, quadratic_generator,
                                 ramified_primes, standard_order,
                                 two_sided_prime)
+from quatlfun.quatarith.classset import _add, _match
 from quatlfun.quatarith.embedding import embedding_with_base
 from quatlfun.quatarith.ideal import reduce_ideal
 from quatlfun.quatarith import ideal as ideal_module
@@ -260,6 +265,35 @@ class TestIsometryWitness:
             assert cs.order.lattice.contains(vec, den)
 
 
+@pytest.fixture(scope="module")
+def cs374():
+    return ideal_class_set(maximal_order(algebra_from_discriminant(374)), 3)
+
+
+class TestThetaTiers:
+    def test_tail_separates_the_crowded_bucket(self, cs374):
+        keys = {rep.theta_key() for rep in cs374.reps}
+        both = {(rep.theta_key(), rep.theta_tail()) for rep in cs374.reps}
+        assert (len(keys), len(both), len(cs374)) == (6, 13, 16)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_translate_keeps_both_tiers_and_its_class(self, cs374, data):
+        # y -> x·y carries J's normalized norm form onto x·J's
+        j = data.draw(st.integers(0, len(cs374) - 1))
+        c = data.draw(st.tuples(*[st.integers(-2, 2)] * 4).filter(any))
+        rows = cs374.order.lattice.rows
+        x = tuple(sum(ci * r[k] for ci, r in zip(c, rows)) for k in range(4))
+        rep = cs374.reps[j]
+        translate = _left_multiple(x, rep)
+        assert translate.theta_key() == rep.theta_key()
+        assert translate.theta_tail() == rep.theta_tail()
+        buckets = {}
+        for idx, r in enumerate(cs374.reps):
+            _add(buckets, idx, r)
+        assert _match(buckets, translate) == j
+
+
 class TestReduceIdeal:
     def _fresh_ideals(self):
         out = []
@@ -410,6 +444,40 @@ def test_brandt_matches_neighbour_oracle(disc, level):
         for side in ("left", "right"):
             assert _idealizer(rep.alg, rep.lattice, side) == \
                 idealizer_oracle(rep.alg, rep.lattice, side)
+
+
+CLASS_SET_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "class_sets.json")
+
+
+def _pinned_class_sets():
+    """Name -> builder of each class set whose representatives are pinned:
+    the sweep, disc 374 at neighbour primes 3 and 5, and the disc-374 edge
+    classes at p = 5."""
+    cases = {f"disc{d}-level{lv}": (lambda d=d, lv=lv: ideal_class_set(
+        eichler_order_for(d, lv), first_coprime_prime(d * lv))) for d, lv in _SWEEP}
+    for ell in (3, 5):
+        cases[f"disc374-nb{ell}"] = lambda ell=ell: ideal_class_set(
+            maximal_order(algebra_from_discriminant(374)), ell)
+    cases["disc374-edge-p5"] = lambda: QuotientGraph(
+        maximal_order(algebra_from_discriminant(374)), 5).edge_classes
+    return cases
+
+
+def class_set_digest(cs):
+    """SHA-256 of the representatives' (den, rows), in class order."""
+    data = [[rep.lattice.den, [list(r) for r in rep.lattice.rows]] for rep in cs.reps]
+    return hashlib.sha256(json.dumps(data).encode()).hexdigest()
+
+
+_PINNED = _pinned_class_sets()
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_class_set_representatives_pinned(name):
+    """Class order and representatives are byte for byte those of
+    golden/class_sets.json: a faster lookup may not pick other ideals."""
+    with open(CLASS_SET_GOLDEN) as fh:
+        assert class_set_digest(_PINNED[name]()) == json.load(fh)[name]
 
 
 @settings(max_examples=60, deadline=None)
