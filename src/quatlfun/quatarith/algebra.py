@@ -114,18 +114,25 @@ class QuaternionAlgebra:
         return x[0] * x[0] - self.a * x[1] * x[1] - self.b * x[2] * x[2] \
             + self.a * self.b * x[3] * x[3]
 
-    def trd_pair(self, x, y):
-        """trd(x * conj(y)), the bilinear form polarizing nrd."""
-        return self.trd(self.mul(x, self.conj(y)))
-
     def norm_gram(self, lat):
         """Integer T with nrd(sum c_i r_i / den) = c^T T c / (2 den^2).
 
         r_i are the integer rows of `lat` over its denominator den. The one
-        builder of a norm Gram in the package; T has an even diagonal.
+        builder of a norm Gram in the package; T has an even diagonal. Its
+        entries are trd(x·conj(y)) = 2·(x0·y0 - a·x1·y1 - b·x2·y2 + ab·x3·y3),
+        computed on the upper triangle and mirrored.
         """
+        a, b = self.a, self.b
         rows = lat.rows
-        return [[self.trd_pair(a, b) for b in rows] for a in rows]
+        n = len(rows)
+        t = [[0] * n for _ in range(n)]
+        for i, (x0, x1, x2, x3) in enumerate(rows):
+            w0, w1, w2, w3 = 2 * x0, -2 * a * x1, -2 * b * x2, 2 * a * b * x3
+            ti = t[i]
+            for j in range(i, n):
+                y0, y1, y2, y3 = rows[j]
+                ti[j] = t[j][i] = w0 * y0 + w1 * y1 + w2 * y2 + w3 * y3
+        return t
 
 
 def algebra_from_discriminant(d: int) -> QuaternionAlgebra:

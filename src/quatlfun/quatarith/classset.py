@@ -8,6 +8,9 @@ certified by the Eichler mass identity
 
 which holds exactly (psi(M) = M * prod_{l | M} (1 + 1/l)); connectivity of the
 neighbor graph makes the walk exhaustive, and the certificate catches any gap.
+A neighbour is looked up as it comes and reduced only if it starts a new
+class: reduction multiplies it on the left, which changes no class invariant
+and no isometry.
 The walk, `ClassSet.classify` and the cache's load check share one lookup,
 `_match`, with two tiers of class invariants: representatives are bucketed by
 theta key in a dict, and only those in the ideal's own bucket get an isometry
@@ -172,10 +175,10 @@ def ideal_class_set(order: QuaternionOrder, neighbor_prime: int) -> ClassSet:
     queue = deque([start])
     while queue:
         for nb in neighbors(queue.popleft(), neighbor_prime, spl):
-            nb = reduce_ideal(nb)  # keep norms Minkowski-small along the walk
             if _match(buckets, nb) is None:
                 if len(reps) >= MAX_CLASSES:
                     raise ResourceLimitError("class-number bound exceeded")
+                nb = reduce_ideal(nb)  # keep norms Minkowski-small along the walk
                 _add(buckets, len(reps), nb)
                 reps.append(nb)
                 queue.append(nb)

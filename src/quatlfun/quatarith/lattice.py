@@ -13,7 +13,9 @@ vectors up to a value, `shortest_value_and_vector` finds a minimum in one
 enumeration, and `value_counts` gives theta coefficients. All three run one
 exact Fincke-Pohst recursion with isqrt-based bounds, behind a pairwise
 Lagrange reduction; its setup reads the leading minors of the Gram off one
-fraction-free elimination.
+fraction-free elimination, and its last level is a plain loop that yields
+the vectors. A Lagrange step updates the symmetric Gram's row and column
+together, in one pass.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from ..errors import InvariantViolationError, UsageError
+
+# passes of lagrange_reduce before it gives up; the most any call of the
+# benchmark's four workloads needs is 9
+LAGRANGE_PASSES = 1000
 
 
 def hnf_rows(rows, expect_rank=None):
@@ -220,27 +226,33 @@ def lagrange_reduce(gram):
     """Greedy pairwise reduction of an integer Gram matrix (optimal in dim <= 4).
 
     Returns (reduced, U) with reduced = U^T gram U and U unimodular; original
-    vectors are recovered as U @ x.
+    vectors are recovered as U @ x. gram must be square and symmetric: a step
+    b_j -= mu·b_i writes row j and column j together, v_k = g[j][k] - mu·g[i][k],
+    and g[j][j] - 2·mu·g[i][j] + mu^2·g[i][i] from the values before the step.
+    A form that is still changing after LAGRANGE_PASSES passes raises.
     """
     n = len(gram)
+    if any(len(r) != n for r in gram):
+        raise UsageError("Gram matrix must be square")
+    if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(i)):
+        raise UsageError("Gram matrix must be symmetric")
     g = [list(r) for r in gram]
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    guard = 0
-    changed = True
-    while changed and guard < 1000:
+    for _ in range(LAGRANGE_PASSES):
         changed = False
-        guard += 1
         for i in range(n):
+            gi = g[i]
             for j in range(n):
-                if i == j or g[i][i] == 0:
+                if i == j or gi[i] == 0:
                     continue
                 # nearest integer to g[i][j] / g[i][i] (diagonal positive)
-                mu = (2 * g[i][j] + g[i][i]) // (2 * g[i][i])
+                mu = (2 * gi[j] + gi[i]) // (2 * gi[i])
                 if mu:
+                    gj = g[j]
+                    d = gj[j] - mu * (2 * gi[j] - mu * gi[i])
                     for k in range(n):
-                        g[k][j] -= mu * g[k][i]
-                    for k in range(n):
-                        g[j][k] -= mu * g[i][k]
+                        gj[k] = g[k][j] = gj[k] - mu * gi[k]
+                    gj[j] = d
                     for k in range(n):
                         u[k][j] -= mu * u[k][i]
                     changed = True
@@ -250,7 +262,10 @@ def lagrange_reduce(gram):
             g = [[g[a][b] for b in order] for a in order]
             u = [[u[k][order[c]] for c in range(n)] for k in range(n)]
             changed = True
-    return [tuple(r) for r in g], u
+        if not changed:
+            return [tuple(r) for r in g], u
+    raise InvariantViolationError(
+        f"Lagrange reduction still changing after {LAGRANGE_PASSES} passes")
 
 
 def _fincke_pohst(gram, max_value):
@@ -304,17 +319,24 @@ def _fincke_pohst(gram, max_value):
     x = [0] * n
 
     def recurse(i, budget):
-        if i < 0:
-            if any(x):
-                yield (top - budget) // scale, tuple(x)
-            return
         mi, ki, row = m[i], k[i], num[i]
         c = sum(row[j] * x[j] for j in range(i + 1, n))
         b = isqrt(budget // ki)
-        for t in range(-((c + b) // mi), (b - c) // mi + 1):
-            s = mi * t + c
-            x[i] = t
-            yield from recurse(i - 1, budget - ki * s * s)
+        ts = range(-((c + b) // mi), (b - c) // mi + 1)
+        if i:
+            for t in ts:
+                s = mi * t + c
+                x[i] = t
+                yield from recurse(i - 1, budget - ki * s * s)
+            return
+        # the leaf level: x is complete once x_0 = t is set
+        rest = any(x[1:])
+        base = top - budget
+        for t in ts:
+            if t or rest:
+                s = mi * t + c
+                x[0] = t
+                yield (base + ki * s * s) // scale, tuple(x)
 
     yield from recurse(n - 1, top)
 

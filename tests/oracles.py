@@ -357,6 +357,116 @@ def minimum_of_form(gram, boxes):
     return best
 
 
+# -- the rank-4 kernels as the library first wrote them -----------------------
+#    (a column-then-row Lagrange update, the entrywise trd(x·conj y) Gram,
+#    and a Fincke-Pohst recursion with one generator per leaf)
+
+def lagrange_reduce_oracle(gram):
+    """Greedy pairwise reduction of an integer Gram matrix (optimal in dim <= 4).
+
+    Returns (reduced, U) with reduced = U^T gram U and U unimodular; original
+    vectors are recovered as U @ x.
+    """
+    n = len(gram)
+    g = [list(r) for r in gram]
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    guard = 0
+    changed = True
+    while changed and guard < 1000:
+        changed = False
+        guard += 1
+        for i in range(n):
+            for j in range(n):
+                if i == j or g[i][i] == 0:
+                    continue
+                # nearest integer to g[i][j] / g[i][i] (diagonal positive)
+                mu = (2 * g[i][j] + g[i][i]) // (2 * g[i][i])
+                if mu:
+                    for k in range(n):
+                        g[k][j] -= mu * g[k][i]
+                    for k in range(n):
+                        g[j][k] -= mu * g[i][k]
+                    for k in range(n):
+                        u[k][j] -= mu * u[k][i]
+                    changed = True
+        # keep diagonal sorted ascending to stabilize the loop
+        order = sorted(range(n), key=lambda k: g[k][k])
+        if order != list(range(n)):
+            g = [[g[a][b] for b in order] for a in order]
+            u = [[u[k][order[c]] for c in range(n)] for k in range(n)]
+            changed = True
+    return [tuple(r) for r in g], u
+
+
+def norm_gram_oracle(alg, lat):
+    """Integer T with nrd(sum c_i r_i / den) = c^T T c / (2 den^2), entrywise."""
+
+    def trd_pair(x, y):
+        """trd(x * conj(y)), the bilinear form polarizing nrd."""
+        return alg.trd(alg.mul(x, alg.conj(y)))
+
+    rows = lat.rows
+    return [[trd_pair(a, b) for b in rows] for a in rows]
+
+
+def _fincke_pohst_oracle(gram, max_value):
+    """Yield (value, x) with 0 < x^T gram x <= max_value, x integer; see
+    `quatlfun.quatarith.lattice._fincke_pohst` for the derivation."""
+    from math import gcd, isqrt, lcm
+    n = len(gram)
+    a = [list(r) for r in gram]
+    m, num, k_num, k_den = [], [], [], []
+    prev = 1  # D_i
+    for i in range(n):
+        d, row = a[i][i], a[i]  # D_{i+1} and the pivot row
+        if d <= 0:
+            raise UsageError("form is not positive definite")
+        mi = 1
+        for j in range(i + 1, n):
+            mi = lcm(mi, d // gcd(row[j], d))
+        m.append(mi)
+        num.append([0] * (i + 1) + [row[j] * mi // d for j in range(i + 1, n)])
+        wd = prev * mi * mi
+        g = gcd(d, wd)
+        k_num.append(d // g)
+        k_den.append(wd // g)
+        for r in range(i + 1, n):
+            ar, ari = a[r], a[r][i]
+            for c in range(i + 1, n):
+                ar[c] = (d * ar[c] - ari * row[c]) // prev
+        prev = d
+    if max_value < 0:
+        raise UsageError("negative radicand")
+    scale = lcm(1, *k_den)
+    k = [kn * (scale // kd) for kn, kd in zip(k_num, k_den)]
+    top = max_value * scale
+    x = [0] * n
+
+    def recurse(i, budget):
+        if i < 0:
+            if any(x):
+                yield (top - budget) // scale, tuple(x)
+            return
+        mi, ki, row = m[i], k[i], num[i]
+        c = sum(row[j] * x[j] for j in range(i + 1, n))
+        b = isqrt(budget // ki)
+        for t in range(-((c + b) // mi), (b - c) // mi + 1):
+            s = mi * t + c
+            x[i] = t
+            yield from recurse(i - 1, budget - ki * s * s)
+
+    yield from recurse(n - 1, top)
+
+
+def enumerate_by_value_oracle(gram, max_value):
+    """Yield (value, x) for every integer x != 0 with x^T gram x = value <= max_value,
+    in the order of the library's enumeration: Lagrange-reduce, recurse, map back."""
+    red, u = lagrange_reduce_oracle(gram)
+    n = len(red)
+    for value, vec in _fincke_pohst_oracle(red, max_value):
+        yield value, tuple(sum(u[r][c] * vec[c] for c in range(n)) for r in range(n))
+
+
 # -- the Bruhat-Tits tree by Fraction column reduction -------------------------
 #    (the library's tree before it went integer-only: rational entries, a
 #    column reduction over Q, and the distance from the inverse over Q)

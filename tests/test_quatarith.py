@@ -27,17 +27,20 @@ from quatlfun.quatarith import (ClassSet, Lattice4, QuaternionAlgebra,
 from quatlfun.quatarith.classset import _add, _match
 from quatlfun.quatarith.embedding import embedding_with_base
 from quatlfun.quatarith.ideal import reduce_ideal
+from quatlfun.quatarith import classset as classset_module
 from quatlfun.quatarith import ideal as ideal_module
 from quatlfun.quatarith import lattice as lattice_module
 from quatlfun.quatarith.lattice import (enumerate_by_value, hnf_rows,
                                         integer_kernel, invert,
+                                        lagrange_reduce,
                                         shortest_value_and_vector,
                                         value_counts)
 from quatlfun.quatarith.order import _idealizer
 
-from oracles import (count_vectors_of_norm, hilbert_symbol_oracle, hnf_oracle,
-                     idealizer_oracle, kronecker_oracle, minimum_of_form,
-                     neighbor_matrix_oracle)
+from oracles import (count_vectors_of_norm, enumerate_by_value_oracle,
+                     hilbert_symbol_oracle, hnf_oracle, idealizer_oracle,
+                     kronecker_oracle, lagrange_reduce_oracle, minimum_of_form,
+                     neighbor_matrix_oracle, norm_gram_oracle)
 
 
 class TestSymbols:
@@ -174,6 +177,21 @@ class TestClassSets:
         cs = ideal_class_set(maximal_order(algebra_from_discriminant(374)), 3)
         assert cs.mass == eichler_mass(374, 1) == Fraction(20, 3)
         assert len(cs) == 16
+
+    @pytest.mark.parametrize("order, ell", [
+        (lambda: maximal_order(algebra_from_discriminant(374)), 3),
+        (lambda: eichler_order_for(37, 3), 2)])
+    def test_walk_reduces_only_new_representatives(self, monkeypatch, order, ell):
+        # every other neighbour is matched raw; the unit ideal needs none
+        calls = []
+        real = classset_module.reduce_ideal
+
+        def counted(ideal):
+            calls.append(1)
+            return real(ideal)
+        monkeypatch.setattr(classset_module, "reduce_ideal", counted)
+        cs = ideal_class_set(order(), ell)
+        assert len(calls) == len(cs) - 1
 
     def test_neighbor_regularity(self):
         cs = ideal_class_set(maximal_order(algebra_from_discriminant(11)), 2)
@@ -712,6 +730,78 @@ class TestLattice4:
         assert len(ker) == 3
         for v in ker:
             assert all(sum(r[i] * v[i] for i in range(4)) == 0 for r in rows)
+
+
+def _definite_gram(n, entries, diagonal):
+    """A^T A + diag(d): a positive definite n×n integer Gram."""
+    a = [entries[n * k:n * k + n] for k in range(n)]
+    return [[sum(a[k][i] * a[k][j] for k in range(n)) + (i == j) * diagonal[i]
+             for j in range(n)] for i in range(n)]
+
+
+def _fibonacci_gram(n):
+    """U^T U for U the n-th Fibonacci matrix: the form x^2 + y^2 in a basis
+    that pairwise reduction takes about n/2 steps to undo."""
+    f = [0, 1]
+    while len(f) < n + 2:
+        f.append(f[-1] + f[-2])
+    u = [[f[n + 1], f[n]], [f[n], f[n - 1]]]
+    return [[sum(u[k][i] * u[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+
+
+class TestKernelsAgainstOracles:
+    """The rank-4 kernels give exactly their oracles' outputs: the same
+    (R, U), the same norm Gram, the same enumeration sequence."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 4),
+           st.lists(st.one_of(st.integers(-3, 3), st.integers(-2 ** 40, 2 ** 40)),
+                    min_size=16, max_size=16),
+           st.lists(st.one_of(st.integers(1, 4), st.integers(1, 2 ** 70)),
+                    min_size=4, max_size=4))
+    def test_lagrange_reduce_matches_oracle(self, n, entries, diagonal):
+        # entries up to 2^40 give Gram entries beyond 2^64
+        gram = _definite_gram(n, entries, diagonal)
+        assert lagrange_reduce(gram) == lagrange_reduce_oracle(gram)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(-500, -1), st.integers(-500, -1),
+           st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=16, max_size=16))
+    def test_norm_gram_matches_oracle(self, a, b, entries):
+        alg = QuaternionAlgebra(a, b)
+        lat = Lattice4(1, [entries[4 * k:4 * k + 4] for k in range(4)], reduce=False)
+        assert alg.norm_gram(lat) == norm_gram_oracle(alg, lat)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 4), st.lists(st.integers(-2, 2), min_size=16, max_size=16),
+           st.lists(st.integers(1, 3), min_size=4, max_size=4), st.integers(0, 16))
+    def test_enumeration_sequence_matches_oracle(self, n, entries, diagonal, bound):
+        # the order of the vectors, not only their set: ties and witnesses
+        # are the first hits
+        gram = _definite_gram(n, entries, diagonal)
+        hits = list(enumerate_by_value(gram, bound))
+        assert hits == list(enumerate_by_value_oracle(gram, bound))
+        counts = [0] * (bound + 1)
+        for value, _ in hits:
+            counts[value] += 1
+        assert value_counts(lagrange_reduce(gram)[0], bound) == counts
+
+    @pytest.mark.parametrize("gram", [[[2, 1]], [[2, 1], [1]], [[2, 1, 0], [1, 2, 0]]])
+    def test_lagrange_rejects_a_non_square_gram(self, gram):
+        with pytest.raises(UsageError, match="square"):
+            lagrange_reduce(gram)
+
+    def test_lagrange_rejects_a_non_symmetric_gram(self):
+        # the update reads one triangle, so the other may not differ
+        with pytest.raises(UsageError, match="symmetric"):
+            lagrange_reduce([[2, 1, 0], [0, 2, 0], [0, 0, 3]])
+
+    def test_lagrange_raises_when_not_converged(self):
+        # x^2 + y^2 in a Fibonacci basis: n = 3000 needs fewer than 1000
+        # passes, n = 5000 more; the unconverged basis is not returned
+        assert lagrange_reduce(_fibonacci_gram(3000))[0] == [(1, 0), (0, 1)]
+        with pytest.raises(InvariantViolationError, match="still changing"):
+            lagrange_reduce(_fibonacci_gram(5000))
 
 
 def _naive_det(rows):
