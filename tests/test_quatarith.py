@@ -741,7 +741,7 @@ def _definite_gram(n, entries, diagonal):
 
 def _fibonacci_gram(n):
     """U^T U for U the n-th Fibonacci matrix: the form x^2 + y^2 in a basis
-    that pairwise reduction takes about n/2 steps to undo."""
+    that pairwise reduction undoes a few steps per pass."""
     f = [0, 1]
     while len(f) < n + 2:
         f.append(f[-1] + f[-2])
