@@ -3,7 +3,7 @@
 from .algebra import (QuaternionAlgebra, algebra_from_discriminant,
                       hilbert_symbol, kronecker, legendre, ramified_primes)
 from .classset import (ClassSet, eichler_mass, ideal_class_set,
-                       neighbor_matrix)
+                       neighbor_matrix, uq_by_classification, uq_from_counts)
 from .embedding import Embedding, optimal_embedding, quadratic_generator
 from .ideal import RightIdeal, isometric, isometry_witness, neighbors
 from .lattice import Lattice4
@@ -20,5 +20,6 @@ __all__ = [
     "left_order_of", "legendre", "local_splitting",
     "maximal_order", "neighbor_matrix", "neighbors", "optimal_embedding",
     "quadratic_generator", "ramified_primes",
-    "standard_order", "two_sided_prime",
+    "standard_order", "two_sided_prime", "uq_by_classification",
+    "uq_from_counts",
 ]

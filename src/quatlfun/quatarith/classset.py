@@ -24,6 +24,10 @@ Brandt matrices come from the theta series of the pairs of representatives
 L-series" (1987), sections 1-2): the ell-neighbours of I_i in class j are
 counted by the elements of I_i·conj(I_j) of reduced norm
 ell·nrd(I_i)·nrd(I_j), one orbit of #O_l(I_j)^× for each neighbour.
+The same reading holds at a prime q | disc, where the only right ideal
+J ⊂ I_i with nrd(J) = q·nrd(I_i) is I_i·P_q, P_q the two-sided prime over q:
+B(q) is the permutation [I_i] -> [I_i·P_q] (`uq_from_counts`). Classifying
+each I_i·P_q gives the same matrix (`uq_by_classification`).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from ..errors import InvariantViolationError, ResourceLimitError, UsageError
 from ..primes import is_prime, prime_factors
 from .ideal import RightIdeal, isometric, neighbors, reduce_ideal
 from .lattice import lagrange_reduce, value_counts
-from .order import QuaternionOrder
+from .order import QuaternionOrder, two_sided_prime
 from .splitting import local_splitting
 
 # class-number bound of the neighbour walk
@@ -72,6 +76,11 @@ class ClassSet:
 
     def __len__(self):
         return len(self.reps)
+
+    @property
+    def counts_upto(self) -> int:
+        """The largest m whose representation counts are enumerated already."""
+        return self._counts_upto
 
     @property
     def mass(self) -> Fraction:
@@ -221,14 +230,72 @@ def neighbor_matrix(class_set: ClassSet, ell: int):
     if not is_prime(ell) or (class_set.disc * class_set.level) % ell == 0:
         raise UsageError(f"Brandt matrix wants a prime coprime to disc·level, "
                          f"got {ell}")
-    units = class_set.unit_counts
-    rows = []
-    for i, counts in enumerate(class_set.representation_counts(ell)):
-        if any(n % w for n, w in zip(counts, units)):
-            raise InvariantViolationError(
-                f"unit count does not divide N_{i}j({ell}): {counts} vs {units}")
-        row = [n // w for n, w in zip(counts, units)]
+    rows = _counts_over_units(class_set, ell)
+    for i, row in enumerate(rows):
         if sum(row) != ell + 1:
             raise InvariantViolationError(f"row {i} of B({ell}) sums to {sum(row)}")
-        rows.append(row)
     return rows
+
+
+def uq_from_counts(class_set: ClassSet, q: int):
+    """U_q at a prime q | disc, read off the theta series: U[i][j] = N_ij(q)/w_j.
+
+    At a ramified q the only right ideal J ⊂ I_i with nrd(J) = q·nrd(I_i) is
+    I_i·P_q (Pizer, J. Algebra 64 (1980); Gross (1987), section 1), so the
+    matrix is the permutation [I_i] -> [I_i·P_q]. The counts are enumerated
+    up to q if they do not reach it yet. Certificates: B(1) = I,
+    w_j | N_ij(q), and `_certify_involution`.
+    """
+    _check_ramified(class_set, q)
+    rows = _counts_over_units(class_set, q)
+    _certify_involution(rows, q)
+    return rows
+
+
+def uq_by_classification(class_set: ClassSet, q: int):
+    """U_q at a prime q | disc by classifying I_i·P_q for each representative.
+
+    Certified as `uq_from_counts` is: a permutation and an involution.
+    """
+    _check_ramified(class_set, q)
+    order = class_set.order
+    pq = two_sided_prime(order, q)
+    h = len(class_set)
+    rows = [[0] * h for _ in range(h)]
+    for i, rep in enumerate(class_set.reps):
+        image = RightIdeal(order, rep.product_lattice(pq))
+        rows[i][class_set.classify(reduce_ideal(image))] = 1
+    _certify_involution(rows, q)
+    return rows
+
+
+def _check_ramified(class_set, q):
+    if not is_prime(q) or class_set.disc % q:
+        raise UsageError(f"U_q wants a prime dividing the discriminant "
+                         f"{class_set.disc}, got {q}")
+
+
+def _counts_over_units(class_set, m):
+    """Rows N_ij(m) / w_j; InvariantViolation unless each w_j divides N_ij(m)."""
+    units = class_set.unit_counts
+    rows = []
+    for i, counts in enumerate(class_set.representation_counts(m)):
+        if any(n % w for n, w in zip(counts, units)):
+            raise InvariantViolationError(
+                f"unit count does not divide N_{i}j({m}): {counts} vs {units}")
+        rows.append([n // w for n, w in zip(counts, units)])
+    return rows
+
+
+def _certify_involution(rows, q):
+    """U_q permutes the classes, and U_q² = I since P_q² = qO."""
+    image = []
+    for i, row in enumerate(rows):
+        if row.count(1) != 1 or sum(row) != 1:
+            raise InvariantViolationError(
+                f"row {i} of U_{q} is not a unit vector: {row}")
+        image.append(row.index(1))
+    if len(set(image)) != len(rows):
+        raise InvariantViolationError(f"U_{q} is not a permutation: {image}")
+    if any(image[j] != i for i, j in enumerate(image)):
+        raise InvariantViolationError(f"U_{q}² is not the identity: {image}")

@@ -16,6 +16,12 @@ Lagrange reduction; its setup reads the leading minors of the Gram off one
 fraction-free elimination, and its last level is a plain loop that yields
 the vectors. A Lagrange step updates the symmetric Gram's row and column
 together, in one pass.
+
+x and -x have the same value, so `value_counts` visits one of each pair and
+counts it twice: the recursion's halved mode starts a coordinate at 0 while
+every higher coordinate is 0, where its range is symmetric about 0. The
+other two list every vector, in the same order as before, so no shortest
+vector, witness or reduced ideal depends on the halving.
 """
 
 from __future__ import annotations
@@ -268,7 +274,7 @@ def lagrange_reduce(gram):
         f"Lagrange reduction still changing after {LAGRANGE_PASSES} passes")
 
 
-def _fincke_pohst(gram, max_value):
+def _fincke_pohst(gram, max_value, halved=False):
     """Yield (value, x) with 0 < x^T gram x <= max_value, x integer.
 
     gram is an integral positive definite Gram, best a Lagrange-reduced one
@@ -276,6 +282,10 @@ def _fincke_pohst(gram, max_value):
     recursion of the package. Both x and -x appear; the last coordinate is
     outermost and each coordinate runs upwards, so the order of the vectors
     found does not depend on max_value. Lazy: callers may stop early.
+
+    With halved, only the x whose last nonzero coordinate is positive appear,
+    one of each pair ±x: while every higher coordinate is 0, the centre of a
+    coordinate is 0 and it runs from 0 upwards.
 
     Its data come from one fraction-free (Bareiss) elimination of gram, whose
     pivots are the leading minors D_1, ..., D_n (D_0 = 1). In
@@ -318,16 +328,17 @@ def _fincke_pohst(gram, max_value):
     top = max_value * scale
     x = [0] * n
 
-    def recurse(i, budget):
+    def recurse(i, budget, half):
+        # half: halved, and every coordinate above i is 0
         mi, ki, row = m[i], k[i], num[i]
         c = sum(row[j] * x[j] for j in range(i + 1, n))
         b = isqrt(budget // ki)
-        ts = range(-((c + b) // mi), (b - c) // mi + 1)
+        ts = range(0 if half else -((c + b) // mi), (b - c) // mi + 1)
         if i:
             for t in ts:
                 s = mi * t + c
                 x[i] = t
-                yield from recurse(i - 1, budget - ki * s * s)
+                yield from recurse(i - 1, budget - ki * s * s, half and not t)
             return
         # the leaf level: x is complete once x_0 = t is set
         rest = any(x[1:])
@@ -338,7 +349,7 @@ def _fincke_pohst(gram, max_value):
                 x[0] = t
                 yield (base + ki * s * s) // scale, tuple(x)
 
-    yield from recurse(n - 1, top)
+    yield from recurse(n - 1, top, halved)
 
 
 def _enumerate_reduced(red, u, max_value):
@@ -375,9 +386,10 @@ def value_counts(gram_int, max_value: int):
     """counts[v] = #{x != 0 : x^T G x = v} for v = 0..max_value, G integral.
 
     Pass a Lagrange-reduced G: the counts are basis-free, so no vector is
-    mapped back.
+    mapped back. x and -x have the same value, so one of each pair is
+    visited and counted twice.
     """
     counts = [0] * (max_value + 1)
-    for val, _ in _fincke_pohst(gram_int, max_value):
-        counts[val] += 1
+    for val, _ in _fincke_pohst(gram_int, max_value, halved=True):
+        counts[val] += 2
     return counts

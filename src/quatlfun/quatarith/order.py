@@ -21,7 +21,7 @@ from math import gcd, isqrt
 
 from ..errors import InvariantViolationError, UsageError
 from ..exactalg import IntMatrix, det, kernel_mod
-from ..primes import prime_factors
+from ..primes import is_prime, prime_factors
 from .algebra import QuaternionAlgebra, algebra_from_discriminant
 from .lattice import Lattice4, enumerate_by_value, hnf_rows
 
@@ -303,11 +303,13 @@ def eichler_order_for(disc: int, level: int) -> QuaternionOrder:
 def two_sided_prime(order: QuaternionOrder, q: int) -> Lattice4:
     """The two-sided ideal P_q = qO + rad(O/qO) at a ramified prime q.
 
-    Requires q | reduced discriminant with the order maximal at q; the
-    quotient O/qO is then local and the radical is its set of nilpotents.
+    Requires a prime q dividing the algebra's discriminant, where an Eichler
+    order is maximal; the quotient O/qO is then local and the radical is its
+    set of nilpotents. Any other q is a UsageError, raised before any work.
     """
-    if order.reduced_discriminant() % q != 0:
-        raise UsageError("two-sided prime only at ramified primes")
+    if not is_prime(q) or order.alg.discriminant % q:
+        raise UsageError(f"two-sided prime wants a prime dividing the "
+                         f"discriminant {order.alg.discriminant}, got {q}")
     return order.lattice.sublattice_mod(q, _radical_mod_local(order, q))
 
 

@@ -458,6 +458,15 @@ def _fincke_pohst_oracle(gram, max_value):
     yield from recurse(n - 1, top)
 
 
+def value_counts_oracle(gram, max_value):
+    """counts[v] = #{x != 0 : x^T gram x = v}, every vector visited: the
+    library's count before it paired x with -x."""
+    counts = [0] * (max_value + 1)
+    for value, _ in _fincke_pohst_oracle(gram, max_value):
+        counts[value] += 1
+    return counts
+
+
 def enumerate_by_value_oracle(gram, max_value):
     """Yield (value, x) for every integer x != 0 with x^T gram x = value <= max_value,
     in the order of the library's enumeration: Lagrange-reduce, recurse, map back."""

@@ -13,8 +13,12 @@ from quatlfun.brandtforms import (AutomorphicForm, EigenSystem, QuotientGraph,
 from quatlfun.bttree import TreeEdge, TreeVertex, ball, neighbors
 from quatlfun.errors import InvariantViolationError, UsageError
 from quatlfun.pipeline import _torus_quotient
-from quatlfun.quatarith import (algebra_from_discriminant, eichler_mass,
-                                eichler_order_for, maximal_order)
+from quatlfun.primes import first_coprime_prime, is_prime
+from quatlfun.quatarith import (ClassSet, algebra_from_discriminant,
+                                eichler_mass, eichler_order_for, maximal_order,
+                                uq_by_classification, uq_from_counts)
+from quatlfun.quatarith import classset as classset_module
+from quatlfun.quatarith import ideal as ideal_module
 from quatlfun.quatarith.lattice import enumerate_by_value
 from quatlfun.toruscm import build_torus, edge_orbit_table
 
@@ -114,6 +118,46 @@ class TestBrandtMatrices:
         assert all(sum(row) == 1 for row in u11)
         assert all(sum(u11[i][j] for i in range(len(u11))) == 1
                    for j in range(len(u11)))
+
+
+# the raise-374 search: disc 374 = 2·11·17, eigensystems mod 5, T_ell at the
+# primes ell <= 50 prime to 374·5
+RAISE_374_SAMPLES = [ell for ell in range(2, 51)
+                     if is_prime(ell) and (374 * 5) % ell]
+
+
+class TestUqRoutes:
+    def test_raise_search_reads_uq_off_its_counts(self, monkeypatch):
+        # once the search's T_ell are built, U_2, U_11, U_17 classify nothing
+        graph = QuotientGraph(eichler_order_for(374, 1),
+                              first_coprime_prime(374 * 5))
+        for ell in sorted(RAISE_374_SAMPLES, reverse=True):
+            graph.brandt_matrix(ell)
+
+        def fail(*args):
+            raise AssertionError("U_q classified an ideal")
+        monkeypatch.setattr(ClassSet, "classify", fail)
+        for module in (brandtforms, classset_module, ideal_module):
+            monkeypatch.setattr(module, "reduce_ideal", fail)
+        got = {q: graph.uq_matrix(q) for q in (2, 11, 17)}
+        monkeypatch.undo()
+        cs = graph.vertex_classes
+        assert got == {q: uq_by_classification(cs, q) for q in (2, 11, 17)}
+
+    def test_q_above_the_counts_is_classified(self, monkeypatch):
+        graph = QuotientGraph(maximal_order(algebra_from_discriminant(83)), 2)
+        graph.brandt_matrix(5)
+        cs = graph.vertex_classes
+        classified = []
+        real = ClassSet.classify
+
+        def counted(self, ideal):
+            classified.append(ideal)
+            return real(self, ideal)
+        monkeypatch.setattr(ClassSet, "classify", counted)
+        u83 = graph.uq_matrix(83)
+        assert cs.counts_upto == 5 and len(classified) == len(cs)
+        assert u83 == uq_from_counts(cs, 83)
 
 
 def _mul(a, b):

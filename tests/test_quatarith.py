@@ -23,8 +23,9 @@ from quatlfun.quatarith import (ClassSet, Lattice4, QuaternionAlgebra,
                                 maximal_order, neighbor_matrix, neighbors,
                                 optimal_embedding, quadratic_generator,
                                 ramified_primes, standard_order,
-                                two_sided_prime)
-from quatlfun.quatarith.classset import _add, _match
+                                two_sided_prime, uq_by_classification,
+                                uq_from_counts)
+from quatlfun.quatarith.classset import _add, _certify_involution, _match
 from quatlfun.quatarith.embedding import embedding_with_base
 from quatlfun.quatarith.ideal import reduce_ideal
 from quatlfun.quatarith import classset as classset_module
@@ -40,7 +41,8 @@ from quatlfun.quatarith.order import _idealizer
 from oracles import (count_vectors_of_norm, enumerate_by_value_oracle,
                      hilbert_symbol_oracle, hnf_oracle, idealizer_oracle,
                      kronecker_oracle, lagrange_reduce_oracle, minimum_of_form,
-                     neighbor_matrix_oracle, norm_gram_oracle)
+                     neighbor_matrix_oracle, norm_gram_oracle,
+                     value_counts_oracle)
 
 
 class TestSymbols:
@@ -447,21 +449,87 @@ def _oracle_sweep_cases():
 _SWEEP = _oracle_sweep_cases()
 
 
+def _assert_uq_routes_agree(cs, brandt):
+    """At every q | disc, U_q read off the counts (enumerated up to q first if
+    need be) equals the classification of I_i·P_q. It is a permutation and an
+    involution, and commutes with each T_ell in brandt."""
+    h = len(cs)
+    unit = [0] * (h - 1) + [1]
+    for q in prime_factors(cs.disc):
+        u = uq_from_counts(cs, q)
+        assert cs.counts_upto >= q
+        assert u == uq_by_classification(cs, q)
+        assert all(sorted(line) == unit for line in u + [list(c) for c in zip(*u)])
+        sigma = [row.index(1) for row in u]  # U[i][sigma(i)] = 1
+        assert [sigma[j] for j in sigma] == list(range(h))
+        for b in brandt:
+            # (U·B)[i][j] = B[sigma(i)][j] and (B·U)[i][j] = B[i][sigma(j)]
+            assert all(b[sigma[i]][j] == b[i][sigma[j]]
+                       for i in range(h) for j in range(h))
+
+
 @pytest.mark.parametrize("disc,level", _SWEEP,
                          ids=[f"disc{d}-level{lv}" for d, lv in _SWEEP])
 def test_brandt_matches_neighbour_oracle(disc, level):
     """The theta route against the neighbour walk at the first two good primes
-    and the first good prime above 20; the idealizers of every representative
-    against the Fraction route."""
+    and the first good prime above 20; both U_q routes at every q | disc; the
+    idealizers of every representative against the Fraction route."""
     n = disc * level
     cs = ideal_class_set(eichler_order_for(disc, level), first_coprime_prime(n))
     ells = _coprime_primes(n, 2) + _coprime_primes(n, 1, start=21)
     got = {ell: neighbor_matrix(cs, ell) for ell in sorted(ells, reverse=True)}
     assert got == {ell: neighbor_matrix_oracle(cs, ell) for ell in ells}
+    _assert_uq_routes_agree(cs, got.values())
     for rep in cs.reps:
         for side in ("left", "right"):
             assert _idealizer(rep.alg, rep.lattice, side) == \
                 idealizer_oracle(rep.alg, rep.lattice, side)
+
+
+def test_uq_routes_agree_on_disc374_edge_classes():
+    """The 80 edge classes of disc 374 at p = 5: the level-5 Eichler order."""
+    cs = QuotientGraph(maximal_order(algebra_from_discriminant(374)), 5).edge_classes
+    cs.representation_counts(17)  # one enumeration serves every q and ell
+    _assert_uq_routes_agree(cs, [neighbor_matrix(cs, ell) for ell in (3, 7)])
+
+
+class TestUqFromTheta:
+    def _corrupt_pair(self, cs, q):
+        """Raise N_ik(q) from 0 to w_k for classes i != k of equal unit count
+        that U_q does not pair: rows i and k each gain a second 1."""
+        u = uq_from_counts(cs, q)
+        w = cs.unit_counts
+        i, k = next((i, k) for i in range(len(cs)) for k in range(i + 1, len(cs))
+                    if w[i] == w[k] and not u[i][k])
+        cs._pair_counts[i, k][q] = w[k]
+        return i
+
+    def test_row_with_two_ones_caught(self, cs374):
+        cs = _copy_class_set(cs374)
+        i = self._corrupt_pair(cs, 17)
+        with pytest.raises(InvariantViolationError, match=f"row {i} of U_17"):
+            uq_from_counts(cs, 17)
+
+    def test_corrupted_unit_counts_caught(self, cs374):
+        # counts certified first, then the unit counts change under them
+        cs = _copy_class_set(cs374)
+        uq_from_counts(cs, 11)
+        cs.unit_counts = [2 * w for w in cs.unit_counts]
+        with pytest.raises(InvariantViolationError, match="unit count does not divide"):
+            uq_from_counts(cs, 11)
+        cs.unit_counts = [w // 2 for w in cs374.unit_counts]
+        with pytest.raises(InvariantViolationError, match="U_11"):
+            uq_from_counts(cs, 11)
+
+    @pytest.mark.parametrize("rows,message", [
+        ([[1, 1, 0], [1, 0, 0], [0, 0, 1]], "row 0 of U_7 is not a unit vector"),
+        ([[2, 0, 0], [0, 1, 0], [0, 0, 1]], "row 0 of U_7 is not a unit vector"),
+        ([[0, 1, 0], [0, 1, 0], [0, 0, 1]], "not a permutation"),
+        ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], "U_7² is not the identity"),
+    ], ids=["two-ones", "a-two", "column-twice", "three-cycle"])
+    def test_certificate_rejects(self, rows, message):
+        with pytest.raises(InvariantViolationError, match=message):
+            _certify_involution(rows, 7)
 
 
 CLASS_SET_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "class_sets.json")
@@ -540,6 +608,21 @@ class TestTwoSidedPrime:
         order = maximal_order(algebra_from_discriminant(11))
         with pytest.raises(UsageError):
             two_sided_prime(order, 3)
+
+    @pytest.mark.parametrize("q", [1, 6, -2])
+    def test_bad_q_rejected_before_any_work(self, q):
+        order = maximal_order(algebra_from_discriminant(30))
+        with pytest.raises(UsageError, match="prime dividing the discriminant"):
+            two_sided_prime(order, q)
+        graph = QuotientGraph(order, 7)
+        cs = graph.vertex_classes
+        for counted in (False, True):  # each U_q route
+            if counted:
+                graph.brandt_matrix(11)
+            with pytest.raises(UsageError, match="prime dividing the discriminant"):
+                graph.uq_matrix(q)
+            assert cs.counts_upto == (11 if counted else 0)
+        assert cs._classify_memo == {}
 
 
 class TestSplitting:
@@ -785,6 +868,19 @@ class TestKernelsAgainstOracles:
         for value, _ in hits:
             counts[value] += 1
         assert value_counts(lagrange_reduce(gram)[0], bound) == counts
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4),
+           st.lists(st.one_of(st.integers(-3, 3), st.integers(-2 ** 40, 2 ** 40)),
+                    min_size=16, max_size=16),
+           st.lists(st.one_of(st.integers(1, 4), st.integers(1, 2 ** 70)),
+                    min_size=4, max_size=4),
+           st.integers(0, 60))
+    def test_value_counts_match_oracle(self, n, entries, diagonal, bound):
+        # one of each ±x counted twice, against every vector counted once;
+        # entries up to 2^40 give Gram entries beyond 2^64
+        gram = _definite_gram(n, entries, diagonal)
+        assert value_counts(gram, bound) == value_counts_oracle(gram, bound)
 
     @pytest.mark.parametrize("gram", [[[2, 1]], [[2, 1], [1]], [[2, 1, 0], [1, 2, 0]]])
     def test_lagrange_rejects_a_non_square_gram(self, gram):
