@@ -150,7 +150,7 @@ def _eleven_a_pipeline(n):
 def criterion_1():
     """Brandt engine: disc 11 class data and eigenvalues vs point counts."""
     from .quatarith import (algebra_from_discriminant, ideal_class_set,
-                            maximal_order, neighbor_matrix)
+                            maximal_order, neighbor_matrices)
     from .brandtforms import rational_eigensystems
     start = time.monotonic()
     order = maximal_order(algebra_from_discriminant(11))
@@ -158,8 +158,7 @@ def criterion_1():
     if len(cs) != 2 or cs.mass != Fraction(5, 12):
         return False, f"class data wrong: h={len(cs)}, mass={cs.mass}"
     primes = (2, 3, 7, 13)
-    # the largest prime first: its theta series serves the smaller ones
-    by_prime = {ell: neighbor_matrix(cs, ell) for ell in sorted(primes, reverse=True)}
+    by_prime = neighbor_matrices(cs, primes)
     mats = [by_prime[ell] for ell in primes]
     systems = sorted(tuple(sorted(a.items())) for a, _ in
                      rational_eigensystems(mats, primes))

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .brandtforms import EigenSystem, QuotientGraph, eigensystems_mod
+from .brandtforms import EigenSystem, eigensystems_mod
 from .errors import DataMissingError, UsageError
 from .primes import first_coprime_prime, is_prime, prime_factors
-from .quatarith import eichler_order_for, kronecker
+from .quatarith import eichler_order_for, ideal_class_set, kronecker
 
 
 @dataclass(frozen=True)
@@ -138,15 +138,15 @@ class RaiseReport:
 
 def raise_level_search(system: EigenSystem, cert1: AdmissibleCert,
                        cert2: AdmissibleCert, old_disc: int, level: int,
-                       sample_primes, is_trivial_system: bool = False,
-                       graph: QuotientGraph = None) -> RaiseReport:
+                       sample_primes, is_trivial_system: bool = False) -> RaiseReport:
     """Search disc v1·v2·N^- for an eigensystem congruent to the input.
 
     The target carries U_{v_i} ≡ eps_i and U_w ≡ a_w at old bad primes, with
     T_ell ≡ a_ell at the sampled primes. The eigenvector is required to lie in
     the Eisenstein-orthogonal sublattice (the trivial line is excluded), which
     realizes the construction's nontriviality. The input itself must not be
-    the trivial system of its own level.
+    the trivial system of its own level, and at least one sample prime must
+    be prime to v1·v2·N^-·N^+·p: a congruence sampled nowhere proves nothing.
 
     The search cuts straight to these targets (an old prime whose a_w is
     unknown is searched over its full range); only when nothing survives
@@ -163,11 +163,13 @@ def raise_level_search(system: EigenSystem, cert1: AdmissibleCert,
             raise UsageError(f"admissible certificate for {cert.v} fails re-verification")
     p, n = system.p, system.n
     new_disc = old_disc * v1 * v2
-    if graph is None:
-        graph = QuotientGraph(eichler_order_for(new_disc, level),
-                              first_coprime_prime(new_disc * level * p))
     samples = tuple(ell for ell in sample_primes
                     if new_disc * level * p % ell != 0)
+    if not samples:
+        raise UsageError(f"no sample prime is prime to {new_disc * level * p}; "
+                         "an empty sample certifies nothing")
+    classes = ideal_class_set(eichler_order_for(new_disc, level),
+                              first_coprime_prime(new_disc * level * p))
     targets = {ell: system.value(ell) for ell in samples}
     targets.update({v1: cert1.eps, v2: cert2.eps})
     for w in prime_factors(old_disc):
@@ -175,11 +177,10 @@ def raise_level_search(system: EigenSystem, cert1: AdmissibleCert,
             targets[w] = system.value(w)
         except DataMissingError:
             pass  # a_w unknown: U_w is searched over its full range
-    matches = eigensystems_mod(graph, samples, p, n, level_tag="vertex",
-                               cuspidal_only=True, fixed=targets)
+    matches = eigensystems_mod(classes, samples, p, n, cuspidal_only=True,
+                               fixed=targets)
     if not matches:
-        candidates = eigensystems_mod(graph, samples, p, n, level_tag="vertex",
-                                      cuspidal_only=True)
+        candidates = eigensystems_mod(classes, samples, p, n, cuspidal_only=True)
         return RaiseReport(False, None,
                            "no congruent eigensystem on disc "
                            f"{new_disc}: falsifier for the level-raising instance",

@@ -35,15 +35,14 @@ Tree cells are classified by one of two routes (`QuotientGraph`):
   deep as the ideal route's k + 2 <= prec; a step that needs more raises
   the same InvariantViolationError as the ideal route's precision guard.
 
-Hecke matrices on a class set come from its theta series
-(`quatarith.classset`): T_ell = B(ell) at primes ell prime to disc·level,
-and U_q at a prime q | disc, where B(q) is the permutation
-[I_i] -> [I_i·P_q], P_q the two-sided prime over q (Pizer, J. Algebra 64
-(1980); Gross, "Heights and the special values of L-series" (1987),
-section 1). `QuotientGraph.uq_matrix` reads U_q off the counts when the
-Brandt matrices of a larger prime have enumerated them, and otherwise
-classifies each I_i·P_q, which is cheaper than enumerating the counts for
-U_q alone.
+The Hecke matrices live on a class set, not on the graph
+(`quatarith.classset`): T_ell = B(ell) at primes ell prime to disc·level
+(`neighbor_matrices`), and U_q at a prime q | disc, the permutation
+[I_i] -> [I_i·P_q], P_q the two-sided prime over q (`uq_matrix`; Pizer,
+J. Algebra 64 (1980); Gross, "Heights and the special values of L-series"
+(1987), section 1). So `eigensystems_mod` takes a class set, and only
+`eigenvector_mod`, which needs the tree's U_p at the edge level, takes a
+graph.
 """
 
 from __future__ import annotations
@@ -58,8 +57,8 @@ from .errors import (DataMissingError, InvariantViolationError, UsageError)
 from .exactalg import IntMatrix, kernel_basis, kernel_mod
 from .primes import first_coprime_prime, prime_factors
 from .quatarith import (RightIdeal, eichler_mass, ideal_class_set,
-                        isometry_witness, local_splitting, neighbor_matrix,
-                        uq_by_classification, uq_from_counts)
+                        isometry_witness, local_splitting, neighbor_matrices,
+                        neighbor_matrix, uq_matrix)
 from .quatarith.classset import ClassSet
 from .quatarith.ideal import reduce_ideal
 from .quatarith.order import QuaternionOrder
@@ -146,6 +145,9 @@ class QuotientGraph:
         self.splitting = local_splitting(base_order, p, prec)
         self.vertex_classes = ideal_class_set(
             base_order, first_coprime_prime(disc * level * p))
+        self.edge_order = self._edge_order()
+        self.edge_classes = ideal_class_set(
+            self.edge_order, first_coprime_prime(disc * level * p))
         self._vertex_memo = {}
         self._edge_memo = {}
         self._matrix_memo = {}
@@ -153,29 +155,11 @@ class QuotientGraph:
         self.parity_reps = {}
         self.edge_reps = {}
         self.edge_parity_reps = {}
-        # edge-level data is built lazily: vertex-only consumers (eigensystem
-        # searches on large discriminants) never pay for it
-        self._edge_order_cache = None
-        self._edge_classes_cache = None
         self._walked = False
         self._walking = False
 
-    @property
-    def edge_order(self) -> QuaternionOrder:
-        if self._edge_order_cache is None:
-            self._edge_order_cache = self._edge_order()
-        return self._edge_order_cache
-
-    @property
-    def edge_classes(self) -> ClassSet:
-        if self._edge_classes_cache is None:
-            self._edge_classes_cache = ideal_class_set(
-                self.edge_order, first_coprime_prime(self.disc * self.level * self.p))
-        return self._edge_classes_cache
-
     def ensure_walk(self):
         if not self._walked:
-            self.edge_classes  # built here, not inside the first classify_edge
             self._walking = True
             try:
                 self._walk()
@@ -540,46 +524,9 @@ class QuotientGraph:
                 (p + 1) * eichler_mass(self.disc, self.level):
             raise InvariantViolationError("mass bookkeeping failed")
 
-    def brandt_matrix(self, ell: int, level_tag: str = "vertex"):
-        """Neighbor-count Hecke matrix T_ell on the chosen class set.
-
-        ell must be a prime coprime to disc·level (and to p for the edge
-        level); neighbor_matrix rejects any other. Asking for the largest
-        ell first enumerates each theta series once.
-        """
-        key = ("brandt", ell, level_tag)
-        if key in self._matrix_memo:
-            return self._matrix_memo[key]
-        cs = self.vertex_classes if level_tag == "vertex" else self.edge_classes
-        mat = neighbor_matrix(cs, ell)
-        self._matrix_memo[key] = mat
-        return mat
-
-    def uq_matrix(self, q: int, level_tag: str = "vertex"):
-        """U_q at a prime q | disc: the permutation [I_i] -> [I_i·P_q].
-
-        At a ramified q the only right ideal J ⊂ I_i with nrd(J) = q·nrd(I_i)
-        is I_i·P_q, P_q the two-sided prime over q (Pizer, J. Algebra 64
-        (1980); Gross (1987), section 1). So B(q)[i][j] = N_ij(q)/w_j is this
-        permutation, and it is read off the class set's theta series when
-        they already reach q, as they do once the Brandt matrices of a larger
-        sample prime are built (`uq_from_counts`). Otherwise each I_i·P_q is
-        classified (`uq_by_classification`): enumerating the theta series
-        only for U_q costs about ten times the classification (disc 83,
-        level 5, q = 83, h = 42: 0.36-0.42 s against 0.03 s CPU on a
-        2-vCPU VM, CPython 3.11). Every U_q of the benchmark's workloads
-        takes the first route, so no workload exercises the second; tests
-        cover it.
-        Both routes certify a permutation with square I, as P_q² = qO, and
-        reject any q that is not a prime dividing the discriminant.
-        """
-        key = ("uq", q, level_tag)
-        if key in self._matrix_memo:
-            return self._matrix_memo[key]
-        cs = self.vertex_classes if level_tag == "vertex" else self.edge_classes
-        route = uq_from_counts if cs.counts_upto >= q else uq_by_classification
-        rows = self._matrix_memo[key] = route(cs, q)
-        return rows
+    def brandt_matrix(self, ell: int):
+        """T_ell on the vertex classes, for a prime ell prime to disc·level."""
+        return neighbor_matrix(self.vertex_classes, ell)
 
 
 def _unit_coords(i):
@@ -732,49 +679,39 @@ def _identity_basis(h):
     return [tuple(1 if i == j else 0 for i in range(h)) for j in range(h)]
 
 
-def _hecke_operators(graph: QuotientGraph, sample_primes, level_tag, with_up):
+def _hecke_operators(classes: ClassSet, sample_primes):
     """Labelled operators in search order: ("a", ell) for T_ell at the sorted
-    sample primes, ("u", q) for U_q at the discriminant primes, and
-    ("up", p) for U_p on the edge level when asked."""
-    # the largest prime first: its theta series serves the smaller ones
-    for ell in sorted(sample_primes, reverse=True):
-        graph.brandt_matrix(ell, level_tag)
-    ops = [(("a", ell), graph.brandt_matrix(ell, level_tag))
-           for ell in sorted(sample_primes)]
-    ops += [(("u", qq), graph.uq_matrix(qq, level_tag))
-            for qq in prime_factors(graph.disc)]
-    if with_up:
-        ops.append((("up", graph.p), graph.up_matrix()))
+    sample primes, then ("u", q) for U_q at the discriminant primes."""
+    mats = neighbor_matrices(classes, sample_primes)
+    ops = [(("a", ell), mats[ell]) for ell in sorted(sample_primes)]
+    ops += [(("u", qq), uq_matrix(classes, qq)) for qq in prime_factors(classes.disc)]
     return ops
 
 
-def _start_basis(graph: QuotientGraph, level_tag, p, n, cuspidal_only):
-    cs = graph.vertex_classes if level_tag == "vertex" else graph.edge_classes
+def _start_basis(classes: ClassSet, p, n, cuspidal_only):
     if cuspidal_only:
-        return _cuspidal_sublattice(cs, p, n)
-    return _identity_basis(len(cs))
+        return _cuspidal_sublattice(classes, p, n)
+    return _identity_basis(len(classes))
 
 
-def eigensystems_mod(graph: QuotientGraph, sample_primes, p: int, n: int,
-                     level_tag: str = "vertex", cuspidal_only: bool = False,
-                     fixed: dict = None):
+def eigensystems_mod(classes: ClassSet, sample_primes, p: int, n: int,
+                     cuspidal_only: bool = False, fixed: dict = None):
     """All primitive simultaneous eigensystems of the Hecke action mod p^n.
 
-    Operators: T_ell for the sample primes, U_q at discriminant primes, and
-    U_p on the edge level. Systems must admit a common eigenvector with a
-    unit coordinate; with cuspidal_only the search runs in the sublattice
-    orthogonal to the trivial (norm-form) line under the unit-weight
-    pairing. `fixed` maps primes to known eigenvalues: those operators are
-    cut at that value only, which returns exactly the systems of the full
-    search that carry these values, in the same order.
+    Operators: T_ell for the sample primes and U_q at discriminant primes.
+    Systems must admit a common eigenvector with a unit coordinate; with
+    cuspidal_only the search runs in the sublattice orthogonal to the
+    trivial (norm-form) line under the unit-weight pairing. `fixed` maps
+    primes to known eigenvalues: those operators are cut at that value only,
+    which returns exactly the systems of the full search that carry these
+    values, in the same order.
     """
     q = p ** n
     fixed = fixed or {}
-    ops = _hecke_operators(graph, sample_primes, level_tag, level_tag == "edge")
+    ops = _hecke_operators(classes, sample_primes)
     choices = [(fixed[ell] % q,) if ell in fixed else range(q) for (_, ell), _ in ops]
     leaves = joint_eigenspaces([mat for _, mat in ops], choices,
-                               _start_basis(graph, level_tag, p, n, cuspidal_only),
-                               (p, n))
+                               _start_basis(classes, p, n, cuspidal_only), (p, n))
     systems = []
     for assignment, _ in leaves:
         a_map, u_map = {}, {}
@@ -805,16 +742,21 @@ def _cuspidal_sublattice(cs: ClassSet, p: int, n: int):
 
 def eigenvector_mod(graph: QuotientGraph, system: EigenSystem, sample_primes,
                     level_tag: str = "edge", cuspidal_only: bool = False):
-    """A canonical primitive joint eigenvector realizing the system mod p^n."""
+    """A canonical primitive joint eigenvector realizing the system mod p^n.
+
+    The operators are those of `eigensystems_mod` on the vertex or edge
+    classes, then U_p when the edge system carries its eigenvalue.
+    """
     p, n = system.p, system.n
     q = p ** n
-    ops = _hecke_operators(graph, sample_primes, level_tag,
-                           level_tag == "edge" and p in system.u)
+    classes = graph.vertex_classes if level_tag == "vertex" else graph.edge_classes
+    ops = _hecke_operators(classes, sample_primes)
+    if level_tag == "edge" and p in system.u:
+        ops.append((("up", p), graph.up_matrix()))
     choices = [(system.u[p] if kind == "up" else system.value(ell),)
                for (kind, ell), _ in ops]
     leaves = joint_eigenspaces([mat for _, mat in ops], choices,
-                               _start_basis(graph, level_tag, p, n, cuspidal_only),
-                               (p, n))
+                               _start_basis(classes, p, n, cuspidal_only), (p, n))
     prim = [g for _, span in leaves for g in span if any(x % p for x in g)]
     if not prim:
         raise DataMissingError("no primitive eigenvector realizes the system")

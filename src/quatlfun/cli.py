@@ -156,13 +156,12 @@ def _table(rows):
 
 def _cmd_brandt(args) -> int:
     from .primes import first_coprime_prime
-    from .quatarith import eichler_order_for, ideal_class_set, neighbor_matrix
+    from .quatarith import eichler_order_for, ideal_class_set, neighbor_matrices
     order = eichler_order_for(args.disc, args.level)
     cs = ideal_class_set(order, first_coprime_prime(args.disc * args.level))
     print(f"disc {args.disc}, level {args.level}: class number {len(cs)}, "
           f"mass {cs.mass}")
-    # the largest prime first: its theta series serves the smaller ones
-    mats = {ell: neighbor_matrix(cs, ell) for ell in sorted(set(args.primes), reverse=True)}
+    mats = neighbor_matrices(cs, args.primes)
     out = {}
     for ell in args.primes:
         mat = mats[ell]
@@ -181,13 +180,14 @@ def _eigensystem_from_args(args, sample_need):
         with open(args.f) as fh:
             return EigenSystem.from_json(fh.read())
     from .pipeline import PipelineConfig, select_vertex_system
-    from .brandtforms import QuotientGraph
-    from .quatarith import eichler_order_for
+    from .primes import first_coprime_prime
+    from .quatarith import eichler_order_for, ideal_class_set
     config = PipelineConfig(args.nplus, args.nminus, args.p, args.n, 0, args.K,
                             sample_bound=sample_need)
     config.validate()
-    graph = QuotientGraph(eichler_order_for(args.nminus, args.nplus), args.p)
-    return select_vertex_system(graph, config)
+    classes = ideal_class_set(eichler_order_for(args.nminus, args.nplus),
+                              first_coprime_prime(args.nminus * args.nplus * args.p))
+    return select_vertex_system(classes, config)
 
 
 def _cmd_admissible(args) -> int:

@@ -259,10 +259,6 @@ def solve(M: IntMatrix, b):
     return _times(a[r:], y)
 
 
-def rank(M: IntMatrix) -> int:
-    return sum(1 for d in eliminate([list(row) for row in M.entries], M.rows, M.cols) if d)
-
-
 # ---------------------------------------------------------------------------
 # Linear algebra over Z/p^n.  Entries are plain ints reduced mod p^n; pivots
 # are chosen with minimal p-valuation so the diagonal form is diag(p^{a_i}).

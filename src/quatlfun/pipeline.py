@@ -18,7 +18,8 @@ from .errors import (ConfigurationError, DataMissingError)
 from .padicl import (LFunctionElement, MeasurePipeline, check_projection_tower,
                      full_Lp, mu_two_nu_check)
 from .primes import first_coprime_prime, is_prime, prime_factors
-from .quatarith import eichler_order_for, ideal_class_set, kronecker
+from .quatarith import (ClassSet, eichler_order_for, ideal_class_set, kronecker,
+                        neighbor_matrices, uq_matrix)
 from .quatarith.embedding import embedding_with_base
 from .toruscm import build_torus
 
@@ -122,8 +123,8 @@ def good_primes(bound: int, bad: int):
                  if is_prime(ell) and bad % ell != 0)
 
 
-def select_vertex_system(graph: QuotientGraph, config: PipelineConfig):
-    """The pipeline's eigensystem at the vertex level.
+def select_vertex_system(classes: ClassSet, config: PipelineConfig):
+    """The pipeline's eigensystem on the vertex class set.
 
     Fixture wins when provided; otherwise the rational route must isolate a
     unique non-trivial system (integer eigenvalues), else a fixture is
@@ -138,11 +139,8 @@ def select_vertex_system(graph: QuotientGraph, config: PipelineConfig):
     bad = config.p * config.n_plus * config.n_minus
     sample = good_primes(config.sample_bound, bad)
     needed = [config.p] + list(sample)
-    # the largest prime first: its theta series serves the smaller ones
-    for ell in sorted(needed, reverse=True):
-        graph.brandt_matrix(ell)
-    mats = [graph.brandt_matrix(ell) for ell in needed]
-    systems = rational_eigensystems(mats, needed)
+    mats = neighbor_matrices(classes, needed)
+    systems = rational_eigensystems([mats[ell] for ell in needed], needed)
     nontrivial = [(a, basis) for a, basis in systems
                   if any(a[ell] != ell + 1 for ell in needed)]
     if len(nontrivial) != 1:
@@ -152,7 +150,7 @@ def select_vertex_system(graph: QuotientGraph, config: PipelineConfig):
     chosen, basis = nontrivial[0]
     q = config.p ** config.n
     a_map = {ell: chosen[ell] % q for ell in needed}
-    u_map = {qq: _eigenvalue_mod(graph.uq_matrix(qq), basis[0], config.p, config.n)
+    u_map = {qq: _eigenvalue_mod(uq_matrix(classes, qq), basis[0], config.p, config.n)
              for qq in prime_factors(config.n_minus)}
     return EigenSystem(config.p, config.n, a_map, u_map, "computed (Brandt)")
 
@@ -203,7 +201,7 @@ def run_lfun(config: PipelineConfig) -> LfunResult:
     config.validate()
     base, embedding, graph = _torus_quotient(config.n_minus, config.n_plus,
                                              config.p, config.disc_k)
-    system = select_vertex_system(graph, config)
+    system = select_vertex_system(graph.vertex_classes, config)
 
     q = config.p ** config.n
     if config.p in system.u:

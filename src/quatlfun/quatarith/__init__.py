@@ -3,7 +3,8 @@
 from .algebra import (QuaternionAlgebra, algebra_from_discriminant,
                       hilbert_symbol, kronecker, legendre, ramified_primes)
 from .classset import (ClassSet, eichler_mass, ideal_class_set,
-                       neighbor_matrix, uq_by_classification, uq_from_counts)
+                       neighbor_matrices, neighbor_matrix,
+                       uq_by_classification, uq_from_counts, uq_matrix)
 from .embedding import Embedding, optimal_embedding, quadratic_generator
 from .ideal import RightIdeal, isometric, isometry_witness, neighbors
 from .lattice import Lattice4
@@ -17,9 +18,9 @@ __all__ = [
     "QuaternionOrder", "RightIdeal", "algebra_from_discriminant",
     "eichler_mass", "eichler_order", "eichler_order_for", "hilbert_symbol",
     "ideal_class_set", "isometric", "isometry_witness", "kronecker",
-    "left_order_of", "legendre", "local_splitting",
-    "maximal_order", "neighbor_matrix", "neighbors", "optimal_embedding",
+    "left_order_of", "legendre", "local_splitting", "maximal_order",
+    "neighbor_matrices", "neighbor_matrix", "neighbors", "optimal_embedding",
     "quadratic_generator", "ramified_primes",
     "standard_order", "two_sided_prime", "uq_by_classification",
-    "uq_from_counts",
+    "uq_from_counts", "uq_matrix",
 ]

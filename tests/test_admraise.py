@@ -1,12 +1,14 @@
 import pytest
 
+from quatlfun import admraise
 from quatlfun.admraise import (CongruencePair, eisenstein_test,
                                is_n_admissible, raise_level_search,
                                search_admissible)
-from quatlfun.brandtforms import EigenSystem, QuotientGraph
+from quatlfun.brandtforms import EigenSystem, QuotientGraph, eigensystems_mod
 from quatlfun.errors import DataMissingError, UsageError
 from quatlfun.primes import is_prime
-from quatlfun.quatarith import algebra_from_discriminant, maximal_order
+from quatlfun.quatarith import (algebra_from_discriminant, ideal_class_set,
+                                maximal_order)
 from quatlfun.quatarith import classset
 
 from oracles import curve_a_ell, kronecker_oracle
@@ -119,18 +121,18 @@ def assignments(candidates):
 
 
 @pytest.fixture(scope="module")
-def graph374():
-    """Vertex data on disc 374 at the search's own auxiliary prime 3, shared so
-    the Brandt matrices are computed once for every search below."""
-    return QuotientGraph(maximal_order(algebra_from_discriminant(374)), 3)
+def classes374():
+    """The disc-374 classes at neighbour prime 5: another basis than the
+    search's, which walks at first_coprime_prime(374·5) = 3."""
+    return ideal_class_set(maximal_order(algebra_from_discriminant(374)), 5)
 
 
 @pytest.fixture(scope="module")
-def report374(f11a_mod5, graph374):
+def report374(f11a_mod5):
     c1, _ = is_n_admissible(2, f11a_mod5, -3, 5, 1, 55)
     c2, _ = is_n_admissible(17, f11a_mod5, -3, 5, 1, 55)
     return raise_level_search(f11a_mod5, c1, c2, old_disc=11, level=1,
-                              sample_primes=SAMPLE_374, graph=graph374)
+                              sample_primes=SAMPLE_374)
 
 
 @pytest.fixture(scope="module")
@@ -172,7 +174,7 @@ class TestRaiseLevel:
         assert assignments(report374.candidates) == CUSPIDAL_374[-1:]
         assert report374.pair.new is report374.candidates[0]
 
-    def test_falsifier_lists_every_cuspidal_system(self, f11a_mod5, graph374):
+    def test_falsifier_lists_every_cuspidal_system(self, f11a_mod5):
         # a_3 moved off 11a: 2 and 17 stay admissible (they read a_2, a_17)
         # but no system on disc 374 is congruent any more
         avals = dict(f11a_mod5.a)
@@ -182,11 +184,40 @@ class TestRaiseLevel:
         c2, _ = is_n_admissible(17, perturbed, -3, 5, 1, 55)
         assert c1 is not None and c2 is not None
         report = raise_level_search(perturbed, c1, c2, old_disc=11, level=1,
-                                    sample_primes=SAMPLE_374, graph=graph374)
+                                    sample_primes=SAMPLE_374)
         assert not report.success and report.pair is None
         assert report.detail == ("no congruent eigensystem on disc 374: "
                                  "falsifier for the level-raising instance")
         assert assignments(report.candidates) == CUSPIDAL_374
+
+    def test_systems_do_not_depend_on_the_neighbour_prime(self, classes374):
+        # the systems and their order do not depend on the class basis
+        systems = eigensystems_mod(classes374, SAMPLE_374, 5, 1, cuspidal_only=True)
+        assert assignments(systems) == CUSPIDAL_374
+
+    @pytest.mark.parametrize("sample", [[], [2, 17, 5, 11]], ids=["empty", "all-bad"])
+    def test_no_surviving_sample_rejected_before_any_work(self, f11a_mod5, sample,
+                                                          monkeypatch):
+        # a congruence checked at no prime would be reported as found
+        c1, _ = is_n_admissible(2, f11a_mod5, -3, 5, 1, 55)
+        c2, _ = is_n_admissible(17, f11a_mod5, -3, 5, 1, 55)
+
+        def fail(*args):
+            raise AssertionError("the search started work")
+        monkeypatch.setattr(admraise, "eichler_order_for", fail)
+        with pytest.raises(UsageError, match="sample"):
+            raise_level_search(f11a_mod5, c1, c2, old_disc=11, level=1,
+                               sample_primes=sample)
+
+    def test_search_builds_no_quotient_graph(self, f11a_mod5, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the search built a quotient graph")
+        monkeypatch.setattr(QuotientGraph, "__init__", fail)
+        c1, _ = is_n_admissible(2, f11a_mod5, -3, 5, 1, 55)
+        c2, _ = is_n_admissible(17, f11a_mod5, -3, 5, 1, 55)
+        report = raise_level_search(f11a_mod5, c1, c2, old_disc=11, level=1,
+                                    sample_primes=[3, 7, 13])
+        assert report.success
 
     def test_few_failed_isometry_tests(self, f11a_mod5, monkeypatch):
         # a count, not a timing: disc 374's 16 classes share 6 theta keys, so

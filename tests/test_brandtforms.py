@@ -15,8 +15,11 @@ from quatlfun.errors import InvariantViolationError, UsageError
 from quatlfun.pipeline import _torus_quotient
 from quatlfun.primes import first_coprime_prime, is_prime
 from quatlfun.quatarith import (ClassSet, algebra_from_discriminant,
-                                eichler_mass, eichler_order_for, maximal_order,
-                                uq_by_classification, uq_from_counts)
+                                eichler_mass, eichler_order_for,
+                                ideal_class_set, maximal_order,
+                                neighbor_matrices, neighbor_matrix,
+                                uq_by_classification, uq_from_counts,
+                                uq_matrix)
 from quatlfun.quatarith import classset as classset_module
 from quatlfun.quatarith import ideal as ideal_module
 from quatlfun.quatarith.lattice import enumerate_by_value
@@ -65,19 +68,16 @@ class TestQuotientGraph:
         graph11_p2.ensure_walk()
         assert len(graph11_p2.parity_reps) == 2 * graph11_p2.vertex_count()
 
-    def test_edge_classes_built_before_the_walk(self):
+    def test_edge_classes_built_before_the_walk(self, monkeypatch):
         # so the traced span of the walk's first classify_edge holds no
         # class-set enumeration
         graph = QuotientGraph(maximal_order(algebra_from_discriminant(11)), 3)
-        built = []
-        real = graph.classify_edge
 
-        def spy(e):
-            built.append(graph._edge_classes_cache is not None)
-            return real(e)
-        graph.classify_edge = spy
+        def fail(*args):
+            raise AssertionError("the walk built a class set")
+        monkeypatch.setattr(brandtforms, "ideal_class_set", fail)
         graph.ensure_walk()
-        assert built and all(built)
+        assert len(graph.edge_reps) == len(graph.edge_classes)
 
 
 class TestBrandtMatrices:
@@ -114,7 +114,7 @@ class TestBrandtMatrices:
             assert g.brandt_matrix(ell) == [[ell + 1]]
 
     def test_uq_is_permutation(self, graph11_p2):
-        u11 = graph11_p2.uq_matrix(11)
+        u11 = uq_matrix(graph11_p2.vertex_classes, 11)
         assert all(sum(row) == 1 for row in u11)
         assert all(sum(u11[i][j] for i in range(len(u11))) == 1
                    for j in range(len(u11)))
@@ -129,25 +129,21 @@ RAISE_374_SAMPLES = [ell for ell in range(2, 51)
 class TestUqRoutes:
     def test_raise_search_reads_uq_off_its_counts(self, monkeypatch):
         # once the search's T_ell are built, U_2, U_11, U_17 classify nothing
-        graph = QuotientGraph(eichler_order_for(374, 1),
-                              first_coprime_prime(374 * 5))
-        for ell in sorted(RAISE_374_SAMPLES, reverse=True):
-            graph.brandt_matrix(ell)
+        cs = ideal_class_set(eichler_order_for(374, 1), first_coprime_prime(374 * 5))
+        neighbor_matrices(cs, RAISE_374_SAMPLES)
 
         def fail(*args):
             raise AssertionError("U_q classified an ideal")
         monkeypatch.setattr(ClassSet, "classify", fail)
         for module in (brandtforms, classset_module, ideal_module):
             monkeypatch.setattr(module, "reduce_ideal", fail)
-        got = {q: graph.uq_matrix(q) for q in (2, 11, 17)}
+        got = {q: uq_matrix(cs, q) for q in (2, 11, 17)}
         monkeypatch.undo()
-        cs = graph.vertex_classes
         assert got == {q: uq_by_classification(cs, q) for q in (2, 11, 17)}
 
     def test_q_above_the_counts_is_classified(self, monkeypatch):
-        graph = QuotientGraph(maximal_order(algebra_from_discriminant(83)), 2)
-        graph.brandt_matrix(5)
-        cs = graph.vertex_classes
+        cs = ideal_class_set(maximal_order(algebra_from_discriminant(83)), 3)
+        neighbor_matrix(cs, 5)
         classified = []
         real = ClassSet.classify
 
@@ -155,7 +151,7 @@ class TestUqRoutes:
             classified.append(ideal)
             return real(self, ideal)
         monkeypatch.setattr(ClassSet, "classify", counted)
-        u83 = graph.uq_matrix(83)
+        u83 = uq_matrix(cs, 83)
         assert cs.counts_upto == 5 and len(classified) == len(cs)
         assert u83 == uq_from_counts(cs, 83)
 
@@ -231,23 +227,18 @@ class TestStabilization:
 class TestEigensystemsMod:
     def test_vertex_systems_collapse_mod5(self, graph11_p5):
         # 11a is Eisenstein-congruent mod 5: exactly one vertex system
-        systems = eigensystems_mod(graph11_p5, [2, 3], 5, 1)
+        systems = eigensystems_mod(graph11_p5.vertex_classes, [2, 3], 5, 1)
         assert len(systems) == 1
         s = systems[0]
         assert s.a == {2: 3, 3: 4} and s.u == {11: 1}
         assert s.eisenstein is True
 
     def test_vertex_systems_mod7_split(self, graph11_p5):
-        systems = eigensystems_mod(graph11_p5, [2, 3], 7, 1)
+        systems = eigensystems_mod(graph11_p5.vertex_classes, [2, 3], 7, 1)
         keys = sorted((s.a[2], s.a[3]) for s in systems)
         assert (curve_a_ell(2) % 7, curve_a_ell(3) % 7) in keys
         assert (3, 4) in keys
         assert len(systems) == 2
-
-    def test_edge_system_with_up(self, graph11_p5):
-        systems = eigensystems_mod(graph11_p5, [2, 3], 5, 1, level_tag="edge")
-        stabilized = [s for s in systems if s.u.get(5) == 1]
-        assert stabilized, "unit-root stabilization missing from edge systems"
 
     def test_eigenvector_canonical_scaling(self, graph11_p5):
         target = EigenSystem(5, 1, {2: 3, 3: 4}, {5: 1, 11: 1})
@@ -283,7 +274,7 @@ class TestDegeneracy:
         vec = (-2, 3)
         pulled = tuple(vec[graph11_p2.source_class(e)]
                        for e in range(graph11_p2.edge_count()))
-        t3_edge = graph11_p2.brandt_matrix(3, "edge")
+        t3_edge = neighbor_matrix(graph11_p2.edge_classes, 3)
         image = tuple(sum(t3_edge[i][j] * pulled[j] for j in range(len(pulled)))
                       for i in range(len(pulled)))
         assert image == tuple(curve_a_ell(3) * x for x in pulled)

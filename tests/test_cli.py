@@ -4,6 +4,7 @@ import os
 import pytest
 
 from quatlfun import cache
+from quatlfun.brandtforms import QuotientGraph
 from quatlfun.cli import main
 
 
@@ -221,6 +222,17 @@ class TestAdmissible:
         assert [(c["v"], c["eps"]) for c in data["admissible"]] == \
             [(2, 1), (17, 1), (23, 1)]
 
+    def test_computed_system_builds_no_quotient_graph(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("a quotient graph was built")
+        monkeypatch.setattr(QuotientGraph, "__init__", fail)
+        code, out = run_cli(["admissible", "--f", "computed", "--K", "-3",
+                             "--p", "5", "--n", "1", "--bound", "25",
+                             "--nminus", "11"], capsys)
+        assert code == 0
+        data = json.loads(out.strip().splitlines()[-1])
+        assert [c["v"] for c in data["admissible"]] == [2, 17, 23]
+
 
 class TestCompgroup:
     def test_theta_graph_fixture(self, tmp_path, capsys):
@@ -352,6 +364,20 @@ class TestRaise:
         data = json.loads(out.strip().splitlines()[-1])
         assert data["success"] is True
         assert data["eps"] == [1, 1]
+
+    def test_no_sample_prime_exits_2(self, tmp_path, capsys):
+        # 11a mod 5: a_2 = a_17 = 3, so 2 and 17 are admissible, but
+        # --bound 1 samples no prime
+        fixture = tmp_path / "f11a.json"
+        fixture.write_text(json.dumps({"p": 5, "n": 1, "a": {"2": 3, "17": 3},
+                                       "eps": {"11": 1}}))
+        code = main(["raise", "--v1", "2", "--v2", "17", "--K", "-3",
+                     "--p", "5", "--n", "1", "--nminus", "11",
+                     "--f", str(fixture), "--bound", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error:" in captured.err and "sample" in captured.err
+        assert "found" not in captured.out
 
     def test_inadmissible_rejected(self, capsys):
         code = main(["raise", "--v1", "3", "--v2", "17", "--K", "-3",

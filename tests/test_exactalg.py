@@ -9,7 +9,7 @@ from quatlfun.exactalg import (Character, GroupRingElement, IntMatrix,
                                PrimePowerRing, cokernel_shape, det, eliminate,
                                eliminate_mod, fitting_exponent, group_ring_mul,
                                inequality_check, involution, kernel_basis,
-                               kernel_mod, mu_invariant, project_level, rank,
+                               kernel_mod, mu_invariant, project_level,
                                smith_normal_form, solve, solve_mod, specialize)
 
 from oracles import (convolution_oracle, fitting_exponent_oracle,

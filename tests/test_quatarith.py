@@ -20,11 +20,12 @@ from quatlfun.quatarith import (ClassSet, Lattice4, QuaternionAlgebra,
                                 hilbert_symbol,
                                 ideal_class_set, isometric, isometry_witness,
                                 local_splitting,
-                                maximal_order, neighbor_matrix, neighbors,
+                                maximal_order, neighbor_matrices,
+                                neighbor_matrix, neighbors,
                                 optimal_embedding, quadratic_generator,
                                 ramified_primes, standard_order,
                                 two_sided_prime, uq_by_classification,
-                                uq_from_counts)
+                                uq_from_counts, uq_matrix)
 from quatlfun.quatarith.classset import _add, _certify_involution, _match
 from quatlfun.quatarith.embedding import embedding_with_base
 from quatlfun.quatarith.ideal import reduce_ideal
@@ -422,6 +423,28 @@ class TestBrandtFromTheta:
                 for b in mats:
                     assert _matmul(a, b) == _matmul(b, a)
 
+    def test_neighbor_matrices_enumerate_each_pair_once(self, cs11, monkeypatch):
+        ells = [3, 7, 13]
+        want = {ell: neighbor_matrix(_copy_class_set(cs11), ell) for ell in ells}
+        fresh = _copy_class_set(cs11)
+        bounds = []
+        real = classset_module.value_counts
+
+        def counted(gram, bound):
+            bounds.append(bound)
+            return real(gram, bound)
+        monkeypatch.setattr(classset_module, "value_counts", counted)
+        got = neighbor_matrices(fresh, ells)
+        h = len(fresh)
+        assert bounds == [2 * 13] * (h * (h + 1) // 2)
+        assert got == want
+
+    def test_neighbor_matrices_check_every_prime_first(self, cs11):
+        fresh = _copy_class_set(cs11)
+        with pytest.raises(UsageError):
+            neighbor_matrices(fresh, [13, 4])
+        assert fresh._pair_grams is None
+
     def test_order_of_requests_is_immaterial(self, cs13_2):
         ells = _coprime_primes(26, 5)
         up = [neighbor_matrix(_copy_class_set(cs13_2), ell) for ell in ells]
@@ -614,13 +637,12 @@ class TestTwoSidedPrime:
         order = maximal_order(algebra_from_discriminant(30))
         with pytest.raises(UsageError, match="prime dividing the discriminant"):
             two_sided_prime(order, q)
-        graph = QuotientGraph(order, 7)
-        cs = graph.vertex_classes
+        cs = ideal_class_set(order, 11)
         for counted in (False, True):  # each U_q route
             if counted:
-                graph.brandt_matrix(11)
+                neighbor_matrix(cs, 11)
             with pytest.raises(UsageError, match="prime dividing the discriminant"):
-                graph.uq_matrix(q)
+                uq_matrix(cs, q)
             assert cs.counts_upto == (11 if counted else 0)
         assert cs._classify_memo == {}
 

@@ -69,6 +69,20 @@ def test_one_norm_gram_builder():
     assert callers == []
 
 
+def test_quotient_graph_built_only_where_the_tree_is_walked():
+    # Hecke matrices come from class sets; a QuotientGraph is built only for
+    # the L-element's tree (pipeline) and for criterion 2's transport check
+    builders = []
+    for root, _, files in os.walk(SRC):
+        for name in files:
+            path = os.path.join(root, name)
+            if name.endswith(".py"):
+                with open(path) as fh:
+                    if "QuotientGraph(" in fh.read():
+                        builders.append(os.path.relpath(path, SRC))
+    assert sorted(builders) == ["acceptance.py", "pipeline.py"]
+
+
 def _imports_fractions(path):
     with open(path) as fh:
         return re.search(r"^\s*(from|import)\s+fractions\b", fh.read(), re.M) is not None
