@@ -4,6 +4,10 @@ Each criterion carries its own independent oracle (point counts by direct
 enumeration, Legendre symbols by square search, Fitting exponents by minor
 expansion, component-group orders by brute-force spanning trees), so a pass
 certifies agreement of two genuinely different routes.
+
+The tree and measure criteria (2-5) build their graphs and measures with
+`pipeline._torus_quotient` and `pipeline.measure_pipeline`, so they check what
+a run uses. Each criterion builds its own; no state is kept between criteria.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations
+from types import MappingProxyType
 
 from .errors import UsageError
 
@@ -109,40 +114,17 @@ def spanning_tree_sum(n_vertices, edges):
     return total
 
 
-# -- shared fixtures ----------------------------------------------------------
+# -- the 11a eigensystem ------------------------------------------------------
 
-_fixtures = {}
-
-
-def _disc11_graph(p):
-    key = ("graph11", p)
-    if key not in _fixtures:
-        from .quatarith import eichler_order_for
-        from .brandtforms import QuotientGraph
-        _fixtures[key] = QuotientGraph(eichler_order_for(11, 1), p)
-    return _fixtures[key]
-
-
-def _eleven_a_pipeline(n):
-    key = ("pipe11a", n)
-    if key not in _fixtures:
-        from .brandtforms import EigenSystem, eigenvector_mod, hensel_unit_root
-        from .toruscm import build_torus
-        from .padicl import MeasurePipeline
-        from .pipeline import _torus_quotient
-        if "torus11" not in _fixtures:
-            _fixtures["torus11"] = _torus_quotient(11, 1, 5, -3)
-        _, emb, graph = _fixtures["torus11"]
-        q = 5 ** n
-        torus = build_torus(-3, emb, graph)
-        alpha = hensel_unit_root(curve_point_count_a(5) % q, 5, n)
-        target = EigenSystem(5, n, {2: curve_point_count_a(2) % q,
-                                    3: curve_point_count_a(3) % q},
-                             {5: alpha, 11: 1})
-        form = eigenvector_mod(graph, target, [2, 3], "edge")
-        pipe = MeasurePipeline(graph, torus, form, alpha, n)
-        _fixtures[key] = (graph, torus, form, alpha, pipe)
-    return _fixtures[key]
+def _eleven_a_target(n):
+    """The edge system of 11a mod 5^n from point counts: T_2, T_3, U_11 = 1,
+    and U_5 the unit root of a_5. Criteria 3-5 build its measure on
+    `pipeline._torus_quotient(11, 1, 5, -3)` with `pipeline.measure_pipeline`."""
+    from .brandtforms import EigenSystem, hensel_unit_root
+    q = 5 ** n
+    alpha = hensel_unit_root(curve_point_count_a(5) % q, 5, n)
+    return EigenSystem(5, n, {ell: curve_point_count_a(ell) % q for ell in (2, 3)},
+                       {5: alpha, 11: 1})
 
 
 # -- criteria -----------------------------------------------------------------
@@ -180,9 +162,10 @@ def criterion_1():
 def criterion_2():
     """Tree transport: combinatorial T_p equals the Brandt action; regularity."""
     from .brandtforms import AutomorphicForm, tp_apply
+    from .pipeline import _torus_quotient
     rng = random.Random(1202)
     for p in (2, 3):
-        graph = _disc11_graph(p)
+        _, _, graph = _torus_quotient(11, 1, p, -3)
         graph.verify_regularity()
         brandt = graph.brandt_matrix(p)
         tp = graph.tp_matrix()
@@ -203,9 +186,11 @@ def criterion_2():
 def criterion_3():
     """Measure: coset additivity and projection tower for 11a, n in {1,2}."""
     from .padicl import check_projection_tower
+    from .pipeline import _torus_quotient, measure_pipeline
     start = time.monotonic()
+    _, embedding, graph = _torus_quotient(11, 1, 5, -3)
     for n in (1, 2):
-        _, _, _, _, pipe = _eleven_a_pipeline(n)
+        pipe = measure_pipeline(graph, embedding, -3, _eleven_a_target(n), [2, 3])
         pipe.check_distribution(2)  # raises on any failed coset identity
         check_projection_tower(pipe, 2)
     elapsed = time.monotonic() - start
@@ -218,9 +203,12 @@ def criterion_4():
     """L_p identical under an alternative edge-ray tie-break."""
     from .padicl import MeasurePipeline, full_Lp
     from .exactalg import GroupRingElement, group_ring_mul
-    graph, torus, form, alpha, pipe = _eleven_a_pipeline(2)
+    from .pipeline import _torus_quotient, measure_pipeline
+    _, embedding, graph = _torus_quotient(11, 1, 5, -3)
+    pipe = measure_pipeline(graph, embedding, -3, _eleven_a_target(2), [2, 3])
     main = full_Lp(pipe, 2)
-    alt_pipe = MeasurePipeline(graph, torus, form, alpha, 2, tie_break="lex_max")
+    alt_pipe = MeasurePipeline(graph, pipe.torus, pipe.form, pipe.alpha, 2,
+                               tie_break="lex_max")
     alt = full_Lp(alt_pipe, 2)
     if alt.l_p != main.l_p:
         return False, "L_p changed with the ray tie-break"
@@ -240,7 +228,9 @@ def criterion_5():
     """mu >= 2 nu always; the 11a run records mu = 0 or flags an anomaly."""
     from .padicl import MeasurePipeline, full_Lp, mu_two_nu_check
     from .brandtforms import AutomorphicForm
-    graph, torus, form, alpha, pipe = _eleven_a_pipeline(2)
+    from .pipeline import _torus_quotient, measure_pipeline
+    _, embedding, graph = _torus_quotient(11, 1, 5, -3)
+    pipe = measure_pipeline(graph, embedding, -3, _eleven_a_target(2), [2, 3])
     element = full_Lp(pipe, 2)
     report = mu_two_nu_check(pipe, element)
     if report.nu != 0:
@@ -249,8 +239,8 @@ def criterion_5():
         return False, "nonzero mu not flagged as an anomaly"
     headline = f"11a: mu(L_p)={report.mu_lp}, nu=0"
     # synthetic fixture: p * Phi has nu >= 1 and mu(L_p) >= 2
-    synth = AutomorphicForm(tuple(5 * v % 25 for v in form.values), "edge", (5, 2))
-    sp = MeasurePipeline(graph, torus, synth, alpha, 2)
+    synth = AutomorphicForm(tuple(5 * v % 25 for v in pipe.form.values), "edge", (5, 2))
+    sp = MeasurePipeline(graph, pipe.torus, synth, pipe.alpha, 2)
     s_el = sp.full_lp(2)
     s_rep = mu_two_nu_check(sp, s_el)
     if s_rep.nu < 1 or s_rep.mu_lp < 2:
@@ -410,11 +400,11 @@ def criterion_9():
     return True, "100 random presentations match the minors oracle; reports behave"
 
 
-CRITERIA = {
+CRITERIA = MappingProxyType({
     1: criterion_1, 2: criterion_2, 3: criterion_3, 4: criterion_4,
     5: criterion_5, 6: criterion_6, 7: criterion_7, 8: criterion_8,
     9: criterion_9,
-}
+})
 
 
 def run_acceptance(subset=None) -> bool:

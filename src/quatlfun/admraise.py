@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .brandtforms import EigenSystem, eigensystems_mod
 from .errors import DataMissingError, UsageError
-from .primes import first_coprime_prime, is_prime, prime_factors
-from .quatarith import eichler_order_for, ideal_class_set, kronecker
+from .primes import is_prime, prime_factors
+from .quatarith import class_set_avoiding, eichler_order_for, kronecker
 
 
 @dataclass(frozen=True)
@@ -168,8 +168,7 @@ def raise_level_search(system: EigenSystem, cert1: AdmissibleCert,
     if not samples:
         raise UsageError(f"no sample prime is prime to {new_disc * level * p}; "
                          "an empty sample certifies nothing")
-    classes = ideal_class_set(eichler_order_for(new_disc, level),
-                              first_coprime_prime(new_disc * level * p))
+    classes = class_set_avoiding(eichler_order_for(new_disc, level), p)
     targets = {ell: system.value(ell) for ell in samples}
     targets.update({v1: cert1.eps, v2: cert2.eps})
     for w in prime_factors(old_disc):

@@ -55,10 +55,10 @@ from dataclasses import dataclass, field
 from . import bttree
 from .errors import (DataMissingError, InvariantViolationError, UsageError)
 from .exactalg import IntMatrix, kernel_basis, kernel_mod
-from .primes import first_coprime_prime, prime_factors
-from .quatarith import (RightIdeal, eichler_mass, ideal_class_set,
-                        isometry_witness, local_splitting, neighbor_matrices,
-                        neighbor_matrix, uq_matrix)
+from .primes import is_prime, prime_factors
+from .quatarith import (RightIdeal, class_set_avoiding, eichler_mass,
+                        eichler_order, isometry_witness, local_splitting,
+                        neighbor_matrices, neighbor_matrix, uq_matrix)
 from .quatarith.classset import ClassSet
 from .quatarith.ideal import reduce_ideal
 from .quatarith.order import QuaternionOrder
@@ -115,11 +115,27 @@ class EigenSystem:
 
     @staticmethod
     def from_json(text: str) -> "EigenSystem":
-        d = json.loads(text)
-        return EigenSystem(d["p"], d["n"],
-                           {int(k): v for k, v in d.get("a", {}).items()},
-                           {int(k): v for k, v in d.get("eps", {}).items()},
-                           d.get("provenance", "external fixture"))
+        """The system of a fixture; UsageError, naming the fault, unless it
+        is a JSON object with a prime p, n >= 1, integer eigenvalues under
+        integer keys, and a string provenance."""
+        try:
+            d = json.loads(text)
+            p, n = d["p"], d["n"]
+            a = {int(k): v for k, v in d.get("a", {}).items()}
+            u = {int(k): v for k, v in d.get("eps", {}).items()}
+            provenance = d.get("provenance", "external fixture")
+        except (ValueError, KeyError, TypeError, AttributeError) as ex:
+            raise UsageError(f"eigensystem is not a fixture JSON object: {ex!r}") from None
+        values = [p, n, *a.values(), *u.values()]
+        if any(type(x) is not int for x in values):
+            raise UsageError(f"eigensystem fixture has a non-integer entry: {values}")
+        if not is_prime(p) or n < 1:
+            raise UsageError(f"eigensystem fixture wants a prime p and n >= 1, "
+                             f"got p = {p}, n = {n}")
+        if not isinstance(provenance, str):
+            raise UsageError(f"eigensystem fixture has a provenance {provenance!r}, "
+                             "not a string")
+        return EigenSystem(p, n, a, u, provenance)
 
 
 class QuotientGraph:
@@ -143,11 +159,10 @@ class QuotientGraph:
         self.level = level
         self.base_order = base_order
         self.splitting = local_splitting(base_order, p, prec)
-        self.vertex_classes = ideal_class_set(
-            base_order, first_coprime_prime(disc * level * p))
-        self.edge_order = self._edge_order()
-        self.edge_classes = ideal_class_set(
-            self.edge_order, first_coprime_prime(disc * level * p))
+        self.vertex_classes = class_set_avoiding(base_order, p)
+        # the level-p suborder, cut out by the transport splitting itself
+        self.edge_order = eichler_order(base_order, p, lambda *_: self.splitting)
+        self.edge_classes = class_set_avoiding(self.edge_order, p)
         self._vertex_memo = {}
         self._edge_memo = {}
         self._matrix_memo = {}
@@ -168,17 +183,6 @@ class QuotientGraph:
             self._walked = True
 
     # -- construction --------------------------------------------------------
-
-    def _edge_order(self) -> QuaternionOrder:
-        """Level-p suborder cut out by the transport splitting itself."""
-        p = self.p
-        cond = [[self.splitting.apply(_unit_coords(i))[1][0] % p for i in range(4)]]
-        gens = kernel_mod(IntMatrix.from_rows(cond), p, 1)
-        order = QuaternionOrder(self.base_order.alg,
-                                self.base_order.lattice.sublattice_mod(p, gens))
-        if order.reduced_discriminant() != self.disc * self.level * p:
-            raise InvariantViolationError("edge order has wrong discriminant")
-        return order
 
     def _walk(self):
         """BFS over (vertex class, parity) states of the quotient.
@@ -597,20 +601,6 @@ def hensel_unit_root(a_p: int, p: int, n: int) -> int:
     if (r * r - a_p * r + p) % q != 0:
         raise InvariantViolationError("Hensel lift failed")
     return r
-
-
-def p_stabilize(system: EigenSystem, p: int) -> EigenSystem:
-    """Attach the U_p eigenvalue alpha_p (unit root) to a T_p eigensystem."""
-    if p != system.p:
-        raise UsageError("stabilization prime must match the system's modulus prime")
-    if p not in system.a:
-        raise DataMissingError("need the T_p eigenvalue to stabilize")
-    alpha = hensel_unit_root(system.a[p], p, system.n)
-    out = EigenSystem(system.p, system.n, dict(system.a), dict(system.u),
-                      system.provenance + "+p-stabilized", system.eisenstein)
-    out.u[p] = alpha
-    del out.a[p]
-    return out
 
 
 def eigenspace_cut(mat, a, basis, modulus=None):

@@ -18,7 +18,7 @@ import json
 import os
 from math import gcd
 
-from .errors import InvariantViolationError
+from .errors import InvariantViolationError, UsageError
 
 # schema of a stored entry; an entry with another version is refused
 CACHE_VERSION = 1
@@ -27,11 +27,16 @@ _cache_dir = None
 
 
 def configure(path):
-    """Set (or disable, with None) the process-wide cache directory."""
+    """Set (or disable, with None) the process-wide cache directory. It is
+    created first, so a path that cannot be one is a UsageError that keeps
+    the setting as it was."""
     global _cache_dir
-    _cache_dir = path
     if path:
-        os.makedirs(path, exist_ok=True)
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as ex:
+            raise UsageError(f"cache directory {path!r} cannot be created: {ex}") from None
+    _cache_dir = path
 
 
 def cache_directory():

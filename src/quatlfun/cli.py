@@ -155,10 +155,8 @@ def _table(rows):
 
 
 def _cmd_brandt(args) -> int:
-    from .primes import first_coprime_prime
-    from .quatarith import eichler_order_for, ideal_class_set, neighbor_matrices
-    order = eichler_order_for(args.disc, args.level)
-    cs = ideal_class_set(order, first_coprime_prime(args.disc * args.level))
+    from .quatarith import class_set_avoiding, eichler_order_for, neighbor_matrices
+    cs = class_set_avoiding(eichler_order_for(args.disc, args.level))
     print(f"disc {args.disc}, level {args.level}: class number {len(cs)}, "
           f"mass {cs.mass}")
     mats = neighbor_matrices(cs, args.primes)
@@ -180,13 +178,11 @@ def _eigensystem_from_args(args, sample_need):
         with open(args.f) as fh:
             return EigenSystem.from_json(fh.read())
     from .pipeline import PipelineConfig, select_vertex_system
-    from .primes import first_coprime_prime
-    from .quatarith import eichler_order_for, ideal_class_set
+    from .quatarith import class_set_avoiding, eichler_order_for
     config = PipelineConfig(args.nplus, args.nminus, args.p, args.n, 0, args.K,
                             sample_bound=sample_need)
     config.validate()
-    classes = ideal_class_set(eichler_order_for(args.nminus, args.nplus),
-                              first_coprime_prime(args.nminus * args.nplus * args.p))
+    classes = class_set_avoiding(eichler_order_for(args.nminus, args.nplus), args.p)
     return select_vertex_system(classes, config)
 
 

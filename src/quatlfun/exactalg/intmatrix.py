@@ -29,12 +29,16 @@ class IntMatrix:
             raise UsageError("entry shape does not match declared dimensions")
         for r in self.entries:
             for x in r:
-                if not isinstance(x, int):
-                    raise UsageError("entries must be exact integers")
+                if type(x) is not int:  # not isinstance: a bool is an int too
+                    raise UsageError(f"entries must be exact integers, got {x!r}")
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        """The matrix with these rows: sequences of ints, taken as they are."""
+        if not isinstance(rows, (list, tuple)) or \
+                not all(isinstance(r, (list, tuple)) for r in rows):
+            raise UsageError("a matrix is a sequence of rows, each a sequence of integers")
+        rows = tuple(map(tuple, rows))
         return IntMatrix(len(rows), len(rows[0]) if rows else 0, rows)
 
     @staticmethod
@@ -48,9 +52,6 @@ class IntMatrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
-
-    def row(self, i):
-        return self.entries[i]
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix.from_rows([[self.entries[i][j] for i in range(self.rows)]

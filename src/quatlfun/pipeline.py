@@ -12,14 +12,14 @@ import os
 from dataclasses import dataclass
 
 from .brandtforms import (SPLITTING_PREC, EigenSystem, QuotientGraph,
-                          eigenvector_mod, hensel_unit_root, p_stabilize,
+                          eigenvector_mod, hensel_unit_root,
                           rational_eigensystems)
 from .errors import (ConfigurationError, DataMissingError)
 from .padicl import (LFunctionElement, MeasurePipeline, check_projection_tower,
                      full_Lp, mu_two_nu_check)
-from .primes import first_coprime_prime, is_prime, prime_factors
-from .quatarith import (ClassSet, eichler_order_for, ideal_class_set, kronecker,
-                        neighbor_matrices, uq_matrix)
+from .primes import is_prime, prime_factors
+from .quatarith import (ClassSet, class_set_avoiding, eichler_order_for,
+                        kronecker, neighbor_matrices, uq_matrix)
 from .quatarith.embedding import embedding_with_base
 from .toruscm import build_torus
 
@@ -176,22 +176,27 @@ def _torus_quotient(disc: int, level: int, p: int, disc_k: int):
     """Head of every L-element build: the Eichler order of (disc, level), its
     class set, a base order with an optimal embedding of K, and the quotient
     graph at p. Returns (base order, embedding, graph)."""
-    order = eichler_order_for(disc, level)
-    class_set = ideal_class_set(order, first_coprime_prime(p * level * disc))
+    class_set = class_set_avoiding(eichler_order_for(disc, level), p)
     base, embedding = embedding_with_base(class_set, disc_k, 1)
     return base, embedding, QuotientGraph(base, p)
 
 
-def _l_element(graph, embedding, disc_k: int, target: EigenSystem, sample,
-               m: int, provenance: str):
-    """Tail of every L-element build: the edge eigenform realizing `target`
-    (which carries the unit root alpha as its U_p eigenvalue), the torus, the
-    measure, L_p with its certificates (`full_Lp` checks the distribution
-    relation, then the projection tower is checked), and the mu report.
-    Returns (element, report)."""
+def measure_pipeline(graph, embedding, disc_k: int, target: EigenSystem,
+                     sample) -> MeasurePipeline:
+    """The measure of every L-element build: the edge eigenform realizing
+    `target` (which carries the unit root alpha as its U_p eigenvalue), cut
+    with the T_ell at the sample primes, on the torus of the embedding."""
     form = eigenvector_mod(graph, target, sample, "edge")
     torus = build_torus(disc_k, embedding, graph)
-    pipeline = MeasurePipeline(graph, torus, form, target.u[target.p], target.n)
+    return MeasurePipeline(graph, torus, form, target.u[target.p], target.n)
+
+
+def _l_element(graph, embedding, disc_k: int, target: EigenSystem, sample,
+               m: int, provenance: str):
+    """Tail of every L-element build: the measure, L_p with its certificates
+    (`full_Lp` checks the distribution relation, then the projection tower is
+    checked), and the mu report. Returns (element, report)."""
+    pipeline = measure_pipeline(graph, embedding, disc_k, target, sample)
     element = full_Lp(pipeline, m, provenance=provenance)
     check_projection_tower(pipeline, m)
     return element, mu_two_nu_check(pipeline, element)
@@ -203,26 +208,19 @@ def run_lfun(config: PipelineConfig) -> LfunResult:
                                              config.p, config.disc_k)
     system = select_vertex_system(graph.vertex_classes, config)
 
-    q = config.p ** config.n
-    if config.p in system.u:
-        alpha = system.u[config.p] % q
-        stabilized = system
+    # alpha is the fixture's U_p eigenvalue, or else the unit root of a_p
+    p, q = config.p, config.p ** config.n
+    if p in system.u:
+        alpha, provenance = system.u[p] % q, system.provenance
     else:
-        stabilized = p_stabilize(
-            EigenSystem(config.p, config.n,
-                        {k: v % q for k, v in system.a.items()},
-                        {k: v % q for k, v in system.u.items()},
-                        system.provenance), config.p)
-        alpha = stabilized.u[config.p]
-
-    bad = config.p * config.n_plus * config.n_minus
-    sample = good_primes(config.sample_bound, bad)
-    target = EigenSystem(config.p, config.n,
-                         {ell: stabilized.value(ell) for ell in sample},
-                         {config.p: alpha,
-                          **{qq: stabilized.value(qq)
-                             for qq in prime_factors(config.n_minus)}},
-                         stabilized.provenance)
+        alpha = hensel_unit_root(system.value(p), p, config.n)
+        provenance = system.provenance + "+p-stabilized"
+    sample = good_primes(config.sample_bound, p * config.n_plus * config.n_minus)
+    target = EigenSystem(p, config.n,
+                         {ell: system.value(ell) % q for ell in sample},
+                         {p: alpha, **{qq: system.value(qq) % q
+                                       for qq in prime_factors(config.n_minus)}},
+                         provenance)
     element, report = _l_element(
         graph, embedding, config.disc_k, target, sample, config.m_max,
         f"disc {config.n_minus}, level {config.n_plus}, p {config.p}, K {config.disc_k}")

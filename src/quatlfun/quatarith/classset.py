@@ -37,7 +37,7 @@ from collections import deque
 from fractions import Fraction
 
 from ..errors import InvariantViolationError, ResourceLimitError, UsageError
-from ..primes import is_prime, prime_factors
+from ..primes import first_coprime_prime, is_prime, prime_factors
 from .ideal import RightIdeal, isometric, neighbors, reduce_ideal
 from .lattice import lagrange_reduce, value_counts
 from .order import QuaternionOrder, two_sided_prime
@@ -197,6 +197,17 @@ def ideal_class_set(order: QuaternionOrder, neighbor_prime: int) -> ClassSet:
     cs.verify_mass()
     _cache.store_class_set(cs)
     return cs
+
+
+def class_set_avoiding(order: QuaternionOrder, avoid: int = 1) -> ClassSet:
+    """The class set of `order`, walked at the least prime not dividing
+    disc·level·avoid, `avoid` the tree prime p or 1: the one rule that fixes
+    the representatives, and their order, of every run's class sets. An edge
+    order's level holds p already, and the least prime prime to disc·level·p²
+    is the least prime prime to disc·level·p, so a quotient graph's vertex
+    and edge class sets are walked at the same prime."""
+    return ideal_class_set(
+        order, first_coprime_prime(order.reduced_discriminant() * avoid))
 
 
 def _add(buckets, idx, rep):

@@ -8,7 +8,7 @@ from quatlfun import brandtforms
 from quatlfun.brandtforms import (AutomorphicForm, EigenSystem, QuotientGraph,
                                   degeneracy_and_vnew, eigensystems_mod,
                                   eigenvector_mod, hensel_unit_root,
-                                  mk_dual_graph, mk_graph_checks, p_stabilize,
+                                  mk_dual_graph, mk_graph_checks,
                                   rational_eigensystems, tp_apply, up_apply)
 from quatlfun.bttree import TreeEdge, TreeVertex, ball, neighbors
 from quatlfun.errors import InvariantViolationError, UsageError
@@ -75,7 +75,7 @@ class TestQuotientGraph:
 
         def fail(*args):
             raise AssertionError("the walk built a class set")
-        monkeypatch.setattr(brandtforms, "ideal_class_set", fail)
+        monkeypatch.setattr(brandtforms, "class_set_avoiding", fail)
         graph.ensure_walk()
         assert len(graph.edge_reps) == len(graph.edge_classes)
 
@@ -213,15 +213,9 @@ class TestStabilization:
         assert alpha == 21
         assert (alpha * alpha - alpha + 5) % 25 == 0
 
-    def test_system_stabilize(self):
-        sys_ = EigenSystem(5, 2, {2: 3, 5: 1}, {11: 1})
-        out = p_stabilize(sys_, 5)
-        assert out.u[5] == 21 and 5 not in out.a
-
     def test_non_ordinary_rejected(self):
-        sys_ = EigenSystem(5, 1, {5: 0}, {})
         with pytest.raises(UsageError):
-            p_stabilize(sys_, 5)
+            hensel_unit_root(0, 5, 1)
 
 
 class TestEigensystemsMod:

@@ -6,6 +6,7 @@ import pytest
 from quatlfun import cache
 from quatlfun.brandtforms import QuotientGraph
 from quatlfun.cli import main
+from quatlfun.errors import UsageError
 
 
 def run_cli(args, capsys):
@@ -331,11 +332,51 @@ class TestMalformedInput:
         ["brandt", "--disc", "11", "--primes", "2,x"],
         ["selftest", "--criteria", "1,x"],
         ["fitting", "--matrix", "[[1,2]", "--p", "5", "--n", "1"],
-    ], ids=["brandt-primes", "selftest-criteria", "fitting-matrix"])
+        ["fitting", "--matrix", "[[25.9]]", "--p", "5", "--n", "3"],
+        ["fitting", "--matrix", '[["25"]]', "--p", "5", "--n", "3"],
+        ["fitting", "--matrix", "[[true]]", "--p", "5", "--n", "3"],
+        ["fitting", "--matrix", "5", "--p", "5", "--n", "3"],
+    ], ids=["brandt-primes", "selftest-criteria", "fitting-matrix",
+            "fitting-float", "fitting-str", "fitting-bool", "fitting-not-rows"])
     def test_rejected_with_exit_2(self, argv, capsys):
         code, err = self.exit_code_and_stderr(argv, capsys)
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("text", ['{"p": 5', '{"n": 1}',
+                                      '{"p": 5, "n": 1, "a": {"2": "x"}}'],
+                             ids=["not-json", "no-p", "str-eigenvalue"])
+    @pytest.mark.parametrize("argv", [
+        ["lfun", "--nminus", "11", "--p", "5", "--mmax", "1", "--K", "-3",
+         "--eigenform"],
+        ["admissible", "--K", "-3", "--p", "5", "--bound", "25", "--f"],
+        ["raise", "--v1", "2", "--v2", "17", "--K", "-3", "--p", "5", "--f"],
+    ], ids=["lfun", "admissible", "raise"])
+    def test_eigensystem_fixture_malformed(self, argv, text, tmp_path, capsys):
+        fixture = tmp_path / "bad.json"
+        fixture.write_text(text)
+        code, err = self.exit_code_and_stderr(argv + [str(fixture)], capsys)
+        assert code == 2
+        assert "error:" in err and "eigensystem" in err
+
+    def test_cache_path_of_a_file(self, tmp_path, capsys):
+        # the directory is created before it is set, so a failed call keeps
+        # the setting it found
+        store = tmp_path / "store"
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        try:
+            cache.configure(str(store))
+            with pytest.raises(UsageError):
+                cache.configure(str(plain))
+            assert cache.cache_directory() == str(store)
+        finally:
+            cache.configure(None)
+        code, err = self.exit_code_and_stderr(
+            ["brandt", "--disc", "11", "--primes", "3", "--cache", str(plain)], capsys)
+        assert code == 2
+        assert "error:" in err and "cache" in err
+        assert cache.cache_directory() is None
 
     def test_compgroup_divisor(self, graph_file, capsys):
         code, err = self.exit_code_and_stderr(

@@ -30,6 +30,21 @@ def snf_checks(M):
     return S
 
 
+class TestFromRows:
+    @pytest.mark.parametrize("rows", [[[25.9]], [["25"]], [[True]], [[1, False]],
+                                      5, [5], [[1], 2], "12", [], [[]]],
+                             ids=["float", "str", "bool", "bool-in-row", "int",
+                                  "int-row", "int-second-row", "str-rows",
+                                  "no-rows", "empty-row"])
+    def test_anything_but_int_rows_rejected(self, rows):
+        # an entry is taken as it is, never coerced with int()
+        with pytest.raises(UsageError):
+            IntMatrix.from_rows(rows)
+
+    def test_int_rows_kept(self):
+        assert IntMatrix.from_rows([(1, -2), [3, 4]]).entries == ((1, -2), (3, 4))
+
+
 class TestSmithNormalForm:
     def test_already_diagonal(self):
         S = snf_checks(IntMatrix.from_rows([[2, 0], [0, 6]]))

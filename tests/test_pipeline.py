@@ -5,6 +5,7 @@ write_artifacts for run_lfun(N- = 11, p = 5, n = 1, m_max = 2, K = -3); any
 change to the eigenform, the measure or the certificates shows up here.
 """
 
+import json
 import os
 
 import pytest
@@ -37,14 +38,14 @@ def test_eigenvalue_mod_checks_every_coordinate():
 
 
 def _no_class_set(*args, **kwargs):
-    raise AssertionError("ideal_class_set called for a rejected configuration")
+    raise AssertionError("class_set_avoiding called for a rejected configuration")
 
 
 def test_mmax_beyond_torus_precision_rejected_before_any_work(monkeypatch):
     from quatlfun import pipeline
     from quatlfun.cli import main
     from quatlfun.errors import ConfigurationError
-    monkeypatch.setattr(pipeline, "ideal_class_set", _no_class_set)
+    monkeypatch.setattr(pipeline, "class_set_avoiding", _no_class_set)
     config = PipelineConfig(n_plus=1, n_minus=11, p=5, n=1, m_max=7, disc_k=-3)
     with pytest.raises(ConfigurationError):
         run_lfun(config)
@@ -65,3 +66,23 @@ def test_raised_l_element_rejects_bad_depth_before_any_work(monkeypatch, m):
     monkeypatch.setattr(pipeline, "_torus_quotient", _no_quotient)
     with pytest.raises(ConfigurationError):
         pipeline.raised_l_element(None, -3, 1, m)
+
+
+def test_alpha_read_once(tmp_path):
+    # without a U_p eigenvalue, alpha is the unit root of a_p and the
+    # provenance says so; a fixture's U_p is taken as it is. The target's
+    # eigenvalues are reduced mod p^n on both routes, also when the fixture
+    # is known mod a higher power
+    computed = run_lfun(PipelineConfig(n_plus=1, n_minus=11, p=5, n=1, m_max=1,
+                                       disc_k=-3))
+    assert computed.system.provenance == "computed (Brandt)+p-stabilized"
+    fixture = tmp_path / "f11a.json"
+    fixture.write_text(json.dumps({
+        "p": 5, "n": 2, "a": {"2": -2, "3": -1, "7": -2, "13": 4, "17": -2, "19": 0},
+        "eps": {"11": 1, "5": 21}}))
+    given = run_lfun(PipelineConfig(n_plus=1, n_minus=11, p=5, n=1, m_max=1,
+                                    disc_k=-3, fixture_path=str(fixture)))
+    assert given.system.provenance == "external fixture"
+    assert given.alpha == computed.alpha == 1
+    assert given.system.a == computed.system.a == {2: 3, 3: 4, 7: 3, 13: 4, 17: 3, 19: 0}
+    assert given.artifacts() == computed.artifacts()

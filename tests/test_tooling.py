@@ -5,11 +5,14 @@ table, and perfbench/run.py asks quatlfun.cache.cache_directory() before each
 pass. A rename in the package would break the benchmark; these tests fail
 first. The tracer module is only read, never installed. Every name a
 subpackage lists in __all__ must exist, so a deleted helper cannot stay
-advertised. The package keeps one builder of quaternion norm Grams,
-lattice elements in quatarith stay integer rows over a denominator, and the
-tree, its transport, the torus and the measure compute in integers only.
+advertised. The package keeps one builder of quaternion norm Grams, one
+builder of quotient graphs and one neighbour-prime rule, and no module-level
+state but the cache directory; lattice elements in quatarith stay integer
+rows over a denominator, and the tree, its transport, the torus and the
+measure compute in integers only.
 """
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -54,33 +57,55 @@ def test_cache_directory_exists():
     assert callable(cache.cache_directory)
 
 
+def _sources():
+    """(path relative to the package, text) of every module of the package."""
+    for root, _, files in os.walk(SRC):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(root, name)
+                with open(path) as fh:
+                    yield os.path.relpath(path, SRC), fh.read()
+
+
 def test_one_norm_gram_builder():
     # QuaternionAlgebra.norm_gram is the only place a norm Gram is built;
     # a trd_pair call anywhere else would be a second builder
-    allowed = os.path.join("quatarith", "algebra.py")
-    callers = []
-    for root, _, files in os.walk(SRC):
-        for name in files:
-            path = os.path.join(root, name)
-            if name.endswith(".py") and not path.endswith(allowed):
-                with open(path) as fh:
-                    if "trd_pair(" in fh.read():
-                        callers.append(os.path.relpath(path, SRC))
-    assert callers == []
+    callers = [rel for rel, text in _sources() if "trd_pair(" in text]
+    assert callers in ([], [os.path.join("quatarith", "algebra.py")])
 
 
 def test_quotient_graph_built_only_where_the_tree_is_walked():
     # Hecke matrices come from class sets; a QuotientGraph is built only for
-    # the L-element's tree (pipeline) and for criterion 2's transport check
-    builders = []
-    for root, _, files in os.walk(SRC):
-        for name in files:
-            path = os.path.join(root, name)
-            if name.endswith(".py"):
-                with open(path) as fh:
-                    if "QuotientGraph(" in fh.read():
-                        builders.append(os.path.relpath(path, SRC))
-    assert sorted(builders) == ["acceptance.py", "pipeline.py"]
+    # the L-element's tree, by pipeline._torus_quotient, which the
+    # acceptance criteria build through too
+    assert [rel for rel, text in _sources() if "QuotientGraph(" in text] == ["pipeline.py"]
+
+
+def test_one_neighbour_prime_rule():
+    # a run's class sets are walked at the prime quatarith.class_set_avoiding
+    # picks; a first_coprime_prime call anywhere else would be a second rule
+    callers = sorted(rel for rel, text in _sources() if "first_coprime_prime(" in text)
+    assert callers == sorted([os.path.join("quatarith", "classset.py"), "primes.py"])
+
+
+def test_no_module_level_mutable_state_but_the_cache_directory():
+    # aim 3: no state leaks from one run into the next. A dict, list or set
+    # bound at module level, or a `global` statement, is such state; the
+    # cache directory is the one that remains. __all__ is an export list.
+    found = set()
+    for rel, text in _sources():
+        tree = ast.parse(text)
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(
+                    node.value, (ast.Dict, ast.List, ast.Set,
+                                 ast.DictComp, ast.ListComp, ast.SetComp)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found |= {(rel, t.id) for t in targets if isinstance(t, ast.Name)
+                          and t.id != "__all__"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Global):
+                found |= {(rel, name) for name in node.names}
+    assert found == {("cache.py", "_cache_dir")}
 
 
 def _imports_fractions(path):
