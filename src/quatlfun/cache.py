@@ -105,6 +105,7 @@ def load_class_set(order, neighbor_prime: int):
     cs = ClassSet(order, data["disc"], data["level"], data["neighbor"],
                   reps, list(data["unit_counts"]))
     cs.verify_mass()
+    cs.certify_unit_counts()
     return cs
 
 

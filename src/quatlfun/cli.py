@@ -173,14 +173,15 @@ def _cmd_brandt(args) -> int:
 
 
 def _eigensystem_from_args(args, sample_need):
-    from .brandtforms import EigenSystem
-    if args.f != "computed":
-        with open(args.f) as fh:
-            return EigenSystem.from_json(fh.read())
-    from .pipeline import PipelineConfig, select_vertex_system
+    """The --f fixture, checked against --p and --n, or the computed system."""
+    from .pipeline import PipelineConfig, fixture_system, select_vertex_system
     from .quatarith import class_set_avoiding, eichler_order_for
     config = PipelineConfig(args.nplus, args.nminus, args.p, args.n, 0, args.K,
+                            fixture_path=None if args.f == "computed" else args.f,
                             sample_bound=sample_need)
+    system = fixture_system(config)
+    if system is not None:
+        return system
     config.validate()
     classes = class_set_avoiding(eichler_order_for(args.nminus, args.nplus), args.p)
     return select_vertex_system(classes, config)

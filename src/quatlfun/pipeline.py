@@ -123,19 +123,30 @@ def good_primes(bound: int, bad: int):
                  if is_prime(ell) and bad % ell != 0)
 
 
-def select_vertex_system(classes: ClassSet, config: PipelineConfig):
-    """The pipeline's eigensystem on the vertex class set.
+def fixture_system(config: PipelineConfig):
+    """The run's eigensystem fixture, or None when it names none.
 
-    Fixture wins when provided; otherwise the rational route must isolate a
-    unique non-trivial system (integer eigenvalues), else a fixture is
-    demanded.
+    The one fixture loader of the package: a UsageError unless the file
+    holds a fixture (`EigenSystem.from_json`), and a ConfigurationError
+    unless the fixture is known mod p^k for the run's p and some k >= n.
     """
-    if config.fixture_path:
-        with open(config.fixture_path) as fh:
-            system = EigenSystem.from_json(fh.read())
-        if system.p != config.p or system.n < config.n:
-            raise ConfigurationError("fixture modulus does not cover the run")
-        return system
+    if not config.fixture_path:
+        return None
+    with open(config.fixture_path) as fh:
+        system = EigenSystem.from_json(fh.read())
+    if system.p != config.p or system.n < config.n:
+        raise ConfigurationError(
+            f"fixture modulus {system.p}^{system.n} does not cover the run's "
+            f"{config.p}^{config.n}")
+    return system
+
+
+def select_vertex_system(classes: ClassSet, config: PipelineConfig):
+    """The computed eigensystem on the vertex class set.
+
+    The rational route must isolate a unique non-trivial system (integer
+    eigenvalues), else a fixture is demanded.
+    """
     bad = config.p * config.n_plus * config.n_minus
     sample = good_primes(config.sample_bound, bad)
     needed = [config.p] + list(sample)
@@ -204,9 +215,11 @@ def _l_element(graph, embedding, disc_k: int, target: EigenSystem, sample,
 
 def run_lfun(config: PipelineConfig) -> LfunResult:
     config.validate()
+    system = fixture_system(config)  # refused before the head does any work
     base, embedding, graph = _torus_quotient(config.n_minus, config.n_plus,
                                              config.p, config.disc_k)
-    system = select_vertex_system(graph.vertex_classes, config)
+    if system is None:
+        system = select_vertex_system(graph.vertex_classes, config)
 
     # alpha is the fixture's U_p eigenvalue, or else the unit root of a_p
     p, q = config.p, config.p ** config.n

@@ -1,13 +1,23 @@
 """Right-ideal class sets via neighbor traversal, certified by the mass formula.
 
 The traversal starts at the unit ideal and walks neighbor sublattices at a
-fixed auxiliary prime, classifying by exact isometry. Completeness is
-certified by the Eichler mass identity
+fixed auxiliary prime, classifying by exact isometry. It stops at the class
+that completes the Eichler mass
 
     sum over classes of 1/#(left order units)  =  (prod_{q | D} (q-1) / 24) * psi(M)
 
-which holds exactly (psi(M) = M * prod_{l | M} (1 + 1/l)); connectivity of the
-neighbor graph makes the walk exhaustive, and the certificate catches any gap.
+which holds exactly (psi(M) = M * prod_{l | M} (1 + 1/l)), as Kirschmer and
+Voight stop theirs (SIAM J. Comput. 39 (2010)). The walk is not exhaustive,
+so completeness rests on three facts: the classes found are pairwise
+non-isometric (each new one failed `isometric` against every candidate), their
+unit counts w_i are right, and their 1/w_i add up to the mass, which is the
+sum over all classes, so none is missing. The unit counts come from the left
+orders and are certified before the class set is returned, independently,
+by N_ii(1) = w_i on the diagonal pair lattices I_i·conj(I_i)
+(`ClassSet.certify_unit_counts`). A walk that overshoots the mass, or runs
+out of neighbours short of it, raises. Connectivity of the neighbour graph
+means the walk reaches every class, so it stops where the exhaustive walk of
+the oracles would end, with the same classes in the same order.
 A neighbour is looked up as it comes and reduced only if it starts a new
 class: reduction multiplies it on the left, which changes no class invariant
 and no isometry.
@@ -71,7 +81,7 @@ class ClassSet:
         self._classify_memo = {}
         self._buckets = None  # theta key -> [(index, rep)], built on first use
         # theta series of the pairs, in memory only: the cache stores none
-        self._pair_grams = None  # (i, j), i <= j -> see _reduced_pair_grams
+        self._pair_grams = None  # (i, j), i <= j -> reduced Gram, built on demand
         self._pair_counts = {}  # (i, j) -> [N_ij(0), ..., N_ij(_counts_upto)]
         self._counts_upto = 0
 
@@ -111,38 +121,54 @@ class ClassSet:
         time the counts grow, N(1) = diag(unit counts) is certified: the
         representatives are pairwise non-isometric and the counts are right.
         """
+        h = len(self)
         if m > self._counts_upto:
-            if self._pair_grams is None:
-                self._pair_grams = self._reduced_pair_grams()
+            grams = self._reduced_pair_grams([(i, j) for i in range(h)
+                                              for j in range(i, h)])
             counts = {pair: value_counts(gram, 2 * m)[::2]
-                      for pair, gram in self._pair_grams.items()}
+                      for pair, gram in grams.items()}
             self._certify_units(counts)  # before they are kept, so a retry fails too
             self._pair_counts, self._counts_upto = counts, m
-        h = len(self)
         return [[self._pair_counts[min(i, j), max(i, j)][m] for j in range(h)]
                 for i in range(h)]
 
-    def _reduced_pair_grams(self):
-        """Lagrange-reduced Gram of x -> 2·nrd(x)/(nrd(I_i)·nrd(I_j)) on I_i·conj(I_j).
+    def certify_unit_counts(self):
+        """N_ii(1) = w_i for every class: I_i·conj(I_i) = nrd(I_i)·O_l(I_i),
+        so its elements of reduced norm nrd(I_i)^2 are nrd(I_i) times the
+        units of the left order. Read off the diagonal pair Grams, which the
+        representation counts reuse, independently of the idealizer that
+        gave w_i."""
+        grams = self._reduced_pair_grams([(i, i) for i in range(len(self))])
+        for i, units in enumerate(self.unit_counts):
+            found = value_counts(grams[i, i], 2)[2]
+            if found != units:
+                raise InvariantViolationError(
+                    f"class {i}: N_({i},{i})(1) = {found}, but its unit count "
+                    f"is {units}")
+
+    def _reduced_pair_grams(self, pairs):
+        """{(i, j): Lagrange-reduced Gram of x -> 2·nrd(x)/(nrd(I_i)·nrd(I_j))
+        on I_i·conj(I_j)} for the pairs, each built once and kept.
 
         The form is integral since nrd(I_i·conj(I_j)) = nrd(I_i)·nrd(I_j).
         """
+        if self._pair_grams is None:
+            self._pair_grams = {}
+        grams = self._pair_grams
         alg = self.order.alg
-        conjugates = [rep.conjugate_lattice() for rep in self.reps]
-        norms = [rep.nrd() for rep in self.reps]
-        grams = {}
-        for i, rep in enumerate(self.reps):
-            for j in range(i, len(self.reps)):
-                lat = rep.product_lattice(conjugates[j])
-                scale = lat.den ** 2 * norms[i] * norms[j]
-                num, den = scale.numerator, scale.denominator
-                gram = alg.norm_gram(lat)
-                if any(x * den % num for row in gram for x in row):
-                    raise InvariantViolationError(
-                        f"norm form of I_{i}·conj(I_{j}) is not integral")
-                grams[i, j] = lagrange_reduce([[x * den // num for x in row]
-                                               for row in gram])[0]
-        return grams
+        for i, j in pairs:
+            if (i, j) in grams:
+                continue
+            lat = self.reps[i].product_lattice(self.reps[j].conjugate_lattice())
+            scale = lat.den ** 2 * self.reps[i].nrd() * self.reps[j].nrd()
+            num, den = scale.numerator, scale.denominator
+            gram = alg.norm_gram(lat)
+            if any(x * den % num for row in gram for x in row):
+                raise InvariantViolationError(
+                    f"norm form of I_{i}·conj(I_{j}) is not integral")
+            grams[i, j] = lagrange_reduce([[x * den // num for x in row]
+                                           for row in gram])[0]
+        return {pair: grams[pair] for pair in pairs}
 
     def _certify_units(self, pair_counts):
         for (i, j), counts in pair_counts.items():
@@ -164,8 +190,12 @@ def ideal_class_set(order: QuaternionOrder, neighbor_prime: int) -> ClassSet:
 
     neighbor_prime must be coprime to disc*level. The walk is deterministic:
     new classes are appended in the order their first representative appears,
-    neighbors scanned in line order. Results go through the content-addressed
-    cache when one is configured; cached entries re-verify their mass.
+    neighbors scanned in line order, and it stops at the class that completes
+    the mass, which it reaches exactly or raises. Before the class set is
+    returned or cached, its unit counts are certified as well
+    (`ClassSet.certify_unit_counts`). Results go through the
+    content-addressed cache when one is configured; cached entries are
+    re-certified on load.
     """
     disc_total = order.reduced_discriminant()
     alg_disc = order.alg.discriminant
@@ -176,27 +206,52 @@ def ideal_class_set(order: QuaternionOrder, neighbor_prime: int) -> ClassSet:
     cached = _cache.load_class_set(order, neighbor_prime)
     if cached is not None:
         return cached
-    spl = local_splitting(order, neighbor_prime, 1)
+    reps, unit_counts = _walk(order, neighbor_prime, eichler_mass(alg_disc, level))
+    cs = ClassSet(order, alg_disc, level, neighbor_prime, reps, unit_counts)
+    cs.certify_unit_counts()
+    _cache.store_class_set(cs)
+    return cs
 
+
+def _walk(order, neighbor_prime, mass):
+    """(representatives, unit counts) of the neighbour walk, stopped when the
+    found classes' 1/w_i add up to the mass. Overshooting the mass, or
+    running out of neighbours short of it, raises."""
     start = RightIdeal.unit_ideal(order)
-    reps = [start]
+    reps, unit_counts = [], []
     buckets = {}
-    _add(buckets, 0, start)
+    found = Fraction(0)
+
+    def keep(rep):
+        nonlocal found
+        _add(buckets, len(reps), rep)
+        reps.append(rep)
+        unit_counts.append(rep.left_order().unit_count())
+        found += Fraction(1, unit_counts[-1])
+        if found > mass:
+            raise InvariantViolationError(
+                f"the walk overshot the mass: {found} > {mass} after "
+                f"{len(reps)} classes")
+        return found == mass
+
     queue = deque([start])
-    while queue:
+    done = keep(start)
+    spl = None if done else local_splitting(order, neighbor_prime, 1)
+    while queue and not done:
         for nb in neighbors(queue.popleft(), neighbor_prime, spl):
             if _match(buckets, nb) is None:
                 if len(reps) >= MAX_CLASSES:
                     raise ResourceLimitError("class-number bound exceeded")
                 nb = reduce_ideal(nb)  # keep norms Minkowski-small along the walk
-                _add(buckets, len(reps), nb)
-                reps.append(nb)
+                done = keep(nb)
+                if done:
+                    break
                 queue.append(nb)
-    unit_counts = [rep.left_order().unit_count() for rep in reps]
-    cs = ClassSet(order, alg_disc, level, neighbor_prime, reps, unit_counts)
-    cs.verify_mass()
-    _cache.store_class_set(cs)
-    return cs
+    if not done:
+        raise InvariantViolationError(
+            f"the walk ran out of neighbours short of the mass: {found} < {mass} "
+            f"after {len(reps)} classes")
+    return reps, unit_counts
 
 
 def class_set_avoiding(order: QuaternionOrder, avoid: int = 1) -> ClassSet:

@@ -1,6 +1,11 @@
 """Right ideals of quaternion orders: products, isometry, neighbors.
 
-Every ideal carries one integer Gram G, built once from
+Every ideal carries certified right generators: the first pair (x, y) of its
+basis rows with xO + yO = I (the Hermite form of the eight products x·o, y·o
+over the order's basis must be I's), or its four rows when no pair spans.
+Products I·M with a left O-module M are spanned by the generators times M,
+eight products instead of sixteen, and their Hermite form is the same.
+Every ideal also carries one integer Gram G, built once from
 `QuaternionAlgebra.norm_gram`, with x^T G x = 2·nrd(x)/nrd(I) in its lattice
 basis, and one Lagrange reduction of G. The content of G gives nrd(I); the
 reduced Gram gives the shortest vector (the reduced ideal) and two tiers of
@@ -9,15 +14,17 @@ computed only on demand, the theta tail at 14, ..., 2·THETA_TAIL_NRD. Both
 are class invariants: y -> x·y carries J's normalized norm form onto that of
 I = x·J. Class equality is decided exactly: [I] = [J] iff the lattice
 I·conj(J) represents nrd(I)·nrd(J), tested by short-vector enumeration at
-that exact value (no slack). The element found is kept as a witness: x in
-I·conj(J) with nrd(x) = nrd(I)·nrd(J) gives I = (x/nrd(J))·J. Callers
-bucket representatives by theta key, so only ideals with equal keys are
-tested, and in a crowded bucket only those with equal tails.
+that exact value (no slack); `isometric` enumerates the conjugate lattice
+J·conj(I) instead, so that J's generators serve. The element found is a
+witness: x in I·conj(J) with nrd(x) = nrd(I)·nrd(J) gives I = (x/nrd(J))·J.
+Callers bucket representatives by theta key, so only ideals with equal keys
+are tested, and in a crowded bucket only those with equal tails.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 from ..errors import InvariantViolationError, UsageError
@@ -48,6 +55,7 @@ class RightIdeal:
         self._theta_tail = None
         self._left_order = None
         self._conjugate = None
+        self._generators = None
 
     @staticmethod
     def unit_ideal(order: QuaternionOrder) -> "RightIdeal":
@@ -110,11 +118,29 @@ class RightIdeal:
             self._conjugate = Lattice4(self.lattice.den, rows)
         return self._conjugate
 
+    def generators(self):
+        """Right generators of I over its order: the first pair (x, y) of basis
+        rows with xO + yO = I, certified by the Hermite form of the eight
+        products, or else the four rows."""
+        if self._generators is None:
+            rows, order_lat = self.lattice.rows, self.order.lattice
+            den = self.lattice.den * order_lat.den
+            self._generators = rows
+            for pair in combinations(rows, 2):
+                span = [self.alg.mul(x, o) for x in pair for o in order_lat.rows]
+                if Lattice4(den, span) == self.lattice:
+                    self._generators = pair
+                    break
+        return self._generators
+
     def product_lattice(self, other_lat: Lattice4) -> Lattice4:
-        rows = []
-        for x in self.lattice.rows:
-            for y in other_lat.rows:
-                rows.append(self.alg.mul(x, y))
+        """I·M for a lattice M that is a left module over I's order.
+
+        With I = xO + yO and O·M = M, I·M = x·M + y·M, so only the
+        generators are multiplied: 8 products instead of 16. The Hermite
+        form is canonical, so the lattice is the same either way.
+        """
+        rows = [self.alg.mul(x, y) for x in self.generators() for y in other_lat.rows]
         return Lattice4(self.lattice.den * other_lat.den, rows)
 
 
@@ -154,11 +180,37 @@ def isometry_witness(i1: RightIdeal, i2: RightIdeal):
     Why I = (x/nrd(J))·J: x·J ⊆ I·conj(J)·J = nrd(J)·I, and both sides of
     I ⊇ (x/nrd(J))·J have reduced norm nrd(I), so they are equal.
     """
-    if i1.order is not i2.order and i1.order != i2.order:
-        raise UsageError("ideals must share a right order")
-    if i1.theta_key() != i2.theta_key():
+    if not _same_theta_key(i1, i2):
         return None
     prod = i1.product_lattice(i2.conjugate_lattice())
+    c = _element_of_norm(prod, i1, i2)
+    if c is None:
+        return None
+    return tuple(sum(ci * r[k] for ci, r in zip(c, prod.rows)) for k in range(4)), prod.den
+
+
+def isometric(i1: RightIdeal, i2: RightIdeal) -> bool:
+    """Same right-ideal class: I = x·J for some x in the algebra.
+
+    Equivalent to I·conj(J) representing nrd(I)·nrd(J). The test runs on
+    J·conj(I) = conj(I·conj(J)), which has the same norms, so the answer is
+    `isometry_witness`'s; J's generators are the ones multiplied, and in a
+    class-set lookup J is the representative, whose generators are kept.
+    """
+    return _same_theta_key(i1, i2) and _element_of_norm(
+        i2.product_lattice(i1.conjugate_lattice()), i1, i2) is not None
+
+
+def _same_theta_key(i1: RightIdeal, i2: RightIdeal) -> bool:
+    if i1.order is not i2.order and i1.order != i2.order:
+        raise UsageError("ideals must share a right order")
+    return i1.theta_key() == i2.theta_key()
+
+
+def _element_of_norm(prod: Lattice4, i1: RightIdeal, i2: RightIdeal):
+    """Coordinates in prod's basis of its first element of reduced norm
+    nrd(i1)·nrd(i2), or None: its norm Gram T must represent
+    2·den^2·nrd(i1)·nrd(i2)."""
     n1, n2 = i1.nrd(), i2.nrd()
     target, rest = divmod(2 * prod.den ** 2 * n1.numerator * n2.numerator,
                           n1.denominator * n2.denominator)
@@ -166,18 +218,8 @@ def isometry_witness(i1: RightIdeal, i2: RightIdeal):
         return None
     for value, c in enumerate_by_value(i1.alg.norm_gram(prod), target):
         if value == target:
-            return (tuple(sum(ci * r[k] for ci, r in zip(c, prod.rows))
-                          for k in range(4)), prod.den)
+            return c
     return None
-
-
-def isometric(i1: RightIdeal, i2: RightIdeal) -> bool:
-    """Same right-ideal class: I = x·J for some x in the algebra.
-
-    Equivalent to the product lattice I·conj(J) representing nrd(I)·nrd(J),
-    that is its norm Gram T representing 2·den^2·nrd(I)·nrd(J).
-    """
-    return isometry_witness(i1, i2) is not None
 
 
 def neighbors(ideal: RightIdeal, ell: int, spl: LocalSplitting):

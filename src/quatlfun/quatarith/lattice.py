@@ -193,21 +193,6 @@ class Lattice4:
             rows.append([sum(c[i] * self.rows[i][k] for i in range(4)) for k in range(4)])
         return Lattice4(self.den, rows)
 
-    def intersection(self, other: "Lattice4") -> "Lattice4":
-        den = self.den * other.den // gcd(self.den, other.den)
-        a = [[x * (den // self.den) for x in r] for r in self.rows]
-        b = [[x * (den // other.den) for x in r] for r in other.rows]
-        # solve u*a = v*b; kernel vectors give u (first 4 coordinates) and v
-        cols = []
-        for c in range(4):
-            cols.append([a[i][c] for i in range(4)] + [-b[i][c] for i in range(4)])
-        ker = integer_kernel(cols)
-        rows = []
-        for vec in ker:
-            u = vec[:4]
-            rows.append([sum(u[i] * a[i][c] for i in range(4)) for c in range(4)])
-        return Lattice4(den, rows)
-
 
 def invert(m):
     """Exact inverse of a square matrix of Fractions via Gauss-Jordan."""

@@ -3,9 +3,10 @@
 An order is a `Lattice4`, integer rows r_i over a denominator den, and every
 question about it is asked in those integers: closure reads the products
 r_i·r_j over den^2, the reduced discriminant is read off the determinant of
-the integer norm Gram, and an idealizer {x : x·L ⊆ L} is the intersection
-over the rows r of L·conj(r)/nrd(r), since x·b ∈ L iff x ∈ L·b^-1 and
-b^-1 = conj(b)/nrd(b) (Voight, "Quaternion Algebras", 16.6-16.7).
+the integer norm Gram, and an idealizer {x : x·L ⊆ L} is (L·L^#)^#, L^# the
+dual of L under the trace pairing trd(xy): one product lattice and two
+triangular adjugates, no intersection (Voight, "Quaternion Algebras",
+16.6-16.7, for idealizers).
 
 The maximal-order routine saturates the obvious order Z<1,i,j,k> prime by
 prime: index-q superorders are found by brute force for q in {2, 3} and by the
@@ -245,20 +246,37 @@ def _enlarge_radical(order: QuaternionOrder, q: int):
 def _idealizer(alg: QuaternionAlgebra, lat: Lattice4, side: str) -> Lattice4:
     """{x : x L ⊆ L} (left) or {x : L x ⊆ L} (right), for any full lattice L.
 
-    For a row r of L, b = r/den has b^-1 = den·conj(r)/nrd(r), so
-    {x : x·b ∈ L} = L·b^-1 is spanned by the rows λ·conj(r) over nrd(r)
-    (the den cancels), and {x : b·x ∈ L} by conj(r)·λ.
+    By trace duality: (L·L^#)^# (left) or (L^#·L)^# (right), with L^# the
+    dual under trd(xy). As trd is cyclic, trd(x·l·m) = trd((x·l)·m) and
+    trd(l·x·m) = trd(x·(m·l)), and L^## = L, so x·l ∈ L for every l exactly
+    when x pairs integrally with L·L^#, and l·x ∈ L exactly when x pairs
+    integrally with L^#·L.
     """
-    out = None
-    for r in lat.rows:
-        c = alg.conj(r)
-        if side == "left":
-            rows = [alg.mul(lam, c) for lam in lat.rows]
-        else:
-            rows = [alg.mul(c, lam) for lam in lat.rows]
-        pre = Lattice4(alg.nrd(r), rows)
-        out = pre if out is None else out.intersection(pre)
-    return out
+    dual = _trace_dual(alg, lat)
+    first, second = (lat, dual) if side == "left" else (dual, lat)
+    rows = [alg.mul(x, y) for x in first.rows for y in second.rows]
+    return _trace_dual(alg, Lattice4(first.den * second.den, rows))
+
+
+def _trace_dual(alg: QuaternionAlgebra, lat: Lattice4) -> Lattice4:
+    """L^# = {y : trd(x·y) ∈ Z for every x in L}.
+
+    trd(x·y) = x·Q·y^T with Q = diag(2, 2a, 2b, -2ab), so for L = rows/den
+    the element y lies in L^# iff M·y^T ∈ den·Z^4, M = rows·Q: L^# is spanned
+    by the columns of den·M^-1 = den·adj(M)/det(M). The rows are a Hermite
+    basis, so M is upper triangular, det(M) is its diagonal's product and
+    adj(M) comes by back substitution from M·adj(M) = det(M)·I.
+    """
+    q = (2, 2 * alg.a, 2 * alg.b, -2 * alg.a * alg.b)
+    m = [[x * qc for x, qc in zip(row, q)] for row in lat.rows]
+    d = m[0][0] * m[1][1] * m[2][2] * m[3][3]
+    adj = [[0] * 4 for _ in range(4)]
+    for j in range(4):
+        for i in range(j, -1, -1):
+            s = (d if i == j else 0) - sum(m[i][k] * adj[k][j] for k in range(i + 1, j + 1))
+            adj[i][j] = s // m[i][i]
+    # negating every generator keeps the lattice, so |det| serves as denominator
+    return Lattice4(abs(d), [[lat.den * adj[r][c] for r in range(4)] for c in range(4)])
 
 
 def left_order_of(alg: QuaternionAlgebra, lat: Lattice4) -> QuaternionOrder:

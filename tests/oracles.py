@@ -207,6 +207,35 @@ def neighbor_matrix_oracle(class_set, ell):
     return rows
 
 
+# -- class sets by the exhaustive neighbour walk ------------------------------
+
+def exhaustive_walk_oracle(order, neighbor_prime):
+    """Representatives of every right-ideal class, in the order they appear.
+
+    The walk the library ran before it stopped at the mass: every neighbour
+    of every representative is looked up until the queue is empty, and a new
+    class is reduced and appended where it first appears. It reads no unit
+    count and no mass, so it does not share the library's stopping rule.
+    """
+    from collections import deque
+
+    from quatlfun.quatarith import RightIdeal, local_splitting, neighbors
+    from quatlfun.quatarith.classset import _add, _match
+    from quatlfun.quatarith.ideal import reduce_ideal
+    spl = local_splitting(order, neighbor_prime, 1)
+    start = RightIdeal.unit_ideal(order)
+    reps, buckets, queue = [start], {}, deque([start])
+    _add(buckets, 0, start)
+    while queue:
+        for nb in neighbors(queue.popleft(), neighbor_prime, spl):
+            if _match(buckets, nb) is None:
+                nb = reduce_ideal(nb)
+                _add(buckets, len(reps), nb)
+                reps.append(nb)
+                queue.append(nb)
+    return reps
+
+
 # -- idealizers by Fraction linear algebra -------------------------------------
 
 def idealizer_oracle(alg, lat, side):

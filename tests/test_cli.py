@@ -359,6 +359,28 @@ class TestMalformedInput:
         assert code == 2
         assert "error:" in err and "eigensystem" in err
 
+    @pytest.mark.parametrize("fixture,n", [
+        ({"p": 7, "n": 1, "a": {"2": 5, "23": 0}}, "1"),
+        ({"p": 5, "n": 1, "a": {"2": 3, "23": 1}}, "3"),
+    ], ids=["other-p", "short-n"])
+    @pytest.mark.parametrize("argv", [
+        ["lfun", "--nminus", "11", "--p", "5", "--mmax", "1", "--K", "-3",
+         "--eigenform"],
+        ["admissible", "--K", "-3", "--p", "5", "--bound", "25", "--f"],
+        ["raise", "--v1", "2", "--v2", "17", "--K", "-3", "--p", "5", "--f"],
+    ], ids=["lfun", "admissible", "raise"])
+    def test_eigensystem_fixture_must_cover_the_run(self, argv, fixture, n,
+                                                     tmp_path, capsys):
+        # a fixture known mod 7, or only mod 5 for a run mod 5^3, certifies
+        # nothing: the run is refused before any prime is printed
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({**fixture, "eps": {"11": 1}}))
+        code = main(argv + [str(path), "--n", n])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error:" in captured.err and "fixture modulus" in captured.err
+        assert captured.out == ""
+
     def test_cache_path_of_a_file(self, tmp_path, capsys):
         # the directory is created before it is set, so a failed call keeps
         # the setting it found

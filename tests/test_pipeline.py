@@ -86,3 +86,15 @@ def test_alpha_read_once(tmp_path):
     assert given.alpha == computed.alpha == 1
     assert given.system.a == computed.system.a == {2: 3, 3: 4, 7: 3, 13: 4, 17: 3, 19: 0}
     assert given.artifacts() == computed.artifacts()
+
+
+def test_fixture_checked_before_the_head(monkeypatch, tmp_path):
+    # a fixture that does not cover the run is refused before any class set,
+    # embedding or quotient graph is built
+    from quatlfun import pipeline
+    from quatlfun.cli import main
+    monkeypatch.setattr(pipeline, "_torus_quotient", _no_quotient)
+    fixture = tmp_path / "f7.json"
+    fixture.write_text(json.dumps({"p": 7, "n": 1, "a": {"2": 5}, "eps": {"11": 1}}))
+    assert main(["lfun", "--nminus", "11", "--p", "5", "--mmax", "1", "--K", "-3",
+                 "--eigenform", str(fixture)]) == 2

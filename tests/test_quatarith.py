@@ -40,7 +40,7 @@ from quatlfun.quatarith.lattice import (enumerate_by_value, hnf_rows,
 from quatlfun.quatarith.order import _idealizer
 
 from oracles import (count_vectors_of_norm, enumerate_by_value_oracle,
-                     hilbert_symbol_oracle, hnf_oracle, idealizer_oracle,
+                     exhaustive_walk_oracle, hilbert_symbol_oracle, hnf_oracle, idealizer_oracle,
                      kronecker_oracle, lagrange_reduce_oracle, minimum_of_form,
                      neighbor_matrix_oracle, norm_gram_oracle,
                      value_counts_oracle)
@@ -195,6 +195,49 @@ class TestClassSets:
         monkeypatch.setattr(classset_module, "reduce_ideal", counted)
         cs = ideal_class_set(order(), ell)
         assert len(calls) == len(cs) - 1
+
+    def test_swapped_unit_counts_stop_at_the_mass_and_are_caught(self, monkeypatch):
+        # disc 11 has unit counts 4 and 6; swapped, they still add up to the
+        # mass 5/12, so the walk stops where it should and only N_ii(1) = w_i
+        # can tell
+        order = maximal_order(algebra_from_discriminant(11))
+        real = QuaternionOrder.unit_count
+        monkeypatch.setattr(QuaternionOrder, "unit_count",
+                            lambda self: {4: 6, 6: 4}[real(self)])
+        with pytest.raises(InvariantViolationError,
+                           match=r"class 0: N_\(0,0\)\(1\) = 4, but its unit count is 6"):
+            ideal_class_set(order, 2)
+
+    @pytest.mark.parametrize("disc,level,factor,message", [
+        (11, 1, Fraction(2), "overshot the mass"),
+        (11, 1, Fraction(1, 2), "short of the mass"),
+        (37, 3, Fraction(2), r"class 0: N_\(0,0\)\(1\) = 2, but its unit count is 1"),
+    ], ids=["halved", "doubled", "halved-onto-the-mass"])
+    def test_scaled_unit_counts_raise(self, monkeypatch, disc, level, factor, message):
+        # disc 11: halved counts overshoot the mass 5/12 at the first class,
+        # doubled ones never reach it. Disc 37, level 3: halved counts add up
+        # to the mass early, and only N_ii(1) = w_i catches them
+        order = eichler_order_for(disc, level)
+        real = QuaternionOrder.unit_count
+        monkeypatch.setattr(QuaternionOrder, "unit_count",
+                            lambda self: int(real(self) / factor))
+        with pytest.raises(InvariantViolationError, match=message):
+            ideal_class_set(order, 2)
+
+    @pytest.mark.parametrize("shift,message", [
+        (Fraction(1), "short of the mass"), (Fraction(-1, 12), "overshot the mass")],
+        ids=["short", "overshoot"])
+    def test_walk_off_the_mass_raises(self, monkeypatch, shift, message):
+        # disc 11: classes of 4 and 6 units, found in that order, mass
+        # 1/4 + 1/6 = 5/12. A mass one larger is never reached, and the mass
+        # 1/3 lies strictly between 1/4 and 5/12, so the second class
+        # overshoots it
+        order = maximal_order(algebra_from_discriminant(11))
+        real = classset_module.eichler_mass
+        monkeypatch.setattr(classset_module, "eichler_mass",
+                            lambda disc, level: real(disc, level) + shift)
+        with pytest.raises(InvariantViolationError, match=message):
+            ideal_class_set(order, 2)
 
     def test_neighbor_regularity(self):
         cs = ideal_class_set(maximal_order(algebra_from_discriminant(11)), 2)
@@ -509,6 +552,52 @@ def test_brandt_matches_neighbour_oracle(disc, level):
                 idealizer_oracle(rep.alg, rep.lattice, side)
 
 
+_SWEEP_CLASS_SETS = {}
+
+
+def _sweep_class_set(disc, level):
+    """The sweep case's class set at its first good prime, built once."""
+    if (disc, level) not in _SWEEP_CLASS_SETS:
+        _SWEEP_CLASS_SETS[disc, level] = ideal_class_set(
+            eichler_order_for(disc, level), first_coprime_prime(disc * level))
+    return _SWEEP_CLASS_SETS[disc, level]
+
+
+@pytest.mark.parametrize("disc,level", _SWEEP,
+                         ids=[f"disc{d}-level{lv}" for d, lv in _SWEEP])
+def test_mass_stopped_walk_matches_exhaustive_oracle(disc, level):
+    """Stopping at the mass finds the exhaustive walk's representatives, in
+    its order."""
+    cs = _sweep_class_set(disc, level)
+    assert [rep.key() for rep in cs.reps] == \
+        [rep.key() for rep in exhaustive_walk_oracle(cs.order, cs.neighbor_prime)]
+
+
+@pytest.mark.parametrize("disc,level", _SWEEP,
+                         ids=[f"disc{d}-level{lv}" for d, lv in _SWEEP])
+def test_generators_products_and_weighted_symmetry(disc, level):
+    """Basis-free checks: each representative's certified generators span it
+    over the order, the generator product lattices are the 16-product
+    lattices, and w_j·B_ij = w_i·B_ji at the first two good primes."""
+    cs = _sweep_class_set(disc, level)
+    alg, order_lat = cs.order.alg, cs.order.lattice
+    for rep in cs.reps:
+        gens = rep.generators()
+        assert len(gens) in (2, 4)
+        span = [alg.mul(x, o) for x in gens for o in order_lat.rows]
+        assert Lattice4(rep.lattice.den * order_lat.den, span) == rep.lattice
+        for other in cs.reps:
+            conj = other.conjugate_lattice()
+            full = [alg.mul(x, y) for x in rep.lattice.rows for y in conj.rows]
+            assert rep.product_lattice(conj) == \
+                Lattice4(rep.lattice.den * conj.den, full)
+    w = cs.unit_counts
+    for ell in _coprime_primes(disc * level, 2):
+        b = neighbor_matrix(cs, ell)
+        assert all(w[j] * b[i][j] == w[i] * b[j][i]
+                   for i in range(len(cs)) for j in range(len(cs)))
+
+
 def test_uq_routes_agree_on_disc374_edge_classes():
     """The 80 edge classes of disc 374 at p = 5: the level-5 Eichler order."""
     cs = QuotientGraph(maximal_order(algebra_from_discriminant(374)), 5).edge_classes
@@ -737,17 +826,14 @@ class TestLattice4:
     def test_hnf_matches_oracle_on_kernel_input(self, n, entries):
         # integer_kernel's augmented array: n rows of length 12, each the
         # coefficients of one unknown in the 12 - n equations, then the unit
-        # row that records it (n = 8 is what Lattice4.intersection passes)
+        # row that records it
         m = 12 - n
         rows = [entries[m * i:m * i + m] + [int(i == j) for j in range(n)] for i in range(n)]
         assert hnf_rows(rows) == hnf_oracle(rows)
 
-    def test_intersection_and_sum(self):
+    def test_sum(self):
         a = Lattice4(1, [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
         b = Lattice4(1, [[1, 0, 0, 0], [0, 3, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-        inter = a.intersection(b)
-        assert inter.contains((2, 0, 0, 0)) and inter.contains((0, 3, 0, 0))
-        assert not inter.contains((1, 0, 0, 0))
         assert a.sum(b).contains((1, 0, 0, 0))
 
     def test_enumeration_against_box_oracle(self):
