@@ -56,7 +56,7 @@ def test_mmax_beyond_torus_precision_rejected_before_any_work(monkeypatch):
 
 
 def _no_quotient(*args, **kwargs):
-    raise AssertionError("quotient graph built for a rejected tower depth")
+    raise AssertionError("quotient graph built for a rejected configuration")
 
 
 @pytest.mark.parametrize("m", [-1, 7])
