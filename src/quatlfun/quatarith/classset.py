@@ -34,6 +34,20 @@ Brandt matrices come from the theta series of the pairs of representatives
 L-series" (1987), sections 1-2): the ell-neighbours of I_i in class j are
 counted by the elements of I_i·conj(I_j) of reduced norm
 ell·nrd(I_i)·nrd(I_j), one orbit of #O_l(I_j)^× for each neighbour.
+Each pair lattice is a small-index superlattice of one whose Gram is known
+(`ClassSet._pair_gram`): for x_b a shortest vector of I_b, of norm
+k_b·nrd(I_b), the sublattice I_a·conj(x_b) has Gram k_b·R_a in the basis
+v_l·conj(x_b), R_a the reduced Gram of I_a on its reduced basis v_l. For a
+certified generator g of I_b, o_g = conj(g)·x_b/nrd(I_b) lies in
+conj(I_b)·I_b/nrd(I_b) = O, and v_l·conj(g) = (v_l·o_g)·conj(x_b)/k_b, so
+the right action of the o_g on I_a, mod k_b, spans I_a·conj(I_b) in those
+coordinates. Every pair is certified: the index of the sublattice is
+det T = k_b^2 for the Hermite basis T of that span, and T·R_a·T^t is
+divisible by k_b. Conjugation keeps the counts, so each unordered pair is
+built on the side of smaller k; its Gram, Lagrange-reduced and with its
+Fincke-Pohst setup done (`PreparedForm`), serves the unit-count certificate
+and every later count. The product lattice I_a·conj(I_b) itself is only
+built by `isometric` and `isometry_witness`.
 The same reading holds at a prime q | disc, where the only right ideal
 J ⊂ I_i with nrd(J) = q·nrd(I_i) is I_i·P_q, P_q the two-sided prime over q:
 B(q) is the permutation [I_i] -> [I_i·P_q] (`uq_from_counts`). Classifying
@@ -49,7 +63,8 @@ from fractions import Fraction
 from ..errors import InvariantViolationError, ResourceLimitError, UsageError
 from ..primes import first_coprime_prime, is_prime, prime_factors
 from .ideal import RightIdeal, isometric, neighbors, reduce_ideal
-from .lattice import lagrange_reduce, value_counts
+from .lattice import (PreparedForm, adjugate4, hnf_mod, lagrange_reduce,
+                      value_counts)
 from .order import QuaternionOrder, two_sided_prime
 from .splitting import local_splitting
 
@@ -81,7 +96,8 @@ class ClassSet:
         self._classify_memo = {}
         self._buckets = None  # theta key -> [(index, rep)], built on first use
         # theta series of the pairs, in memory only: the cache stores none
-        self._pair_grams = None  # (i, j), i <= j -> reduced Gram, built on demand
+        self._pair_grams = None  # (i, j), i <= j -> PreparedForm, built on demand
+        self._sides = {}  # i -> _PairSide of reps[i], built on demand
         self._pair_counts = {}  # (i, j) -> [N_ij(0), ..., N_ij(_counts_upto)]
         self._counts_upto = 0
 
@@ -117,8 +133,9 @@ class ClassSet:
         """N[i][j] = #{x in I_i·conj(I_j) : nrd(x) = m·nrd(I_i)·nrd(I_j)}.
 
         Conjugation swaps (i, j), so each unordered pair is enumerated once,
-        up to the largest m asked so far; a smaller m costs nothing. Each
-        time the counts grow, N(1) = diag(unit counts) is certified: the
+        up to the largest m asked so far; a smaller m costs nothing, and a
+        larger one enumerates again on the kept forms, with no new setup.
+        Each time the counts grow, N(1) = diag(unit counts) is certified: the
         representatives are pairwise non-isometric and the counts are right.
         """
         h = len(self)
@@ -147,28 +164,76 @@ class ClassSet:
                     f"is {units}")
 
     def _reduced_pair_grams(self, pairs):
-        """{(i, j): Lagrange-reduced Gram of x -> 2·nrd(x)/(nrd(I_i)·nrd(I_j))
-        on I_i·conj(I_j)} for the pairs, each built once and kept.
+        """{(i, j): PreparedForm of the Lagrange-reduced Gram of
+        x -> 2·nrd(x)/(nrd(I_i)·nrd(I_j)) on I_i·conj(I_j)} for the pairs,
+        each built once and kept.
 
         The form is integral since nrd(I_i·conj(I_j)) = nrd(I_i)·nrd(I_j).
+        Conjugation maps I_i·conj(I_j) onto I_j·conj(I_i) and keeps norms, so
+        each pair is built by `_pair_gram` as I_a·conj(I_b) with k_b <= k_a,
+        the smaller index k_b^2 over the known sublattice; k = 1 (the unit
+        ideal) costs only I_a's reduced Gram.
         """
         if self._pair_grams is None:
             self._pair_grams = {}
         grams = self._pair_grams
-        alg = self.order.alg
         for i, j in pairs:
-            if (i, j) in grams:
-                continue
-            lat = self.reps[i].product_lattice(self.reps[j].conjugate_lattice())
-            scale = lat.den ** 2 * self.reps[i].nrd() * self.reps[j].nrd()
-            num, den = scale.numerator, scale.denominator
-            gram = alg.norm_gram(lat)
-            if any(x * den % num for row in gram for x in row):
-                raise InvariantViolationError(
-                    f"norm form of I_{i}·conj(I_{j}) is not integral")
-            grams[i, j] = lagrange_reduce([[x * den // num for x in row]
-                                           for row in gram])[0]
+            if (i, j) not in grams:
+                a, b = (j, i) if self._side(i).k < self._side(j).k else (i, j)
+                grams[i, j] = PreparedForm(lagrange_reduce(self._pair_gram(a, b))[0])
         return {pair: grams[pair] for pair in pairs}
+
+    def _side(self, i):
+        side = self._sides.get(i)
+        if side is None:
+            side = self._sides[i] = _PairSide(self.reps[i])
+        return side
+
+    def _pair_gram(self, a, b):
+        """Integer Gram of x -> 2·nrd(x)/(nrd(I_a)·nrd(I_b)) on I_a·conj(I_b),
+        read off the sublattice M = I_a·conj(x_b), x_b the first reduced
+        vector of I_b, with nrd(x_b) = k_b·nrd(I_b).
+
+        In the basis v_l·conj(x_b), v_l the reduced basis of I_a, M has Gram
+        k_b·R_a, R_a the reduced Gram of I_a. For a generator g of I_b,
+        o_g = conj(g)·x_b/nrd(I_b) lies in conj(I_b)·I_b/nrd(I_b) = O, and
+        o_g·conj(x_b) = k_b·conj(g), so v_l·conj(g) = (v_l·o_g)·conj(x_b)/k_b.
+        As I_a·conj(I_b) is spanned by the v_l·conj(g), in M's coordinates it
+        is (1/k_b)·S, S spanned by k_b·Z^4 and the rows of the right action
+        of the o_g on the v_l. Certificates: the Hermite basis T of S has
+        det T = k_b^2, the index of M in I_a·conj(I_b) (that of O·conj(x_b)
+        in conj(I_b)); and T·R_a·T^t is divisible by k_b, the quotient being
+        the Gram in the basis T/k_b.
+        """
+        side_a, side_b = self._side(a), self._side(b)
+        k = side_b.k
+        if k == 1:
+            t = [[int(r == c) for c in range(4)] for r in range(4)]
+        elif a == b:
+            t = hnf_mod([row for og in side_b.ogs for row in side_a.act(*og)], k)
+        else:
+            t = hnf_mod(side_a.act_all(side_b.og_coords()), k)
+        index = t[0][0] * t[1][1] * t[2][2] * t[3][3]
+        if index != k * k:
+            raise InvariantViolationError(
+                f"I_{a}·conj(I_{b}) has index {index} over I_{a}·conj(x_{b}), "
+                f"not k^2 = {k * k}")
+        (r00, r01, r02, r03), (_, r11, r12, r13), (_, _, r22, r23), \
+            (_, _, _, r33) = side_a.red
+        tr = [(x0 * r00 + x1 * r01 + x2 * r02 + x3 * r03,
+               x0 * r01 + x1 * r11 + x2 * r12 + x3 * r13,
+               x0 * r02 + x1 * r12 + x2 * r22 + x3 * r23,
+               x0 * r03 + x1 * r13 + x2 * r23 + x3 * r33) for x0, x1, x2, x3 in t]
+        gram = [[0] * 4 for _ in range(4)]
+        for r, (y0, y1, y2, y3) in enumerate(tr):
+            for c in range(r, 4):
+                x0, x1, x2, x3 = t[c]
+                q, rest = divmod(y0 * x0 + y1 * x1 + y2 * x2 + y3 * x3, k)
+                if rest:
+                    raise InvariantViolationError(
+                        f"norm form of I_{a}·conj(I_{b}) is not integral")
+                gram[r][c] = gram[c][r] = q
+        return gram
 
     def _certify_units(self, pair_counts):
         for (i, j), counts in pair_counts.items():
@@ -183,6 +248,87 @@ class ClassSet:
         if self.mass != expected:
             raise InvariantViolationError(
                 f"mass certificate failed: {self.mass} != {expected}")
+
+
+class _PairSide:
+    """One representative's data for the pair Grams (`ClassSet._pair_gram`).
+
+    red is the reduced Gram R = U^t·G·U of I, and basis its reduced basis:
+    the integer rows V_l = sum_r U[r][l]·B_r over I's denominator, B_r the
+    Hermite rows; (det, adj) is adjugate4 of V, which reads reduced
+    coordinates. x = v_0 is a shortest vector, nrd(x) = k·nrd(I) with
+    k = R[0][0]/2 (checked), and ogs holds o_g = conj(g)·x/nrd(I), in O, as
+    (integer vector, denominator), for the certified generators g of I. The
+    right action of O's basis on the v_l is built only when an off-diagonal
+    pair asks for it.
+    """
+
+    __slots__ = ("ideal", "red", "basis", "det", "adj", "k", "ogs",
+                 "_og_coords", "_action")
+
+    def __init__(self, ideal: RightIdeal):
+        alg, lat = ideal.alg, ideal.lattice
+        red, u = ideal.reduced_gram()
+        self.ideal, self.red, self.k = ideal, red, red[0][0] // 2
+        self.basis = [tuple(sum(u[r][l] * lat.rows[r][c] for r in range(4))
+                            for c in range(4)) for l in range(4)]
+        self.det, adj = adjugate4(self.basis)
+        self.adj = list(zip(*adj))  # by columns
+        # for g = G/den and nrd(I) = n/d: o_g = d·conj(G)·V_0 / (den^2·n)
+        norm, x = ideal.nrd(), self.basis[0]
+        den = lat.den ** 2 * norm.numerator
+        if alg.nrd(x) * norm.denominator != self.k * den:
+            raise InvariantViolationError(
+                f"the first reduced vector has nrd {alg.nrd(x)}/{lat.den ** 2}, "
+                f"not k·nrd(I) = {self.k}·{norm}")
+        self.ogs = [(tuple(norm.denominator * c for c in alg.mul(alg.conj(g), x)), den)
+                    for g in ideal.generators()]
+        self._og_coords = None
+        self._action = None
+
+    def act(self, vec, den):
+        """Rows A with v_l·o = sum_m A[l][m]·v_m, for o = vec/den in O.
+
+        With v_l = V_l/e, the product is Y/(e·den) for Y = V_l·vec, and its
+        coordinates c solve c·V = Y/den: c = Y·adj/(den·det).
+        """
+        mul, adj, div = self.ideal.alg.mul, self.adj, den * self.det
+        rows = []
+        for v in self.basis:
+            y0, y1, y2, y3 = mul(v, vec)
+            row = []
+            for a0, a1, a2, a3 in adj:
+                q, rest = divmod(y0 * a0 + y1 * a1 + y2 * a2 + y3 * a3, div)
+                if rest:
+                    raise InvariantViolationError("I·O is not contained in I")
+                row.append(q)
+            rows.append(row)
+        return rows
+
+    def og_coords(self):
+        """Coordinates of the o_g in O's basis; they must be integral."""
+        if self._og_coords is None:
+            order_lat = self.ideal.order.lattice
+            coords = [order_lat.coordinates(vec, den) for vec, den in self.ogs]
+            if None in coords:
+                raise InvariantViolationError("conj(g)·x/nrd(I) is not in O")
+            self._og_coords = coords
+        return self._og_coords
+
+    def act_all(self, coords):
+        """The rows of `act` for each element of O with the given coordinates,
+        combined from the action of O's basis, which is built once and kept
+        entrywise: (l, m) -> the four basis elements' A[l][m]."""
+        if self._action is None:
+            order_lat = self.ideal.order.lattice
+            mats = [self.act(e, order_lat.den) for e in order_lat.rows]
+            self._action = [entries for rows in zip(*mats) for entries in zip(*rows)]
+        rows = []
+        for c0, c1, c2, c3 in coords:
+            flat = [c0 * x0 + c1 * x1 + c2 * x2 + c3 * x3
+                    for x0, x1, x2, x3 in self._action]
+            rows += [flat[0:4], flat[4:8], flat[8:12], flat[12:16]]
+        return rows
 
 
 def ideal_class_set(order: QuaternionOrder, neighbor_prime: int) -> ClassSet:

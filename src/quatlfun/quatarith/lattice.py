@@ -13,9 +13,10 @@ vectors up to a value, `shortest_value_and_vector` finds a minimum in one
 enumeration, and `value_counts` gives theta coefficients. All three run one
 exact Fincke-Pohst recursion with isqrt-based bounds, behind a pairwise
 Lagrange reduction; its setup reads the leading minors of the Gram off one
-fraction-free elimination, and its last level is a plain loop that yields
-the vectors. A Lagrange step updates the symmetric Gram's row and column
-together, in one pass.
+fraction-free elimination and is kept as a `PreparedForm`, so a Gram whose
+counts grow is eliminated once; the recursion's last level is a plain loop
+that yields the vectors. A Lagrange step updates the symmetric Gram's row
+and column together, in one pass.
 
 x and -x have the same value, so `value_counts` visits one of each pair and
 counts it twice: the recursion's halved mode starts a coordinate at 0 while
@@ -87,6 +88,47 @@ def hnf_rows(rows, expect_rank=None):
     if expect_rank is not None and len(res) != expect_rank:
         raise InvariantViolationError(f"expected rank {expect_rank}, got {len(res)}")
     return res
+
+
+def hnf_mod(rows, k, n=4):
+    """Row Hermite normal form of the lattice spanned by `rows` (integer
+    lists of length n) and k·Z^n, k > 0: that of hnf_rows(k·1 + rows).
+
+    As k·Z^n lies in the lattice, every entry right of a pivot column can be
+    kept in [0, k): column c's pivot row starts as k·e_c and takes in each
+    remaining row's entry by a division or one unimodular extended-gcd step,
+    after which that row is 0 in column c; both are reduced mod k after each
+    step, so the entries stay small.
+    """
+    rows = [[x % k for x in r] for r in rows]
+    basis = []
+    for c in range(n):
+        piv = [0] * n
+        piv[c] = a = k
+        left = []
+        for row in rows:
+            b = row[c]
+            if b % a:
+                g = gcd(a, b)
+                ag, bg = a // g, b // g
+                t = pow(bg, -1, ag)  # as in hnf_rows: s·a + t·b = g
+                s = (g - t * b) // a
+                piv, row = ([(s * x + t * y) % k for x, y in zip(piv, row)],
+                            [(bg * x - ag * y) % k for x, y in zip(piv, row)])
+                piv[c] = a = g
+            elif b:
+                q = b // a
+                row = [(y - q * x) % k for x, y in zip(piv, row)]
+            if any(row):
+                left.append(row)
+        basis.append(piv)
+        rows = left
+    for i in range(n):
+        for j in range(i + 1, n):
+            q = basis[i][j] // basis[j][j]
+            if q:
+                basis[i] = [x - q * y for x, y in zip(basis[i], basis[j])]
+    return basis
 
 
 def integer_kernel(equation_rows):
@@ -176,12 +218,6 @@ class Lattice4:
     def _pivot(self, i):
         return next(c for c, x in enumerate(self.rows[i]) if x)
 
-    def sum(self, other: "Lattice4") -> "Lattice4":
-        den = self.den * other.den // gcd(self.den, other.den)
-        rows = [[x * (den // self.den) for x in r] for r in self.rows]
-        rows += [[x * (den // other.den) for x in r] for r in other.rows]
-        return Lattice4(den, rows)
-
     def sublattice_mod(self, q: int, coords) -> "Lattice4":
         """Preimage in L of the span of `coords` (basis coordinates) in L/qL.
 
@@ -211,6 +247,30 @@ def invert(m):
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return [row[n:] for row in a]
+
+
+def adjugate4(m):
+    """(det, adj) for an integer 4x4 matrix m, with m·adj = adj·m = det·1.
+
+    From the six 2x2 minors of the top two rows and the six of the bottom
+    two (Laplace expansion along them), in integers.
+    """
+    (a00, a01, a02, a03), (a10, a11, a12, a13), \
+        (a20, a21, a22, a23), (a30, a31, a32, a33) = m
+    s0, s1, s2 = a00 * a11 - a10 * a01, a00 * a12 - a10 * a02, a00 * a13 - a10 * a03
+    s3, s4, s5 = a01 * a12 - a11 * a02, a01 * a13 - a11 * a03, a02 * a13 - a12 * a03
+    c5, c4, c3 = a22 * a33 - a32 * a23, a21 * a33 - a31 * a23, a21 * a32 - a31 * a22
+    c2, c1, c0 = a20 * a33 - a30 * a23, a20 * a32 - a30 * a22, a20 * a31 - a30 * a21
+    det = s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0
+    adj = [[a11 * c5 - a12 * c4 + a13 * c3, -a01 * c5 + a02 * c4 - a03 * c3,
+            a31 * s5 - a32 * s4 + a33 * s3, -a21 * s5 + a22 * s4 - a23 * s3],
+           [-a10 * c5 + a12 * c2 - a13 * c1, a00 * c5 - a02 * c2 + a03 * c1,
+            -a30 * s5 + a32 * s2 - a33 * s1, a20 * s5 - a22 * s2 + a23 * s1],
+           [a10 * c4 - a11 * c2 + a13 * c0, -a00 * c4 + a01 * c2 - a03 * c0,
+            a30 * s4 - a31 * s2 + a33 * s0, -a20 * s4 + a21 * s2 - a23 * s0],
+           [-a10 * c3 + a11 * c1 - a12 * c0, a00 * c3 - a01 * c1 + a02 * c0,
+            -a30 * s3 + a31 * s1 - a32 * s0, a20 * s3 - a21 * s1 + a22 * s0]]
+    return det, adj
 
 
 def lagrange_reduce(gram):
@@ -259,57 +319,72 @@ def lagrange_reduce(gram):
         f"Lagrange reduction still changing after {LAGRANGE_PASSES} passes")
 
 
-def _fincke_pohst(gram, max_value, halved=False):
-    """Yield (value, x) with 0 < x^T gram x <= max_value, x integer.
+class PreparedForm:
+    """An integral positive definite Gram with the setup of the Fincke-Pohst
+    recursion done, so that enumerating it again only walks the tree.
 
-    gram is an integral positive definite Gram, best a Lagrange-reduced one
-    (fewer nodes); max_value is an integer. The one exact Fincke-Pohst
-    recursion of the package. Both x and -x appear; the last coordinate is
-    outermost and each coordinate runs upwards, so the order of the vectors
-    found does not depend on max_value. Lazy: callers may stop early.
-
-    With halved, only the x whose last nonzero coordinate is positive appear,
-    one of each pair ±x: while every higher coordinate is 0, the centre of a
-    coordinate is 0 and it runs from 0 upwards.
-
-    Its data come from one fraction-free (Bareiss) elimination of gram, whose
-    pivots are the leading minors D_1, ..., D_n (D_0 = 1). In
+    The data come from one fraction-free (Bareiss) elimination of the Gram,
+    whose pivots are the leading minors D_1, ..., D_n (D_0 = 1). In
     Q(x) = sum_i q_ii·(x_i + sum_{j>i} q_ij·x_j)^2 they give
     q_ii = D_{i+1}/D_i and q_ij = a_ij/D_{i+1}, for a_ij the entries of row i
-    when it is the pivot row. A pivot D_{i+1} <= 0 means gram is not
+    when it is the pivot row. A pivot D_{i+1} <= 0 means the Gram is not
     positive definite. With m_i the least common denominator of the q_ij
     (j > i), the centre of coordinate i is -C_i/m_i for the integer
     C_i = sum_{j>i} m_i·q_ij·x_j, and q_ii·(x_i - centre)^2 = k_i·s^2/scale
     with s = m_i·x_i + C_i, k_i = scale·D_{i+1}/(D_i·m_i^2), and scale the
-    least integer that makes every k_i integral. So every x_i with
-    k_i·s^2 <= remaining budget is visited, and no other.
+    least integer that makes every k_i integral. The form keeps m, the rows
+    num[i][j] = m_i·q_ij, k and scale; not the Gram.
     """
-    n = len(gram)
-    a = [list(r) for r in gram]
-    m, num, k_num, k_den = [], [], [], []
-    prev = 1  # D_i
-    for i in range(n):
-        d, row = a[i][i], a[i]  # D_{i+1} and the pivot row
-        if d <= 0:
-            raise UsageError("form is not positive definite")
-        mi = 1
-        for j in range(i + 1, n):
-            mi = lcm(mi, d // gcd(row[j], d))
-        m.append(mi)
-        num.append([0] * (i + 1) + [row[j] * mi // d for j in range(i + 1, n)])
-        wd = prev * mi * mi
-        g = gcd(d, wd)
-        k_num.append(d // g)
-        k_den.append(wd // g)
-        for r in range(i + 1, n):
-            ar, ari = a[r], a[r][i]
-            for c in range(i + 1, n):
-                ar[c] = (d * ar[c] - ari * row[c]) // prev
-        prev = d
+
+    __slots__ = ("m", "num", "k", "scale")
+
+    def __init__(self, gram):
+        n = len(gram)
+        a = [list(r) for r in gram]
+        m, num, k_num, k_den = [], [], [], []
+        prev = 1  # D_i
+        for i in range(n):
+            d, row = a[i][i], a[i]  # D_{i+1} and the pivot row
+            if d <= 0:
+                raise UsageError("form is not positive definite")
+            mi = 1
+            for j in range(i + 1, n):
+                mi = lcm(mi, d // gcd(row[j], d))
+            m.append(mi)
+            num.append(tuple([0] * (i + 1) + [row[j] * mi // d for j in range(i + 1, n)]))
+            wd = prev * mi * mi
+            g = gcd(d, wd)
+            k_num.append(d // g)
+            k_den.append(wd // g)
+            for r in range(i + 1, n):
+                ar, ari = a[r], a[r][i]
+                for c in range(i + 1, n):
+                    ar[c] = (d * ar[c] - ari * row[c]) // prev
+            prev = d
+        self.scale = lcm(1, *k_den)
+        self.k = tuple(kn * (self.scale // kd) for kn, kd in zip(k_num, k_den))
+        self.m, self.num = tuple(m), tuple(num)
+
+
+def _fincke_pohst(form, max_value, halved=False):
+    """Yield (value, x) with 0 < x^T G x <= max_value, x integer.
+
+    form is the PreparedForm of an integral positive definite Gram G, best a
+    Lagrange-reduced one (fewer nodes); max_value is an integer. The one
+    exact Fincke-Pohst recursion of the package: every x_i with
+    k_i·s^2 <= remaining budget is visited, and no other (see PreparedForm).
+    Both x and -x appear; the last coordinate is outermost and each
+    coordinate runs upwards, so the order of the vectors found does not
+    depend on max_value. Lazy: callers may stop early.
+
+    With halved, only the x whose last nonzero coordinate is positive appear,
+    one of each pair ±x: while every higher coordinate is 0, the centre of a
+    coordinate is 0 and it runs from 0 upwards.
+    """
     if max_value < 0:
         raise UsageError("negative radicand")
-    scale = lcm(1, *k_den)
-    k = [kn * (scale // kd) for kn, kd in zip(k_num, k_den)]
+    m, num, k, scale = form.m, form.num, form.k, form.scale
+    n = len(m)
     top = max_value * scale
     x = [0] * n
 
@@ -340,7 +415,7 @@ def _fincke_pohst(gram, max_value, halved=False):
 def _enumerate_reduced(red, u, max_value):
     """`enumerate_by_value` on the Lagrange-reduced data (red, u) of a Gram."""
     n = len(red)
-    for value, vec in _fincke_pohst(red, max_value):
+    for value, vec in _fincke_pohst(PreparedForm(red), max_value):
         yield value, tuple(sum(u[r][c] * vec[c] for c in range(n)) for r in range(n))
 
 
@@ -370,11 +445,12 @@ def shortest_value_and_vector(gram, reduction=None):
 def value_counts(gram_int, max_value: int):
     """counts[v] = #{x != 0 : x^T G x = v} for v = 0..max_value, G integral.
 
-    Pass a Lagrange-reduced G: the counts are basis-free, so no vector is
-    mapped back. x and -x have the same value, so one of each pair is
-    visited and counted twice.
+    Pass a Lagrange-reduced G, or its PreparedForm when it is counted more
+    than once: the counts are basis-free, so no vector is mapped back. x and
+    -x have the same value, so one of each pair is visited and counted twice.
     """
+    form = gram_int if isinstance(gram_int, PreparedForm) else PreparedForm(gram_int)
     counts = [0] * (max_value + 1)
-    for val, _ in _fincke_pohst(gram_int, max_value, halved=True):
+    for val, _ in _fincke_pohst(form, max_value, halved=True):
         counts[val] += 2
     return counts

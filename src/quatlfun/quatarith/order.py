@@ -159,17 +159,23 @@ def _enlarge_at(order: QuaternionOrder, q: int):
 
 
 def _enlarge_brute(order: QuaternionOrder, q: int):
-    """Try all index-q superlattices O + Z*(v/q); keep the first real order."""
+    """Try all index-q superlattices O + Z*(v/q); keep the first real order.
+
+    Every element of an order is integral, so a candidate whose new element
+    y = vec/(den·q) has trd(y) or nrd(y) outside Z is skipped before its
+    lattice is built: 2·vec[0] must be divisible by den·q and nrd(vec) by
+    (den·q)^2. The others get the full closure check, so the order returned
+    is the same.
+    """
     den = order.lattice.den
     rows = [[x * q for x in r] for r in order.lattice.rows]
-    candidates = []
+    dq = den * q
     for c in _proj_points(q):
         vec = [sum(c[i] * order.lattice.rows[i][k] for i in range(4)) for k in range(4)]
-        candidates.append(vec)
-    for vec in candidates:
-        lat = Lattice4(den * q, rows + [vec])
+        if 2 * vec[0] % dq or order.alg.nrd(vec) % (dq * dq):
+            continue
         try:
-            cand = QuaternionOrder(order.alg, lat)
+            cand = QuaternionOrder(order.alg, Lattice4(dq, rows + [vec]))
         except UsageError:
             continue
         if cand.reduced_discriminant() < order.reduced_discriminant():

@@ -32,18 +32,20 @@ from quatlfun.quatarith.ideal import reduce_ideal
 from quatlfun.quatarith import classset as classset_module
 from quatlfun.quatarith import ideal as ideal_module
 from quatlfun.quatarith import lattice as lattice_module
-from quatlfun.quatarith.lattice import (enumerate_by_value, hnf_rows,
+from quatlfun.quatarith.lattice import (adjugate4, enumerate_by_value,
+                                        hnf_mod, hnf_rows,
                                         integer_kernel, invert,
                                         lagrange_reduce,
                                         shortest_value_and_vector,
                                         value_counts)
-from quatlfun.quatarith.order import _idealizer
+from quatlfun.quatarith.order import (_enlarge_at, _enlarge_brute, _idealizer,
+                                      _proj_points)
 
 from oracles import (count_vectors_of_norm, enumerate_by_value_oracle,
                      exhaustive_walk_oracle, hilbert_symbol_oracle, hnf_oracle, idealizer_oracle,
                      kronecker_oracle, lagrange_reduce_oracle, minimum_of_form,
                      neighbor_matrix_oracle, norm_gram_oracle,
-                     value_counts_oracle)
+                     pair_gram_oracle, value_counts_oracle)
 
 
 class TestSymbols:
@@ -151,6 +153,31 @@ class TestMaximalOrder:
         for level, psi in ((1, 1), (2, 3)):
             cs = ideal_class_set(eichler_order_for(disc, level), 3)
             assert cs.mass == Fraction(disc - 1, 24) * psi
+
+
+@pytest.mark.parametrize("disc", [2, 3, 5, 7, 11, 13, 30, 42, 70, 73, 97])
+def test_enlarge_brute_skips_only_non_orders(disc):
+    """Every index-q candidate that the trace and norm test skips fails the
+    closure check too, along the saturation of the standard order, so the
+    order found is the one found by trying every candidate."""
+    alg = algebra_from_discriminant(disc)
+    order = standard_order(alg)
+    while order.reduced_discriminant() != alg.discriminant:
+        q = prime_factors(order.reduced_discriminant() // alg.discriminant)[0]
+        den, rows = order.lattice.den, order.lattice.rows
+        first = None
+        for c in _proj_points(q):
+            vec = [sum(c[i] * rows[i][k] for i in range(4)) for k in range(4)]
+            try:
+                cand = QuaternionOrder(alg, Lattice4(den * q, [[x * q for x in r]
+                                                               for r in rows] + [vec]))
+            except UsageError:
+                continue
+            assert 2 * vec[0] % (den * q) == 0 and alg.nrd(vec) % (den * q) ** 2 == 0
+            if first is None and cand.reduced_discriminant() < order.reduced_discriminant():
+                first = cand
+        assert _enlarge_brute(order, q) == first
+        order = _enlarge_at(order, q)
 
 
 class TestClassSets:
@@ -488,6 +515,25 @@ class TestBrandtFromTheta:
             neighbor_matrices(fresh, [13, 4])
         assert fresh._pair_grams is None
 
+    def test_count_growth_reuses_the_setup(self, cs13_2, monkeypatch):
+        # each pair's Fincke-Pohst setup is done once: the certificate, B(3)
+        # and the growth to B(7) share it
+        setups = []
+        real = lattice_module.PreparedForm.__init__
+
+        def counted(form, gram):
+            setups.append(gram)
+            real(form, gram)
+        monkeypatch.setattr(lattice_module.PreparedForm, "__init__", counted)
+        fresh = _copy_class_set(cs13_2)
+        fresh.certify_unit_counts()
+        h = len(fresh)
+        assert len(setups) == h
+        up = [neighbor_matrix(fresh, ell) for ell in (3, 7)]
+        assert len(setups) == h * (h + 1) // 2
+        monkeypatch.undo()
+        assert up == [neighbor_matrix(_copy_class_set(cs13_2), ell) for ell in (3, 7)]
+
     def test_order_of_requests_is_immaterial(self, cs13_2):
         ells = _coprime_primes(26, 5)
         up = [neighbor_matrix(_copy_class_set(cs13_2), ell) for ell in ells]
@@ -596,6 +642,81 @@ def test_generators_products_and_weighted_symmetry(disc, level):
         b = neighbor_matrix(cs, ell)
         assert all(w[j] * b[i][j] == w[i] * b[j][i]
                    for i in range(len(cs)) for j in range(len(cs)))
+
+
+@pytest.mark.parametrize("disc,level", _SWEEP,
+                         ids=[f"disc{d}-level{lv}" for d, lv in _SWEEP])
+def test_pair_grams_match_product_lattice_oracle(disc, level):
+    """Each pair lattice built over I_a·conj(x_b), in both orientations, and
+    the kept form of the pair have the theta series of the product lattice
+    I_i·conj(I_j) up to nrd(x)/(nrd(I_i)·nrd(I_j)) = 11."""
+    cs = _sweep_class_set(disc, level)
+    h = len(cs)
+    forms = cs._reduced_pair_grams([(i, j) for i in range(h) for j in range(i, h)])
+    for i in range(h):
+        for j in range(i, h):
+            want = value_counts(lagrange_reduce(pair_gram_oracle(cs, i, j))[0], 22)
+            assert value_counts(forms[i, j], 22) == want
+            for a, b in ((i, j), (j, i)):
+                assert value_counts(lagrange_reduce(cs._pair_gram(a, b))[0], 22) == want
+
+
+class TestPairGramCertificates:
+    """Corrupted data for I_a·conj(I_b) must fail the index check
+    det T = k_b^2 or the integrality of T·R_a·T^t/k_b."""
+
+    @pytest.fixture(scope="class")
+    def cs23(self):
+        cs = ideal_class_set(eichler_order_for(23, 2), 3)
+        assert [cs._side(i).k for i in range(len(cs))] == [1, 3, 2, 2, 2, 2]
+        return cs
+
+    def test_wrong_k_caught(self, cs23):
+        for b in range(1, len(cs23)):
+            for a in range(len(cs23)):
+                for wrong in (cs23._side(b).k + 1, 2 * cs23._side(b).k):
+                    cs = _copy_class_set(cs23)
+                    cs._side(b).k = wrong
+                    with pytest.raises(InvariantViolationError, match="index|integral"):
+                        cs._pair_gram(a, b)
+
+    def test_patched_shortest_vector_caught(self, cs23):
+        # v_0 + v_1 in place of v_0, the reduced Gram unchanged: its norm is
+        # no longer k·nrd(I)
+        rep = cs23.reps[1]
+        red, u = rep.reduced_gram()
+        patched = RightIdeal(rep.order, rep.lattice)
+        patched._reduced = (red, [[row[0] + row[1]] + list(row[1:]) for row in u])
+        cs = _copy_class_set(cs23, reps=cs23.reps[:1] + [patched] + cs23.reps[2:])
+        with pytest.raises(InvariantViolationError, match="first reduced vector"):
+            cs._pair_gram(0, 1)
+
+    def test_non_generating_g_caught(self, cs23):
+        # p·g for p | k_b: the o_g then vanish mod k_b and span too little
+        for b in range(1, len(cs23)):
+            rep = cs23.reps[b]
+            p = prime_factors(cs23._side(b).k)[0]
+            scaled = RightIdeal(rep.order, rep.lattice)
+            scaled._generators = tuple(tuple(p * x for x in g) for g in rep.generators())
+            reps = list(cs23.reps)
+            reps[b] = scaled
+            for a in range(len(cs23)):
+                cs = _copy_class_set(cs23, reps=reps)
+                with pytest.raises(InvariantViolationError, match="index"):
+                    cs._pair_gram(a, b)
+
+    @pytest.mark.parametrize("b", [4, 5])
+    def test_corrupted_right_action_caught(self, cs23, b):
+        # O's second basis element acts by A + (all ones) on I_a
+        for a in range(len(cs23)):
+            if a == b:
+                continue
+            cs = _copy_class_set(cs23)
+            side = cs._side(a)
+            side.act_all([])
+            side._action = [(e0, e1 + 1, e2, e3) for e0, e1, e2, e3 in side._action]
+            with pytest.raises(InvariantViolationError, match="index|integral"):
+                cs._pair_gram(a, b)
 
 
 def test_uq_routes_agree_on_disc374_edge_classes():
@@ -831,10 +952,21 @@ class TestLattice4:
         rows = [entries[m * i:m * i + m] + [int(i == j) for j in range(n)] for i in range(n)]
         assert hnf_rows(rows) == hnf_oracle(rows)
 
-    def test_sum(self):
-        a = Lattice4(1, [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-        b = Lattice4(1, [[1, 0, 0, 0], [0, 3, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-        assert a.sum(b).contains((1, 0, 0, 0))
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 12), st.lists(st.lists(st.integers(-40, 40), min_size=4,
+                                                  max_size=4), max_size=10))
+    def test_hnf_mod_matches_oracle(self, k, rows):
+        unit = [[k * (r == c) for c in range(4)] for r in range(4)]
+        assert hnf_mod(rows, k) == hnf_oracle(unit + rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=16, max_size=16))
+    def test_adjugate4(self, entries):
+        m = [entries[4 * r:4 * r + 4] for r in range(4)]
+        det, adj = adjugate4(m)
+        assert det == _naive_det(m)
+        scalar = [[det * (r == c) for c in range(4)] for r in range(4)]
+        assert _matmul(m, adj) == _matmul(adj, m) == scalar
 
     def test_enumeration_against_box_oracle(self):
         gram = [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 4, 1], [0, 0, 1, 6]]
