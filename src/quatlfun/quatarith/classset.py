@@ -41,13 +41,20 @@ v_l·conj(x_b), R_a the reduced Gram of I_a on its reduced basis v_l. For a
 certified generator g of I_b, o_g = conj(g)·x_b/nrd(I_b) lies in
 conj(I_b)·I_b/nrd(I_b) = O, and v_l·conj(g) = (v_l·o_g)·conj(x_b)/k_b, so
 the right action of the o_g on I_a, mod k_b, spans I_a·conj(I_b) in those
-coordinates. Every pair is certified: the index of the sublattice is
-det T = k_b^2 for the Hermite basis T of that span, and T·R_a·T^t is
-divisible by k_b. Conjugation keeps the counts, so each unordered pair is
-built on the side of smaller k; its Gram, Lagrange-reduced and with its
-Fincke-Pohst setup done (`PreparedForm`), serves the unit-count certificate
-and every later count. The product lattice I_a·conj(I_b) itself is only
-built by `isometric` and `isometry_witness`.
+coordinates. The action rows are exact: each product v_l·o_g is divided
+exactly into reduced coordinates, which also shows o_g in O_r(I_a) = O, so
+the span lies in I_a·conj(I_b). Each pair then checks two things: the index
+det T = k_b^2 of the sublattice in the span, T its Hermite basis, which
+makes the span all of I_a·conj(I_b) and fails when the generators span too
+little; and the divisibility of T·R_a·T^t by k_b, the integrality of the
+form. The checks do not re-derive the rows: a wrong row that keeps the
+index and the integrality passes them, and only the counts' own
+certificates (B(1) = I, N_ii(1) = w_i, w_j | N_ij, the row sums) stand
+behind it. Conjugation keeps the counts, so each unordered pair is built on
+the side of smaller k; its Gram, Lagrange-reduced and with its Fincke-Pohst
+setup done (`PreparedForm`), serves the unit-count certificate and every
+later count. The product lattice I_a·conj(I_b) itself is only built by
+`isometric` and `isometry_witness`.
 The same reading holds at a prime q | disc, where the only right ideal
 J ⊂ I_i with nrd(J) = q·nrd(I_i) is I_i·P_q, P_q the two-sided prime over q:
 B(q) is the permutation [I_i] -> [I_i·P_q] (`uq_from_counts`). Classifying
@@ -200,19 +207,18 @@ class ClassSet:
         o_g·conj(x_b) = k_b·conj(g), so v_l·conj(g) = (v_l·o_g)·conj(x_b)/k_b.
         As I_a·conj(I_b) is spanned by the v_l·conj(g), in M's coordinates it
         is (1/k_b)·S, S spanned by k_b·Z^4 and the rows of the right action
-        of the o_g on the v_l. Certificates: the Hermite basis T of S has
-        det T = k_b^2, the index of M in I_a·conj(I_b) (that of O·conj(x_b)
-        in conj(I_b)); and T·R_a·T^t is divisible by k_b, the quotient being
-        the Gram in the basis T/k_b.
+        of the o_g on the v_l (`_PairSide.act`, exact). Checks: the Hermite
+        basis T of S has det T = k_b^2, the index of M in I_a·conj(I_b) (that
+        of O·conj(x_b) in conj(I_b)), so S/k_b, which lies in I_a·conj(I_b),
+        is all of it; and T·R_a·T^t is divisible by k_b, the quotient being
+        the Gram in the basis T/k_b. Neither check re-derives the rows.
         """
         side_a, side_b = self._side(a), self._side(b)
         k = side_b.k
         if k == 1:
             t = [[int(r == c) for c in range(4)] for r in range(4)]
-        elif a == b:
-            t = hnf_mod([row for og in side_b.ogs for row in side_a.act(*og)], k)
         else:
-            t = hnf_mod(side_a.act_all(side_b.og_coords()), k)
+            t = hnf_mod([row for og in side_b.ogs for row in side_a.act(*og)], k)
         index = t[0][0] * t[1][1] * t[2][2] * t[3][3]
         if index != k * k:
             raise InvariantViolationError(
@@ -258,13 +264,10 @@ class _PairSide:
     Hermite rows; (det, adj) is adjugate4 of V, which reads reduced
     coordinates. x = v_0 is a shortest vector, nrd(x) = k·nrd(I) with
     k = R[0][0]/2 (checked), and ogs holds o_g = conj(g)·x/nrd(I), in O, as
-    (integer vector, denominator), for the certified generators g of I. The
-    right action of O's basis on the v_l is built only when an off-diagonal
-    pair asks for it.
+    (integer vector, denominator), for the certified generators g of I.
     """
 
-    __slots__ = ("ideal", "red", "basis", "det", "adj", "k", "ogs",
-                 "_og_coords", "_action")
+    __slots__ = ("ideal", "red", "basis", "det", "adj", "k", "ogs")
 
     def __init__(self, ideal: RightIdeal):
         alg, lat = ideal.alg, ideal.lattice
@@ -283,14 +286,13 @@ class _PairSide:
                 f"not k·nrd(I) = {self.k}·{norm}")
         self.ogs = [(tuple(norm.denominator * c for c in alg.mul(alg.conj(g), x)), den)
                     for g in ideal.generators()]
-        self._og_coords = None
-        self._action = None
 
     def act(self, vec, den):
         """Rows A with v_l·o = sum_m A[l][m]·v_m, for o = vec/den in O.
 
         With v_l = V_l/e, the product is Y/(e·den) for Y = V_l·vec, and its
-        coordinates c solve c·V = Y/den: c = Y·adj/(den·det).
+        coordinates c solve c·V = Y/den: c = Y·adj/(den·det). Every division
+        is exact, else o is not in the right order O of I.
         """
         mul, adj, div = self.ideal.alg.mul, self.adj, den * self.det
         rows = []
@@ -303,31 +305,6 @@ class _PairSide:
                     raise InvariantViolationError("I·O is not contained in I")
                 row.append(q)
             rows.append(row)
-        return rows
-
-    def og_coords(self):
-        """Coordinates of the o_g in O's basis; they must be integral."""
-        if self._og_coords is None:
-            order_lat = self.ideal.order.lattice
-            coords = [order_lat.coordinates(vec, den) for vec, den in self.ogs]
-            if None in coords:
-                raise InvariantViolationError("conj(g)·x/nrd(I) is not in O")
-            self._og_coords = coords
-        return self._og_coords
-
-    def act_all(self, coords):
-        """The rows of `act` for each element of O with the given coordinates,
-        combined from the action of O's basis, which is built once and kept
-        entrywise: (l, m) -> the four basis elements' A[l][m]."""
-        if self._action is None:
-            order_lat = self.ideal.order.lattice
-            mats = [self.act(e, order_lat.den) for e in order_lat.rows]
-            self._action = [entries for rows in zip(*mats) for entries in zip(*rows)]
-        rows = []
-        for c0, c1, c2, c3 in coords:
-            flat = [c0 * x0 + c1 * x1 + c2 * x2 + c3 * x3
-                    for x0, x1, x2, x3 in self._action]
-            rows += [flat[0:4], flat[4:8], flat[8:12], flat[12:16]]
         return rows
 
 

@@ -663,7 +663,9 @@ def test_pair_grams_match_product_lattice_oracle(disc, level):
 
 class TestPairGramCertificates:
     """Corrupted data for I_a·conj(I_b) must fail the index check
-    det T = k_b^2 or the integrality of T·R_a·T^t/k_b."""
+    det T = k_b^2 or the integrality of T·R_a·T^t/k_b. A corrupted action
+    that passes both must leave the theta series right, or fail the class
+    set's unit-count certificate."""
 
     @pytest.fixture(scope="class")
     def cs23(self):
@@ -705,18 +707,59 @@ class TestPairGramCertificates:
                 with pytest.raises(InvariantViolationError, match="index"):
                     cs._pair_gram(a, b)
 
-    @pytest.mark.parametrize("b", [4, 5])
-    def test_corrupted_right_action_caught(self, cs23, b):
-        # O's second basis element acts by A + (all ones) on I_a
-        for a in range(len(cs23)):
-            if a == b:
-                continue
+    @staticmethod
+    def _corrupt_action(monkeypatch, corrupt):
+        real = classset_module._PairSide.act
+        monkeypatch.setattr(classset_module._PairSide, "act",
+                            lambda side, vec, den: corrupt(real(side, vec, den)))
+
+    def test_corrupted_right_action_caught_or_harmless(self, cs23, monkeypatch):
+        # v_0·o read as v_0·o + v_1, on every pair but those over the unit
+        # ideal (b = 0, k = 1), which read no action. 25 of the 30 pairs fail
+        # a check; on the other 5 the wrong row spans the same lattice mod
+        # k_b, and the theta series is the product lattice's
+        self._corrupt_action(monkeypatch, lambda rows: [
+            [x + ((l, m) == (0, 1)) for m, x in enumerate(row)]
+            for l, row in enumerate(rows)])
+        caught = 0
+        for b in range(1, len(cs23)):
+            for a in range(len(cs23)):
+                cs = _copy_class_set(cs23)
+                try:
+                    gram = cs._pair_gram(a, b)
+                except InvariantViolationError as exc:
+                    assert "index" in str(exc) or "integral" in str(exc)
+                    caught += 1
+                    continue
+                want = pair_gram_oracle(cs, min(a, b), max(a, b))
+                assert value_counts(lagrange_reduce(gram)[0], 22) == \
+                    value_counts(lagrange_reduce(want)[0], 22)
+        assert caught == 25
+
+    def test_transposed_action_caught_by_the_class_set(self, cs23, monkeypatch):
+        # The limit of the pair checks: a transposed action passes them on 10
+        # of the 30 pairs with k_b > 1 with a wrong theta series, since they
+        # see the span's index and the form's integrality, not the rows. The
+        # class set still fails, at I_1·conj(I_1), before any count is kept
+        self._corrupt_action(monkeypatch, lambda rows: [list(c) for c in zip(*rows)])
+        wrong = []
+        for b in range(1, len(cs23)):
+            for a in range(len(cs23)):
+                try:
+                    gram = _copy_class_set(cs23)._pair_gram(a, b)
+                except InvariantViolationError:
+                    continue
+                want = pair_gram_oracle(cs23, min(a, b), max(a, b))
+                if value_counts(lagrange_reduce(gram)[0], 22) != \
+                        value_counts(lagrange_reduce(want)[0], 22):
+                    wrong.append((a, b))
+        assert len(wrong) == 10
+        for ask in (lambda cs: cs.certify_unit_counts(),
+                    lambda cs: cs.representation_counts(3)):
             cs = _copy_class_set(cs23)
-            side = cs._side(a)
-            side.act_all([])
-            side._action = [(e0, e1 + 1, e2, e3) for e0, e1, e2, e3 in side._action]
-            with pytest.raises(InvariantViolationError, match="index|integral"):
-                cs._pair_gram(a, b)
+            with pytest.raises(InvariantViolationError, match=r"I_1·conj\(I_1\)"):
+                ask(cs)
+            assert cs.counts_upto == 0
 
 
 def test_uq_routes_agree_on_disc374_edge_classes():
