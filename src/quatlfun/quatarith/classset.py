@@ -47,13 +47,18 @@ the span lies in I_a·conj(I_b). Each pair then checks two things: the index
 det T = k_b^2 of the sublattice in the span, T its Hermite basis, which
 makes the span all of I_a·conj(I_b) and fails when the generators span too
 little; and the divisibility of T·R_a·T^t by k_b, the integrality of the
-form. The checks do not re-derive the rows: a wrong row that keeps the
-index and the integrality passes them, and only the counts' own
-certificates (B(1) = I, N_ii(1) = w_i, w_j | N_ij, the row sums) stand
-behind it. Conjugation keeps the counts, so each unordered pair is built on
-the side of smaller k; its Gram, Lagrange-reduced and with its Fincke-Pohst
-setup done (`PreparedForm`), serves the unit-count certificate and every
-later count. The product lattice I_a·conj(I_b) itself is only built by
+form. These checks do not re-derive the rows: a wrong row that keeps the
+index and the integrality passes them. The rows are checked once per
+representative instead (`_PairSide`): the action must be multiplicative,
+A(o·o') = A(o)·A(o') for two basis elements o, o' of O that do not
+commute, which a transposed reading fails; the counts' own certificates
+(B(1) = I, N_ii(1) = w_i, w_j | N_ij, the row sums) stand behind all of
+it. Conjugation keeps the counts, so each unordered pair is built on the
+side of smaller k. Its Gram stays in the Hermite basis T/k_b, with no
+Lagrange pass, as the counts do not depend on the basis; with its
+Fincke-Pohst setup done (`PreparedForm`, in closed form at rank 4) it
+serves the unit-count certificate and every later count (the rank-4
+`value_counts` loops). The product lattice I_a·conj(I_b) itself is only built by
 `isometric` and `isometry_witness`.
 The same reading holds at a prime q | disc, where the only right ideal
 J ⊂ I_i with nrd(J) = q·nrd(I_i) is I_i·P_q, P_q the two-sided prime over q:
@@ -66,12 +71,12 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from itertools import combinations
 
 from ..errors import InvariantViolationError, ResourceLimitError, UsageError
 from ..primes import first_coprime_prime, is_prime, prime_factors
 from .ideal import RightIdeal, isometric, neighbors, reduce_ideal
-from .lattice import (PreparedForm, adjugate4, hnf_mod, lagrange_reduce,
-                      value_counts)
+from .lattice import PreparedForm, adjugate4, hnf_mod, value_counts
 from .order import QuaternionOrder, two_sided_prime
 from .splitting import local_splitting
 
@@ -147,7 +152,7 @@ class ClassSet:
         """
         h = len(self)
         if m > self._counts_upto:
-            grams = self._reduced_pair_grams([(i, j) for i in range(h)
+            grams = self._pair_forms([(i, j) for i in range(h)
                                               for j in range(i, h)])
             counts = {pair: value_counts(gram, 2 * m)[::2]
                       for pair, gram in grams.items()}
@@ -162,7 +167,7 @@ class ClassSet:
         units of the left order. Read off the diagonal pair Grams, which the
         representation counts reuse, independently of the idealizer that
         gave w_i."""
-        grams = self._reduced_pair_grams([(i, i) for i in range(len(self))])
+        grams = self._pair_forms([(i, i) for i in range(len(self))])
         for i, units in enumerate(self.unit_counts):
             found = value_counts(grams[i, i], 2)[2]
             if found != units:
@@ -170,16 +175,17 @@ class ClassSet:
                     f"class {i}: N_({i},{i})(1) = {found}, but its unit count "
                     f"is {units}")
 
-    def _reduced_pair_grams(self, pairs):
-        """{(i, j): PreparedForm of the Lagrange-reduced Gram of
-        x -> 2·nrd(x)/(nrd(I_i)·nrd(I_j)) on I_i·conj(I_j)} for the pairs,
-        each built once and kept.
+    def _pair_forms(self, pairs):
+        """{(i, j): PreparedForm of the Gram of x -> 2·nrd(x)/(nrd(I_i)·nrd(I_j))
+        on I_i·conj(I_j)} for the pairs, each built once and kept.
 
         The form is integral since nrd(I_i·conj(I_j)) = nrd(I_i)·nrd(I_j).
         Conjugation maps I_i·conj(I_j) onto I_j·conj(I_i) and keeps norms, so
         each pair is built by `_pair_gram` as I_a·conj(I_b) with k_b <= k_a,
         the smaller index k_b^2 over the known sublattice; k = 1 (the unit
-        ideal) costs only I_a's reduced Gram.
+        ideal) costs only I_a's reduced Gram. The Gram stays in its Hermite
+        basis: its theta counts do not depend on the basis, and the rank-4
+        counter walks it faster than a Lagrange pass would save.
         """
         if self._pair_grams is None:
             self._pair_grams = {}
@@ -187,7 +193,7 @@ class ClassSet:
         for i, j in pairs:
             if (i, j) not in grams:
                 a, b = (j, i) if self._side(i).k < self._side(j).k else (i, j)
-                grams[i, j] = PreparedForm(lagrange_reduce(self._pair_gram(a, b))[0])
+                grams[i, j] = PreparedForm(self._pair_gram(a, b))
         return {pair: grams[pair] for pair in pairs}
 
     def _side(self, i):
@@ -211,7 +217,8 @@ class ClassSet:
         basis T of S has det T = k_b^2, the index of M in I_a·conj(I_b) (that
         of O·conj(x_b) in conj(I_b)), so S/k_b, which lies in I_a·conj(I_b),
         is all of it; and T·R_a·T^t is divisible by k_b, the quotient being
-        the Gram in the basis T/k_b. Neither check re-derives the rows.
+        the Gram in the basis T/k_b. Neither check re-derives the rows; each
+        side checks its `act` once, when it is built.
         """
         side_a, side_b = self._side(a), self._side(b)
         k = side_b.k
@@ -265,6 +272,7 @@ class _PairSide:
     coordinates. x = v_0 is a shortest vector, nrd(x) = k·nrd(I) with
     k = R[0][0]/2 (checked), and ogs holds o_g = conj(g)·x/nrd(I), in O, as
     (integer vector, denominator), for the certified generators g of I.
+    `act` is checked once against the multiplication of O.
     """
 
     __slots__ = ("ideal", "red", "basis", "det", "adj", "k", "ogs")
@@ -286,6 +294,19 @@ class _PairSide:
                 f"not k·nrd(I) = {self.k}·{norm}")
         self.ogs = [(tuple(norm.denominator * c for c in alg.mul(alg.conj(g), x)), den)
                     for g in ideal.generators()]
+        # A(o·o') = A(o)·A(o') for two basis elements of O that do not
+        # commute: `act` is checked against the multiplication of O, so that a
+        # wrong reading of it (its transpose, say) fails here, where the
+        # index and integrality checks of `_pair_gram` may pass it
+        basis, e = ideal.order.lattice.rows, ideal.order.lattice.den
+        o, o2 = next((o, o2) for o, o2 in combinations(basis, 2)
+                     if alg.mul(o, o2) != alg.mul(o2, o))
+        a, a2 = self.act(o, e), self.act(o2, e)
+        if self.act(alg.mul(o, o2), e * e) != [[sum(x * y for x, y in zip(row, col))
+                                                for col in zip(*a2)] for row in a]:
+            raise InvariantViolationError(
+                "the right action of O on the reduced basis is not multiplicative: "
+                "A(o·o') != A(o)·A(o')")
 
     def act(self, vec, den):
         """Rows A with v_l·o = sum_m A[l][m]·v_m, for o = vec/den in O.

@@ -652,7 +652,7 @@ def test_pair_grams_match_product_lattice_oracle(disc, level):
     I_i·conj(I_j) up to nrd(x)/(nrd(I_i)·nrd(I_j)) = 11."""
     cs = _sweep_class_set(disc, level)
     h = len(cs)
-    forms = cs._reduced_pair_grams([(i, j) for i in range(h) for j in range(i, h)])
+    forms = cs._pair_forms([(i, j) for i in range(h) for j in range(i, h)])
     for i in range(h):
         for j in range(i, h):
             want = value_counts(lagrange_reduce(pair_gram_oracle(cs, i, j))[0], 22)
@@ -713,53 +713,72 @@ class TestPairGramCertificates:
         monkeypatch.setattr(classset_module._PairSide, "act",
                             lambda side, vec, den: corrupt(real(side, vec, den)))
 
+    @staticmethod
+    def _with_sides(cs):
+        """A copy of cs whose pair sides are built, and checked, already."""
+        copy = _copy_class_set(cs)
+        for i in range(len(copy)):
+            copy._side(i)
+        return copy
+
+    @staticmethod
+    def _assert_no_counts_kept(cs):
+        for ask in (lambda c: c.certify_unit_counts(),
+                    lambda c: c.representation_counts(3)):
+            fresh = _copy_class_set(cs)
+            with pytest.raises(InvariantViolationError, match="not multiplicative"):
+                ask(fresh)
+            assert fresh.counts_upto == 0
+
     def test_corrupted_right_action_caught_or_harmless(self, cs23, monkeypatch):
         # v_0·o read as v_0·o + v_1, on every pair but those over the unit
-        # ideal (b = 0, k = 1), which read no action. 25 of the 30 pairs fail
-        # a check; on the other 5 the wrong row spans the same lattice mod
-        # k_b, and the theta series is the product lattice's
+        # ideal (b = 0, k = 1), which read no action. On sides built before
+        # the corruption, 25 of the 30 pairs fail a pair check; on the other 5
+        # the wrong row spans the same lattice mod k_b, and the theta series
+        # is the product lattice's. A side built under it fails its own check
+        built = self._with_sides(cs23)
         self._corrupt_action(monkeypatch, lambda rows: [
             [x + ((l, m) == (0, 1)) for m, x in enumerate(row)]
             for l, row in enumerate(rows)])
         caught = 0
         for b in range(1, len(cs23)):
             for a in range(len(cs23)):
-                cs = _copy_class_set(cs23)
                 try:
-                    gram = cs._pair_gram(a, b)
+                    gram = built._pair_gram(a, b)
                 except InvariantViolationError as exc:
                     assert "index" in str(exc) or "integral" in str(exc)
                     caught += 1
                     continue
-                want = pair_gram_oracle(cs, min(a, b), max(a, b))
-                assert value_counts(lagrange_reduce(gram)[0], 22) == \
-                    value_counts(lagrange_reduce(want)[0], 22)
+                want = pair_gram_oracle(cs23, min(a, b), max(a, b))
+                assert value_counts(gram, 22) == value_counts(lagrange_reduce(want)[0], 22)
         assert caught == 25
+        self._assert_no_counts_kept(cs23)
 
     def test_transposed_action_caught_by_the_class_set(self, cs23, monkeypatch):
-        # The limit of the pair checks: a transposed action passes them on 10
-        # of the 30 pairs with k_b > 1 with a wrong theta series, since they
-        # see the span's index and the form's integrality, not the rows. The
-        # class set still fails, at I_1·conj(I_1), before any count is kept
+        # The limit of the pair checks: on sides built before the corruption,
+        # a transposed action passes them on 10 of the 30 pairs with k_b > 1
+        # with a wrong theta series, since they see the span's index and the
+        # form's integrality, not the rows. Each side checks
+        # A(o·o') = A(o)·A(o') once, for o, o' in O that do not commute,
+        # which the transpose fails, so the class set raises before any
+        # count is kept
+        built = self._with_sides(cs23)
         self._corrupt_action(monkeypatch, lambda rows: [list(c) for c in zip(*rows)])
         wrong = []
         for b in range(1, len(cs23)):
             for a in range(len(cs23)):
                 try:
-                    gram = _copy_class_set(cs23)._pair_gram(a, b)
+                    gram = built._pair_gram(a, b)
                 except InvariantViolationError:
                     continue
                 want = pair_gram_oracle(cs23, min(a, b), max(a, b))
-                if value_counts(lagrange_reduce(gram)[0], 22) != \
-                        value_counts(lagrange_reduce(want)[0], 22):
+                if value_counts(gram, 22) != value_counts(lagrange_reduce(want)[0], 22):
                     wrong.append((a, b))
         assert len(wrong) == 10
-        for ask in (lambda cs: cs.certify_unit_counts(),
-                    lambda cs: cs.representation_counts(3)):
-            cs = _copy_class_set(cs23)
-            with pytest.raises(InvariantViolationError, match=r"I_1·conj\(I_1\)"):
-                ask(cs)
-            assert cs.counts_upto == 0
+        for i in range(len(cs23)):
+            with pytest.raises(InvariantViolationError, match="not multiplicative"):
+                _copy_class_set(cs23)._side(i)
+        self._assert_no_counts_kept(cs23)
 
 
 def test_uq_routes_agree_on_disc374_edge_classes():
@@ -1181,6 +1200,80 @@ class TestKernelsAgainstOracles:
         assert lagrange_reduce(_fibonacci_gram(3000))[0] == [(1, 0), (0, 1)]
         with pytest.raises(InvariantViolationError, match="still changing"):
             lagrange_reduce(_fibonacci_gram(5000))
+
+
+def _leading_minors(gram):
+    """D_1, ..., D_n of a square integer matrix, each by the Leibniz formula."""
+    from itertools import permutations
+
+    def det(m):
+        n = len(m)
+        return sum((-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+                   * math.prod(m[i][p[i]] for i in range(n))
+                   for p in permutations(range(n)))
+    return [det([row[:k] for row in gram[:k]]) for k in range(1, len(gram) + 1)]
+
+
+def _diagonal(entries):
+    return [[x if r == c else 0 for c, x in enumerate(entries)] for r in range(len(entries))]
+
+
+class TestRank4Falsifiers:
+    """Each check of the rank-4 closed forms, reached by a 4x4 input."""
+
+    _RUNS = (lagrange_reduce, lattice_module.PreparedForm,
+             lambda g: value_counts(g, 4), lambda g: next(enumerate_by_value(g, 4)),
+             shortest_value_and_vector)
+
+    @pytest.mark.parametrize("gram", [
+        [[2, 1, 0, 0], [1, 2, 0], [0, 0, 2, 0], [0, 0, 0, 2]],
+        [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 2, 0, 0], [0, 0, 0, 2]],
+    ], ids=["short-row", "long-row"])
+    def test_non_square(self, gram):
+        for run in self._RUNS:
+            with pytest.raises(UsageError, match="square"):
+                run(gram)
+
+    def test_non_symmetric(self):
+        gram = [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 2, 1], [0, 0, 0, 2]]
+        for run in self._RUNS:
+            with pytest.raises(UsageError, match="symmetric"):
+                run(gram)
+
+    @pytest.mark.parametrize("pivot,gram", [
+        # diagonal forms whose leading minors fail at one pivot only
+        (1, _diagonal([-1, -1, 1, 1])),
+        (2, _diagonal([1, -1, -1, 1])),
+        (3, _diagonal([1, 1, -1, -1])),
+        (4, _diagonal([1, 1, 1, -1])),
+        # three vectors of A2 that sum to 0, then an orthogonal one
+        (3, [[2, -1, -1, 0], [-1, 2, -1, 0], [-1, -1, 2, 0], [0, 0, 0, 3]]),
+        # the four vectors e_i - e_(i+1) of A3 around a cycle: rank 3
+        (4, [[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 2, -1], [-1, 0, -1, 2]]),
+    ], ids=["D1", "D2", "D3", "D4", "D3-A2", "D4-A3"])
+    def test_not_positive_definite_raises_before_any_vector(self, pivot, gram):
+        minors = _leading_minors(gram)
+        assert all(d > 0 for d in minors[:pivot - 1]) and minors[pivot - 1] <= 0
+        for run in self._RUNS[1:]:
+            with pytest.raises(UsageError, match="not positive definite"):
+                run(gram)
+
+    def test_lagrange_raises_when_not_converged(self):
+        # the Fibonacci basis of x^2 + y^2 beside I_2: as at rank 2, n = 3000
+        # converges within the passes and n = 5000 does not
+        def plus_identity(gram):
+            return [list(gram[0]) + [0, 0], list(gram[1]) + [0, 0],
+                    [0, 0, 1, 0], [0, 0, 0, 1]]
+        assert lagrange_reduce(plus_identity(_fibonacci_gram(3000)))[0] == \
+            [tuple(int(r == c) for c in range(4)) for r in range(4)]
+        with pytest.raises(InvariantViolationError, match="still changing"):
+            lagrange_reduce(plus_identity(_fibonacci_gram(5000)))
+
+    def test_hnf_expect_rank(self):
+        rows = [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 5]]
+        assert hnf_rows(rows) == [[1, 0, 3, -6], [0, 1, 0, 5]]
+        with pytest.raises(InvariantViolationError, match="expected rank 4, got 2"):
+            hnf_rows(rows, expect_rank=4)
 
 
 def _naive_det(rows):

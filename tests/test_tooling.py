@@ -9,12 +9,14 @@ advertised. The package keeps one builder of quaternion norm Grams, one
 builder of quotient graphs and one neighbour-prime rule, and no module-level
 state but the cache directory; lattice elements in quatarith stay integer
 rows over a denominator, and the tree, its transport, the torus and the
-measure compute in integers only.
+measure compute in integers only. Theta counts come from `value_counts`
+alone.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import re
 
@@ -130,3 +132,16 @@ def test_tree_torus_and_measure_are_integer_only():
     # reference
     modules = ("bttree.py", "brandtforms.py", "toruscm.py", "padicl.py")
     assert [m for m in modules if _imports_fractions(os.path.join(SRC, m))] == []
+
+
+def test_one_theta_counter():
+    # theta counts come from value_counts alone: the Fincke-Pohst recursion
+    # has no counting (halved) mode, and the class set counts its pair forms
+    # in their Hermite basis, with no Lagrange pass
+    from quatlfun.quatarith import lattice
+    assert "halved" not in inspect.signature(lattice._fincke_pohst).parameters
+    with open(os.path.join(SRC, "quatarith", "classset.py")) as fh:
+        tree = ast.parse(fh.read())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert "lagrange_reduce" not in imported
