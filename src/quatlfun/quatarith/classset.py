@@ -58,8 +58,8 @@ side of smaller k. Its Gram stays in the Hermite basis T/k_b, with no
 Lagrange pass, as the counts do not depend on the basis; with its
 Fincke-Pohst setup done (`PreparedForm`, in closed form at rank 4) it
 serves the unit-count certificate and every later count (the rank-4
-`value_counts` loops). The product lattice I_a·conj(I_b) itself is only built by
-`isometric` and `isometry_witness`.
+`value_counts` loops). The product lattice I_a·conj(I_b) itself is only
+built by `isometric` and `isometry_witness`.
 The same reading holds at a prime q | disc, where the only right ideal
 J ⊂ I_i with nrd(J) = q·nrd(I_i) is I_i·P_q, P_q the two-sided prime over q:
 B(q) is the permutation [I_i] -> [I_i·P_q] (`uq_from_counts`). Classifying
@@ -152,8 +152,7 @@ class ClassSet:
         """
         h = len(self)
         if m > self._counts_upto:
-            grams = self._pair_forms([(i, j) for i in range(h)
-                                              for j in range(i, h)])
+            grams = self._pair_forms([(i, j) for i in range(h) for j in range(i, h)])
             counts = {pair: value_counts(gram, 2 * m)[::2]
                       for pair, gram in grams.items()}
             self._certify_units(counts)  # before they are kept, so a retry fails too
@@ -184,8 +183,8 @@ class ClassSet:
         each pair is built by `_pair_gram` as I_a·conj(I_b) with k_b <= k_a,
         the smaller index k_b^2 over the known sublattice; k = 1 (the unit
         ideal) costs only I_a's reduced Gram. The Gram stays in its Hermite
-        basis: its theta counts do not depend on the basis, and the rank-4
-        counter walks it faster than a Lagrange pass would save.
+        basis: its theta counts do not depend on the basis, and counting it
+        unreduced costs less than a Lagrange pass would save.
         """
         if self._pair_grams is None:
             self._pair_grams = {}
@@ -298,8 +297,8 @@ class _PairSide:
         # commute: `act` is checked against the multiplication of O, so that a
         # wrong reading of it (its transpose, say) fails here, where the
         # index and integrality checks of `_pair_gram` may pass it
-        basis, e = ideal.order.lattice.rows, ideal.order.lattice.den
-        o, o2 = next((o, o2) for o, o2 in combinations(basis, 2)
+        o_rows, e = ideal.order.lattice.rows, ideal.order.lattice.den
+        o, o2 = next((o, o2) for o, o2 in combinations(o_rows, 2)
                      if alg.mul(o, o2) != alg.mul(o2, o))
         a, a2 = self.act(o, e), self.act(o2, e)
         if self.act(alg.mul(o, o2), e * e) != [[sum(x * y for x, y in zip(row, col))

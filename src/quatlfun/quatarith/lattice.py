@@ -341,6 +341,7 @@ def adjugate4(m):
 
 
 def _check_gram(gram):
+    """UsageError unless gram is square and symmetric."""
     n = len(gram)
     if any(len(r) != n for r in gram):
         raise UsageError("Gram matrix must be square")
@@ -493,7 +494,7 @@ def _lagrange_reduce4(gram):
                 g23, g02, g12 = g23 - mu * g33, g02 - mu * g03, g12 - mu * g13
                 u2 = [x - mu * y for x, y in zip(u2, u3)]
                 changed = True
-
+        # the generic loop's stable sort, taken only when it moves something
         if not g00 <= g11 <= g22 <= g33:
             g = [[g00, g01, g02, g03], [g01, g11, g12, g13],
                  [g02, g12, g22, g23], [g03, g13, g23, g33]]
