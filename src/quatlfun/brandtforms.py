@@ -821,37 +821,3 @@ def mk_graph_checks(graph: QuotientGraph):
     if cycles.rank != expected:
         raise InvariantViolationError("doubled-graph Betti count mismatch")
     return doubled, cycles
-
-
-@dataclass(frozen=True)
-class DegeneracyData:
-    """Matrices of the two pullbacks, two traces, and the v-new kernel."""
-
-    pull_source: tuple  # E x V
-    pull_target: tuple
-    trace_source: tuple  # V x E
-    trace_target: tuple
-    vnew_basis: tuple
-
-    @property
-    def vnew_rank(self):
-        return len(self.vnew_basis)
-
-
-def degeneracy_and_vnew(graph: QuotientGraph) -> DegeneracyData:
-    """Degeneracy/trace maps between the two levels and the new subspace."""
-    h, m = graph.vertex_count(), graph.edge_count()
-    pull_s = [[0] * h for _ in range(m)]
-    pull_t = [[0] * h for _ in range(m)]
-    for e in range(m):
-        pull_s[e][graph.source_class(e)] = 1
-        pull_t[e][graph.target_class(e)] = 1
-    trace_s = graph.incidence_source()
-    trace_t = graph.incidence_target()
-    # v-new = integer kernel of the stacked traces
-    from .quatarith.lattice import integer_kernel
-    stacked = [list(trace_s[i]) for i in range(h)] + [list(trace_t[i]) for i in range(h)]
-    basis = integer_kernel(stacked)
-    return DegeneracyData(tuple(map(tuple, pull_s)), tuple(map(tuple, pull_t)),
-                          tuple(map(tuple, trace_s)), tuple(map(tuple, trace_t)),
-                          tuple(basis))

@@ -105,6 +105,10 @@ def _trace_norm_solutions(order: QuaternionOrder, t: int, n: int):
     norm form on the affine rank-3 solution set at the exact value n. With
     center w of the shifted form, every solution z obeys
     z^T a z <= 2R + 2 w^T a w, an exact budget for the lattice enumeration.
+    The enumeration is the rank-4 one of a ⊕ [budget + 1], whose padded
+    coordinate is 0 on every vector within the budget: Lagrange steps
+    against it have mu = 0 and the sort by diagonal is stable, so the first
+    three coordinates come in the order of an enumeration of a alone.
     """
     # trd of row i is traces[i]/den; the trace condition, divided by the
     # content g of (den, traces), is trow·c = t·den/g
@@ -144,7 +148,8 @@ def _trace_norm_solutions(order: QuaternionOrder, t: int, n: int):
     if c0 == target:  # z = 0, skipped by the enumerator
         yield tuple(part)
     count = 0
-    for _, z in enumerate_by_value(a, budget):
+    padded = [row + [0] for row in a] + [[0, 0, 0, budget + 1]]
+    for _, z in enumerate_by_value(padded, budget):
         count += 1
         if count > MAX_CANDIDATES:
             raise SearchExhaustedError("trace-norm enumeration exceeded its budget")

@@ -6,7 +6,7 @@ import pytest
 
 from quatlfun import brandtforms
 from quatlfun.brandtforms import (AutomorphicForm, EigenSystem, QuotientGraph,
-                                  degeneracy_and_vnew, eigensystems_mod,
+                                  eigensystems_mod,
                                   eigenvector_mod, hensel_unit_root,
                                   mk_dual_graph, mk_graph_checks,
                                   rational_eigensystems, tp_apply, up_apply)
@@ -242,26 +242,23 @@ class TestEigensystemsMod:
         assert first_unit == 1
 
 
+def _pullback(graph, end_class):
+    """E x V matrix of the pullback along end_class, an edge's source or
+    target class: row e is the unit vector of end_class(e)."""
+    h = graph.vertex_count()
+    return [[int(end_class(e) == v) for v in range(h)] for e in range(graph.edge_count())]
+
+
 class TestDegeneracy:
     def test_trace_pullback_composition(self, graph11_p2):
-        data = degeneracy_and_vnew(graph11_p2)
+        # each trace after its pullback is (p + 1)·I
         h = graph11_p2.vertex_count()
-        comp = _mul([list(r) for r in data.trace_source],
-                    [list(r) for r in data.pull_source])
+        comp = _mul(graph11_p2.incidence_source(),
+                    _pullback(graph11_p2, graph11_p2.source_class))
         assert comp == [[3 if i == j else 0 for j in range(h)] for i in range(h)]
-        comp_t = _mul([list(r) for r in data.trace_target],
-                      [list(r) for r in data.pull_target])
+        comp_t = _mul(graph11_p2.incidence_target(),
+                      _pullback(graph11_p2, graph11_p2.target_class))
         assert comp_t == [[3 if i == j else 0 for j in range(h)] for i in range(h)]
-
-    def test_vnew_rank_against_kernel(self, graph11_p2):
-        data = degeneracy_and_vnew(graph11_p2)
-        stacked = [list(r) for r in data.trace_source] + \
-                  [list(r) for r in data.trace_target]
-        rank = _rational_rank(stacked)
-        assert data.vnew_rank == graph11_p2.edge_count() - rank
-        for vec in data.vnew_basis:
-            for row in stacked:
-                assert sum(a * b for a, b in zip(row, vec)) == 0
 
     def test_pullback_stays_eigen(self, graph11_p2):
         # alpha^* of a T_3 eigenform is still a T_3 eigenform at the new level
@@ -272,27 +269,6 @@ class TestDegeneracy:
         image = tuple(sum(t3_edge[i][j] * pulled[j] for j in range(len(pulled)))
                       for i in range(len(pulled)))
         assert image == tuple(curve_a_ell(3) * x for x in pulled)
-
-
-def _rational_rank(rows):
-    from fractions import Fraction
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank, col = 0, 0
-    nr, nc = len(m), len(m[0])
-    while rank < nr and col < nc:
-        piv = next((r for r in range(rank, nr) if m[r][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        m[rank] = [x / m[rank][col] for x in m[rank]]
-        for r in range(nr):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-        col += 1
-    return rank
 
 
 class TestSerialization:
@@ -342,7 +318,6 @@ def quotient_data(graph):
         "dual_edges": [list(e) for e in mk_dual_graph(graph).edges],
         "source_target": [[graph.source_class(e), graph.target_class(e)]
                           for e in range(graph.edge_count())],
-        "vnew_basis": [list(v) for v in degeneracy_and_vnew(graph).vnew_basis],
     }
 
 
@@ -365,8 +340,7 @@ def test_transport_sweep(disc, p, level):
     assert len(graph._edge_memo) <= 2 * h * (p + 1)
     tp = graph.tp_matrix()
     assert tp == graph.brandt_matrix(p)
-    assert tp == _mul(graph.incidence_source(),
-                      degeneracy_and_vnew(graph).pull_target)
+    assert tp == _mul(graph.incidence_source(), _pullback(graph, graph.target_class))
     assert all(sum(row) == p for row in graph.up_matrix())
     mk_graph_checks(graph)
 

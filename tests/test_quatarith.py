@@ -4,9 +4,10 @@ import math
 import os
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quatlfun.brandtforms import QuotientGraph
@@ -15,7 +16,8 @@ from quatlfun.errors import (InvariantViolationError, SearchExhaustedError,
 from quatlfun.primes import first_coprime_prime, is_prime, prime_factors
 from quatlfun.quatarith import (ClassSet, Lattice4, QuaternionAlgebra,
                                 QuaternionOrder, RightIdeal,
-                                algebra_from_discriminant, eichler_mass,
+                                algebra_from_discriminant, class_set_avoiding,
+                                eichler_mass,
                                 eichler_order, eichler_order_for,
                                 hilbert_symbol,
                                 ideal_class_set, isometric, isometry_witness,
@@ -30,11 +32,11 @@ from quatlfun.quatarith.classset import _add, _certify_involution, _match
 from quatlfun.quatarith.embedding import embedding_with_base
 from quatlfun.quatarith.ideal import reduce_ideal
 from quatlfun.quatarith import classset as classset_module
+from quatlfun.quatarith import embedding as embedding_module
 from quatlfun.quatarith import ideal as ideal_module
 from quatlfun.quatarith import lattice as lattice_module
 from quatlfun.quatarith.lattice import (adjugate4, enumerate_by_value,
-                                        hnf_mod, hnf_rows,
-                                        integer_kernel, invert,
+                                        hnf_mod, hnf_rows, invert,
                                         lagrange_reduce,
                                         shortest_value_and_vector,
                                         value_counts)
@@ -972,6 +974,61 @@ class TestEmbeddings:
         assert quadratic_generator(-3, 5) == (-5, 25)
 
 
+def _padded(a, budget):
+    """a ⊕ [budget + 1] for a 3x3 form a."""
+    return [list(row) + [0] for row in a] + [[0, 0, 0, budget + 1]]
+
+
+def _padded_sequence(a, budget):
+    """The rank-4 enumeration of a ⊕ [budget + 1], cut to three coordinates;
+    the fourth is 0 on every vector within the budget."""
+    hits = list(enumerate_by_value(_padded(a, budget), budget))
+    assert all(vec[3] == 0 for _, vec in hits)
+    return [(value, vec[:3]) for value, vec in hits]
+
+
+class TestTraceNormPadding:
+    """The rank-3 trace-norm search runs on the rank-4 enumerator: its form
+    a is padded to a ⊕ [budget + 1], and the candidates come in the order of
+    the generic oracle's enumeration of a, so `MAX_CANDIDATES` counts the
+    same vectors."""
+
+    # (N-, p, K, conductor): W1 and the lfun-tower configurations, whose
+    # class sets are walked avoiding p, and the conductor-5 embedding
+    CASES = [(11, 5, -3, 1), (17, 5, -3, 1), (11, 3, -4, 1), (11, 5, -3, 5)]
+
+    @pytest.mark.parametrize("disc,p,disc_k,conductor", CASES)
+    def test_golden_embeddings_walk_the_oracle_sequence(self, monkeypatch, disc, p,
+                                                        disc_k, conductor):
+        calls = []
+        real = embedding_module.enumerate_by_value
+
+        def recording(gram, budget):
+            calls.append((gram, budget))
+            return real(gram, budget)
+        monkeypatch.setattr(embedding_module, "enumerate_by_value", recording)
+        cs = class_set_avoiding(eichler_order_for(disc, 1), p)
+        _, emb = embedding_with_base(cs, disc_k, conductor)
+        assert emb.optimality_index() == 1
+        assert calls
+        for gram, budget in calls:
+            a = [row[:3] for row in gram[:3]]
+            assert gram == _padded(a, budget)
+            assert _padded_sequence(a, budget) == list(enumerate_by_value_oracle(a, budget))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(-3, 3), min_size=9, max_size=9),
+           st.lists(st.integers(1, 6), min_size=3, max_size=3), st.integers(0, 400))
+    @example([0] * 9, [1, 1, 1], 400)  # I_3: the most vectors, 33,400
+    @example([0] * 9, [1, 6, 6], 2)  # budget + 1 sorts between 1 and 6
+    def test_random_ternary_forms(self, entries, diagonal, budget):
+        # A^T A + diag(d), a positive definite 3x3 form
+        m = [entries[3 * k:3 * k + 3] for k in range(3)]
+        a = [[sum(m[k][i] * m[k][j] for k in range(3)) + (i == j) * diagonal[i]
+              for j in range(3)] for i in range(3)]
+        assert _padded_sequence(a, budget) == list(enumerate_by_value_oracle(a, budget))
+
+
 class TestLattice4:
     def test_hnf_canonical(self):
         rng = random.Random(7)
@@ -1003,16 +1060,6 @@ class TestLattice4:
                 hnf_rows(rows, expect_rank=4)
         else:
             assert hnf_rows(rows, expect_rank=4) == expect
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.sampled_from([4, 8]), st.lists(st.integers(-60, 60), min_size=64, max_size=64))
-    def test_hnf_matches_oracle_on_kernel_input(self, n, entries):
-        # integer_kernel's augmented array: n rows of length 12, each the
-        # coefficients of one unknown in the 12 - n equations, then the unit
-        # row that records it
-        m = 12 - n
-        rows = [entries[m * i:m * i + m] + [int(i == j) for j in range(n)] for i in range(n)]
-        assert hnf_rows(rows) == hnf_oracle(rows)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 12), st.lists(st.lists(st.integers(-40, 40), min_size=4,
@@ -1058,9 +1105,10 @@ class TestLattice4:
                                for j, y in enumerate(v)) == value for v in got)
 
     def test_count_values(self):
-        # Q(x,y) = 2x^2 + 2y^2: value 2 has 4 vectors, value 4 has 4 vectors
-        counts = value_counts([[2, 0], [0, 2]], 4)
-        assert counts == [0, 0, 4, 0, 4]
+        # Q(x) = 2·|x|^2 on Z^4: value 2 has the 8 vectors ±e_i, value 4 the
+        # 24 vectors ±e_i ± e_j, i < j
+        counts = value_counts(_diagonal([2, 2, 2, 2]), 4)
+        assert counts == [0, 0, 8, 0, 24]
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(-2, 2), min_size=16, max_size=16),
@@ -1100,7 +1148,10 @@ class TestLattice4:
         assert hnf_rows(gram + [[1, 2, 3, 4]], expect_rank=4)
         assert made == []
 
-    @pytest.mark.parametrize("gram", [[[1, 2], [2, 1]], [[0, 0], [0, 1]]])
+    @pytest.mark.parametrize("gram", [
+        # x^2 + 4xy + y^2, indefinite, beside I_2; then a zero pivot
+        [[1, 2, 0, 0], [2, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]])
     def test_not_positive_definite_raises_before_any_vector(self, gram):
         with pytest.raises(UsageError, match="not positive definite"):
             next(enumerate_by_value(gram, 5))
@@ -1109,19 +1160,12 @@ class TestLattice4:
         with pytest.raises(UsageError, match="not positive definite"):
             value_counts(gram, 5)
 
-    def test_integer_kernel(self):
-        rows = [[2, 4, 6, 0], [1, 2, 3, 0]]
-        ker = integer_kernel(rows)
-        assert len(ker) == 3
-        for v in ker:
-            assert all(sum(r[i] * v[i] for i in range(4)) == 0 for r in rows)
 
-
-def _definite_gram(n, entries, diagonal):
-    """A^T A + diag(d): a positive definite n×n integer Gram."""
-    a = [entries[n * k:n * k + n] for k in range(n)]
-    return [[sum(a[k][i] * a[k][j] for k in range(n)) + (i == j) * diagonal[i]
-             for j in range(n)] for i in range(n)]
+def _definite_gram(entries, diagonal):
+    """A^T A + diag(d): a positive definite 4×4 integer Gram."""
+    a = [entries[4 * k:4 * k + 4] for k in range(4)]
+    return [[sum(a[k][i] * a[k][j] for k in range(4)) + (i == j) * diagonal[i]
+             for j in range(4)] for i in range(4)]
 
 
 def _fibonacci_gram(n):
@@ -1139,14 +1183,13 @@ class TestKernelsAgainstOracles:
     (R, U), the same norm Gram, the same enumeration sequence."""
 
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(2, 4),
-           st.lists(st.one_of(st.integers(-3, 3), st.integers(-2 ** 40, 2 ** 40)),
+    @given(st.lists(st.one_of(st.integers(-3, 3), st.integers(-2 ** 40, 2 ** 40)),
                     min_size=16, max_size=16),
            st.lists(st.one_of(st.integers(1, 4), st.integers(1, 2 ** 70)),
                     min_size=4, max_size=4))
-    def test_lagrange_reduce_matches_oracle(self, n, entries, diagonal):
+    def test_lagrange_reduce_matches_oracle(self, entries, diagonal):
         # entries up to 2^40 give Gram entries beyond 2^64
-        gram = _definite_gram(n, entries, diagonal)
+        gram = _definite_gram(entries, diagonal)
         assert lagrange_reduce(gram) == lagrange_reduce_oracle(gram)
 
     @settings(max_examples=150, deadline=None)
@@ -1154,16 +1197,17 @@ class TestKernelsAgainstOracles:
            st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=16, max_size=16))
     def test_norm_gram_matches_oracle(self, a, b, entries):
         alg = QuaternionAlgebra(a, b)
-        lat = Lattice4(1, [entries[4 * k:4 * k + 4] for k in range(4)], reduce=False)
+        # norm_gram reads the rows in any basis, not only a Hermite one
+        lat = SimpleNamespace(den=1, rows=[entries[4 * k:4 * k + 4] for k in range(4)])
         assert alg.norm_gram(lat) == norm_gram_oracle(alg, lat)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(2, 4), st.lists(st.integers(-2, 2), min_size=16, max_size=16),
+    @given(st.lists(st.integers(-2, 2), min_size=16, max_size=16),
            st.lists(st.integers(1, 3), min_size=4, max_size=4), st.integers(0, 16))
-    def test_enumeration_sequence_matches_oracle(self, n, entries, diagonal, bound):
+    def test_enumeration_sequence_matches_oracle(self, entries, diagonal, bound):
         # the order of the vectors, not only their set: ties and witnesses
         # are the first hits
-        gram = _definite_gram(n, entries, diagonal)
+        gram = _definite_gram(entries, diagonal)
         hits = list(enumerate_by_value(gram, bound))
         assert hits == list(enumerate_by_value_oracle(gram, bound))
         counts = [0] * (bound + 1)
@@ -1172,16 +1216,15 @@ class TestKernelsAgainstOracles:
         assert value_counts(lagrange_reduce(gram)[0], bound) == counts
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 4),
-           st.lists(st.one_of(st.integers(-3, 3), st.integers(-2 ** 40, 2 ** 40)),
+    @given(st.lists(st.one_of(st.integers(-3, 3), st.integers(-2 ** 40, 2 ** 40)),
                     min_size=16, max_size=16),
            st.lists(st.one_of(st.integers(1, 4), st.integers(1, 2 ** 70)),
                     min_size=4, max_size=4),
            st.integers(0, 60))
-    def test_value_counts_match_oracle(self, n, entries, diagonal, bound):
+    def test_value_counts_match_oracle(self, entries, diagonal, bound):
         # one of each ±x counted twice, against every vector counted once;
         # entries up to 2^40 give Gram entries beyond 2^64
-        gram = _definite_gram(n, entries, diagonal)
+        gram = _definite_gram(entries, diagonal)
         assert value_counts(gram, bound) == value_counts_oracle(gram, bound)
 
     @pytest.mark.parametrize("gram", [[[2, 1]], [[2, 1], [1]], [[2, 1, 0], [1, 2, 0]]])
@@ -1192,14 +1235,19 @@ class TestKernelsAgainstOracles:
     def test_lagrange_rejects_a_non_symmetric_gram(self):
         # the update reads one triangle, so the other may not differ
         with pytest.raises(UsageError, match="symmetric"):
-            lagrange_reduce([[2, 1, 0], [0, 2, 0], [0, 0, 3]])
+            lagrange_reduce([[2, 1, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 4]])
 
     def test_lagrange_raises_when_not_converged(self):
-        # x^2 + y^2 in a Fibonacci basis: n = 3000 needs fewer than 1000
-        # passes, n = 5000 more; the unconverged basis is not returned
-        assert lagrange_reduce(_fibonacci_gram(3000))[0] == [(1, 0), (0, 1)]
+        # x^2 + y^2 in a Fibonacci basis after I_2, so the steps between
+        # b_2 and b_3 do the work: n = 3000 needs fewer than 1000 passes,
+        # n = 5000 more; the unconverged basis is not returned
+        def after_identity(gram):
+            return [[1, 0, 0, 0], [0, 1, 0, 0],
+                    [0, 0] + list(gram[0]), [0, 0] + list(gram[1])]
+        assert lagrange_reduce(after_identity(_fibonacci_gram(3000)))[0] == \
+            [tuple(int(r == c) for c in range(4)) for r in range(4)]
         with pytest.raises(InvariantViolationError, match="still changing"):
-            lagrange_reduce(_fibonacci_gram(5000))
+            lagrange_reduce(after_identity(_fibonacci_gram(5000)))
 
 
 def _leading_minors(gram):

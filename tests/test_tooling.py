@@ -10,7 +10,9 @@ builder of quotient graphs and one neighbour-prime rule, and no module-level
 state but the cache directory; lattice elements in quatarith stay integer
 rows over a denominator, and the tree, its transport, the torus and the
 measure compute in integers only. Theta counts come from `value_counts`
-alone.
+alone. The lattice layer takes rank 4 only: its kernels refuse a Gram or a
+row of any other size before any work, and the generic-rank code and the
+test-only v-new kernel are gone.
 """
 
 import ast
@@ -145,3 +147,42 @@ def test_one_theta_counter():
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     assert "lagrange_reduce" not in imported
+
+
+def _other_rank_inputs():
+    """(kernel, input) pairs of a 3x3 and a 5x5 size, and a row list whose
+    second row alone is five wide."""
+    from quatlfun.quatarith import lattice
+    runs = {"lagrange_reduce": lattice.lagrange_reduce,
+            "PreparedForm": lattice.PreparedForm,
+            "value_counts": lambda g: lattice.value_counts(g, 4),
+            # raises on the call, before the generator is asked for a vector
+            "enumerate_by_value": lambda g: lattice.enumerate_by_value(g, 4),
+            "shortest_value_and_vector": lattice.shortest_value_and_vector,
+            "hnf_rows": lattice.hnf_rows,
+            "hnf_mod": lambda rows: lattice.hnf_mod(rows, 6)}
+    for n in (3, 5):
+        gram = [[2 * (i == j) for j in range(n)] for i in range(n)]
+        for name, run in runs.items():
+            yield pytest.param(run, gram, id=f"{name}-{n}x{n}")
+    for name in ("hnf_rows", "hnf_mod"):
+        yield pytest.param(runs[name], [[1, 0, 0, 0], [0, 0, 0, 0, 7]], id=f"{name}-wide-row")
+
+
+@pytest.mark.parametrize("run,arg", _other_rank_inputs())
+def test_lattice_kernels_take_rank_4_only(run, arg):
+    from quatlfun.errors import UsageError
+    with pytest.raises(UsageError):
+        run(arg)
+
+
+def test_generic_rank_code_is_gone():
+    # the trace-norm search pads its rank-3 form to rank 4, and the v-new
+    # kernel had no caller outside tests
+    from quatlfun import brandtforms
+    from quatlfun.quatarith import lattice
+    left = [name for module, name in ((lattice, "integer_kernel"), (lattice, "_prepare"),
+                                      (lattice, "_insert_rows"),
+                                      (brandtforms, "degeneracy_and_vnew"))
+            if hasattr(module, name)]
+    assert left == []
