@@ -159,6 +159,8 @@ class QuotientGraph:
         self.level = level
         self.base_order = base_order
         self.splitting = local_splitting(base_order, p, prec)
+        # iota of the base order's basis, read by every `_ideal_from_conditions`
+        self._unit_images = [self.splitting.apply(_unit_coords(i)) for i in range(4)]
         self.vertex_classes = class_set_avoiding(base_order, p)
         # the level-p suborder, cut out by the transport splitting itself
         self.edge_order = eichler_order(base_order, p, lambda *_: self.splitting)
@@ -440,7 +442,7 @@ class QuotientGraph:
         q = p ** k
         if self.splitting.prec < k + 2:
             raise InvariantViolationError("transport splitting precision too low")
-        images = [self.splitting.apply(_unit_coords(i)) for i in range(4)]
+        images = self._unit_images
         rows = []
         for g, mult, col_scales in conditions:
             adj = ((g[1][1], -g[0][1]), (-g[1][0], g[0][0]))

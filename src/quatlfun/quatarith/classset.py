@@ -314,17 +314,19 @@ class _PairSide:
         coordinates c solve c·V = Y/den: c = Y·adj/(den·det). Every division
         is exact, else o is not in the right order O of I.
         """
-        mul, adj, div = self.ideal.alg.mul, self.adj, den * self.det
+        mul, div = self.ideal.alg.mul, den * self.det
+        (a00, a01, a02, a03), (a10, a11, a12, a13), \
+            (a20, a21, a22, a23), (a30, a31, a32, a33) = self.adj
         rows = []
         for v in self.basis:
             y0, y1, y2, y3 = mul(v, vec)
-            row = []
-            for a0, a1, a2, a3 in adj:
-                q, rest = divmod(y0 * a0 + y1 * a1 + y2 * a2 + y3 * a3, div)
-                if rest:
-                    raise InvariantViolationError("I·O is not contained in I")
-                row.append(q)
-            rows.append(row)
+            q0, r0 = divmod(y0 * a00 + y1 * a01 + y2 * a02 + y3 * a03, div)
+            q1, r1 = divmod(y0 * a10 + y1 * a11 + y2 * a12 + y3 * a13, div)
+            q2, r2 = divmod(y0 * a20 + y1 * a21 + y2 * a22 + y3 * a23, div)
+            q3, r3 = divmod(y0 * a30 + y1 * a31 + y2 * a32 + y3 * a33, div)
+            if r0 or r1 or r2 or r3:
+                raise InvariantViolationError("I·O is not contained in I")
+            rows.append([q0, q1, q2, q3])
         return rows
 
 

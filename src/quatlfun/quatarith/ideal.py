@@ -28,7 +28,6 @@ from itertools import combinations
 from math import gcd
 
 from ..errors import InvariantViolationError, UsageError
-from ..exactalg import IntMatrix, kernel_mod
 from .lattice import (Lattice4, enumerate_by_value, lagrange_reduce,
                       shortest_value_and_vector, value_counts)
 from .order import QuaternionOrder, left_order_of
@@ -228,7 +227,9 @@ def neighbors(ideal: RightIdeal, ell: int, spl: LocalSplitting):
     spl must split the right order at ell. A generator x0 of I/ellI is found
     (any element whose norm has the same ell-valuation as nrd(I)); the
     neighbors are x0·(pullbacks of the ell+1 simple right ideals of M_2(F_ell))
-    plus ell·I.
+    plus ell·I. The pullbacks are the splitting's `line_preimages`, computed
+    once per splitting; x0·y for y = sum_i y_i·o_i is sum_i y_i·(x0·o_i), so
+    x0 is multiplied by the order's four basis rows once per ideal.
     """
     order = ideal.order
     alg = ideal.alg
@@ -237,20 +238,14 @@ def neighbors(ideal: RightIdeal, ell: int, spl: LocalSplitting):
     x0 = _local_generator(ideal, ell)  # integer row over the ideal denominator
     den_i = ideal.lattice.den
     den_o = order.lattice.den
-    # pull back the line modules R_u = {matrices with columns in u}
-    lines = [(1, 0)] + [(t, 1) for t in range(ell)]
+    x0o = [alg.mul(x0, o) for o in order.lattice.rows]
     out = []
     den = den_i * den_o
     scaled_base = [[x * ell * den_o for x in r] for r in ideal.lattice.rows]
-    for u in lines:
-        ybasis = _line_preimage_basis(order, spl, u, ell)
-        rows = [list(r) for r in scaled_base]
-        for y in ybasis:
-            yvec = [sum(y[i] * order.lattice.rows[i][k] for i in range(4))
-                    for k in range(4)]
-            rows.append(list(alg.mul(x0, tuple(yvec))))
-        lat = Lattice4(den, rows)
-        j = RightIdeal(order, lat)
+    for ybasis in spl.line_preimages:
+        rows = scaled_base + [[sum(yi * xo[k] for yi, xo in zip(y, x0o)) for k in range(4)]
+                              for y in ybasis]
+        j = RightIdeal(order, Lattice4(den, rows))
         if j.nrd() != ell * ideal.nrd():
             raise InvariantViolationError("neighbor has wrong reduced norm")
         out.append(j)
@@ -287,23 +282,3 @@ def _ell_valuation(fr: Fraction, ell: int) -> int:
         den //= ell
         v -= 1
     return v
-
-
-def _line_preimage_basis(order: QuaternionOrder, spl: LocalSplitting, u, ell):
-    """Coordinates mod ell of {y in O : columns of iota(y) lie on the line u}."""
-    u0, u1 = u
-    # conditions: for both columns c of iota(y): u1*c0 - u0*c1 ≡ 0 (line test)
-    rows = []
-    for col in range(2):
-        row = []
-        for i in range(4):
-            m = spl.basis_images[i]
-            row.append((u1 * m[0][col] - u0 * m[1][col]) % ell)
-        rows.append(row)
-    # over F_ell the generators are columns of an invertible transform, so
-    # they are independent: two of them exactly when the conditions have rank 2
-    gens = kernel_mod(IntMatrix.from_rows(rows), ell, 1)
-    if len(gens) != 2:
-        raise InvariantViolationError("line preimage is not 2-dimensional")
-    return gens
-

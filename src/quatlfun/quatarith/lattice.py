@@ -10,21 +10,23 @@ floating point.
 The short-vector front end takes integer Gram matrices only (a norm form
 comes from `QuaternionAlgebra.norm_gram`): `enumerate_by_value` lists the
 vectors up to a value and `shortest_value_and_vector` finds a minimum in one
-enumeration, both by one exact Fincke-Pohst recursion with isqrt-based
-bounds, behind a pairwise Lagrange reduction; `value_counts` gives theta
+enumeration, both by one exact Fincke-Pohst search with isqrt-based bounds,
+behind a pairwise Lagrange reduction; `value_counts` gives theta
 coefficients. The setup reads the leading minors of the Gram off one
 fraction-free elimination and is kept as a `PreparedForm`, so a Gram whose
-counts grow is eliminated once; the recursion's last level is a plain loop
-that yields the vectors. A Lagrange step updates the symmetric Gram's row
-and column together, in one pass.
+counts grow is eliminated once. A Lagrange step updates the symmetric Gram's
+row and column together, in one pass.
 
 Every kernel takes rank 4 only and is written out for it: `lagrange_reduce`
-with its twelve steps, the elimination of `PreparedForm`, `value_counts` as
-four nested loops, and `hnf_rows` and `hnf_mod` on 4-tuples. A Gram or a row
-of any other size raises `UsageError` before any work. The one search at
-another rank, the rank-3 trace-norm search of
-`embedding._trace_norm_solutions`, pads its form to rank 4. The generic-rank
-bodies live on as the reference in `tests/oracles.py`.
+with its twelve steps, the elimination of `PreparedForm`, the search and
+`value_counts` as four nested loops, `hnf_rows` on 4-tuples, `hnf_mod` one
+column at a time on rows that shrink by an entry per column, and
+`Lattice4.coordinates` as four exact divisions. A Gram or a row of any
+other size raises `UsageError` before any work, and so does a modulus or a
+denominator that is not positive. The one search at another rank, the
+rank-3 trace-norm search of `embedding._trace_norm_solutions`, pads its
+form to rank 4. The generic-rank bodies live on as the reference in
+`tests/oracles.py`.
 
 x and -x have the same value, so `value_counts` visits one of each pair and
 counts it twice: a coordinate starts at 0 while every higher coordinate is
@@ -77,10 +79,7 @@ def hnf_rows(rows, expect_rank=None):
             p0, p1, p2, p3 = piv
             r0, r1, r2, r3 = r
             if b % a:
-                g = gcd(a, b)
-                ag, bg = a // g, b // g
-                t = pow(bg, -1, ag)  # ag > 1, as a does not divide b
-                s = (g - t * b) // a  # so s·a + t·b = g
+                g, s, t, ag, bg = _bezout(a, b)
                 basis[col] = (s * p0 + t * r0, s * p1 + t * r1,
                               s * p2 + t * r2, s * p3 + t * r3)
                 r = (bg * p0 - ag * r0, bg * p1 - ag * r1,
@@ -133,40 +132,74 @@ def hnf_mod(rows, k):
 
     As k·Z^4 lies in the lattice, every entry right of a pivot column can be
     kept in [0, k): column c's pivot row starts as k·e_c and takes in each
-    remaining row's entry by a division or one unimodular extended-gcd step,
-    after which that row is 0 in column c; both are reduced mod k after each
-    step, so the entries stay small.
+    remaining row's entry by a division or one unimodular extended-gcd step
+    (`_bezout`), after which that row is 0 in column c; both are reduced mod
+    k after each step, so the entries stay small. Written out column by
+    column: a pivot row and the rows left over are 0 left of the column, so
+    only their entries from it on are kept, 4, then 3, 2 and 1 of them. A k
+    that is not positive raises UsageError before any work.
     """
+    if k <= 0:
+        raise UsageError("modulus must be positive")
     _check_width(rows)
-    rows = [[x % k for x in r] for r in rows]
-    basis = []
-    for c in range(4):
-        piv = [0, 0, 0, 0]
-        piv[c] = a = k
-        left = []
-        for row in rows:
-            b = row[c]
-            if b % a:
-                g = gcd(a, b)
-                ag, bg = a // g, b // g
-                t = pow(bg, -1, ag)  # as in hnf_rows: s·a + t·b = g
-                s = (g - t * b) // a
-                piv, row = ([(s * x + t * y) % k for x, y in zip(piv, row)],
-                            [(bg * x - ag * y) % k for x, y in zip(piv, row)])
-                piv[c] = a = g
-            elif b:
-                q = b // a
-                row = [(y - q * x) % k for x, y in zip(piv, row)]
-            if any(row):
-                left.append(row)
-        basis.append(piv)
-        rows = left
-    for i in range(4):
-        for j in range(i + 1, 4):
-            q = basis[i][j] // basis[j][j]
-            if q:
-                basis[i] = [x - q * y for x, y in zip(basis[i], basis[j])]
-    return basis
+    # column 0: pivot row (a0, p01, p02, p03)
+    a0, p01, p02, p03 = k, 0, 0, 0
+    left = []
+    for r0, r1, r2, r3 in rows:
+        b, r1, r2, r3 = r0 % k, r1 % k, r2 % k, r3 % k
+        if b % a0:
+            a0, s, t, ag, bg = _bezout(a0, b)
+            p01, p02, p03, r1, r2, r3 = (
+                (s * p01 + t * r1) % k, (s * p02 + t * r2) % k, (s * p03 + t * r3) % k,
+                (bg * p01 - ag * r1) % k, (bg * p02 - ag * r2) % k, (bg * p03 - ag * r3) % k)
+        elif b:
+            q = b // a0
+            r1, r2, r3 = (r1 - q * p01) % k, (r2 - q * p02) % k, (r3 - q * p03) % k
+        if r1 or r2 or r3:
+            left.append((r1, r2, r3))
+    # column 1: pivot row (a1, p12, p13)
+    a1, p12, p13 = k, 0, 0
+    rows, left = left, []
+    for b, r2, r3 in rows:
+        if b % a1:
+            a1, s, t, ag, bg = _bezout(a1, b)
+            p12, p13, r2, r3 = ((s * p12 + t * r2) % k, (s * p13 + t * r3) % k,
+                                (bg * p12 - ag * r2) % k, (bg * p13 - ag * r3) % k)
+        elif b:
+            q = b // a1
+            r2, r3 = (r2 - q * p12) % k, (r3 - q * p13) % k
+        if r2 or r3:
+            left.append((r2, r3))
+    # column 2: pivot row (a2, p23)
+    a2, p23 = k, 0
+    rows, left = left, []
+    for b, r3 in rows:
+        if b % a2:
+            a2, s, t, ag, bg = _bezout(a2, b)
+            p23, r3 = (s * p23 + t * r3) % k, (bg * p23 - ag * r3) % k
+        elif b:
+            r3 = (r3 - b // a2 * p23) % k
+        if r3:
+            left.append(r3)
+    # column 3: the pivot is the gcd of k and what is left
+    a3 = gcd(k, *left)
+    # the entries above each pivot, reduced into [0, pivot) left to right
+    q = p01 // a1
+    p01, p02, p03 = p01 - q * a1, p02 - q * p12, p03 - q * p13
+    q = p02 // a2
+    p02, p03 = p02 - q * a2, p03 - q * p23
+    q = p12 // a2
+    p12, p13 = p12 - q * a2, p13 - q * p23
+    return [[a0, p01, p02, p03 % a3], [0, a1, p12, p13 % a3],
+            [0, 0, a2, p23 % a3], [0, 0, 0, a3]]
+
+
+def _bezout(a, b):
+    """(g, s, t, a/g, b/g) for g = gcd(a, b) = s·a + t·b, a > 0 not dividing b."""
+    g = gcd(a, b)
+    ag, bg = a // g, b // g
+    t = pow(bg, -1, ag)  # ag > 1, as a does not divide b
+    return g, (g - t * b) // a, t, ag, bg
 
 
 class Lattice4:
@@ -182,12 +215,12 @@ class Lattice4:
         returns it: `coordinates` and `covolume` read row i's pivot at
         column i.
         """
-        if reduce:
-            rows = hnf_rows(rows, expect_rank=4)
-        rows = [list(map(int, r)) for r in rows]
         den = int(den)
         if den <= 0:
             raise UsageError("denominator must be positive")
+        if reduce:
+            rows = hnf_rows(rows, expect_rank=4)
+        rows = [list(map(int, r)) for r in rows]
         g = den
         for r in rows:
             for x in r:
@@ -210,19 +243,32 @@ class Lattice4:
     def coordinates(self, vec, den=1):
         """Integer coordinates of the element vec/den in this basis, or None.
 
-        vec is an integer 4-tuple. Row i has its pivot in column i and is 0
-        left of it, so coordinate i is one exact division, after which entry
-        i of what is left of vec is 0.
+        vec is an integer 4-tuple and den > 0. Row i has its pivot in column
+        i and is 0 left of it, so coordinate i is one exact division, after
+        which entry i of what is left of vec is 0.
         """
-        v = [x * self.den for x in vec]
-        coords = []
-        for i, row in enumerate(self.rows):
-            q, r = divmod(v[i], den * row[i])
-            if r:
-                return None
-            coords.append(q)
-            v = [a - q * den * b for a, b in zip(v, row)]
-        return tuple(coords)
+        if den <= 0:
+            raise UsageError("denominator must be positive")
+        (a0, a1, a2, a3), (_, b1, b2, b3), (_, _, c2, c3), (_, _, _, d3) = self.rows
+        e = self.den
+        v0, v1, v2, v3 = vec
+        q0, r = divmod(v0 * e, den * a0)
+        if r:
+            return None
+        t = den * q0
+        v1, v2, v3 = v1 * e - t * a1, v2 * e - t * a2, v3 * e - t * a3
+        q1, r = divmod(v1, den * b1)
+        if r:
+            return None
+        t = den * q1
+        v2, v3 = v2 - t * b2, v3 - t * b3
+        q2, r = divmod(v2, den * c2)
+        if r:
+            return None
+        q3, r = divmod(v3 - den * q2 * c3, den * d3)
+        if r:
+            return None
+        return q0, q1, q2, q3
 
     def contains(self, vec, den=1) -> bool:
         """Membership of the element vec/den, vec an integer 4-tuple."""
@@ -416,7 +462,7 @@ def lagrange_reduce(gram):
 
 class PreparedForm:
     """An integral positive definite 4x4 Gram with the setup of the
-    Fincke-Pohst recursion done, so that enumerating it again only walks the
+    Fincke-Pohst search done, so that enumerating it again only walks the
     tree.
 
     The data come from one fraction-free (Bareiss) elimination of the Gram,
@@ -477,39 +523,41 @@ def _fincke_pohst(form, max_value):
 
     form is the PreparedForm of an integral positive definite 4x4 Gram G,
     best a Lagrange-reduced one (fewer nodes); max_value is an integer. The
-    one exact Fincke-Pohst recursion of the package, the levels of which
-    `value_counts` writes out: every x_i with k_i·s^2 <= remaining budget is
-    visited, and no other (see PreparedForm). Both x and -x appear; x_3 is
-    outermost and each coordinate runs upwards, so the order of the vectors
-    found does not depend on max_value. Lazy: callers may stop early.
+    package's one exact Fincke-Pohst search that lists vectors, written out
+    as four nested loops with the bounds `value_counts` uses: every x_i with
+    k_i·s^2 <= remaining budget is visited, and no other (see PreparedForm).
+    Both x and -x appear; x_3 is outermost and each coordinate runs upwards,
+    so the order of the vectors found does not depend on max_value. Lazy:
+    callers may stop early.
     """
     if max_value < 0:
         raise UsageError("negative radicand")
-    m, num, k, scale = form.m, form.num, form.k, form.scale
+    (m0, m1, m2, _), (n0, n1, n2, _), (k0, k1, k2, k3), scale = \
+        form.m, form.num, form.k, form.scale
+    _, n01, n02, n03 = n0
+    n12, n13, n23 = n1[2], n1[3], n2[3]
     top = max_value * scale
-    x = [0, 0, 0, 0]
-
-    def recurse(i, budget):
-        mi, ki, row = m[i], k[i], num[i]
-        c = sum(row[j] * x[j] for j in range(i + 1, 4))
-        b = isqrt(budget // ki)
-        ts = range(-((c + b) // mi), (b - c) // mi + 1)
-        if i:
-            for t in ts:
-                s = mi * t + c
-                x[i] = t
-                yield from recurse(i - 1, budget - ki * s * s)
-            return
-        # the leaf level: x is complete once x_0 = t is set
-        rest = any(x[1:])
-        base = top - budget
-        for t in ts:
-            if t or rest:
-                s = mi * t + c
-                x[0] = t
-                yield (base + ki * s * s) // scale, tuple(x)
-
-    yield from recurse(3, top)
+    b3 = isqrt(top // k3)
+    for x3 in range(-b3, b3 + 1):  # m_3 = 1 and C_3 = 0
+        r3 = top - k3 * x3 * x3
+        c2 = n23 * x3
+        b2 = isqrt(r3 // k2)
+        for x2 in range(-((c2 + b2) // m2), (b2 - c2) // m2 + 1):
+            s2 = m2 * x2 + c2
+            r2 = r3 - k2 * s2 * s2
+            c1 = n12 * x2 + n13 * x3
+            b1 = isqrt(r2 // k1)
+            for x1 in range(-((c1 + b1) // m1), (b1 - c1) // m1 + 1):
+                s1 = m1 * x1 + c1
+                r1 = r2 - k1 * s1 * s1
+                c0 = n01 * x1 + n02 * x2 + n03 * x3
+                b0 = isqrt(r1 // k0)
+                rest = x1 or x2 or x3
+                base = top - r1
+                for x0 in range(-((c0 + b0) // m0), (b0 - c0) // m0 + 1):
+                    if x0 or rest:
+                        s0 = m0 * x0 + c0
+                        yield (base + k0 * s0 * s0) // scale, (x0, x1, x2, x3)
 
 
 def _enumerate_reduced(red, u, max_value):

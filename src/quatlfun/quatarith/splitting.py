@@ -10,9 +10,10 @@ so every Hermite computation downstream is exact at the working precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..errors import InvariantViolationError, SearchExhaustedError, UsageError
-from ..exactalg import eliminate_mod
+from ..exactalg import IntMatrix, eliminate_mod, kernel_mod
 from .algebra import legendre
 from .order import QuaternionOrder, _tuples
 
@@ -39,6 +40,30 @@ class LocalSplitting:
                     for s in range(2):
                         out[r][s] += c * mat[r][s]
         return ((out[0][0] % q, out[0][1] % q), (out[1][0] % q, out[1][1] % q))
+
+    @cached_property
+    def line_preimages(self):
+        """For each line u of F_ell^2, in the order (1, 0), (0, 1), (1, 1),
+        ..., (ell - 1, 1): the order coordinates mod ell of two generators of
+        {y in O : the columns of iota(y) lie on u}, the pullback of a simple
+        right ideal of M_2(F_ell). They read only the basis images mod ell,
+        so a walk computes them once, on its first neighbours; the cached
+        value is not a field, and equality and hashing ignore it.
+        """
+        ell = self.ell
+        out = []
+        for u0, u1 in [(1, 0)] + [(t, 1) for t in range(ell)]:
+            # both columns c of iota(y) satisfy u1*c0 - u0*c1 ≡ 0 (line test)
+            rows = [[(u1 * m[0][col] - u0 * m[1][col]) % ell for m in self.basis_images]
+                    for col in range(2)]
+            # over F_ell the generators are columns of an invertible transform,
+            # so they are independent: two of them exactly when the conditions
+            # have rank 2
+            gens = kernel_mod(IntMatrix.from_rows(rows), ell, 1)
+            if len(gens) != 2:
+                raise InvariantViolationError("line preimage is not 2-dimensional")
+            out.append(gens)
+        return tuple(out)
 
 
 def _hensel_roots(t, n, ell, prec):

@@ -43,7 +43,8 @@ from quatlfun.quatarith.lattice import (adjugate4, enumerate_by_value,
 from quatlfun.quatarith.order import (_enlarge_at, _enlarge_brute, _idealizer,
                                       _proj_points)
 
-from oracles import (count_vectors_of_norm, enumerate_by_value_oracle,
+from oracles import (_fincke_pohst_oracle, _fraction_basis, _inverse_oracle,
+                     count_vectors_of_norm, enumerate_by_value_oracle,
                      exhaustive_walk_oracle, hilbert_symbol_oracle, hnf_oracle, idealizer_oracle,
                      kronecker_oracle, lagrange_reduce_oracle, minimum_of_form,
                      neighbor_matrix_oracle, norm_gram_oracle,
@@ -1069,6 +1070,30 @@ class TestLattice4:
         assert hnf_mod(rows, k) == hnf_oracle(unit + rows)
 
     @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 12), st.lists(st.lists(st.integers(-30, 30), min_size=4,
+                                                  max_size=4), min_size=4, max_size=6),
+           st.lists(st.integers(-9, 9), min_size=4, max_size=4), st.integers(1, 6),
+           st.lists(st.integers(-400, 400), min_size=4, max_size=4), st.integers(1, 60))
+    def test_coordinates_match_fraction_solve(self, lat_den, rows, coords, scale,
+                                              vec, den):
+        # a member built from integer coordinates over den = scale·lat.den,
+        # and an arbitrary vec/den, each against c = (vec/den)·B^-1 in
+        # Fractions: integer coordinates exactly when the element is in L
+        assume(len(hnf_rows(rows)) == 4)
+        lat = Lattice4(lat_den, rows)
+        inv = _inverse_oracle(_fraction_basis(lat))
+
+        def solve(v, d):
+            c = [sum(Fraction(v[i], d) * inv[i][j] for i in range(4)) for j in range(4)]
+            return tuple(int(x) for x in c) if all(x.denominator == 1 for x in c) else None
+
+        member = [scale * sum(c * r[k] for c, r in zip(coords, lat.rows)) for k in range(4)]
+        assert lat.coordinates(member, scale * lat.den) == tuple(coords)
+        assert solve(member, scale * lat.den) == tuple(coords)
+        assert lat.coordinates(vec, den) == solve(vec, den)
+        assert lat.contains(vec, den) == (solve(vec, den) is not None)
+
+    @settings(max_examples=150, deadline=None)
     @given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=16, max_size=16))
     def test_adjugate4(self, entries):
         m = [entries[4 * r:4 * r + 4] for r in range(4)]
@@ -1202,8 +1227,9 @@ class TestKernelsAgainstOracles:
         assert alg.norm_gram(lat) == norm_gram_oracle(alg, lat)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.integers(-2, 2), min_size=16, max_size=16),
-           st.lists(st.integers(1, 3), min_size=4, max_size=4), st.integers(0, 16))
+    @given(st.lists(st.integers(-20, 20), min_size=16, max_size=16),
+           st.lists(st.integers(1, 3), min_size=4, max_size=4), st.integers(0, 60))
+    @example([0] * 16, [1, 1, 1, 1], 60)  # Z^4 itself: about 18,000 vectors
     def test_enumeration_sequence_matches_oracle(self, entries, diagonal, bound):
         # the order of the vectors, not only their set: ties and witnesses
         # are the first hits
@@ -1214,6 +1240,23 @@ class TestKernelsAgainstOracles:
         for value, _ in hits:
             counts[value] += 1
         assert value_counts(lagrange_reduce(gram)[0], bound) == counts
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.integers(-6, 6), min_size=4, max_size=4),
+                    min_size=4, max_size=6),
+           st.lists(st.integers(-2, 2), min_size=16, max_size=16),
+           st.lists(st.integers(1, 3), min_size=4, max_size=4), st.integers(0, 60))
+    def test_search_on_unreduced_hermite_grams(self, rows, entries, diagonal, bound):
+        # the Gram of a Hermite basis of a sublattice, unreduced and often
+        # skewed, as the class set's pair forms are: the written-out search
+        # gives the oracle's sequence on it too
+        basis = hnf_rows(rows)
+        assume(len(basis) == 4)
+        form = _definite_gram(entries, diagonal)
+        gram = [[sum(b[i] * form[i][j] * c[j] for i in range(4) for j in range(4))
+                 for c in basis] for b in basis]
+        hits = list(lattice_module._fincke_pohst(lattice_module.PreparedForm(gram), bound))
+        assert hits == list(_fincke_pohst_oracle(gram, bound))
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.one_of(st.integers(-3, 3), st.integers(-2 ** 40, 2 ** 40)),

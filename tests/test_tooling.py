@@ -176,6 +176,39 @@ def test_lattice_kernels_take_rank_4_only(run, arg):
         run(arg)
 
 
+def _bad_scalar_calls():
+    """Kernel calls with a modulus or a denominator that is not positive; a
+    negative k once gave a basis that is not Hermite, and 0 a bare
+    ZeroDivisionError."""
+    from quatlfun.quatarith import lattice
+    unit = lattice.Lattice4(1, [[int(r == c) for c in range(4)] for r in range(4)])
+    for k in (-3, 0):
+        yield pytest.param(lambda k=k: lattice.hnf_mod([[1, 2, 3, 4]], k), id=f"hnf_mod-k{k}")
+    for den in (-1, 0):
+        yield pytest.param(lambda den=den: unit.coordinates((1, 2, 3, 4), den),
+                           id=f"coordinates-den{den}")
+        yield pytest.param(lambda den=den: unit.contains((1, 2, 3, 4), den),
+                           id=f"contains-den{den}")
+    # the denominator is checked before the rows: these have rank 1, which
+    # hnf_rows would report as an InvariantViolationError
+    for den in (-1, 0):
+        yield pytest.param(lambda den=den: lattice.Lattice4(den, [[1, 0, 0, 0]]),
+                           id=f"Lattice4-den{den}")
+
+
+@pytest.mark.parametrize("call", _bad_scalar_calls())
+def test_lattice_kernels_refuse_a_bad_modulus_or_denominator(call, monkeypatch):
+    from quatlfun.errors import UsageError
+    from quatlfun.quatarith import lattice
+
+    def no_work(*_args, **_kw):
+        raise AssertionError("the kernel started work before checking its scalar")
+    monkeypatch.setattr(lattice, "_check_width", no_work)
+    monkeypatch.setattr(lattice, "hnf_rows", no_work)
+    with pytest.raises(UsageError, match="positive"):
+        call()
+
+
 def test_generic_rank_code_is_gone():
     # the trace-norm search pads its rank-3 form to rank 4, and the v-new
     # kernel had no caller outside tests
