@@ -35,31 +35,35 @@ L-series" (1987), sections 1-2): the ell-neighbours of I_i in class j are
 counted by the elements of I_i·conj(I_j) of reduced norm
 ell·nrd(I_i)·nrd(I_j), one orbit of #O_l(I_j)^× for each neighbour.
 Each pair lattice is a small-index superlattice of one whose Gram is known
-(`ClassSet._pair_gram`): for x_b a shortest vector of I_b, of norm
-k_b·nrd(I_b), the sublattice I_a·conj(x_b) has Gram k_b·R_a in the basis
-v_l·conj(x_b), R_a the reduced Gram of I_a on its reduced basis v_l. For a
-certified generator g of I_b, o_g = conj(g)·x_b/nrd(I_b) lies in
+(`ideal.pair_gram`, the one product-Gram primitive, which `isometric` reads
+too): for x_b a shortest vector of I_b, of norm k_b·nrd(I_b), the
+sublattice I_a·conj(x_b) has Gram k_b·R_a in the basis v_l·conj(x_b), R_a
+the reduced Gram of I_a on its reduced basis v_l. For a certified
+generator g of I_b, o_g = conj(g)·x_b/nrd(I_b) lies in
 conj(I_b)·I_b/nrd(I_b) = O, and v_l·conj(g) = (v_l·o_g)·conj(x_b)/k_b, so
 the right action of the o_g on I_a, mod k_b, spans I_a·conj(I_b) in those
-coordinates. The action rows are exact: each product v_l·o_g is divided
-exactly into reduced coordinates, which also shows o_g in O_r(I_a) = O, so
-the span lies in I_a·conj(I_b). Each pair then checks two things: the index
-det T = k_b^2 of the sublattice in the span, T its Hermite basis, which
-makes the span all of I_a·conj(I_b) and fails when the generators span too
-little; and the divisibility of T·R_a·T^t by k_b, the integrality of the
-form. These checks do not re-derive the rows: a wrong row that keeps the
-index and the integrality passes them. The rows are checked once per
-representative instead (`_PairSide`): the action must be multiplicative,
-A(o·o') = A(o)·A(o') for two basis elements o, o' of O that do not
-commute, which a transposed reading fails; the counts' own certificates
-(B(1) = I, N_ii(1) = w_i, w_j | N_ij, the row sums) stand behind all of
-it. Conjugation keeps the counts, so each unordered pair is built on the
-side of smaller k. Its Gram stays in the Hermite basis T/k_b, with no
-Lagrange pass, as the counts do not depend on the basis; with its
-Fincke-Pohst setup done (`PreparedForm`, in closed form at rank 4) it
-serves the unit-count certificate and every later count (the rank-4
-`value_counts` loops). The product lattice I_a·conj(I_b) itself is only
-built by `isometric` and `isometry_witness`.
+coordinates. The action rows are exact (`RightIdeal.act`): each product
+v_l·o_g is divided exactly into reduced coordinates, which also shows o_g
+in O_r(I_a) = O, so the span lies in I_a·conj(I_b). Each pair then checks
+two things: the index det T = k_b^2 of the sublattice in the span, T its
+Hermite basis, which makes the span all of I_a·conj(I_b) and fails when
+the generators span too little; and the divisibility of T·R_a·T^t by k_b,
+the integrality of the form. These checks do not re-derive the rows: a
+wrong row that keeps the index and the integrality passes them. The rows
+are checked once per representative instead, when its k and o_g are built
+(`RightIdeal.pair_generators`, which the walk calls before it keeps a
+class): the action must be multiplicative, A(o·o') = A(o)·A(o') for two
+basis elements o, o' of O that do not commute, which a transposed reading
+fails; the counts' own certificates (B(1) = I, N_ii(1) = w_i, w_j | N_ij,
+the row sums) stand behind all of it. The data of each side (reduced
+basis, adjugate, k, o_g) is kept on the ideal, not on the class set.
+Conjugation keeps the counts, so each unordered pair is built on the side
+of smaller k. Its Gram stays in the Hermite basis T/k_b, with no Lagrange
+pass, as the counts do not depend on the basis; with its Fincke-Pohst
+setup done (`PreparedForm`, in closed form at rank 4) it serves the
+unit-count certificate and every later count (the rank-4 `value_counts`
+loops). Only `isometry_witness` (and `uq_by_classification`) still build
+a product lattice I_a·conj(I_b); `isometric` still decides every match.
 The same reading holds at a prime q | disc, where the only right ideal
 J ⊂ I_i with nrd(J) = q·nrd(I_i) is I_i·P_q, P_q the two-sided prime over q:
 B(q) is the permutation [I_i] -> [I_i·P_q] (`uq_from_counts`). Classifying
@@ -71,12 +75,11 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from itertools import combinations
 
 from ..errors import InvariantViolationError, ResourceLimitError, UsageError
 from ..primes import first_coprime_prime, is_prime, prime_factors
-from .ideal import RightIdeal, isometric, neighbors, reduce_ideal
-from .lattice import PreparedForm, adjugate4, hnf_mod, value_counts
+from .ideal import RightIdeal, isometric, neighbors, pair_gram, reduce_ideal
+from .lattice import PreparedForm, value_counts
 from .order import QuaternionOrder, two_sided_prime
 from .splitting import local_splitting
 
@@ -109,7 +112,6 @@ class ClassSet:
         self._buckets = None  # theta key -> [(index, rep)], built on first use
         # theta series of the pairs, in memory only: the cache stores none
         self._pair_grams = None  # (i, j), i <= j -> PreparedForm, built on demand
-        self._sides = {}  # i -> _PairSide of reps[i], built on demand
         self._pair_counts = {}  # (i, j) -> [N_ij(0), ..., N_ij(_counts_upto)]
         self._counts_upto = 0
 
@@ -180,7 +182,7 @@ class ClassSet:
 
         The form is integral since nrd(I_i·conj(I_j)) = nrd(I_i)·nrd(I_j).
         Conjugation maps I_i·conj(I_j) onto I_j·conj(I_i) and keeps norms, so
-        each pair is built by `_pair_gram` as I_a·conj(I_b) with k_b <= k_a,
+        each pair is built by `pair_gram` as I_a·conj(I_b) with k_b <= k_a,
         the smaller index k_b^2 over the known sublattice; k = 1 (the unit
         ideal) costs only I_a's reduced Gram. The Gram stays in its Hermite
         basis: its theta counts do not depend on the basis, and counting it
@@ -188,64 +190,12 @@ class ClassSet:
         """
         if self._pair_grams is None:
             self._pair_grams = {}
-        grams = self._pair_grams
+        grams, reps = self._pair_grams, self.reps
         for i, j in pairs:
             if (i, j) not in grams:
-                a, b = (j, i) if self._side(i).k < self._side(j).k else (i, j)
-                grams[i, j] = PreparedForm(self._pair_gram(a, b))
+                a, b = (j, i) if _k(reps[i]) < _k(reps[j]) else (i, j)
+                grams[i, j] = PreparedForm(pair_gram(reps[a], reps[b]))
         return {pair: grams[pair] for pair in pairs}
-
-    def _side(self, i):
-        side = self._sides.get(i)
-        if side is None:
-            side = self._sides[i] = _PairSide(self.reps[i])
-        return side
-
-    def _pair_gram(self, a, b):
-        """Integer Gram of x -> 2·nrd(x)/(nrd(I_a)·nrd(I_b)) on I_a·conj(I_b),
-        read off the sublattice M = I_a·conj(x_b), x_b the first reduced
-        vector of I_b, with nrd(x_b) = k_b·nrd(I_b).
-
-        In the basis v_l·conj(x_b), v_l the reduced basis of I_a, M has Gram
-        k_b·R_a, R_a the reduced Gram of I_a. For a generator g of I_b,
-        o_g = conj(g)·x_b/nrd(I_b) lies in conj(I_b)·I_b/nrd(I_b) = O, and
-        o_g·conj(x_b) = k_b·conj(g), so v_l·conj(g) = (v_l·o_g)·conj(x_b)/k_b.
-        As I_a·conj(I_b) is spanned by the v_l·conj(g), in M's coordinates it
-        is (1/k_b)·S, S spanned by k_b·Z^4 and the rows of the right action
-        of the o_g on the v_l (`_PairSide.act`, exact). Checks: the Hermite
-        basis T of S has det T = k_b^2, the index of M in I_a·conj(I_b) (that
-        of O·conj(x_b) in conj(I_b)), so S/k_b, which lies in I_a·conj(I_b),
-        is all of it; and T·R_a·T^t is divisible by k_b, the quotient being
-        the Gram in the basis T/k_b. Neither check re-derives the rows; each
-        side checks its `act` once, when it is built.
-        """
-        side_a, side_b = self._side(a), self._side(b)
-        k = side_b.k
-        if k == 1:
-            t = [[int(r == c) for c in range(4)] for r in range(4)]
-        else:
-            t = hnf_mod([row for og in side_b.ogs for row in side_a.act(*og)], k)
-        index = t[0][0] * t[1][1] * t[2][2] * t[3][3]
-        if index != k * k:
-            raise InvariantViolationError(
-                f"I_{a}·conj(I_{b}) has index {index} over I_{a}·conj(x_{b}), "
-                f"not k^2 = {k * k}")
-        (r00, r01, r02, r03), (_, r11, r12, r13), (_, _, r22, r23), \
-            (_, _, _, r33) = side_a.red
-        tr = [(x0 * r00 + x1 * r01 + x2 * r02 + x3 * r03,
-               x0 * r01 + x1 * r11 + x2 * r12 + x3 * r13,
-               x0 * r02 + x1 * r12 + x2 * r22 + x3 * r23,
-               x0 * r03 + x1 * r13 + x2 * r23 + x3 * r33) for x0, x1, x2, x3 in t]
-        gram = [[0] * 4 for _ in range(4)]
-        for r, (y0, y1, y2, y3) in enumerate(tr):
-            for c in range(r, 4):
-                x0, x1, x2, x3 = t[c]
-                q, rest = divmod(y0 * x0 + y1 * x1 + y2 * x2 + y3 * x3, k)
-                if rest:
-                    raise InvariantViolationError(
-                        f"norm form of I_{a}·conj(I_{b}) is not integral")
-                gram[r][c] = gram[c][r] = q
-        return gram
 
     def _certify_units(self, pair_counts):
         for (i, j), counts in pair_counts.items():
@@ -260,74 +210,6 @@ class ClassSet:
         if self.mass != expected:
             raise InvariantViolationError(
                 f"mass certificate failed: {self.mass} != {expected}")
-
-
-class _PairSide:
-    """One representative's data for the pair Grams (`ClassSet._pair_gram`).
-
-    red is the reduced Gram R = U^t·G·U of I, and basis its reduced basis:
-    the integer rows V_l = sum_r U[r][l]·B_r over I's denominator, B_r the
-    Hermite rows; (det, adj) is adjugate4 of V, which reads reduced
-    coordinates. x = v_0 is a shortest vector, nrd(x) = k·nrd(I) with
-    k = R[0][0]/2 (checked), and ogs holds o_g = conj(g)·x/nrd(I), in O, as
-    (integer vector, denominator), for the certified generators g of I.
-    `act` is checked once against the multiplication of O.
-    """
-
-    __slots__ = ("ideal", "red", "basis", "det", "adj", "k", "ogs")
-
-    def __init__(self, ideal: RightIdeal):
-        alg, lat = ideal.alg, ideal.lattice
-        red, u = ideal.reduced_gram()
-        self.ideal, self.red, self.k = ideal, red, red[0][0] // 2
-        self.basis = [tuple(sum(u[r][l] * lat.rows[r][c] for r in range(4))
-                            for c in range(4)) for l in range(4)]
-        self.det, adj = adjugate4(self.basis)
-        self.adj = list(zip(*adj))  # by columns
-        # for g = G/den and nrd(I) = n/d: o_g = d·conj(G)·V_0 / (den^2·n)
-        norm, x = ideal.nrd(), self.basis[0]
-        den = lat.den ** 2 * norm.numerator
-        if alg.nrd(x) * norm.denominator != self.k * den:
-            raise InvariantViolationError(
-                f"the first reduced vector has nrd {alg.nrd(x)}/{lat.den ** 2}, "
-                f"not k·nrd(I) = {self.k}·{norm}")
-        self.ogs = [(tuple(norm.denominator * c for c in alg.mul(alg.conj(g), x)), den)
-                    for g in ideal.generators()]
-        # A(o·o') = A(o)·A(o') for two basis elements of O that do not
-        # commute: `act` is checked against the multiplication of O, so that a
-        # wrong reading of it (its transpose, say) fails here, where the
-        # index and integrality checks of `_pair_gram` may pass it
-        o_rows, e = ideal.order.lattice.rows, ideal.order.lattice.den
-        o, o2 = next((o, o2) for o, o2 in combinations(o_rows, 2)
-                     if alg.mul(o, o2) != alg.mul(o2, o))
-        a, a2 = self.act(o, e), self.act(o2, e)
-        if self.act(alg.mul(o, o2), e * e) != [[sum(x * y for x, y in zip(row, col))
-                                                for col in zip(*a2)] for row in a]:
-            raise InvariantViolationError(
-                "the right action of O on the reduced basis is not multiplicative: "
-                "A(o·o') != A(o)·A(o')")
-
-    def act(self, vec, den):
-        """Rows A with v_l·o = sum_m A[l][m]·v_m, for o = vec/den in O.
-
-        With v_l = V_l/e, the product is Y/(e·den) for Y = V_l·vec, and its
-        coordinates c solve c·V = Y/den: c = Y·adj/(den·det). Every division
-        is exact, else o is not in the right order O of I.
-        """
-        mul, div = self.ideal.alg.mul, den * self.det
-        (a00, a01, a02, a03), (a10, a11, a12, a13), \
-            (a20, a21, a22, a23), (a30, a31, a32, a33) = self.adj
-        rows = []
-        for v in self.basis:
-            y0, y1, y2, y3 = mul(v, vec)
-            q0, r0 = divmod(y0 * a00 + y1 * a01 + y2 * a02 + y3 * a03, div)
-            q1, r1 = divmod(y0 * a10 + y1 * a11 + y2 * a12 + y3 * a13, div)
-            q2, r2 = divmod(y0 * a20 + y1 * a21 + y2 * a22 + y3 * a23, div)
-            q3, r3 = divmod(y0 * a30 + y1 * a31 + y2 * a32 + y3 * a33, div)
-            if r0 or r1 or r2 or r3:
-                raise InvariantViolationError("I·O is not contained in I")
-            rows.append([q0, q1, q2, q3])
-        return rows
 
 
 def ideal_class_set(order: QuaternionOrder, neighbor_prime: int) -> ClassSet:
@@ -369,6 +251,7 @@ def _walk(order, neighbor_prime, mass):
 
     def keep(rep):
         nonlocal found
+        rep.pair_generators()  # its o_g, with the check of `act`, before it is kept
         _add(buckets, len(reps), rep)
         reps.append(rep)
         unit_counts.append(rep.left_order().unit_count())
@@ -408,6 +291,11 @@ def class_set_avoiding(order: QuaternionOrder, avoid: int = 1) -> ClassSet:
     and edge class sets are walked at the same prime."""
     return ideal_class_set(
         order, first_coprime_prime(order.reduced_discriminant() * avoid))
+
+
+def _k(rep):
+    """k = nrd(x)/nrd(I) for the first reduced vector x of I."""
+    return rep.pair_generators()[0]
 
 
 def _add(buckets, idx, rep):

@@ -202,6 +202,20 @@ def _bezout(a, b):
     return g, (g - t * b) // a, t, ag, bg
 
 
+def _is_hermite4(rows):
+    """Whether rows is a 4x4 row-Hermite basis: row i zero left of column
+    i, its pivot at (i, i) positive, the entries above each pivot in
+    [0, pivot)."""
+    if len(rows) != 4 or any(len(r) != 4 for r in rows):
+        return False
+    for i in range(4):
+        piv = rows[i][i]
+        if piv <= 0 or any(rows[i][j] for j in range(i)) \
+                or any(not 0 <= rows[j][i] < piv for j in range(i)):
+            return False
+    return True
+
+
 class Lattice4:
     """Full-rank lattice in Q^4 with canonical (denominator, HNF rows) form."""
 
@@ -212,24 +226,26 @@ class Lattice4:
 
         With reduce=False the rows are taken as they are, and must already
         be a row-Hermite basis of rank 4, as `hnf_rows(rows, expect_rank=4)`
-        returns it: `coordinates` and `covolume` read row i's pivot at
-        column i.
+        returns it: four rows of four entries, row i zero left of column i,
+        its pivot at (i, i) positive and the entries above it in
+        [0, pivot). Anything else raises UsageError before any work, since
+        `coordinates` and `covolume` read row i's pivot at column i. The
+        content, the gcd of den and every entry, is divided out.
         """
-        den = int(den)
         if den <= 0:
             raise UsageError("denominator must be positive")
         if reduce:
             rows = hnf_rows(rows, expect_rank=4)
-        rows = [list(map(int, r)) for r in rows]
-        g = den
-        for r in rows:
-            for x in r:
-                g = gcd(g, x)
+        elif not _is_hermite4(rows):
+            raise UsageError("reduce=False wants a 4x4 row-Hermite basis "
+                             "with positive pivots at (i, i)")
+        (a0, a1, a2, a3), (_, b1, b2, b3), (_, _, c2, c3), (_, _, _, d3) = rows
+        g = gcd(den, a0, a1, a2, a3, b1, b2, b3, c2, c3, d3)
         if g > 1:
             den //= g
             rows = [[x // g for x in r] for r in rows]
         self.den = den
-        self.rows = tuple(tuple(r) for r in rows)
+        self.rows = tuple(map(tuple, rows))
 
     def key(self):
         return (self.den, self.rows)
@@ -560,9 +576,10 @@ def _fincke_pohst(form, max_value):
                         yield (base + k0 * s0 * s0) // scale, (x0, x1, x2, x3)
 
 
-def _enumerate_reduced(red, u, max_value):
-    """`enumerate_by_value` on the Lagrange-reduced data (red, u) of a Gram."""
-    for value, vec in _fincke_pohst(PreparedForm(red), max_value):
+def _enumerate_reduced(form, u, max_value):
+    """`enumerate_by_value` on the PreparedForm of a Lagrange-reduced Gram
+    and its transform u."""
+    for value, vec in _fincke_pohst(form, max_value):
         yield value, tuple(sum(u[r][c] * vec[c] for c in range(4)) for r in range(4))
 
 
@@ -573,20 +590,25 @@ def enumerate_by_value(gram, max_value: int):
     Lagrange-reduced first, and the vectors are mapped back to the original
     coordinates. Both x and -x appear. Lazy: callers may stop early.
     """
-    return _enumerate_reduced(*lagrange_reduce(gram), max_value)
+    red, u = lagrange_reduce(gram)
+    return _enumerate_reduced(PreparedForm(red), u, max_value)
 
 
 def shortest_value_and_vector(gram, reduction=None):
     """(value, x) attaining the minimum of x^T gram x on integer x != 0.
 
     gram is integral, 4x4 and positive definite; reduction is its Lagrange
-    reduction (R, U) when the caller already has it, and is computed here
-    otherwise. One enumeration: the bound is the smallest diagonal entry of
-    R, the value of a basis vector, so the minimum lies within it. Ties go
-    to the first minimal vector in enumeration order, which no bound changes.
+    reduction (R, U) when the caller already has it, R given as the reduced
+    Gram or as its PreparedForm, and is computed here otherwise. One
+    enumeration: the bound is the value of the first reduced basis vector,
+    R[0][0] (D_1 = k_0·m_0^2/scale of the form), which is the least
+    diagonal entry of R, so the minimum lies within it. Ties go to the
+    first minimal vector in enumeration order, which no bound changes.
     """
     red, u = lagrange_reduce(gram) if reduction is None else reduction
-    return min(_enumerate_reduced(red, u, red[0][0]), key=lambda hit: hit[0])
+    form = red if isinstance(red, PreparedForm) else PreparedForm(red)
+    bound = form.k[0] * form.m[0] ** 2 // form.scale
+    return min(_enumerate_reduced(form, u, bound), key=lambda hit: hit[0])
 
 
 def value_counts(gram_int, max_value: int):

@@ -24,7 +24,7 @@ from ..errors import InvariantViolationError, UsageError
 from ..exactalg import IntMatrix, det, kernel_mod
 from ..primes import is_prime, prime_factors
 from .algebra import QuaternionAlgebra, algebra_from_discriminant
-from .lattice import Lattice4, enumerate_by_value, hnf_rows
+from .lattice import Lattice4, hnf_rows, lagrange_reduce, value_counts
 
 ONE = (1, 0, 0, 0)
 
@@ -113,13 +113,20 @@ class QuaternionOrder:
         return c
 
     def unit_count(self) -> int:
-        """#O^× = number of norm-1 elements (definite algebra)."""
+        """#O^× = number of norm-1 elements (definite algebra).
+
+        The norm Gram T has x^T T x = 2·den^2·nrd(x) and its entries are
+        den^2·trd(b_i·conj(b_j)), integers on an order, so T/den^2 is
+        integral and its value 2 counts the units, read by `value_counts`
+        on its Lagrange reduction.
+        """
         if self._unit_count is None:
-            # nrd(x) = 1 reads x^T T x = 2·den^2, the least nonzero value
-            target = 2 * self.lattice.den ** 2
-            self._unit_count = sum(
-                value == target for value, _ in
-                enumerate_by_value(self.alg.norm_gram(self.lattice), target))
+            d2 = self.lattice.den ** 2
+            t = self.alg.norm_gram(self.lattice)
+            if any(x % d2 for row in t for x in row):
+                raise InvariantViolationError("trace form of an order must be integral")
+            gram = [[x // d2 for x in row] for row in t]
+            self._unit_count = value_counts(lagrange_reduce(gram)[0], 2)[2]
         return self._unit_count
 
 
@@ -259,9 +266,16 @@ def _idealizer(alg: QuaternionAlgebra, lat: Lattice4, side: str) -> Lattice4:
     integrally with L^#·L.
     """
     dual = _trace_dual(alg, lat)
-    first, second = (lat, dual) if side == "left" else (dual, lat)
-    rows = [alg.mul(x, y) for x in first.rows for y in second.rows]
-    return _trace_dual(alg, Lattice4(first.den * second.den, rows))
+    if side == "left":
+        return _dual_of_products(alg, lat.rows, lat.den, dual.rows, dual.den)
+    return _dual_of_products(alg, dual.rows, dual.den, lat.rows, lat.den)
+
+
+def _dual_of_products(alg, xs, xden, ys, yden) -> Lattice4:
+    """(X·Y)^#, X·Y spanned by the products x·y of the integer rows xs over
+    xden and ys over yden."""
+    rows = [alg.mul(x, y) for x in xs for y in ys]
+    return _trace_dual(alg, Lattice4(xden * yden, rows))
 
 
 def _trace_dual(alg: QuaternionAlgebra, lat: Lattice4) -> Lattice4:
@@ -270,23 +284,44 @@ def _trace_dual(alg: QuaternionAlgebra, lat: Lattice4) -> Lattice4:
     trd(x·y) = x·Q·y^T with Q = diag(2, 2a, 2b, -2ab), so for L = rows/den
     the element y lies in L^# iff M·y^T ∈ den·Z^4, M = rows·Q: L^# is spanned
     by the columns of den·M^-1 = den·adj(M)/det(M). The rows are a Hermite
-    basis, so M is upper triangular, det(M) is its diagonal's product and
-    adj(M) comes by back substitution from M·adj(M) = det(M)·I.
+    basis, so M is upper triangular with diagonal d_i and entries m_ij
+    (i < j), det(M) = d_0·d_1·d_2·d_3, and adj(M) is upper triangular too,
+    written out from M·adj(M) = det(M)·I.
     """
-    q = (2, 2 * alg.a, 2 * alg.b, -2 * alg.a * alg.b)
-    m = [[x * qc for x, qc in zip(row, q)] for row in lat.rows]
-    d = m[0][0] * m[1][1] * m[2][2] * m[3][3]
-    adj = [[0] * 4 for _ in range(4)]
-    for j in range(4):
-        for i in range(j, -1, -1):
-            s = (d if i == j else 0) - sum(m[i][k] * adj[k][j] for k in range(i + 1, j + 1))
-            adj[i][j] = s // m[i][i]
+    a, b = alg.a, alg.b
+    qa, qb, qab = 2 * a, 2 * b, -2 * a * b
+    (r00, r01, r02, r03), (_, r11, r12, r13), (_, _, r22, r23), (_, _, _, r33) = lat.rows
+    d0, m01, m02, m03 = 2 * r00, qa * r01, qb * r02, qab * r03
+    d1, m12, m13 = qa * r11, qb * r12, qab * r13
+    d2, m23 = qb * r22, qab * r23
+    d3 = qab * r33
+    d23, d01 = d2 * d3, d0 * d1
+    e = lat.den
+    # the columns of e·adj(M), column c holding adj's entries (0..c, c)
+    cols = [[e * d1 * d23, 0, 0, 0],
+            [-e * m01 * d23, e * d0 * d23, 0, 0],
+            [e * (m01 * m12 - m02 * d1) * d3, -e * m12 * d0 * d3, e * d01 * d3, 0],
+            [-e * (m01 * (m12 * m23 - m13 * d2) - m02 * d1 * m23 + m03 * d1 * d2),
+             e * (m12 * m23 - m13 * d2) * d0, -e * m23 * d01, e * d01 * d2]]
     # negating every generator keeps the lattice, so |det| serves as denominator
-    return Lattice4(abs(d), [[lat.den * adj[r][c] for r in range(4)] for c in range(4)])
+    return Lattice4(abs(d01 * d23), cols)
 
 
 def left_order_of(alg: QuaternionAlgebra, lat: Lattice4) -> QuaternionOrder:
     return QuaternionOrder(alg, _idealizer(alg, lat, "left"))
+
+
+def left_order_from_generators(alg: QuaternionAlgebra, lat: Lattice4, gens) -> QuaternionOrder:
+    """The left order (I·I^#)^# of a right ideal I = lat over an order O,
+    from right generators gens of I (integer rows over lat.den, I = sum g·O).
+
+    I^# is a left O-module: for o in O and y in I^#, trd(I·o·y) lies in
+    trd(I·y) ⊆ Z, as I·o ⊆ I. So I·I^# = sum g·O·I^# = sum g·I^#, spanned by
+    the products g·y over I^#'s basis: 8 for a pair of generators, and the
+    Hermite form is the same as from the 16 products of the basis.
+    """
+    dual = _trace_dual(alg, lat)
+    return QuaternionOrder(alg, _dual_of_products(alg, gens, lat.den, dual.rows, dual.den))
 
 
 def eichler_order(maximal: QuaternionOrder, level: int, splitting_factory) -> QuaternionOrder:

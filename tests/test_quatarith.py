@@ -30,7 +30,7 @@ from quatlfun.quatarith import (ClassSet, Lattice4, QuaternionAlgebra,
                                 uq_from_counts, uq_matrix)
 from quatlfun.quatarith.classset import _add, _certify_involution, _match
 from quatlfun.quatarith.embedding import embedding_with_base
-from quatlfun.quatarith.ideal import reduce_ideal
+from quatlfun.quatarith.ideal import pair_gram, reduce_ideal
 from quatlfun.quatarith import classset as classset_module
 from quatlfun.quatarith import embedding as embedding_module
 from quatlfun.quatarith import ideal as ideal_module
@@ -41,9 +41,10 @@ from quatlfun.quatarith.lattice import (adjugate4, enumerate_by_value,
                                         shortest_value_and_vector,
                                         value_counts)
 from quatlfun.quatarith.order import (_enlarge_at, _enlarge_brute, _idealizer,
-                                      _proj_points)
+                                      _proj_points, _trace_dual, left_order_of)
 
-from oracles import (_fincke_pohst_oracle, _fraction_basis, _inverse_oracle,
+from oracles import (_dual_basis_oracle, _fincke_pohst_oracle, _fraction_basis,
+                     _fraction_lattice, _inverse_oracle,
                      count_vectors_of_norm, enumerate_by_value_oracle,
                      exhaustive_walk_oracle, hilbert_symbol_oracle, hnf_oracle, idealizer_oracle,
                      kronecker_oracle, lagrange_reduce_oracle, minimum_of_form,
@@ -359,6 +360,26 @@ class TestIsometryWitness:
             assert cs.order.lattice.contains(vec, den)
 
 
+def test_isometric_agrees_with_the_witness_on_the_walks(monkeypatch):
+    """Every (looked-up ideal, representative) pair that the walks of disc
+    23 at level 2, disc 37 at level 3 and disc 374 at level 1 test gets the
+    same answer from `isometric`, on the pair Gram, and from
+    `isometry_witness`, on the product lattice."""
+    tested = []
+    real = classset_module.isometric
+
+    def recorded(i1, i2):
+        tested.append((i1, i2))
+        return real(i1, i2)
+    monkeypatch.setattr(classset_module, "isometric", recorded)
+    for disc, level in ((23, 2), (37, 3), (374, 1)):
+        ideal_class_set(eichler_order_for(disc, level), first_coprime_prime(disc * level))
+    monkeypatch.undo()
+    answers = [isometric(i1, i2) for i1, i2 in tested]
+    assert answers == [isometry_witness(i1, i2) is not None for i1, i2 in tested]
+    assert (len(answers), answers.count(True)) == (50, 40)  # both answers occur
+
+
 @pytest.fixture(scope="module")
 def cs374():
     return ideal_class_set(maximal_order(algebra_from_discriminant(374)), 3)
@@ -414,6 +435,23 @@ class TestReduceIdeal:
             del calls[:]
             reduce_ideal(ideal)  # the ideal keeps its reduction
             assert calls == []
+
+    def test_one_prepared_form_per_ideal(self, monkeypatch):
+        # the theta key, the tail and the reduction's search share the
+        # ideal's one elimination of its reduced Gram
+        setups = []
+        real = lattice_module.PreparedForm.__init__
+
+        def counted(form, gram):
+            setups.append(1)
+            real(form, gram)
+        monkeypatch.setattr(lattice_module.PreparedForm, "__init__", counted)
+        for ideal in self._fresh_ideals():
+            del setups[:]
+            ideal.theta_key()
+            ideal.theta_tail()
+            reduce_ideal(ideal)
+            assert len(setups) == 1
 
     def test_same_vector_as_a_second_reduction(self):
         # reducing the reduced Gram again, the old route, picks the same
@@ -661,85 +699,87 @@ def test_pair_grams_match_product_lattice_oracle(disc, level):
             want = value_counts(lagrange_reduce(pair_gram_oracle(cs, i, j))[0], 22)
             assert value_counts(forms[i, j], 22) == want
             for a, b in ((i, j), (j, i)):
-                assert value_counts(lagrange_reduce(cs._pair_gram(a, b))[0], 22) == want
+                gram = pair_gram(cs.reps[a], cs.reps[b])
+                assert value_counts(lagrange_reduce(gram)[0], 22) == want
+
+
+def _fresh(rep):
+    """A copy of rep that builds its own reduction, basis and o_g."""
+    return RightIdeal(rep.order, rep.lattice)
+
+
+def _with_k(rep, k):
+    """A copy of rep whose kept k is the given one, its o_g the same."""
+    out = _fresh(rep)
+    out._pair_gens = (k, rep.pair_generators()[1])
+    return out
 
 
 class TestPairGramCertificates:
     """Corrupted data for I_a·conj(I_b) must fail the index check
-    det T = k_b^2 or the integrality of T·R_a·T^t/k_b. A corrupted action
-    that passes both must leave the theta series right, or fail the class
-    set's unit-count certificate."""
+    det T = k_b^2 or the integrality of T·R_a·T^t/k_b, in `pair_gram`. A
+    corrupted action that passes both must leave the theta series right, or
+    fail the check of `act` that each representative's o_g run, which the
+    class set's counts and its walk both go through."""
 
     @pytest.fixture(scope="class")
     def cs23(self):
         cs = ideal_class_set(eichler_order_for(23, 2), 3)
-        assert [cs._side(i).k for i in range(len(cs))] == [1, 3, 2, 2, 2, 2]
+        assert [rep.pair_generators()[0] for rep in cs.reps] == [1, 3, 2, 2, 2, 2]
         return cs
 
     def test_wrong_k_caught(self, cs23):
         for b in range(1, len(cs23)):
+            rep = cs23.reps[b]
+            k = rep.pair_generators()[0]
             for a in range(len(cs23)):
-                for wrong in (cs23._side(b).k + 1, 2 * cs23._side(b).k):
-                    cs = _copy_class_set(cs23)
-                    cs._side(b).k = wrong
+                for wrong in (k + 1, 2 * k):
                     with pytest.raises(InvariantViolationError, match="index|integral"):
-                        cs._pair_gram(a, b)
+                        pair_gram(cs23.reps[a], _with_k(rep, wrong))
 
     def test_patched_shortest_vector_caught(self, cs23):
         # v_0 + v_1 in place of v_0, the reduced Gram unchanged: its norm is
         # no longer k·nrd(I)
         rep = cs23.reps[1]
         red, u = rep.reduced_gram()
-        patched = RightIdeal(rep.order, rep.lattice)
+        patched = _fresh(rep)
         patched._reduced = (red, [[row[0] + row[1]] + list(row[1:]) for row in u])
-        cs = _copy_class_set(cs23, reps=cs23.reps[:1] + [patched] + cs23.reps[2:])
         with pytest.raises(InvariantViolationError, match="first reduced vector"):
-            cs._pair_gram(0, 1)
+            pair_gram(cs23.reps[0], patched)
 
     def test_non_generating_g_caught(self, cs23):
         # p·g for p | k_b: the o_g then vanish mod k_b and span too little
         for b in range(1, len(cs23)):
             rep = cs23.reps[b]
-            p = prime_factors(cs23._side(b).k)[0]
-            scaled = RightIdeal(rep.order, rep.lattice)
+            p = prime_factors(rep.pair_generators()[0])[0]
+            scaled = _fresh(rep)
             scaled._generators = tuple(tuple(p * x for x in g) for g in rep.generators())
-            reps = list(cs23.reps)
-            reps[b] = scaled
             for a in range(len(cs23)):
-                cs = _copy_class_set(cs23, reps=reps)
                 with pytest.raises(InvariantViolationError, match="index"):
-                    cs._pair_gram(a, b)
+                    pair_gram(cs23.reps[a], scaled)
 
     @staticmethod
     def _corrupt_action(monkeypatch, corrupt):
-        real = classset_module._PairSide.act
-        monkeypatch.setattr(classset_module._PairSide, "act",
-                            lambda side, vec, den: corrupt(real(side, vec, den)))
-
-    @staticmethod
-    def _with_sides(cs):
-        """A copy of cs whose pair sides are built, and checked, already."""
-        copy = _copy_class_set(cs)
-        for i in range(len(copy)):
-            copy._side(i)
-        return copy
+        real = ideal_module.RightIdeal.act
+        monkeypatch.setattr(ideal_module.RightIdeal, "act",
+                            lambda ideal, vec, den: corrupt(real(ideal, vec, den)))
 
     @staticmethod
     def _assert_no_counts_kept(cs):
         for ask in (lambda c: c.certify_unit_counts(),
                     lambda c: c.representation_counts(3)):
-            fresh = _copy_class_set(cs)
+            fresh = _copy_class_set(cs, reps=[_fresh(rep) for rep in cs.reps])
             with pytest.raises(InvariantViolationError, match="not multiplicative"):
                 ask(fresh)
             assert fresh.counts_upto == 0
 
     def test_corrupted_right_action_caught_or_harmless(self, cs23, monkeypatch):
         # v_0·o read as v_0·o + v_1, on every pair but those over the unit
-        # ideal (b = 0, k = 1), which read no action. On sides built before
-        # the corruption, 25 of the 30 pairs fail a pair check; on the other 5
-        # the wrong row spans the same lattice mod k_b, and the theta series
-        # is the product lattice's. A side built under it fails its own check
-        built = self._with_sides(cs23)
+        # ideal (b = 0, k = 1), which read no action. On representatives
+        # whose o_g were built before the corruption (by the walk), 25 of the
+        # 30 pairs fail a pair check; on the other 5 the wrong row spans the
+        # same lattice mod k_b, and the theta series is the product
+        # lattice's. o_g built under it fail their own check
         self._corrupt_action(monkeypatch, lambda rows: [
             [x + ((l, m) == (0, 1)) for m, x in enumerate(row)]
             for l, row in enumerate(rows)])
@@ -747,7 +787,7 @@ class TestPairGramCertificates:
         for b in range(1, len(cs23)):
             for a in range(len(cs23)):
                 try:
-                    gram = built._pair_gram(a, b)
+                    gram = pair_gram(cs23.reps[a], cs23.reps[b])
                 except InvariantViolationError as exc:
                     assert "index" in str(exc) or "integral" in str(exc)
                     caught += 1
@@ -758,30 +798,41 @@ class TestPairGramCertificates:
         self._assert_no_counts_kept(cs23)
 
     def test_transposed_action_caught_by_the_class_set(self, cs23, monkeypatch):
-        # The limit of the pair checks: on sides built before the corruption,
-        # a transposed action passes them on 10 of the 30 pairs with k_b > 1
-        # with a wrong theta series, since they see the span's index and the
-        # form's integrality, not the rows. Each side checks
-        # A(o·o') = A(o)·A(o') once, for o, o' in O that do not commute,
-        # which the transpose fails, so the class set raises before any
-        # count is kept
-        built = self._with_sides(cs23)
+        # The limit of the pair checks: on representatives whose o_g were
+        # built before the corruption, a transposed action passes them on 10
+        # of the 30 pairs with k_b > 1 with a wrong theta series, since they
+        # see the span's index and the form's integrality, not the rows.
+        # Building the o_g checks A(o·o') = A(o)·A(o') once, for o, o' in O
+        # that do not commute, which the transpose fails, so the class set
+        # raises before any count is kept
         self._corrupt_action(monkeypatch, lambda rows: [list(c) for c in zip(*rows)])
         wrong = []
         for b in range(1, len(cs23)):
             for a in range(len(cs23)):
                 try:
-                    gram = built._pair_gram(a, b)
+                    gram = pair_gram(cs23.reps[a], cs23.reps[b])
                 except InvariantViolationError:
                     continue
                 want = pair_gram_oracle(cs23, min(a, b), max(a, b))
                 if value_counts(gram, 22) != value_counts(lagrange_reduce(want)[0], 22):
                     wrong.append((a, b))
         assert len(wrong) == 10
-        for i in range(len(cs23)):
+        for rep in cs23.reps:
             with pytest.raises(InvariantViolationError, match="not multiplicative"):
-                _copy_class_set(cs23)._side(i)
+                _fresh(rep).pair_generators()
         self._assert_no_counts_kept(cs23)
+
+    def test_transposed_action_stops_the_walk(self, monkeypatch):
+        # on a fresh order the walk builds each representative's o_g before
+        # it keeps the class, so the check of `act` fails on the first
+        # representative, before any class is kept or any count is read
+        self._corrupt_action(monkeypatch, lambda rows: [list(c) for c in zip(*rows)])
+        kept = []
+        monkeypatch.setattr(classset_module, "_add",
+                            lambda buckets, idx, rep: kept.append(idx))
+        with pytest.raises(InvariantViolationError, match="not multiplicative"):
+            ideal_class_set(eichler_order_for(23, 2), 3)
+        assert kept == []
 
 
 def test_uq_routes_agree_on_disc374_edge_classes():
@@ -877,6 +928,60 @@ def test_idealizer_matches_oracle(entries, den, ab):
         got = _idealizer(alg, lat, side)
         assert got == idealizer_oracle(alg, lat, side)
         QuaternionOrder(alg, got)  # an idealizer is an order
+
+
+_TRACE_DUAL_FORMS = [(-1, -1), (-2, -5), (2, -3), (-3, 7), (5, 2)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=4, max_size=4),
+       st.lists(st.integers(-9, 9), min_size=6, max_size=6), st.integers(1, 6),
+       st.sampled_from(_TRACE_DUAL_FORMS))
+def test_trace_dual_matches_oracle(pivots, above, den, ab):
+    # the closed-form upper-triangular adjugate against the dual basis of
+    # M = rows·Q over Q, Q = diag(2, 2a, 2b, -2ab), on Hermite bases; a·b
+    # takes both signs, so `_trace_dual`, which reads only a and b, gets a
+    # stand-in algebra where a definite one cannot have them
+    entries = iter(above)
+    rows = [[0] * i + [pivots[i]] + [next(entries) for _ in range(i + 1, 4)]
+            for i in range(4)]
+    lat = Lattice4(den, rows)
+    a, b = ab
+    q = (2, 2 * a, 2 * b, -2 * a * b)
+    m = [[Fraction(x, lat.den) * qc for x, qc in zip(row, q)] for row in lat.rows]
+    assert _trace_dual(SimpleNamespace(a=a, b=b), lat) == \
+        _fraction_lattice(_dual_basis_oracle(m))
+
+
+@pytest.mark.parametrize("disc,level", _SWEEP,
+                         ids=[f"disc{d}-level{lv}" for d, lv in _SWEEP])
+def test_left_orders_from_generators(disc, level):
+    """(I·I^#)^# from the certified generators times I^# is the idealizer
+    of the whole basis."""
+    cs = _sweep_class_set(disc, level)
+    for rep in cs.reps:
+        assert rep.left_order() == left_order_of(rep.alg, rep.lattice)
+
+
+def _unit_count_oracle(order):
+    """Norm-1 elements by brute force over the box |x_i| <= sqrt(v·(T^-1)_ii),
+    which holds every x with x^T T x = v (Cauchy-Schwarz), T the oracles'
+    norm Gram after the oracles' Lagrange reduction, which keeps the box
+    small, and v = 2·den^2."""
+    gram = lagrange_reduce_oracle(norm_gram_oracle(order.alg, order.lattice))[0]
+    value = 2 * order.lattice.den ** 2
+    inv = _inverse_oracle(gram)
+    box = max(math.isqrt(math.floor(value * inv[i][i])) for i in range(4))
+    return count_vectors_of_norm(gram, value, box)
+
+
+@pytest.mark.parametrize("disc,level", [(2, 1), (3, 1), (11, 1), (13, 2), (23, 2), (37, 3)])
+def test_unit_count_matches_brute_force(disc, level):
+    cs = _sweep_class_set(disc, level) if (disc, level) in _SWEEP else \
+        ideal_class_set(eichler_order_for(disc, level), first_coprime_prime(disc * level))
+    for order in [cs.order] + [rep.left_order() for rep in cs.reps]:
+        assert QuaternionOrder(order.alg, order.lattice).unit_count() == \
+            _unit_count_oracle(order)
 
 
 class TestEichlerOrders:

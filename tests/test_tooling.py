@@ -12,7 +12,9 @@ rows over a denominator, and the tree, its transport, the torus and the
 measure compute in integers only. Theta counts come from `value_counts`
 alone. The lattice layer takes rank 4 only: its kernels refuse a Gram or a
 row of any other size before any work, and the generic-rank code and the
-test-only v-new kernel are gone.
+test-only v-new kernel are gone; a Lattice4 built without reduction takes a
+row-Hermite basis only. `isometric` and the class set's pair forms read
+I·conj(J) through one pair-Gram function.
 """
 
 import ast
@@ -21,6 +23,7 @@ import importlib.util
 import inspect
 import os
 import re
+import textwrap
 
 import pytest
 
@@ -176,6 +179,48 @@ def test_lattice_kernels_take_rank_4_only(run, arg):
         run(arg)
 
 
+def _not_hermite4():
+    """Row sets that Lattice4(..., reduce=False) must refuse: a 4x4 basis
+    with row i zero left of column i, a positive pivot at (i, i) and the
+    entries above it in [0, pivot) is the only one it takes as it is."""
+    unit = [[int(r == c) for c in range(4)] for r in range(4)]
+    yield pytest.param(unit[:3], id="three-rows")
+    yield pytest.param(unit + [[0, 0, 0, 1]], id="five-rows")
+    yield pytest.param([r[:3] for r in unit], id="three-columns")
+    diag = [[3 * int(r == c) for c in range(4)] for r in range(4)]
+    for name, (r, c, x) in {"zero-pivot": (0, 0, 0), "negative-pivot": (1, 1, -3),
+                            "below-the-diagonal": (3, 1, 1),
+                            "above-a-pivot-too-large": (0, 2, 3),
+                            "above-a-pivot-negative": (1, 3, -1)}.items():
+        rows = [list(row) for row in diag]
+        rows[r][c] = x
+        yield pytest.param(rows, id=name)
+
+
+@pytest.mark.parametrize("rows", _not_hermite4())
+def test_lattice4_without_reduction_wants_a_hermite_basis(rows, monkeypatch):
+    # Lattice4(1, three unit rows, reduce=False) used to build, and its
+    # coordinates() then raised a bare ValueError
+    from quatlfun.errors import UsageError
+    from quatlfun.quatarith import lattice
+
+    def no_work(*_args, **_kw):
+        raise AssertionError("Lattice4 started work before checking its rows")
+    monkeypatch.setattr(lattice, "hnf_rows", no_work)
+    monkeypatch.setattr(lattice, "gcd", no_work)
+    with pytest.raises(UsageError, match="Hermite"):
+        lattice.Lattice4(1, rows, reduce=False)
+
+
+def test_lattice4_without_reduction_keeps_a_hermite_basis():
+    from quatlfun.quatarith import lattice
+    rows = [[2, 1, 0, 3], [0, 3, 2, 1], [0, 0, 4, 0], [0, 0, 0, 5]]
+    lat = lattice.Lattice4(6, rows, reduce=False)
+    assert lat.key() == lattice.Lattice4(6, rows).key() == (6, tuple(map(tuple, rows)))
+    assert lattice.Lattice4(4, [[2 * x for x in r] for r in rows], reduce=False) == \
+        lattice.Lattice4(2, rows)
+
+
 def _bad_scalar_calls():
     """Kernel calls with a modulus or a denominator that is not positive; a
     negative k once gave a basis that is not Hermite, and 0 a bare
@@ -219,3 +264,26 @@ def test_generic_rank_code_is_gone():
                                       (brandtforms, "degeneracy_and_vnew"))
             if hasattr(module, name)]
     assert left == []
+
+
+def _names_called(func):
+    """The names that func's body calls, as a bare name or an attribute."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+
+def test_one_product_gram_route():
+    # the class set's pair forms and `isometric` read I·conj(J) through one
+    # function, `ideal.pair_gram`; only `isometry_witness` (and
+    # `uq_by_classification`) build product lattices; the class set keeps
+    # no side data of its own
+    from quatlfun.quatarith import classset, ideal
+    assert classset.pair_gram is ideal.pair_gram
+    assert "pair_gram" in _names_called(classset.ClassSet._pair_forms)
+    assert "pair_gram" in _names_called(ideal.isometric)
+    assert "product_lattice" not in _names_called(ideal.isometric)
+    assert not hasattr(classset, "_PairSide")
+    assert not any(hasattr(classset.ClassSet, name) for name in ("_side", "_pair_gram"))
+    assert "_sides" not in inspect.getsource(classset.ClassSet.__init__)
