@@ -266,9 +266,8 @@ def _idealizer(alg: QuaternionAlgebra, lat: Lattice4, side: str) -> Lattice4:
     integrally with L^#·L.
     """
     dual = _trace_dual(alg, lat)
-    if side == "left":
-        return _dual_of_products(alg, lat.rows, lat.den, dual.rows, dual.den)
-    return _dual_of_products(alg, dual.rows, dual.den, lat.rows, lat.den)
+    first, second = (lat, dual) if side == "left" else (dual, lat)
+    return _dual_of_products(alg, first.rows, first.den, second.rows, second.den)
 
 
 def _dual_of_products(alg, xs, xden, ys, yden) -> Lattice4:
