@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 from . import bttree
 from .errors import (DataMissingError, InvariantViolationError, UsageError)
 from .exactalg import IntMatrix, kernel_basis, kernel_mod
-from .primes import is_prime, prime_factors
+from .primes import hensel_lift, is_prime, prime_factors, valuation
 from .quatarith import (RightIdeal, class_set_avoiding, eichler_mass,
                         eichler_order, isometry_witness, local_splitting,
                         neighbor_matrices, neighbor_matrix, uq_matrix)
@@ -361,11 +361,8 @@ class QuotientGraph:
         if coords is None:
             raise InvariantViolationError(f"{where} does not lie in the order")
         norm = self.base_order.alg.nrd(vec) // (den * den)
-        e = 0
-        while norm % p == 0:
-            norm //= p
-            e += 1
-        if norm != 1:
+        e = valuation(norm, p)
+        if p ** e != norm:
             raise InvariantViolationError(f"{where}: its reduced norm is not a power of p")
         coords, e = self._primitive(coords, e)
         if self._act(self.splitting.apply(coords), e, rep) != u:
@@ -378,11 +375,9 @@ class QuotientGraph:
     def _primitive(self, coords, e):
         """(coords / p^c, e - 2c) for the largest c with p^c | coords: an
         element of the order and p^e its reduced norm."""
-        p = self.p
-        while not any(c % p for c in coords):
-            coords = tuple(c // p for c in coords)
-            e -= 2
-        return coords, e
+        c = valuation(math.gcd(*coords), self.p)
+        q = self.p ** c
+        return tuple(x // q for x in coords), e - 2 * c
 
     def _act(self, mat, e, v):
         """The class of A·M_v for A = iota(g) mod p^prec, nrd(g) = p^e.
@@ -398,9 +393,8 @@ class QuotientGraph:
         (m00, m01), (_, m11) = v.matrix()
         prod = ((a00 * m00, a00 * m01 + a01 * m11),
                 (a10 * m00, a10 * m01 + a11 * m11))
-        alpha = 0
-        while alpha < prec and not any(x % p ** (alpha + 1) for row in prod for x in row):
-            alpha += 1
+        content = math.gcd(*prod[0], *prod[1])
+        alpha = prec if content % p ** prec == 0 else valuation(content, p)
         need = e + v.det_exponent - alpha + 1
         if need > prec:
             raise InvariantViolationError(
@@ -594,13 +588,9 @@ def hensel_unit_root(a_p: int, p: int, n: int) -> int:
     """The unit root of x^2 - a_p x + p mod p^n (requires p-ordinarity)."""
     if a_p % p == 0:
         raise UsageError("non-ordinary input: a_p is not a unit mod p")
-    q = p ** n
-    r = a_p % p  # x^2 - a x + p ≡ x(x - a) mod p: unit root ≡ a
-    for _ in range(n.bit_length() + 2):
-        f = (r * r - a_p * r + p) % q
-        fp = (2 * r - a_p) % q
-        r = (r - f * pow(fp, -1, q)) % q
-    if (r * r - a_p * r + p) % q != 0:
+    # x^2 - a x + p ≡ x(x - a) mod p: the unit root is ≡ a
+    r = hensel_lift(a_p % p, a_p, p, p, n)
+    if (r * r - a_p * r + p) % p ** n != 0:
         raise InvariantViolationError("Hensel lift failed")
     return r
 

@@ -24,17 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import UsageError
-
-
-def _vp(x: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer."""
-    if x == 0:
-        raise UsageError("valuation of zero")
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
+from .primes import valuation
 
 
 @dataclass(frozen=True)
@@ -79,11 +69,11 @@ def canonical_vertex(p: int, cols) -> TreeVertex:
     det = x * w - y * z
     if det == 0:
         raise UsageError("matrix is singular")
-    if w == 0 or (z != 0 and _vp(z, p) < _vp(w, p)):
+    if w == 0 or (z != 0 and valuation(z, p) < valuation(w, p)):
         x, y, z, w = y, x, w, z
-    d = _vp(w, p)
-    a = _vp(det, p) - d
-    s = min(a, d, _vp(y, p)) if y else min(a, d)
+    d = valuation(w, p)
+    a = valuation(det, p) - d
+    s = min(a, d, valuation(y, p)) if y else min(a, d)
     a -= s
     mod = p ** a
     if mod == 1:
@@ -145,7 +135,7 @@ def distance(u: TreeVertex, v: TreeVertex) -> int:
     pv_a, pv_d = p ** v.a, p ** v.d
     # adj(M_u) = [[p^du, -bu], [0, p^au]], M_v = [[p^av, bv], [0, p^dv]]
     rel = (pu_d * pv_a, pu_d * v.b - u.b * pv_d, pu_a * pv_d)
-    low = min(_vp(r, p) for r in rel if r)
+    low = min(valuation(r, p) for r in rel if r)
     return u.a + u.d + v.a + v.d - 2 * low
 
 

@@ -22,7 +22,7 @@ from functools import cached_property
 from .errors import InvariantViolationError, UsageError
 from .exactalg import (AbelianGroupShape, IntMatrix, det, eliminate,
                        eliminate_mod, solve)
-from .primes import prime_factors
+from .primes import prime_factors, valuation
 
 
 @dataclass(frozen=True)
@@ -275,15 +275,9 @@ def _local_shape(gram: IntMatrix, d: int) -> AbelianGroupShape:
     k = gram.rows
     factors = [1] * k
     for p in prime_factors(d):
-        e = 0
-        while d % p ** (e + 1) == 0:
-            e += 1
-        vals = []
-        for x in eliminate_mod([list(row) for row in gram.entries], k, k, p, e + 1):
-            v = 0
-            while v <= e and x % p ** (v + 1) == 0:
-                v += 1
-            vals.append(v)
+        e = valuation(d, p)
+        vals = [e + 1 if x % p ** (e + 1) == 0 else valuation(x, p)
+                for x in eliminate_mod([list(row) for row in gram.entries], k, k, p, e + 1)]
         if sum(vals) != e:
             raise InvariantViolationError(
                 f"local invariant factors at {p} do not multiply to {p}^{e}")

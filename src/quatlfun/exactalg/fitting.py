@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 
 from ..errors import UsageError
+from ..primes import valuation
 from .groupring import Character, GroupRingElement, PrimePowerRing, specialize
 from .intmatrix import IntMatrix, eliminate
 
@@ -66,12 +67,7 @@ def module_length(presentation: IntMatrix, p: int):
     rank = sum(1 for d in diag if d != 0)
     if rank < presentation.rows:
         return None
-    s = 0
-    for d in diag:
-        while d % p == 0:
-            d //= p
-            s += 1
-    return s
+    return sum(valuation(d, p) for d in diag)
 
 
 @dataclass(frozen=True)

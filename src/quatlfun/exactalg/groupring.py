@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 
 from ..errors import UsageError
-from ..primes import is_prime
+from ..primes import is_prime, valuation
 from .intmatrix import IntMatrix, solve_mod
 
 
@@ -38,14 +38,7 @@ class PrimePowerRing:
 
     def valuation(self, x: int) -> int:
         """p-adic valuation of x in Z/p^n, capped at n; val(0) = n."""
-        x %= self.modulus
-        if x == 0:
-            return self.n
-        v = 0
-        while x % self.p == 0:
-            x //= self.p
-            v += 1
-        return v
+        return self.n if x % self.modulus == 0 else valuation(x, self.p)
 
 
 @dataclass(frozen=True)
@@ -60,10 +53,7 @@ class GroupRingElement:
         m = self.group_order
         p = self.ring.p
         # group order must be a power of p (p^0 = 1 allowed)
-        t = m
-        while t % p == 0:
-            t //= p
-        if t != 1 or m < 1:
+        if m < 1 or p ** valuation(m, p) != m:
             raise UsageError("group order must be a power of p")
         if len(self.coeffs) != m:
             raise UsageError("coefficient count must equal the group order")

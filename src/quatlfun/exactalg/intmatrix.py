@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import UsageError
+from ..primes import valuation
 
 
 @dataclass(frozen=True)
@@ -266,13 +267,7 @@ def solve(M: IntMatrix, b):
 # ---------------------------------------------------------------------------
 
 def _val(x: int, p: int, n: int) -> int:
-    if x % (p ** n) == 0:
-        return n
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
+    return n if x % p ** n == 0 else valuation(x, p)
 
 
 def eliminate_mod(a, r, c, p: int, n: int):

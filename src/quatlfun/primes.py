@@ -1,6 +1,9 @@
-"""Small-prime helpers shared by every module: trial division at desk scale."""
+"""Small-prime helpers shared by every module: trial division at desk scale,
+the p-adic valuation, and the Hensel lift of a simple root of a quadratic."""
 
 from __future__ import annotations
+
+from .errors import UsageError
 
 
 def is_prime(q: int) -> bool:
@@ -41,3 +44,27 @@ def first_coprime_prime(n: int) -> int:
     while n % ell == 0 or not is_prime(ell):
         ell += 1
     return ell
+
+
+def valuation(x: int, p: int) -> int:
+    """v_p(x) for a nonzero integer x."""
+    if x == 0:
+        raise UsageError("valuation of zero")
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def hensel_lift(r: int, t: int, n: int, p: int, k: int) -> int:
+    """The root mod p^k of X^2 - tX + n that lifts its root r, in [0, p^k).
+
+    r is a root mod p (mod 8 when p = 2 and the root is known only there)
+    at which 2r - t is a unit, so Newton iteration converges quadratically:
+    k.bit_length() + 2 steps reach p^k. The caller checks the result.
+    """
+    q = p ** k
+    for _ in range(k.bit_length() + 2):
+        r = (r - (r * r - t * r + n) * pow((2 * r - t) % q, -1, q)) % q
+    return r

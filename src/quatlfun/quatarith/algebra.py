@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from math import prod
 
 from ..errors import SearchExhaustedError, UsageError
-from ..primes import prime_factors
+from ..primes import prime_factors, valuation
 
 # largest |a|, |b| tried by the (a, b) search in algebra_from_discriminant
 SEARCH_BOUND = 600
@@ -30,34 +30,18 @@ def kronecker(d: int, q: int) -> int:
     return legendre(d, q)
 
 
-def _split2(x: int):
-    v = 0
-    while x % 2 == 0:
-        x //= 2
-        v += 1
-    return v, x
-
-
 def hilbert_symbol(a: int, b: int, p) -> int:
     """(a, b)_p for nonzero integers; p a finite prime or the string "inf"."""
     if a == 0 or b == 0:
         raise UsageError("Hilbert symbol wants nonzero arguments")
     if p == "inf":
         return -1 if (a < 0 and b < 0) else 1
+    alpha, beta = valuation(a, p), valuation(b, p)
+    u, v = a // p ** alpha, b // p ** beta
     if p == 2:
-        alpha, u = _split2(a)
-        beta, v = _split2(b)
         eps = ((u - 1) // 2) * ((v - 1) // 2)
         omega = alpha * ((v * v - 1) // 8) + beta * ((u * u - 1) // 8)
         return -1 if (eps + omega) % 2 else 1
-    alpha, u = 0, a
-    while u % p == 0:
-        u //= p
-        alpha += 1
-    beta, v = 0, b
-    while v % p == 0:
-        v //= p
-        beta += 1
     sign = 1
     if alpha * beta * ((p - 1) // 2) % 2:
         sign = -sign

@@ -34,22 +34,14 @@ Brandt matrices come from the theta series of the pairs of representatives
 L-series" (1987), sections 1-2): the ell-neighbours of I_i in class j are
 counted by the elements of I_i·conj(I_j) of reduced norm
 ell·nrd(I_i)·nrd(I_j), one orbit of #O_l(I_j)^× for each neighbour.
-Each pair lattice is a small-index superlattice of one whose Gram is known
-(`ideal.pair_gram`, the one product-Gram primitive, which `isometric` reads
-too): for x_b a shortest vector of I_b, of norm k_b·nrd(I_b), the
-sublattice I_a·conj(x_b) has Gram k_b·R_a in the basis v_l·conj(x_b), R_a
-the reduced Gram of I_a on its reduced basis v_l. For a certified
-generator g of I_b, o_g = conj(g)·x_b/nrd(I_b) lies in
-conj(I_b)·I_b/nrd(I_b) = O, and v_l·conj(g) = (v_l·o_g)·conj(x_b)/k_b, so
-the right action of the o_g on I_a, mod k_b, spans I_a·conj(I_b) in those
-coordinates. The action rows are exact (`RightIdeal.act`): each product
-v_l·o_g is divided exactly into reduced coordinates, which also shows o_g
-in O_r(I_a) = O, so the span lies in I_a·conj(I_b). Each pair then checks
-two things: the index det T = k_b^2 of the sublattice in the span, T its
-Hermite basis, which makes the span all of I_a·conj(I_b) and fails when
-the generators span too little; and the divisibility of T·R_a·T^t by k_b,
-the integrality of the form. These checks do not re-derive the rows: a
-wrong row that keeps the index and the integrality passes them. The rows
+Each pair's Gram is read by `ideal.pair_gram`, the one product-Gram
+primitive, which `isometric` reads too: I_a·conj(I_b) is spanned, mod k_b,
+by the exact right action (`RightIdeal.act`) on I_a's reduced basis of the
+o_g of I_b, built from a shortest vector x_b of I_b, of norm
+k_b·nrd(I_b), and its certified generators g. The derivation and its two
+checks, the index det T = k_b^2 and the integrality of the form, are
+written out at `pair_gram`. Those checks do not re-derive the action rows:
+a wrong row that keeps the index and the integrality passes them. The rows
 are checked once per representative instead, when its k and o_g are built
 (`RightIdeal.pair_generators`, which the walk calls before it keeps a
 class): the action must be multiplicative, A(o·o') = A(o)·A(o') for two

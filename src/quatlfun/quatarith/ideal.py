@@ -37,6 +37,7 @@ from itertools import combinations
 from math import gcd
 
 from ..errors import InvariantViolationError, UsageError
+from ..primes import valuation
 from .lattice import (Lattice4, PreparedForm, adjugate4, enumerate_by_value, hnf_mod,
                       lagrange_reduce, shortest_value_and_vector, value_counts)
 from .order import QuaternionOrder, left_order_from_generators
@@ -405,7 +406,7 @@ def neighbors(ideal: RightIdeal, ell: int, spl: LocalSplitting):
 
 def _local_generator(ideal: RightIdeal, ell: int):
     """Integer row (over the ideal denominator) generating I/ellI on the right."""
-    target_val = _ell_valuation(ideal.nrd() * ideal.lattice.den ** 2, ell)
+    target_val = valuation(int(ideal.nrd() * ideal.lattice.den ** 2), ell)
     rows = ideal.lattice.rows
     alg = ideal.alg
     candidates = [tuple(1 if i == j else 0 for j in range(4)) for i in range(4)]
@@ -418,18 +419,6 @@ def _local_generator(ideal: RightIdeal, ell: int):
                 candidates.append(tuple(c))
     for c in candidates:
         x = tuple(sum(c[i] * rows[i][k] for i in range(4)) for k in range(4))
-        if _ell_valuation(Fraction(alg.nrd(x)), ell) == target_val:
+        if valuation(alg.nrd(x), ell) == target_val:
             return x
     raise InvariantViolationError("no local generator found; ideal data corrupt")
-
-
-def _ell_valuation(fr: Fraction, ell: int) -> int:
-    v = 0
-    num, den = fr.numerator, fr.denominator
-    while num % ell == 0:
-        num //= ell
-        v += 1
-    while den % ell == 0:
-        den //= ell
-        v -= 1
-    return v

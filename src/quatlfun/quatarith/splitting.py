@@ -14,6 +14,7 @@ from functools import cached_property
 
 from ..errors import InvariantViolationError, SearchExhaustedError, UsageError
 from ..exactalg import IntMatrix, eliminate_mod, kernel_mod
+from ..primes import hensel_lift
 from .algebra import legendre
 from .order import QuaternionOrder, _tuples
 
@@ -69,20 +70,16 @@ class LocalSplitting:
 def _hensel_roots(t, n, ell, prec):
     """The two roots of X^2 - tX + n mod ell^prec, distinct mod ell.
 
-    The derivative 2r - t is a unit mod ell at a simple root, so Newton
-    iteration mod ell^prec converges quadratically from the base root.
+    The derivative 2r - t is a unit mod ell at a simple root, so each base
+    root lifts (`primes.hensel_lift`).
     """
     q = ell ** prec
     base_mod = 8 if ell == 2 else ell
     bases = [r for r in range(base_mod) if (r * r - t * r + n) % base_mod == 0
              and (2 * r - t) % ell != 0]
     out = []
-    steps = prec.bit_length() + 2
     for r0 in bases:
-        r = r0
-        for _ in range(steps):
-            inv = pow((2 * r - t) % q, -1, q)
-            r = (r - (r * r - t * r + n) * inv) % q
+        r = hensel_lift(r0, t, n, ell, prec)
         if (r * r - t * r + n) % q == 0 and all((r - s) % ell != 0 for s in out):
             out.append(r)
     if len(out) != 2:

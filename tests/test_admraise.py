@@ -1,9 +1,8 @@
 import pytest
 
 from quatlfun import admraise
-from quatlfun.admraise import (CongruencePair, eisenstein_test,
-                               is_n_admissible, raise_level_search,
-                               search_admissible)
+from quatlfun.admraise import (eisenstein_test, is_n_admissible,
+                               raise_level_search, search_admissible)
 from quatlfun.brandtforms import EigenSystem, QuotientGraph, eigensystems_mod
 from quatlfun.errors import DataMissingError, UsageError
 from quatlfun.primes import is_prime

@@ -236,6 +236,17 @@ class TestGroupRing:
         with pytest.raises(UsageError):
             group_ring_mul(a, b)
 
+    @pytest.mark.parametrize("order, ok", [(1, True), (5, True), (25, True), (0, False),
+                                           (-5, False), (10, False), (3, False)])
+    def test_group_order_is_a_power_of_p(self, order, ok):
+        # an order of 0 is refused too, not looped on
+        ring = PrimePowerRing(5, 1)
+        if ok:
+            assert GroupRingElement.zero(ring, order).group_order == order
+        else:
+            with pytest.raises(UsageError, match="power of p"):
+                GroupRingElement(ring, order, ())
+
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_product_matches_convolution_oracle(self, data):

@@ -11,8 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quatlfun.brandtforms import QuotientGraph
-from quatlfun.errors import (InvariantViolationError, SearchExhaustedError,
-                             UsageError)
+from quatlfun.errors import InvariantViolationError, UsageError
 from quatlfun.primes import first_coprime_prime, is_prime, prime_factors
 from quatlfun.quatarith import (ClassSet, Lattice4, QuaternionAlgebra,
                                 QuaternionOrder, RightIdeal,
@@ -47,7 +46,7 @@ from oracles import (_dual_basis_oracle, _fincke_pohst_oracle, _fraction_basis,
                      _fraction_lattice, _inverse_oracle,
                      count_vectors_of_norm, enumerate_by_value_oracle,
                      exhaustive_walk_oracle, hilbert_symbol_oracle, hnf_oracle, idealizer_oracle,
-                     kronecker_oracle, lagrange_reduce_oracle, minimum_of_form,
+                     lagrange_reduce_oracle, minimum_of_form,
                      neighbor_matrix_oracle, norm_gram_oracle,
                      pair_gram_oracle, value_counts_oracle)
 

@@ -14,7 +14,9 @@ alone. The lattice layer takes rank 4 only: its kernels refuse a Gram or a
 row of any other size before any work, and the generic-rank code and the
 test-only v-new kernel are gone; a Lattice4 built without reduction takes a
 row-Hermite basis only. `isometric` and the class set's pair forms read
-I·conj(J) through one pair-Gram function.
+I·conj(J) through one pair-Gram function. `primes` holds the one p-adic
+valuation and the one Hensel lift, and no module of the package or of the
+tests imports a name it never reads.
 """
 
 import ast
@@ -28,7 +30,8 @@ import textwrap
 import pytest
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
-SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "quatlfun")
+TESTS = os.path.dirname(__file__)
+SRC = os.path.join(TESTS, os.pardir, "src", "quatlfun")
 
 
 def _tracer_spans():
@@ -64,14 +67,14 @@ def test_cache_directory_exists():
     assert callable(cache.cache_directory)
 
 
-def _sources():
-    """(path relative to the package, text) of every module of the package."""
-    for root, _, files in os.walk(SRC):
+def _sources(top=SRC):
+    """(path relative to top, text) of every module under top, the package by default."""
+    for root, _, files in os.walk(top):
         for name in sorted(files):
             if name.endswith(".py"):
                 path = os.path.join(root, name)
                 with open(path) as fh:
-                    yield os.path.relpath(path, SRC), fh.read()
+                    yield os.path.relpath(path, top), fh.read()
 
 
 def test_one_norm_gram_builder():
@@ -287,3 +290,57 @@ def test_one_product_gram_route():
     assert not hasattr(classset, "_PairSide")
     assert not any(hasattr(classset.ClassSet, name) for name in ("_side", "_pair_gram"))
     assert "_sides" not in inspect.getsource(classset.ClassSet.__init__)
+
+
+def _remainder_loops(text):
+    """Line numbers of the `while` loops whose condition takes a remainder."""
+    return [node.lineno for node in ast.walk(ast.parse(text)) if isinstance(node, ast.While)
+            and any(isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Mod)
+                    for sub in ast.walk(node.test))]
+
+
+def test_one_valuation():
+    # primes.valuation is the one v_p (prime_factors and first_coprime_prime
+    # divide there too); the acceptance oracles keep their own loop, as an
+    # oracle shares no code with what it checks
+    found = sorted(rel for rel, text in _sources() if _remainder_loops(text))
+    assert found == ["acceptance.py", "primes.py"]
+
+
+def test_one_hensel_lift():
+    # the splitting's roots and the unit root are lifted by primes.hensel_lift,
+    # and no other module runs its own Newton steps
+    from quatlfun import brandtforms
+    from quatlfun.quatarith import splitting
+    assert "hensel_lift" in _names_called(brandtforms.hensel_unit_root)
+    assert "hensel_lift" in _names_called(splitting._hensel_roots)
+    assert [rel for rel, text in _sources() if ".bit_length() + 2" in text] == ["primes.py"]
+
+
+# tests/oracles.py imports the acceptance oracles under their test-suite
+# names, for the test modules to import from it
+_ORACLE_REEXPORTS = {("oracles.py", name) for name in
+                     ("curve_a_ell", "kronecker_oracle", "spanning_tree_weight_sum")}
+
+
+def _unused_imports(text):
+    """The names a module imports and never reads; a name in __all__ is read."""
+    tree = ast.parse(text)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read |= {elt.value for elt in node.value.elts}
+    return bound - read
+
+
+def test_no_unused_imports():
+    found = {(rel, name) for top in (SRC, TESTS) for rel, text in _sources(top)
+             for name in _unused_imports(text)}
+    assert found == _ORACLE_REEXPORTS
