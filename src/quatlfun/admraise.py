@@ -32,8 +32,9 @@ class AdmissibleCert:
     kronecker_value: int
 
     def reverify(self) -> bool:
-        """Re-check all four conditions from the stored witnesses."""
-        if self.bad_level % self.v == 0:
+        """Re-check that v is prime and all four conditions from the stored
+        witnesses."""
+        if not is_prime(self.v) or self.bad_level % self.v == 0:
             return False
         if kronecker(self.disc_k, self.v) != -1 or self.kronecker_value != -1:
             return False
@@ -147,6 +148,9 @@ def raise_level_search(system: EigenSystem, cert1: AdmissibleCert,
     realizes the construction's nontriviality. The input itself must not be
     the trivial system of its own level, and at least one sample prime must
     be prime to v1·v2·N^-·N^+·p: a congruence sampled nowhere proves nothing.
+    Each certificate must re-verify and be one for this system: its p is the
+    system's, its n at least the system's, and its a_v the system's mod p^n.
+    Every refusal is a UsageError, raised before any class set is built.
 
     The search cuts straight to these targets (an old prime whose a_w is
     unknown is searched over its full range); only when nothing survives
@@ -158,10 +162,15 @@ def raise_level_search(system: EigenSystem, cert1: AdmissibleCert,
     if is_trivial_system:
         raise UsageError("level raising is not defined for the trivial "
                          "(reducible, norm-form) system")
+    p, n = system.p, system.n
     for cert in (cert1, cert2):
         if not cert.reverify():
             raise UsageError(f"admissible certificate for {cert.v} fails re-verification")
-    p, n = system.p, system.n
+        if cert.p != p or cert.n < n or (cert.a_v - system.value(cert.v)) % p ** n:
+            raise UsageError(
+                f"admissible certificate for {cert.v} (p = {cert.p}, n = {cert.n}, "
+                f"a_v = {cert.a_v}) is not for this system (p = {p}, n = {n}, "
+                f"a_v = {system.value(cert.v)})")
     new_disc = old_disc * v1 * v2
     samples = tuple(ell for ell in sample_primes
                     if new_disc * level * p % ell != 0)

@@ -94,7 +94,6 @@ class EigenSystem:
     a: dict
     u: dict = field(default_factory=dict)
     provenance: str = "computed"
-    eisenstein: object = None
 
     @property
     def modulus(self) -> int:
@@ -699,9 +698,7 @@ def eigensystems_mod(classes: ClassSet, sample_primes, p: int, n: int,
         a_map, u_map = {}, {}
         for ((kind, ell), _), val in zip(ops, assignment):
             (a_map if kind == "a" else u_map)[ell] = val
-        sys_ = EigenSystem(p, n, a_map, u_map, "computed")
-        sys_.eisenstein = all((ell + 1 - a_map[ell]) % q == 0 for ell in a_map)
-        systems.append(sys_)
+        systems.append(EigenSystem(p, n, a_map, u_map, "computed"))
     return systems
 
 

@@ -9,8 +9,7 @@ from .embedding import Embedding, optimal_embedding, quadratic_generator
 from .ideal import RightIdeal, isometric, isometry_witness, neighbors
 from .lattice import Lattice4
 from .order import (QuaternionOrder, eichler_order, eichler_order_for,
-                    left_order_of, maximal_order, standard_order,
-                    two_sided_prime)
+                    left_order_of, maximal_order, standard_order)
 from .splitting import LocalSplitting, local_splitting
 
 __all__ = [
@@ -21,6 +20,6 @@ __all__ = [
     "kronecker", "left_order_of", "legendre", "local_splitting",
     "maximal_order", "neighbor_matrices", "neighbor_matrix", "neighbors",
     "optimal_embedding", "quadratic_generator", "ramified_primes",
-    "standard_order", "two_sided_prime", "uq_by_classification",
+    "standard_order", "uq_by_classification",
     "uq_from_counts", "uq_matrix",
 ]

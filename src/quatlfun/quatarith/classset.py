@@ -54,13 +54,16 @@ of smaller k. Its Gram stays in the Hermite basis T/k_b, with no Lagrange
 pass, as the counts do not depend on the basis; with its Fincke-Pohst
 setup done (`PreparedForm`, in closed form at rank 4) it serves the
 unit-count certificate and every later count (the rank-4 `value_counts`
-loops). Only `isometry_witness` (and `uq_by_classification`) still build
-a product lattice I_a·conj(I_b); `isometric` still decides every match.
+loops). No product lattice is built here: `isometric` decides every
+match on the pair Gram, and the witnesses of the quotient graph's steps
+come from the same Gram (`ideal.isometry_witness`).
 The same reading holds at a prime q | disc, where the only right ideal
 J ⊂ I_i with nrd(J) = q·nrd(I_i) is I_i·P_q, P_q the two-sided prime over q:
 B(q) is the permutation [I_i] -> [I_i·P_q] (`uq_from_counts`). Classifying
-each I_i·P_q gives the same matrix (`uq_by_classification`); `uq_matrix`
-chooses between the two.
+each I_i·P_q gives the same matrix (`uq_by_classification`). I_i·P_q is
+read off I_i's own normalized Gram as the preimage of its radical mod q,
+and certified a right ideal of norm q·nrd(I_i) (`_times_prime`); `uq_matrix`
+chooses between the two routes.
 """
 
 from __future__ import annotations
@@ -69,10 +72,11 @@ from collections import deque
 from fractions import Fraction
 
 from ..errors import InvariantViolationError, ResourceLimitError, UsageError
+from ..exactalg import IntMatrix, kernel_mod
 from ..primes import first_coprime_prime, is_prime, prime_factors
 from .ideal import RightIdeal, isometric, neighbors, pair_gram, reduce_ideal
 from .lattice import PreparedForm, value_counts
-from .order import QuaternionOrder, two_sided_prime
+from .order import QuaternionOrder
 from .splitting import local_splitting
 
 # class-number bound of the neighbour walk
@@ -352,9 +356,9 @@ def uq_matrix(class_set: ClassSet, q: int):
     Read off the theta series when they already reach q, as they do once
     the Brandt matrices of a larger prime are built (`uq_from_counts`).
     Otherwise each I_i·P_q is classified (`uq_by_classification`):
-    enumerating the theta series only for U_q costs about ten times the
-    classification (disc 83, level 5, q = 83, h = 42: 0.36-0.42 s against
-    0.03 s CPU on a 2-vCPU VM, CPython 3.11). Every U_q of the benchmark's
+    enumerating the theta series only for U_q costs about seven times the
+    classification (disc 83, level 5, q = 83, h = 42: 0.11-0.16 s against
+    0.015-0.02 s CPU on a 2-vCPU VM, CPython 3.11). Every U_q of the benchmark's
     workloads takes the first route, so no workload exercises the second;
     tests cover it. Both routes certify a permutation with square I, as
     P_q² = qO, and reject any q that is not a prime dividing the
@@ -380,20 +384,42 @@ def uq_from_counts(class_set: ClassSet, q: int):
 
 
 def uq_by_classification(class_set: ClassSet, q: int):
-    """U_q at a prime q | disc by classifying I_i·P_q for each representative.
+    """U_q at a prime q | disc by classifying I_i·P_q for each representative
+    (`_times_prime`).
 
     Certified as `uq_from_counts` is: a permutation and an involution.
     """
     _check_ramified(class_set, q)
-    order = class_set.order
-    pq = two_sided_prime(order, q)
     h = len(class_set)
     rows = [[0] * h for _ in range(h)]
     for i, rep in enumerate(class_set.reps):
-        image = RightIdeal(order, rep.product_lattice(pq))
-        rows[i][class_set.classify(reduce_ideal(image))] = 1
+        rows[i][class_set.classify(reduce_ideal(_times_prime(rep, q)))] = 1
     _certify_involution(rows, q)
     return rows
+
+
+def _times_prime(ideal: RightIdeal, q: int) -> RightIdeal:
+    """I·P_q at a prime q | disc: the preimage in I of the radical mod q of
+    I's normalized Gram G.
+
+    At a ramified q the local order is maximal in a division algebra, so
+    I·P_q = {x in I : q | nrd(x)/nrd(I)}. As trd(P_q) lies in qZ_q and the
+    trace form on O/P_q = F_{q^2} is nondegenerate, that set is exactly the
+    radical of G mod q, q = 2 included. Certified before it is returned: a
+    right-stable lattice with nrd = q·nrd(I) is I·P_q, the only right
+    ideal of that norm between q·I and I.
+    """
+    radical = kernel_mod(IntMatrix.from_rows(ideal.normalized_gram()), q, 1)
+    image = RightIdeal(ideal.order, ideal.lattice.sublattice_mod(q, radical))
+    if image.nrd() != q * ideal.nrd():
+        raise InvariantViolationError(
+            f"I·P_{q}: the radical mod {q} has nrd {image.nrd()}, not {q}·{ideal.nrd()}")
+    try:
+        image.check_right_stability()
+    except InvariantViolationError:
+        raise InvariantViolationError(
+            f"I·P_{q}: the radical mod {q} is not a right ideal") from None
+    return image
 
 
 def _check_ramified(class_set, q):

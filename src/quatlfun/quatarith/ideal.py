@@ -3,8 +3,8 @@
 Every ideal carries certified right generators: the first pair (x, y) of its
 basis rows with xO + yO = I (the Hermite form of the eight products x·o, y·o
 over the order's basis must be I's), or its four rows when no pair spans.
-Products I·M with a left O-module M are spanned by the generators times M,
-eight products instead of sixteen, and their Hermite form is the same.
+Its left order (I·I^#)^# is spanned by the generators times I^#, eight
+products instead of sixteen, and its o_g (below) are built from them.
 Every ideal also carries one integer Gram G, built once from
 `QuaternionAlgebra.norm_gram`, with x^T G x = 2·nrd(x)/nrd(I) in its lattice
 basis, and one Lagrange reduction of G. The content of G gives nrd(I); the
@@ -15,19 +15,20 @@ are class invariants: y -> x·y carries J's normalized norm form onto that of
 I = x·J. Class equality is decided exactly: [I] = [J] iff the lattice
 I·conj(J) represents nrd(I)·nrd(J), that is iff its Gram
 x -> 2·nrd(x)/(nrd(I)·nrd(J)) represents 2, counted at that exact value (no
-slack). `isometric` reads that Gram by `pair_gram`, the one product-Gram
-primitive, which the class set's pair forms read too: I's reduced basis is
-acted on by the o_g of J, which J builds once (with the check of `act`).
-Only `isometry_witness` (and `uq_by_classification`) still build product
-lattices: the witness is the element x in I·conj(J) with
-nrd(x) = nrd(I)·nrd(J), which gives I = (x/nrd(J))·J, found on the product
-lattice itself, so that it is a route independent of `pair_gram`.
+slack). Every product of ideals is read off a Gram the ideals keep, and no
+product lattice is built. `pair_gram` is the one product-Gram primitive,
+which `isometric` and the class set's pair forms read: I's reduced basis is
+acted on by the o_g of J, which J builds once (with the check of `act`),
+and the index of that span is checked once, in `_pair_basis`. The witness
+of `isometry_witness`, the element x in I·conj(J) with
+nrd(x) = nrd(I)·nrd(J), which gives I = (x/nrd(J))·J, is the first vector
+of value 2 on the same pair Gram, mapped back through that pair basis. The
+class set reads I·P_q off G mod q (`classset.uq_by_classification`).
 Callers bucket representatives by theta key, so only ideals with equal keys
 are tested, and in a crowded bucket only those with equal tails; the
 filters only admit a test, and `isometric` still decides every match.
 Each ideal keeps one PreparedForm of its reduced Gram, which the key, the
-tail and `reduce_ideal`'s search share, and forms its left order
-(I·I^#)^# from its certified generators times I^#.
+tail and `reduce_ideal`'s search share.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ class RightIdeal:
         self._theta = None
         self._theta_tail = None
         self._left_order = None
-        self._conjugate = None
         self._generators = None
         self._basis = None  # (reduced basis, its det, its adjugate by columns)
         self._pair_gens = None  # (k, the o_g)
@@ -133,12 +133,6 @@ class RightIdeal:
                                                           self.generators())
         return self._left_order
 
-    def conjugate_lattice(self) -> Lattice4:
-        if self._conjugate is None:
-            rows = [self.alg.conj(r) for r in self.lattice.rows]
-            self._conjugate = Lattice4(self.lattice.den, rows)
-        return self._conjugate
-
     def generators(self):
         """Right generators of I over its order: the first pair (x, y) of basis
         rows with xO + yO = I, certified by the Hermite form of the eight
@@ -153,16 +147,6 @@ class RightIdeal:
                     self._generators = pair
                     break
         return self._generators
-
-    def product_lattice(self, other_lat: Lattice4) -> Lattice4:
-        """I·M for a lattice M that is a left module over I's order.
-
-        With I = xO + yO and O·M = M, I·M = x·M + y·M, so only the
-        generators are multiplied: 8 products instead of 16. The Hermite
-        form is canonical, so the lattice is the same either way.
-        """
-        rows = [self.alg.mul(x, y) for x in self.generators() for y in other_lat.rows]
-        return Lattice4(self.lattice.den * other_lat.den, rows)
 
     def reduced_basis(self):
         """The reduced basis v_l = V_l/den of I: V_l = sum_r U[r][l]·B_r, B_r
@@ -258,15 +242,7 @@ def pair_gram(ia: RightIdeal, ib: RightIdeal):
     being the Gram in the basis T/k. Neither check re-derives the rows; J
     checks `act` once, in `pair_generators`.
     """
-    k, ogs = ib.pair_generators()
-    if k == 1:
-        t = [[int(r == c) for c in range(4)] for r in range(4)]
-    else:
-        t = hnf_mod([row for og in ogs for row in ia.act(*og)], k)
-    index = t[0][0] * t[1][1] * t[2][2] * t[3][3]
-    if index != k * k:
-        raise InvariantViolationError(
-            f"I·conj(J) has index {index} over I·conj(x), not k^2 = {k * k}")
+    k, t = _pair_basis(ia, ib)
     (r00, r01, r02, r03), (_, r11, r12, r13), (_, _, r22, r23), \
         (_, _, _, r33) = ia.reduced_gram()[0]
     (t00, t01, t02, t03), (_, t11, t12, t13), (_, _, t22, t23), (_, _, _, t33) = t
@@ -292,6 +268,23 @@ def pair_gram(ia: RightIdeal, ib: RightIdeal):
     g00, g01, g02, g03, g11, g12, g13, g22, g23, g33 = upper
     return [[g00, g01, g02, g03], [g01, g11, g12, g13],
             [g02, g12, g22, g23], [g03, g13, g23, g33]]
+
+
+def _pair_basis(ia: RightIdeal, ib: RightIdeal):
+    """(k, T) for I = ia and J = ib: I·conj(J) has the basis T/k in the
+    coordinates of I·conj(x), x the first reduced vector of J (see
+    `pair_gram`), with T the Hermite basis of k·Z^4 and the action rows of
+    J's o_g on I's reduced basis. Checked: det T = k^2."""
+    k, ogs = ib.pair_generators()
+    if k == 1:
+        t = [[int(r == c) for c in range(4)] for r in range(4)]
+    else:
+        t = hnf_mod([row for og in ogs for row in ia.act(*og)], k)
+    index = t[0][0] * t[1][1] * t[2][2] * t[3][3]
+    if index != k * k:
+        raise InvariantViolationError(
+            f"I·conj(J) has index {index} over I·conj(x), not k^2 = {k * k}")
+    return k, t
 
 
 def reduce_ideal(ideal: RightIdeal) -> RightIdeal:
@@ -324,21 +317,32 @@ def reduce_ideal(ideal: RightIdeal) -> RightIdeal:
 def isometry_witness(i1: RightIdeal, i2: RightIdeal):
     """x with I = (x/nrd(J))·J for I = i1 and J = i2, or None if none exists.
 
-    x is the first element of the product lattice I·conj(J) with
-    nrd(x) = nrd(I)·nrd(J) that the enumeration meets, returned as an integer
-    4-tuple vec over a positive den (x = vec/den). When I and J lie in the
-    order, so does x. Ideals with different theta keys get None untested.
-    Why I = (x/nrd(J))·J: x·J ⊆ I·conj(J)·J = nrd(J)·I, and both sides of
-    I ⊇ (x/nrd(J))·J have reduced norm nrd(I), so they are equal. This
-    route builds the product lattice, independently of `pair_gram`.
+    x is the first vector of value 2 on `pair_gram(I, J)`, so an element of
+    I·conj(J) with nrd(x) = nrd(I)·nrd(J), mapped back to the algebra: its
+    coordinates c are in the pair basis T/k (`_pair_basis`) of I·conj(x_J),
+    so x = (sum_l (c·T)_l·v_l)·conj(x_J)/k, v_l the reduced basis of I and
+    x_J the first reduced vector of J. Returned as an integer 4-tuple vec
+    over a positive den (x = vec/den), its norm checked. When I and J lie
+    in the order, so does x. Ideals with different theta keys get None
+    untested. Why I = (x/nrd(J))·J: x·J ⊆ I·conj(J)·J = nrd(J)·I, and both
+    sides of I ⊇ (x/nrd(J))·J have reduced norm nrd(I), so they are equal.
     """
     if not _same_theta_key(i1, i2):
         return None
-    prod = i1.product_lattice(i2.conjugate_lattice())
-    c = _element_of_norm(prod, i1, i2)
+    c = next((c for value, c in enumerate_by_value(pair_gram(i1, i2), 2) if value == 2),
+             None)
     if c is None:
         return None
-    return tuple(sum(ci * r[k] for ci, r in zip(c, prod.rows)) for k in range(4)), prod.den
+    k, t = _pair_basis(i1, i2)
+    alg, basis = i1.alg, i1.reduced_basis()
+    u = [sum(ci * row[l] for ci, row in zip(c, t)) for l in range(4)]
+    y = tuple(sum(ul * v[m] for ul, v in zip(u, basis)) for m in range(4))
+    vec = alg.mul(y, alg.conj(i2.reduced_basis()[0]))
+    den = i1.lattice.den * i2.lattice.den * k
+    if Fraction(alg.nrd(vec), den * den) != i1.nrd() * i2.nrd():
+        raise InvariantViolationError(
+            "the isometry witness read off the pair Gram has the wrong reduced norm")
+    return vec, den
 
 
 def isometric(i1: RightIdeal, i2: RightIdeal) -> bool:
@@ -356,21 +360,6 @@ def _same_theta_key(i1: RightIdeal, i2: RightIdeal) -> bool:
     if i1.order is not i2.order and i1.order != i2.order:
         raise UsageError("ideals must share a right order")
     return i1.theta_key() == i2.theta_key()
-
-
-def _element_of_norm(prod: Lattice4, i1: RightIdeal, i2: RightIdeal):
-    """Coordinates in prod's basis of its first element of reduced norm
-    nrd(i1)·nrd(i2), or None: its norm Gram T must represent
-    2·den^2·nrd(i1)·nrd(i2)."""
-    n1, n2 = i1.nrd(), i2.nrd()
-    target, rest = divmod(2 * prod.den ** 2 * n1.numerator * n2.numerator,
-                          n1.denominator * n2.denominator)
-    if rest:
-        return None
-    for value, c in enumerate_by_value(i1.alg.norm_gram(prod), target):
-        if value == target:
-            return c
-    return None
 
 
 def neighbors(ideal: RightIdeal, ell: int, spl: LocalSplitting):

@@ -22,9 +22,9 @@ from math import gcd, isqrt
 
 from ..errors import InvariantViolationError, UsageError
 from ..exactalg import IntMatrix, det, kernel_mod
-from ..primes import is_prime, prime_factors
+from ..primes import prime_factors
 from .algebra import QuaternionAlgebra, algebra_from_discriminant
-from .lattice import Lattice4, hnf_rows, lagrange_reduce, value_counts
+from .lattice import Lattice4, lagrange_reduce, value_counts
 
 ONE = (1, 0, 0, 0)
 
@@ -218,9 +218,7 @@ def _radical_mod(order: QuaternionOrder, q: int):
     """Basis (coordinate vectors mod q) of the radical of O/qO.
 
     For q >= 5 the radical is the kernel of the trace form x -> tr(L_{xy});
-    for q in {2, 3} the callers use brute force instead, except for ramified
-    primes of a maximal order where the radical equals the set of nilpotents
-    (the quotient is local); that case is handled by nilpotent search.
+    for q in {2, 3} the callers use brute force instead.
     """
     table = order.mult_table()
 
@@ -356,35 +354,3 @@ def eichler_order_for(disc: int, level: int) -> QuaternionOrder:
     from .splitting import local_splitting
     return eichler_order(maximal_order(algebra_from_discriminant(disc)), level,
                          local_splitting)
-
-
-def two_sided_prime(order: QuaternionOrder, q: int) -> Lattice4:
-    """The two-sided ideal P_q = qO + rad(O/qO) at a ramified prime q.
-
-    Requires a prime q dividing the algebra's discriminant, where an Eichler
-    order is maximal; the quotient O/qO is then local and the radical is its
-    set of nilpotents. Any other q is a UsageError, raised before any work.
-    """
-    if not is_prime(q) or order.alg.discriminant % q:
-        raise UsageError(f"two-sided prime wants a prime dividing the "
-                         f"discriminant {order.alg.discriminant}, got {q}")
-    return order.lattice.sublattice_mod(q, _radical_mod_local(order, q))
-
-
-def _radical_mod_local(order: QuaternionOrder, q: int):
-    if q >= 5:
-        return _radical_mod(order, q)
-    # brute force nilpotents; O/qO is local at a ramified q so they form the radical
-    nilp = []
-    for c in _tuples(q, 4):
-        if not any(c):
-            continue
-        y = tuple(c)
-        for _ in range(3):  # y -> y^2, up to x^8 >= nilpotency index 4
-            y = tuple(v % q for v in order.coords_mul(y, y))
-        if all(v == 0 for v in y):
-            nilp.append(list(c))
-    if not nilp:
-        raise InvariantViolationError("radical of a ramified quotient cannot vanish")
-    rows = hnf_rows(nilp)
-    return [tuple(x % q for x in r) for r in rows]

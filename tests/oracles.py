@@ -209,24 +209,24 @@ def neighbor_matrix_oracle(class_set, ell):
 
 # -- pair Grams from the product lattice ---------------------------------------
 
-def pair_gram_oracle(class_set, i, j):
-    """Integer Gram of x -> 2·nrd(x)/(nrd(I_i)·nrd(I_j)) on I_i·conj(I_j).
+def pair_gram_oracle(ia, ib):
+    """Integer Gram of x -> 2·nrd(x)/(nrd(I)·nrd(J)) on I·conj(J), I = ia and
+    J = ib.
 
-    The route the library used before it built the pair lattices over
-    I_i·conj(x_j): the certified generators of I_i times the conjugate rows
-    of I_j, their Hermite basis, its norm Gram, scaled. It reads no reduced
-    basis, no shortest vector and no right action.
+    The route the library used before it read the pair lattices off
+    I·conj(x_J): the sixteen products of the rows of I and the conjugate rows
+    of J, their Hermite basis, its norm Gram, scaled. It reads no generators,
+    no reduced basis, no shortest vector and no right action.
     """
     from quatlfun.quatarith import Lattice4
-    alg = class_set.order.alg
-    ri, rj = class_set.reps[i], class_set.reps[j]
-    conj = [alg.conj(r) for r in rj.lattice.rows]
-    lat = Lattice4(ri.lattice.den * rj.lattice.den,
-                   [alg.mul(x, y) for x in ri.generators() for y in conj])
-    scale = lat.den ** 2 * ri.nrd() * rj.nrd()
+    alg = ia.alg
+    conj = [alg.conj(r) for r in ib.lattice.rows]
+    lat = Lattice4(ia.lattice.den * ib.lattice.den,
+                   [alg.mul(x, y) for x in ia.lattice.rows for y in conj])
+    scale = lat.den ** 2 * ia.nrd() * ib.nrd()
     gram = alg.norm_gram(lat)
     if any(x * scale.denominator % scale.numerator for row in gram for x in row):
-        raise InvariantViolationError(f"norm form of I_{i}·conj(I_{j}) is not integral")
+        raise InvariantViolationError("norm form of I·conj(J) is not integral")
     return [[x * scale.denominator // scale.numerator for x in row] for row in gram]
 
 

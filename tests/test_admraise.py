@@ -1,7 +1,9 @@
+import dataclasses
+
 import pytest
 
 from quatlfun import admraise
-from quatlfun.admraise import (eisenstein_test, is_n_admissible,
+from quatlfun.admraise import (AdmissibleCert, eisenstein_test, is_n_admissible,
                                raise_level_search, search_admissible)
 from quatlfun.brandtforms import EigenSystem, QuotientGraph, eigensystems_mod
 from quatlfun.errors import DataMissingError, UsageError
@@ -71,6 +73,14 @@ class TestAdmissible:
         large = search_admissible(f11a_mod5, -3, 5, 1, 47, 55)
         assert [c.v for c in large][:len(small)] == [c.v for c in small]
 
+    @pytest.mark.parametrize("v", [8, 20, 35, 65])
+    def test_composite_v_fails_reverification(self, v):
+        # every other condition holds: v is prime to 55, inert in Q(sqrt -3)
+        # by the Kronecker symbol, 5 does not divide v^2 - 1, and
+        # 5 | v + 1 - a_v
+        cert = AdmissibleCert(v, 1, 5, 1, -3, 55, (v + 1) % 5, -1)
+        assert not cert.reverify()
+
 
 class TestEisenstein:
     def test_eleven_a_mod5_is_eisenstein_congruent(self, f11a_mod5):
@@ -116,7 +126,7 @@ CUSPIDAL_374 = [
 
 
 def assignments(candidates):
-    return [(c.a, c.u, c.eisenstein) for c in candidates]
+    return [(c.a, c.u, eisenstein_test(c, c.a)) for c in candidates]
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +162,34 @@ class TestRaiseLevel:
         with pytest.raises(UsageError):
             raise_level_search(f11a_mod5, c1, c2, 11, 1, [3],
                                is_trivial_system=True)
+
+    @pytest.mark.parametrize("wrong", ["n-below", "other-p", "other-a_v"])
+    def test_certificates_for_another_run_rejected_before_any_work(
+            self, f11a_mod5, wrong, monkeypatch):
+        # each certificate re-verifies on its own, but not for this system:
+        # 2 and 17 are 1-admissible for 11a mod 5 but not 2-admissible for
+        # 11a mod 25; a certificate at p = 7; one whose a_2 is not the
+        # system's
+        c1, _ = is_n_admissible(2, f11a_mod5, -3, 5, 1, 55)
+        c2, _ = is_n_admissible(17, f11a_mod5, -3, 5, 1, 55)
+        system = f11a_mod5
+        if wrong == "n-below":
+            system = EigenSystem(5, 2, {ell: curve_a_ell(ell) % 25 for ell in f11a_mod5.a},
+                                 {11: 1}, "point-count oracle")
+            assert [is_n_admissible(v, system, -3, 5, 2, 55)[1] for v in (2, 17)] == \
+                ["p^n divides neither v+1-a_v nor v+1+a_v"] * 2
+        elif wrong == "other-p":
+            c1 = AdmissibleCert(2, 1, 7, 1, -3, 77, 3, -1)
+        else:
+            c1 = dataclasses.replace(c1, eps=-1, a_v=2)
+        assert c1.reverify() and c2.reverify()
+
+        def fail(*args):
+            raise AssertionError("the search built a class set")
+        monkeypatch.setattr(admraise, "class_set_avoiding", fail)
+        with pytest.raises(UsageError, match="is not for this system"):
+            raise_level_search(system, c1, c2, old_disc=11, level=1,
+                               sample_primes=SAMPLE_374)
 
     def test_congruences_hold(self, raised_pair):
         assert raised_pair.verify()

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from quatlfun import brandtforms
+from quatlfun.admraise import eisenstein_test
 from quatlfun.brandtforms import (AutomorphicForm, EigenSystem, QuotientGraph,
                                   eigensystems_mod,
                                   eigenvector_mod, hensel_unit_root,
@@ -225,7 +226,13 @@ class TestEigensystemsMod:
         assert len(systems) == 1
         s = systems[0]
         assert s.a == {2: 3, 3: 4} and s.u == {11: 1}
-        assert s.eisenstein is True
+        assert eisenstein_test(s, s.a) is True
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_computed_systems_survive_json(self, graph11_p5, p):
+        # every field of a computed system is written, so it reads back equal
+        systems = eigensystems_mod(graph11_p5.vertex_classes, [2, 3], p, 1)
+        assert [EigenSystem.from_json(s.to_json()) for s in systems] == systems
 
     def test_vertex_systems_mod7_split(self, graph11_p5):
         systems = eigensystems_mod(graph11_p5.vertex_classes, [2, 3], 7, 1)

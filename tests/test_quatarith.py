@@ -25,9 +25,10 @@ from quatlfun.quatarith import (ClassSet, Lattice4, QuaternionAlgebra,
                                 neighbor_matrix, neighbors,
                                 optimal_embedding, quadratic_generator,
                                 ramified_primes, standard_order,
-                                two_sided_prime, uq_by_classification,
+                                uq_by_classification,
                                 uq_from_counts, uq_matrix)
-from quatlfun.quatarith.classset import _add, _certify_involution, _match
+from quatlfun.quatarith.classset import (_add, _certify_involution, _match,
+                                         _times_prime)
 from quatlfun.quatarith.embedding import embedding_with_base
 from quatlfun.quatarith.ideal import pair_gram, reduce_ideal
 from quatlfun.quatarith import classset as classset_module
@@ -362,8 +363,9 @@ class TestIsometryWitness:
 def test_isometric_agrees_with_the_witness_on_the_walks(monkeypatch):
     """Every (looked-up ideal, representative) pair that the walks of disc
     23 at level 2, disc 37 at level 3 and disc 374 at level 1 test gets the
-    same answer from `isometric`, on the pair Gram, and from
-    `isometry_witness`, on the product lattice."""
+    same answer from `isometric` and from `isometry_witness`, both on the
+    pair Gram, as from the oracle's Gram of the product lattice, counted by
+    the oracle's enumeration."""
     tested = []
     real = classset_module.isometric
 
@@ -375,6 +377,8 @@ def test_isometric_agrees_with_the_witness_on_the_walks(monkeypatch):
         ideal_class_set(eichler_order_for(disc, level), first_coprime_prime(disc * level))
     monkeypatch.undo()
     answers = [isometric(i1, i2) for i1, i2 in tested]
+    assert answers == [value_counts_oracle(pair_gram_oracle(i1, i2), 2)[2] > 0
+                       for i1, i2 in tested]
     assert answers == [isometry_witness(i1, i2) is not None for i1, i2 in tested]
     assert (len(answers), answers.count(True)) == (50, 40)  # both answers occur
 
@@ -663,8 +667,7 @@ def test_mass_stopped_walk_matches_exhaustive_oracle(disc, level):
                          ids=[f"disc{d}-level{lv}" for d, lv in _SWEEP])
 def test_generators_products_and_weighted_symmetry(disc, level):
     """Basis-free checks: each representative's certified generators span it
-    over the order, the generator product lattices are the 16-product
-    lattices, and w_j·B_ij = w_i·B_ji at the first two good primes."""
+    over the order, and w_j·B_ij = w_i·B_ji at the first two good primes."""
     cs = _sweep_class_set(disc, level)
     alg, order_lat = cs.order.alg, cs.order.lattice
     for rep in cs.reps:
@@ -672,11 +675,6 @@ def test_generators_products_and_weighted_symmetry(disc, level):
         assert len(gens) in (2, 4)
         span = [alg.mul(x, o) for x in gens for o in order_lat.rows]
         assert Lattice4(rep.lattice.den * order_lat.den, span) == rep.lattice
-        for other in cs.reps:
-            conj = other.conjugate_lattice()
-            full = [alg.mul(x, y) for x in rep.lattice.rows for y in conj.rows]
-            assert rep.product_lattice(conj) == \
-                Lattice4(rep.lattice.den * conj.den, full)
     w = cs.unit_counts
     for ell in _coprime_primes(disc * level, 2):
         b = neighbor_matrix(cs, ell)
@@ -695,7 +693,7 @@ def test_pair_grams_match_product_lattice_oracle(disc, level):
     forms = cs._pair_forms([(i, j) for i in range(h) for j in range(i, h)])
     for i in range(h):
         for j in range(i, h):
-            want = value_counts(lagrange_reduce(pair_gram_oracle(cs, i, j))[0], 22)
+            want = value_counts(lagrange_reduce(pair_gram_oracle(cs.reps[i], cs.reps[j]))[0], 22)
             assert value_counts(forms[i, j], 22) == want
             for a, b in ((i, j), (j, i)):
                 gram = pair_gram(cs.reps[a], cs.reps[b])
@@ -791,7 +789,7 @@ class TestPairGramCertificates:
                     assert "index" in str(exc) or "integral" in str(exc)
                     caught += 1
                     continue
-                want = pair_gram_oracle(cs23, min(a, b), max(a, b))
+                want = pair_gram_oracle(cs23.reps[a], cs23.reps[b])
                 assert value_counts(gram, 22) == value_counts(lagrange_reduce(want)[0], 22)
         assert caught == 25
         self._assert_no_counts_kept(cs23)
@@ -812,7 +810,7 @@ class TestPairGramCertificates:
                     gram = pair_gram(cs23.reps[a], cs23.reps[b])
                 except InvariantViolationError:
                     continue
-                want = pair_gram_oracle(cs23, min(a, b), max(a, b))
+                want = pair_gram_oracle(cs23.reps[a], cs23.reps[b])
                 if value_counts(gram, 22) != value_counts(lagrange_reduce(want)[0], 22):
                     wrong.append((a, b))
         assert len(wrong) == 10
@@ -1000,22 +998,24 @@ class TestEichlerOrders:
 
 class TestTwoSidedPrime:
     def test_square_is_q(self):
-        order = maximal_order(algebra_from_discriminant(11))
-        p11 = two_sided_prime(order, 11)
-        sq = RightIdeal(order, p11).product_lattice(p11)
-        assert sq == Lattice4(order.lattice.den, [[11 * x for x in r]
-                                                  for r in order.lattice.rows])
+        # P_q is the Gram route's I·P_q of the unit ideal; P_q·P_q = qO is
+        # checked on the sixteen products of the rows, q = 2 and 3 included
+        for disc, q in ((11, 11), (2, 2), (3, 3), (30, 2), (30, 3), (30, 5)):
+            order = maximal_order(algebra_from_discriminant(disc))
+            pq = _times_prime(RightIdeal.unit_ideal(order), q).lattice
+            sq = Lattice4(pq.den ** 2,
+                          [order.alg.mul(x, y) for x in pq.rows for y in pq.rows])
+            assert sq == Lattice4(order.lattice.den, [[q * x for x in r]
+                                                      for r in order.lattice.rows])
 
     def test_unramified_rejected(self):
-        order = maximal_order(algebra_from_discriminant(11))
-        with pytest.raises(UsageError):
-            two_sided_prime(order, 3)
+        cs = ideal_class_set(maximal_order(algebra_from_discriminant(11)), 2)
+        with pytest.raises(UsageError, match="prime dividing the discriminant"):
+            uq_by_classification(cs, 3)
 
     @pytest.mark.parametrize("q", [1, 6, -2])
     def test_bad_q_rejected_before_any_work(self, q):
         order = maximal_order(algebra_from_discriminant(30))
-        with pytest.raises(UsageError, match="prime dividing the discriminant"):
-            two_sided_prime(order, q)
         cs = ideal_class_set(order, 11)
         for counted in (False, True):  # each U_q route
             if counted:
@@ -1023,6 +1023,22 @@ class TestTwoSidedPrime:
             with pytest.raises(UsageError, match="prime dividing the discriminant"):
                 uq_matrix(cs, q)
             assert cs.counts_upto == (11 if counted else 0)
+        assert cs._classify_memo == {}
+
+    @pytest.mark.parametrize("corrupt,fault", [
+        (lambda gens: gens[1:], "not a right ideal"),  # a radical vector lost
+        (lambda gens: gens + ((1, 0, 0, 0),), "nrd"),  # a vector not in it
+    ])
+    def test_corrupted_radical_fails_the_certificate(self, corrupt, fault, monkeypatch):
+        # each lattice fails its certificate, which names q, before any
+        # class is looked up
+        cs = ideal_class_set(maximal_order(algebra_from_discriminant(30)), 7)
+        real = classset_module.kernel_mod
+        monkeypatch.setattr(classset_module, "kernel_mod",
+                            lambda *args: corrupt(real(*args)))
+        for q in (2, 3, 5):
+            with pytest.raises(InvariantViolationError, match=f"I·P_{q}: .*{fault}"):
+                uq_by_classification(cs, q)
         assert cs._classify_memo == {}
 
 
