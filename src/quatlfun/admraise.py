@@ -139,15 +139,17 @@ class RaiseReport:
 
 def raise_level_search(system: EigenSystem, cert1: AdmissibleCert,
                        cert2: AdmissibleCert, old_disc: int, level: int,
-                       sample_primes, is_trivial_system: bool = False) -> RaiseReport:
+                       sample_primes) -> RaiseReport:
     """Search disc v1·v2·N^- for an eigensystem congruent to the input.
 
     The target carries U_{v_i} ≡ eps_i and U_w ≡ a_w at old bad primes, with
     T_ell ≡ a_ell at the sampled primes. The eigenvector is required to lie in
     the Eisenstein-orthogonal sublattice (the trivial line is excluded), which
-    realizes the construction's nontriviality. The input itself must not be
-    the trivial system of its own level, and at least one sample prime must
+    realizes the construction's nontriviality. At least one sample prime must
     be prime to v1·v2·N^-·N^+·p: a congruence sampled nowhere proves nothing.
+    Whether the input is the trivial system of its own level is not decided
+    here: it cannot be told from its eigenvalues mod p^n (11a mod 5 is
+    Eisenstein mod 5).
     Each certificate must re-verify and be one for this system: its p is the
     system's, its n at least the system's, and its a_v the system's mod p^n.
     Every refusal is a UsageError, raised before any class set is built.
@@ -159,9 +161,6 @@ def raise_level_search(system: EigenSystem, cert1: AdmissibleCert,
     v1, v2 = cert1.v, cert2.v
     if v1 == v2:
         raise UsageError("the two admissible primes must be distinct")
-    if is_trivial_system:
-        raise UsageError("level raising is not defined for the trivial "
-                         "(reducible, norm-form) system")
     p, n = system.p, system.n
     for cert in (cert1, cert2):
         if not cert.reverify():

@@ -457,17 +457,6 @@ class QuotientGraph:
     def edge_count(self):
         return len(self.edge_classes)
 
-    def vertex_weights(self):
-        return list(self.vertex_classes.unit_counts)
-
-    def source_class(self, edge_idx: int) -> int:
-        self.ensure_walk()
-        return self.classify_vertex(self.edge_reps[edge_idx].source)
-
-    def target_class(self, edge_idx: int) -> int:
-        self.ensure_walk()
-        return self.classify_vertex(self.edge_reps[edge_idx].target)
-
     def tp_matrix(self):
         """T_p on vertex classes via tree neighbors of each representative."""
         if "tp" not in self._matrix_memo:
@@ -483,17 +472,6 @@ class QuotientGraph:
                 self.edge_reps, bttree.forward_edges, self.classify_edge,
                 self.edge_count)
         return self._matrix_memo["up"]
-
-    def incidence_source(self):
-        """m_s[v][e] = #edges at rep(v) in edge class e (as sources)."""
-        return self._step_counts(self.vertex_reps, bttree.edges_from,
-                                 self.classify_edge, self.edge_count)
-
-    def incidence_target(self):
-        """m_t[v][e] = #edges into rep(v) in edge class e (as targets)."""
-        return self._step_counts(self.vertex_reps, bttree.edges_from,
-                                 lambda e: self.classify_edge(e.reverse()),
-                                 self.edge_count)
 
     def _step_counts(self, reps, steps, classify, count):
         """rows[i][c] = #{s in steps(reps[i]) : classify(s) = c}, after the walk.
@@ -789,24 +767,3 @@ def mk_dual_graph(graph: QuotientGraph):
         t_idx = graph.classify_vertex(rep.target)
         edges.append((2 * s_idx, 2 * t_idx + 1, 1))
     return LengthGraph.make(2 * h, edges)
-
-
-def mk_graph_checks(graph: QuotientGraph):
-    """Bipartite-orientation facts for the doubled graph.
-
-    Every cycle-basis vector lies in the degree-zero edge lattice (each edge
-    runs even to odd, so closed cycles alternate signs), and the Betti number
-    matches the doubled Euler count.
-    """
-    from .compgraph import character_group
-    doubled = mk_dual_graph(graph)
-    cycles = character_group(doubled)
-    for vec in cycles.basis:
-        if sum(vec) != 0:
-            raise InvariantViolationError(
-                "a cycle escapes the degree-zero edge lattice")
-    expected = len(doubled.non_loop_edges()) - doubled.n_vertices \
-        + doubled.n_components()
-    if cycles.rank != expected:
-        raise InvariantViolationError("doubled-graph Betti count mismatch")
-    return doubled, cycles

@@ -126,7 +126,7 @@ def _stored_lattice(i, entry):
     """The lattice of cached class i, refused unless stored canonically.
 
     Canonical means what `Lattice4` stores: a 4x4 integer Hermite basis
-    (`hnf_rows(rows, expect_rank=4)` returns it unchanged) over a positive
+    (`hnf_rows(rows)` returns it unchanged) over a positive
     denominator, with gcd 1 over the denominator and all the entries. A zero
     row or another basis of the same lattice is refused here, by name, before
     any lattice arithmetic reads the rows.
@@ -137,7 +137,7 @@ def _stored_lattice(i, entry):
         entries = [den, *(x for r in rows for x in r)]
         canonical = (len(rows) == 4 and all(len(r) == 4 for r in rows)
                      and all(type(x) is int for x in entries) and den > 0
-                     and gcd(*entries) == 1 and hnf_rows(rows, expect_rank=4) == rows)
+                     and gcd(*entries) == 1 and hnf_rows(rows) == rows)
     except (InvariantViolationError, TypeError):
         canonical = False
     if not canonical:

@@ -105,27 +105,6 @@ def coboundary_matrix(g: LengthGraph) -> IntMatrix:
     return boundary_matrix(g).transpose()
 
 
-def boundary(g: LengthGraph, edge_chain):
-    """Apply d_* to an edge chain (coefficients on non-loop edges)."""
-    if not g.non_loop_edges():
-        if edge_chain:
-            raise UsageError("chain length must match the non-loop edge count")
-        return (0,) * g.n_vertices
-    m = boundary_matrix(g)
-    if len(edge_chain) != m.cols:
-        raise UsageError("chain length must match the non-loop edge count")
-    return m.mul_vec(tuple(edge_chain))
-
-
-def coboundary(g: LengthGraph, vertex_chain):
-    """Apply d^* to a vertex chain."""
-    if len(vertex_chain) != g.n_vertices:
-        raise UsageError("chain length must match the vertex count")
-    if not g.non_loop_edges():
-        return ()
-    return coboundary_matrix(g).mul_vec(tuple(vertex_chain))
-
-
 @dataclass(frozen=True)
 class CharacterGroup:
     """Basis of ker(d_*) inside the (non-loop) edge lattice."""
@@ -321,24 +300,6 @@ def _pair_against_cycles(g, cycles, y):
     lens = [e[2] for _, e in ed]
     return tuple(sum(l * a * b for l, a, b in zip(lens, y, basis_vec))
                  for basis_vec in cycles.basis)
-
-
-def specialize_divisor(g: LengthGraph, phi: ComponentGroup, points):
-    """Specialize a formal divisor sum n_P * (reduction of P) into Φ.
-
-    points: iterable of (coefficient, target) with target either
-    ("vertex", index) or ("edge", index). Edge targets (singular reductions)
-    are rejected, mirroring the nonsingularity hypothesis.
-    """
-    chain = [0] * g.n_vertices
-    for coeff, target in points:
-        kind, idx = target
-        if kind != "vertex":
-            raise UsageError("a point reduces to a singular point; divisor rejected")
-        if not 0 <= idx < g.n_vertices:
-            raise UsageError("vertex index out of range")
-        chain[idx] += coeff
-    return omega_map(g, phi, chain)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Exact integer/modular linear algebra, group rings, and Fitting tools."""
 
-from .fitting import (AbelianGroupShape, InequalityReport, cokernel_shape,
-                      fitting_exponent, inequality_check, module_length)
+from .fitting import (AbelianGroupShape, InequalityReport, fitting_exponent,
+                      inequality_check, module_length)
 from .groupring import (Character, CyclotomicElement, CyclotomicQuotientRing,
                         GroupRingElement, PrimePowerRing, group_ring_mul,
                         involution, mu_invariant, project_level, specialize)
@@ -11,7 +11,7 @@ from .intmatrix import (IntMatrix, det, eliminate, eliminate_mod, kernel_basis,
 __all__ = [
     "AbelianGroupShape", "Character", "CyclotomicElement",
     "CyclotomicQuotientRing", "GroupRingElement", "InequalityReport",
-    "IntMatrix", "PrimePowerRing", "cokernel_shape", "det", "eliminate",
+    "IntMatrix", "PrimePowerRing", "det", "eliminate",
     "eliminate_mod", "fitting_exponent", "group_ring_mul", "inequality_check",
     "involution", "kernel_basis", "kernel_mod", "module_length", "mu_invariant",
     "project_level", "smith_normal_form", "solve", "solve_mod",

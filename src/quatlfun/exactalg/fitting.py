@@ -1,4 +1,4 @@
-"""Cokernel shapes, Fitting exponents, and the Selmer-length inequality report."""
+"""Abelian group shapes, Fitting exponents, and the Selmer-length inequality report."""
 
 from __future__ import annotations
 
@@ -35,14 +35,6 @@ class AbelianGroupShape:
     def describe(self) -> str:
         parts = [f"Z/{d}" for d in self.invariant_factors] + ["Z"] * self.free_rank
         return " + ".join(parts) if parts else "0"
-
-
-def cokernel_shape(M: IntMatrix) -> AbelianGroupShape:
-    """Shape of coker(M) = Z^rows / column span, via Smith normal form."""
-    diag = eliminate([list(row) for row in M.entries], M.rows, M.cols)
-    rank = sum(1 for d in diag if d != 0)
-    factors = tuple(d for d in diag if d > 1)
-    return AbelianGroupShape(factors, M.rows - rank)
 
 
 def fitting_exponent(presentation: IntMatrix, ring: PrimePowerRing):

@@ -318,12 +318,6 @@ class Character:
     def target_ring(self) -> CyclotomicQuotientRing:
         return CyclotomicQuotientRing(self.p, self.n, self.order_exponent)
 
-    def inverse(self) -> "Character":
-        if self.order_exponent == 0:
-            return self
-        return Character(self.p, self.n, self.order_exponent,
-                         (-self.generator_image) % self.p ** self.order_exponent)
-
 
 def specialize(a: GroupRingElement, chi: Character) -> CyclotomicElement:
     """Ring homomorphism sum c_k g^k  ->  sum c_k chi(g)^k."""

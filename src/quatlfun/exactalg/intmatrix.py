@@ -70,13 +70,6 @@ class IntMatrix:
             raise UsageError("dimension mismatch in matrix-vector product")
         return tuple(sum(a * b for a, b in zip(r, v)) for r in self.entries)
 
-    def is_diagonal(self) -> bool:
-        return all(self.entries[i][j] == 0
-                   for i in range(self.rows) for j in range(self.cols) if i != j)
-
-    def diagonal(self):
-        return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
-
 
 def _det(rows):
     # Bareiss fraction-free determinant on a list-of-lists copy.

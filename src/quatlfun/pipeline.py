@@ -35,6 +35,15 @@ def _check_depth(m: int):
             f"above the {SPLITTING_PREC} the quotient graph is built with")
 
 
+def _check_inert(p: int, disc_k: int):
+    """p inert in K, as the torus needs: a split or a ramified p is refused."""
+    kron = kronecker(disc_k, p)
+    if kron != -1:
+        raise ConfigurationError(
+            f"factorization rule violated: p = {p} "
+            f"{'splits' if kron == 1 else 'ramifies'} in K")
+
+
 @dataclass
 class PipelineConfig:
     """Validated run parameters for the L-element pipeline."""
@@ -75,9 +84,7 @@ class PipelineConfig:
                 raise ConfigurationError(
                     f"factorization rule violated: {ell} divides the split part "
                     f"but does not split in K")
-        if kronecker(self.disc_k, self.p) == 1:
-            raise ConfigurationError(
-                f"factorization rule violated: p = {self.p} splits in K")
+        _check_inert(self.p, self.disc_k)
         for q in minus_primes:
             if self.n_plus % q == 0 or self.p == q:
                 raise ConfigurationError("level parts must be pairwise coprime")
@@ -252,6 +259,7 @@ def raised_l_element(pair, disc_k: int, n_plus: int, m: int,
     _check_depth(m)
     system = pair.new
     p, n = system.p, system.n
+    _check_inert(p, disc_k)
     new_disc = pair.v1 * pair.v2 * pair.old_disc
     _, embedding, graph = _torus_quotient(new_disc, n_plus, p, disc_k)
 

@@ -9,7 +9,7 @@ from .embedding import Embedding, optimal_embedding, quadratic_generator
 from .ideal import RightIdeal, isometric, isometry_witness, neighbors
 from .lattice import Lattice4
 from .order import (QuaternionOrder, eichler_order, eichler_order_for,
-                    left_order_of, maximal_order, standard_order)
+                    maximal_order, standard_order)
 from .splitting import LocalSplitting, local_splitting
 
 __all__ = [
@@ -17,7 +17,7 @@ __all__ = [
     "QuaternionOrder", "RightIdeal", "algebra_from_discriminant",
     "class_set_avoiding", "eichler_mass", "eichler_order", "eichler_order_for",
     "hilbert_symbol", "ideal_class_set", "isometric", "isometry_witness",
-    "kronecker", "left_order_of", "legendre", "local_splitting",
+    "kronecker", "legendre", "local_splitting",
     "maximal_order", "neighbor_matrices", "neighbor_matrix", "neighbors",
     "optimal_embedding", "quadratic_generator", "ramified_primes",
     "standard_order", "uq_by_classification",

@@ -48,20 +48,22 @@ from ..errors import InvariantViolationError, UsageError
 LAGRANGE_PASSES = 1000
 
 
-def hnf_rows(rows, expect_rank=None):
-    """Row Hermite normal form of integer rows of four columns, given as lists.
+def hnf_rows(rows):
+    """Row Hermite normal form of integer rows of four columns that span a
+    lattice of rank 4, given as lists.
 
     Positive pivots, entries above each pivot reduced into [0, pivot).
-    Zero rows dropped. The form is unique for the lattice the rows span, so
-    it does not depend on the order of the rows. A row of another length
-    raises UsageError before any work.
+    The form is unique for the lattice the rows span, so it does not depend
+    on the order of the rows. A row of another length raises UsageError
+    before any work, and rows of rank r < 4 raise InvariantViolationError
+    ("expected rank 4, got r").
 
     Each row is inserted into an echelon basis keyed by pivot column. Where
     its leading column already has a pivot, the row loses a multiple of that
     basis row if the pivot divides its entry; otherwise one unimodular
     extended-gcd step replaces the two by a basis row with the gcd as pivot
     and a row that is zero in that column. The row then goes on to its next
-    nonzero column. At rank 4 the reduction above the pivots is written out.
+    nonzero column. The reduction above the pivots is written out.
     """
     _check_width(rows)
     basis = [None, None, None, None]  # by pivot column
@@ -88,20 +90,16 @@ def hnf_rows(rows, expect_rank=None):
                 q = b // a
                 r = (r0 - q * p0, r1 - q * p1, r2 - q * p2, r3 - q * p3)
     if None in basis:
-        res = _reduce_above({c: r for c, r in enumerate(basis) if r is not None})
-    else:
-        # each basis row is 0 left of its pivot
-        (a0, a1, a2, a3), (_, b1, b2, b3), (_, _, c2, c3), (_, _, _, d3) = basis
-        q = a1 // b1
-        a1, a2, a3 = a1 - q * b1, a2 - q * b2, a3 - q * b3
-        q = a2 // c2
-        a2, a3 = a2 - q * c2, a3 - q * c3
-        q = b2 // c2
-        b2, b3 = b2 - q * c2, b3 - q * c3
-        res = [[a0, a1, a2, a3 % d3], [0, b1, b2, b3 % d3], [0, 0, c2, c3 % d3], [0, 0, 0, d3]]
-    if expect_rank is not None and len(res) != expect_rank:
-        raise InvariantViolationError(f"expected rank {expect_rank}, got {len(res)}")
-    return res
+        raise InvariantViolationError(f"expected rank 4, got {4 - basis.count(None)}")
+    # each basis row is 0 left of its pivot
+    (a0, a1, a2, a3), (_, b1, b2, b3), (_, _, c2, c3), (_, _, _, d3) = basis
+    q = a1 // b1
+    a1, a2, a3 = a1 - q * b1, a2 - q * b2, a3 - q * b3
+    q = a2 // c2
+    a2, a3 = a2 - q * c2, a3 - q * c3
+    q = b2 // c2
+    b2, b3 = b2 - q * c2, b3 - q * c3
+    return [[a0, a1, a2, a3 % d3], [0, b1, b2, b3 % d3], [0, 0, c2, c3 % d3], [0, 0, 0, d3]]
 
 
 def _check_width(rows):
@@ -109,21 +107,6 @@ def _check_width(rows):
     for r in rows:
         if len(r) != 4:
             raise UsageError("rows must have four entries")
-
-
-def _reduce_above(basis):
-    """The rows of {pivot column: row} in column order, each entry above a
-    pivot reduced into [0, pivot), left to right so later columns stay
-    reduced."""
-    cols = sorted(basis)
-    res = [list(basis[c]) for c in cols]
-    for i, pcol in enumerate(cols):
-        piv = res[i]
-        for j in range(i):
-            q = res[j][pcol] // piv[pcol]
-            if q:
-                res[j] = [x - q * y for x, y in zip(res[j], piv)]
-    return res
 
 
 def hnf_mod(rows, k):
@@ -225,8 +208,7 @@ class Lattice4:
         """The lattice spanned by the integer rows over den > 0.
 
         With reduce=False the rows are taken as they are, and must already
-        be a row-Hermite basis of rank 4, as `hnf_rows(rows, expect_rank=4)`
-        returns it: four rows of four entries, row i zero left of column i,
+        be a row-Hermite basis of rank 4, as `hnf_rows(rows)` returns it: four rows of four entries, row i zero left of column i,
         its pivot at (i, i) positive and the entries above it in
         [0, pivot). Anything else raises UsageError before any work, since
         `coordinates` and `covolume` read row i's pivot at column i. The
@@ -235,7 +217,7 @@ class Lattice4:
         if den <= 0:
             raise UsageError("denominator must be positive")
         if reduce:
-            rows = hnf_rows(rows, expect_rank=4)
+            rows = hnf_rows(rows)
         elif not _is_hermite4(rows):
             raise UsageError("reduce=False wants a 4x4 row-Hermite basis "
                              "with positive pivots at (i, i)")

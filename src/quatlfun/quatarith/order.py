@@ -32,11 +32,10 @@ ONE = (1, 0, 0, 0)
 class QuaternionOrder:
     """An order (full lattice closed under multiplication, containing 1)."""
 
-    def __init__(self, alg: QuaternionAlgebra, lat: Lattice4, check: bool = True):
+    def __init__(self, alg: QuaternionAlgebra, lat: Lattice4):
         self.alg = alg
         self.lattice = lat
-        if check:
-            self._check_order()
+        self._check_order()
         self._discrd = None
         self._mult_table = None
         self._unit_count = None
@@ -302,10 +301,6 @@ def _trace_dual(alg: QuaternionAlgebra, lat: Lattice4) -> Lattice4:
              e * (m12 * m23 - m13 * d2) * d0, -e * m23 * d01, e * d01 * d2]]
     # negating every generator keeps the lattice, so |det| serves as denominator
     return Lattice4(abs(d01 * d23), cols)
-
-
-def left_order_of(alg: QuaternionAlgebra, lat: Lattice4) -> QuaternionOrder:
-    return QuaternionOrder(alg, _idealizer(alg, lat, "left"))
 
 
 def left_order_from_generators(alg: QuaternionAlgebra, lat: Lattice4, gens) -> QuaternionOrder:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ..errors import InvariantViolationError, SearchExhaustedError, UsageError
-from ..exactalg import IntMatrix, eliminate_mod, kernel_mod
+from ..exactalg import IntMatrix, eliminate_mod, kernel_mod, solve_mod
 from ..primes import hensel_lift
 from .algebra import legendre
 from .order import QuaternionOrder, _tuples
@@ -87,11 +87,12 @@ def _hensel_roots(t, n, ell, prec):
     return out[0], out[1]
 
 
-def _find_split_element(order: QuaternionOrder, ell: int, box: int = 4):
-    """Order element whose reduced characteristic polynomial splits at ell."""
+def _find_split_element(order: QuaternionOrder, ell: int):
+    """Order element whose reduced characteristic polynomial splits at ell,
+    searched in the coordinate boxes of radius 1 to 4."""
     rows, den = order.lattice.rows, order.lattice.den
     alg = order.alg
-    for radius in range(1, box + 1):
+    for radius in range(1, 5):
         for coords in _tuples(2 * radius + 1, 4):
             c = tuple(x - radius for x in coords)
             if not any(c):
@@ -126,15 +127,19 @@ def local_splitting(order: QuaternionOrder, ell: int, prec: int) -> LocalSplitti
     e = tuple((inv * (c - r2 * o)) % q for c, o in zip(coords, one))
     # V = (O/q)·e, a free rank-2 module; find two unit-pivot generators
     gens = [order.coords_mul(_unit(i), e) for i in range(4)]
-    vbasis, pivots = _row_reduce_unit(gens, ell, q)
+    vbasis = _row_reduce_unit(gens, ell, q)
     if len(vbasis) != 2:
         raise InvariantViolationError("left ideal of the idempotent is not rank 2")
+    # the columns are v1 and v2; their unit pivots make every solution unique
+    module = IntMatrix.from_rows([list(col) for col in zip(*vbasis)])
     images = []
     for i in range(4):
         cols = []
         for v in vbasis:
-            w = order.coords_mul(_unit(i), v)
-            cols.append(_solve_two(vbasis, pivots, w, q))
+            c = solve_mod(module, order.coords_mul(_unit(i), v), ell, prec)
+            if c is None:
+                raise InvariantViolationError("element not in the rank-2 module")
+            cols.append(c)
         images.append(((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1])))
     spl = LocalSplitting(ell, prec, tuple(images))
     _verify_splitting(order, spl)
@@ -148,9 +153,10 @@ def _unit(i):
 
 
 def _row_reduce_unit(rows, ell, q):
-    """Reduce rows over Z/q keeping unit pivots; return (basis, pivot cols)."""
+    """Reduce rows over Z/q keeping unit pivots; return the basis, each row
+    1 at its pivot column and every other row 0 there."""
     work = [list(x % q for x in r) for r in rows]
-    basis, pivots = [], []
+    basis = []
     for col in range(4):
         piv = None
         for r in work:
@@ -172,28 +178,11 @@ def _row_reduce_unit(rows, ell, q):
                 for k in range(4):
                     b[k] = (b[k] - f * piv[k]) % q
         basis.append(piv)
-        pivots.append(col)
         work = [r for r in work if any(x % q for x in r)]
     # anything left has no unit pivot; a free module's span reduces to nothing
     if any(any(x % q for x in r) for r in work):
         raise InvariantViolationError("module is not free at the working precision")
-    return basis, pivots
-
-
-def _solve_two(vbasis, pivots, w, q):
-    """Coefficients (c1, c2) with w = c1 v1 + c2 v2 over Z/q."""
-    w = [x % q for x in w]
-    out = []
-    for b, col in zip(vbasis, pivots):
-        c = w[col] % q
-        out.append(c)
-        for k in range(4):
-            w[k] = (w[k] - c * b[k]) % q
-    if any(w):
-        raise InvariantViolationError("element not in the rank-2 module")
-    while len(out) < 2:
-        out.append(0)
-    return out
+    return basis
 
 
 def _verify_splitting(order: QuaternionOrder, spl: LocalSplitting):

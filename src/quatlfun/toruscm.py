@@ -218,9 +218,6 @@ class TorusLevelGroup:
     level: int
     order: int
 
-    def elements(self):
-        return range(self.order)
-
     def pair_of(self, t: int):
         return self.torus.pair_power(self.torus.generator_pair(), t % self.order)
 

@@ -156,13 +156,6 @@ class TestRaiseLevel:
         with pytest.raises(UsageError):
             raise_level_search(f11a_mod5, c1, c1, 11, 1, [3])
 
-    def test_trivial_system_gate(self, f11a_mod5):
-        c1, _ = is_n_admissible(2, f11a_mod5, -3, 5, 1, 55)
-        c2, _ = is_n_admissible(17, f11a_mod5, -3, 5, 1, 55)
-        with pytest.raises(UsageError):
-            raise_level_search(f11a_mod5, c1, c2, 11, 1, [3],
-                               is_trivial_system=True)
-
     @pytest.mark.parametrize("wrong", ["n-below", "other-p", "other-a_v"])
     def test_certificates_for_another_run_rejected_before_any_work(
             self, f11a_mod5, wrong, monkeypatch):

@@ -9,9 +9,10 @@ from quatlfun.admraise import eisenstein_test
 from quatlfun.brandtforms import (AutomorphicForm, EigenSystem, QuotientGraph,
                                   eigensystems_mod,
                                   eigenvector_mod, hensel_unit_root,
-                                  mk_dual_graph, mk_graph_checks,
+                                  mk_dual_graph,
                                   rational_eigensystems, tp_apply, up_apply)
-from quatlfun.bttree import TreeEdge, TreeVertex, ball, neighbors
+from quatlfun.bttree import TreeEdge, TreeVertex, ball, edges_from, neighbors
+from quatlfun.compgraph import character_group
 from quatlfun.errors import InvariantViolationError, UsageError
 from quatlfun.pipeline import _torus_quotient
 from quatlfun.primes import first_coprime_prime, is_prime
@@ -60,9 +61,8 @@ class TestQuotientGraph:
 
     def test_incidence_row_sums(self, graph11_p2):
         p = graph11_p2.p
-        for row in graph11_p2.incidence_source():
-            assert sum(row) == p + 1
-        for row in graph11_p2.incidence_target():
+        m_s, m_t, _ = _incidence(graph11_p2)
+        for row in m_s + m_t:
             assert sum(row) == p + 1
 
     def test_parity_doubling_found(self, graph11_p2):
@@ -91,7 +91,7 @@ class TestBrandtMatrices:
                 assert _mul(a, b) == _mul(b, a)
 
     def test_weighted_self_adjointness(self, graph11_p2):
-        w = graph11_p2.vertex_weights()
+        w = graph11_p2.vertex_classes.unit_counts
         for ell in (2, 3, 7, 13):
             b = graph11_p2.brandt_matrix(ell)
             for i in range(len(w)):
@@ -249,29 +249,42 @@ class TestEigensystemsMod:
         assert first_unit == 1
 
 
-def _pullback(graph, end_class):
-    """E x V matrix of the pullback along end_class, an edge's source or
-    target class: row e is the unit vector of end_class(e)."""
-    h = graph.vertex_count()
-    return [[int(end_class(e) == v) for v in range(h)] for e in range(graph.edge_count())]
+def _incidence(graph):
+    """(m_s, m_t, ends) read off the walk's representatives: m_s[v][c] counts
+    the tree edges out of rep(v) in edge class c, m_t[v][c] those into
+    rep(v), and ends[c] is [source class, target class] of rep(c)."""
+    graph.ensure_walk()
+    h, e = graph.vertex_count(), graph.edge_count()
+    m_s, m_t = [[0] * e for _ in range(h)], [[0] * e for _ in range(h)]
+    for v in range(h):
+        for edge in edges_from(graph.vertex_reps[v]):
+            m_s[v][graph.classify_edge(edge)] += 1
+            m_t[v][graph.classify_edge(edge.reverse())] += 1
+    ends = [[graph.classify_vertex(graph.edge_reps[c].source),
+             graph.classify_vertex(graph.edge_reps[c].target)] for c in range(e)]
+    return m_s, m_t, ends
+
+
+def _pullback(h, classes):
+    """E x V matrix of the pullback along an edge's source or target class:
+    row e is the unit vector of classes[e]."""
+    return [[int(c == v) for v in range(h)] for c in classes]
 
 
 class TestDegeneracy:
     def test_trace_pullback_composition(self, graph11_p2):
         # each trace after its pullback is (p + 1)·I
         h = graph11_p2.vertex_count()
-        comp = _mul(graph11_p2.incidence_source(),
-                    _pullback(graph11_p2, graph11_p2.source_class))
+        m_s, m_t, ends = _incidence(graph11_p2)
+        comp = _mul(m_s, _pullback(h, [s for s, _ in ends]))
         assert comp == [[3 if i == j else 0 for j in range(h)] for i in range(h)]
-        comp_t = _mul(graph11_p2.incidence_target(),
-                      _pullback(graph11_p2, graph11_p2.target_class))
+        comp_t = _mul(m_t, _pullback(h, [t for _, t in ends]))
         assert comp_t == [[3 if i == j else 0 for j in range(h)] for i in range(h)]
 
     def test_pullback_stays_eigen(self, graph11_p2):
         # alpha^* of a T_3 eigenform is still a T_3 eigenform at the new level
         vec = (-2, 3)
-        pulled = tuple(vec[graph11_p2.source_class(e)]
-                       for e in range(graph11_p2.edge_count()))
+        pulled = tuple(vec[s] for s, _ in _incidence(graph11_p2)[2])
         t3_edge = neighbor_matrix(graph11_p2.edge_classes, 3)
         image = tuple(sum(t3_edge[i][j] * pulled[j] for j in range(len(pulled)))
                       for i in range(len(pulled)))
@@ -289,9 +302,9 @@ class TestSerialization:
 
 class TestDoubledGraph:
     def test_bipartite_and_degree_zero_cycles(self, graph11_p2, graph11_p5):
-        from quatlfun.brandtforms import mk_dual_graph, mk_graph_checks
         for g in (graph11_p2, graph11_p5):
-            doubled, cycles = mk_graph_checks(g)
+            doubled = mk_dual_graph(g)
+            cycles = character_group(doubled)  # checks the Betti count
             assert doubled.n_vertices == 2 * g.vertex_count()
             assert len(doubled.edges) == g.edge_count()
             # every edge joins an even-indexed vertex to an odd-indexed one
@@ -301,7 +314,6 @@ class TestDoubledGraph:
                 assert sum(vec) == 0  # cycles live in the degree-zero lattice
 
     def test_component_group_computable(self, graph11_p5):
-        from quatlfun.brandtforms import mk_dual_graph
         from quatlfun.compgraph import component_group
         doubled = mk_dual_graph(graph11_p5)
         if doubled.is_connected():
@@ -317,14 +329,14 @@ QUOTIENT_CASES = [(11, 2, 1), (11, 3, 1), (11, 5, 1), (2, 3, 1), (23, 5, 1),
 def quotient_data(graph):
     """Everything the consumers read off the walk; all of it is defined on
     classes, so it does not depend on which tree cell represents a class."""
+    m_s, m_t, ends = _incidence(graph)
     return {
         "tp": graph.tp_matrix(),
         "up": graph.up_matrix(),
-        "incidence_source": graph.incidence_source(),
-        "incidence_target": graph.incidence_target(),
+        "incidence_source": m_s,
+        "incidence_target": m_t,
         "dual_edges": [list(e) for e in mk_dual_graph(graph).edges],
-        "source_target": [[graph.source_class(e), graph.target_class(e)]
-                          for e in range(graph.edge_count())],
+        "source_target": ends,
     }
 
 
@@ -347,9 +359,11 @@ def test_transport_sweep(disc, p, level):
     assert len(graph._edge_memo) <= 2 * h * (p + 1)
     tp = graph.tp_matrix()
     assert tp == graph.brandt_matrix(p)
-    assert tp == _mul(graph.incidence_source(), _pullback(graph, graph.target_class))
+    m_s, _, ends = _incidence(graph)
+    assert tp == _mul(m_s, _pullback(h, [t for _, t in ends]))
     assert all(sum(row) == p for row in graph.up_matrix())
-    mk_graph_checks(graph)
+    cycles = character_group(mk_dual_graph(graph))  # checks the Betti count
+    assert all(sum(vec) == 0 for vec in cycles.basis)
 
 
 # ---------------------------------------------------------------------------

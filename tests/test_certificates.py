@@ -1,0 +1,131 @@
+"""Falsifiers for five certificates that no other test can switch off.
+
+Each falsifier corrupts one object by hand, so that only its certificate can
+see the corruption, and runs that certificate; the test asserts the typed
+error and its message. tests/test_tooling.py makes each certificate return
+at once and checks that its falsifier then passes, so each falsifier rests on
+exactly that certificate.
+"""
+
+import dataclasses
+import functools
+import json
+import os
+import tempfile
+
+import pytest
+
+from quatlfun import cache, padicl, toruscm
+from quatlfun.brandtforms import (EigenSystem, QuotientGraph, eigenvector_mod,
+                                  hensel_unit_root)
+from quatlfun.errors import InvariantViolationError
+from quatlfun.exactalg import GroupRingElement
+from quatlfun.padicl import MeasurePipeline
+from quatlfun.quatarith import (ClassSet, algebra_from_discriminant,
+                                ideal_class_set, maximal_order)
+from quatlfun.quatarith import splitting
+from quatlfun.quatarith.embedding import embedding_with_base
+
+from oracles import curve_a_ell
+
+
+@functools.lru_cache(maxsize=None)
+def _head():
+    """Quotient graph and torus of disc 11 at p = 5, K = -3."""
+    order = maximal_order(algebra_from_discriminant(11))
+    base, embedding = embedding_with_base(ideal_class_set(order, 2), -3, 1)
+    graph = QuotientGraph(base, 5)
+    return graph, toruscm.build_torus(-3, embedding, graph)
+
+
+def _pipeline():
+    """A fresh measure of the 11a edge form mod 5 on that torus."""
+    graph, torus = _head()
+    alpha = hensel_unit_root(curve_a_ell(5) % 5, 5, 1)
+    target = EigenSystem(5, 1, {2: curve_a_ell(2) % 5, 3: curve_a_ell(3) % 5},
+                         {5: alpha, 11: 1})
+    form = eigenvector_mod(graph, target, [2, 3], "edge")
+    return MeasurePipeline(graph, torus, form, alpha, 1)
+
+
+def falsify_distribution():
+    """One orbit-table entry at level m = 2 moved to an edge class of
+    another form value."""
+    pipe = _pipeline()
+    table, _ = pipe.table(2)
+    values = [v % 5 for v in pipe.form.values]
+    table[0, 1, 2] = next(c for c, v in enumerate(values) if v != values[table[0, 1, 2]])
+    pipe.check_distribution(2)
+
+
+def falsify_projection_tower():
+    """partial_l(m - 1) changed by a unit at one coefficient, m = 2."""
+    pipe = _pipeline()
+    honest = pipe.partial_l
+
+    def partial_l(level):
+        element = honest(level)
+        if level != 1:
+            return element
+        coeffs = list(element.coeffs)
+        coeffs[0] += 1
+        return GroupRingElement.make(element.ring, element.group_order, coeffs)
+    pipe.partial_l = partial_l
+    padicl.check_projection_tower(pipe, 2)
+
+
+def falsify_mass():
+    """A cached class set of disc 23 with its last class and that class's
+    unit count dropped: each class left keeps its units, and no two of them
+    are isometric."""
+    order = maximal_order(algebra_from_discriminant(23))
+    with tempfile.TemporaryDirectory() as store:
+        try:
+            cache.configure(store)
+            ideal_class_set(order, 2)
+            (name,) = os.listdir(store)
+            path = os.path.join(store, name)
+            with open(path) as fh:
+                data = json.load(fh)
+            del data["reps"][-1], data["unit_counts"][-1]
+            with open(path, "w") as fh:
+                json.dump(data, fh)
+            cache.load_class_set(order, 2)
+        finally:
+            cache.configure(None)
+
+
+def falsify_splitting():
+    """Every basis image transposed: 1 still goes to the identity and the
+    images still span M_2 mod ell, but transposing reverses products."""
+    order = maximal_order(algebra_from_discriminant(11))
+    honest = splitting.local_splitting(order, 3, 2)
+    transposed = tuple(((a, c), (b, d)) for (a, b), (c, d) in honest.basis_images)
+    splitting._verify_splitting(order, dataclasses.replace(honest, basis_images=transposed))
+
+
+def falsify_torus():
+    """A torus generator whose norm is off by one."""
+    _, torus = _head()
+    toruscm._verify_torus(dataclasses.replace(torus, norm=torus.norm + 1))
+
+
+# certificate -> (its owner, its attribute, its falsifier, its message)
+FALSIFIERS = {
+    "check_distribution": (MeasurePipeline, "check_distribution", falsify_distribution,
+                           "distribution relation fails at level 1"),
+    "check_projection_tower": (padicl, "check_projection_tower", falsify_projection_tower,
+                               "incompatible between levels 2 and 1"),
+    "verify_mass": (ClassSet, "verify_mass", falsify_mass, "mass certificate failed"),
+    "_verify_splitting": (splitting, "_verify_splitting", falsify_splitting,
+                          "splitting is not multiplicative"),
+    "_verify_torus": (toruscm, "_verify_torus", falsify_torus,
+                      "generator matrix violates its minimal polynomial"),
+}
+
+
+@pytest.mark.parametrize("name", FALSIFIERS)
+def test_falsifier_caught(name):
+    _, _, falsify, message = FALSIFIERS[name]
+    with pytest.raises(InvariantViolationError, match=message):
+        falsify()

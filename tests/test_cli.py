@@ -7,6 +7,9 @@ from quatlfun import cache
 from quatlfun.brandtforms import QuotientGraph
 from quatlfun.cli import main
 from quatlfun.errors import UsageError
+from quatlfun.primes import is_prime
+
+from oracles import curve_a_ell
 
 
 def run_cli(args, capsys):
@@ -427,6 +430,24 @@ class TestRaise:
         data = json.loads(out.strip().splitlines()[-1])
         assert data["success"] is True
         assert data["eps"] == [1, 1]
+
+    def test_fixture_known_mod_a_higher_power(self, tmp_path, capsys):
+        # 11a known mod 25 runs mod 5 as 11a known mod 5 does; it was refused
+        # (exit 2), its certificates mod 5 checked against a system mod 25
+        lines = []
+        for n in (2, 1):
+            fixture = tmp_path / f"f11a-mod5^{n}.json"
+            fixture.write_text(json.dumps({
+                "p": 5, "n": n, "eps": {"11": 1},
+                "a": {str(ell): curve_a_ell(ell) % 5 ** n for ell in range(2, 51)
+                      if is_prime(ell) and ell not in (5, 11)}}))
+            code, out = run_cli(["raise", "--v1", "2", "--v2", "17", "--K", "-3",
+                                 "--p", "5", "--n", "1", "--nminus", "11",
+                                 "--bound", "50", "--f", str(fixture)], capsys)
+            assert code == 0
+            assert "congruent eigensystem found on disc 374" in out
+            lines.append(out.strip().splitlines()[-1])
+        assert lines[0] == lines[1]
 
     def test_no_sample_prime_exits_2(self, tmp_path, capsys):
         # 11a mod 5: a_2 = a_17 = 3, so 2 and 17 are admissible, but

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quatlfun.compgraph import (LengthGraph, boundary, boundary_matrix,
-                                character_group, coboundary, component_group,
+from quatlfun.cli import main
+from quatlfun.compgraph import (LengthGraph, boundary_matrix, character_group,
+                                coboundary_matrix, component_group,
                                 edixhoven_check, intersection_matrix,
                                 monodromy_map, omega_functional, omega_map,
-                                specialize_divisor, subdivide)
+                                subdivide)
 from quatlfun.errors import UsageError
 from quatlfun.exactalg import IntMatrix, det
 from quatlfun.primes import prime_factors
@@ -46,11 +47,11 @@ def random_connected_graph(rng, max_v=5, max_extra=4, max_len=4):
 class TestBoundaryCoboundary:
     def test_single_edge(self):
         g = LengthGraph.make(2, [(0, 1, 1)])
-        assert boundary(g, (1,)) == (-1, 1)
+        assert boundary_matrix(g).mul_vec((1,)) == (-1, 1)
 
     def test_cycle_chain_closed(self):
         g = two_cycle(1, 1)
-        assert boundary(g, (1, 1)) == (0, 0)
+        assert boundary_matrix(g).mul_vec((1, 1)) == (0, 0)
 
     def test_adjointness_random(self):
         rng = random.Random(1)
@@ -59,8 +60,8 @@ class TestBoundaryCoboundary:
             ne = len(g.non_loop_edges())
             x = [rng.randint(-3, 3) for _ in range(ne)]
             y = [rng.randint(-3, 3) for _ in range(g.n_vertices)]
-            lhs = inner_product_oracle(boundary(g, x), y)
-            rhs = inner_product_oracle(x, coboundary(g, y))
+            lhs = inner_product_oracle(boundary_matrix(g).mul_vec(x), y)
+            rhs = inner_product_oracle(x, coboundary_matrix(g).mul_vec(y))
             assert lhs == rhs
 
 
@@ -197,37 +198,27 @@ class TestOmega:
 
 
 class TestSpecializeDivisor:
-    def test_same_vertex_cancels(self):
-        g = two_cycle(1, 1)
-        phi = component_group(g)
-        cls = specialize_divisor(g, phi, [(1, ("vertex", 1)), (-1, ("vertex", 1))])
-        assert cls == (0,)
+    """`compgroup --divisor` specializes a divisor whose points reduce to
+    vertices: the degree-zero vertex chain goes to Phi by omega_map."""
 
-    def test_separating_divisor(self):
-        g = two_cycle(1, 1)
-        phi = component_group(g)
-        cls = specialize_divisor(g, phi, [(1, ("vertex", 1)), (-1, ("vertex", 0))])
-        assert cls == (1,)
+    @staticmethod
+    def run(tmp_path, capsys, chain):
+        fixture = tmp_path / "cyc.json"
+        fixture.write_text(two_cycle(1, 1).to_json())
+        code = main(["compgroup", "--graph", str(fixture), f"--divisor={chain}"])
+        out = capsys.readouterr().out
+        return code, json.loads(out.splitlines()[-1]) if code == 0 else None
 
-    def test_singular_reduction_rejected(self):
-        g = two_cycle(1, 1)
-        phi = component_group(g)
-        with pytest.raises(UsageError):
-            specialize_divisor(g, phi, [(1, ("edge", 0)), (-1, ("vertex", 0))])
+    def test_same_vertex_cancels(self, tmp_path, capsys):
+        assert self.run(tmp_path, capsys, "0,0") == (0, {
+            "rank": 1, "phi": ["Z/2"], "edixhoven": True, "omega": [[0]]})
 
-    def test_nonzero_degree_rejected(self):
-        g = two_cycle(1, 1)
-        phi = component_group(g)
-        with pytest.raises(UsageError):
-            specialize_divisor(g, phi, [(2, ("vertex", 1)), (-1, ("vertex", 0))])
+    def test_separating_divisor(self, tmp_path, capsys):
+        code, data = self.run(tmp_path, capsys, "-1,1")
+        assert (code, data["omega"]) == (0, [[1]])
 
-    @pytest.mark.parametrize("idx", [-1, 2])
-    def test_vertex_index_out_of_range_rejected(self, idx):
-        # -1 would otherwise alias vertex 1 and give its class (2,)
-        g = two_cycle(1, 2)
-        phi = component_group(g)
-        with pytest.raises(UsageError):
-            specialize_divisor(g, phi, [(1, ("vertex", 0)), (-1, ("vertex", idx))])
+    def test_nonzero_degree_rejected(self, tmp_path, capsys):
+        assert self.run(tmp_path, capsys, "2,-1") == (2, None)
 
 
 class TestEdixhoven:

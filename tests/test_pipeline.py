@@ -55,6 +55,24 @@ def test_mmax_beyond_torus_precision_rejected_before_any_work(monkeypatch):
     PipelineConfig(n_plus=1, n_minus=11, p=5, n=1, m_max=6, disc_k=-3).validate()
 
 
+def test_ramified_p_rejected_before_any_work(monkeypatch):
+    # p = 3 ramifies in Q(sqrt(-3)); the torus refused it only after the
+    # class sets, the eigensystem and the quotient graph were built
+    from types import SimpleNamespace
+    from quatlfun import pipeline
+    from quatlfun.brandtforms import EigenSystem
+    from quatlfun.cli import main
+    from quatlfun.errors import ConfigurationError
+    monkeypatch.setattr(pipeline, "class_set_avoiding", _no_class_set)
+    config = PipelineConfig(n_plus=1, n_minus=11, p=3, n=1, m_max=2, disc_k=-3)
+    with pytest.raises(ConfigurationError, match="p = 3 ramifies in K"):
+        run_lfun(config)
+    assert main(["lfun", "--nminus", "11", "--p", "3", "--K", "-3"]) == 2
+    pair = SimpleNamespace(new=EigenSystem(3, 1, {}), v1=2, v2=17, old_disc=11)
+    with pytest.raises(ConfigurationError, match="p = 3 ramifies in K"):
+        pipeline.raised_l_element(pair, -3, 1, 1)
+
+
 def _no_quotient(*args, **kwargs):
     raise AssertionError("quotient graph built for a rejected configuration")
 

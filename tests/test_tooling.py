@@ -16,7 +16,10 @@ test-only v-new kernel are gone; a Lattice4 built without reduction takes a
 row-Hermite basis only. `isometric` and the class set's pair forms read
 I·conj(J) through one pair-Gram function. `primes` holds the one p-adic
 valuation and the one Hensel lift, and no module of the package or of the
-tests imports a name it never reads.
+tests imports a name it never reads. Every public function, class and method
+of the package has a caller in the package or the benchmark, bar two named
+with their reasons, and each falsifier of tests/test_certificates.py passes
+once its certificate is made to return at once.
 """
 
 import ast
@@ -26,8 +29,11 @@ import inspect
 import os
 import re
 import textwrap
+from collections import Counter
 
 import pytest
+
+import test_certificates
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
 TESTS = os.path.dirname(__file__)
@@ -354,3 +360,58 @@ def test_no_unused_imports():
     found = {(rel, name) for top in (SRC, TESTS) for rel, text in _sources(top)
              for name in _unused_imports(text)}
     assert found == _ORACLE_REEXPORTS
+
+
+# public names with no caller in the package or the benchmark, and why each
+# stays
+_UNCALLED = {
+    ("admraise.py", "eisenstein_test"):
+        "the one Eisenstein check, for the survey of small levels (ROADMAP item 5)",
+    ("pipeline.py", "raised_l_element"):
+        "workload W3, which has no CLI yet (ROADMAP item 9)",
+}
+
+
+def _public_definitions():
+    """(module, qualified name, node) of every public function, class and
+    method of the package."""
+    for rel, text in _sources():
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
+                yield rel, node.name, node
+                for sub in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(sub, ast.FunctionDef) and sub.name[0] != "_":
+                        yield rel, f"{node.name}.{sub.name}", sub
+
+
+def _reads(tree):
+    """How often a tree reads each name, bare or as an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_every_public_name_has_a_caller():
+    # a name only tests call is code kept correct for no run. A caller is a
+    # read of the name, by name, in the package outside the definition's own
+    # body, or in perfbench/*.py, or a traced SPANS entry; an import or an
+    # __all__ entry is not one
+    package = Counter()
+    for _, text in _sources():
+        package += _reads(ast.parse(text))
+    bench = {part for _, attr in _tracer_spans().values() for part in attr.split(".")}
+    for _, text in _sources(os.path.dirname(TRACER)):
+        bench |= set(_reads(ast.parse(text)))
+    uncalled = set()
+    for rel, name, node in _public_definitions():
+        last = name.rsplit(".", 1)[-1]
+        if last not in bench and package[last] <= _reads(node)[last]:
+            uncalled.add((rel, name))
+    assert uncalled == set(_UNCALLED)
+
+
+@pytest.mark.parametrize("name", test_certificates.FALSIFIERS)
+def test_falsifier_rests_on_its_certificate(name, monkeypatch):
+    # with its certificate returning at once, the corruption goes through
+    owner, attr, falsify, _ = test_certificates.FALSIFIERS[name]
+    monkeypatch.setattr(owner, attr, lambda *args, **kwargs: None)
+    falsify()
