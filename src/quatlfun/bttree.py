@@ -93,11 +93,9 @@ def act(g, v: TreeVertex) -> TreeVertex:
     return canonical_vertex(v.p, prod)
 
 
-def neighbors(v: TreeVertex, p: int = None):
+def neighbors(v: TreeVertex):
     """The p+1 classes at distance one: the index-p sublattices."""
-    p = v.p if p is None else p
-    if p != v.p:
-        raise UsageError("prime mismatch")
+    p = v.p
     m = v.matrix()
     out = []
     c1 = (m[0][0], m[1][0])
@@ -168,11 +166,11 @@ def forward_edges(e: TreeEdge):
     return [TreeEdge(e.target, w) for w in neighbors(e.target) if w != e.source]
 
 
-def ball(p: int, radius: int, center: TreeVertex = None):
-    """All vertices within the given radius of the center (BFS layers)."""
-    center = center or root_vertex(p)
-    seen = {center}
-    layer = [center]
+def ball(p: int, radius: int):
+    """All vertices within the given radius of the root (BFS layers)."""
+    root = root_vertex(p)
+    seen = {root}
+    layer = [root]
     layers = [tuple(layer)]
     for _ in range(radius):
         nxt = []

@@ -78,7 +78,8 @@ def main(argv=None) -> int:
     cg = sub.add_parser("compgroup", help="dual-graph component-group report")
     cg.add_argument("--graph", required=True, help="graph fixture (JSON)")
     cg.add_argument("--divisor", action="append", default=[], type=_int_list,
-                    help="degree-zero vertex chain 'c0,c1,...' to push to Phi")
+                    help="degree-zero vertex chain 'c0,c1,...' to push to Phi "
+                    "(connected graphs only)")
 
     ft = sub.add_parser("fitting", help="Fitting exponent of a presentation")
     ft.add_argument("--matrix", required=True,
@@ -241,6 +242,9 @@ def _cmd_compgroup(args) -> int:
                             omega_map)
     with open(args.graph) as fh:
         graph = LengthGraph.from_json(fh.read())
+    connected = graph.is_connected()
+    if args.divisor and not connected:
+        raise UsageError("--divisor needs a connected graph")
     phi = component_group(graph)
     groups = phi if isinstance(phi, tuple) else (phi,)
     # the cycle space of a disjoint union is the sum of its components'
@@ -251,7 +255,7 @@ def _cmd_compgroup(args) -> int:
         print(f"component {i}: Phi = {grp.shape.describe()}")
     result = {"rank": rank,
               "phi": [g.shape.describe() for g in groups]}
-    if graph.is_connected():
+    if connected:
         rep = edixhoven_check(graph)
         print("comparison diagram:", "agrees" if rep.ok else "FAILS")
         result["edixhoven"] = rep.ok

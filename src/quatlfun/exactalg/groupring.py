@@ -70,11 +70,10 @@ class GroupRingElement:
         return GroupRingElement(ring, group_order, (0,) * group_order)
 
     @staticmethod
-    def generator_power(ring: PrimePowerRing, group_order: int, k: int,
-                        scalar: int = 1) -> "GroupRingElement":
-        """scalar * g^k."""
+    def generator_power(ring: PrimePowerRing, group_order: int, k: int) -> "GroupRingElement":
+        """g^k."""
         c = [0] * group_order
-        c[k % group_order] = ring.reduce(scalar)
+        c[k % group_order] = 1
         return GroupRingElement(ring, group_order, tuple(c))
 
     def level(self) -> int:

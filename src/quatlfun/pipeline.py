@@ -248,13 +248,13 @@ def run_lfun(config: PipelineConfig) -> LfunResult:
                       base.unit_count())
 
 
-def raised_l_element(pair, disc_k: int, n_plus: int, m: int,
-                     pin_primes=(3, 7, 13)):
+def raised_l_element(pair, disc_k: int, n_plus: int, m: int):
     """L element of a level-raised eigensystem: the second reciprocity law's
     right-hand object, computed on the raised discriminant.
 
     The raised system must be ordinary at p (its T_p eigenvalue is read off
-    its own eigenvector); head and tail are the main pipeline's.
+    its own eigenvector), which is pinned by its a_ell at those of 3, 7 and
+    13 prime to the raised level and p; head and tail are the main pipeline's.
     """
     _check_depth(m)
     system = pair.new
@@ -263,7 +263,7 @@ def raised_l_element(pair, disc_k: int, n_plus: int, m: int,
     new_disc = pair.v1 * pair.v2 * pair.old_disc
     _, embedding, graph = _torus_quotient(new_disc, n_plus, p, disc_k)
 
-    pins = [ell for ell in pin_primes if (new_disc * n_plus * p) % ell != 0]
+    pins = [ell for ell in (3, 7, 13) if (new_disc * n_plus * p) % ell != 0]
     vertex_target = EigenSystem(p, n, {ell: system.value(ell) for ell in pins},
                                 {qq: system.value(qq)
                                  for qq in prime_factors(new_disc)},

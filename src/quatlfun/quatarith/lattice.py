@@ -4,8 +4,7 @@ A lattice is stored as (denominator, 4x4 integer row-Hermite basis), and
 so is every element it is asked about: `coordinates(vec, den)` and
 `contains(vec, den)` read the element vec/den for an integer 4-tuple vec, by
 an integer triangular solve. Hermite bases are built by inserting one row
-at a time. Fractions appear only in `covolume` and `invert`; nothing is
-floating point.
+at a time. Fractions appear only in `invert`; nothing is floating point.
 
 The short-vector front end takes integer Gram matrices only (a norm form
 comes from `QuaternionAlgebra.norm_gram`): `enumerate_by_value` lists the
@@ -211,7 +210,7 @@ class Lattice4:
         be a row-Hermite basis of rank 4, as `hnf_rows(rows)` returns it: four rows of four entries, row i zero left of column i,
         its pivot at (i, i) positive and the entries above it in
         [0, pivot). Anything else raises UsageError before any work, since
-        `coordinates` and `covolume` read row i's pivot at column i. The
+        `coordinates` reads row i's pivot at column i. The
         content, the gcd of den and every entry, is divided out.
         """
         if den <= 0:
@@ -271,12 +270,6 @@ class Lattice4:
     def contains(self, vec, den=1) -> bool:
         """Membership of the element vec/den, vec an integer 4-tuple."""
         return self.coordinates(vec, den) is not None
-
-    def covolume(self) -> Fraction:
-        d = 1
-        for i, row in enumerate(self.rows):
-            d *= row[i]
-        return Fraction(d, self.den ** 4)
 
     def sublattice_mod(self, q: int, coords) -> "Lattice4":
         """Preimage in L of the span of `coords` (basis coordinates) in L/qL.

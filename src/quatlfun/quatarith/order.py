@@ -3,16 +3,14 @@
 An order is a `Lattice4`, integer rows r_i over a denominator den, and every
 question about it is asked in those integers: closure reads the products
 r_i·r_j over den^2, the reduced discriminant is read off the determinant of
-the integer norm Gram, and an idealizer {x : x·L ⊆ L} is (L·L^#)^#, L^# the
-dual of L under the trace pairing trd(xy): one product lattice and two
-triangular adjugates, no intersection (Voight, "Quaternion Algebras",
-16.6-16.7, for idealizers).
+the integer norm Gram, and the left order {x : x·I ⊆ I} of a right ideal I is
+(I·I^#)^#, I^# the dual of I under the trace pairing trd(xy): one product
+lattice and two triangular adjugates, no intersection (Voight, "Quaternion
+Algebras", 16.6-16.7).
 
 The maximal-order routine saturates the obvious order Z<1,i,j,k> prime by
-prime: index-q superorders are found by brute force for q in {2, 3} and by the
-radical idealizer for q >= 5 (where the trace form detects the radical, since
-the characteristic exceeds the dimension), again by brute force when the
-order is already hereditary at q and the idealizers add nothing.
+prime, at every prime q by one search: the first index-q superlattice
+O + Z·(v/q), v over P^3(F_q), that is an order.
 """
 
 from __future__ import annotations
@@ -145,33 +143,22 @@ def maximal_order(alg: QuaternionAlgebra) -> QuaternionOrder:
             raise InvariantViolationError("maximal-order saturation did not terminate")
         ratio = order.reduced_discriminant() // target
         q = prime_factors(ratio)[0]
-        bigger = _enlarge_at(order, q)
+        bigger = _enlarge_brute(order, q)
         if bigger is None:
             raise InvariantViolationError(f"could not enlarge order at {q}")
         order = bigger
     return order
 
 
-def _enlarge_at(order: QuaternionOrder, q: int):
-    """An order of index q over `order`, or None.
-
-    For q >= 5 the radical's idealizers are tried first; when O/qO is already
-    hereditary at q they give nothing new, and brute force over the index-q
-    superlattices decides.
-    """
-    if q <= 3:
-        return _enlarge_brute(order, q)
-    return _enlarge_radical(order, q) or _enlarge_brute(order, q)
-
-
 def _enlarge_brute(order: QuaternionOrder, q: int):
-    """Try all index-q superlattices O + Z*(v/q); keep the first real order.
+    """The first index-q superlattice O + Z·(v/q), v over `_proj_points(q)`,
+    that is an order of smaller reduced discriminant, or None.
 
-    Every element of an order is integral, so a candidate whose new element
-    y = vec/(den·q) has trd(y) or nrd(y) outside Z is skipped before its
-    lattice is built: 2·vec[0] must be divisible by den·q and nrd(vec) by
-    (den·q)^2. The others get the full closure check, so the order returned
-    is the same.
+    This one search serves every q. Every element of an order is integral, so
+    a candidate whose new element y = vec/(den·q) has trd(y) or nrd(y) outside
+    Z is skipped before its lattice is built: 2·vec[0] must be divisible by
+    den·q and nrd(vec) by (den·q)^2. The others get the full closure check, so
+    the order returned is the one that trying every candidate returns.
     """
     den = order.lattice.den
     rows = [[x * q for x in r] for r in order.lattice.rows]
@@ -211,60 +198,6 @@ def _tuples(q, k):
     for rest in _tuples(q, k - 1):
         for c in range(q):
             yield (c,) + rest
-
-
-def _radical_mod(order: QuaternionOrder, q: int):
-    """Basis (coordinate vectors mod q) of the radical of O/qO.
-
-    For q >= 5 the radical is the kernel of the trace form x -> tr(L_{xy});
-    for q in {2, 3} the callers use brute force instead.
-    """
-    table = order.mult_table()
-
-    def left_mult_trace(i, j):
-        # trace of left multiplication by b_i * b_j on O/qO
-        prod = table[i][j]
-        tr = 0
-        for k in range(4):
-            img = order.coords_mul(prod, _unit_vec(k))
-            tr += img[k]
-        return tr % q
-
-    if q < 5:
-        raise UsageError("trace-form radical needs q >= 5; small q goes brute force")
-    rows = [[left_mult_trace(i, j) for j in range(4)] for i in range(4)]
-    gens = kernel_mod(IntMatrix.from_rows(rows), q, 1)
-    return [tuple(x % q for x in g) for g in gens]
-
-
-def _unit_vec(k):
-    v = [0, 0, 0, 0]
-    v[k] = 1
-    return tuple(v)
-
-
-def _enlarge_radical(order: QuaternionOrder, q: int):
-    # J = qO + (radical lifts), a sublattice of O over the same denominator
-    j_lat = order.lattice.sublattice_mod(q, _radical_mod(order, q))
-    for side in ("left", "right"):
-        idl = _idealizer(order.alg, j_lat, side)
-        if idl.covolume() < order.lattice.covolume():
-            return QuaternionOrder(order.alg, idl)
-    return None
-
-
-def _idealizer(alg: QuaternionAlgebra, lat: Lattice4, side: str) -> Lattice4:
-    """{x : x L ⊆ L} (left) or {x : L x ⊆ L} (right), for any full lattice L.
-
-    By trace duality: (L·L^#)^# (left) or (L^#·L)^# (right), with L^# the
-    dual under trd(xy). As trd is cyclic, trd(x·l·m) = trd((x·l)·m) and
-    trd(l·x·m) = trd(x·(m·l)), and L^## = L, so x·l ∈ L for every l exactly
-    when x pairs integrally with L·L^#, and l·x ∈ L exactly when x pairs
-    integrally with L^#·L.
-    """
-    dual = _trace_dual(alg, lat)
-    first, second = (lat, dual) if side == "left" else (dual, lat)
-    return _dual_of_products(alg, first.rows, first.den, second.rows, second.den)
 
 
 def _dual_of_products(alg, xs, xden, ys, yden) -> Lattice4:

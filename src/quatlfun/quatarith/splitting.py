@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ..errors import InvariantViolationError, SearchExhaustedError, UsageError
-from ..exactalg import IntMatrix, eliminate_mod, kernel_mod, solve_mod
+from ..exactalg import IntMatrix, eliminate_mod, kernel_mod
 from ..primes import hensel_lift
 from .algebra import legendre
 from .order import QuaternionOrder, _tuples
@@ -127,17 +127,19 @@ def local_splitting(order: QuaternionOrder, ell: int, prec: int) -> LocalSplitti
     e = tuple((inv * (c - r2 * o)) % q for c, o in zip(coords, one))
     # V = (O/q)·e, a free rank-2 module; find two unit-pivot generators
     gens = [order.coords_mul(_unit(i), e) for i in range(4)]
-    vbasis = _row_reduce_unit(gens, ell, q)
+    pivots, vbasis = _row_reduce_unit(gens, ell, q)
     if len(vbasis) != 2:
         raise InvariantViolationError("left ideal of the idempotent is not rank 2")
-    # the columns are v1 and v2; their unit pivots make every solution unique
-    module = IntMatrix.from_rows([list(col) for col in zip(*vbasis)])
+    # v1 and v2 are 1 and 0 at v1's pivot and 0 and 1 at v2's, so the
+    # coordinates of w = c1·v1 + c2·v2 are w's entries there; the rebuilt
+    # c1·v1 + c2·v2 must be w itself, else w is not in the module
     images = []
     for i in range(4):
         cols = []
         for v in vbasis:
-            c = solve_mod(module, order.coords_mul(_unit(i), v), ell, prec)
-            if c is None:
+            w = order.coords_mul(_unit(i), v)
+            c = tuple(w[k] % q for k in pivots)
+            if any((c[0] * x + c[1] * y - z) % q for x, y, z in zip(*vbasis, w)):
                 raise InvariantViolationError("element not in the rank-2 module")
             cols.append(c)
         images.append(((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1])))
@@ -153,10 +155,10 @@ def _unit(i):
 
 
 def _row_reduce_unit(rows, ell, q):
-    """Reduce rows over Z/q keeping unit pivots; return the basis, each row
-    1 at its pivot column and every other row 0 there."""
+    """Reduce rows over Z/q keeping unit pivots; return the pivot columns and
+    the basis, each row 1 at its pivot column and every other row 0 there."""
     work = [list(x % q for x in r) for r in rows]
-    basis = []
+    pivots, basis = [], []
     for col in range(4):
         piv = None
         for r in work:
@@ -177,12 +179,13 @@ def _row_reduce_unit(rows, ell, q):
                 f = b[col]
                 for k in range(4):
                     b[k] = (b[k] - f * piv[k]) % q
+        pivots.append(col)
         basis.append(piv)
         work = [r for r in work if any(x % q for x in r)]
     # anything left has no unit pivot; a free module's span reduces to nothing
     if any(any(x % q for x in r) for r in work):
         raise InvariantViolationError("module is not free at the working precision")
-    return basis
+    return pivots, basis
 
 
 def _verify_splitting(order: QuaternionOrder, spl: LocalSplitting):

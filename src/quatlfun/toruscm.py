@@ -202,7 +202,7 @@ def _verify_torus(torus: TorusData):
         if torus.act_vertex((x, y), root) != root:
             raise InvariantViolationError("torus does not fix its vertex")
     # uniqueness of the fixed vertex on the radius-2 ball
-    layers = bttree.ball(p, 2, root)
+    layers = bttree.ball(p, 2)
     gen = (0, 1)  # g itself is a unit when the norm is prime to p
     for layer in layers[1:]:
         for v in layer:

@@ -90,12 +90,6 @@ def snf_diagonal_oracle(rows):
     return diag
 
 
-def fitting_exponent_oracle(rows, p, n=None):
-    """Minimal p-valuation over all maximal minors; None iff every minor is 0."""
-    assert len(rows[0]) >= len(rows)
-    return fitting_minors_oracle(rows, p)
-
-
 def convolution_oracle(a, b, mod, order):
     out = [0] * order
     for i in range(order):

@@ -409,6 +409,18 @@ class TestMalformedInput:
         assert code == 2
         assert "error:" in err
 
+    def test_compgroup_divisor_on_two_components(self, tmp_path, capsys):
+        # omega is defined on a connected graph's Phi only, so a divisor on
+        # two components is refused before anything is printed
+        fixture = tmp_path / "two.json"
+        fixture.write_text(json.dumps({"vertices": 4, "edges": [[0, 1, 1], [1, 0, 2],
+                                                                [2, 3, 1], [3, 2, 3]]}))
+        code = main(["compgroup", "--graph", str(fixture), "--divisor", "1,-1,0,0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error:" in captured.err and "connected" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("text", ["{vertices: 2", "[]", '{"vertices": 2}',
                                       '{"vertices": 2, "edges": [[0, 1]]}'],
                              ids=["not-json", "not-object", "no-edges", "short-edge"])

@@ -12,7 +12,7 @@ from quatlfun.exactalg import (AbelianGroupShape, Character, GroupRingElement,
                                kernel_mod, mu_invariant, project_level,
                                smith_normal_form, solve, solve_mod, specialize)
 
-from oracles import (convolution_oracle, fitting_exponent_oracle,
+from oracles import (convolution_oracle, fitting_minors_oracle,
                      snf_diagonal_oracle)
 
 
@@ -184,7 +184,7 @@ class TestFitting:
     def test_cyclic_sum(self):
         p = 5
         M = [[p, 0], [0, p * p]]
-        assert fitting_exponent_oracle(M, p, 3) == 3
+        assert fitting_minors_oracle(M, p) == 3
         assert fitting_exponent(IntMatrix.from_rows(M), PrimePowerRing(p, 3)) == 3
 
     def test_zero_module(self):
@@ -199,7 +199,7 @@ class TestFitting:
     def test_random_against_minors_oracle(self, data):
         p, n = 3, 3
         rows = [[data.draw(st.integers(-12, 12)) for _ in range(4)] for _ in range(3)]
-        expect = fitting_exponent_oracle(rows, p)
+        expect = fitting_minors_oracle(rows, p)
         got = fitting_exponent(IntMatrix.from_rows(rows), PrimePowerRing(p, n))
         assert got == expect
 

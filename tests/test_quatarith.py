@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from quatlfun.brandtforms import QuotientGraph
 from quatlfun.errors import InvariantViolationError, UsageError
+from quatlfun.exactalg import IntMatrix, solve_mod
 from quatlfun.primes import first_coprime_prime, is_prime, prime_factors
 from quatlfun.quatarith import (ClassSet, Lattice4, QuaternionAlgebra,
                                 QuaternionOrder, RightIdeal,
@@ -35,12 +36,13 @@ from quatlfun.quatarith import classset as classset_module
 from quatlfun.quatarith import embedding as embedding_module
 from quatlfun.quatarith import ideal as ideal_module
 from quatlfun.quatarith import lattice as lattice_module
+from quatlfun.quatarith import splitting as splitting_module
 from quatlfun.quatarith.lattice import (adjugate4, enumerate_by_value,
                                         hnf_mod, hnf_rows, invert,
                                         lagrange_reduce,
                                         shortest_value_and_vector,
                                         value_counts)
-from quatlfun.quatarith.order import (_enlarge_at, _enlarge_brute, _idealizer,
+from quatlfun.quatarith.order import (_dual_of_products, _enlarge_brute,
                                       _proj_points, _trace_dual)
 
 from oracles import (_dual_basis_oracle, _fincke_pohst_oracle, _fraction_basis,
@@ -148,15 +150,35 @@ class TestMaximalOrder:
 
     @pytest.mark.parametrize("disc, ab", [(73, (-5, -146)), (97, (-5, -194))])
     def test_hereditary_at_five(self, disc, ab):
-        # Z<1,i,j,k> in (-5, -2·disc) is already hereditary at 5: the
-        # radical's idealizers add nothing there, and saturation must still
-        # reach a maximal order
+        # Z<1,i,j,k> in (-5, -2·disc) is already hereditary at 5, where the
+        # radical of O/5O gives no larger order; the index-5 search still
+        # finds one, and saturation reaches a maximal order
         alg = algebra_from_discriminant(disc)
         assert (alg.a, alg.b) == ab
         assert maximal_order(alg).reduced_discriminant() == disc
         for level, psi in ((1, 1), (2, 3)):
             cs = ideal_class_set(eichler_order_for(disc, level), 3)
             assert cs.mass == Fraction(disc - 1, 24) * psi
+
+
+# the discriminants below 400 at which the idealizer of the radical of O/qO
+# is a larger order at some saturation step (q >= 5), with the maximal orders
+# that route led to: the index-q search must return the same lattices
+_INDEX_SEARCH_ORDERS = {
+    105: (14, [[7, 0, 0, 1], [0, 7, 7, 0], [0, 0, 14, 0], [0, 0, 0, 2]]),
+    190: (10, [[5, 5, 0, 1], [0, 10, 0, 0], [0, 0, 5, 1], [0, 0, 0, 2]]),
+    273: (14, [[7, 0, 0, 1], [0, 7, 7, 0], [0, 0, 14, 0], [0, 0, 0, 2]]),
+    357: (14, [[7, 0, 0, 1], [0, 7, 7, 0], [0, 0, 14, 0], [0, 0, 0, 2]]),
+    385: (60, [[30, 10, 0, 4], [0, 20, 0, 8], [0, 0, 15, 3], [0, 0, 0, 12]]),
+}
+
+
+@pytest.mark.parametrize("disc", sorted(_INDEX_SEARCH_ORDERS))
+def test_maximal_order_by_index_search(disc):
+    order = maximal_order(algebra_from_discriminant(disc))
+    assert order.reduced_discriminant() == disc
+    assert (order.lattice.den, [list(r) for r in order.lattice.rows]) == \
+        _INDEX_SEARCH_ORDERS[disc]
 
 
 @pytest.mark.parametrize("disc", [2, 3, 5, 7, 11, 13, 30, 42, 70, 73, 97])
@@ -181,7 +203,7 @@ def test_enlarge_brute_skips_only_non_orders(disc):
             if first is None and cand.reduced_discriminant() < order.reduced_discriminant():
                 first = cand
         assert _enlarge_brute(order, q) == first
-        order = _enlarge_at(order, q)
+        order = first
 
 
 class TestClassSets:
@@ -638,7 +660,7 @@ def test_brandt_matches_neighbour_oracle(disc, level):
     _assert_uq_routes_agree(cs, got.values())
     for rep in cs.reps:
         for side in ("left", "right"):
-            assert _idealizer(rep.alg, rep.lattice, side) == \
+            assert _idealizer_by_duality(rep.alg, rep.lattice, side) == \
                 idealizer_oracle(rep.alg, rep.lattice, side)
 
 
@@ -912,17 +934,30 @@ def test_class_set_representatives_pinned(name):
         assert class_set_digest(_PINNED[name]()) == json.load(fh)[name]
 
 
+def _idealizer_by_duality(alg, lat, side):
+    """{x : x·L ⊆ L} (left) or {x : L·x ⊆ L} (right) as (L·L^#)^# or
+    (L^#·L)^#, from `_trace_dual` and `_dual_of_products`, the two steps of
+    `left_order_from_generators`. As trd is cyclic, trd(x·l·m) = trd((x·l)·m)
+    and trd(l·x·m) = trd(x·(m·l)), and L^## = L, so x·l ∈ L for every l
+    exactly when x pairs integrally with L·L^#, and l·x ∈ L exactly when x
+    pairs integrally with L^#·L."""
+    dual = _trace_dual(alg, lat)
+    first, second = (lat, dual) if side == "left" else (dual, lat)
+    return _dual_of_products(alg, first.rows, first.den, second.rows, second.den)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(-3, 3), min_size=16, max_size=16), st.integers(1, 6),
        st.sampled_from([(-1, -1), (-1, -11), (-2, -5), (-3, -10)]))
 def test_idealizer_matches_oracle(entries, den, ab):
-    # any full lattice, not only an ideal: x·b ∈ L iff x ∈ L·conj(b)/nrd(b)
+    # any full lattice, not only an ideal: trace duality against the
+    # preimages x·b ∈ L iff x ∈ L·conj(b)/nrd(b)
     rows = [entries[4 * k:4 * k + 4] for k in range(4)]
     assume(_naive_det(rows) != 0)
     alg = QuaternionAlgebra(*ab)
     lat = Lattice4(den, rows)
     for side in ("left", "right"):
-        got = _idealizer(alg, lat, side)
+        got = _idealizer_by_duality(alg, lat, side)
         assert got == idealizer_oracle(alg, lat, side)
         QuaternionOrder(alg, got)  # an idealizer is an order
 
@@ -957,8 +992,8 @@ def test_left_orders_from_generators(disc, level):
     of the whole basis."""
     cs = _sweep_class_set(disc, level)
     for rep in cs.reps:
-        assert rep.left_order() == QuaternionOrder(rep.alg,
-                                                   _idealizer(rep.alg, rep.lattice, "left"))
+        assert rep.left_order() == QuaternionOrder(
+            rep.alg, _idealizer_by_duality(rep.alg, rep.lattice, "left"))
 
 
 def _unit_count_oracle(order):
@@ -1063,6 +1098,27 @@ class TestSplitting:
                 det = (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % q
                 assert tr == trd % q
                 assert det == nrd % q
+
+    @pytest.mark.parametrize("disc,level,ell,prec", [
+        (2, 1, 3, 1), (2, 1, 5, 16), (11, 1, 2, 4), (11, 1, 3, 3), (11, 2, 5, 16),
+        (23, 3, 2, 1), (37, 1, 7, 2), (47, 5, 3, 16), (97, 2, 13, 2)])
+    def test_images_read_off_match_solve_mod(self, disc, level, ell, prec):
+        # each basis image, read off the unit-pivot basis of (O/ell^prec)·e,
+        # is the solution that an elimination mod ell^prec finds
+        order = eichler_order_for(disc, level)
+        q = ell ** prec
+        coords, t, n = splitting_module._find_split_element(order, ell)
+        r1, r2 = splitting_module._hensel_roots(t, n, ell, prec)
+        inv = pow((r1 - r2) % q, -1, q)
+        e = tuple((inv * (c - r2 * o)) % q for c, o in zip(coords, order.one_coords()))
+        units = [tuple(int(i == k) for k in range(4)) for i in range(4)]
+        _, vbasis = splitting_module._row_reduce_unit(
+            [order.coords_mul(u, e) for u in units], ell, q)
+        module = IntMatrix.from_rows([list(col) for col in zip(*vbasis)])
+        cols = [[solve_mod(module, order.coords_mul(u, v), ell, prec) for v in vbasis]
+                for u in units]
+        assert local_splitting(order, ell, prec).basis_images == tuple(
+            ((c[0][0], c[1][0]), (c[0][1], c[1][1])) for c in cols)
 
 
 class TestEmbeddings:

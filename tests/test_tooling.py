@@ -18,8 +18,11 @@ I·conj(J) through one pair-Gram function. `primes` holds the one p-adic
 valuation and the one Hensel lift, and no module of the package or of the
 tests imports a name it never reads. Every public function, class and method
 of the package has a caller in the package or the benchmark, bar two named
-with their reasons, and each falsifier of tests/test_certificates.py passes
-once its certificate is made to return at once.
+with their reasons, and every defaulted parameter is passed by some call,
+bar three named with their reasons. `maximal_order` saturates by the
+index-q search alone, with no radical or idealizer route beside it. Each
+falsifier of tests/test_certificates.py passes once its certificate is made
+to return at once.
 """
 
 import ast
@@ -131,7 +134,7 @@ def _imports_fractions(path):
 
 def test_lattice_elements_are_integer_rows():
     # orders, ideals and their elements are (den, integer rows); Fractions
-    # stay in lattice.py (`covolume`, `invert`), ideal.py (nrd(I)) and
+    # stay in lattice.py (`invert`), ideal.py (nrd(I)) and
     # classset.py (the mass)
     allowed = {"lattice.py", "ideal.py", "classset.py"}
     package = os.path.join(SRC, "quatarith")
@@ -336,7 +339,8 @@ def test_one_hensel_lift():
 # tests/oracles.py imports the acceptance oracles under their test-suite
 # names, for the test modules to import from it
 _ORACLE_REEXPORTS = {("oracles.py", name) for name in
-                     ("curve_a_ell", "kronecker_oracle", "spanning_tree_weight_sum")}
+                     ("curve_a_ell", "fitting_minors_oracle", "kronecker_oracle",
+                      "spanning_tree_weight_sum")}
 
 
 def _unused_imports(text):
@@ -407,6 +411,79 @@ def test_every_public_name_has_a_caller():
         if last not in bench and package[last] <= _reads(node)[last]:
             uncalled.add((rel, name))
     assert uncalled == set(_UNCALLED)
+
+
+def test_one_saturation_route():
+    # every saturation step is the index-q search; the radical-idealizer
+    # route and its helpers are gone
+    from quatlfun.quatarith import order
+    assert {name for name in _names_called(order.maximal_order)
+            if name[0] == "_"} == {"_enlarge_brute"}
+    assert [name for name in ("_enlarge_at", "_enlarge_radical", "_radical_mod",
+                              "_unit_vec", "_idealizer") if hasattr(order, name)] == []
+
+
+# defaulted parameters that no call in the package or the benchmark passes,
+# and why each stays
+_UNPASSED_DEFAULTS = {
+    ("brandtforms.py", "QuotientGraph.__init__", ("prec",)):
+        "ROADMAP item 7 derives the tower precision from the run",
+    ("cli.py", "main", ("argv",)):
+        "the console entry point, which leaves argv to argparse",
+    ("acceptance.py", "curve_point_count_a", ("a1", "a2", "a3", "a4", "a6")):
+        "perfbench passes 17a's coefficients through oracles.curve_a_ell",
+}
+
+
+def _defaulted_parameters(tree):
+    """(function node, called name, parameter, positional index or None) of
+    every defaulted parameter; a method's index skips self, and a class call
+    is the call of its __init__."""
+    owners = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            owners.update({id(sub): node.name for sub in node.body})
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        owner = owners.get(id(node))
+        bound = owner is not None and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+        called = owner if node.name == "__init__" else node.name
+        args = node.args
+        pos = args.posonlyargs + args.args
+        for i in range(len(pos) - len(args.defaults), len(pos)):
+            yield node, owner, called, pos[i].arg, i - bound
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield node, owner, called, arg.arg, None
+
+
+def _passes(call, param, index):
+    """Whether a call passes the parameter, by keyword, position or a star."""
+    return (any(k.arg in (param, None) for k in call.keywords)
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or (index is not None and len(call.args) > index))
+
+
+def test_every_default_is_passed():
+    # a default that every call leaves alone is a parameter only one value
+    # reaches. A call counts when its name, bare or as an attribute, is the
+    # function's (the class's for __init__), in the package or perfbench/*.py
+    calls = {}
+    for top in (SRC, os.path.dirname(TRACER)):
+        for _, text in _sources(top):
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                    name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                    calls.setdefault(name, []).append(node)
+    unpassed = {}
+    for rel, text in _sources():
+        for node, owner, called, param, index in _defaulted_parameters(ast.parse(text)):
+            if not any(_passes(call, param, index) for call in calls.get(called, ())):
+                key = (rel, f"{owner}.{node.name}" if owner else node.name)
+                unpassed[key] = unpassed.get(key, ()) + (param,)
+    assert {key + (params,) for key, params in unpassed.items()} == set(_UNPASSED_DEFAULTS)
 
 
 @pytest.mark.parametrize("name", test_certificates.FALSIFIERS)
