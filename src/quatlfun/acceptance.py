@@ -5,9 +5,9 @@ enumeration, Legendre symbols by square search, Fitting exponents by minor
 expansion, component-group orders by brute-force spanning trees), so a pass
 certifies agreement of two genuinely different routes.
 
-The tree and measure criteria (2-5) build their graphs and measures with
-`pipeline._torus_quotient` and `pipeline.measure_pipeline`, so they check what
-a run uses. Each criterion builds its own; no state is kept between criteria.
+The tree and measure criteria (2-5) build their graphs, edge targets and
+measures with `pipeline._torus_quotient`, `pipeline.p_stabilized` and
+`pipeline.measure_pipeline`, so they check what a run uses. Each criterion builds its own; no state is kept between criteria.
 """
 
 from __future__ import annotations
@@ -117,14 +117,14 @@ def spanning_tree_sum(n_vertices, edges):
 # -- the 11a eigensystem ------------------------------------------------------
 
 def _eleven_a_target(n):
-    """The edge system of 11a mod 5^n from point counts: T_2, T_3, U_11 = 1,
-    and U_5 the unit root of a_5. Criteria 3-5 build its measure on
+    """The edge system of 11a mod 5^n from point counts and U_11 = 1, by
+    `pipeline.p_stabilized` at T_2 and T_3. Criteria 3-5 build its measure on
     `pipeline._torus_quotient(11, 1, 5, -3)` with `pipeline.measure_pipeline`."""
-    from .brandtforms import EigenSystem, hensel_unit_root
-    q = 5 ** n
-    alpha = hensel_unit_root(curve_point_count_a(5) % q, 5, n)
-    return EigenSystem(5, n, {ell: curve_point_count_a(ell) % q for ell in (2, 3)},
-                       {5: alpha, 11: 1})
+    from .brandtforms import EigenSystem
+    from .pipeline import p_stabilized
+    system = EigenSystem(5, n, {ell: curve_point_count_a(ell) for ell in (2, 3, 5)},
+                         {11: 1})
+    return p_stabilized(system, (2, 3), 11)
 
 
 # -- criteria -----------------------------------------------------------------
@@ -132,7 +132,7 @@ def _eleven_a_target(n):
 def criterion_1():
     """Brandt engine: disc 11 class data and eigenvalues vs point counts."""
     from .quatarith import (algebra_from_discriminant, ideal_class_set,
-                            maximal_order, neighbor_matrices)
+                            maximal_order)
     from .brandtforms import rational_eigensystems
     start = time.monotonic()
     order = maximal_order(algebra_from_discriminant(11))
@@ -140,10 +140,8 @@ def criterion_1():
     if len(cs) != 2 or cs.mass != Fraction(5, 12):
         return False, f"class data wrong: h={len(cs)}, mass={cs.mass}"
     primes = (2, 3, 7, 13)
-    by_prime = neighbor_matrices(cs, primes)
-    mats = [by_prime[ell] for ell in primes]
     systems = sorted(tuple(sorted(a.items())) for a, _ in
-                     rational_eigensystems(mats, primes))
+                     rational_eigensystems(cs, primes))
     expected_cusp = {ell: curve_point_count_a(ell) for ell in primes}
     expected_eis = {ell: ell + 1 for ell in primes}
     expected = sorted([tuple(sorted(expected_cusp.items())),
@@ -165,7 +163,7 @@ def criterion_2():
     from .pipeline import _torus_quotient
     rng = random.Random(1202)
     for p in (2, 3):
-        _, _, graph = _torus_quotient(11, 1, p, -3)
+        _, graph = _torus_quotient(11, 1, p, -3)
         graph.verify_regularity()
         brandt = graph.brandt_matrix(p)
         tp = graph.tp_matrix()
@@ -188,7 +186,7 @@ def criterion_3():
     from .padicl import check_projection_tower
     from .pipeline import _torus_quotient, measure_pipeline
     start = time.monotonic()
-    _, embedding, graph = _torus_quotient(11, 1, 5, -3)
+    embedding, graph = _torus_quotient(11, 1, 5, -3)
     for n in (1, 2):
         pipe = measure_pipeline(graph, embedding, -3, _eleven_a_target(n), [2, 3])
         pipe.check_distribution(2)  # raises on any failed coset identity
@@ -204,7 +202,7 @@ def criterion_4():
     from .padicl import MeasurePipeline, full_Lp
     from .exactalg import GroupRingElement, group_ring_mul
     from .pipeline import _torus_quotient, measure_pipeline
-    _, embedding, graph = _torus_quotient(11, 1, 5, -3)
+    embedding, graph = _torus_quotient(11, 1, 5, -3)
     pipe = measure_pipeline(graph, embedding, -3, _eleven_a_target(2), [2, 3])
     main = full_Lp(pipe, 2)
     alt_pipe = MeasurePipeline(graph, pipe.torus, pipe.form, pipe.alpha, 2,
@@ -229,7 +227,7 @@ def criterion_5():
     from .padicl import MeasurePipeline, full_Lp, mu_two_nu_check
     from .brandtforms import AutomorphicForm
     from .pipeline import _torus_quotient, measure_pipeline
-    _, embedding, graph = _torus_quotient(11, 1, 5, -3)
+    embedding, graph = _torus_quotient(11, 1, 5, -3)
     pipe = measure_pipeline(graph, embedding, -3, _eleven_a_target(2), [2, 3])
     element = full_Lp(pipe, 2)
     report = mu_two_nu_check(pipe, element)
@@ -241,7 +239,7 @@ def criterion_5():
     # synthetic fixture: p * Phi has nu >= 1 and mu(L_p) >= 2
     synth = AutomorphicForm(tuple(5 * v % 25 for v in pipe.form.values), "edge", (5, 2))
     sp = MeasurePipeline(graph, pipe.torus, synth, pipe.alpha, 2)
-    s_el = sp.full_lp(2)
+    s_el = full_Lp(sp, 2)
     s_rep = mu_two_nu_check(sp, s_el)
     if s_rep.nu < 1 or s_rep.mu_lp < 2:
         return False, f"synthetic fixture bookkeeping wrong: {s_rep.describe()}"

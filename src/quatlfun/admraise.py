@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .brandtforms import EigenSystem, eigensystems_mod
-from .errors import DataMissingError, UsageError
+from .errors import DataMissingError, InvariantViolationError, UsageError
 from .primes import is_prime, prime_factors
 from .quatarith import class_set_avoiding, eichler_order_for, kronecker
 
@@ -198,5 +198,5 @@ def raise_level_search(system: EigenSystem, cert1: AdmissibleCert,
                           cuspidal_certified=True, old_disc=old_disc,
                           level=level)
     if not pair.verify():
-        raise UsageError("internal: congruence pair fails its own verification")
+        raise InvariantViolationError("congruence pair fails its own verification")
     return RaiseReport(True, pair, f"found on disc {new_disc}", tuple(matches))

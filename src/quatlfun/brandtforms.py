@@ -40,8 +40,11 @@ The Hecke matrices live on a class set, not on the graph
 (`neighbor_matrices`), and U_q at a prime q | disc, the permutation
 [I_i] -> [I_i·P_q], P_q the two-sided prime over q (`uq_matrix`; Pizer,
 J. Algebra 64 (1980); Gross, "Heights and the special values of L-series"
-(1987), section 1). So `eigensystems_mod` takes a class set, and only
-`eigenvector_mod`, which needs the tree's U_p at the edge level, takes a
+(1987), section 1). `_hecke_operators` builds them, T_ell then U_q, for
+each of the three searches over `joint_eigenspaces`, which are the only
+source of eigenvalues: `rational_eigensystems` (integer systems) and
+`eigensystems_mod` (systems mod p^n) take a class set, and only
+`eigenvector_mod`, which adds the tree's U_p on the edge classes, takes a
 graph.
 """
 
@@ -567,9 +570,14 @@ def hensel_unit_root(a_p: int, p: int, n: int) -> int:
         raise UsageError("non-ordinary input: a_p is not a unit mod p")
     # x^2 - a x + p ≡ x(x - a) mod p: the unit root is ≡ a
     r = hensel_lift(a_p % p, a_p, p, p, n)
+    _verify_unit_root(r, a_p, p, n)
+    return r
+
+
+def _verify_unit_root(r: int, a_p: int, p: int, n: int):
+    """r is a root of x^2 - a_p x + p mod p^n."""
     if (r * r - a_p * r + p) % p ** n != 0:
         raise InvariantViolationError("Hensel lift failed")
-    return r
 
 
 def eigenspace_cut(mat, a, basis, modulus=None):
@@ -647,10 +655,12 @@ def _hecke_operators(classes: ClassSet, sample_primes):
     return ops
 
 
-def _start_basis(classes: ClassSet, p, n, cuspidal_only):
-    if cuspidal_only:
-        return _cuspidal_sublattice(classes, p, n)
-    return _identity_basis(len(classes))
+def _eigenvalue_maps(ops, assignment):
+    """(T_ell map, U_q map) of one leaf's assignment to the labelled ops."""
+    a_map, u_map = {}, {}
+    for ((kind, ell), _), val in zip(ops, assignment):
+        (a_map if kind == "a" else u_map)[ell] = val
+    return a_map, u_map
 
 
 def eigensystems_mod(classes: ClassSet, sample_primes, p: int, n: int,
@@ -669,15 +679,11 @@ def eigensystems_mod(classes: ClassSet, sample_primes, p: int, n: int,
     fixed = fixed or {}
     ops = _hecke_operators(classes, sample_primes)
     choices = [(fixed[ell] % q,) if ell in fixed else range(q) for (_, ell), _ in ops]
-    leaves = joint_eigenspaces([mat for _, mat in ops], choices,
-                               _start_basis(classes, p, n, cuspidal_only), (p, n))
-    systems = []
-    for assignment, _ in leaves:
-        a_map, u_map = {}, {}
-        for ((kind, ell), _), val in zip(ops, assignment):
-            (a_map if kind == "a" else u_map)[ell] = val
-        systems.append(EigenSystem(p, n, a_map, u_map, "computed"))
-    return systems
+    start = (_cuspidal_sublattice(classes, p, n) if cuspidal_only
+             else _identity_basis(len(classes)))
+    leaves = joint_eigenspaces([mat for _, mat in ops], choices, start, (p, n))
+    return [EigenSystem(p, n, *_eigenvalue_maps(ops, assignment), "computed")
+            for assignment, _ in leaves]
 
 
 def _cuspidal_sublattice(cs: ClassSet, p: int, n: int):
@@ -697,23 +703,20 @@ def _cuspidal_sublattice(cs: ClassSet, p: int, n: int):
     return [g for g in kernel_mod(m, p, n) if any(g)]
 
 
-def eigenvector_mod(graph: QuotientGraph, system: EigenSystem, sample_primes,
-                    level_tag: str = "edge", cuspidal_only: bool = False):
-    """A canonical primitive joint eigenvector realizing the system mod p^n.
+def eigenvector_mod(graph: QuotientGraph, system: EigenSystem, sample_primes):
+    """A canonical primitive edge eigenform realizing the system mod p^n.
 
-    The operators are those of `eigensystems_mod` on the vertex or edge
-    classes, then U_p when the edge system carries its eigenvalue.
+    The operators are those of `eigensystems_mod` on the edge classes, then
+    the tree's U_p at the system's U_p eigenvalue.
     """
     p, n = system.p, system.n
     q = p ** n
-    classes = graph.vertex_classes if level_tag == "vertex" else graph.edge_classes
-    ops = _hecke_operators(classes, sample_primes)
-    if level_tag == "edge" and p in system.u:
-        ops.append((("up", p), graph.up_matrix()))
-    choices = [(system.u[p] if kind == "up" else system.value(ell),)
+    ops = _hecke_operators(graph.edge_classes, sample_primes)
+    ops.append((("u", p), graph.up_matrix()))
+    choices = [(system.u[ell] if kind == "u" else system.value(ell),)
                for (kind, ell), _ in ops]
     leaves = joint_eigenspaces([mat for _, mat in ops], choices,
-                               _start_basis(classes, p, n, cuspidal_only), (p, n))
+                               _identity_basis(len(graph.edge_classes)), (p, n))
     prim = [g for _, span in leaves for g in span if any(x % p for x in g)]
     if not prim:
         raise DataMissingError("no primitive eigenvector realizes the system")
@@ -724,22 +727,25 @@ def eigenvector_mod(graph: QuotientGraph, system: EigenSystem, sample_primes,
             inv = pow(x, -1, q)
             vec = tuple(v * inv % q for v in vec)
             break
-    return AutomorphicForm(vec, level_tag, (p, n))
+    return AutomorphicForm(vec, "edge", (p, n))
 
 
-def rational_eigensystems(matrices, labels):
-    """Integer joint eigensystems of commuting integer matrices.
+def rational_eigensystems(classes: ClassSet, sample_primes):
+    """Integer joint eigensystems of the Hecke action on a class set.
 
-    Candidates are bounded by row sums (the spectra of nonnegative Brandt
-    matrices); eigenspaces are cut exactly over Z. Returns (assignment, basis)
-    pairs covering the rationally split part of the space.
+    The operators are those of `eigensystems_mod`. Candidates are bounded by
+    row sums (the spectra of nonnegative Brandt matrices and of the U_q
+    permutations); eigenspaces are cut exactly over Z. Returns one
+    (T_ell map, U_q map) pair per rationally split system.
     """
+    ops = _hecke_operators(classes, sample_primes)
     choices = []
-    for mat in matrices:
+    for _, mat in ops:
         bound = max(sum(abs(x) for x in row) for row in mat)
         choices.append(range(-bound, bound + 1))
-    leaves = joint_eigenspaces(matrices, choices, _identity_basis(len(matrices[0])))
-    return [(dict(zip(labels, assignment)), span) for assignment, span in leaves]
+    leaves = joint_eigenspaces([mat for _, mat in ops], choices,
+                               _identity_basis(len(classes)))
+    return [_eigenvalue_maps(ops, assignment) for assignment, _ in leaves]
 
 
 def mk_dual_graph(graph: QuotientGraph):

@@ -174,7 +174,8 @@ def _cmd_brandt(args) -> int:
 
 
 def _eigensystem_from_args(args, sample_need):
-    """The --f fixture, checked against --p and --n, or the computed system."""
+    """The system mod p^n of a validated configuration: the --f fixture, or
+    the computed system."""
     from .pipeline import PipelineConfig, fixture_system, select_vertex_system
     from .quatarith import class_set_avoiding, eichler_order_for
     config = PipelineConfig(args.nplus, args.nminus, args.p, args.n, 0, args.K,
@@ -183,7 +184,6 @@ def _eigensystem_from_args(args, sample_need):
     system = fixture_system(config)
     if system is not None:
         return system
-    config.validate()
     classes = class_set_avoiding(eichler_order_for(args.nminus, args.nplus), args.p)
     return select_vertex_system(classes, config)
 
@@ -203,17 +203,11 @@ def _cmd_admissible(args) -> int:
 
 def _cmd_raise(args) -> int:
     from .admraise import is_n_admissible, raise_level_search
-    from .brandtforms import EigenSystem
     from .primes import is_prime
     bad = args.p * args.nplus * args.nminus
     sample = [ell for ell in range(2, args.bound + 1) if is_prime(ell)
               and (bad * args.v1 * args.v2) % ell != 0]
     system = _eigensystem_from_args(args, args.bound)
-    # the run is mod p^n, as the certificates are; a fixture may be known
-    # mod a higher power
-    q = args.p ** args.n
-    system = EigenSystem(args.p, args.n, {ell: a % q for ell, a in system.a.items()},
-                         {w: u % q for w, u in system.u.items()}, system.provenance)
     c1, why1 = is_n_admissible(args.v1, system, args.K, args.p, args.n, bad)
     c2, why2 = is_n_admissible(args.v2, system, args.K, args.p, args.n, bad)
     if c1 is None or c2 is None:

@@ -29,6 +29,10 @@ class LFunctionElement:
     n: int
     provenance: str
 
+    def __post_init__(self):
+        if involution(self.l_p) != self.l_p:
+            raise InvariantViolationError("L_p is not involution-invariant")
+
     def mu(self) -> int:
         return mu_invariant(self.l_p)
 
@@ -118,21 +122,15 @@ class MeasurePipeline:
         coeffs = [self.theta_pushed(t, m, m) for t in range(self.p ** m)]
         return GroupRingElement.make(self.ring, self.p ** m, coeffs)
 
-    def full_lp(self, m: int, provenance: str = "") -> LFunctionElement:
-        l_phi = self.partial_l(m)
-        l_p = group_ring_mul(l_phi, involution(l_phi))
-        out = LFunctionElement(l_phi, l_p, m, self.p, self.n, provenance)
-        if involution(out.l_p) != out.l_p:
-            raise InvariantViolationError("L_p is not involution-invariant")
-        return out
-
 
 def full_Lp(pipeline: MeasurePipeline, m: int,
             provenance: str = "") -> LFunctionElement:
     """L_p at level m after the distribution relation up to m. Run it before
     any lower level is asked for, so the tower builds one orbit table."""
     pipeline.check_distribution(m)
-    return pipeline.full_lp(m, provenance)
+    l_phi = pipeline.partial_l(m)
+    return LFunctionElement(l_phi, group_ring_mul(l_phi, involution(l_phi)), m,
+                            pipeline.p, pipeline.n, provenance)
 
 
 def check_projection_tower(pipeline: MeasurePipeline, m: int):
@@ -154,6 +152,10 @@ class MuReport:
     nu: int
     cap: int
     anomaly: bool  # mu > 2*nu: expected only outside the theorem's hypotheses
+
+    def __post_init__(self):
+        if self.mu_lp < 2 * self.nu:
+            raise InvariantViolationError("mu(L_p) < 2 nu: valuation bookkeeping broken")
 
     @property
     def equality(self) -> bool:
@@ -179,7 +181,5 @@ def mu_two_nu_check(pipeline: MeasurePipeline, element: LFunctionElement) -> MuR
         if nu == 0:
             break
     mu_lp = mu_invariant(element.l_p)
-    mu_phi = mu_invariant(element.l_phi)
-    if mu_lp < 2 * nu:
-        raise InvariantViolationError("mu(L_p) < 2 nu: valuation bookkeeping broken")
-    return MuReport(mu_lp, mu_phi, nu, pipeline.n, anomaly=mu_lp > 2 * nu)
+    return MuReport(mu_lp, mu_invariant(element.l_phi), nu, pipeline.n,
+                    anomaly=mu_lp > 2 * nu)

@@ -1,8 +1,11 @@
 """End-to-end configuration and the L-element pipeline.
 
-cmd-level glue: validate the factorization constraints, pick the eigenform
-(computed rational system or external fixture), stabilize, transport to the
-edge level, run the measure, and emit reproducible artifacts.
+cmd-level glue: validate the factorization constraints and read the fixture
+reduced mod p^n (`fixture_system`, the head of every run), else compute the
+rational system (`select_vertex_system`), p-stabilize it to the edge target
+(`p_stabilized`), cut the edge eigenform, run the measure, and emit
+reproducible artifacts. Every eigenvalue comes from a
+`brandtforms.joint_eigenspaces` search; this module builds no Hecke matrix.
 """
 
 from __future__ import annotations
@@ -12,14 +15,13 @@ import os
 from dataclasses import dataclass
 
 from .brandtforms import (SPLITTING_PREC, EigenSystem, QuotientGraph,
-                          eigenvector_mod, hensel_unit_root,
+                          eigensystems_mod, eigenvector_mod, hensel_unit_root,
                           rational_eigensystems)
 from .errors import (ConfigurationError, DataMissingError)
 from .padicl import (LFunctionElement, MeasurePipeline, check_projection_tower,
                      full_Lp, mu_two_nu_check)
 from .primes import is_prime, prime_factors
-from .quatarith import (ClassSet, class_set_avoiding, eichler_order_for,
-                        kronecker, neighbor_matrices, uq_matrix)
+from .quatarith import ClassSet, class_set_avoiding, eichler_order_for, kronecker
 from .quatarith.embedding import embedding_with_base
 from .toruscm import build_torus
 
@@ -101,7 +103,6 @@ class LfunResult:
     element: LFunctionElement
     mu_report: object
     sample_primes: tuple
-    base_unit_count: int
 
     def artifacts(self):
         """Map of artifact name to canonical JSON text (byte-reproducible)."""
@@ -131,12 +132,16 @@ def good_primes(bound: int, bad: int):
 
 
 def fixture_system(config: PipelineConfig):
-    """The run's eigensystem fixture, or None when it names none.
+    """Head of every run: the validated configuration's eigensystem fixture,
+    reduced mod p^n, or None when it names none.
 
-    The one fixture loader of the package: a UsageError unless the file
-    holds a fixture (`EigenSystem.from_json`), and a ConfigurationError
-    unless the fixture is known mod p^k for the run's p and some k >= n.
+    The configuration is validated first, so a bad one is refused before the
+    fixture is read. The one fixture loader of the package: a UsageError
+    unless the file holds a fixture (`EigenSystem.from_json`), and a
+    ConfigurationError unless the fixture is known mod p^k for the run's p
+    and some k >= n.
     """
+    config.validate()
     if not config.fixture_path:
         return None
     with open(config.fixture_path) as fh:
@@ -145,58 +150,53 @@ def fixture_system(config: PipelineConfig):
         raise ConfigurationError(
             f"fixture modulus {system.p}^{system.n} does not cover the run's "
             f"{config.p}^{config.n}")
-    return system
+    q = config.p ** config.n
+    return EigenSystem(config.p, config.n, {ell: a % q for ell, a in system.a.items()},
+                       {w: u % q for w, u in system.u.items()}, system.provenance)
 
 
 def select_vertex_system(classes: ClassSet, config: PipelineConfig):
-    """The computed eigensystem on the vertex class set.
+    """The computed eigensystem on the vertex class set, mod p^n.
 
     The rational route must isolate a unique non-trivial system (integer
     eigenvalues), else a fixture is demanded.
     """
-    bad = config.p * config.n_plus * config.n_minus
-    sample = good_primes(config.sample_bound, bad)
-    needed = [config.p] + list(sample)
-    mats = neighbor_matrices(classes, needed)
-    systems = rational_eigensystems([mats[ell] for ell in needed], needed)
-    nontrivial = [(a, basis) for a, basis in systems
-                  if any(a[ell] != ell + 1 for ell in needed)]
+    sample = good_primes(config.sample_bound, config.p * config.n_plus * config.n_minus)
+    systems = rational_eigensystems(classes, [config.p, *sample])
+    nontrivial = [(a, u) for a, u in systems
+                  if any(a[ell] != ell + 1 for ell in a)]
     if len(nontrivial) != 1:
         raise DataMissingError(
             f"{len(nontrivial)} non-trivial rational systems found; "
             "supply an eigensystem fixture to disambiguate")
-    chosen, basis = nontrivial[0]
+    a, u = nontrivial[0]
     q = config.p ** config.n
-    a_map = {ell: chosen[ell] % q for ell in needed}
-    u_map = {qq: _eigenvalue_mod(uq_matrix(classes, qq), basis[0], config.p, config.n)
-             for qq in prime_factors(config.n_minus)}
-    return EigenSystem(config.p, config.n, a_map, u_map, "computed (Brandt)")
+    return EigenSystem(config.p, config.n, {ell: x % q for ell, x in a.items()},
+                       {qq: x % q for qq, x in u.items()}, "computed (Brandt)")
 
 
-def _eigenvalue_mod(matrix, vec, p, n):
-    """a with matrix·vec ≡ a·vec mod p^n, read off the first unit coordinate
-    of vec and checked on every coordinate."""
-    q = p ** n
-    image = [sum(x * y for x, y in zip(row, vec)) % q for row in matrix]
-    for x, y in zip(image, vec):
-        if y % p:
-            a = x * pow(y, -1, q) % q
-            break
+def p_stabilized(system: EigenSystem, sample, disc: int) -> EigenSystem:
+    """The edge target of every L-element build, mod p^n: T_ell at the sample
+    primes, U_q at the primes of disc, and U_p = alpha, the system's own U_p
+    eigenvalue or else the unit root of its a_p."""
+    p, q = system.p, system.modulus
+    if p in system.u:
+        alpha, provenance = system.u[p] % q, system.provenance
     else:
-        raise DataMissingError("eigenvector has no unit coordinate")
-    for x, y in zip(image, vec):
-        if (x - a * y) % q:
-            raise DataMissingError("vector is not an eigenvector of the operator")
-    return a
+        alpha = hensel_unit_root(system.value(p), p, system.n)
+        provenance = system.provenance + "+p-stabilized"
+    return EigenSystem(p, system.n, {ell: system.value(ell) for ell in sample},
+                       {p: alpha, **{qq: system.value(qq) for qq in prime_factors(disc)}},
+                       provenance)
 
 
 def _torus_quotient(disc: int, level: int, p: int, disc_k: int):
     """Head of every L-element build: the Eichler order of (disc, level), its
     class set, a base order with an optimal embedding of K, and the quotient
-    graph at p. Returns (base order, embedding, graph)."""
+    graph at p. Returns (embedding, graph)."""
     class_set = class_set_avoiding(eichler_order_for(disc, level), p)
     base, embedding = embedding_with_base(class_set, disc_k, 1)
-    return base, embedding, QuotientGraph(base, p)
+    return embedding, QuotientGraph(base, p)
 
 
 def measure_pipeline(graph, embedding, disc_k: int, target: EigenSystem,
@@ -204,7 +204,7 @@ def measure_pipeline(graph, embedding, disc_k: int, target: EigenSystem,
     """The measure of every L-element build: the edge eigenform realizing
     `target` (which carries the unit root alpha as its U_p eigenvalue), cut
     with the T_ell at the sample primes, on the torus of the embedding."""
-    form = eigenvector_mod(graph, target, sample, "edge")
+    form = eigenvector_mod(graph, target, sample)
     torus = build_torus(disc_k, embedding, graph)
     return MeasurePipeline(graph, torus, form, target.u[target.p], target.n)
 
@@ -221,62 +221,45 @@ def _l_element(graph, embedding, disc_k: int, target: EigenSystem, sample,
 
 
 def run_lfun(config: PipelineConfig) -> LfunResult:
-    config.validate()
     system = fixture_system(config)  # refused before the head does any work
-    base, embedding, graph = _torus_quotient(config.n_minus, config.n_plus,
-                                             config.p, config.disc_k)
+    embedding, graph = _torus_quotient(config.n_minus, config.n_plus,
+                                       config.p, config.disc_k)
     if system is None:
         system = select_vertex_system(graph.vertex_classes, config)
-
-    # alpha is the fixture's U_p eigenvalue, or else the unit root of a_p
-    p, q = config.p, config.p ** config.n
-    if p in system.u:
-        alpha, provenance = system.u[p] % q, system.provenance
-    else:
-        alpha = hensel_unit_root(system.value(p), p, config.n)
-        provenance = system.provenance + "+p-stabilized"
-    sample = good_primes(config.sample_bound, p * config.n_plus * config.n_minus)
-    target = EigenSystem(p, config.n,
-                         {ell: system.value(ell) % q for ell in sample},
-                         {p: alpha, **{qq: system.value(qq) % q
-                                       for qq in prime_factors(config.n_minus)}},
-                         provenance)
+    sample = good_primes(config.sample_bound, config.p * config.n_plus * config.n_minus)
+    target = p_stabilized(system, sample, config.n_minus)
     element, report = _l_element(
         graph, embedding, config.disc_k, target, sample, config.m_max,
         f"disc {config.n_minus}, level {config.n_plus}, p {config.p}, K {config.disc_k}")
-    return LfunResult(config, target, alpha, element, report, sample,
-                      base.unit_count())
+    return LfunResult(config, target, target.u[config.p], element, report, sample)
 
 
 def raised_l_element(pair, disc_k: int, n_plus: int, m: int):
     """L element of a level-raised eigensystem: the second reciprocity law's
     right-hand object, computed on the raised discriminant.
 
-    The raised system must be ordinary at p (its T_p eigenvalue is read off
-    its own eigenvector), which is pinned by its a_ell at those of 3, 7 and
-    13 prime to the raised level and p; head and tail are the main pipeline's.
+    The raised system is pinned on the vertex classes by its a_ell at those
+    of 3, 7 and 13 prime to the raised level and p, and by its U_q; a_p is
+    read off the one system of that search, which must be ordinary at p.
+    Head and tail are the main pipeline's.
     """
     _check_depth(m)
     system = pair.new
     p, n = system.p, system.n
     _check_inert(p, disc_k)
     new_disc = pair.v1 * pair.v2 * pair.old_disc
-    _, embedding, graph = _torus_quotient(new_disc, n_plus, p, disc_k)
+    embedding, graph = _torus_quotient(new_disc, n_plus, p, disc_k)
 
     pins = [ell for ell in (3, 7, 13) if (new_disc * n_plus * p) % ell != 0]
-    vertex_target = EigenSystem(p, n, {ell: system.value(ell) for ell in pins},
-                                {qq: system.value(qq)
-                                 for qq in prime_factors(new_disc)},
-                                system.provenance)
-    vec = eigenvector_mod(graph, vertex_target, pins, "vertex",
-                          cuspidal_only=True)
-    a_p = _eigenvalue_mod(graph.brandt_matrix(p), vec.values, p, n)
-    alpha = hensel_unit_root(a_p, p, n)
-    edge_target = EigenSystem(p, n, dict(vertex_target.a),
-                              {p: alpha, **vertex_target.u},
-                              system.provenance)
-    return _l_element(graph, embedding, disc_k, edge_target, pins, m,
-                      f"raised disc {new_disc}")
+    found = eigensystems_mod(graph.vertex_classes, pins + [p], p, n, cuspidal_only=True,
+                             fixed={ell: system.value(ell)
+                                    for ell in pins + prime_factors(new_disc)})
+    if len(found) != 1:
+        raise DataMissingError(
+            f"{len(found)} vertex systems on disc {new_disc} carry the raised "
+            "eigenvalues; a_p needs exactly one")
+    return _l_element(graph, embedding, disc_k, p_stabilized(found[0], pins, new_disc),
+                      pins, m, f"raised disc {new_disc}")
 
 
 def write_artifacts(result: LfunResult, out_dir: str):

@@ -1,10 +1,11 @@
-"""Falsifiers for five certificates that no other test can switch off.
+"""Falsifiers for nine certificates that no other test can switch off.
 
 Each falsifier corrupts one object by hand, so that only its certificate can
 see the corruption, and runs that certificate; the test asserts the typed
 error and its message. tests/test_tooling.py makes each certificate return
 at once and checks that its falsifier then passes, so each falsifier rests on
-exactly that certificate.
+exactly that certificate: a certificate that returns a bool is made to
+return True, and every other one returns at once.
 """
 
 import dataclasses
@@ -15,12 +16,13 @@ import tempfile
 
 import pytest
 
-from quatlfun import cache, padicl, toruscm
+from quatlfun import admraise, brandtforms, cache, padicl, toruscm
+from quatlfun.admraise import CongruencePair
 from quatlfun.brandtforms import (EigenSystem, QuotientGraph, eigenvector_mod,
                                   hensel_unit_root)
 from quatlfun.errors import InvariantViolationError
-from quatlfun.exactalg import GroupRingElement
-from quatlfun.padicl import MeasurePipeline
+from quatlfun.exactalg import GroupRingElement, PrimePowerRing
+from quatlfun.padicl import LFunctionElement, MeasurePipeline, MuReport
 from quatlfun.quatarith import (ClassSet, algebra_from_discriminant,
                                 ideal_class_set, maximal_order)
 from quatlfun.quatarith import splitting
@@ -44,7 +46,7 @@ def _pipeline():
     alpha = hensel_unit_root(curve_a_ell(5) % 5, 5, 1)
     target = EigenSystem(5, 1, {2: curve_a_ell(2) % 5, 3: curve_a_ell(3) % 5},
                          {5: alpha, 11: 1})
-    form = eigenvector_mod(graph, target, [2, 3], "edge")
+    form = eigenvector_mod(graph, target, [2, 3])
     return MeasurePipeline(graph, torus, form, alpha, 1)
 
 
@@ -110,6 +112,45 @@ def falsify_torus():
     toruscm._verify_torus(dataclasses.replace(torus, norm=torus.norm + 1))
 
 
+def falsify_unit_root():
+    """1 is a root of x^2 - x + 5 mod 5, but not the unit root mod 25."""
+    brandtforms._verify_unit_root(1, 1, 5, 2)
+
+
+def falsify_mu_bound():
+    """The 11a element mod 5 reported against a form constant mod 5, whose
+    constancy depth nu = 1 asks mu(L_p) >= 2."""
+    pipe = _pipeline()
+    element = padicl.full_Lp(pipe, 1)
+    pipe.form = dataclasses.replace(pipe.form, values=(0,) * len(pipe.form.values))
+    padicl.mu_two_nu_check(pipe, element)
+
+
+def falsify_involution():
+    """An L_p that is the generator g, whose involution image is g^-1."""
+    g = GroupRingElement.generator_power(PrimePowerRing(5, 1), 5, 1)
+    LFunctionElement(g, g, 1, 5, 1, "")
+
+
+def falsify_congruence_pair():
+    """The raise of 11a mod 5 to disc 374 finding a system whose a_3 is off
+    by one."""
+    system = EigenSystem(5, 1, {ell: curve_a_ell(ell) % 5 for ell in (2, 3, 7, 17)},
+                         {11: 1})
+    cert2, _ = admraise.is_n_admissible(2, system, -3, 5, 1, 5 * 11)
+    cert17, _ = admraise.is_n_admissible(17, system, -3, 5, 1, 5 * 11)
+
+    def moved(classes, samples, p, n, cuspidal_only, fixed):
+        return [EigenSystem(p, n, {ell: fixed[ell] + (ell == 3) for ell in samples},
+                            {w: fixed[w] for w in (2, 11, 17)})]
+    honest = admraise.eigensystems_mod
+    admraise.eigensystems_mod = moved
+    try:
+        admraise.raise_level_search(system, cert2, cert17, 11, 1, (3, 7))
+    finally:
+        admraise.eigensystems_mod = honest
+
+
 # certificate -> (its owner, its attribute, its falsifier, its message)
 FALSIFIERS = {
     "check_distribution": (MeasurePipeline, "check_distribution", falsify_distribution,
@@ -121,6 +162,14 @@ FALSIFIERS = {
                           "splitting is not multiplicative"),
     "_verify_torus": (toruscm, "_verify_torus", falsify_torus,
                       "generator matrix violates its minimal polynomial"),
+    "_verify_unit_root": (brandtforms, "_verify_unit_root", falsify_unit_root,
+                          "Hensel lift failed"),
+    "MuReport": (MuReport, "__post_init__", falsify_mu_bound,
+                 "valuation bookkeeping broken"),
+    "LFunctionElement": (LFunctionElement, "__post_init__", falsify_involution,
+                         "L_p is not involution-invariant"),
+    "CongruencePair.verify": (CongruencePair, "verify", falsify_congruence_pair,
+                              "congruence pair fails its own verification"),
 }
 
 

@@ -384,6 +384,25 @@ class TestMalformedInput:
         assert "error:" in captured.err and "fixture modulus" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["admissible", "--K", "5", "--p", "5", "--bound", "29"],
+        ["admissible", "--K", "-4", "--p", "5", "--bound", "29"],
+        ["raise", "--v1", "2", "--v2", "17", "--K", "5", "--p", "5", "--bound", "50"],
+    ], ids=["admissible-positive-K", "admissible-split-p", "raise-positive-K"])
+    def test_fixture_run_validates_its_configuration(self, argv, tmp_path, capsys):
+        # a fixture run is refused as the computed run is: a positive K, or a
+        # p that splits in K, exits 2 before any output
+        path = tmp_path / "f11a.json"
+        path.write_text(json.dumps({
+            "p": 5, "n": 1, "eps": {"11": 1},
+            "a": {str(ell): curve_a_ell(ell) % 5 for ell in range(2, 51)
+                  if is_prime(ell) and ell not in (5, 11)}}))
+        for system in (str(path), "computed"):
+            code = main(argv + ["--f", system])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert "error:" in captured.err and captured.out == ""
+
     def test_cache_path_of_a_file(self, tmp_path, capsys):
         # the directory is created before it is set, so a failed call keeps
         # the setting it found

@@ -32,7 +32,7 @@ def make_pipeline(setup, n, tie_break="lex_min"):
     alpha = hensel_unit_root(curve_a_ell(5) % q, 5, n)
     target = EigenSystem(5, n, {2: curve_a_ell(2) % q, 3: curve_a_ell(3) % q},
                          {5: alpha, 11: 1})
-    form = eigenvector_mod(graph, target, [2, 3], "edge")
+    form = eigenvector_mod(graph, target, [2, 3])
     return MeasurePipeline(graph, torus, form, alpha, n, tie_break=tie_break)
 
 
@@ -182,6 +182,6 @@ class TestMuNu:
         synth = AutomorphicForm(tuple(5 * v % 25 for v in pipe.form.values),
                                 "edge", (5, 2))
         sp = MeasurePipeline(pipe.graph, pipe.torus, synth, pipe.alpha, 2)
-        el = sp.full_lp(1)
+        el = full_Lp(sp, 1)
         rep = mu_two_nu_check(sp, el)
         assert rep.nu >= 1 and rep.mu_lp >= 2

@@ -10,9 +10,7 @@ import os
 
 import pytest
 
-from quatlfun.errors import DataMissingError
-from quatlfun.pipeline import (PipelineConfig, _eigenvalue_mod, run_lfun,
-                               write_artifacts)
+from quatlfun.pipeline import PipelineConfig, run_lfun, write_artifacts
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "N11-p5-n1-m2-K-3")
 
@@ -28,13 +26,6 @@ def test_artifacts_match_golden_files(tmp_path):
         with open(os.path.join(GOLDEN, name), "rb") as want, \
                 open(os.path.join(tmp_path, name), "rb") as got:
             assert got.read() == want.read(), name
-
-
-def test_eigenvalue_mod_checks_every_coordinate():
-    # the first unit coordinate of (0, 1) reads 1; the other coordinate refutes it
-    with pytest.raises(DataMissingError):
-        _eigenvalue_mod([[1, 1], [0, 1]], (0, 1), 5, 1)
-    assert _eigenvalue_mod([[1, 1], [0, 1]], (1, 0), 5, 1) == 1
 
 
 def _no_class_set(*args, **kwargs):
@@ -84,6 +75,24 @@ def test_raised_l_element_rejects_bad_depth_before_any_work(monkeypatch, m):
     monkeypatch.setattr(pipeline, "_torus_quotient", _no_quotient)
     with pytest.raises(ConfigurationError):
         pipeline.raised_l_element(None, -3, 1, m)
+
+
+@pytest.mark.parametrize("count", [0, 2])
+def test_raised_a_p_wants_exactly_one_vertex_system(monkeypatch, count):
+    # a_p is read off the one vertex system that carries the raised
+    # eigenvalues; none, or two, is a DataMissingError that names the count
+    from types import SimpleNamespace
+    from quatlfun import pipeline
+    from quatlfun.brandtforms import EigenSystem
+    from quatlfun.errors import DataMissingError
+    graph = SimpleNamespace(vertex_classes=None)
+    monkeypatch.setattr(pipeline, "_torus_quotient", lambda *args: (None, graph))
+    monkeypatch.setattr(pipeline, "eigensystems_mod",
+                        lambda *args, **kwargs: [EigenSystem(5, 1, {3: 4})] * count)
+    new = EigenSystem(5, 1, {3: 4, 7: 3, 13: 4}, {2: 1, 11: 1, 17: 1})
+    pair = SimpleNamespace(new=new, v1=2, v2=17, old_disc=11)
+    with pytest.raises(DataMissingError, match=f"{count} vertex systems on disc 374"):
+        pipeline.raised_l_element(pair, -3, 1, 1)
 
 
 def test_alpha_read_once(tmp_path):

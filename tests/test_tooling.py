@@ -20,9 +20,10 @@ tests imports a name it never reads. Every public function, class and method
 of the package has a caller in the package or the benchmark, bar two named
 with their reasons, and every defaulted parameter is passed by some call,
 bar three named with their reasons. `maximal_order` saturates by the
-index-q search alone, with no radical or idealizer route beside it. Each
-falsifier of tests/test_certificates.py passes once its certificate is made
-to return at once.
+index-q search alone, with no radical or idealizer route beside it. Every
+eigenvalue is read off one joint-eigenspace search, whose operators come from
+one builder. Each falsifier of tests/test_certificates.py passes once its
+certificate is made to return True at once.
 """
 
 import ast
@@ -278,12 +279,16 @@ def test_generic_rank_code_is_gone():
     assert left == []
 
 
-def _names_called(func):
-    """The names that func's body calls, as a bare name or an attribute."""
-    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+def _calls(tree):
+    """The names that a tree calls, as a bare name or an attribute."""
     return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
             for node in ast.walk(tree) if isinstance(node, ast.Call)
             and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+
+def _names_called(func):
+    """The names that func's body calls."""
+    return _calls(ast.parse(textwrap.dedent(inspect.getsource(func))))
 
 
 def test_one_product_gram_route():
@@ -326,12 +331,39 @@ def test_one_valuation():
     assert found == ["acceptance.py", "primes.py"]
 
 
+_HECKE_BUILDERS = {"neighbor_matrices", "neighbor_matrix", "uq_matrix", "brandt_matrix"}
+
+
+def test_one_eigenvalue_source():
+    # every eigenvalue is a leaf of brandtforms.joint_eigenspaces: the
+    # pipeline imports and calls no Hecke-matrix builder and reads no
+    # eigenvalue off a vector, and every search takes its operators from
+    # _hecke_operators, the edge eigenvector adding the tree's U_p
+    from quatlfun import pipeline
+    tree = ast.parse(inspect.getsource(pipeline))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert _HECKE_BUILDERS & (imported | set(_reads(tree))) == set()
+    assert not hasattr(pipeline, "_eigenvalue_mod")
+    searches = {}
+    for rel, text in _sources():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.FunctionDef) and "joint_eigenspaces" in _calls(node):
+                searches[rel, node.name] = _calls(node) & (
+                    _HECKE_BUILDERS | {"_hecke_operators", "tp_matrix", "up_matrix"})
+    assert searches == {
+        ("brandtforms.py", "eigensystems_mod"): {"_hecke_operators"},
+        ("brandtforms.py", "rational_eigensystems"): {"_hecke_operators"},
+        ("brandtforms.py", "eigenvector_mod"): {"_hecke_operators", "up_matrix"},
+    }
+
+
 def test_one_hensel_lift():
     # the splitting's roots and the unit root are lifted by primes.hensel_lift,
     # and no other module runs its own Newton steps
     from quatlfun import brandtforms
     from quatlfun.quatarith import splitting
-    assert "hensel_lift" in _names_called(brandtforms.hensel_unit_root)
+    assert {"hensel_lift", "_verify_unit_root"} <= _names_called(brandtforms.hensel_unit_root)
     assert "hensel_lift" in _names_called(splitting._hensel_roots)
     assert [rel for rel, text in _sources() if ".bit_length() + 2" in text] == ["primes.py"]
 
@@ -488,7 +520,7 @@ def test_every_default_is_passed():
 
 @pytest.mark.parametrize("name", test_certificates.FALSIFIERS)
 def test_falsifier_rests_on_its_certificate(name, monkeypatch):
-    # with its certificate returning at once, the corruption goes through
+    # with its certificate returning True at once, the corruption goes through
     owner, attr, falsify, _ = test_certificates.FALSIFIERS[name]
-    monkeypatch.setattr(owner, attr, lambda *args, **kwargs: None)
+    monkeypatch.setattr(owner, attr, lambda *args, **kwargs: True)
     falsify()

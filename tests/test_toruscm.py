@@ -204,5 +204,5 @@ class TestCompressedTable:
     def test_lfun_tower_p3(self):
         # lfun-tower's (N-, p, m, K) = (11, 3, 4, -4) configuration
         from quatlfun.pipeline import _torus_quotient
-        _, emb, graph = _torus_quotient(11, 1, 3, -4)
+        emb, graph = _torus_quotient(11, 1, 3, -4)
         _assert_table_matches_oracle(graph, build_torus(-4, emb, graph), 4)
