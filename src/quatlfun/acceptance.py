@@ -346,11 +346,10 @@ def criterion_8():
     """Two-prime level raising on disc 374 with certified U signs."""
     from .admraise import is_n_admissible, raise_level_search
     from .brandtforms import EigenSystem
-    from .primes import is_prime
+    from .pipeline import good_primes
     start = time.monotonic()
-    sample = [ell for ell in range(2, 51)
-              if is_prime(ell) and (2 * 5 * 11 * 17) % ell != 0]
-    avals = {ell: curve_point_count_a(ell) % 5 for ell in sample + [2, 17]}
+    sample = good_primes(50, 2 * 5 * 11 * 17)
+    avals = {ell: curve_point_count_a(ell) % 5 for ell in sample + (2, 17)}
     system = EigenSystem(5, 1, avals, {11: 1}, "point-count oracle")
     c1, _ = is_n_admissible(2, system, -3, 5, 1, 55)
     c2, _ = is_n_admissible(17, system, -3, 5, 1, 55)

@@ -184,10 +184,9 @@ def raise_level_search(system: EigenSystem, cert1: AdmissibleCert,
             targets[w] = system.value(w)
         except DataMissingError:
             pass  # a_w unknown: U_w is searched over its full range
-    matches = eigensystems_mod(classes, samples, p, n, cuspidal_only=True,
-                               fixed=targets)
+    matches = eigensystems_mod(classes, samples, p, n, fixed=targets)
     if not matches:
-        candidates = eigensystems_mod(classes, samples, p, n, cuspidal_only=True)
+        candidates = eigensystems_mod(classes, samples, p, n)
         return RaiseReport(False, None,
                            "no congruent eigensystem on disc "
                            f"{new_disc}: falsifier for the level-raising instance",

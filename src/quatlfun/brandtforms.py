@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 
 from . import bttree
 from .errors import (DataMissingError, InvariantViolationError, UsageError)
-from .exactalg import IntMatrix, kernel_basis, kernel_mod
+from .exactalg import IntMatrix, kernel_mod, rational_kernel
 from .primes import hensel_lift, is_prime, prime_factors, valuation
 from .quatarith import (RightIdeal, class_set_avoiding, eichler_mass,
                         eichler_order, isometry_witness, local_splitting,
@@ -588,9 +588,11 @@ def eigenspace_cut(mat, a, basis, modulus=None):
     matrix), its kernel is taken, and each kernel generator c is lifted back
     to sum_i c_i·basis[i].
 
-    Over Z (modulus None) the kernel is exact (`kernel_basis`): the result is
-    a Z-basis of the vectors of the lattice spanned by `basis` that mat sends
-    to a times themselves, so the span shrinks to the rational eigenspace.
+    Over Z (modulus None) the kernel is taken over Q (`rational_kernel`): the
+    result spans, over Q, the vectors of span(basis) that mat sends to a
+    times themselves, so it is empty exactly when that eigenspace is 0. It
+    need not be a Z-basis of the eigenvectors in the lattice: the search
+    over Z reads only which eigenspaces are nonzero.
     Over Z/p^n (modulus (p, n)) the kernel is the submodule of coefficient
     vectors killed mod p^n (`kernel_mod`), and the lifts, reduced mod p^n,
     generate {v in span(basis) mod p^n : mat·v ≡ a·v mod p^n}.
@@ -600,7 +602,7 @@ def eigenspace_cut(mat, a, basis, modulus=None):
     restricted = [[sum(row[k] * b[k] for k in range(h)) for b in basis]
                   for row in shifted]
     if modulus is None:
-        gens = kernel_basis(IntMatrix.from_rows(restricted))
+        gens = rational_kernel(IntMatrix.from_rows(restricted))
     else:
         p, n = modulus
         q = p ** n
@@ -664,13 +666,14 @@ def _eigenvalue_maps(ops, assignment):
 
 
 def eigensystems_mod(classes: ClassSet, sample_primes, p: int, n: int,
-                     cuspidal_only: bool = False, fixed: dict = None):
-    """All primitive simultaneous eigensystems of the Hecke action mod p^n.
+                     fixed: dict = None):
+    """All primitive simultaneous cuspidal eigensystems of the Hecke action
+    mod p^n.
 
     Operators: T_ell for the sample primes and U_q at discriminant primes.
-    Systems must admit a common eigenvector with a unit coordinate; with
-    cuspidal_only the search runs in the sublattice orthogonal to the
-    trivial (norm-form) line under the unit-weight pairing. `fixed` maps
+    Systems must admit a common eigenvector with a unit coordinate in the
+    sublattice orthogonal to the trivial (norm-form) line under the
+    unit-weight pairing (`_cuspidal_sublattice`). `fixed` maps
     primes to known eigenvalues: those operators are cut at that value only,
     which returns exactly the systems of the full search that carry these
     values, in the same order.
@@ -679,9 +682,8 @@ def eigensystems_mod(classes: ClassSet, sample_primes, p: int, n: int,
     fixed = fixed or {}
     ops = _hecke_operators(classes, sample_primes)
     choices = [(fixed[ell] % q,) if ell in fixed else range(q) for (_, ell), _ in ops]
-    start = (_cuspidal_sublattice(classes, p, n) if cuspidal_only
-             else _identity_basis(len(classes)))
-    leaves = joint_eigenspaces([mat for _, mat in ops], choices, start, (p, n))
+    leaves = joint_eigenspaces([mat for _, mat in ops], choices,
+                               _cuspidal_sublattice(classes, p, n), (p, n))
     return [EigenSystem(p, n, *_eigenvalue_maps(ops, assignment), "computed")
             for assignment, _ in leaves]
 

@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 
-from . import cache
 from .errors import QuatlfunError, UsageError
 
 
@@ -40,7 +39,6 @@ def main(argv=None) -> int:
                     help="negative quadratic discriminant of the CM field")
     lf.add_argument("--eigenform", default=None,
                     help="eigensystem fixture (JSON); computed when omitted")
-    lf.add_argument("--cache", default=None)
     lf.add_argument("--out", default=None, help="artifact directory")
     lf.add_argument("--sample-bound", type=int, default=20)
 
@@ -49,7 +47,6 @@ def main(argv=None) -> int:
     br.add_argument("--level", type=int, default=1)
     br.add_argument("--primes", required=True, type=_int_list,
                     help="comma-separated Hecke primes")
-    br.add_argument("--cache", default=None)
 
     ad = sub.add_parser("admissible", help="certify or search admissible primes")
     ad.add_argument("--f", default="computed",
@@ -60,7 +57,6 @@ def main(argv=None) -> int:
     ad.add_argument("--bound", type=int, required=True)
     ad.add_argument("--nminus", type=int, default=11)
     ad.add_argument("--nplus", type=int, default=1)
-    ad.add_argument("--cache", default=None)
 
     rs = sub.add_parser("raise", help="two-prime level-raising congruence search")
     rs.add_argument("--v1", type=int, required=True)
@@ -73,7 +69,6 @@ def main(argv=None) -> int:
     rs.add_argument("--nplus", type=int, default=1)
     rs.add_argument("--bound", type=int, default=50,
                     help="congruences sampled at primes up to this bound")
-    rs.add_argument("--cache", default=None)
 
     cg = sub.add_parser("compgroup", help="dual-graph component-group report")
     cg.add_argument("--graph", required=True, help="graph fixture (JSON)")
@@ -90,7 +85,6 @@ def main(argv=None) -> int:
     st = sub.add_parser("selftest", help="run the acceptance suite")
     st.add_argument("--criteria", default=None, type=_int_list,
                     help="comma-separated subset, e.g. 1,2,7")
-    st.add_argument("--cache", default=None)
 
     args = parser.parse_args(argv)
     try:
@@ -104,7 +98,6 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    cache.configure(getattr(args, "cache", None))
     return {
         "lfun": _cmd_lfun,
         "brandt": _cmd_brandt,
@@ -203,10 +196,9 @@ def _cmd_admissible(args) -> int:
 
 def _cmd_raise(args) -> int:
     from .admraise import is_n_admissible, raise_level_search
-    from .primes import is_prime
+    from .pipeline import good_primes
     bad = args.p * args.nplus * args.nminus
-    sample = [ell for ell in range(2, args.bound + 1) if is_prime(ell)
-              and (bad * args.v1 * args.v2) % ell != 0]
+    sample = good_primes(args.bound, bad * args.v1 * args.v2)
     system = _eigensystem_from_args(args, args.bound)
     c1, why1 = is_n_admissible(args.v1, system, args.K, args.p, args.n, bad)
     c2, why2 = is_n_admissible(args.v2, system, args.K, args.p, args.n, bad)

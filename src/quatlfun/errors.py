@@ -44,6 +44,6 @@ class ResourceLimitError(QuatlfunError):
 
 
 class InvariantViolationError(QuatlfunError):
-    """An internal certificate failed; indicates a bug or corrupted cache."""
+    """An internal certificate failed; indicates a bug."""
 
     exit_code = 5

@@ -6,7 +6,8 @@ from .groupring import (Character, CyclotomicElement, CyclotomicQuotientRing,
                         GroupRingElement, PrimePowerRing, group_ring_mul,
                         involution, mu_invariant, project_level, specialize)
 from .intmatrix import (IntMatrix, det, eliminate, eliminate_mod, kernel_basis,
-                        kernel_mod, smith_normal_form, solve, solve_mod)
+                        kernel_mod, rational_kernel, smith_normal_form, solve,
+                        solve_mod)
 
 __all__ = [
     "AbelianGroupShape", "Character", "CyclotomicElement",
@@ -14,6 +15,6 @@ __all__ = [
     "IntMatrix", "PrimePowerRing", "det", "eliminate",
     "eliminate_mod", "fitting_exponent", "group_ring_mul", "inequality_check",
     "involution", "kernel_basis", "kernel_mod", "module_length", "mu_invariant",
-    "project_level", "smith_normal_form", "solve", "solve_mod",
+    "project_level", "rational_kernel", "smith_normal_form", "solve", "solve_mod",
     "specialize",
 ]

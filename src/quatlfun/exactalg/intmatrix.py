@@ -5,13 +5,17 @@ package. IntMatrix values are immutable tuples of tuples, row-major. Each
 ring has one elimination (`eliminate`, `eliminate_mod`), which reduces a
 list-of-lists array in place and carries along only the blocks its caller
 appended: an identity to the right for U, below for V, a column for U*b.
+Kernels over Q, where no unimodular transform is read, take a fraction-free
+Gauss-Jordan instead (`rational_kernel`), whose entries stay minors of the
+matrix where the Smith pivoting can blow up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
-from ..errors import UsageError
+from ..errors import InvariantViolationError, UsageError
 from ..primes import valuation
 
 
@@ -224,6 +228,52 @@ def kernel_basis(M: IntMatrix):
     a = [list(row) for row in M.entries] + _identity(c)
     rank = sum(1 for d in eliminate(a, r, c) if d)
     return tuple(tuple(row[j] for row in a[r:]) for j in range(rank, c))
+
+
+def rational_kernel(M: IntMatrix):
+    """Primitive integer vectors spanning ker(M) = {x : M x = 0} over Q, one
+    per column without a pivot, as a tuple.
+
+    Fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22 (1968)): a pivot
+    step replaces every other row by (d·row - x·pivot row) / d', d the
+    pivot, x the row's entry in its column and d' the previous pivot. The
+    division is exact, every entry stays a minor of M, so the bit size stays
+    polynomial, and each pivot row ends with the same pivot d. Free column
+    f then gives the vector with d at f and minus column f of the pivot rows
+    at their pivots. Unlike `kernel_basis` the vectors need not span the
+    kernel lattice over Z. Each is certified before it is returned:
+    M v = 0 exactly.
+    """
+    r, c = M.rows, M.cols
+    a = [list(row) for row in M.entries]
+    pivots = []
+    d = 1
+    for j in range(c):
+        k = len(pivots)
+        i = next((i for i in range(k, r) if a[i][j]), None)
+        if i is None:
+            continue
+        a[k], a[i] = a[i], a[k]
+        top, prev, d = a[k], d, a[k][j]
+        for i, row in enumerate(a):
+            if i != k:
+                x = row[j]
+                a[i] = [(d * y - x * z) // prev for y, z in zip(row, top)]
+        pivots.append(j)
+    out = []
+    for f in range(c):
+        if f in pivots:
+            continue
+        v = [0] * c
+        v[f] = d
+        for i, j in enumerate(pivots):
+            v[j] = -a[i][f]
+        g = gcd(*v) if d > 0 else -gcd(*v)
+        v = tuple(x // g for x in v)
+        if any(M.mul_vec(v)):
+            raise InvariantViolationError(f"kernel vector {v} is not killed by the matrix")
+        out.append(v)
+    return tuple(out)
 
 
 def _check_rhs(M: IntMatrix, b):

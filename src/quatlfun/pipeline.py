@@ -251,7 +251,7 @@ def raised_l_element(pair, disc_k: int, n_plus: int, m: int):
     embedding, graph = _torus_quotient(new_disc, n_plus, p, disc_k)
 
     pins = [ell for ell in (3, 7, 13) if (new_disc * n_plus * p) % ell != 0]
-    found = eigensystems_mod(graph.vertex_classes, pins + [p], p, n, cuspidal_only=True,
+    found = eigensystems_mod(graph.vertex_classes, pins + [p], p, n,
                              fixed={ell: system.value(ell)
                                     for ell in pins + prime_factors(new_disc)})
     if len(found) != 1:

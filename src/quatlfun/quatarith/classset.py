@@ -21,7 +21,7 @@ the oracles would end, with the same classes in the same order.
 A neighbour is looked up as it comes and reduced only if it starts a new
 class: reduction multiplies it on the left, which changes no class invariant
 and no isometry.
-The walk, `ClassSet.classify` and the cache's load check share one lookup,
+The walk and `ClassSet.classify` share one lookup,
 `_match`, with two tiers of class invariants: representatives are bucketed by
 theta key in a dict, and only those in the ideal's own bucket get an isometry
 test. In a bucket of two or more, the ideal's theta tail (longer counts,
@@ -106,7 +106,6 @@ class ClassSet:
         self.unit_counts = unit_counts
         self._classify_memo = {}
         self._buckets = None  # theta key -> [(index, rep)], built on first use
-        # theta series of the pairs, in memory only: the cache stores none
         self._pair_grams = None  # (i, j), i <= j -> PreparedForm, built on demand
         self._pair_counts = {}  # (i, j) -> [N_ij(0), ..., N_ij(_counts_upto)]
         self._counts_upto = 0
@@ -201,12 +200,6 @@ class ClassSet:
                     f"B(1) is not the identity: N_({i},{j})(1) = {counts[1]}, "
                     f"want {want}; duplicate classes or wrong unit counts")
 
-    def verify_mass(self):
-        expected = eichler_mass(self.disc, self.level)
-        if self.mass != expected:
-            raise InvariantViolationError(
-                f"mass certificate failed: {self.mass} != {expected}")
-
 
 def ideal_class_set(order: QuaternionOrder, neighbor_prime: int) -> ClassSet:
     """Enumerate all right-ideal classes of an Eichler order.
@@ -215,24 +208,18 @@ def ideal_class_set(order: QuaternionOrder, neighbor_prime: int) -> ClassSet:
     new classes are appended in the order their first representative appears,
     neighbors scanned in line order, and it stops at the class that completes
     the mass, which it reaches exactly or raises. Before the class set is
-    returned or cached, its unit counts are certified as well
-    (`ClassSet.certify_unit_counts`). Results go through the
-    content-addressed cache when one is configured; cached entries are
-    re-certified on load.
+    returned, its unit counts are certified as well
+    (`ClassSet.certify_unit_counts`). Every class set is walked and
+    certified in the run that reads it; none is stored or loaded.
     """
     disc_total = order.reduced_discriminant()
     alg_disc = order.alg.discriminant
     level = disc_total // alg_disc
     if disc_total % neighbor_prime == 0:
         raise UsageError("neighbor prime must be coprime to discriminant and level")
-    from .. import cache as _cache
-    cached = _cache.load_class_set(order, neighbor_prime)
-    if cached is not None:
-        return cached
     reps, unit_counts = _walk(order, neighbor_prime, eichler_mass(alg_disc, level))
     cs = ClassSet(order, alg_disc, level, neighbor_prime, reps, unit_counts)
     cs.certify_unit_counts()
-    _cache.store_class_set(cs)
     return cs
 
 

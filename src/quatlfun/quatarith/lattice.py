@@ -184,42 +184,19 @@ def _bezout(a, b):
     return g, (g - t * b) // a, t, ag, bg
 
 
-def _is_hermite4(rows):
-    """Whether rows is a 4x4 row-Hermite basis: row i zero left of column
-    i, its pivot at (i, i) positive, the entries above each pivot in
-    [0, pivot)."""
-    if len(rows) != 4 or any(len(r) != 4 for r in rows):
-        return False
-    for i in range(4):
-        piv = rows[i][i]
-        if piv <= 0 or any(rows[i][j] for j in range(i)) \
-                or any(not 0 <= rows[j][i] < piv for j in range(i)):
-            return False
-    return True
-
-
 class Lattice4:
     """Full-rank lattice in Q^4 with canonical (denominator, HNF rows) form."""
 
     __slots__ = ("den", "rows")
 
-    def __init__(self, den, rows, reduce=True):
-        """The lattice spanned by the integer rows over den > 0.
-
-        With reduce=False the rows are taken as they are, and must already
-        be a row-Hermite basis of rank 4, as `hnf_rows(rows)` returns it: four rows of four entries, row i zero left of column i,
-        its pivot at (i, i) positive and the entries above it in
-        [0, pivot). Anything else raises UsageError before any work, since
-        `coordinates` reads row i's pivot at column i. The
-        content, the gcd of den and every entry, is divided out.
+    def __init__(self, den, rows):
+        """The lattice spanned by the integer rows over den > 0, stored as
+        its row-Hermite basis (`hnf_rows`) with the content, the gcd of den
+        and every entry, divided out.
         """
         if den <= 0:
             raise UsageError("denominator must be positive")
-        if reduce:
-            rows = hnf_rows(rows)
-        elif not _is_hermite4(rows):
-            raise UsageError("reduce=False wants a 4x4 row-Hermite basis "
-                             "with positive pivots at (i, i)")
+        rows = hnf_rows(rows)
         (a0, a1, a2, a3), (_, b1, b2, b3), (_, _, c2, c3), (_, _, _, d3) = rows
         g = gcd(den, a0, a1, a2, a3, b1, b2, b3, c2, c3, d3)
         if g > 1:

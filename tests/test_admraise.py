@@ -222,7 +222,7 @@ class TestRaiseLevel:
 
     def test_systems_do_not_depend_on_the_neighbour_prime(self, classes374):
         # the systems and their order do not depend on the class basis
-        systems = eigensystems_mod(classes374, SAMPLE_374, 5, 1, cuspidal_only=True)
+        systems = eigensystems_mod(classes374, SAMPLE_374, 5, 1)
         assert assignments(systems) == CUSPIDAL_374
 
     @pytest.mark.parametrize("sample", [[], [2, 17, 5, 11]], ids=["empty", "all-bad"])

@@ -1,4 +1,4 @@
-"""Falsifiers for nine certificates that no other test can switch off.
+"""Falsifiers for ten certificates that no other test can switch off.
 
 Each falsifier corrupts one object by hand, so that only its certificate can
 see the corruption, and runs that certificate; the test asserts the typed
@@ -10,13 +10,10 @@ return True, and every other one returns at once.
 
 import dataclasses
 import functools
-import json
-import os
-import tempfile
 
 import pytest
 
-from quatlfun import admraise, brandtforms, cache, padicl, toruscm
+from quatlfun import admraise, brandtforms, padicl, toruscm
 from quatlfun.admraise import CongruencePair
 from quatlfun.brandtforms import (EigenSystem, QuotientGraph, eigenvector_mod,
                                   hensel_unit_root)
@@ -76,25 +73,31 @@ def falsify_projection_tower():
     padicl.check_projection_tower(pipe, 2)
 
 
-def falsify_mass():
-    """A cached class set of disc 23 with its last class and that class's
-    unit count dropped: each class left keeps its units, and no two of them
-    are isometric."""
-    order = maximal_order(algebra_from_discriminant(23))
-    with tempfile.TemporaryDirectory() as store:
-        try:
-            cache.configure(store)
-            ideal_class_set(order, 2)
-            (name,) = os.listdir(store)
-            path = os.path.join(store, name)
-            with open(path) as fh:
-                data = json.load(fh)
-            del data["reps"][-1], data["unit_counts"][-1]
-            with open(path, "w") as fh:
-                json.dump(data, fh)
-            cache.load_class_set(order, 2)
-        finally:
-            cache.configure(None)
+def _graph():
+    """A fresh quotient graph of disc 11 at p = 5, not yet walked."""
+    return QuotientGraph(maximal_order(algebra_from_discriminant(11)), 5)
+
+
+def falsify_transport():
+    """The edge class set with its first class listed twice: the walk
+    classifies every edge into the first copy, so it never reaches the
+    second."""
+    graph = _graph()
+    edges = graph.edge_classes
+    graph.edge_classes = ClassSet(edges.order, edges.disc, edges.level,
+                                  edges.neighbor_prime, edges.reps + edges.reps[:1],
+                                  edges.unit_counts + edges.unit_counts[:1])
+    graph.ensure_walk()
+
+
+def falsify_regularity():
+    """T_p with one tree neighbour of class 0 counted twice: its row 0 sums
+    to p + 2."""
+    graph = _graph()
+    rows = [list(row) for row in graph.tp_matrix()]
+    rows[0][0] += 1
+    graph._matrix_memo["tp"] = rows
+    graph.verify_regularity()
 
 
 def falsify_splitting():
@@ -140,7 +143,7 @@ def falsify_congruence_pair():
     cert2, _ = admraise.is_n_admissible(2, system, -3, 5, 1, 5 * 11)
     cert17, _ = admraise.is_n_admissible(17, system, -3, 5, 1, 5 * 11)
 
-    def moved(classes, samples, p, n, cuspidal_only, fixed):
+    def moved(classes, samples, p, n, fixed):
         return [EigenSystem(p, n, {ell: fixed[ell] + (ell == 3) for ell in samples},
                             {w: fixed[w] for w in (2, 11, 17)})]
     honest = admraise.eigensystems_mod
@@ -157,7 +160,10 @@ FALSIFIERS = {
                            "distribution relation fails at level 1"),
     "check_projection_tower": (padicl, "check_projection_tower", falsify_projection_tower,
                                "incompatible between levels 2 and 1"),
-    "verify_mass": (ClassSet, "verify_mass", falsify_mass, "mass certificate failed"),
+    "_complete": (QuotientGraph, "_complete", falsify_transport,
+                  "tree walk did not reach every ideal class"),
+    "verify_regularity": (QuotientGraph, "verify_regularity", falsify_regularity,
+                          "vertex quotient is not \\(p\\+1\\)-regular"),
     "_verify_splitting": (splitting, "_verify_splitting", falsify_splitting,
                           "splitting is not multiplicative"),
     "_verify_torus": (toruscm, "_verify_torus", falsify_torus,

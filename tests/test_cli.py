@@ -3,10 +3,8 @@ import os
 
 import pytest
 
-from quatlfun import cache
 from quatlfun.brandtforms import QuotientGraph
 from quatlfun.cli import main
-from quatlfun.errors import UsageError
 from quatlfun.primes import is_prime
 
 from oracles import curve_a_ell
@@ -30,20 +28,6 @@ class TestLfun:
         names = sorted(os.listdir(out_dir))
         assert names == ["L_p.json", "L_phi.json", "certificate.json",
                          "mu_report.json"]
-        first = {n: open(os.path.join(out_dir, n)).read() for n in names}
-        # rerun with a warm cache: byte-identical artifacts
-        cache = str(tmp_path / "cache")
-        code, _ = run_cli(["lfun", "--nminus", "11", "--p", "5", "--n", "1",
-                           "--mmax", "1", "--K", "-3", "--out", out_dir,
-                           "--cache", cache], capsys)
-        assert code == 0
-        code, _ = run_cli(["lfun", "--nminus", "11", "--p", "5", "--n", "1",
-                           "--mmax", "1", "--K", "-3", "--out", out_dir,
-                           "--cache", cache], capsys)
-        assert code == 0
-        second = {n: open(os.path.join(out_dir, n)).read() for n in names}
-        assert first == second
-        assert os.listdir(cache)  # class sets were persisted
 
     def test_invalid_K_rejected(self, capsys):
         # 11 must be inert in K; -7 is a square mod 11
@@ -77,143 +61,6 @@ class TestBrandt:
         captured = capsys.readouterr()
         assert code == 2
         assert "error:" in captured.err and "matrices" not in captured.out
-
-    def test_cached_class_set_with_swapped_units_exits_5(self, tmp_path, capsys):
-        store = tmp_path / "cache"
-        argv = ["brandt", "--disc", "11", "--primes", "3", "--cache", str(store)]
-        try:
-            assert main(argv) == 0
-            (entry,) = store.iterdir()
-            data = json.loads(entry.read_text())
-            assert data["unit_counts"] == [4, 6]
-            data["unit_counts"].reverse()  # the mass still certifies
-            entry.write_text(json.dumps(data))
-            _assert_load_fails(store, data, "units")
-            assert main(argv) == 5
-            assert "cached class 0: its left order has 4 units" in capsys.readouterr().err
-        finally:
-            cache.configure(None)
-
-    def test_cached_representative_not_right_stable_exits_5(self, tmp_path, capsys):
-        store = tmp_path / "cache"
-        argv = ["brandt", "--disc", "11", "--primes", "3", "--cache", str(store)]
-        try:
-            assert main(argv) == 0
-            (entry,) = store.iterdir()
-            data = json.loads(entry.read_text())
-            # Z<1,i,j,k> in (-1, -11): its left order has the 4 units of the
-            # class it replaces, so only right stability can catch it
-            assert (data["algebra"], data["unit_counts"][0]) == ([-1, -11], 4)
-            data["reps"][0] = {"den": 1, "rows": [[int(i == j) for j in range(4)]
-                                                  for i in range(4)]}
-            entry.write_text(json.dumps(data))
-            _assert_load_fails(store, data, "right-stable")
-            assert main(argv) == 5
-            assert "right-stable" in capsys.readouterr().err
-        finally:
-            cache.configure(None)
-
-    @pytest.mark.parametrize("case", ["zero row", "other basis"])
-    def test_cached_representative_not_canonical_exits_5(self, case, tmp_path, capsys):
-        store = tmp_path / "cache"
-        argv = ["brandt", "--disc", "11", "--primes", "3", "--cache", str(store)]
-        try:
-            assert main(argv) == 0
-            (entry,) = store.iterdir()
-            data = json.loads(entry.read_text())
-            rows = data["reps"][1]["rows"]
-            if case == "zero row":
-                rows[0] = [0, 0, 0, 0]
-            else:
-                # the same lattice, but not its Hermite basis
-                rows[0] = [x + y for x, y in zip(rows[0], rows[1])]
-            entry.write_text(json.dumps(data))
-            _assert_load_fails(store, data, "cached class 1: .* Hermite basis")
-            assert main(argv) == 5
-            assert "cached class 1" in capsys.readouterr().err
-        finally:
-            cache.configure(None)
-
-    def test_cached_translate_of_another_class_exits_5(self, tmp_path, capsys):
-        store = tmp_path / "cache"
-        argv = ["brandt", "--disc", "29", "--primes", "3", "--cache", str(store)]
-        try:
-            assert main(argv) == 0
-            (entry,) = store.iterdir()
-            data = json.loads(entry.read_text())
-            # classes 0 and 1 both have 2 units: storing (1+i)·I_0 in place of
-            # I_1 keeps right stability, the unit counts and the mass
-            assert data["unit_counts"][:2] == [2, 2]
-            data["reps"][1] = _translate(data, (1, 1, 0, 0), data["reps"][0])
-            entry.write_text(json.dumps(data))
-            _assert_load_fails(store, data, "cached classes 0 and 1 are isometric")
-            assert main(argv) == 5
-            assert "cached classes 0 and 1 are isometric" in capsys.readouterr().err
-        finally:
-            cache.configure(None)
-
-    @pytest.mark.parametrize("version", [None, 0, "1"])
-    def test_cache_entry_of_another_schema_exits_5(self, version, tmp_path, capsys):
-        store = tmp_path / "cache"
-        argv = ["brandt", "--disc", "11", "--primes", "3", "--cache", str(store)]
-        try:
-            assert main(argv) == 0
-            (entry,) = store.iterdir()
-            data = json.loads(entry.read_text())
-            assert data["version"] == cache.CACHE_VERSION
-            if version is None:
-                del data["version"]
-            else:
-                data["version"] = version
-            entry.write_text(json.dumps(data))
-            _assert_load_fails(store, data, "schema version")
-            assert main(argv) == 5
-            assert "schema version" in capsys.readouterr().err
-        finally:
-            cache.configure(None)
-
-    def test_cache_key_is_the_full_digest(self, tmp_path):
-        import hashlib
-        from quatlfun.quatarith import maximal_order, algebra_from_discriminant
-        order = maximal_order(algebra_from_discriminant(11))
-        key = cache.class_set_key(order, 3)
-        assert len(key) == 64
-        payload = json.dumps({"a": order.alg.a, "b": order.alg.b,
-                              "den": order.lattice.den,
-                              "rows": [list(r) for r in order.lattice.rows],
-                              "neighbor": 3}, sort_keys=True)
-        assert key == hashlib.sha256(payload.encode()).hexdigest()
-
-    def test_cache_does_not_leak_into_the_next_run(self, tmp_path, capsys):
-        store = tmp_path / "cache"
-        try:
-            assert main(["brandt", "--disc", "11", "--primes", "3",
-                         "--cache", str(store)]) == 0
-            assert main(["brandt", "--disc", "11", "--primes", "3"]) == 0
-            assert cache.cache_directory() is None
-        finally:
-            cache.configure(None)
-
-
-def _translate(data, x, entry):
-    """The stored form of x·I, I the cached lattice `entry` of the algebra."""
-    from quatlfun.quatarith import QuaternionAlgebra
-    from quatlfun.quatarith.lattice import Lattice4
-    alg = QuaternionAlgebra(*data["algebra"])
-    lat = Lattice4(entry["den"], [alg.mul(x, r) for r in entry["rows"]])
-    return {"den": lat.den, "rows": [list(r) for r in lat.rows]}
-
-
-def _assert_load_fails(store, data, match):
-    """The tampered entry is refused when it is loaded, before any Brandt matrix."""
-    from quatlfun.errors import InvariantViolationError
-    from quatlfun.quatarith import QuaternionOrder, algebra_from_discriminant
-    from quatlfun.quatarith.lattice import Lattice4
-    order = QuaternionOrder(algebra_from_discriminant(data["disc"]),
-                            Lattice4(data["order"]["den"], data["order"]["rows"]))
-    cache.configure(str(store))
-    with pytest.raises(InvariantViolationError, match=match):
-        cache.load_class_set(order, data["neighbor"])
 
 
 class TestAdmissible:
@@ -403,24 +250,19 @@ class TestMalformedInput:
             assert code == 2
             assert "error:" in captured.err and captured.out == ""
 
-    def test_cache_path_of_a_file(self, tmp_path, capsys):
-        # the directory is created before it is set, so a failed call keeps
-        # the setting it found
-        store = tmp_path / "store"
-        plain = tmp_path / "plain"
-        plain.write_text("")
-        try:
-            cache.configure(str(store))
-            with pytest.raises(UsageError):
-                cache.configure(str(plain))
-            assert cache.cache_directory() == str(store)
-        finally:
-            cache.configure(None)
-        code, err = self.exit_code_and_stderr(
-            ["brandt", "--disc", "11", "--primes", "3", "--cache", str(plain)], capsys)
+    @pytest.mark.parametrize("argv", [
+        ["lfun", "--nminus", "11", "--p", "5", "--K", "-3"],
+        ["brandt", "--disc", "11", "--primes", "3"],
+        ["admissible", "--K", "-3", "--p", "5", "--bound", "25"],
+        ["raise", "--v1", "2", "--v2", "17", "--K", "-3", "--p", "5"],
+        ["selftest", "--criteria", "1"],
+    ], ids=["lfun", "brandt", "admissible", "raise", "selftest"])
+    def test_cache_flag_is_gone(self, argv, tmp_path, capsys):
+        # every class set is walked and certified in the run that reads it
+        code, err = self.exit_code_and_stderr(argv + ["--cache", str(tmp_path)], capsys)
         assert code == 2
-        assert "error:" in err and "cache" in err
-        assert cache.cache_directory() is None
+        assert "unrecognized arguments: --cache" in err
+        assert os.listdir(tmp_path) == []
 
     def test_compgroup_divisor(self, graph_file, capsys):
         code, err = self.exit_code_and_stderr(

@@ -1,4 +1,7 @@
+import math
 import random
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +13,28 @@ from quatlfun.exactalg import (AbelianGroupShape, Character, GroupRingElement,
                                eliminate_mod, fitting_exponent, group_ring_mul,
                                inequality_check, involution, kernel_basis,
                                kernel_mod, mu_invariant, project_level,
-                               smith_normal_form, solve, solve_mod, specialize)
+                               rational_kernel, smith_normal_form, solve,
+                               solve_mod, specialize)
 
 from oracles import (convolution_oracle, fitting_minors_oracle,
                      snf_diagonal_oracle)
+
+
+def _rank_over_q(rows):
+    """Rank by Gauss-Jordan over Fractions, independent of the package."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for j in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][j]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][j]:
+                f = m[i][j] / m[rank][j]
+                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
 
 
 def _diagonal(S):
@@ -133,6 +154,31 @@ class TestKernelAndSolve:
         assert len(basis) == 2
         for v in basis:
             assert M.mul_vec(v) == (0,)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda c: st.lists(
+        st.lists(st.integers(-6, 6), min_size=c, max_size=c), min_size=1, max_size=6)))
+    def test_rational_kernel_spans_the_kernel_over_q(self, rows):
+        # as many primitive vectors as the kernel's dimension over Q, each
+        # killed by M, and independent
+        M = IntMatrix.from_rows(rows)
+        vecs = rational_kernel(M)
+        assert len(vecs) == M.cols - _rank_over_q(rows)
+        assert all(M.mul_vec(v) == (0,) * M.rows and math.gcd(*v) == 1 for v in vecs)
+        assert _rank_over_q(vecs) == len(vecs)
+
+    def test_rational_kernel_where_the_smith_pivoting_blows_up(self):
+        # a 6x6 matrix with entries <= 12 on which `eliminate` reached
+        # million-bit entries; bordered by its row sums and one combination
+        # of its rows, it has a one-dimensional kernel
+        rows = [(-4, -9, 0, 0, 10, 0), (0, 7, -2, 9, 0, -2), (-12, 2, 0, 6, 6, -11),
+                (5, 3, -5, 10, 0, -6), (4, 0, -9, 0, -8, 8), (0, -7, -6, -4, 0, 6)]
+        start = time.process_time()
+        assert rational_kernel(IntMatrix.from_rows(rows)) == ()
+        bordered = [list(r) + [sum(r)] for r in rows]
+        bordered.append([x + 2 * y for x, y in zip(bordered[0], bordered[1])])
+        assert rational_kernel(IntMatrix.from_rows(bordered)) == ((-1,) * 6 + (1,),)
+        assert time.process_time() - start < 1
 
     def test_solve(self):
         M = IntMatrix.from_rows([[2, 0], [0, 3]])

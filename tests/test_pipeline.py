@@ -1,31 +1,51 @@
 """Byte-for-byte pin of the L-element pipeline's artifacts.
 
-The golden files under golden/N11-p5-n1-m2-K-3/ were written by
-write_artifacts for run_lfun(N- = 11, p = 5, n = 1, m_max = 2, K = -3); any
-change to the eigenform, the measure or the certificates shows up here.
+The golden files under golden/N11-p5-n1-m2-K-3/ and golden/N101-p5-n1-m2-K-3/
+were written by write_artifacts for run_lfun(N-, p = 5, n = 1, m_max = 2,
+K = -3) at N- = 11 and 101; any change to the eigenform, the measure or the
+certificates shows up here.
 """
 
 import json
 import os
+import time
 
 import pytest
 
 from quatlfun.pipeline import PipelineConfig, run_lfun, write_artifacts
 
+from oracles import curve_a_ell
+
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "N11-p5-n1-m2-K-3")
 
 
-def test_artifacts_match_golden_files(tmp_path):
-    result = run_lfun(PipelineConfig(n_plus=1, n_minus=11, p=5, n=1, m_max=2,
+def _assert_golden(golden, n_minus, tmp_path):
+    result = run_lfun(PipelineConfig(n_plus=1, n_minus=n_minus, p=5, n=1, m_max=2,
                                      disc_k=-3))
     write_artifacts(result, str(tmp_path))
-    names = sorted(os.listdir(GOLDEN))
+    names = sorted(os.listdir(golden))
     assert names == ["L_p.json", "L_phi.json", "certificate.json", "mu_report.json"]
     assert sorted(os.listdir(tmp_path)) == names
     for name in names:
-        with open(os.path.join(GOLDEN, name), "rb") as want, \
+        with open(os.path.join(golden, name), "rb") as want, \
                 open(os.path.join(tmp_path, name), "rb") as got:
             assert got.read() == want.read(), name
+    return result
+
+
+def test_artifacts_match_golden_files(tmp_path):
+    _assert_golden(GOLDEN, 11, tmp_path)
+
+
+def test_artifacts_above_level_100_match_golden_files(tmp_path):
+    # a level above 100, within a CPU budget: the rational search's cuts take
+    # fraction-free kernels over Q. The system found is that of 101a
+    # (y^2 + y = x^3 + x^2 - x - 1) mod 5
+    start = time.process_time()
+    result = _assert_golden(GOLDEN.replace("N11", "N101"), 101, tmp_path)
+    assert time.process_time() - start < 3
+    assert result.system.a == {ell: curve_a_ell(ell, 0, 1, 1, -1, -1) % 5
+                               for ell in result.system.a}
 
 
 def _no_class_set(*args, **kwargs):

@@ -522,7 +522,7 @@ class TestBrandtFromTheta:
     def test_swapped_unit_counts_caught(self, cs11):
         assert cs11.unit_counts == [4, 6]
         swapped = _copy_class_set(cs11, unit_counts=[6, 4])
-        swapped.verify_mass()  # the mass cannot see the swap
+        assert swapped.mass == eichler_mass(11, 1)  # the mass cannot see the swap
         # nor can the neighbour route, which reads no unit count
         assert neighbor_matrix_oracle(swapped, 3) == [[2, 2], [3, 1]]
         for _ in range(2):  # a failed certificate leaves no counts behind

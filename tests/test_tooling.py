@@ -7,13 +7,13 @@ first. The tracer module is only read, never installed. Every name a
 subpackage lists in __all__ must exist, so a deleted helper cannot stay
 advertised. The package keeps one builder of quaternion norm Grams, one
 builder of quotient graphs and one neighbour-prime rule, and no module-level
-state but the cache directory; lattice elements in quatarith stay integer
+state; quatarith reads no file and no cache, so every class set is walked
+and certified in the run that reads it. Lattice elements in quatarith stay integer
 rows over a denominator, and the tree, its transport, the torus and the
 measure compute in integers only. Theta counts come from `value_counts`
 alone. The lattice layer takes rank 4 only: its kernels refuse a Gram or a
 row of any other size before any work, and the generic-rank code and the
-test-only v-new kernel are gone; a Lattice4 built without reduction takes a
-row-Hermite basis only. `isometric` and the class set's pair forms read
+test-only v-new kernel are gone. `isometric` and the class set's pair forms read
 I·conj(J) through one pair-Gram function. `primes` holds the one p-adic
 valuation and the one Hensel lift, and no module of the package or of the
 tests imports a name it never reads. Every public function, class and method
@@ -73,8 +73,10 @@ def test_package_exports_resolve(package):
 
 
 def test_cache_directory_exists():
+    # the benchmark asks it before each pass; there is no cache to point to
     from quatlfun import cache
-    assert callable(cache.cache_directory)
+    assert cache.cache_directory() is None
+    assert [name for name in vars(cache) if name[0] != "_"] == ["cache_directory"]
 
 
 def _sources(top=SRC):
@@ -108,10 +110,10 @@ def test_one_neighbour_prime_rule():
     assert callers == sorted([os.path.join("quatarith", "classset.py"), "primes.py"])
 
 
-def test_no_module_level_mutable_state_but_the_cache_directory():
+def test_no_module_level_mutable_state():
     # aim 3: no state leaks from one run into the next. A dict, list or set
-    # bound at module level, or a `global` statement, is such state; the
-    # cache directory is the one that remains. __all__ is an export list.
+    # bound at module level, or a `global` statement, is such state.
+    # __all__ is an export list.
     found = set()
     for rel, text in _sources():
         tree = ast.parse(text)
@@ -125,7 +127,27 @@ def test_no_module_level_mutable_state_but_the_cache_directory():
         for node in ast.walk(tree):
             if isinstance(node, ast.Global):
                 found |= {(rel, name) for name in node.names}
-    assert found == {("cache.py", "_cache_dir")}
+    assert found == set()
+
+
+def _imported_modules(text):
+    """The last dotted part of every module a source imports or imports from."""
+    found = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found |= {alias.name for alias in node.names} if node.module is None \
+                else {node.module.rsplit(".", 1)[-1]}
+    return found
+
+
+def test_class_sets_come_from_the_walk_alone():
+    # no class set is stored or loaded: quatarith imports neither os nor the
+    # cache module, so nothing it returns was computed in an earlier run
+    found = {(rel, name) for rel, text in _sources(os.path.join(SRC, "quatarith"))
+             for name in _imported_modules(text) & {"os", "cache"}}
+    assert found == set()
 
 
 def _imports_fractions(path):
@@ -190,48 +212,6 @@ def test_lattice_kernels_take_rank_4_only(run, arg):
     from quatlfun.errors import UsageError
     with pytest.raises(UsageError):
         run(arg)
-
-
-def _not_hermite4():
-    """Row sets that Lattice4(..., reduce=False) must refuse: a 4x4 basis
-    with row i zero left of column i, a positive pivot at (i, i) and the
-    entries above it in [0, pivot) is the only one it takes as it is."""
-    unit = [[int(r == c) for c in range(4)] for r in range(4)]
-    yield pytest.param(unit[:3], id="three-rows")
-    yield pytest.param(unit + [[0, 0, 0, 1]], id="five-rows")
-    yield pytest.param([r[:3] for r in unit], id="three-columns")
-    diag = [[3 * int(r == c) for c in range(4)] for r in range(4)]
-    for name, (r, c, x) in {"zero-pivot": (0, 0, 0), "negative-pivot": (1, 1, -3),
-                            "below-the-diagonal": (3, 1, 1),
-                            "above-a-pivot-too-large": (0, 2, 3),
-                            "above-a-pivot-negative": (1, 3, -1)}.items():
-        rows = [list(row) for row in diag]
-        rows[r][c] = x
-        yield pytest.param(rows, id=name)
-
-
-@pytest.mark.parametrize("rows", _not_hermite4())
-def test_lattice4_without_reduction_wants_a_hermite_basis(rows, monkeypatch):
-    # Lattice4(1, three unit rows, reduce=False) used to build, and its
-    # coordinates() then raised a bare ValueError
-    from quatlfun.errors import UsageError
-    from quatlfun.quatarith import lattice
-
-    def no_work(*_args, **_kw):
-        raise AssertionError("Lattice4 started work before checking its rows")
-    monkeypatch.setattr(lattice, "hnf_rows", no_work)
-    monkeypatch.setattr(lattice, "gcd", no_work)
-    with pytest.raises(UsageError, match="Hermite"):
-        lattice.Lattice4(1, rows, reduce=False)
-
-
-def test_lattice4_without_reduction_keeps_a_hermite_basis():
-    from quatlfun.quatarith import lattice
-    rows = [[2, 1, 0, 3], [0, 3, 2, 1], [0, 0, 4, 0], [0, 0, 0, 5]]
-    lat = lattice.Lattice4(6, rows, reduce=False)
-    assert lat.key() == lattice.Lattice4(6, rows).key() == (6, tuple(map(tuple, rows)))
-    assert lattice.Lattice4(4, [[2 * x for x in r] for r in rows], reduce=False) == \
-        lattice.Lattice4(2, rows)
 
 
 def _bad_scalar_calls():
