@@ -49,7 +49,7 @@ from oracles import (_dual_basis_oracle, _fincke_pohst_oracle, _fraction_basis,
                      _fraction_lattice, _inverse_oracle,
                      count_vectors_of_norm, enumerate_by_value_oracle,
                      exhaustive_walk_oracle, hilbert_symbol_oracle, hnf_oracle, idealizer_oracle,
-                     lagrange_reduce_oracle, minimum_of_form,
+                     kronecker_oracle, lagrange_reduce_oracle, minimum_of_form,
                      neighbor_matrix_oracle, norm_gram_oracle,
                      pair_gram_oracle, value_counts_oracle)
 
@@ -1205,6 +1205,52 @@ class TestTraceNormPadding:
         a = [[sum(m[k][i] * m[k][j] for k in range(3)) + (i == j) * diagonal[i]
               for j in range(3)] for i in range(3)]
         assert _padded_sequence(a, budget) == list(enumerate_by_value_oracle(a, budget))
+
+
+
+EMBEDDING_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "embeddings.json")
+_EMBEDDING_DISCS_K = (-3, -4, -7, -8, -11, -19, -20, -23, -24)
+
+
+def _pinned_embedding_cases():
+    """disc -> the K whose embedding is pinned: every squarefree disc < 80
+    with an odd number of primes, and each K of _EMBEDDING_DISCS_K in which
+    no prime of the disc splits."""
+    cases = {}
+    for disc in range(2, 80):
+        primes = prime_factors(disc)
+        if len(primes) % 2 and math.prod(primes) == disc:
+            cases[disc] = [k for k in _EMBEDDING_DISCS_K
+                           if all(kronecker_oracle(k, q) != 1 for q in primes)]
+    return {disc: ks for disc, ks in cases.items() if ks}
+
+
+_EMBEDDING_CASES = _pinned_embedding_cases()
+
+
+def _embedding_golden():
+    with open(EMBEDDING_GOLDEN) as fh:
+        return json.load(fh)
+
+
+def test_embedding_golden_covers_the_grid():
+    names = {f"disc{disc}-K{k}" for disc, ks in _EMBEDDING_CASES.items() for k in ks}
+    assert len(names) == 120 and set(_embedding_golden()) == names
+
+
+@pytest.mark.parametrize("disc", sorted(_EMBEDDING_CASES))
+def test_embeddings_pinned(disc):
+    """The base order and the coordinates that `embedding_with_base` picks
+    on the class set of the maximal order are those of
+    golden/embeddings.json: a new trace-norm search may not pick another
+    embedding."""
+    golden = _embedding_golden()
+    cs = class_set_avoiding(maximal_order(algebra_from_discriminant(disc)))
+    for k in _EMBEDDING_CASES[disc]:
+        base, emb = embedding_with_base(cs, k, 1)
+        den, rows = base.lattice.key()
+        assert {"den": den, "rows": [list(r) for r in rows], "coords": list(emb.coords)} \
+            == golden[f"disc{disc}-K{k}"]
 
 
 class TestLattice4:
