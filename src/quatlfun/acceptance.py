@@ -389,11 +389,11 @@ def criterion_9():
     rep2 = inequality_check(IntMatrix.from_rows([[25]]), l_elem, chi)
     rep3 = inequality_check(IntMatrix.from_rows([[125]]), l_elem, chi)
     if not (rep1.holds and rep1.selmer_length == 0):
-        return False, "trivial module report wrong"
+        return False, f"trivial module report wrong: {rep1.describe()}"
     if not (rep2.holds and rep2.selmer_length == 2 and rep2.twice_t == 2):
-        return False, "boundary case report wrong"
+        return False, f"boundary case report wrong: {rep2.describe()}"
     if rep3.holds or rep3.selmer_length != 3:
-        return False, "synthetic violation not reported"
+        return False, f"synthetic violation not reported: {rep3.describe()}"
     return True, "100 random presentations match the minors oracle; reports behave"
 
 

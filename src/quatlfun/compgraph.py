@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InvariantViolationError, UsageError
-from .exactalg import (AbelianGroupShape, IntMatrix, det, eliminate,
-                       eliminate_mod, solve)
+from .exactalg import (AbelianGroupShape, IntMatrix, eliminate, eliminate_mod,
+                       leading_minors, solve)
 from .primes import prime_factors, valuation
 
 
@@ -33,7 +33,14 @@ class LengthGraph:
     edges: tuple  # tuple of (s, t, length)
 
     def __post_init__(self):
-        for s, t, ln in self.edges:
+        # not isinstance: a bool is an int too, and a float or a string is
+        # refused rather than rounded
+        if type(self.n_vertices) is not int:
+            raise UsageError(f"the vertex count must be an integer, got {self.n_vertices!r}")
+        for e in self.edges:
+            if len(e) != 3 or any(type(x) is not int for x in e):
+                raise UsageError(f"an edge is (source, target, length) in integers, got {e!r}")
+            s, t, ln = e
             if not (0 <= s < self.n_vertices and 0 <= t < self.n_vertices):
                 raise UsageError("edge endpoint out of range")
             if ln < 1:
@@ -41,7 +48,7 @@ class LengthGraph:
 
     @staticmethod
     def make(n_vertices, edges) -> "LengthGraph":
-        return LengthGraph(n_vertices, tuple((int(s), int(t), int(l)) for s, t, l in edges))
+        return LengthGraph(n_vertices, tuple(map(tuple, edges)))
 
     def non_loop_edges(self):
         return tuple((i, e) for i, e in enumerate(self.edges) if e[0] != e[1])
@@ -74,10 +81,6 @@ class LengthGraph:
 
     def is_connected(self):
         return self.n_components() <= 1
-
-    def to_json(self) -> str:
-        return json.dumps({"vertices": self.n_vertices,
-                           "edges": [list(e) for e in self.edges]}, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "LengthGraph":
@@ -234,12 +237,12 @@ def _component_group_connected(g: LengthGraph) -> ComponentGroup:
 
 
 def _check_positive_definite(gram: IntMatrix) -> int:
-    """Check every leading principal minor is positive; return the last, det(gram)."""
-    for k in range(1, gram.rows + 1):
-        minor = det(IntMatrix.from_rows([row[:k] for row in gram.entries[:k]]))
-        if minor <= 0:
-            raise UsageError("monodromy pairing fails positive definiteness")
-    return minor
+    """Check every leading principal minor is positive, all read off one
+    elimination (`leading_minors`); return the last, det(gram)."""
+    minors = leading_minors(gram)
+    if len(minors) < gram.rows or min(minors) <= 0:
+        raise UsageError("monodromy pairing fails positive definiteness")
+    return minors[-1]
 
 
 def _local_shape(gram: IntMatrix, d: int) -> AbelianGroupShape:

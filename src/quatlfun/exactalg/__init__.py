@@ -6,15 +6,15 @@ from .groupring import (Character, CyclotomicElement, CyclotomicQuotientRing,
                         GroupRingElement, PrimePowerRing, group_ring_mul,
                         involution, mu_invariant, project_level, specialize)
 from .intmatrix import (IntMatrix, det, eliminate, eliminate_mod, kernel_basis,
-                        kernel_mod, rational_kernel, smith_normal_form, solve,
-                        solve_mod)
+                        kernel_mod, leading_minors, rational_kernel,
+                        smith_normal_form, solve, solve_mod)
 
 __all__ = [
     "AbelianGroupShape", "Character", "CyclotomicElement",
     "CyclotomicQuotientRing", "GroupRingElement", "InequalityReport",
     "IntMatrix", "PrimePowerRing", "det", "eliminate",
     "eliminate_mod", "fitting_exponent", "group_ring_mul", "inequality_check",
-    "involution", "kernel_basis", "kernel_mod", "module_length", "mu_invariant",
-    "project_level", "rational_kernel", "smith_normal_form", "solve", "solve_mod",
-    "specialize",
+    "involution", "kernel_basis", "kernel_mod", "leading_minors", "module_length",
+    "mu_invariant", "project_level", "rational_kernel", "smith_normal_form", "solve",
+    "solve_mod", "specialize",
 ]

@@ -66,10 +66,6 @@ class GroupRingElement:
                                 tuple(ring.reduce(int(c)) for c in coeffs))
 
     @staticmethod
-    def zero(ring: PrimePowerRing, group_order: int) -> "GroupRingElement":
-        return GroupRingElement(ring, group_order, (0,) * group_order)
-
-    @staticmethod
     def generator_power(ring: PrimePowerRing, group_order: int, k: int) -> "GroupRingElement":
         """g^k."""
         c = [0] * group_order
@@ -84,40 +80,10 @@ class GroupRingElement:
             m += 1
         return m
 
-    def _check_compatible(self, other: "GroupRingElement"):
-        if self.ring != other.ring or self.group_order != other.group_order:
-            raise UsageError("group-ring elements live over different rings")
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        return GroupRingElement.make(self.ring, self.group_order,
-                                     [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        return GroupRingElement.make(self.ring, self.group_order,
-                                     [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __mul__(self, other):
-        return group_ring_mul(self, other)
-
-    def scale(self, c: int) -> "GroupRingElement":
-        return GroupRingElement.make(self.ring, self.group_order,
-                                     [c * a for a in self.coeffs])
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def to_json(self) -> str:
         return json.dumps({"p": self.ring.p, "n": self.ring.n,
                            "m": self.level(), "coeffs": list(self.coeffs)},
                           sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "GroupRingElement":
-        d = json.loads(text)
-        ring = PrimePowerRing(d["p"], d["n"])
-        return GroupRingElement.make(ring, ring.p ** d["m"], d["coeffs"])
 
 
 def group_ring_mul(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
@@ -129,7 +95,8 @@ def group_ring_mul(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement
     fits its slot. One integer product gives all of them; slots k and k + m
     are folded together and reduced mod q.
     """
-    a._check_compatible(b)
+    if a.ring != b.ring or a.group_order != b.group_order:
+        raise UsageError("group-ring elements live over different rings")
     m = a.group_order
     w = (2 * a.ring.modulus.bit_length() + m.bit_length() + 7) // 8
 

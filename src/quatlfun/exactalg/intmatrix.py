@@ -1,13 +1,15 @@
-"""Exact integer matrices: Smith forms over Z and diagonal forms over Z/p^n.
+"""Exact integer matrices: Smith forms over Z, diagonal forms over Z/p^n,
+and fraction-free elimination over Q.
 
 Everything is arbitrary-precision; no floating point enters anywhere in this
 package. IntMatrix values are immutable tuples of tuples, row-major. Each
-ring has one elimination (`eliminate`, `eliminate_mod`), which reduces a
-list-of-lists array in place and carries along only the blocks its caller
-appended: an identity to the right for U, below for V, a column for U*b.
-Kernels over Q, where no unimodular transform is read, take a fraction-free
-Gauss-Jordan instead (`rational_kernel`), whose entries stay minors of the
-matrix where the Smith pivoting can blow up.
+ring has one elimination. Over Z and Z/p^n (`eliminate`, `eliminate_mod`)
+it reduces a list-of-lists array in place and carries along only the blocks
+its caller appended: an identity to the right for U, below for V, a column
+for U*b. Over Q, where no unimodular transform is read, it is one
+fraction-free Gauss-Jordan pass (`_fraction_free`), whose entries stay
+minors of the matrix where the Smith pivoting can blow up; `det`,
+`leading_minors` and `rational_kernel` read that pass.
 """
 
 from __future__ import annotations
@@ -50,10 +52,6 @@ class IntMatrix:
     def identity(k: int) -> "IntMatrix":
         return IntMatrix.from_rows([[1 if i == j else 0 for j in range(k)] for i in range(k)])
 
-    @staticmethod
-    def zero(r: int, c: int) -> "IntMatrix":
-        return IntMatrix.from_rows([[0] * c for _ in range(r)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
@@ -75,33 +73,65 @@ class IntMatrix:
         return tuple(sum(a * b for a, b in zip(r, v)) for r in self.entries)
 
 
-def _det(rows):
-    # Bareiss fraction-free determinant on a list-of-lists copy.
-    m = [list(r) for r in rows]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def _fraction_free(M: IntMatrix):
+    """One fraction-free Gauss-Jordan pass over M (Bareiss, Math. Comp. 22
+    (1968)): (steps, rows, sign).
+
+    Column by column, the first row at or below the next pivot row with a
+    nonzero entry is swapped up and taken as pivot row; columns with none
+    are passed over. A pivot step replaces every other row by
+    (d·row - x·pivot row) / d', d the pivot, x the row's entry in its column
+    and d' the previous pivot. The division is exact and every entry stays a
+    minor of M, so the bit size stays polynomial; each pivot row ends with
+    the last pivot at its pivot column. steps lists (pivot column, pivot,
+    whether a row swap came first) per pivot, rows are the reduced rows and
+    sign is (-1)^(number of swaps). The pivot of step k is the minor of the
+    row-swapped M in rows 0..k and the pivot columns of steps 0..k.
+    """
+    r, c = M.rows, M.cols
+    a = [list(row) for row in M.entries]
+    steps = []
+    sign, prev = 1, 1
+    for j in range(c):
+        k = len(steps)
+        i = next((i for i in range(k, r) if a[i][j]), None)
+        if i is None:
+            continue
+        if i != k:
+            a[k], a[i] = a[i], a[k]
+            sign = -sign
+        top, d = a[k], a[k][j]
+        steps.append((j, d, i != k))
+        for i, row in enumerate(a):
+            if i != k:
+                x = row[j]
+                a[i] = [(d * y - x * z) // prev for y, z in zip(row, top)]
+        prev = d
+    return steps, a, sign
 
 
 def det(M: IntMatrix) -> int:
+    """sign × the last pivot of `_fraction_free` at full rank, else 0."""
     if M.rows != M.cols:
         raise UsageError("determinant of a non-square matrix")
-    return _det(M.entries)
+    steps, _, sign = _fraction_free(M)
+    return sign * steps[-1][1] if len(steps) == M.rows else 0
+
+
+def leading_minors(M: IntMatrix):
+    """The leading principal minors D_1, D_2, ... of M before the first zero
+    one, as a tuple: when k < min(rows, cols) minors come back, D_(k+1) = 0.
+
+    While no swap and no passed-over column has come before it, the pass
+    pivots on the diagonal, and its pivot in row k is D_(k+1).
+    """
+    steps, _, _ = _fraction_free(M)
+    out = []
+    for k, (j, d, swapped) in enumerate(steps):
+        if j != k or swapped:
+            break
+        out.append(d)
+    return tuple(out)
 
 
 def _identity(k):
@@ -234,37 +264,20 @@ def rational_kernel(M: IntMatrix):
     """Primitive integer vectors spanning ker(M) = {x : M x = 0} over Q, one
     per column without a pivot, as a tuple.
 
-    Fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22 (1968)): a pivot
-    step replaces every other row by (d·row - x·pivot row) / d', d the
-    pivot, x the row's entry in its column and d' the previous pivot. The
-    division is exact, every entry stays a minor of M, so the bit size stays
-    polynomial, and each pivot row ends with the same pivot d. Free column
-    f then gives the vector with d at f and minus column f of the pivot rows
-    at their pivots. Unlike `kernel_basis` the vectors need not span the
-    kernel lattice over Z. Each is certified before it is returned:
-    M v = 0 exactly.
+    Read off `_fraction_free`: every pivot row ends with the last pivot d at
+    its pivot column, so free column f gives the vector with d at f and
+    minus column f of the pivot rows at their pivots. Unlike `kernel_basis`
+    the vectors need not span the kernel lattice over Z. Each is certified
+    before it is returned: M v = 0 exactly.
     """
-    r, c = M.rows, M.cols
-    a = [list(row) for row in M.entries]
-    pivots = []
-    d = 1
-    for j in range(c):
-        k = len(pivots)
-        i = next((i for i in range(k, r) if a[i][j]), None)
-        if i is None:
-            continue
-        a[k], a[i] = a[i], a[k]
-        top, prev, d = a[k], d, a[k][j]
-        for i, row in enumerate(a):
-            if i != k:
-                x = row[j]
-                a[i] = [(d * y - x * z) // prev for y, z in zip(row, top)]
-        pivots.append(j)
+    steps, a, _ = _fraction_free(M)
+    pivots = [j for j, _, _ in steps]
+    d = steps[-1][1] if steps else 1
     out = []
-    for f in range(c):
+    for f in range(M.cols):
         if f in pivots:
             continue
-        v = [0] * c
+        v = [0] * M.cols
         v[f] = d
         for i, j in enumerate(pivots):
             v[j] = -a[i][f]

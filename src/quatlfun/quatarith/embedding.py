@@ -9,13 +9,13 @@ in the order's basis.
 
 from __future__ import annotations
 
-from math import floor, gcd
+from math import gcd
 
-from ..errors import SearchExhaustedError, UsageError
-from ..exactalg import IntMatrix, kernel_basis, solve
+from ..errors import InvariantViolationError, SearchExhaustedError, UsageError
+from ..exactalg import IntMatrix, kernel_basis, rational_kernel, solve
 from ..primes import prime_factors
 from .algebra import kronecker
-from .lattice import enumerate_by_value, invert
+from .lattice import enumerate_by_value
 from .order import QuaternionOrder
 
 # short vectors the trace-norm enumeration may visit before giving up
@@ -103,8 +103,11 @@ def _trace_norm_solutions(order: QuaternionOrder, t: int, n: int):
 
     Solve the linear trace condition, then enumerate the positive definite
     norm form on the affine rank-3 solution set at the exact value n. With
-    center w of the shifted form, every solution z obeys
+    centre w of the shifted form, every solution z obeys
     z^T a z <= 2R + 2 w^T a w, an exact budget for the lattice enumeration.
+    The centre is read off `rational_kernel` of (a | b) as w = W/e for its
+    one primitive vector (W, e), so the budget is an integer floor of
+    integers, with no Fraction.
     The enumeration is the rank-4 one of a ⊕ [budget + 1], whose padded
     coordinate is 0 on every vector within the budget: Lagrange steps
     against it have mu = 0 and the sort by diagonal is stable, so the first
@@ -132,14 +135,17 @@ def _trace_norm_solutions(order: QuaternionOrder, t: int, n: int):
     c0 = pair(part, part)
     target = 2 * order.lattice.den ** 2 * n
     # 2·den^2·nrd(part + Kz) = c0 + 2 b.z + z^T a z = (z - w)^T a (z - w) + const,
-    # with a w = -b and const = c0 - w^T a w.
-    a_inv = invert(a)
-    w = [-sum(a_inv[r][s] * b[s] for s in range(3)) for r in range(3)]
-    waw = sum(w[r] * a[r][s] * w[s] for r in range(3) for s in range(3))
-    radius = target - c0 + waw
-    if radius < 0:
+    # with a w = -b and const = c0 - w^T a w. The form a is positive definite,
+    # so (a | b) has rank 3 and its kernel is the line of (W, e), w = W/e;
+    # with R = target - const, e²·R = (target - c0)·e² + W^T a W.
+    centre = rational_kernel(IntMatrix.from_rows([row + [x] for row, x in zip(a, b)]))
+    if len(centre) != 1 or centre[0][3] == 0:
+        raise InvariantViolationError(f"the trace form has no centre: kernel {centre}")
+    big_w, e2 = centre[0][:3], centre[0][3] ** 2
+    waw = sum(big_w[r] * a[r][s] * big_w[s] for r in range(3) for s in range(3))
+    if (target - c0) * e2 + waw < 0:  # R < 0
         return
-    budget = floor(2 * radius + 2 * waw)
+    budget = (2 * (target - c0) * e2 + 4 * waw) // e2  # floor(2R + 2 w^T a w)
 
     def coords_of(z):
         return tuple(part[i] + sum(z[r] * kmat[r][i] for r in range(3))

@@ -4,7 +4,7 @@ A lattice is stored as (denominator, 4x4 integer row-Hermite basis), and
 so is every element it is asked about: `coordinates(vec, den)` and
 `contains(vec, den)` read the element vec/den for an integer 4-tuple vec, by
 an integer triangular solve. Hermite bases are built by inserting one row
-at a time. Fractions appear only in `invert`; nothing is floating point.
+at a time. Everything is in integers: no Fraction and no floating point.
 
 The short-vector front end takes integer Gram matrices only (a norm form
 comes from `QuaternionAlgebra.norm_gram`): `enumerate_by_value` lists the
@@ -36,7 +36,6 @@ halving.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from ..errors import InvariantViolationError, UsageError
@@ -258,25 +257,6 @@ class Lattice4:
         for c in coords:
             rows.append([sum(c[i] * self.rows[i][k] for i in range(4)) for k in range(4)])
         return Lattice4(self.den, rows)
-
-
-def invert(m):
-    """Exact inverse of a square matrix of Fractions via Gauss-Jordan."""
-    n = len(m)
-    a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise UsageError("matrix not invertible")
-        a[col], a[piv] = a[piv], a[col]
-        d = a[col][col]
-        a[col] = [x / d for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
 
 
 def adjugate4(m):

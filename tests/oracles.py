@@ -180,6 +180,28 @@ def rank_mod_p_oracle(rows, p):
     return rank
 
 
+# -- determinants and ranks by cofactor expansion -----------------------------
+
+def cofactor_det_oracle(rows):
+    """Determinant by cofactor expansion along the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * x * cofactor_det_oracle([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
+
+
+def rank_by_minors_oracle(rows):
+    """The largest k with a nonzero k x k minor, each by cofactor expansion."""
+    from itertools import combinations
+    rows = [list(r) for r in rows]
+    for k in range(min(len(rows), len(rows[0]) if rows else 0), 0, -1):
+        if any(cofactor_det_oracle([[rows[i][j] for j in cs] for i in rs])
+               for rs in combinations(range(len(rows)), k)
+               for cs in combinations(range(len(rows[0])), k)):
+            return k
+    return 0
+
+
 # -- Brandt matrices by neighbour classification ------------------------------
 
 def neighbor_matrix_oracle(class_set, ell):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import time
@@ -12,11 +13,13 @@ from quatlfun.exactalg import (AbelianGroupShape, Character, GroupRingElement,
                                IntMatrix, PrimePowerRing, det, eliminate,
                                eliminate_mod, fitting_exponent, group_ring_mul,
                                inequality_check, involution, kernel_basis,
-                               kernel_mod, mu_invariant, project_level,
+                               kernel_mod, leading_minors, mu_invariant,
+                               project_level,
                                rational_kernel, smith_normal_form, solve,
                                solve_mod, specialize)
 
-from oracles import (convolution_oracle, fitting_minors_oracle,
+from oracles import (cofactor_det_oracle, convolution_oracle,
+                     fitting_minors_oracle, rank_by_minors_oracle,
                      snf_diagonal_oracle)
 
 
@@ -83,7 +86,7 @@ class TestSmithNormalForm:
         assert snf_checks(IntMatrix.from_rows(M)) == (2, 4)
 
     def test_zero_matrix(self):
-        M = IntMatrix.zero(2, 3)
+        M = IntMatrix.from_rows([[0] * 3] * 2)
         U, S, V = smith_normal_form(M)
         assert S.entries == M.entries
         assert U.entries == IntMatrix.identity(2).entries
@@ -203,6 +206,62 @@ class TestKernelAndSolve:
         assert all((a - c) % 25 == 0 for a, c in zip(out, b))
 
 
+def _sparse_rows(data, r, c):
+    """r x c rows with mostly zero entries; now and then rows 0 and 1 agree
+    on their first k entries, so the leading minors of sizes 2..k vanish
+    and the pass swaps rows."""
+    rows = [[data.draw(st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3, 7))) for _ in range(c)]
+            for _ in range(r)]
+    if r >= 2 and data.draw(st.booleans()):
+        k = data.draw(st.integers(2, c)) if c >= 2 else 1
+        rows[1][:k] = rows[0][:k]
+    return rows
+
+
+class TestFractionFree:
+    """`det`, `leading_minors` and `rational_kernel` read one fraction-free
+    pass; each is checked against cofactor expansion."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.data())
+    def test_det_against_cofactor_expansion(self, n, data):
+        rows = _sparse_rows(data, n, n)
+        assert det(IntMatrix.from_rows(rows)) == cofactor_det_oracle(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.data())
+    def test_leading_minors_against_cofactor_expansion(self, r, c, data):
+        rows = _sparse_rows(data, r, c)
+        expect = []
+        for k in range(1, min(r, c) + 1):
+            minor = cofactor_det_oracle([row[:k] for row in rows[:k]])
+            if minor == 0:
+                break
+            expect.append(minor)
+        assert leading_minors(IntMatrix.from_rows(rows)) == tuple(expect)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.data())
+    def test_rational_kernel_against_minors(self, r, c, data):
+        # as many primitive vectors as the kernel's dimension over Q, each
+        # killed by M, and independent
+        rows = _sparse_rows(data, r, c)
+        M = IntMatrix.from_rows(rows)
+        vecs = rational_kernel(M)
+        assert len(vecs) == c - rank_by_minors_oracle(rows)
+        assert all(M.mul_vec(v) == (0,) * r and math.gcd(*v) == 1 for v in vecs)
+        assert rank_by_minors_oracle(vecs) == len(vecs)
+
+    def test_a_swap_flips_the_sign(self):
+        # D_1 = 0, so no leading minor comes back, and det = -1
+        M = IntMatrix.from_rows([[0, 1], [1, 0]])
+        assert (det(M), leading_minors(M)) == (-1, ())
+
+    def test_det_refuses_a_non_square_matrix(self):
+        with pytest.raises(UsageError, match="non-square"):
+            det(IntMatrix.from_rows([[1, 2, 3]]))
+
+
 def cokernel_shape(M):
     """coker(M) = Z^rows / column span, read off the Smith form."""
     diag = snf_checks(M)
@@ -284,8 +343,8 @@ class TestGroupRing:
 
     def test_mul_by_zero(self):
         a = gre(5, 2, 1, [3, 1, 4, 1, 5])
-        z = GroupRingElement.zero(a.ring, a.group_order)
-        assert group_ring_mul(a, z).is_zero()
+        z = gre(5, 2, 1, [0] * 5)
+        assert not any(group_ring_mul(a, z).coeffs)
 
     def test_mismatched_rings_rejected(self):
         a = gre(5, 2, 1, [1, 0, 0, 0, 0])
@@ -299,7 +358,7 @@ class TestGroupRing:
         # an order of 0 is refused too, not looped on
         ring = PrimePowerRing(5, 1)
         if ok:
-            assert GroupRingElement.zero(ring, order).group_order == order
+            assert GroupRingElement.make(ring, order, [0] * order).group_order == order
         else:
             with pytest.raises(UsageError, match="power of p"):
                 GroupRingElement(ring, order, ())
@@ -326,8 +385,9 @@ class TestGroupRing:
         p, n, m = 3, 2, 1
         draw = lambda: gre(p, n, m, [data.draw(st.integers(0, 8)) for _ in range(3)])
         a, b, c = draw(), draw(), draw()
-        assert (a * b).coeffs == (b * a).coeffs
-        assert ((a * b) * c).coeffs == (a * (b * c)).coeffs
+        mul = group_ring_mul
+        assert mul(a, b).coeffs == mul(b, a).coeffs
+        assert mul(mul(a, b), c).coeffs == mul(a, mul(b, c)).coeffs
 
 
 class TestInvolution:
@@ -345,12 +405,13 @@ class TestInvolution:
             a = gre(5, 2, 1, [rng.randrange(25) for _ in range(5)])
             b = gre(5, 2, 1, [rng.randrange(25) for _ in range(5)])
             assert involution(involution(a)).coeffs == a.coeffs
-            assert involution(a * b).coeffs == (involution(a) * involution(b)).coeffs
+            assert involution(group_ring_mul(a, b)).coeffs == \
+                group_ring_mul(involution(a), involution(b)).coeffs
 
     def test_oneplusg_times_star(self):
         a = gre(5, 1, 1, [1, 1, 0, 0, 0])
         expect = convolution_oracle([1, 1, 0, 0, 0], [1, 0, 0, 0, 1], 5, 5)
-        assert (a * involution(a)).coeffs == tuple(expect)
+        assert group_ring_mul(a, involution(a)).coeffs == tuple(expect)
 
 
 class TestMuInvariant:
@@ -367,7 +428,7 @@ class TestMuInvariant:
         assert mu_invariant(a) == 1
 
     def test_zero_capped(self):
-        a = GroupRingElement.zero(PrimePowerRing(5, 2), 5)
+        a = gre(5, 2, 1, [0] * 5)
         assert mu_invariant(a) == 2
 
     def test_superadditive(self):
@@ -376,14 +437,14 @@ class TestMuInvariant:
         for _ in range(40):
             a = gre(3, 3, 1, [rng.randrange(27) for _ in range(3)])
             b = gre(3, 3, 1, [rng.randrange(27) for _ in range(3)])
-            lhs = mu_invariant(a * b)
+            lhs = mu_invariant(group_ring_mul(a, b))
             bound = min(ring.n, mu_invariant(a) + mu_invariant(b))
             assert lhs >= bound
             # equality when one factor is a unit times a power of p
             u = rng.choice([1, 2])  # unit mod 3
             k = rng.choice([0, 1])
             c = gre(3, 3, 1, [u * 3 ** k, 0, 0])
-            assert mu_invariant(a * c) == min(ring.n, mu_invariant(a) + k)
+            assert mu_invariant(group_ring_mul(a, c)) == min(ring.n, mu_invariant(a) + k)
 
 
 class TestProjectLevel:
@@ -427,7 +488,7 @@ class TestSpecialize:
         for _ in range(10):
             a = gre(5, 1, 1, [rng.randrange(5) for _ in range(5)])
             b = gre(5, 1, 1, [rng.randrange(5) for _ in range(5)])
-            assert specialize(a * b, chi).coeffs == \
+            assert specialize(group_ring_mul(a, b), chi).coeffs == \
                 (specialize(a, chi) * specialize(b, chi)).coeffs
 
     def test_projection_compatible_with_low_level_character(self):
@@ -491,7 +552,9 @@ class TestInequalityCheck:
 
 class TestSerialization:
     def test_round_trip(self):
+        # L_phi.json and L_p.json: the level m and the coefficients give the
+        # element back through the public constructor
         a = gre(5, 2, 1, [1, 2, 3, 4, 0])
-        b = GroupRingElement.from_json(a.to_json())
-        assert a == b
-        assert '"p": 5' in a.to_json()
+        d = json.loads(a.to_json())
+        assert d["p"] == 5 and d["n"] == 2 and d["m"] == 1
+        assert gre(d["p"], d["n"], d["m"], d["coeffs"]) == a

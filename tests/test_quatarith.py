@@ -38,7 +38,7 @@ from quatlfun.quatarith import ideal as ideal_module
 from quatlfun.quatarith import lattice as lattice_module
 from quatlfun.quatarith import splitting as splitting_module
 from quatlfun.quatarith.lattice import (adjugate4, enumerate_by_value,
-                                        hnf_mod, hnf_rows, invert,
+                                        hnf_mod, hnf_rows,
                                         lagrange_reduce,
                                         shortest_value_and_vector,
                                         value_counts)
@@ -1341,7 +1341,7 @@ class TestLattice4:
             a = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)]
             gram = [[sum(a[k][i] * a[k][j] for k in range(4)) + (i == j) * rng.randint(1, 3)
                      for j in range(4)] for i in range(4)]
-            inv = invert(gram)
+            inv = _inverse_oracle(gram)
             box = max(math.isqrt(math.floor(12 * inv[i][i])) for i in range(4))
             if box > 4:
                 continue
@@ -1368,7 +1368,7 @@ class TestLattice4:
         gram = [[sum(a[k][i] * a[k][j] for k in range(4)) + (i == j) * diagonal[i]
                  for j in range(4)] for i in range(4)]
         bound = min(gram[i][i] for i in range(4))
-        inv = invert(gram)
+        inv = _inverse_oracle(gram)
         boxes = [math.isqrt(math.floor(bound * inv[i][i])) for i in range(4)]
         value, vec = shortest_value_and_vector(gram)
         assert value == minimum_of_form(gram, boxes)

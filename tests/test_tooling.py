@@ -22,7 +22,9 @@ with their reasons, and every defaulted parameter is passed by some call,
 bar three named with their reasons. `maximal_order` saturates by the
 index-q search alone, with no radical or idealizer route beside it. Every
 eigenvalue is read off one joint-eigenspace search, whose operators come from
-one builder. Each falsifier of tests/test_certificates.py passes once its
+one builder. Over Q there is one elimination, a fraction-free pass that
+`det`, `leading_minors` and `rational_kernel` read, and the public names
+defined more than once are pinned. Each falsifier of tests/test_certificates.py passes once its
 certificate is made to return True at once.
 """
 
@@ -157,9 +159,9 @@ def _imports_fractions(path):
 
 def test_lattice_elements_are_integer_rows():
     # orders, ideals and their elements are (den, integer rows); Fractions
-    # stay in lattice.py (`invert`), ideal.py (nrd(I)) and
-    # classset.py (the mass)
-    allowed = {"lattice.py", "ideal.py", "classset.py"}
+    # stay in ideal.py (nrd(I)) and classset.py (the mass), and neither the
+    # lattice layer nor the embedding search imports them
+    allowed = {"ideal.py", "classset.py"}
     package = os.path.join(SRC, "quatarith")
     importers = {name for name in os.listdir(package)
                  if name.endswith(".py") and _imports_fractions(os.path.join(package, name))}
@@ -423,6 +425,32 @@ def test_every_public_name_has_a_caller():
         if last not in bench and package[last] <= _reads(node)[last]:
             uncalled.add((rel, name))
     assert uncalled == set(_UNCALLED)
+
+
+def test_one_elimination_over_q():
+    # det, leading_minors and rational_kernel read the one fraction-free
+    # pass; the Bareiss determinant and the Fraction inverse are gone, and
+    # the dual graph reads its leading minors off one pass, not k determinants
+    from quatlfun import compgraph
+    from quatlfun.exactalg import intmatrix
+    from quatlfun.quatarith import lattice
+    assert all("_fraction_free" in _names_called(func) for func in
+               (intmatrix.det, intmatrix.leading_minors, intmatrix.rational_kernel))
+    assert not hasattr(intmatrix, "_det") and not hasattr(lattice, "invert")
+    assert "det" not in _calls(ast.parse(inspect.getsource(compgraph)))
+
+
+# public names defined more than once in the package: the caller test
+# matches by name, so a namesake's caller would hide a definition that has
+# none. A new namesake fails test_namesakes_pinned until it is added here,
+# with a caller of its own for each definition
+_NAMESAKES = {"act", "describe", "from_json", "key", "make", "modulus", "mul",
+              "neighbors", "nrd", "order", "rank", "to_json", "valuation"}
+
+
+def test_namesakes_pinned():
+    defined = Counter(name.rsplit(".", 1)[-1] for _, name, _ in _public_definitions())
+    assert {name for name, count in defined.items() if count > 1} == _NAMESAKES
 
 
 def test_one_saturation_route():
