@@ -120,10 +120,6 @@ class TestMonodromy:
         with pytest.raises(UsageError, match="fails positive definiteness"):
             _check_positive_definite(gram)
 
-    def test_positive_definite_returns_the_determinant(self):
-        g = theta_graph()
-        assert _check_positive_definite(monodromy_map(g, character_group(g))) == 3
-
 
 class TestComponentGroup:
     def test_two_cycle_unit(self):

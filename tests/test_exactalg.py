@@ -2,7 +2,6 @@ import json
 import math
 import random
 import time
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -21,23 +20,6 @@ from quatlfun.exactalg import (AbelianGroupShape, Character, GroupRingElement,
 from oracles import (cofactor_det_oracle, convolution_oracle,
                      fitting_minors_oracle, rank_by_minors_oracle,
                      snf_diagonal_oracle)
-
-
-def _rank_over_q(rows):
-    """Rank by Gauss-Jordan over Fractions, independent of the package."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    for j in range(len(m[0]) if m else 0):
-        piv = next((i for i in range(rank, len(m)) if m[i][j]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        for i in range(len(m)):
-            if i != rank and m[i][j]:
-                f = m[i][j] / m[rank][j]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-    return rank
 
 
 def _diagonal(S):
@@ -112,6 +94,18 @@ def _draw_rows(data, r, c, lo, hi):
     return [[data.draw(st.integers(lo, hi)) for _ in range(c)] for _ in range(r)]
 
 
+def _sparse_rows(data, r, c):
+    """r x c rows with mostly zero entries; now and then rows 0 and 1 agree
+    on their first k entries, so the leading minors of sizes 2..k vanish
+    and the pass swaps rows."""
+    rows = [[data.draw(st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3, 7))) for _ in range(c)]
+            for _ in range(r)]
+    if r >= 2 and data.draw(st.booleans()):
+        k = data.draw(st.integers(2, c)) if c >= 2 else 1
+        rows[1][:k] = rows[0][:k]
+    return rows
+
+
 class TestAugmentedElimination:
     """The blocks appended to the pivot block carry exactly the transforms."""
 
@@ -158,17 +152,17 @@ class TestKernelAndSolve:
         for v in basis:
             assert M.mul_vec(v) == (0,)
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 6).flatmap(lambda c: st.lists(
-        st.lists(st.integers(-6, 6), min_size=c, max_size=c), min_size=1, max_size=6)))
-    def test_rational_kernel_spans_the_kernel_over_q(self, rows):
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.booleans(), st.data())
+    def test_rational_kernel_spans_the_kernel_over_q(self, r, c, sparse, data):
         # as many primitive vectors as the kernel's dimension over Q, each
-        # killed by M, and independent
+        # killed by M, and independent; ranks by cofactor expansion
+        rows = _sparse_rows(data, r, c) if sparse else _draw_rows(data, r, c, -6, 6)
         M = IntMatrix.from_rows(rows)
         vecs = rational_kernel(M)
-        assert len(vecs) == M.cols - _rank_over_q(rows)
-        assert all(M.mul_vec(v) == (0,) * M.rows and math.gcd(*v) == 1 for v in vecs)
-        assert _rank_over_q(vecs) == len(vecs)
+        assert len(vecs) == c - rank_by_minors_oracle(rows)
+        assert all(M.mul_vec(v) == (0,) * r and math.gcd(*v) == 1 for v in vecs)
+        assert rank_by_minors_oracle(vecs) == len(vecs)
 
     def test_rational_kernel_where_the_smith_pivoting_blows_up(self):
         # a 6x6 matrix with entries <= 12 on which `eliminate` reached
@@ -206,21 +200,9 @@ class TestKernelAndSolve:
         assert all((a - c) % 25 == 0 for a, c in zip(out, b))
 
 
-def _sparse_rows(data, r, c):
-    """r x c rows with mostly zero entries; now and then rows 0 and 1 agree
-    on their first k entries, so the leading minors of sizes 2..k vanish
-    and the pass swaps rows."""
-    rows = [[data.draw(st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3, 7))) for _ in range(c)]
-            for _ in range(r)]
-    if r >= 2 and data.draw(st.booleans()):
-        k = data.draw(st.integers(2, c)) if c >= 2 else 1
-        rows[1][:k] = rows[0][:k]
-    return rows
-
-
 class TestFractionFree:
-    """`det`, `leading_minors` and `rational_kernel` read one fraction-free
-    pass; each is checked against cofactor expansion."""
+    """`det` and `leading_minors` read the fraction-free pass that
+    `rational_kernel` reads; each is checked against cofactor expansion."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 6), st.data())
@@ -239,23 +221,6 @@ class TestFractionFree:
                 break
             expect.append(minor)
         assert leading_minors(IntMatrix.from_rows(rows)) == tuple(expect)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 6), st.integers(1, 6), st.data())
-    def test_rational_kernel_against_minors(self, r, c, data):
-        # as many primitive vectors as the kernel's dimension over Q, each
-        # killed by M, and independent
-        rows = _sparse_rows(data, r, c)
-        M = IntMatrix.from_rows(rows)
-        vecs = rational_kernel(M)
-        assert len(vecs) == c - rank_by_minors_oracle(rows)
-        assert all(M.mul_vec(v) == (0,) * r and math.gcd(*v) == 1 for v in vecs)
-        assert rank_by_minors_oracle(vecs) == len(vecs)
-
-    def test_a_swap_flips_the_sign(self):
-        # D_1 = 0, so no leading minor comes back, and det = -1
-        M = IntMatrix.from_rows([[0, 1], [1, 0]])
-        assert (det(M), leading_minors(M)) == (-1, ())
 
     def test_det_refuses_a_non_square_matrix(self):
         with pytest.raises(UsageError, match="non-square"):
