@@ -311,10 +311,44 @@ class QuotientGraph:
             entry = self._paths[wkey] = self._descend(entry, self._image(entry, w))
         return entry
 
-    def _image(self, entry, w):
-        """Key of A·w for a neighbour w of the vertex that entry describes;
-        A·w is a neighbour of r_state, or the transport is broken."""
+    def classify_moved_edge(self, source, unit, target, moved=None) -> int:
+        """Class of the edge (source, U·target) by one canonical form, for U =
+        `unit` an integer matrix exact mod p^prec whose determinant is a p-unit.
+
+        With (s, gamma, A, e) the path data of source, A·U·target is a
+        neighbour u of r_s (`_image` checks it), and the edge has the class of
+        the walk's out-edge (r_s, u). The check also certifies that U·target
+        is adjacent to source, since A acts on the tree as an isometry. No
+        edge is built, and U·target is not canonicalised here.
+
+        `moved`, when given, is the canonical form of U·target, one step
+        further from the root than source. Its path data is then memoised
+        from the same image: it is what `_path` derives from its parent, so a
+        later path through it takes no canonical form.
+        """
+        self.ensure_walk()
+        entry = self._path(source)
+        image = self._image(entry, target, unit)
+        if moved is not None:
+            if bttree.parent(moved) != source:
+                raise UsageError("the moved target is not a child of the source")
+            key = (moved.a, moved.b, moved.d)
+            if key not in self._paths:
+                self._paths[key] = self._descend(entry, image)
+        rep = self.parity_reps[entry[0]]
+        return self._edge_memo[(rep.a, rep.b, rep.d) + image]
+
+    def _image(self, entry, w, unit=None):
+        """Key of A·U·w for a neighbour U·w of the vertex that entry
+        describes, U = unit (det U a p-unit, exact mod p^prec) or the
+        identity; A·U·w is a neighbour of r_state, or the transport is broken.
+
+        A·U ≡ iota(gamma)·U mod p^prec, and det(A·U) has valuation e, so the
+        precision rule of `_act` holds for A·U as it does for A.
+        """
         state, _, mat, e = entry
+        if unit is not None:
+            mat = _mul_mod(mat, unit, self.p ** self.splitting.prec)
         image = self._act(mat, e, w)
         key = (image.a, image.b, image.d)
         if key not in self._rep_neighbors[state]:
@@ -509,6 +543,14 @@ class QuotientGraph:
         return neighbor_matrix(self.vertex_classes, ell)
 
 
+def _mul_mod(g, h, q):
+    """The 2x2 product g·h with entries reduced mod q."""
+    (g00, g01), (g10, g11) = g
+    (h00, h01), (h10, h11) = h
+    return (((g00 * h00 + g01 * h10) % q, (g00 * h01 + g01 * h11) % q),
+            ((g10 * h00 + g11 * h10) % q, (g10 * h01 + g11 * h11) % q))
+
+
 def _unit_coords(i):
     v = [0, 0, 0, 0]
     v[i] = 1
@@ -676,14 +718,17 @@ def eigensystems_mod(classes: ClassSet, sample_primes, p: int, n: int,
     unit-weight pairing (`_cuspidal_sublattice`). `fixed` maps
     primes to known eigenvalues: those operators are cut at that value only,
     which returns exactly the systems of the full search that carry these
-    values, in the same order.
+    values, in the same order. With one class (h = 1) the sublattice is 0
+    and there is no system.
     """
+    cuspidal = _cuspidal_sublattice(classes, p, n)
+    if not cuspidal:
+        return []
     q = p ** n
     fixed = fixed or {}
     ops = _hecke_operators(classes, sample_primes)
     choices = [(fixed[ell] % q,) if ell in fixed else range(q) for (_, ell), _ in ops]
-    leaves = joint_eigenspaces([mat for _, mat in ops], choices,
-                               _cuspidal_sublattice(classes, p, n), (p, n))
+    leaves = joint_eigenspaces([mat for _, mat in ops], choices, cuspidal, (p, n))
     return [EigenSystem(p, n, *_eigenvalue_maps(ops, assignment), "computed")
             for assignment, _ in leaves]
 

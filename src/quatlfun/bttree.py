@@ -15,6 +15,10 @@ mod a power of p, with no division in Q:
 - with s = min(a, d, v(y)) the class is (a - s, b, d - s), where
   b = (y / p^s) * (w / p^d)^(-1) mod p^(a - s).
 
+Each valuation is taken once, and only where it can matter: v(z) only when
+the columns swap (v(z) < v(w) iff p^v(w) does not divide z), v(det M) only
+when p divides det M (else a = d = 0), and v(y) only when min(a, d) > 0.
+
 The distance between the classes of M_u and M_v is v(det R) - 2 min v(R_ij)
 for R = adj(M_u) M_v: the spread of the elementary divisors of M_u^(-1) M_v.
 """
@@ -69,18 +73,20 @@ def canonical_vertex(p: int, cols) -> TreeVertex:
     det = x * w - y * z
     if det == 0:
         raise UsageError("matrix is singular")
-    if w == 0 or (z != 0 and valuation(z, p) < valuation(w, p)):
+    d = valuation(w, p) if w else -1
+    if d < 0 or z % p ** d:  # w = 0 or v(z) < v(w)
         x, y, z, w = y, x, w, z
-    d = valuation(w, p)
-    a = valuation(det, p) - d
-    s = min(a, d, valuation(y, p)) if y else min(a, d)
+        d = valuation(w, p)
+    # v(det) >= v(w) = d, so p ∤ det forces d = 0 and a = 0
+    a = valuation(det, p) - d if det % p == 0 else 0
+    s = min(a, d)
+    if s and y:
+        s = min(s, valuation(y, p))
     a -= s
+    if a == 0:
+        return TreeVertex(p, 0, 0, d - s)
     mod = p ** a
-    if mod == 1:
-        b = 0
-    else:
-        b = (y // p ** s) * pow(w // p ** d, -1, mod) % mod
-    return TreeVertex(p, a, b, d - s)
+    return TreeVertex(p, a, (y // p ** s) * pow(w // p ** d, -1, mod) % mod, d - s)
 
 
 def act(g, v: TreeVertex) -> TreeVertex:

@@ -57,13 +57,17 @@ class GroupRingElement:
             raise UsageError("group order must be a power of p")
         if len(self.coeffs) != m:
             raise UsageError("coefficient count must equal the group order")
-        if any(not isinstance(c, int) or not (0 <= c < self.ring.modulus) for c in self.coeffs):
+        if any(type(c) is not int or not (0 <= c < self.ring.modulus) for c in self.coeffs):
             raise UsageError("coefficients must be canonical residues")
 
     @staticmethod
     def make(ring: PrimePowerRing, group_order: int, coeffs) -> "GroupRingElement":
-        return GroupRingElement(ring, group_order,
-                                tuple(ring.reduce(int(c)) for c in coeffs))
+        """The element with the given coefficients reduced mod p^n. Each must
+        be an int: a bool, a float or a string is refused, not rounded."""
+        coeffs = tuple(coeffs)
+        if any(type(c) is not int for c in coeffs):
+            raise UsageError(f"group-ring coefficients must be integers, got {coeffs}")
+        return GroupRingElement(ring, group_order, tuple(map(ring.reduce, coeffs)))
 
     @staticmethod
     def generator_power(ring: PrimePowerRing, group_order: int, k: int) -> "GroupRingElement":

@@ -254,6 +254,16 @@ def edge_orbit_table(torus: TorusData, graph: QuotientGraph, m: int,
     global units). u1^(p^j) fixes e_j (checked), so the class depends on t
     only mod p^j: the entry of any t at level j is table[(s, t % p^j, j)],
     for every level up to m. One table serves the whole tower below m.
+
+    The table is built down the ray, one level at a time. The source of
+    tau^s u1^t ⋆ e_j is U·v_j, U = tau^s u1^t and v_j the target of e_(j-1);
+    u1^(p^(j-1)) fixes e_(j-1) (certified by `edge_ray` and again by
+    `_verify_table`), so it is the target already found at (s, t mod p^(j-1),
+    j - 1), and tau^s·v_0 at j = 0. Each entry is then classified from its
+    source and U acting on the target of e_j by
+    `QuotientGraph.classify_moved_edge`: one canonical form, under the path
+    step's neighbour check and precision rule. Targets are canonicalised
+    only below level m, where they are the next level's sources.
     """
     # every level the table serves gets its generator-order certificate
     groups = [level_group(torus, level) for level in range(m + 1)]
@@ -262,11 +272,19 @@ def edge_orbit_table(torus: TorusData, graph: QuotientGraph, m: int,
     table = {}
     for s in range(torus.torsion_order):
         tors = torus.pair_power(torus.torsion_pair, s)
+        sources = [torus.act_vertex(tors, ray[0].source)]
         for j, edge in enumerate(ray):
             pair = tors
+            targets = []
             for t in range(groups[j].order):
-                table[(s, t, j)] = graph.classify_edge(torus.act_edge(pair, edge))
+                unit = torus.unit_matrix(*pair)
+                source = sources[t % len(sources)]
+                moved = bttree.act(unit, edge.target) if j < m else None
+                table[(s, t, j)] = graph.classify_moved_edge(
+                    source, unit, edge.target, moved)
+                targets.append(moved)
                 pair = torus.pair_mul(pair, u1)
+            sources = targets
     _verify_table(torus, graph, groups[m], ray, table)
     return table, ray
 

@@ -242,6 +242,14 @@ class TestEigensystemsMod:
         assert keys == [(curve_a_ell(2) % 7, curve_a_ell(3) % 7)]
         assert (3, 4) not in keys
 
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_one_class_has_no_system(self, p):
+        # disc 13 has class number 1: the cuspidal sublattice is 0, so the
+        # search finds no system rather than building an h x 0 matrix
+        cs = ideal_class_set(maximal_order(algebra_from_discriminant(13)), p)
+        assert len(cs) == 1
+        assert eigensystems_mod(cs, [2], p, 1) == []
+
     def test_eigenvector_canonical_scaling(self, graph11_p5):
         target = EigenSystem(5, 1, {2: 3, 3: 4}, {5: 1, 11: 1})
         v = eigenvector_mod(graph11_p5, target, [2, 3])

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quatlfun.bttree import (TreeEdge, act, ball, canonical_vertex, distance,
-                             edges_from, forward_edges, neighbors, parent,
-                             root_vertex)
+from quatlfun.bttree import (TreeEdge, TreeVertex, act, ball, canonical_vertex,
+                             distance, edges_from, forward_edges, neighbors,
+                             parent, root_vertex)
 from quatlfun.errors import UsageError
 
 from oracles import act_oracle, canonical_vertex_oracle, distance_oracle
@@ -85,6 +85,48 @@ class TestOracleAgreement:
             assert act(g, v) == act_oracle(g, v)
             assert canonical_vertex(v.p, g) == canonical_vertex_oracle(v.p, g)
         assert distance(v, w) == distance_oracle(v, w)
+
+
+@st.composite
+def _deep_matrix_and_vertex(draw):
+    """g with entries 0 or ±p^k·u, 0 <= k <= 16 and u a unit below p^2, one in
+    three of unit determinant (units on one diagonal, p times such entries off it),
+    and a vertex at depth up to 32."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    unit = st.builds(lambda sign, u: sign * u, st.sampled_from((1, -1)),
+                     st.integers(1, p * p).filter(lambda u: u % p))
+    deep = st.builds(lambda k, u: p ** k * u, st.sampled_from(range(17)), unit)
+    # an entry is 0 one time in eight
+    entry = st.sampled_from(range(8)).flatmap(lambda r: deep if r else st.just(0))
+    if draw(st.integers(0, 2)) == 0:
+        off = entry.map(lambda e: p * e)
+        x, y, z, w = draw(unit), draw(off), draw(off), draw(unit)
+        g = ((x, y), (z, w)) if draw(st.booleans()) else ((y, x), (w, z))
+    else:
+        g = ((draw(entry), draw(entry)), (draw(entry), draw(entry)))
+    a, d = draw(st.integers(0, 16)), draw(st.integers(0, 16))
+    b = draw(st.integers(0, p ** a - 1))
+    if a and d and b % p == 0:
+        b += 1
+    return g, TreeVertex(p, a, b, d)
+
+
+class TestDeepMatrices:
+    """High valuations, zero entries and unit determinants against the oracle:
+    the valuation shortcuts of canonical_vertex and deep products in act."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_deep_matrix_and_vertex())
+    def test_canonical_form_and_action_match_the_oracle(self, case):
+        g, v = case
+        if g[0][0] * g[1][1] - g[0][1] * g[1][0] == 0:
+            with pytest.raises(UsageError):
+                canonical_vertex(v.p, g)
+            with pytest.raises(UsageError):
+                act(g, v)
+        else:
+            assert canonical_vertex(v.p, g) == canonical_vertex_oracle(v.p, g)
+            assert act(g, v) == act_oracle(g, v)
 
 
 class TestNeighbors:

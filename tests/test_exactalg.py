@@ -328,6 +328,12 @@ class TestGroupRing:
             with pytest.raises(UsageError, match="power of p"):
                 GroupRingElement(ring, order, ())
 
+    @pytest.mark.parametrize("bad", [2.7, True, "3"])
+    def test_make_refuses_a_coefficient_that_is_not_an_int(self, bad):
+        # refused, not rounded: int() would read 2.7 as 2, True as 1, "3" as 3
+        with pytest.raises(UsageError, match="integers"):
+            GroupRingElement.make(PrimePowerRing(5, 1), 5, [bad, 0, 0, 0, 0])
+
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_product_matches_convolution_oracle(self, data):

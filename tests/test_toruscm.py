@@ -206,3 +206,52 @@ class TestCompressedTable:
         from quatlfun.pipeline import _torus_quotient
         emb, graph = _torus_quotient(11, 1, 3, -4)
         _assert_table_matches_oracle(graph, build_torus(-4, emb, graph), 4)
+
+
+@pytest.mark.parametrize("disc, p, m, disc_k", [(11, 5, 4, -3), (11, 3, 4, -4)])
+def test_orbit_table_takes_at_most_two_canonical_forms_an_entry(monkeypatch, disc, p,
+                                                                m, disc_k):
+    # lfun-tower's towers: built down the ray, an entry costs one canonical
+    # form, and one more below the deepest level for its target (about 3.4
+    # when every entry moved both ends and classified the edge afresh)
+    from quatlfun import bttree
+    from quatlfun.pipeline import _torus_quotient
+    emb, graph = _torus_quotient(disc, 1, p, disc_k)
+    graph.ensure_walk()  # as in the pipeline, whose U_p walks the graph first
+    torus = build_torus(disc_k, emb, graph)
+    calls = []
+    real = bttree.canonical_vertex
+    monkeypatch.setattr(bttree, "canonical_vertex",
+                        lambda *args: calls.append(args) or real(*args))
+    table, ray = edge_orbit_table(torus, graph, m)
+    monkeypatch.undo()
+    assert len(calls) <= 2 * len(table)
+    # against the per-level oracle on a fresh graph, whose paths the table
+    # has not touched
+    emb, graph = _torus_quotient(disc, 1, p, disc_k)
+    torus = build_torus(disc_k, emb, graph)
+    want, want_ray = edge_orbit_table_oracle(torus, graph, m)
+    assert want_ray == ray
+    assert all(table[(s, t % p ** j, j)] == cls for (s, t, j), cls in want.items())
+
+
+class TestClassifyMovedEdge:
+    def test_target_off_the_source_is_refused(self, torus_setup):
+        # the fused image of a target two steps from the source leaves the
+        # neighbours of the state representative: the path step's check
+        from quatlfun import bttree
+        graph, torus = torus_setup
+        root = torus.fixed_vertex
+        far = bttree.forward_edges(bttree.edges_from(root)[0])[0].target
+        with pytest.raises(InvariantViolationError, match="left the neighbours"):
+            graph.classify_moved_edge(root, torus.unit_matrix(1, 0), far)
+
+    def test_moved_must_be_a_child_of_the_source(self, torus_setup):
+        from quatlfun import bttree
+        graph, torus = torus_setup
+        root = torus.fixed_vertex
+        edge = bttree.edges_from(root)[0]
+        grandchild = bttree.forward_edges(edge)[0].target
+        with pytest.raises(UsageError, match="not a child"):
+            graph.classify_moved_edge(root, torus.unit_matrix(1, 0), edge.target,
+                                      grandchild)
