@@ -113,7 +113,6 @@ class CongruencePair:
     eps1: int
     eps2: int
     sampled: tuple
-    excluded: tuple
     cuspidal_certified: bool
     old_disc: int = 1
     level: int = 1
@@ -193,8 +192,7 @@ def raise_level_search(system: EigenSystem, cert1: AdmissibleCert,
                            tuple(candidates))
     chosen = matches[0]
     pair = CongruencePair(system, chosen, v1, v2, cert1.eps, cert2.eps,
-                          samples, tuple(prime_factors(new_disc * level * p)),
-                          cuspidal_certified=True, old_disc=old_disc,
+                          samples, cuspidal_certified=True, old_disc=old_disc,
                           level=level)
     if not pair.verify():
         raise InvariantViolationError("congruence pair fails its own verification")

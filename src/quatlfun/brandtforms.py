@@ -277,9 +277,7 @@ class QuotientGraph:
         return self._vertex_memo[self._image(self._path(bttree.parent(v)), v)]
 
     def _edge_class_by_path(self, e) -> int:
-        entry = self._path(e.source)
-        rep = self.parity_reps[entry[0]]
-        return self._edge_memo[(rep.a, rep.b, rep.d) + self._image(entry, e.target)]
+        return self.classify_moved_edge(e.source, None, e.target)
 
     def _start_paths(self):
         """Path data after the walk: each state representative r_s is its own
@@ -313,7 +311,8 @@ class QuotientGraph:
 
     def classify_moved_edge(self, source, unit, target, moved=None) -> int:
         """Class of the edge (source, U·target) by one canonical form, for U =
-        `unit` an integer matrix exact mod p^prec whose determinant is a p-unit.
+        `unit` an integer matrix exact mod p^prec whose determinant is a p-unit,
+        or the identity when `unit` is None (an edge off the walk's memo).
 
         With (s, gamma, A, e) the path data of source, A·U·target is a
         neighbour u of r_s (`_image` checks it), and the edge has the class of

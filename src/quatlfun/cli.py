@@ -1,14 +1,16 @@
 """Command-line surface: lfun, brandt, admissible, raise, compgroup, fitting, selftest.
 
-All flags are long-form. Exit codes: 0 success, 2 configuration rejected,
-3 data missing, 4 search exhausted or resource bound hit, 5 internal
-invariant violation (or a failing selftest criterion).
+All flags are long-form. Exit codes: 0 success, 2 configuration or input
+content rejected, 3 data missing or an input file unreadable, 4 search
+exhausted or resource bound hit, 5 internal invariant violation (or a
+failing selftest criterion).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import QuatlfunError, UsageError
@@ -92,9 +94,12 @@ def main(argv=None) -> int:
     except QuatlfunError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return ex.exit_code
-    except FileNotFoundError as ex:
+    except OSError as ex:  # a missing, unreadable or directory input
         print(f"error: {ex}", file=sys.stderr)
         return 3
+    except UnicodeDecodeError as ex:
+        print(f"error: input is not UTF-8 text: {ex}", file=sys.stderr)
+        return 2
 
 
 def _dispatch(args) -> int:
@@ -114,6 +119,8 @@ def _cmd_lfun(args) -> int:
     config = PipelineConfig(args.nplus, args.nminus, args.p, args.n, args.mmax,
                             args.K, fixture_path=args.eigenform,
                             sample_bound=args.sample_bound)
+    if args.out and os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise UsageError(f"--out {args.out} exists and is not a directory")
     result = run_lfun(config)
     print(f"eigensystem ({result.system.provenance}):")
     _table([("ell", "a_ell")] + [(str(k), str(v))

@@ -7,7 +7,7 @@ from .groupring import (Character, CyclotomicElement, CyclotomicQuotientRing,
                         involution, mu_invariant, project_level, specialize)
 from .intmatrix import (IntMatrix, det, eliminate, eliminate_mod, kernel_basis,
                         kernel_mod, leading_minors, rational_kernel,
-                        smith_normal_form, solve, solve_mod)
+                        smith_normal_form, solve)
 
 __all__ = [
     "AbelianGroupShape", "Character", "CyclotomicElement",
@@ -16,5 +16,5 @@ __all__ = [
     "eliminate_mod", "fitting_exponent", "group_ring_mul", "inequality_check",
     "involution", "kernel_basis", "kernel_mod", "leading_minors", "module_length",
     "mu_invariant", "project_level", "rational_kernel", "smith_normal_form", "solve",
-    "solve_mod", "specialize",
+    "specialize",
 ]

@@ -72,11 +72,9 @@ class InequalityReport:
     """
 
     selmer_length: object  # int or None (= infinite / free part present)
-    l_valuation: int
     ramification_index: int
     twice_t: int
     holds: object  # bool or None when the length is infinite
-    fitting_contains_value: object
 
     def describe(self) -> str:
         s = "infinite" if self.selmer_length is None else str(self.selmer_length)
@@ -88,7 +86,8 @@ class InequalityReport:
 
 def inequality_check(sel_presentation: IntMatrix, L: GroupRingElement,
                      chi: Character) -> InequalityReport:
-    """Compare length(coker) against 2·v(chi(L)) and the Fitting containment.
+    """Compare length(coker) against 2·v(chi(L)); s <= 2t is the Fitting
+    containment (p^s) ⊇ (chi(L)^2).
 
     L is the half element (the L-function element is L·L^*), so the compared
     valuation is 2t = 2·v(chi(L)).
@@ -96,9 +95,6 @@ def inequality_check(sel_presentation: IntMatrix, L: GroupRingElement,
     e = chi.target_ring().degree  # ramification index over Z_p
     raw_len = module_length(sel_presentation, chi.p)
     s = None if raw_len is None else raw_len * e
-    val = specialize(L, chi).valuation()
-    twice_t = 2 * val
+    twice_t = 2 * specialize(L, chi).valuation()
     holds = None if s is None else (s <= twice_t)
-    # Fitting containment: (p-power of exponent s) contains chi(L)^2
-    contains = None if s is None else (twice_t >= s)
-    return InequalityReport(s, val, e, twice_t, holds, contains)
+    return InequalityReport(s, e, twice_t, holds)

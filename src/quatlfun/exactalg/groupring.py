@@ -3,17 +3,20 @@
 Elements are cyclic group-ring elements indexed by powers of a fixed generator
 g of the cyclic group of order p^m. Characters of p-power order take values in
 the exact cyclotomic quotient (Z/p^n)[x]/Φ_{p^s}(x); no external field
-arithmetic is needed.
+arithmetic is needed. A value's (1 - x)-adic valuation is read off its
+coordinates in the basis (1 - x)^i, binomial sums of its coefficients: 1 - x
+is a uniformizer of the totally ramified Z_p[x]/Φ_{p^s}, so no linear system
+is solved.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import comb
 
 from ..errors import UsageError
 from ..primes import is_prime, valuation
-from .intmatrix import IntMatrix, solve_mod
 
 
 @dataclass(frozen=True)
@@ -173,19 +176,6 @@ class CyclotomicQuotientRing:
     def modulus(self) -> int:
         return self.p ** self.n
 
-    def zero(self):
-        return CyclotomicElement(self, (0,) * self.degree)
-
-    def one(self):
-        return CyclotomicElement(self, (1,) + (0,) * (self.degree - 1))
-
-    def root_power(self, k: int):
-        """x^k as a canonical element (k reduced mod p^s)."""
-        k %= self.p ** self.s
-        c = [0] * (self.p ** self.s)
-        c[k] = 1
-        return CyclotomicElement(self, self._reduce_poly(c))
-
     def _reduce_poly(self, coeffs):
         """Reduce a coefficient list by the monic Φ_{p^s} and mod p^n."""
         q = self.modulus
@@ -200,17 +190,6 @@ class CyclotomicQuotientRing:
         c = c[:deg]
         c += [0] * (deg - len(c))
         return tuple(c)
-
-    # multiplication-by-w matrix in the monomial basis, used for valuations
-    def _mul_matrix(self, w) -> IntMatrix:
-        d = self.degree
-        cols = []
-        for j in range(d):
-            basis = [0] * d
-            basis[j] = 1
-            prod = _poly_mul(w.coeffs, tuple(basis))
-            cols.append(self._reduce_poly(list(prod)))
-        return IntMatrix.from_rows([[cols[j][i] for j in range(d)] for i in range(d)])
 
 
 def _poly_mul(a, b):
@@ -228,49 +207,27 @@ class CyclotomicElement:
     ring: CyclotomicQuotientRing
     coeffs: tuple  # length = ring.degree, canonical residues
 
-    def __add__(self, other):
-        return CyclotomicElement(self.ring, tuple(
-            (a + b) % self.ring.modulus for a, b in zip(self.coeffs, other.coeffs)))
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return CyclotomicElement(self.ring, tuple(
-                (a * other) % self.ring.modulus for a in self.coeffs))
         return CyclotomicElement(self.ring,
                                  self.ring._reduce_poly(list(_poly_mul(self.coeffs, other.coeffs))))
-
-    def __sub__(self, other):
-        return CyclotomicElement(self.ring, tuple(
-            (a - b) % self.ring.modulus for a, b in zip(self.coeffs, other.coeffs)))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def valuation(self) -> int:
         """(1-x)-adic valuation, capped at e*n with e = deg Φ_{p^s}.
 
         For s = 0 this is the plain p-adic valuation (v(p) = 1); in general
-        v(p) = e, so lengths compare in the same normalization.
+        v(p) = e, so lengths compare in the same normalization. With
+        x^k = sum_i C(k, i)·(-(1 - x))^i, the element is sum_i ±b_i·(1 - x)^i
+        with b_i = sum_k C(k, i)·c_k, i < e. As 1 - x is a uniformizer of the
+        totally ramified Z_p[x]/Φ_{p^s}, the term i has valuation
+        e·v_p(b_i) + i, and these differ mod e, so the least of them is the
+        valuation. v_p is capped at n, as b_i is known mod p^n, so the term
+        i = 0 caps the least at e·n.
         """
         ring = self.ring
-        if ring.s == 0:
-            return PrimePowerRing(ring.p, ring.n).valuation(self.coeffs[0])
-        cap = ring.degree * ring.n
-        if self.is_zero():
-            return cap
-        one_minus_x = CyclotomicElement(
-            ring, ring._reduce_poly([1, -1] + [0] * (ring.degree - 2)))
-        v = 0
-        w = ring.one()
-        while v < cap:
-            w_next = w * one_minus_x
-            # test membership self ∈ w_next * R by solving the linear system
-            m = ring._mul_matrix(w_next)
-            if solve_mod(m, self.coeffs, ring.p, ring.n) is None:
-                break
-            w = w_next
-            v += 1
-        return v
+        e = ring.degree
+        v_p = PrimePowerRing(ring.p, ring.n).valuation
+        return min(e * v_p(sum(comb(k, i) * c for k, c in enumerate(self.coeffs))) + i
+                   for i in range(e))
 
 
 @dataclass(frozen=True)
@@ -298,8 +255,7 @@ def specialize(a: GroupRingElement, chi: Character) -> CyclotomicElement:
         raise UsageError("character order must divide the group order")
     ring = chi.target_ring()
     ps = chi.p ** chi.order_exponent
-    out = ring.zero()
+    out = [0] * ps
     for k, c in enumerate(a.coeffs):
-        if c:
-            out = out + ring.root_power(chi.generator_image * k % ps) * c
-    return out
+        out[chi.generator_image * k % ps] += c
+    return CyclotomicElement(ring, ring._reduce_poly(out))

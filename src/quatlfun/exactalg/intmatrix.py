@@ -395,24 +395,3 @@ def kernel_mod(M: IntMatrix, p: int, n: int):
             coeff = 1  # beyond diagonal: column of zeros, free variable
         gens.append(tuple((coeff * row[j]) % q for row in a[r:]))
     return tuple(gens)
-
-
-def solve_mod(M: IntMatrix, b, p: int, n: int):
-    """One solution x of M x ≡ b mod p^n, or None."""
-    _check_rhs(M, b)
-    q = p ** n
-    r, c = M.rows, M.cols
-    a = [list(row) + [x] for row, x in zip(M.entries, b)] + _identity(c)
-    diag = eliminate_mod(a, r, c, p, n)
-    y = [0] * c
-    for i in range(r):
-        d = diag[i] if i < len(diag) else 0
-        ub = a[i][c]  # (U b)_i mod p^n
-        if d:
-            e = _val(d, p, n)
-            if ub % (p ** e) != 0:
-                return None
-            y[i] = (ub // (p ** e)) % q
-        elif ub != 0:
-            return None
-    return tuple(x % q for x in _times(a[r:], y))

@@ -202,6 +202,64 @@ def rank_by_minors_oracle(rows):
     return 0
 
 
+# -- valuations in Z_p[zeta_{p^s}] by the norm ---------------------------------
+#    (no basis (1 - x)^i and no reduction by the cyclotomic polynomial: the
+#    norm is a resultant, a determinant over Q of the Sylvester matrix)
+
+def _fraction_det_oracle(rows):
+    """Determinant by Gaussian elimination over Fractions, first nonzero pivot."""
+    from fractions import Fraction
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(a)):
+        piv = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, len(a)):
+            if a[r][c]:
+                f = a[r][c] / a[c][c]
+                a[r][c:] = [x - f * y for x, y in zip(a[r][c:], a[c][c:])]
+    return int(det)
+
+
+def cyclotomic_valuation_oracle(p, n, s, poly):
+    """(1 - zeta)-adic valuation of poly(zeta) mod p^n, zeta of order p^s,
+    capped at e·n with e = deg Phi_{p^s}; poly is integer coefficients, low
+    degree first, of any length.
+
+    Z_p[zeta] is totally ramified of degree e with uniformizer 1 - zeta, so
+    the valuation is v_p(N(poly(zeta))), and N(poly(zeta)) = Res(Phi, poly)
+    for the monic Phi. A zero resultant, or one divisible by p^(e·n), gives
+    e·n: poly(zeta) is known mod p^n only.
+    """
+    if s == 0:
+        phi = [-1, 1]
+    else:
+        phi = [0] * (p ** (s - 1) * (p - 1) + 1)
+        for i in range(p):
+            phi[i * p ** (s - 1)] = 1
+    e = len(phi) - 1
+    g = list(poly)
+    while g and g[-1] == 0:
+        g.pop()
+    k = len(g) - 1
+    if k < 0:
+        return e * n
+    # Sylvester matrix: k shifts of Phi over e shifts of g, high degree first
+    rows = [[0] * i + phi[::-1] + [0] * (k - 1 - i) for i in range(k)]
+    rows += [[0] * i + g[::-1] + [0] * (e - 1 - i) for i in range(e)]
+    res = _fraction_det_oracle(rows)
+    v = 0
+    while res and res % p == 0 and v < e * n:
+        res //= p
+        v += 1
+    return e * n if res == 0 else v
+
+
 # -- Brandt matrices by neighbour classification ------------------------------
 
 def neighbor_matrix_oracle(class_set, ell):

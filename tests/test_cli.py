@@ -162,7 +162,8 @@ class TestSelftest:
 
 
 class TestMalformedInput:
-    """Bad outside input exits 2 with an error line, not a traceback."""
+    """Bad outside input exits 2 (3 for a file that cannot be read) with an
+    error line, not a traceback."""
 
     @staticmethod
     def exit_code_and_stderr(argv, capsys):
@@ -263,6 +264,42 @@ class TestMalformedInput:
         assert code == 2
         assert "unrecognized arguments: --cache" in err
         assert os.listdir(tmp_path) == []
+
+    _FILE_INPUTS = pytest.mark.parametrize("argv", [
+        ["lfun", "--nminus", "11", "--p", "5", "--mmax", "1", "--K", "-3",
+         "--eigenform"],
+        ["admissible", "--K", "-3", "--p", "5", "--bound", "25", "--f"],
+        ["raise", "--v1", "2", "--v2", "17", "--K", "-3", "--p", "5", "--f"],
+        ["compgroup", "--graph"],
+    ], ids=["lfun", "admissible", "raise", "compgroup"])
+
+    @_FILE_INPUTS
+    def test_input_is_a_directory(self, argv, tmp_path, capsys):
+        # a directory cannot be read, as a missing file cannot: exit 3
+        code, err = self.exit_code_and_stderr(argv + [str(tmp_path)], capsys)
+        assert code == 3
+        assert "error:" in err and str(tmp_path) in err
+
+    @_FILE_INPUTS
+    def test_input_is_not_utf8(self, argv, tmp_path, capsys):
+        fixture = tmp_path / "bytes.json"
+        fixture.write_bytes(b"\xff\xfe{\"p\": 5}")
+        code, err = self.exit_code_and_stderr(argv + [str(fixture)], capsys)
+        assert code == 2
+        assert "error:" in err and "UTF-8" in err
+
+    def test_out_is_a_file(self, tmp_path, capsys):
+        # an --out that is a file is refused before the pipeline runs, and
+        # the file is left as it was
+        out = tmp_path / "taken"
+        out.write_text("kept")
+        code = main(["lfun", "--nminus", "11", "--p", "5", "--mmax", "1",
+                     "--K", "-3", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error:" in captured.err and "not a directory" in captured.err
+        assert captured.out == ""
+        assert out.read_text() == "kept"
 
     def test_compgroup_divisor(self, graph_file, capsys):
         code, err = self.exit_code_and_stderr(

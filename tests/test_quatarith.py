@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from quatlfun.brandtforms import QuotientGraph
 from quatlfun.errors import InvariantViolationError, UsageError
-from quatlfun.exactalg import IntMatrix, solve_mod
 from quatlfun.primes import first_coprime_prime, is_prime, prime_factors
 from quatlfun.quatarith import (ClassSet, Lattice4, QuaternionAlgebra,
                                 QuaternionOrder, RightIdeal,
@@ -46,7 +45,7 @@ from quatlfun.quatarith.order import (_dual_of_products, _enlarge_brute,
                                       _proj_points, _trace_dual)
 
 from oracles import (_dual_basis_oracle, _fincke_pohst_oracle, _fraction_basis,
-                     _fraction_lattice, _inverse_oracle,
+                     _fraction_lattice, _inverse_oracle, cofactor_det_oracle,
                      count_vectors_of_norm, enumerate_by_value_oracle,
                      exhaustive_walk_oracle, hilbert_symbol_oracle, hnf_oracle, idealizer_oracle,
                      kronecker_oracle, lagrange_reduce_oracle, minimum_of_form,
@@ -953,7 +952,7 @@ def test_idealizer_matches_oracle(entries, den, ab):
     # any full lattice, not only an ideal: trace duality against the
     # preimages x·b ∈ L iff x ∈ L·conj(b)/nrd(b)
     rows = [entries[4 * k:4 * k + 4] for k in range(4)]
-    assume(_naive_det(rows) != 0)
+    assume(cofactor_det_oracle(rows) != 0)
     alg = QuaternionAlgebra(*ab)
     lat = Lattice4(den, rows)
     for side in ("left", "right"):
@@ -1103,8 +1102,9 @@ class TestSplitting:
         (2, 1, 3, 1), (2, 1, 5, 16), (11, 1, 2, 4), (11, 1, 3, 3), (11, 2, 5, 16),
         (23, 3, 2, 1), (37, 1, 7, 2), (47, 5, 3, 16), (97, 2, 13, 2)])
     def test_images_read_off_match_solve_mod(self, disc, level, ell, prec):
-        # each basis image, read off the unit-pivot basis of (O/ell^prec)·e,
-        # is the solution that an elimination mod ell^prec finds
+        # each basis image column c, read off the unit-pivot basis (v1, v2) of
+        # (O/ell^prec)·e, solves c0·v1 + c1·v2 ≡ u·v mod ell^prec, and it is
+        # the one solution: some 2x2 minor of (v1, v2) is an ell-unit
         order = eichler_order_for(disc, level)
         q = ell ** prec
         coords, t, n = splitting_module._find_split_element(order, ell)
@@ -1114,11 +1114,15 @@ class TestSplitting:
         units = [tuple(int(i == k) for k in range(4)) for i in range(4)]
         _, vbasis = splitting_module._row_reduce_unit(
             [order.coords_mul(u, e) for u in units], ell, q)
-        module = IntMatrix.from_rows([list(col) for col in zip(*vbasis)])
-        cols = [[solve_mod(module, order.coords_mul(u, v), ell, prec) for v in vbasis]
-                for u in units]
-        assert local_splitting(order, ell, prec).basis_images == tuple(
-            ((c[0][0], c[1][0]), (c[0][1], c[1][1])) for c in cols)
+        v1, v2 = vbasis
+        assert any((v1[i] * v2[j] - v1[j] * v2[i]) % ell
+                   for i in range(4) for j in range(i + 1, 4))
+        images = local_splitting(order, ell, prec).basis_images
+        for u, image in zip(units, images):
+            for col, v in enumerate(vbasis):
+                c0, c1 = image[0][col], image[1][col]
+                assert all((c0 * x + c1 * y - z) % q == 0
+                           for x, y, z in zip(v1, v2, order.coords_mul(u, v)))
 
 
 class TestEmbeddings:
@@ -1259,7 +1263,7 @@ class TestLattice4:
         for _ in range(20):
             rows = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
             import copy
-            det = _naive_det(rows)
+            det = cofactor_det_oracle(rows)
             if det == 0:
                 continue
             l1 = Lattice4(1, copy.deepcopy(rows))
@@ -1321,7 +1325,7 @@ class TestLattice4:
     def test_adjugate4(self, entries):
         m = [entries[4 * r:4 * r + 4] for r in range(4)]
         det, adj = adjugate4(m)
-        assert det == _naive_det(m)
+        assert det == cofactor_det_oracle(m)
         scalar = [[det * (r == c) for c in range(4)] for r in range(4)]
         assert _matmul(m, adj) == _matmul(adj, m) == scalar
 
@@ -1591,26 +1595,3 @@ class TestRank4Falsifiers:
         assert hnf_oracle(rows) == [[1, 0, 3, -6], [0, 1, 0, 5]]
         with pytest.raises(InvariantViolationError, match="expected rank 4, got 2"):
             hnf_rows(rows)
-
-
-def _naive_det(rows):
-    from itertools import permutations
-    total = 0
-    for perm in permutations(range(4)):
-        sign = 1
-        seen = [False] * 4
-        for i in range(4):
-            if seen[i]:
-                continue
-            j, ln = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                ln += 1
-            if ln % 2 == 0:
-                sign = -sign
-        prod = 1
-        for i in range(4):
-            prod *= rows[i][perm[i]]
-        total += sign * prod
-    return total

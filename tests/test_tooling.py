@@ -24,7 +24,9 @@ index-q search alone, with no radical or idealizer route beside it. Every
 eigenvalue is read off one joint-eigenspace search, whose operators come from
 one builder. Over Q there is one elimination, a fraction-free pass that
 `det`, `leading_minors` and `rational_kernel` read, and the public names
-defined more than once are pinned. Each falsifier of tests/test_certificates.py passes once its
+defined more than once are pinned. Characters need no elimination:
+exactalg/groupring.py reads a valuation off the (1 - zeta)-expansion and
+imports nothing from intmatrix. Each falsifier of tests/test_certificates.py passes once its
 certificate is made to return True at once.
 """
 
@@ -142,6 +144,13 @@ def _imported_modules(text):
             found |= {alias.name for alias in node.names} if node.module is None \
                 else {node.module.rsplit(".", 1)[-1]}
     return found
+
+
+def test_characters_need_no_elimination():
+    # a character value's valuation is read off its coordinates in the basis
+    # (1 - x)^i; no linear system is solved for it
+    with open(os.path.join(SRC, "exactalg", "groupring.py")) as fh:
+        assert "intmatrix" not in _imported_modules(fh.read())
 
 
 def test_class_sets_come_from_the_walk_alone():
