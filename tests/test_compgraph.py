@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import signal
@@ -19,7 +20,7 @@ from quatlfun.errors import UsageError
 from quatlfun.exactalg import IntMatrix, det
 from quatlfun.primes import prime_factors
 
-from oracles import (inner_product_oracle, kirchhoff_order_oracle,
+from oracles import (_inverse_oracle, inner_product_oracle, kirchhoff_order_oracle,
                      rank_mod_p_oracle, snf_diagonal_oracle,
                      spanning_tree_weight_sum)
 
@@ -365,6 +366,46 @@ def test_local_shape_matches_smith_oracle(g):
     assert phi.shape.invariant_factors == want
     assert phi.order == kirchhoff_order_oracle(g.n_vertices, g.edges)
 
+
+
+def _class_factors(phi):
+    """d_1 | ... | d_k of the class_of coordinates: 1 at the trivial positions."""
+    factors = phi.shape.invariant_factors
+    return (1,) * (phi.rank - len(factors)) + factors
+
+
+def _class_order(cls, factors):
+    """Order of a class in the sum of the Z/d_i."""
+    return math.lcm(*(d // math.gcd(c, d) for c, d in zip(cls, factors)))
+
+
+def _denominator(gram_inverse, w):
+    """lcm of the denominators of G^-1 w: the order of w in Z^k / G Z^k."""
+    return math.lcm(*(sum(x * y for x, y in zip(row, w)).denominator
+                      for row in gram_inverse))
+
+
+@settings(max_examples=80, deadline=None)
+@given(length_graphs(), st.data())
+def test_class_of_is_the_cokernel_class(g, data):
+    # basis-free: w1 and w2 share a class exactly when G^-1 (w1 - w2) is
+    # integral, the class of w has the order of G^-1 w modulo Z^k, and
+    # class_of is additive
+    phi = component_group(g)
+    k = phi.rank
+    functionals = st.lists(st.integers(-60, 60), min_size=k, max_size=k).map(tuple)
+    w1, w2 = data.draw(functionals), data.draw(functionals)
+    c1, c2 = phi.class_of(w1), phi.class_of(w2)
+    if not k:
+        assert c1 == c2 == ()
+        return
+    inverse = _inverse_oracle(phi.presentation.entries)
+    factors = _class_factors(phi)
+    diff = tuple(a - b for a, b in zip(w1, w2))
+    assert (c1 == c2) == (_denominator(inverse, diff) == 1)
+    assert _class_order(c1, factors) == _denominator(inverse, w1)
+    total = phi.class_of(tuple(a + b for a, b in zip(w1, w2)))
+    assert total == tuple((a + b) % d for a, b, d in zip(c1, c2, factors))
 
 @contextmanager
 def time_limit(seconds):
