@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import InvariantViolationError, UsageError
 from .exactalg import (AbelianGroupShape, IntMatrix, eliminate, eliminate_mod,
@@ -37,6 +36,8 @@ class LengthGraph:
         # refused rather than rounded
         if type(self.n_vertices) is not int:
             raise UsageError(f"the vertex count must be an integer, got {self.n_vertices!r}")
+        if self.n_vertices < 1:
+            raise UsageError(f"a graph needs at least one vertex, got {self.n_vertices}")
         for e in self.edges:
             if len(e) != 3 or any(type(x) is not int for x in e):
                 raise UsageError(f"an edge is (source, target, length) in integers, got {e!r}")
@@ -77,7 +78,7 @@ class LengthGraph:
         return tuple(out)
 
     def n_components(self):
-        return max(self.components()) + 1 if self.n_vertices else 0
+        return max(self.components()) + 1
 
     def is_connected(self):
         return self.n_components() <= 1
@@ -162,14 +163,15 @@ def monodromy_map(g: LengthGraph, x: CharacterGroup) -> IntMatrix:
 class ComponentGroup:
     """Finite component group together with its cokernel presentation.
 
-    The shape comes from det(Gram) and one elimination mod p^(v_p(det) + 1)
-    per prime p | det (see `_local_shape`). The Z reduction that gives the
-    `class_of` coordinates runs on the first `class_of` call only.
+    The shape and the `class_of` coordinates both come from det(Gram) and one
+    elimination mod p^(v_p(det) + 1) per prime p | det (see `_local_shape`);
+    no elimination over Z reads the Gram.
     """
 
     shape: AbelianGroupShape
     cycles: CharacterGroup  # the cycle basis the presentation is built on
     presentation: IntMatrix  # the Gram matrix whose cokernel this is
+    local: tuple  # per prime p | det: (p, sorted valuations, rows of U_p)
 
     @property
     def rank(self) -> int:
@@ -180,39 +182,30 @@ class ComponentGroup:
     def order(self):
         return self.shape.order
 
-    @cached_property
-    def _transform(self):
-        """(U, diagonal) of one Z reduction of Gram | I, with U*Gram*V = diag.
-
-        Its nontrivial diagonal must equal the local shape: a second,
-        independent route to the invariant factors.
-        """
-        k = self.presentation.rows
-        a = [list(row) + [int(i == j) for j in range(k)]
-             for i, row in enumerate(self.presentation.entries)]
-        diag = eliminate(a, k, k)
-        if tuple(d for d in diag if d > 1) != self.shape.invariant_factors:
-            raise InvariantViolationError(
-                "Smith form of the Gram disagrees with its local shape")
-        return IntMatrix.from_rows([row[k:] for row in a]), diag
-
     def class_of(self, functional):
-        """Canonical coordinates of a dual vector modulo the Gram image:
-        U * w reduced mod the Smith diagonal."""
-        if self.rank == 0:
-            return ()
-        u, diag = self._transform
-        w = u.mul_vec(tuple(functional))
-        return tuple(x % d if d else x for x, d in zip(w, diag))
+        """Coordinates of a dual vector w modulo the Gram image, in
+        Z/d_1 + ... + Z/d_k with d_1 | d_2 | ... (0 where d_i = 1).
+
+        Position i is (U_p w)_i mod p^(v_i) at each prime p, joined by the
+        Chinese remainder theorem.
+        """
+        w = tuple(functional)
+        coords, moduli = [0] * self.rank, [1] * self.rank
+        for p, vals, u in self.local:
+            for i, (v, x) in enumerate(zip(vals, u.mul_vec(w))):
+                q, m = p ** v, moduli[i]
+                coords[i] += m * ((x - coords[i]) * pow(m, -1, q) % q)
+                moduli[i] = m * q
+        return tuple(coords)
 
 
 def component_group(g: LengthGraph):
     """Component group(s) of the graph: one ComponentGroup per connected component.
 
     Returns a single ComponentGroup for a connected graph, else a tuple in
-    component order. Shapes come from the Gram determinant and one local
-    elimination per prime dividing it, with no Z reduction of the Gram; the
-    Z transform behind `class_of` is built on its first use.
+    component order. Shapes and `class_of` come from the Gram determinant and
+    one local elimination per prime dividing it, with no Z reduction of the
+    Gram.
     """
     if g.is_connected():
         return _component_group_connected(g)
@@ -230,10 +223,10 @@ def _component_group_connected(g: LengthGraph) -> ComponentGroup:
     x = character_group(g)
     gram = monodromy_map(g, x)
     if x.rank == 0:
-        return ComponentGroup(AbelianGroupShape((), 0), x, IntMatrix.identity(1))
+        return ComponentGroup(AbelianGroupShape(()), x, IntMatrix.identity(1), ())
     # the Gram is nonsingular, so there is no free part
-    shape = _local_shape(gram, _check_positive_definite(gram))
-    return ComponentGroup(shape, x, gram)
+    shape, local = _local_shape(gram, _check_positive_definite(gram))
+    return ComponentGroup(shape, x, gram, local)
 
 
 def _check_positive_definite(gram: IntMatrix) -> int:
@@ -245,29 +238,47 @@ def _check_positive_definite(gram: IntMatrix) -> int:
     return minors[-1]
 
 
-def _local_shape(gram: IntMatrix, d: int) -> AbelianGroupShape:
-    """Invariant factors of coker(gram), whose determinant is d > 0.
+def _local_shape(gram: IntMatrix, d: int):
+    """Invariant factors of coker(gram), whose determinant is d > 0, and per
+    prime p | d what `class_of` reads: (p, sorted v_i, matching rows of U_p).
 
-    For each p | d with e = v_p(d), the diagonal of the Gram reduced mod
-    p^(e+1) has the p-parts of the invariant factors as its valuations (each
-    is at most e, so none is lost mod p^(e+1)). Sorting each prime's
-    valuations and multiplying position by position gives d1 | d2 | ...
-    Certificates: the valuations at p sum to e, and the factors multiply to d.
+    For each p | d with e = v_p(d), Gram | I reduced mod p^(e+1) gives
+    U_p*Gram*V_p = diag(p^v_i): the v_i are the p-parts of the invariant
+    factors (each at most e, so none is lost mod p^(e+1)). Sorting each
+    prime's valuations and multiplying position by position gives d1 | d2 | ...
+    Certificates: the valuations at p sum to e, the factors multiply to d,
+    and U_p kills the Gram image (`_verify_class_map`).
     """
     k = gram.rows
     factors = [1] * k
+    local = []
     for p in prime_factors(d):
         e = valuation(d, p)
+        a = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(gram.entries)]
         vals = [e + 1 if x % p ** (e + 1) == 0 else valuation(x, p)
-                for x in eliminate_mod([list(row) for row in gram.entries], k, k, p, e + 1)]
+                for x in eliminate_mod(a, k, k, p, e + 1)]
         if sum(vals) != e:
             raise InvariantViolationError(
                 f"local invariant factors at {p} do not multiply to {p}^{e}")
-        for i, v in enumerate(sorted(vals)):
-            factors[i] *= p ** v
+        by_val = sorted(range(k), key=vals.__getitem__)
+        for i, j in enumerate(by_val):
+            factors[i] *= p ** vals[j]
+        local.append((p, tuple(vals[j] for j in by_val),
+                      IntMatrix.from_rows([a[j][k:] for j in by_val])))
     if math.prod(factors) != d:
         raise InvariantViolationError("invariant factors do not multiply to det(Gram)")
-    return AbelianGroupShape(tuple(f for f in factors if f > 1), 0)
+    _verify_class_map(gram, local)
+    return AbelianGroupShape(tuple(f for f in factors if f > 1)), tuple(local)
+
+
+def _verify_class_map(gram: IntMatrix, local) -> None:
+    """Every row of U_p with v > 0 sends every Gram column to 0 mod p^v, so
+    `class_of` is well defined on the cokernel."""
+    columns = gram.transpose()
+    for p, vals, u in local:
+        for v, row in zip(vals, u.entries):
+            if v and any(x % p ** v for x in columns.mul_vec(row)):
+                raise InvariantViolationError("class_of does not kill the Gram image")
 
 
 def omega_map(g: LengthGraph, phi: ComponentGroup, x_chain):
@@ -311,12 +322,13 @@ def _pair_against_cycles(g, cycles, y):
 # ---------------------------------------------------------------------------
 
 def subdivide(g: LengthGraph) -> LengthGraph:
-    """Replace each edge of length l by l unit edges through new vertices."""
+    """Replace each edge of length l by l unit edges through new vertices; a
+    loop stays one unit loop, which both routes drop from homology."""
     edges = []
     nv = g.n_vertices
     for s, t, ln in g.edges:
         prev = s
-        for k in range(ln - 1):
+        for k in range(ln - 1 if s != t else 0):
             edges.append((prev, nv, 1))
             prev = nv
             nv += 1
@@ -400,7 +412,7 @@ def _intersection_component_shape(g: LengthGraph, mu: IntMatrix) -> AbelianGroup
     """
     n = g.n_vertices
     if n == 1:
-        return AbelianGroupShape((), 0)
+        return AbelianGroupShape(())
     reduced = IntMatrix.from_rows([[-mu.entries[i][j] for j in range(1, n)]
                                    for i in range(1, n)])
-    return _local_shape(reduced, _check_positive_definite(reduced))
+    return _local_shape(reduced, _check_positive_definite(reduced))[0]

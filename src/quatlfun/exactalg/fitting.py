@@ -8,15 +8,14 @@ from dataclasses import dataclass
 from ..errors import UsageError
 from ..primes import valuation
 from .groupring import Character, GroupRingElement, PrimePowerRing, specialize
-from .intmatrix import IntMatrix, eliminate
+from .intmatrix import IntMatrix, _fraction_free, eliminate_mod
 
 
 @dataclass(frozen=True)
 class AbelianGroupShape:
-    """Invariant factors d1 | d2 | ... (each > 1) plus free rank."""
+    """A finite abelian group by its invariant factors d1 | d2 | ..., each > 1."""
 
     invariant_factors: tuple
-    free_rank: int
 
     def __post_init__(self):
         for a, b in zip(self.invariant_factors, self.invariant_factors[1:]):
@@ -27,14 +26,10 @@ class AbelianGroupShape:
 
     @property
     def order(self):
-        """Group order, or None when the free rank is positive."""
-        if self.free_rank:
-            return None
-        return math.prod(self.invariant_factors) if self.invariant_factors else 1
+        return math.prod(self.invariant_factors)
 
     def describe(self) -> str:
-        parts = [f"Z/{d}" for d in self.invariant_factors] + ["Z"] * self.free_rank
-        return " + ".join(parts) if parts else "0"
+        return " + ".join(f"Z/{d}" for d in self.invariant_factors) or "0"
 
 
 def fitting_exponent(presentation: IntMatrix, ring: PrimePowerRing):
@@ -53,13 +48,20 @@ def fitting_exponent(presentation: IntMatrix, ring: PrimePowerRing):
 
 
 def module_length(presentation: IntMatrix, p: int):
-    """Z_p-length of coker(presentation), or None when the cokernel has free rank."""
-    diag = eliminate([list(row) for row in presentation.entries],
-                     presentation.rows, presentation.cols)
-    rank = sum(1 for d in diag if d != 0)
-    if rank < presentation.rows:
+    """Z_p-length of coker(presentation), or None when the cokernel has free rank.
+
+    The fraction-free pass gives the rank and, at full row rank, a nonzero
+    maximal minor D, its last pivot. The Fitting ideal divides D, so each
+    invariant factor's p-part divides p^e, e = v_p(D), and one pass mod
+    p^(e+1) loses none: the length is the sum of its diagonal's valuations.
+    """
+    steps, _, _ = _fraction_free(presentation)
+    if len(steps) < presentation.rows:
         return None
-    return sum(valuation(d, p) for d in diag)
+    e = valuation(steps[-1][1], p)
+    diag = eliminate_mod([list(row) for row in presentation.entries],
+                         presentation.rows, presentation.cols, p, e + 1)
+    return sum(valuation(x, p) for x in diag)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Falsifiers for ten certificates that no other test can switch off.
+"""Falsifiers for eleven certificates that no other test can switch off.
 
 Each falsifier corrupts one object by hand, so that only its certificate can
 see the corruption, and runs that certificate; the test asserts the typed
@@ -13,12 +13,12 @@ import functools
 
 import pytest
 
-from quatlfun import admraise, brandtforms, padicl, toruscm
+from quatlfun import admraise, brandtforms, compgraph, padicl, toruscm
 from quatlfun.admraise import CongruencePair
 from quatlfun.brandtforms import (EigenSystem, QuotientGraph, eigenvector_mod,
                                   hensel_unit_root)
 from quatlfun.errors import InvariantViolationError
-from quatlfun.exactalg import GroupRingElement, PrimePowerRing
+from quatlfun.exactalg import GroupRingElement, IntMatrix, PrimePowerRing
 from quatlfun.padicl import LFunctionElement, MeasurePipeline, MuReport
 from quatlfun.quatarith import (ClassSet, algebra_from_discriminant,
                                 ideal_class_set, maximal_order)
@@ -154,6 +154,18 @@ def falsify_congruence_pair():
         admraise.eigensystems_mod = honest
 
 
+
+def falsify_class_map():
+    """The theta graph's U_3 row for its factor Z/3 with one entry moved by
+    one: the row no longer kills the Gram image."""
+    theta = compgraph.LengthGraph.make(2, [(0, 1, 1), (1, 0, 1), (0, 1, 1)])
+    phi = compgraph.component_group(theta)
+    (p, vals, u), = phi.local
+    rows = [list(row) for row in u.entries]
+    rows[vals.index(1)][0] += 1
+    compgraph._verify_class_map(phi.presentation, [(p, vals, IntMatrix.from_rows(rows))])
+
+
 # certificate -> (its owner, its attribute, its falsifier, its message)
 FALSIFIERS = {
     "check_distribution": (MeasurePipeline, "check_distribution", falsify_distribution,
@@ -176,6 +188,8 @@ FALSIFIERS = {
                          "L_p is not involution-invariant"),
     "CongruencePair.verify": (CongruencePair, "verify", falsify_congruence_pair,
                               "congruence pair fails its own verification"),
+    "_verify_class_map": (compgraph, "_verify_class_map", falsify_class_map,
+                          "class_of does not kill the Gram image"),
 }
 
 

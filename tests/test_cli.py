@@ -327,15 +327,18 @@ class TestMalformedInput:
         '{"vertices": 2, "edges": [[0, 1, "2"], [1, 0, 1]]}',
         '{"vertices": 2, "edges": [[0, 1, 2], [true, 0, 1]]}',
         '{"vertices": 2.0, "edges": [[0, 1, 2], [1, 0, 1]]}',
+        '{"vertices": -1, "edges": []}', '{"vertices": 0, "edges": []}',
     ], ids=["not-json", "not-object", "no-edges", "short-edge", "float-length",
-            "str-length", "bool-endpoint", "float-vertices"])
+            "str-length", "bool-endpoint", "float-vertices", "negative-vertices",
+            "no-vertices"])
     def test_compgroup_graph_malformed(self, text, tmp_path, capsys):
+        # refused before anything is printed
         fixture = tmp_path / "bad.json"
         fixture.write_text(text)
-        code, err = self.exit_code_and_stderr(["compgroup", "--graph", str(fixture)],
-                                              capsys)
+        code = main(["compgroup", "--graph", str(fixture)])
+        captured = capsys.readouterr()
         assert code == 2
-        assert "error:" in err
+        assert "error:" in captured.err and captured.out == ""
 
 
 class TestRaise:

@@ -6,7 +6,7 @@ import signal
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quatlfun.cli import main
@@ -291,7 +291,6 @@ def test_component_group_matches_golden(disc):
     g = LengthGraph.from_json(json.dumps(want["graph"]))
     phi = component_group(g)
     assert list(phi.shape.invariant_factors) == want["invariant_factors"]
-    assert phi.shape.free_rank == want["free_rank"]
     assert phi.rank == want["cycle_rank"]
     for chain, cls in want["omega"]:
         assert list(omega_map(g, phi, chain)) == cls
@@ -318,18 +317,13 @@ def _count_reductions(monkeypatch):
 GRAM_GRAPH = LengthGraph.make(4, [(0, 1, 2), (1, 2, 1), (2, 3, 3), (3, 0, 1), (0, 2, 2)])
 
 
-def test_gram_smith_form_computed_once(monkeypatch):
-    # the shape needs no Z reduction of the Gram; the class_of transform is
-    # one reduction, built on the first call and kept
+def test_gram_never_reduced_over_z(monkeypatch):
+    # the shape and the class_of coordinates both come from the local passes
     gram = monodromy_map(GRAM_GRAPH, character_group(GRAM_GRAPH))
     reduced = _count_reductions(monkeypatch)
     phi = component_group(GRAM_GRAPH)
+    phi.class_of((1,) * phi.rank)
     assert reduced.count(gram) == 0
-    functional = (1,) * phi.rank
-    first = phi.class_of(functional)
-    assert reduced.count(gram) == 1
-    assert phi.class_of(functional) == first
-    assert reduced.count(gram) == 1
 
 
 def test_boundary_matrix_reduced_once(monkeypatch):
@@ -366,6 +360,15 @@ def test_local_shape_matches_smith_oracle(g):
     assert phi.shape.invariant_factors == want
     assert phi.order == kirchhoff_order_oracle(g.n_vertices, g.edges)
 
+
+@settings(max_examples=80, deadline=None)
+@given(length_graphs())
+# long loops: a loop of length l must not subdivide into an l-cycle, which
+# the intersection route would count
+@example(LengthGraph.make(1, [(0, 0, 2)]))
+@example(LengthGraph.make(2, [(0, 1, 1), (1, 0, 2), (1, 1, 3)]))
+def test_comparison_diagram_agrees(g):
+    assert edixhoven_check(g).ok
 
 
 def _class_factors(phi):
@@ -407,6 +410,7 @@ def test_class_of_is_the_cokernel_class(g, data):
     total = phi.class_of(tuple(a + b for a, b in zip(w1, w2)))
     assert total == tuple((a + b) % d for a, b, d in zip(c1, c2, factors))
 
+
 @contextmanager
 def time_limit(seconds):
     def expired(signum, frame):
@@ -422,8 +426,9 @@ def time_limit(seconds):
 
 # Shapes of the p = 5 dual graphs of the maximal orders of discs 61, 71 and
 # 89. A Z Smith form of their Gram matrices runs from seconds (61) to well
-# over ten minutes (71); the local route takes well under a second, and so
-# does the intersection route of `edixhoven_check`.
+# over ten minutes (71); the local passes give the shape and the class of a
+# divisor in well under a second, and the intersection route of
+# `edixhoven_check` is as quick.
 LARGE_DUAL_SHAPES = {61: (3, 3, 92574), 71: (25440660,), 89: (2, 2, 601171480)}
 
 
@@ -432,12 +437,16 @@ def test_large_dual_graph_shapes(disc):
     from quatlfun.brandtforms import QuotientGraph, mk_dual_graph
     from quatlfun.quatarith import algebra_from_discriminant, maximal_order
     g = mk_dual_graph(QuotientGraph(maximal_order(algebra_from_discriminant(disc)), 5))
+    chain = (1, -1) + (0,) * (g.n_vertices - 2)
     with time_limit(60):
         phi = component_group(g)
         # the intersection route reads the reduced Laplacian, not a Z Smith form
         assert edixhoven_check(g).ok
+        cls = omega_map(g, phi, chain)
     assert phi.shape.invariant_factors == LARGE_DUAL_SHAPES[disc]
-    assert phi.shape.free_rank == 0
+    fn, _ = omega_functional(g, chain, phi.cycles)
+    assert _class_order(cls, _class_factors(phi)) == \
+        _denominator(_inverse_oracle(phi.presentation.entries), fn)
     order = kirchhoff_order_oracle(g.n_vertices, g.edges)
     assert phi.order == order
     gram = phi.presentation.entries

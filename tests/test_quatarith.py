@@ -1522,18 +1522,6 @@ class TestKernelsAgainstOracles:
             lagrange_reduce(after_identity(_fibonacci_gram(5000)))
 
 
-def _leading_minors(gram):
-    """D_1, ..., D_n of a square integer matrix, each by the Leibniz formula."""
-    from itertools import permutations
-
-    def det(m):
-        n = len(m)
-        return sum((-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
-                   * math.prod(m[i][p[i]] for i in range(n))
-                   for p in permutations(range(n)))
-    return [det([row[:k] for row in gram[:k]]) for k in range(1, len(gram) + 1)]
-
-
 def _diagonal(entries):
     return [[x if r == c else 0 for c, x in enumerate(entries)] for r in range(len(entries))]
 
@@ -1572,7 +1560,7 @@ class TestRank4Falsifiers:
         (4, [[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 2, -1], [-1, 0, -1, 2]]),
     ], ids=["D1", "D2", "D3", "D4", "D3-A2", "D4-A3"])
     def test_not_positive_definite_raises_before_any_vector(self, pivot, gram):
-        minors = _leading_minors(gram)
+        minors = [cofactor_det_oracle([row[:k] for row in gram[:k]]) for k in range(1, 5)]
         assert all(d > 0 for d in minors[:pivot - 1]) and minors[pivot - 1] <= 0
         for run in self._RUNS[1:]:
             with pytest.raises(UsageError, match="not positive definite"):

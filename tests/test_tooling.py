@@ -26,8 +26,12 @@ one builder. Over Q there is one elimination, a fraction-free pass that
 `det`, `leading_minors` and `rational_kernel` read, and the public names
 defined more than once are pinned. Characters need no elimination:
 exactalg/groupring.py reads a valuation off the (1 - zeta)-expansion and
-imports nothing from intmatrix. Each falsifier of tests/test_certificates.py passes once its
-certificate is made to return True at once.
+imports nothing from intmatrix. Every cokernel is read prime by prime, by one
+pass mod p^n per prime: the Fitting length and the component group's shape and
+class coordinates reduce no matrix over Z, and in compgraph.py only the cycle
+basis of `character_group` comes from the Smith pivoting. Each falsifier of
+tests/test_certificates.py passes once its certificate is made to return True
+at once.
 """
 
 import ast
@@ -151,6 +155,20 @@ def test_characters_need_no_elimination():
     # (1 - x)^i; no linear system is solved for it
     with open(os.path.join(SRC, "exactalg", "groupring.py")) as fh:
         assert "intmatrix" not in _imported_modules(fh.read())
+
+
+def test_cokernels_read_prime_by_prime():
+    # Fitting lengths and class coordinates come from passes mod p^n; the
+    # Smith pivoting over Z reads only character_group's cycle basis
+    from quatlfun import compgraph
+    with open(os.path.join(SRC, "exactalg", "fitting.py")) as fh:
+        imported = {alias.name for node in ast.walk(ast.parse(fh.read()))
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "eliminate" not in imported
+    assert {node.name for node in ast.walk(ast.parse(inspect.getsource(compgraph)))
+            if isinstance(node, ast.FunctionDef)
+            and "eliminate" in _calls(node)} == {"character_group"}
+    assert not hasattr(compgraph.ComponentGroup, "_transform")
 
 
 def test_class_sets_come_from_the_walk_alone():
