@@ -161,7 +161,7 @@ def monodromy_map(g: LengthGraph, x: CharacterGroup) -> IntMatrix:
 
 @dataclass(frozen=True)
 class ComponentGroup:
-    """Finite component group together with its cokernel presentation.
+    """Finite component group: the cokernel of the Gram of a cycle basis.
 
     The shape and the `class_of` coordinates both come from det(Gram) and one
     elimination mod p^(v_p(det) + 1) per prime p | det (see `_local_shape`);
@@ -169,13 +169,12 @@ class ComponentGroup:
     """
 
     shape: AbelianGroupShape
-    cycles: CharacterGroup  # the cycle basis the presentation is built on
-    presentation: IntMatrix  # the Gram matrix whose cokernel this is
+    cycles: CharacterGroup  # the cycle basis the Gram is built on
     local: tuple  # per prime p | det: (p, sorted valuations, rows of U_p)
 
     @property
     def rank(self) -> int:
-        """Cycle rank; the presentation is rank x rank."""
+        """Cycle rank; the Gram is rank x rank."""
         return self.cycles.rank
 
     @property
@@ -223,10 +222,10 @@ def _component_group_connected(g: LengthGraph) -> ComponentGroup:
     x = character_group(g)
     gram = monodromy_map(g, x)
     if x.rank == 0:
-        return ComponentGroup(AbelianGroupShape(()), x, IntMatrix.identity(1), ())
+        return ComponentGroup(AbelianGroupShape(()), x, ())
     # the Gram is nonsingular, so there is no free part
     shape, local = _local_shape(gram, _check_positive_definite(gram))
-    return ComponentGroup(shape, x, gram, local)
+    return ComponentGroup(shape, x, local)
 
 
 def _check_positive_definite(gram: IntMatrix) -> int:

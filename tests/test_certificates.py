@@ -163,7 +163,8 @@ def falsify_class_map():
     (p, vals, u), = phi.local
     rows = [list(row) for row in u.entries]
     rows[vals.index(1)][0] += 1
-    compgraph._verify_class_map(phi.presentation, [(p, vals, IntMatrix.from_rows(rows))])
+    compgraph._verify_class_map(compgraph.monodromy_map(theta, phi.cycles),
+                                [(p, vals, IntMatrix.from_rows(rows))])
 
 
 # certificate -> (its owner, its attribute, its falsifier, its message)
