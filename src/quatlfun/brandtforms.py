@@ -58,7 +58,8 @@ from dataclasses import dataclass, field
 from . import bttree
 from .errors import (DataMissingError, InvariantViolationError, UsageError)
 from .exactalg import IntMatrix, kernel_mod, rational_kernel
-from .primes import hensel_lift, is_prime, prime_factors, valuation
+from .primes import (capped_valuation, hensel_lift, is_prime, prime_factors,
+                     valuation)
 from .quatarith import (RightIdeal, class_set_avoiding, eichler_mass,
                         eichler_order, isometry_witness, local_splitting,
                         neighbor_matrices, neighbor_matrix, uq_matrix)
@@ -429,7 +430,7 @@ class QuotientGraph:
         prod = ((a00 * m00, a00 * m01 + a01 * m11),
                 (a10 * m00, a10 * m01 + a11 * m11))
         content = math.gcd(*prod[0], *prod[1])
-        alpha = prec if content % p ** prec == 0 else valuation(content, p)
+        alpha = capped_valuation(content, p, prec)
         need = e + v.det_exponent - alpha + 1
         if need > prec:
             raise InvariantViolationError(
@@ -753,7 +754,8 @@ def eigenvector_mod(graph: QuotientGraph, system: EigenSystem, sample_primes):
     """A canonical primitive edge eigenform realizing the system mod p^n.
 
     The operators are those of `eigensystems_mod` on the edge classes, then
-    the tree's U_p at the system's U_p eigenvalue.
+    the tree's U_p at the system's U_p eigenvalue. Their joint eigenspace
+    must be a line (`_check_eigenline`), else DataMissingError.
     """
     p, n = system.p, system.n
     q = p ** n
@@ -763,17 +765,31 @@ def eigenvector_mod(graph: QuotientGraph, system: EigenSystem, sample_primes):
                for (kind, ell), _ in ops]
     leaves = joint_eigenspaces([mat for _, mat in ops], choices,
                                _identity_basis(len(graph.edge_classes)), (p, n))
-    prim = [g for _, span in leaves for g in span if any(x % p for x in g)]
-    if not prim:
+    gens = [g for _, span in leaves for g in span]
+    vec = next((g for g in gens if any(x % p for x in g)), None)
+    if vec is None:
         raise DataMissingError("no primitive eigenvector realizes the system")
-    vec = prim[0]
     # canonical scaling: first unit coordinate becomes 1
-    for x in vec:
-        if x % p:
-            inv = pow(x, -1, q)
-            vec = tuple(v * inv % q for v in vec)
-            break
+    inv = pow(next(x for x in vec if x % p), -1, q)
+    vec = tuple(v * inv % q for v in vec)
+    _check_eigenline(gens, vec, q)
     return AutomorphicForm(vec, "edge", (p, n))
+
+
+def _check_eigenline(gens, vec, q):
+    """The eigenspace the generators span mod q = p^n is Z/q·vec: each
+    generator g is g[i0]·vec mod q, at the coordinate i0 where vec is 1 (its
+    first unit coordinate; the ones before it are not units, so not 1).
+
+    A larger eigenspace would leave the choice of vec, and so the L-element,
+    to the order of the generators; the distribution and tower certificates
+    hold for every U_p-eigenvector and cannot see it.
+    """
+    i0 = vec.index(1)
+    if any((x - g[i0] * y) % q for g in gens for x, y in zip(g, vec)):
+        raise DataMissingError(
+            "the sampled Hecke operators leave an edge eigenspace larger than a "
+            "line; sample more primes (a larger --sample-bound)")
 
 
 def rational_eigensystems(classes: ClassSet, sample_primes):

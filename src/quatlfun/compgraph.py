@@ -19,9 +19,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvariantViolationError, UsageError
-from .exactalg import (AbelianGroupShape, IntMatrix, eliminate, eliminate_mod,
-                       leading_minors, solve)
-from .primes import prime_factors, valuation
+from .exactalg import (AbelianGroupShape, IntMatrix, eliminate_mod, leading_minors,
+                       rational_kernel)
+from .primes import capped_valuation, prime_factors, valuation
 
 
 @dataclass(frozen=True)
@@ -124,27 +124,32 @@ class CharacterGroup:
 def character_group(g: LengthGraph) -> CharacterGroup:
     """Cycle lattice of the graph minus loops, with the Raynaud exactness check.
 
-    One reduction of d_*, with an identity appended below it, gives both the
-    cycle basis (the columns of V past the rank) and the invariant factors.
+    d_* is totally unimodular, so the fraction-free pass (`rational_kernel`)
+    gives one primitive cycle per edge it does not pivot on: the fundamental
+    cycle of that edge over the spanning forest of pivot edges.
     """
     n_edges = len(g.non_loop_edges())
-    diag, basis = (), ()
-    if n_edges:
-        m = boundary_matrix(g)
-        a = [list(row) for row in m.entries] + \
-            [[int(i == j) for j in range(n_edges)] for i in range(n_edges)]
-        diag = tuple(d for d in eliminate(a, m.rows, n_edges) if d)
-        basis = tuple(tuple(row[j] for row in a[m.rows:])
-                      for j in range(len(diag), n_edges))
-    cg = CharacterGroup(g, basis)
-    if cg.rank != n_edges - g.n_vertices + g.n_components():
+    basis = rational_kernel(boundary_matrix(g)) if n_edges else ()
+    if len(basis) != n_edges - g.n_vertices + g.n_components():
         raise UsageError("cycle rank disagrees with the Betti count")
-    # 0 -> X -> Z[E] -> Z[V]^0 -> 0: the image is a direct summand (all
-    # invariant factors 1) of the right rank, hence equals the degree-zero
-    # sublattice on each component
-    if any(d != 1 for d in diag):
-        raise UsageError("boundary image is not saturated")
-    return cg
+    _check_cycle_basis(basis)
+    return CharacterGroup(g, basis)
+
+
+def _check_cycle_basis(basis) -> None:
+    """Every basis cycle has ±1 on an edge where all the other cycles are 0.
+
+    With the Betti count (the cycles span ker d_* over Q), an integer cycle
+    minus its combination at these private edges is a cycle that vanishes
+    there, hence 0: the cycles are a Z-basis of ker d_*. So 0 -> X -> Z[E]
+    -> Z[V]^0 -> 0 is exact: Z[E] is X plus the other edges, whose
+    boundaries are independent, so they form a spanning forest and d_* maps
+    them onto Z[V]^0. O(k·E): nonzero entries are counted per edge first.
+    """
+    counts = [sum(1 for x in column if x) for column in zip(*basis)]
+    for cycle in basis:
+        if not any(x in (1, -1) and n == 1 for x, n in zip(cycle, counts)):
+            raise InvariantViolationError("boundary image is not saturated")
 
 
 def monodromy_map(g: LengthGraph, x: CharacterGroup) -> IntMatrix:
@@ -254,8 +259,7 @@ def _local_shape(gram: IntMatrix, d: int):
     for p in prime_factors(d):
         e = valuation(d, p)
         a = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(gram.entries)]
-        vals = [e + 1 if x % p ** (e + 1) == 0 else valuation(x, p)
-                for x in eliminate_mod(a, k, k, p, e + 1)]
+        vals = [capped_valuation(x, p, e + 1) for x in eliminate_mod(a, k, k, p, e + 1)]
         if sum(vals) != e:
             raise InvariantViolationError(
                 f"local invariant factors at {p} do not multiply to {p}^{e}")
@@ -301,8 +305,12 @@ def omega_functional(g: LengthGraph, x_chain, cycles: CharacterGroup):
     for c in range(g.n_components()):
         if sum(x_chain[v] for v in range(g.n_vertices) if comps[v] == c) != 0:
             raise UsageError("chain must have degree zero on each component")
+    # (y, 1) in the kernel of (d_* | -x); the pass pivots on edges only, so
+    # x, free when it has a preimage, gives the one vector ending in 1
     m = boundary_matrix(g)
-    y = solve(m, tuple(x_chain))
+    kernel = rational_kernel(IntMatrix.from_rows(
+        [row + (-x,) for row, x in zip(m.entries, x_chain)]))
+    y = next((v[:-1] for v in kernel if v[-1] == 1), None)
     if y is None:
         raise UsageError("no boundary preimage; graph data inconsistent")
     return _pair_against_cycles(g, cycles, y), y

@@ -7,7 +7,7 @@ from .groupring import (Character, CyclotomicElement, CyclotomicQuotientRing,
                         involution, mu_invariant, project_level, specialize)
 from .intmatrix import (IntMatrix, det, eliminate, eliminate_mod, kernel_basis,
                         kernel_mod, leading_minors, rational_kernel,
-                        smith_normal_form, solve)
+                        smith_normal_form)
 
 __all__ = [
     "AbelianGroupShape", "Character", "CyclotomicElement",
@@ -15,6 +15,6 @@ __all__ = [
     "IntMatrix", "PrimePowerRing", "det", "eliminate",
     "eliminate_mod", "fitting_exponent", "group_ring_mul", "inequality_check",
     "involution", "kernel_basis", "kernel_mod", "leading_minors", "module_length",
-    "mu_invariant", "project_level", "rational_kernel", "smith_normal_form", "solve",
+    "mu_invariant", "project_level", "rational_kernel", "smith_normal_form",
     "specialize",
 ]

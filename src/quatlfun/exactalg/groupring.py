@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import comb
 
 from ..errors import UsageError
-from ..primes import is_prime, valuation
+from ..primes import capped_valuation, is_prime, valuation
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class PrimePowerRing:
 
     def valuation(self, x: int) -> int:
         """p-adic valuation of x in Z/p^n, capped at n; val(0) = n."""
-        return self.n if x % self.modulus == 0 else valuation(x, self.p)
+        return capped_valuation(x, self.p, self.n)
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,12 @@ Everything is arbitrary-precision; no floating point enters anywhere in this
 package. IntMatrix values are immutable tuples of tuples, row-major. Each
 ring has one elimination. Over Z and Z/p^n (`eliminate`, `eliminate_mod`)
 it reduces a list-of-lists array in place and carries along only the blocks
-its caller appended: an identity to the right for U, below for V, a column
-for U*b. Over Q, where no unimodular transform is read, it is one
-fraction-free Gauss-Jordan pass (`_fraction_free`), whose entries stay
-minors of the matrix where the Smith pivoting can blow up; `det`,
-`leading_minors` and `rational_kernel` read that pass.
+its caller appended: an identity to the right for U, below for V. Over Q,
+where no unimodular transform is read, it is one fraction-free Gauss-Jordan
+pass (`_fraction_free`), whose entries stay minors of the matrix where the
+Smith pivoting can blow up; `det`, `leading_minors` and `rational_kernel`
+read that pass. On a totally unimodular matrix, such as a graph's boundary
+map, `rational_kernel` is a Z-basis of the kernel too.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from ..errors import InvariantViolationError, UsageError
-from ..primes import valuation
+from ..primes import capped_valuation
 
 
 @dataclass(frozen=True)
@@ -289,42 +290,10 @@ def rational_kernel(M: IntMatrix):
     return tuple(out)
 
 
-def _check_rhs(M: IntMatrix, b):
-    if len(b) != M.rows:
-        raise UsageError("dimension mismatch in matrix-vector product")
-
-
-def _times(rows, y):
-    return tuple(sum(x * w for x, w in zip(row, y)) for row in rows)
-
-
-def solve(M: IntMatrix, b):
-    """One integer solution x of M x = b, or None if there is none."""
-    _check_rhs(M, b)
-    r, c = M.rows, M.cols
-    a = [list(row) + [x] for row, x in zip(M.entries, b)] + _identity(c)
-    diag = eliminate(a, r, c)
-    y = [0] * c
-    for i in range(r):
-        d = diag[i] if i < len(diag) else 0
-        ub = a[i][c]  # (U b)_i
-        if d != 0:
-            if ub % d != 0:
-                return None
-            y[i] = ub // d
-        elif ub != 0:
-            return None
-    return _times(a[r:], y)
-
-
 # ---------------------------------------------------------------------------
 # Linear algebra over Z/p^n.  Entries are plain ints reduced mod p^n; pivots
 # are chosen with minimal p-valuation so the diagonal form is diag(p^{a_i}).
 # ---------------------------------------------------------------------------
-
-def _val(x: int, p: int, n: int) -> int:
-    return n if x % p ** n == 0 else valuation(x, p)
-
 
 def eliminate_mod(a, r, c, p: int, n: int):
     """Diagonalize the top-left r x c block of a over Z/p^n, in place.
@@ -347,7 +316,7 @@ def eliminate_mod(a, r, c, p: int, n: int):
         for i in range(t, r):
             for j in range(t, c):
                 if a[i][j] % q != 0:
-                    w = _val(a[i][j], p, n)
+                    w = capped_valuation(a[i][j], p, n)
                     if w < bv:
                         bv, best = w, (i, j)
         if best is None:
@@ -387,7 +356,7 @@ def kernel_mod(M: IntMatrix, p: int, n: int):
     gens = []
     for j in range(c):
         if j < len(diag):
-            aj = _val(diag[j], p, n) if diag[j] else n
+            aj = capped_valuation(diag[j], p, n)
             if aj == 0:
                 continue  # unit pivot: no kernel contribution
             coeff = p ** (n - aj)

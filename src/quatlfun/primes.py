@@ -1,5 +1,6 @@
 """Small-prime helpers shared by every module: trial division at desk scale,
-the p-adic valuation, and the Hensel lift of a simple root of a quadratic."""
+the p-adic valuation and its cap at n, and the Hensel lift of a simple root
+of a quadratic."""
 
 from __future__ import annotations
 
@@ -55,6 +56,11 @@ def valuation(x: int, p: int) -> int:
         x //= p
         v += 1
     return v
+
+
+def capped_valuation(x: int, p: int, n: int) -> int:
+    """v_p(x) capped at n, as read in Z/p^n: n when p^n divides x (x = 0 too)."""
+    return n if x % p ** n == 0 else valuation(x, p)
 
 
 def hensel_lift(r: int, t: int, n: int, p: int, k: int) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import gcd
 
 from ..errors import InvariantViolationError, SearchExhaustedError, UsageError
-from ..exactalg import IntMatrix, kernel_basis, rational_kernel, solve
+from ..exactalg import IntMatrix, rational_kernel, smith_normal_form
 from ..primes import prime_factors
 from .algebra import kronecker
 from .lattice import enumerate_by_value
@@ -118,18 +118,20 @@ def _trace_norm_solutions(order: QuaternionOrder, t: int, n: int):
     den = order.lattice.den
     traces = [order.alg.trd(r) for r in order.lattice.rows]
     g = gcd(den, *traces)
-    m = IntMatrix.from_rows([[x // g for x in traces]])
-    part = solve(m, (t * den // g,))
-    if part is None:
+    # U·row·V = (d, 0, 0, 0): solvable iff d | U·rhs, and V's last three
+    # columns span the kernel
+    U, S, V = smith_normal_form(IntMatrix.from_rows([[x // g for x in traces]]))
+    d, rhs = S[0, 0], U[0, 0] * t * den // g
+    if rhs % d:
         return
-    kern = kernel_basis(m)  # rank 3
+    part = tuple(V[i, 0] * (rhs // d) for i in range(4))
+    kmat = [[V[i, j] for i in range(4)] for j in range(1, 4)]
     gram = order.alg.norm_gram(order.lattice)
 
     def pair(u, v):
         # 2·den^2 times the polarized norm of the coordinate vectors u, v
         return sum(u[i] * gram[i][j] * v[j] for i in range(4) for j in range(4))
 
-    kmat = [list(v) for v in kern]
     a = [[pair(kmat[r], kmat[s]) for s in range(3)] for r in range(3)]
     b = [pair(kmat[r], part) for r in range(3)]
     c0 = pair(part, part)

@@ -35,19 +35,25 @@ class QuaternionOrder:
         self.lattice = lat
         self._check_order()
         self._discrd = None
-        self._mult_table = None
         self._unit_count = None
 
     # -- structure ----------------------------------------------------------
 
     def _check_order(self):
+        """1 is in the lattice, and so is every product b_i·b_j: its
+        coordinates are the structure constants that `coords_mul` reads."""
         lat = self.lattice
         if not lat.contains(ONE):
             raise UsageError("an order must contain 1")
+        self._mult_table = []
         for x in lat.rows:
+            row = []
             for y in lat.rows:
-                if not lat.contains(self.alg.mul(x, y), lat.den ** 2):
+                coords = lat.coordinates(self.alg.mul(x, y), lat.den ** 2)
+                if coords is None:
                     raise UsageError("lattice is not multiplicatively closed")
+                row.append(coords)
+            self._mult_table.append(row)
 
     def key(self):
         return (self.alg.a, self.alg.b) + self.lattice.key()
@@ -71,25 +77,9 @@ class QuaternionOrder:
             self._discrd = r
         return self._discrd
 
-    def mult_table(self):
-        """Structure constants c[i][j] = coordinates of b_i * b_j; integral."""
-        if self._mult_table is None:
-            lat = self.lattice
-            table = []
-            for x in lat.rows:
-                row = []
-                for y in lat.rows:
-                    coords = lat.coordinates(self.alg.mul(x, y), lat.den ** 2)
-                    if coords is None:
-                        raise InvariantViolationError("order closure failed")
-                    row.append(coords)
-                table.append(row)
-            self._mult_table = table
-        return self._mult_table
-
     def coords_mul(self, x, y):
         """Product in basis coordinates (integer 4-tuples)."""
-        table = self.mult_table()
+        table = self._mult_table
         out = [0, 0, 0, 0]
         for i, xi in enumerate(x):
             if xi:

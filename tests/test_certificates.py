@@ -1,4 +1,4 @@
-"""Falsifiers for eleven certificates that no other test can switch off.
+"""Falsifiers for thirteen certificates that no other test can switch off.
 
 Each falsifier corrupts one object by hand, so that only its certificate can
 see the corruption, and runs that certificate; the test asserts the typed
@@ -17,7 +17,7 @@ from quatlfun import admraise, brandtforms, compgraph, padicl, toruscm
 from quatlfun.admraise import CongruencePair
 from quatlfun.brandtforms import (EigenSystem, QuotientGraph, eigenvector_mod,
                                   hensel_unit_root)
-from quatlfun.errors import InvariantViolationError
+from quatlfun.errors import DataMissingError, InvariantViolationError
 from quatlfun.exactalg import GroupRingElement, IntMatrix, PrimePowerRing
 from quatlfun.padicl import LFunctionElement, MeasurePipeline, MuReport
 from quatlfun.quatarith import (ClassSet, algebra_from_discriminant,
@@ -167,6 +167,24 @@ def falsify_class_map():
                                 [(p, vals, IntMatrix.from_rows(rows))])
 
 
+def falsify_cycle_basis():
+    """The theta graph's first basis cycle doubled: it still spans the
+    cycles over Q, but no longer over Z."""
+    theta = compgraph.LengthGraph.make(2, [(0, 1, 1), (1, 0, 1), (0, 1, 1)])
+    first, *rest = compgraph.character_group(theta).basis
+    compgraph._check_cycle_basis([tuple(2 * x for x in first)] + rest)
+
+
+def falsify_eigenline():
+    """The 11a edge eigenspace mod 5 given a second generator, the unit
+    vector at a coordinate where the form is not 1."""
+    pipe = _pipeline()
+    vec = pipe.form.values
+    j = next(i for i, x in enumerate(vec) if x != 1)
+    brandtforms._check_eigenline([vec, tuple(int(i == j) for i in range(len(vec)))],
+                                 vec, 5)
+
+
 # certificate -> (its owner, its attribute, its falsifier, its message)
 FALSIFIERS = {
     "check_distribution": (MeasurePipeline, "check_distribution", falsify_distribution,
@@ -191,11 +209,18 @@ FALSIFIERS = {
                               "congruence pair fails its own verification"),
     "_verify_class_map": (compgraph, "_verify_class_map", falsify_class_map,
                           "class_of does not kill the Gram image"),
+    "_check_cycle_basis": (compgraph, "_check_cycle_basis", falsify_cycle_basis,
+                           "boundary image is not saturated"),
+    "_check_eigenline": (brandtforms, "_check_eigenline", falsify_eigenline,
+                         "sample more primes"),
 }
+
+# the certificates whose failure is missing data, not a bug
+RAISES = {"_check_eigenline": DataMissingError}
 
 
 @pytest.mark.parametrize("name", FALSIFIERS)
 def test_falsifier_caught(name):
     _, _, falsify, message = FALSIFIERS[name]
-    with pytest.raises(InvariantViolationError, match=message):
+    with pytest.raises(RAISES.get(name, InvariantViolationError), match=message):
         falsify()

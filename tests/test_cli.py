@@ -45,6 +45,14 @@ class TestLfun:
                              "--eigenform", str(fixture)], capsys)
         assert code == 0
 
+    def test_eigenspace_larger_than_a_line_exits_3(self, capsys):
+        # with no sample prime, the edge joint eigenspace of N- = 43 mod 3 has
+        # rank 4: one of its vectors gave L_p = 0, flagged only as an anomaly
+        code = main(["lfun", "--nminus", "43", "--p", "3", "--K", "-4", "--mmax", "1",
+                     "--sample-bound", "0"])
+        assert code == 3
+        assert "sample more primes" in capsys.readouterr().err
+
 
 class TestBrandt:
     def test_disc11(self, capsys):

@@ -326,10 +326,13 @@ def test_gram_never_reduced_over_z(monkeypatch):
     assert reduced.count(gram) == 0
 
 
-def test_boundary_matrix_reduced_once(monkeypatch):
+def test_graph_questions_run_no_z_elimination(monkeypatch):
+    # d_* is totally unimodular: the cycle basis and the boundary preimage
+    # are both read off the fraction-free pass
     reduced = _count_reductions(monkeypatch)
-    character_group(GRAM_GRAPH)
-    assert reduced.count(boundary_matrix(GRAM_GRAPH)) == 1
+    phi = component_group(GRAM_GRAPH)
+    omega_map(GRAM_GRAPH, phi, (1, 0, -1, 0))
+    assert reduced == []
 
 
 def test_omega_map_rejects_another_graphs_group():

@@ -14,8 +14,7 @@ from quatlfun.exactalg import (AbelianGroupShape, Character, GroupRingElement,
                                inequality_check, involution, kernel_basis,
                                kernel_mod, leading_minors, mu_invariant,
                                project_level,
-                               rational_kernel, smith_normal_form, solve,
-                               specialize)
+                               rational_kernel, smith_normal_form, specialize)
 
 from oracles import (cofactor_det_oracle, convolution_oracle,
                      cyclotomic_valuation_oracle, fitting_minors_oracle,
@@ -177,11 +176,6 @@ class TestKernelAndSolve:
         bordered.append([x + 2 * y for x, y in zip(bordered[0], bordered[1])])
         assert rational_kernel(IntMatrix.from_rows(bordered)) == ((-1,) * 6 + (1,),)
         assert time.process_time() - start < 1
-
-    def test_solve(self):
-        M = IntMatrix.from_rows([[2, 0], [0, 3]])
-        assert solve(M, (4, 9)) == (2, 3)
-        assert solve(M, (1, 0)) is None
 
     def test_kernel_mod(self):
         M = IntMatrix.from_rows([[5, 0], [0, 1]])

@@ -15,10 +15,10 @@ alone. The lattice layer takes rank 4 only: its kernels refuse a Gram or a
 row of any other size before any work, and the generic-rank code and the
 test-only v-new kernel are gone. `isometric` and the class set's pair forms read
 I·conj(J) through one pair-Gram function. `primes` holds the one p-adic
-valuation and the one Hensel lift, and no module of the package or of the
-tests imports a name it never reads. Every public function, class and method
-of the package has a caller in the package or the benchmark, bar two named
-with their reasons, and every defaulted parameter is passed by some call,
+valuation, its one cap at n and the one Hensel lift, and no module of the
+package or of the tests imports a name it never reads. Every public function,
+class and method of the package has a caller in the package or the
+benchmark, bar two named with their reasons, and every defaulted parameter is passed by some call,
 bar three named with their reasons. `maximal_order` saturates by the
 index-q search alone, with no radical or idealizer route beside it. Every
 eigenvalue is read off one joint-eigenspace search, whose operators come from
@@ -28,10 +28,12 @@ defined more than once are pinned. Characters need no elimination:
 exactalg/groupring.py reads a valuation off the (1 - zeta)-expansion and
 imports nothing from intmatrix. Every cokernel is read prime by prime, by one
 pass mod p^n per prime: the Fitting length and the component group's shape and
-class coordinates reduce no matrix over Z, and in compgraph.py only the cycle
-basis of `character_group` comes from the Smith pivoting. Each falsifier of
-tests/test_certificates.py passes once its certificate is made to return True
-at once.
+class coordinates reduce no matrix over Z. compgraph.py runs no Smith
+pivoting at all: the cycle basis and the boundary preimage come from the
+fraction-free pass. `solve` is gone, and the package reaches the Smith
+pivoting over Z only through `smith_normal_form` on the embedding's trace
+row. Each falsifier of tests/test_certificates.py passes once its
+certificate is made to return True at once.
 """
 
 import ast
@@ -158,17 +160,28 @@ def test_characters_need_no_elimination():
 
 
 def test_cokernels_read_prime_by_prime():
-    # Fitting lengths and class coordinates come from passes mod p^n; the
-    # Smith pivoting over Z reads only character_group's cycle basis
+    # Fitting lengths and class coordinates come from passes mod p^n, and the
+    # cycle basis and the boundary preimage from the fraction-free pass: no
+    # function of compgraph.py runs the Smith pivoting over Z
     from quatlfun import compgraph
     with open(os.path.join(SRC, "exactalg", "fitting.py")) as fh:
         imported = {alias.name for node in ast.walk(ast.parse(fh.read()))
                     if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "eliminate" not in imported
     assert {node.name for node in ast.walk(ast.parse(inspect.getsource(compgraph)))
-            if isinstance(node, ast.FunctionDef)
-            and "eliminate" in _calls(node)} == {"character_group"}
+            if isinstance(node, ast.FunctionDef) and "eliminate" in _calls(node)} == set()
     assert not hasattr(compgraph.ComponentGroup, "_transform")
+
+
+def test_one_smith_form():
+    # solve is gone, and the package reaches the Smith pivoting over Z only
+    # through smith_normal_form on the embedding's trace row
+    from quatlfun.exactalg import intmatrix
+    assert [name for name in ("solve", "_check_rhs", "_times") if hasattr(intmatrix, name)] == []
+    callers = {(rel, name) for rel, text in _sources() for name in
+               _calls(ast.parse(text)) & {"eliminate", "smith_normal_form", "kernel_basis"}}
+    assert callers == {(os.path.join("exactalg", "intmatrix.py"), "eliminate"),
+                       (os.path.join("quatarith", "embedding.py"), "smith_normal_form")}
 
 
 def test_class_sets_come_from_the_walk_alone():
@@ -332,12 +345,23 @@ def _remainder_loops(text):
                     for sub in ast.walk(node.test))]
 
 
+def _capped_valuations(text):
+    """Line numbers of the conditional expressions "n if p^n | x else v_p(x)":
+    a remainder tested, a valuation taken when it is not 0."""
+    return [node.lineno for node in ast.walk(ast.parse(text)) if isinstance(node, ast.IfExp)
+            and any(isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Mod)
+                    for sub in ast.walk(node.test))
+            and "valuation" in _calls(node.orelse)]
+
+
 def test_one_valuation():
     # primes.valuation is the one v_p (prime_factors and first_coprime_prime
-    # divide there too); the acceptance oracles keep their own loop, as an
-    # oracle shares no code with what it checks
+    # divide there too), and primes.capped_valuation the one v_p capped at n;
+    # the acceptance oracles keep their own loop, as an oracle shares no code
+    # with what it checks
     found = sorted(rel for rel, text in _sources() if _remainder_loops(text))
     assert found == ["acceptance.py", "primes.py"]
+    assert [rel for rel, text in _sources() if _capped_valuations(text)] == ["primes.py"]
 
 
 _HECKE_BUILDERS = {"neighbor_matrices", "neighbor_matrix", "uq_matrix", "brandt_matrix"}
