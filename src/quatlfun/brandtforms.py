@@ -12,7 +12,14 @@ Tree cells are classified by one of two routes (`QuotientGraph`):
 - The ideal route builds the cell's ideal, reduces it and looks it up in
   the class set. Only the walk uses it, for its own cells: the root, and
   the p+1 neighbours and p+1 out-edges of one representative r_s per
-  (class, parity) state s.
+  (class, parity) state s. The ideal is written down, not solved for
+  (`_cell_ideal`): locally it is {X : X·e1 in L1, X·e2 in L2}, spanned by
+  the four matrices with a basis column of L1 or of L2 in its slot and 0
+  in the other, pulled back to the order through the inverse of iota on
+  its basis, which each graph computes and certifies once. Each cell ideal
+  is certified (`_check_cell_ideal`: its reduced norm, and right stability
+  over its own order), and each vertex's is kept, so the step witnesses
+  read the walk's own ideals.
 - The path route answers every other cell after the walk, with the
   p-unit group Gamma = O[1/p]^× (Franc and Masdeu, LMS J. Comput. Math.
   17 (2014)). Each vertex v met is memoised with (s, gamma), gamma in the
@@ -25,8 +32,9 @@ Tree cells are classified by one of two routes (`QuotientGraph`):
   exact. Vertices are reached from the root through `bttree.parent`.
 - A step witness is the `isometry_witness` of the vertex ideals of u and
   r_s', with its p-content removed. It is derived on first use and
-  certified once: x lies in the order, nrd(x) is a power of p, and
-  iota(x) carries r_s' to u on the tree.
+  certified once: x lies in the order, and `_check_step_witness` checks
+  that nrd(x) is a power of p and that iota(x) carries r_s' to u on the
+  tree.
 - Precision: A is exact mod p^prec, and an integer matrix N with
   elementary divisors p^alpha | p^beta spans the same lattice as any
   N' ≡ N mod p^(beta + 1). For N = A·M_w, beta = e + k_w - alpha with
@@ -65,6 +73,7 @@ from .quatarith import (RightIdeal, class_set_avoiding, eichler_mass,
                         neighbor_matrices, neighbor_matrix, uq_matrix)
 from .quatarith.classset import ClassSet
 from .quatarith.ideal import reduce_ideal
+from .quatarith.lattice import adjugate4
 from .quatarith.order import QuaternionOrder
 
 # p-adic precision of the local splitting that QuotientGraph builds by
@@ -162,14 +171,15 @@ class QuotientGraph:
         self.level = level
         self.base_order = base_order
         self.splitting = local_splitting(base_order, p, prec)
-        # iota of the base order's basis, read by every `_ideal_from_conditions`
-        self._unit_images = [self.splitting.apply(_unit_coords(i)) for i in range(4)]
+        # C^-1 mod p^prec, C the matrix of iota on the base order's basis
+        self._iota_inverse = _iota_inverse(self.splitting)
         self.vertex_classes = class_set_avoiding(base_order, p)
         # the level-p suborder, cut out by the transport splitting itself
         self.edge_order = eichler_order(base_order, p, lambda *_: self.splitting)
         self.edge_classes = class_set_avoiding(self.edge_order, p)
         self._vertex_memo = {}
         self._edge_memo = {}
+        self._vertex_ideals = {}  # vertex key -> its cell ideal, built once
         self._matrix_memo = {}
         self.vertex_reps = {}
         self.parity_reps = {}
@@ -378,35 +388,54 @@ class QuotientGraph:
         """(state', conj(x) in basis coordinates, v_p(nrd x)) for the
         neighbour u = key of r_state, with u = iota(x)·r_state'.
 
-        x is the isometry witness of the vertex ideals of u and r_state',
-        with its p-content removed. It is certified once, here: x lies in
-        the order, nrd(x) is a power of p, and iota(x) carries r_state' to u
-        on the tree.
+        x is `_step_witness`, certified once, here, by `_check_step_witness`.
         """
-        p = self.p
-        u = self._rep_neighbors[state][key]
-        nxt = (self._vertex_memo[key], u.parity())
-        rep = self.parity_reps[nxt]
-        where = f"transport witness from state {state} to state {nxt}"
-        found = isometry_witness(self._vertex_ideal(u), self._vertex_ideal(rep))
+        nxt, coords, e = self._step_witness(state, key)
+        self._check_step_witness(state, key, coords, e)
+        lat = self.base_order.lattice
+        return nxt, lat.coordinates(self.base_order.alg.conj(self._element(coords)), lat.den), e
+
+    def _step_witness(self, state, key):
+        """(state', x in basis coordinates, e) for the neighbour u = key of
+        r_state: x is the isometry witness of the vertex ideals of u and
+        r_state' (both the walk's own), with its p-content removed, and p^e
+        the p-part of nrd(x)."""
+        u, nxt, where = self._step_ends(state, key)
+        found = isometry_witness(self._vertex_ideal(u),
+                                 self._vertex_ideal(self.parity_reps[nxt]))
         if found is None:
             raise InvariantViolationError(f"{where}: the vertex ideals are not isometric")
         vec, den = found
-        lat = self.base_order.lattice
-        coords = lat.coordinates(vec, den)
+        coords = self.base_order.lattice.coordinates(vec, den)
         if coords is None:
             raise InvariantViolationError(f"{where} does not lie in the order")
         norm = self.base_order.alg.nrd(vec) // (den * den)
-        e = valuation(norm, p)
-        if p ** e != norm:
+        return (nxt,) + self._primitive(coords, valuation(norm, self.p))
+
+    def _check_step_witness(self, state, key, coords, e):
+        """The witness x (basis coordinates) of the step from r_state to its
+        neighbour u = key has nrd(x) = p^e, and iota(x) carries r_state' to
+        u on the tree, state' the state of u."""
+        u, nxt, where = self._step_ends(state, key)
+        den = self.base_order.lattice.den
+        if self.base_order.alg.nrd(self._element(coords)) != self.p ** e * den * den:
             raise InvariantViolationError(f"{where}: its reduced norm is not a power of p")
-        coords, e = self._primitive(coords, e)
-        if self._act(self.splitting.apply(coords), e, rep) != u:
+        if self._act(self.splitting.apply(coords), e, self.parity_reps[nxt]) != u:
             raise InvariantViolationError(
                 f"{where} does not carry the representative to the neighbour")
-        alg = self.base_order.alg
-        x = tuple(sum(c * r[k] for c, r in zip(coords, lat.rows)) for k in range(4))
-        return nxt, lat.coordinates(alg.conj(x), lat.den), e
+
+    def _step_ends(self, state, key):
+        """(u, state', a name for the witness) of the step from r_state to
+        its neighbour u = key, state' the state of u."""
+        u = self._rep_neighbors[state][key]
+        nxt = (self._vertex_memo[key], u.parity())
+        return u, nxt, f"transport witness from state {state} to state {nxt}"
+
+    def _element(self, coords):
+        """den·x for the element x of the order with these basis coordinates,
+        den the denominator of the order's lattice."""
+        rows = self.base_order.lattice.rows
+        return tuple(sum(c * r[k] for c, r in zip(coords, rows)) for k in range(4))
 
     def _primitive(self, coords, e):
         """(coords / p^c, e - 2c) for the largest c with p^c | coords: an
@@ -439,52 +468,55 @@ class QuotientGraph:
         return bttree.canonical_vertex(p, prod)
 
     def _vertex_ideal(self, v) -> RightIdeal:
-        """{x in O : iota(x) has columns in L} + p^k O, as a right ideal."""
-        k = v.det_exponent
-        if k == 0:
-            return RightIdeal.unit_ideal(self.base_order)
-        cond = [(v.matrix(), 1, (1, 1))]
-        return self._ideal_from_conditions(cond, k, self.base_order)
+        """{x in O : both columns of iota(x) lie in L}, for L the lattice of v.
+
+        Kept per vertex key: the walk builds the ideal of each of its vertex
+        cells once, and the step witnesses read the same ideal again, with
+        its Gram, reduction and o_g.
+        """
+        key = (v.a, v.b, v.d)
+        ideal = self._vertex_ideals.get(key)
+        if ideal is None:
+            m, k = v.matrix(), v.det_exponent
+            ideal = self._vertex_ideals[key] = self._cell_ideal(m, m, k, self.base_order, k)
+        return ideal
 
     def _edge_ideal(self, e) -> RightIdeal:
-        """Ideal of the chain condition: columns in L_s, shifted columns in M_t.
+        """{x in O : iota(x)·e1 in M_t, iota(x)·e2 in L_s}, a right ideal of
+        the level-p suborder, for M_t = `_chain_sublattice(e)` the index-p
+        sublattice of the source's L_s in the class of the target.
 
-        The second condition maps the standard chain (Z_p^2 ⊃ e1, p e2) into
-        (L_s ⊃ M_t): iota(x)·diag(1, p) must land in M_t mod p^(k_s + 1).
+        It is the ideal of the chain condition: iota(x) maps the standard
+        chain (Z_p^2 ⊃ Z_p·e1 + p·Z_p·e2) into (L_s ⊃ M_t), as p·L_s ⊆ M_t.
         """
         ks = e.source.det_exponent
-        m_t = _chain_sublattice(e)
-        kt = ks + 1
-        cond = [(e.source.matrix(), self.p, (1, 1)),  # mod p^ks, rescaled
-                (m_t, 1, (1, self.p))]
-        return self._ideal_from_conditions(cond, kt, self.edge_order)
+        return self._cell_ideal(_chain_sublattice(e), e.source.matrix(), ks + 1,
+                                self.edge_order, ks)
 
-    def _ideal_from_conditions(self, conditions, k, target_order):
-        """Sublattice where adj(g)·iota(x)·col_scales ≡ 0 mod p^k for each condition.
+    def _cell_ideal(self, first, second, k, order, norm_exponent):
+        """{x in O : iota(x)·e1 in the column span of `first`, iota(x)·e2 in
+        that of `second`}, as a right ideal of `order` with nrd p^norm_exponent.
 
-        conditions: (g 2x2 integer columns matrix, row multiplier, per-column
-        multipliers). Containment in g·M_2(Z_p) is exactly adj(g)·m ≡ 0 mod
-        det(g), applied to the scaled columns. The ambient is always the base
-        order: away from p the two orders agree, and the local Hom need not
-        lie inside the level-p suborder.
+        Both spans contain p^k·Z_p^2, so the local ideal contains p^k·M_2(Z_p)
+        and is spanned by four matrices X: a basis column of `first` in the
+        first column slot, or one of `second` in the second, and 0 in the
+        other. O/p^k·O ≅ M_2(Z/p^k) through iota, so the ideal is p^k·O plus
+        the preimages C^-1·vec(X) mod p^k of the four, in basis coordinates.
+        The ambient is always the base order: away from p the two orders
+        agree, and the local ideal need not lie inside the level-p suborder.
+        Certified by `_check_cell_ideal` before it is returned.
         """
         p = self.p
         q = p ** k
         if self.splitting.prec < k + 2:
             raise InvariantViolationError("transport splitting precision too low")
-        images = self._unit_images
-        rows = []
-        for g, mult, col_scales in conditions:
-            adj = ((g[1][1], -g[0][1]), (-g[1][0], g[0][0]))
-            for r in range(2):
-                for s in range(2):
-                    row = []
-                    for mi in images:
-                        val = sum(adj[r][t] * mi[t][s] for t in range(2))
-                        row.append(val * mult * col_scales[s] % q)
-                    rows.append(row)
-        gens = kernel_mod(IntMatrix.from_rows(rows), p, k)
-        return RightIdeal(target_order, self.base_order.lattice.sublattice_mod(q, gens))
+        gens = [(x, 0, y, 0) for x, y in zip(*first)] + \
+               [(0, x, 0, y) for x, y in zip(*second)]
+        coords = [[sum(c * g for c, g in zip(row, gen)) % q for row in self._iota_inverse]
+                  for gen in gens]
+        ideal = RightIdeal(order, self.base_order.lattice.sublattice_mod(q, coords))
+        _check_cell_ideal(ideal, p ** norm_exponent)
+        return ideal
 
     # -- operators ------------------------------------------------------------
 
@@ -551,10 +583,43 @@ def _mul_mod(g, h, q):
             ((g10 * h00 + g11 * h10) % q, (g10 * h01 + g11 * h11) % q))
 
 
-def _unit_coords(i):
-    v = [0, 0, 0, 0]
-    v[i] = 1
-    return tuple(v)
+def _iota_inverse(splitting):
+    """C^-1 mod p^prec, for C the 4x4 matrix whose column i is iota(b_i) of
+    the order's basis element b_i, read row by row (vec(X) = (X00, X01,
+    X10, X11)).
+
+    Certified once per graph: det C is a p-unit, and C·C^-1 ≡ 1 mod p^prec.
+    """
+    p, q = splitting.ell, splitting.modulus
+    c = [[m[r][s] for m in splitting.basis_images] for r in range(2) for s in range(2)]
+    det, adj = adjugate4(c)
+    where = f"the splitting at {p} mod {p}^{splitting.prec}"
+    if det % p == 0:
+        raise InvariantViolationError(f"{where} has a matrix C of determinant {det}, "
+                                      "not a p-unit")
+    inv = pow(det, -1, q)
+    out = [[x * inv % q for x in row] for row in adj]
+    if any((sum(c[i][t] * out[t][j] for t in range(4)) - (i == j)) % q
+           for i in range(4) for j in range(4)):
+        raise InvariantViolationError(f"{where}: C times its inverse is not 1")
+    return out
+
+
+def _check_cell_ideal(ideal, norm):
+    """A tree cell's ideal has reduced norm `norm` and is a right ideal of
+    its own order.
+
+    The reduced norm is the content of the normalized Gram, which the
+    reduction of the ideal computes anyway.
+    """
+    if ideal.nrd() != norm:
+        raise InvariantViolationError(
+            f"a tree cell's ideal has reduced norm {ideal.nrd()}, not {norm}")
+    try:
+        ideal.check_right_stability()
+    except InvariantViolationError:
+        raise InvariantViolationError(
+            "a tree cell's ideal is not right-stable over its order") from None
 
 
 def _chain_sublattice(e):

@@ -269,7 +269,7 @@ def rational_kernel(M: IntMatrix):
     its pivot column, so free column f gives the vector with d at f and
     minus column f of the pivot rows at their pivots. Unlike `kernel_basis`
     the vectors need not span the kernel lattice over Z. Each is certified
-    before it is returned: M v = 0 exactly.
+    before it is returned: M v = 0 exactly, summed over the support of v.
     """
     steps, a, _ = _fraction_free(M)
     pivots = [j for j, _, _ in steps]
@@ -284,7 +284,8 @@ def rational_kernel(M: IntMatrix):
             v[j] = -a[i][f]
         g = gcd(*v) if d > 0 else -gcd(*v)
         v = tuple(x // g for x in v)
-        if any(M.mul_vec(v)):
+        support = [(j, x) for j, x in enumerate(v) if x]
+        if any(sum(row[j] * x for j, x in support) for row in M.entries):
             raise InvariantViolationError(f"kernel vector {v} is not killed by the matrix")
         out.append(v)
     return tuple(out)

@@ -333,6 +333,51 @@ def exhaustive_walk_oracle(order, neighbor_prime):
     return reps
 
 
+# -- tree cell ideals by a condition kernel ------------------------------------
+
+def cell_ideal_oracle(graph, cell):
+    """The lattice of the ideal of a tree vertex or edge of a QuotientGraph.
+
+    The route the library used before it wrote the local generators down:
+    for each condition "iota(x)·S has columns in g·Z_p^2" (g an integer
+    column matrix of det p^j, S a column scaling), the rows of
+    adj(g)·iota(x)·S ≡ 0 mod p^k over the images of the order's basis, their
+    kernel mod p^k (`kernel_mod`), and p^k·O plus its lifts. A vertex L asks
+    columns in L, mod p^k = det L; an edge (s, t) asks columns in L_s (scaled
+    by p, so mod p^(k_s + 1)) and iota(x)·diag(1, p) in M_t = p^j·L_t, the
+    index-p sublattice of L_s in the class of t. It reads no inverse of the
+    splitting and no `_chain_sublattice`.
+    """
+    from quatlfun.bttree import TreeVertex as Vertex
+    from quatlfun.exactalg import IntMatrix, kernel_mod
+    from quatlfun.quatarith import Lattice4
+    p = graph.p
+    if isinstance(cell, Vertex):
+        k = cell.det_exponent
+        conditions = [(cell.matrix(), 1, (1, 1))]
+    else:
+        ks = cell.source.det_exponent
+        k = ks + 1
+        j = (k - cell.target.det_exponent) // 2
+        m_t = tuple(tuple(x * p ** j for x in row) for row in cell.target.matrix())
+        conditions = [(cell.source.matrix(), p, (1, 1)), (m_t, 1, (1, p))]
+    q = p ** k
+    images = [graph.splitting.apply(tuple(int(i == n) for n in range(4)))
+              for i in range(4)]
+    rows = []
+    for g, mult, scales in conditions:
+        adj = ((g[1][1], -g[0][1]), (-g[1][0], g[0][0]))
+        for r in range(2):
+            for s in range(2):
+                rows.append([sum(adj[r][t] * m[t][s] for t in range(2)) * mult * scales[s] % q
+                             for m in images])
+    base = graph.base_order.lattice
+    gens = kernel_mod(IntMatrix.from_rows(rows), p, k) if k else ()
+    return Lattice4(base.den, [[x * q for x in r] for r in base.rows] +
+                    [[sum(c[i] * base.rows[i][n] for i in range(4)) for n in range(4)]
+                     for c in gens])
+
+
 # -- idealizers by Fraction linear algebra -------------------------------------
 
 def idealizer_oracle(alg, lat, side):

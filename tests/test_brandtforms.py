@@ -1,6 +1,9 @@
+import dataclasses
 import json
 import os
 import random
+import time
+from collections import Counter
 
 import pytest
 
@@ -27,7 +30,7 @@ from quatlfun.quatarith import ideal as ideal_module
 from quatlfun.quatarith.lattice import enumerate_by_value
 from quatlfun.toruscm import build_torus, edge_orbit_table
 
-from oracles import curve_a_ell
+from oracles import cell_ideal_oracle, curve_a_ell
 
 
 @pytest.fixture(scope="module")
@@ -489,3 +492,50 @@ class TestPathTransport:
         # within reach, the low-precision graph gives the ideal route's class
         for v in (TreeVertex(5, 4, 1, 0), TreeVertex(5, 2, 3, 3)):
             assert low.classify_vertex(v) == low._vertex_class_by_ideal(v)
+
+
+# ---------------------------------------------------------------------------
+# Cell ideals: written down from local generators, built once per vertex
+# ---------------------------------------------------------------------------
+
+class TestCellIdeals:
+    def test_cell_ideals_match_the_condition_kernel(self):
+        # every vertex and edge within radius 2 of the root, against the
+        # kernel of the containment conditions mod p^k
+        start = time.process_time()
+        for p in (5, 3):
+            for disc in (2, 11, 37, 47, 61):
+                graph = QuotientGraph(maximal_order(algebra_from_discriminant(disc)), p)
+                for v in (v for layer in ball(p, 2) for v in layer):
+                    assert graph._vertex_ideal(v).lattice == cell_ideal_oracle(graph, v)
+                    for e in edges_from(v):
+                        assert graph._edge_ideal(e).lattice == cell_ideal_oracle(graph, e)
+        assert time.process_time() - start < 3
+
+    def test_each_vertex_ideal_is_built_once(self, monkeypatch):
+        # the walk builds its cells' ideals; the step witnesses, the
+        # regularity check and an orbit table read them and build none
+        builds = []
+        real = QuotientGraph._cell_ideal
+
+        def counted(graph, first, second, k, order, norm_exponent):
+            builds.append(first if order is graph.base_order else None)
+            return real(graph, first, second, k, order, norm_exponent)
+        monkeypatch.setattr(QuotientGraph, "_cell_ideal", counted)
+        embedding, graph = _torus_quotient(11, 1, 5, -3)
+        graph.ensure_walk()
+        walked = len(builds)
+        graph.verify_regularity()
+        edge_orbit_table(build_torus(-3, embedding, graph), graph, 2)
+        assert graph._steps and len(builds) == walked
+        vertex_builds = Counter(first for first in builds if first is not None)
+        assert set(vertex_builds.values()) == {1}
+        assert len(vertex_builds) == len(graph._vertex_ideals) \
+            <= 2 * graph.vertex_count() * 6 + 1
+
+    def test_splitting_inverse_is_certified(self):
+        graph = QuotientGraph(maximal_order(algebra_from_discriminant(11)), 5)
+        spl = graph.splitting
+        singular = spl.basis_images[:3] + (spl.basis_images[0],)
+        with pytest.raises(InvariantViolationError, match="splitting at 5 .* not a p-unit"):
+            brandtforms._iota_inverse(dataclasses.replace(spl, basis_images=singular))

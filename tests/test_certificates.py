@@ -1,4 +1,4 @@
-"""Falsifiers for thirteen certificates that no other test can switch off.
+"""Falsifiers for fifteen certificates that no other test can switch off.
 
 Each falsifier corrupts one object by hand, so that only its certificate can
 see the corruption, and runs that certificate; the test asserts the typed
@@ -100,6 +100,28 @@ def falsify_regularity():
     graph.verify_regularity()
 
 
+def falsify_cell_ideal():
+    """Every local generator of every cell ideal transposed, at disc 2 and
+    p = 5 (the graph's C^-1 with its columns for X01 and X10 swapped): the
+    lattices are left ideals of the same norm, and the walk, the class sets
+    and `verify_regularity` do not notice."""
+    graph = QuotientGraph(maximal_order(algebra_from_discriminant(2)), 5)
+    graph._iota_inverse = [[r[0], r[2], r[1], r[3]] for r in graph._iota_inverse]
+    graph.ensure_walk()
+    graph.verify_regularity()
+
+
+def falsify_step_witness():
+    """The first step witness of disc 11 at p = 5 with its first order
+    coordinate moved by one."""
+    graph = _graph()
+    graph.ensure_walk()
+    state = next(iter(graph._rep_neighbors))
+    key = next(iter(graph._rep_neighbors[state]))
+    _, coords, e = graph._step_witness(state, key)
+    graph._check_step_witness(state, key, (coords[0] + 1,) + coords[1:], e)
+
+
 def falsify_splitting():
     """Every basis image transposed: 1 still goes to the identity and the
     images still span M_2 mod ell, but transposing reverses products."""
@@ -195,6 +217,11 @@ FALSIFIERS = {
                   "tree walk did not reach every ideal class"),
     "verify_regularity": (QuotientGraph, "verify_regularity", falsify_regularity,
                           "vertex quotient is not \\(p\\+1\\)-regular"),
+    "_check_cell_ideal": (brandtforms, "_check_cell_ideal", falsify_cell_ideal,
+                          "a tree cell's ideal is not right-stable"),
+    "_check_step_witness": (QuotientGraph, "_check_step_witness", falsify_step_witness,
+                            "transport witness from state .* reduced norm is not "
+                            "a power of p"),
     "_verify_splitting": (splitting, "_verify_splitting", falsify_splitting,
                           "splitting is not multiplicative"),
     "_verify_torus": (toruscm, "_verify_torus", falsify_torus,
