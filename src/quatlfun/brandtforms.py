@@ -728,27 +728,63 @@ def eigenspace_cut(mat, a, basis, modulus=None):
 def joint_eigenspaces(operators, choices, basis, modulus=None):
     """Depth-first search for joint eigenspaces of commuting operators.
 
-    Operator i is tried at each value in choices[i] in turn (one target
+    Operator i is tried at the values in choices[i] in turn (one target
     value, or the full candidate range); every step is an `eigenspace_cut`
     of the span reached so far. A branch dies when its cut is empty and, over
     Z/p^n, also when no generator has a unit coordinate (no primitive joint
-    eigenvector). Returns the surviving (assignment, basis) leaves in
-    lexicographic order of the choices, so fixing some coordinates to one
-    value returns exactly the matching leaves of the full search, in order.
+    eigenvector). When the span is one line Z·v, only the value that line
+    carries is cut (`_line_value`): over Q a cut at any other value is empty,
+    and mod p^n it is a non-unit multiple of v, which dies anyway. A span of
+    two or more generators is cut at every value. Returns the surviving
+    (assignment, basis) leaves in lexicographic order of the choices, each
+    assignment holding the choices' own values, so fixing some coordinates to
+    one value returns exactly the matching leaves of the full search, in
+    order.
     """
     leaves = []
+    q = None if modulus is None else modulus[0] ** modulus[1]
 
     def extend(idx, assignment, span):
         if idx == len(operators):
             leaves.append((tuple(assignment), span))
             return
-        for a in choices[idx]:
+        values = choices[idx]
+        if len(span) == 1:
+            line = _line_value(operators[idx], span[0], modulus)
+            if line is None:
+                return
+            values = [c for c in values if (c == line if q is None else c % q == line)]
+        for a in values:
             cut = eigenspace_cut(operators[idx], a, span, modulus)
             if cut and (modulus is None or any(x % modulus[0] for g in cut for x in g)):
                 extend(idx + 1, assignment + [a], cut)
 
     extend(0, [], basis)
     return leaves
+
+
+def _line_value(mat, v, modulus=None):
+    """The one value a with mat·v = a·v (over Z), or mat·v ≡ a·v mod p^n with
+    a reduced, or None when there is none.
+
+    a is read at the first nonzero coordinate of v over Z, and at its first
+    unit coordinate mod p^n: a vector with no unit coordinate is no primitive
+    eigenvector, so its line survives no cut.
+    """
+    tv = [sum(x * y for x, y in zip(row, v)) for row in mat]
+    if modulus is None:
+        i = next((k for k, x in enumerate(v) if x), None)
+        if i is None or tv[i] % v[i]:
+            return None
+        a = tv[i] // v[i]
+        return a if all(t == a * x for t, x in zip(tv, v)) else None
+    p, n = modulus
+    q = p ** n
+    i = next((k for k, x in enumerate(v) if x % p), None)
+    if i is None:
+        return None
+    a = tv[i] * pow(v[i], -1, q) % q
+    return a if all((t - a * x) % q == 0 for t, x in zip(tv, v)) else None
 
 
 def _identity_basis(h):
@@ -780,7 +816,9 @@ def eigensystems_mod(classes: ClassSet, sample_primes, p: int, n: int,
     Operators: T_ell for the sample primes and U_q at discriminant primes.
     Systems must admit a common eigenvector with a unit coordinate in the
     sublattice orthogonal to the trivial (norm-form) line under the
-    unit-weight pairing (`_cuspidal_sublattice`). `fixed` maps
+    unit-weight pairing (`_cuspidal_sublattice`). An operator is tried at
+    every residue mod p^n while the span is wider than a line, and on a line
+    at the one residue it carries (`joint_eigenspaces`). `fixed` maps
     primes to known eigenvalues: those operators are cut at that value only,
     which returns exactly the systems of the full search that carry these
     values, in the same order. With one class (h = 1) the sublattice is 0
@@ -862,7 +900,9 @@ def rational_eigensystems(classes: ClassSet, sample_primes):
 
     The operators are those of `eigensystems_mod`. Candidates are bounded by
     row sums (the spectra of nonnegative Brandt matrices and of the U_q
-    permutations); eigenspaces are cut exactly over Z. Returns one
+    permutations), and a span wider than a line is cut at each of them; a
+    line is cut only at the integer it carries, if that is within the bound
+    (`joint_eigenspaces`). Eigenspaces are cut exactly over Z. Returns one
     (T_ell map, U_q map) pair per rationally split system.
     """
     ops = _hecke_operators(classes, sample_primes)

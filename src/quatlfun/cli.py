@@ -156,7 +156,9 @@ def _table(rows):
 
 
 def _cmd_brandt(args) -> int:
-    from .quatarith import class_set_avoiding, eichler_order_for, neighbor_matrices
+    from .quatarith import (check_count_bound, class_set_avoiding, eichler_order_for,
+                            neighbor_matrices)
+    check_count_bound(max(args.primes), "Hecke prime")
     cs = class_set_avoiding(eichler_order_for(args.disc, args.level))
     print(f"disc {args.disc}, level {args.level}: class number {len(cs)}, "
           f"mass {cs.mass}")

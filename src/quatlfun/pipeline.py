@@ -21,7 +21,8 @@ from .errors import (ConfigurationError, DataMissingError)
 from .padicl import (LFunctionElement, MeasurePipeline, check_projection_tower,
                      full_Lp, mu_two_nu_check)
 from .primes import is_prime, prime_factors
-from .quatarith import ClassSet, class_set_avoiding, eichler_order_for, kronecker
+from .quatarith import (ClassSet, check_count_bound, class_set_avoiding,
+                        eichler_order_for, kronecker)
 from .quatarith.embedding import embedding_with_base
 from .toruscm import build_torus
 
@@ -65,6 +66,10 @@ class PipelineConfig:
         if self.n < 1:
             raise ConfigurationError("need n >= 1")
         _check_depth(self.m_max)
+        if self.sample_bound < 0:
+            raise ConfigurationError(
+                f"sample bound {self.sample_bound} must be nonnegative")
+        check_count_bound(self.sample_bound, "sample bound")
         if self.disc_k >= 0 or self.disc_k % 4 not in (0, 1):
             raise ConfigurationError("K must be given by a negative quadratic discriminant")
         minus_primes = prime_factors(self.n_minus)

@@ -82,6 +82,20 @@ from .splitting import local_splitting
 # class-number bound of the neighbour walk
 MAX_CLASSES = 500
 
+# largest m that `ClassSet.representation_counts` enumerates to, so the
+# largest Hecke prime and sample bound: the vectors of value at most 2m grow
+# like m^2 per pair of classes. B(997) alone takes 0.3 s CPU on disc 11 (3
+# pairs; 2-vCPU VM, CPython 3.11), and some 300 times that at 42 classes
+# (903 pairs), while the largest sample any command uses by default is 50
+MAX_COUNT_NRD = 1000
+
+
+def check_count_bound(m: int, what: str):
+    """ResourceLimitError when theta series up to m exceed MAX_COUNT_NRD."""
+    if m > MAX_COUNT_NRD:
+        raise ResourceLimitError(f"{what} {m} exceeds the theta-series bound "
+                                 f"{MAX_COUNT_NRD}")
+
 
 def eichler_mass(disc: int, level: int) -> Fraction:
     """Exact mass: sum over classes of 1/#O_left(I)^×."""
@@ -149,6 +163,7 @@ class ClassSet:
         """
         h = len(self)
         if m > self._counts_upto:
+            check_count_bound(m, "representation counts")
             grams = self._pair_forms([(i, j) for i in range(h) for j in range(i, h)])
             counts = {pair: value_counts(gram, 2 * m)[::2]
                       for pair, gram in grams.items()}
@@ -312,10 +327,15 @@ def neighbor_matrix(class_set: ClassSet, ell: int):
     """
     _check_brandt_prime(class_set, ell)
     rows = _counts_over_units(class_set, ell)
+    _check_row_sums(rows, ell)
+    return rows
+
+
+def _check_row_sums(rows, ell):
+    """Every row of B(ell) sums to ell + 1, the number of ell-neighbours."""
     for i, row in enumerate(rows):
         if sum(row) != ell + 1:
             raise InvariantViolationError(f"row {i} of B({ell}) sums to {sum(row)}")
-    return rows
 
 
 def neighbor_matrices(class_set: ClassSet, primes):

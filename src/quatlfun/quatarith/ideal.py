@@ -256,18 +256,21 @@ def pair_gram(ia: RightIdeal, ib: RightIdeal):
     b3 = t11 * r13 + t12 * r23 + t13 * r33
     c2 = t22 * r22 + t23 * r23
     c3 = t22 * r23 + t23 * r33
-    upper = []
-    for entry in (a0 * t00 + a1 * t01 + a2 * t02 + a3 * t03,
-                  a1 * t11 + a2 * t12 + a3 * t13, a2 * t22 + a3 * t23, a3 * t33,
-                  b1 * t11 + b2 * t12 + b3 * t13, b2 * t22 + b3 * t23, b3 * t33,
-                  c2 * t22 + c3 * t23, c3 * t33, t33 * r33 * t33):
-        q, rest = divmod(entry, k)
-        if rest:
-            raise InvariantViolationError("norm form of I·conj(J) is not integral")
-        upper.append(q)
-    g00, g01, g02, g03, g11, g12, g13, g22, g23, g33 = upper
+    upper = (a0 * t00 + a1 * t01 + a2 * t02 + a3 * t03,
+             a1 * t11 + a2 * t12 + a3 * t13, a2 * t22 + a3 * t23, a3 * t33,
+             b1 * t11 + b2 * t12 + b3 * t13, b2 * t22 + b3 * t23, b3 * t33,
+             c2 * t22 + c3 * t23, c3 * t33, t33 * r33 * t33)
+    _check_pair_gram(upper, k)
+    g00, g01, g02, g03, g11, g12, g13, g22, g23, g33 = (x // k for x in upper)
     return [[g00, g01, g02, g03], [g01, g11, g12, g13],
             [g02, g12, g22, g23], [g03, g13, g23, g33]]
+
+
+def _check_pair_gram(upper, k):
+    """The upper triangle of T·R·T^t is divisible by k: the norm form of
+    I·conj(J) is integral."""
+    if any(x % k for x in upper):
+        raise InvariantViolationError("norm form of I·conj(J) is not integral")
 
 
 def _pair_basis(ia: RightIdeal, ib: RightIdeal):
@@ -309,9 +312,14 @@ def reduce_ideal(ideal: RightIdeal) -> RightIdeal:
     x = alg.conj(tuple(sum(c * r[k] for c, r in zip(coords, rows)) for k in range(4)))
     out_rows = [[norm.denominator * v for v in alg.mul(x, r)] for r in rows]
     out = RightIdeal(ideal.order, Lattice4(den * den * norm.numerator, out_rows))
-    if out.nrd() != Fraction(alg.nrd(x), den * den) / norm:
-        raise InvariantViolationError("ideal reduction changed the class data")
+    _check_reduction(out, Fraction(alg.nrd(x), den * den) / norm)
     return out
+
+
+def _check_reduction(out, norm):
+    """The reduced ideal has reduced norm nrd(x)/nrd(J)."""
+    if out.nrd() != norm:
+        raise InvariantViolationError("ideal reduction changed the class data")
 
 
 def isometry_witness(i1: RightIdeal, i2: RightIdeal):
@@ -339,10 +347,15 @@ def isometry_witness(i1: RightIdeal, i2: RightIdeal):
     y = tuple(sum(ul * v[m] for ul, v in zip(u, basis)) for m in range(4))
     vec = alg.mul(y, alg.conj(i2.reduced_basis()[0]))
     den = i1.lattice.den * i2.lattice.den * k
-    if Fraction(alg.nrd(vec), den * den) != i1.nrd() * i2.nrd():
+    _check_witness_norm(i1, i2, vec, den)
+    return vec, den
+
+
+def _check_witness_norm(i1, i2, vec, den):
+    """x = vec/den has nrd(x) = nrd(I)·nrd(J)."""
+    if Fraction(i1.alg.nrd(vec), den * den) != i1.nrd() * i2.nrd():
         raise InvariantViolationError(
             "the isometry witness read off the pair Gram has the wrong reduced norm")
-    return vec, den
 
 
 def isometric(i1: RightIdeal, i2: RightIdeal) -> bool:

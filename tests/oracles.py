@@ -281,6 +281,32 @@ def neighbor_matrix_oracle(class_set, ell):
     return rows
 
 
+# -- joint eigenspaces by cutting at every choice ------------------------------
+
+def joint_eigenspaces_oracle(operators, choices, basis, modulus=None):
+    """The (assignment, basis) leaves of `brandtforms.joint_eigenspaces`.
+
+    The search the library ran before it read a line's value off T·v: every
+    operator is cut at every one of its choices, whatever the span, and a
+    branch dies on an empty cut or, mod p^n, on a cut with no unit
+    coordinate. It shares only `eigenspace_cut` with the library.
+    """
+    from quatlfun.brandtforms import eigenspace_cut
+    leaves = []
+
+    def extend(idx, assignment, span):
+        if idx == len(operators):
+            leaves.append((tuple(assignment), span))
+            return
+        for a in choices[idx]:
+            cut = eigenspace_cut(operators[idx], a, span, modulus)
+            if cut and (modulus is None or any(x % modulus[0] for g in cut for x in g)):
+                extend(idx + 1, assignment + [a], cut)
+
+    extend(0, [], basis)
+    return leaves
+
+
 # -- pair Grams from the product lattice ---------------------------------------
 
 def pair_gram_oracle(ia, ib):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import os
 import random
@@ -6,6 +7,8 @@ import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatlfun import brandtforms
 from quatlfun.admraise import eisenstein_test
@@ -17,9 +20,10 @@ from quatlfun.brandtforms import (AutomorphicForm, EigenSystem, QuotientGraph,
 from quatlfun.bttree import TreeEdge, TreeVertex, ball, edges_from, neighbors
 from quatlfun.compgraph import character_group
 from quatlfun.errors import InvariantViolationError, UsageError
-from quatlfun.pipeline import _torus_quotient
+from quatlfun.pipeline import _torus_quotient, good_primes
 from quatlfun.primes import first_coprime_prime, is_prime
 from quatlfun.quatarith import (ClassSet, algebra_from_discriminant,
+                                class_set_avoiding,
                                 eichler_mass, eichler_order_for,
                                 ideal_class_set, maximal_order,
                                 neighbor_matrices, neighbor_matrix,
@@ -30,7 +34,7 @@ from quatlfun.quatarith import ideal as ideal_module
 from quatlfun.quatarith.lattice import enumerate_by_value
 from quatlfun.toruscm import build_torus, edge_orbit_table
 
-from oracles import cell_ideal_oracle, curve_a_ell
+from oracles import cell_ideal_oracle, curve_a_ell, joint_eigenspaces_oracle
 
 
 @pytest.fixture(scope="module")
@@ -260,6 +264,105 @@ class TestEigensystemsMod:
         first_unit = next(x for x in v.values if x % 5)
         assert first_unit == 1
 
+
+
+@st.composite
+def _commuting_search(draw, modulus):
+    """(operators, choices, basis) for `joint_eigenspaces`: integer
+    polynomials in one integer matrix A, A an upper triangular matrix with
+    small, often repeated, diagonal, conjugated by elementary matrices (so
+    its eigenvalues are integers, and it may have Jordan blocks). Over Z
+    each operator runs over its row-sum bound; mod p^n over all residues,
+    or at one fixed value, unreduced. The start is the identity basis, one
+    line (with or without a unit coordinate) or a few random generators."""
+    h = draw(st.integers(1, 4))
+    small = st.integers(-2, 2)
+    a = [[draw(small) if j == i else (draw(st.integers(-1, 1)) if j > i else 0)
+          for j in range(h)] for i in range(h)]
+    for _ in range(draw(st.integers(0, 3)) if h > 1 else 0):
+        i, j = draw(st.permutations(range(h)))[:2]
+        c = draw(small)
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]  # E·A, then ·E^-1
+        for row in a:
+            row[j] -= c * row[i]
+    square = _mul(a, a)
+    operators = []
+    for _ in range(draw(st.integers(1, 3))):
+        c0, c1, c2 = draw(small), draw(small), draw(small)
+        operators.append([[c0 * (i == j) + c1 * a[i][j] + c2 * square[i][j]
+                           for j in range(h)] for i in range(h)])
+    if modulus is None:
+        bounds = [max(sum(abs(x) for x in row) for row in op) for op in operators]
+        choices = [range(-b, b + 1) for b in bounds]
+    else:
+        q = modulus[0] ** modulus[1]
+        choices = [(draw(st.integers(0, q - 1)) + q * draw(small),)
+                   if draw(st.booleans()) else range(q) for _ in operators]
+    entries = st.lists(st.integers(-3, 3), min_size=h, max_size=h)
+    start = draw(st.sampled_from(["identity", "line", "scaled line", "span"]))
+    if start == "identity":
+        basis = [tuple(int(i == j) for i in range(h)) for j in range(h)]
+    elif start == "span":
+        basis = [tuple(v) for v in draw(st.lists(entries, min_size=2, max_size=3))]
+    else:
+        v = draw(entries)
+        scale = modulus[0] if start == "scaled line" and modulus else 1
+        basis = [tuple(scale * x for x in v)]
+    return operators, choices, basis
+
+
+_MODULI = [None, (2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2)]
+
+
+@functools.lru_cache(maxsize=None)
+def _vertex_search(disc):
+    """The class set of disc at p = 5 and the sample of `select_vertex_system`
+    at the default bound 20: p, then the primes up to 20 prime to 5·disc."""
+    classes = class_set_avoiding(eichler_order_for(disc, 1), 5)
+    return classes, [5, *good_primes(20, 5 * disc)]
+
+
+class TestJointEigenspaces:
+    @pytest.mark.parametrize("modulus", _MODULI)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_leaves_match_the_exhaustive_search(self, modulus, data):
+        operators, choices, basis = data.draw(_commuting_search(modulus))
+        got = brandtforms.joint_eigenspaces(operators, choices, basis, modulus)
+        assert got == joint_eigenspaces_oracle(operators, choices, basis, modulus)
+
+    @pytest.mark.parametrize("modulus", [(2, 2), (3, 1), (5, 2)])
+    def test_a_line_without_unit_coordinate_has_no_leaf(self, modulus):
+        p, n = modulus
+        operators = [[[1, 1], [0, 1]], [[2, 0], [0, 2]]]
+        choices = [range(p ** n), (2 + p ** n,)]
+        assert brandtforms.joint_eigenspaces(operators, choices, [(p, 0)], modulus) == []
+        assert joint_eigenspaces_oracle(operators, choices, [(p, 0)], modulus) == []
+        leaves = brandtforms.joint_eigenspaces(operators, choices, [(1, 0)], modulus)
+        assert [assignment for assignment, _ in leaves] == [(1, 2 + p ** n)]
+
+    @pytest.mark.parametrize("disc", [23, 37, 89, 101, 113])
+    def test_rational_systems_match_the_exhaustive_search(self, disc, monkeypatch):
+        classes, sample = _vertex_search(disc)
+        got = rational_eigensystems(classes, sample)
+        monkeypatch.setattr(brandtforms, "joint_eigenspaces", joint_eigenspaces_oracle)
+        assert got == rational_eigensystems(classes, sample)
+        assert len(got) == {23: 1, 37: 3, 89: 3, 101: 2, 113: 2}[disc]
+
+    @pytest.mark.parametrize("disc, cuts", [(101, 23), (37, 31)])
+    def test_lines_are_cut_once(self, disc, cuts, monkeypatch):
+        # every candidate of every operator cut: 355 cuts at disc 101 and 529
+        # at disc 37; a line reached is cut at the one value it carries
+        classes, sample = _vertex_search(disc)
+        calls = []
+        honest = brandtforms.eigenspace_cut
+
+        def counted(*args):
+            calls.append(args[1])
+            return honest(*args)
+        monkeypatch.setattr(brandtforms, "eigenspace_cut", counted)
+        rational_eigensystems(classes, sample)
+        assert len(calls) == cuts
 
 def _incidence(graph):
     """(m_s, m_t, ends) read off the walk's representatives: m_s[v][c] counts

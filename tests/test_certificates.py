@@ -1,4 +1,4 @@
-"""Falsifiers for fifteen certificates that no other test can switch off.
+"""Falsifiers for nineteen certificates that no other test can switch off.
 
 Each falsifier corrupts one object by hand, so that only its certificate can
 see the corruption, and runs that certificate; the test asserts the typed
@@ -20,9 +20,11 @@ from quatlfun.brandtforms import (EigenSystem, QuotientGraph, eigenvector_mod,
 from quatlfun.errors import DataMissingError, InvariantViolationError
 from quatlfun.exactalg import GroupRingElement, IntMatrix, PrimePowerRing
 from quatlfun.padicl import LFunctionElement, MeasurePipeline, MuReport
-from quatlfun.quatarith import (ClassSet, algebra_from_discriminant,
-                                ideal_class_set, maximal_order)
-from quatlfun.quatarith import splitting
+from quatlfun.quatarith import (ClassSet, RightIdeal, algebra_from_discriminant,
+                                ideal_class_set, isometry_witness, maximal_order,
+                                neighbor_matrix)
+from quatlfun.quatarith import classset, splitting
+from quatlfun.quatarith import ideal as ideal_module
 from quatlfun.quatarith.embedding import embedding_with_base
 
 from oracles import curve_a_ell
@@ -207,6 +209,55 @@ def falsify_eigenline():
                                  vec, 5)
 
 
+def _classes11():
+    """A fresh class set of disc 11 (h = 2, the second class not principal)."""
+    return ideal_class_set(maximal_order(algebra_from_discriminant(11)), 2)
+
+
+def _fresh(rep):
+    """A new RightIdeal on rep's lattice, with nothing computed yet."""
+    return RightIdeal(rep.order, rep.lattice)
+
+
+def falsify_row_sums():
+    """The disc-11 class set with its second class dropped: B(1) is still
+    the identity and w_j still divides N_ij(3), but row 0 of B(3) misses its
+    neighbours in the dropped class."""
+    cs = _classes11()
+    neighbor_matrix(ClassSet(cs.order, cs.disc, cs.level, cs.neighbor_prime,
+                             cs.reps[:1], cs.unit_counts[:1]), 3)
+
+
+def falsify_pair_gram():
+    """The unit ideal of disc 11 with the last diagonal entry of its reduced
+    Gram moved by one, paired with the second class, whose first reduced
+    vector has k = nrd(x)/nrd(J) > 1."""
+    cs = _classes11()
+    unit = _fresh(cs.reps[0])
+    reduced, basis_change = unit.reduced_gram()
+    rows = [list(row) for row in reduced]
+    rows[3][3] += 1
+    unit._reduced = rows, basis_change
+    ideal_module.pair_gram(unit, cs.reps[1])
+
+
+def falsify_reduction():
+    """The unit ideal of disc 11 with its kept reduced norm doubled: its
+    reduction is scaled by 1/2."""
+    unit = _fresh(_classes11().reps[0])
+    unit._nrd = 2 * unit.nrd()
+    ideal_module.reduce_ideal(unit)
+
+
+def falsify_witness_norm():
+    """A copy of the second disc-11 class with its kept reduced norm
+    doubled, against that class."""
+    rep = _classes11().reps[1]
+    copy = _fresh(rep)
+    copy._nrd = 2 * copy.nrd()
+    isometry_witness(copy, rep)
+
+
 # certificate -> (its owner, its attribute, its falsifier, its message)
 FALSIFIERS = {
     "check_distribution": (MeasurePipeline, "check_distribution", falsify_distribution,
@@ -240,6 +291,15 @@ FALSIFIERS = {
                            "boundary image is not saturated"),
     "_check_eigenline": (brandtforms, "_check_eigenline", falsify_eigenline,
                          "sample more primes"),
+    "_check_row_sums": (classset, "_check_row_sums", falsify_row_sums,
+                        "row 0 of B\\(3\\) sums to"),
+    "_check_pair_gram": (ideal_module, "_check_pair_gram", falsify_pair_gram,
+                         "norm form of I·conj\\(J\\) is not integral"),
+    "_check_reduction": (ideal_module, "_check_reduction", falsify_reduction,
+                         "ideal reduction changed the class data"),
+    "_check_witness_norm": (ideal_module, "_check_witness_norm", falsify_witness_norm,
+                            "isometry witness read off the pair Gram has the wrong "
+                            "reduced norm"),
 }
 
 # the certificates whose failure is missing data, not a bug

@@ -1,11 +1,13 @@
 import json
 import os
+import time
 
 import pytest
 
 from quatlfun.brandtforms import QuotientGraph
 from quatlfun.cli import main
 from quatlfun.primes import is_prime
+from quatlfun.quatarith import classset
 
 from oracles import curve_a_ell
 
@@ -53,6 +55,27 @@ class TestLfun:
         assert code == 3
         assert "sample more primes" in capsys.readouterr().err
 
+
+
+class TestLimits:
+    """A Hecke prime or a sample bound past the theta-series bound exits 4,
+    and a negative sample bound exits 2, before any class set is walked."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["brandt", "--disc", "11", "--primes", "3,99991"], 4),
+        (["lfun", "--nminus", "11", "--p", "5", "--K", "-3", "--mmax", "2",
+          "--sample-bound", "100000"], 4),
+        (["lfun", "--nminus", "11", "--p", "5", "--K", "-3", "--mmax", "2",
+          "--sample-bound", "-5"], 2),
+    ], ids=["brandt-prime", "sample-bound-large", "sample-bound-negative"])
+    def test_refused_before_any_class_set(self, argv, code, monkeypatch, capsys):
+        def walk(*args):
+            raise AssertionError("a class set was walked")
+        monkeypatch.setattr(classset, "_walk", walk)
+        start = time.process_time()
+        assert main(argv) == code
+        assert time.process_time() - start < 1.0
+        assert "error:" in capsys.readouterr().err
 
 class TestBrandt:
     def test_disc11(self, capsys):

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quatlfun.brandtforms import QuotientGraph
-from quatlfun.errors import InvariantViolationError, UsageError
+from quatlfun.errors import InvariantViolationError, ResourceLimitError, UsageError
 from quatlfun.primes import first_coprime_prime, is_prime, prime_factors
 from quatlfun.quatarith import (ClassSet, Lattice4, QuaternionAlgebra,
                                 QuaternionOrder, RightIdeal,
@@ -1583,3 +1583,10 @@ class TestRank4Falsifiers:
         assert hnf_oracle(rows) == [[1, 0, 3, -6], [0, 1, 0, 5]]
         with pytest.raises(InvariantViolationError, match="expected rank 4, got 2"):
             hnf_rows(rows)
+
+
+def test_counts_past_the_bound_are_refused_unenumerated():
+    cs = ideal_class_set(maximal_order(algebra_from_discriminant(11)), 2)
+    with pytest.raises(ResourceLimitError, match="theta-series bound"):
+        cs.representation_counts(classset_module.MAX_COUNT_NRD + 1)
+    assert cs.counts_upto == 0
