@@ -732,14 +732,15 @@ def joint_eigenspaces(operators, choices, basis, modulus=None):
     value, or the full candidate range); every step is an `eigenspace_cut`
     of the span reached so far. A branch dies when its cut is empty and, over
     Z/p^n, also when no generator has a unit coordinate (no primitive joint
-    eigenvector). When the span is one line Z·v, only the value that line
-    carries is cut (`_line_value`): over Q a cut at any other value is empty,
-    and mod p^n it is a non-unit multiple of v, which dies anyway. A span of
-    two or more generators is cut at every value. Returns the surviving
-    (assignment, basis) leaves in lexicographic order of the choices, each
-    assignment holding the choices' own values, so fixing some coordinates to
-    one value returns exactly the matching leaves of the full search, in
-    order.
+    eigenvector). When the span is one line Z·v and there are several
+    choices, only the value that line carries is cut (`_line_value`): over Q
+    a cut at any other value is empty, and mod p^n it is a non-unit multiple
+    of v, which dies anyway. A span of two or more generators is cut at every
+    value, and a single choice is cut as it stands. choices[i] is a sequence.
+    Returns the surviving (assignment, basis) leaves in lexicographic order of
+    the choices, each assignment holding the choices' own values, so fixing
+    some coordinates to one value returns exactly the matching leaves of the
+    full search, in order.
     """
     leaves = []
     q = None if modulus is None else modulus[0] ** modulus[1]
@@ -749,7 +750,7 @@ def joint_eigenspaces(operators, choices, basis, modulus=None):
             leaves.append((tuple(assignment), span))
             return
         values = choices[idx]
-        if len(span) == 1:
+        if len(span) == 1 and len(values) > 1:
             line = _line_value(operators[idx], span[0], modulus)
             if line is None:
                 return
