@@ -22,26 +22,35 @@ Tree cells are classified by one of two routes (`QuotientGraph`):
   read the walk's own ideals.
 - The path route answers every other cell after the walk, with the
   p-unit group Gamma = O[1/p]^× (Franc and Masdeu, LMS J. Comput. Math.
-  17 (2014)). Each vertex v met is memoised with (s, gamma), gamma in the
-  order and A = iota(gamma) mod p^prec, such that A·v = r_s. A neighbour w
-  of v then has A·w = u, a neighbour of r_s that the walk classified, and
-  an edge (v, w) has the class of the walk's out-edge (r_s, u). Going on
-  past w takes the step witness of (s, u): an x in the order with
-  u = iota(x)·r_s', s' the state of u. Then conj(x)·gamma carries w to
-  r_s', and its p-content is divided out in order coordinates, which is
-  exact. Vertices are reached from the root through `bttree.parent`.
+  17 (2014)). Each vertex v that a path meets is memoised with (s, gamma),
+  gamma in the order and A = iota(gamma) mod p^prec, such that A·v = r_s;
+  the orbit table carries its own vertices' path data down the ray
+  instead. A neighbour w of v then has A·w = u, a neighbour of r_s that the
+  walk classified, and an edge (v, w) has the class of the walk's out-edge
+  (r_s, u). No
+  canonical form of A·w is taken: u is read off as its index in
+  `bttree.neighbors(r_s)` (`bttree.neighbor_index`), from the line mod p
+  of Q = adj(M_r)·A·M_w / p^(k_r + c), c = (e + k_w - k_r - 1)/2, which is
+  integral and nonzero mod p exactly when A·w is a neighbour of r_s.
+  Going on past w takes the step witness of (s, index): an x in the order
+  with u = iota(x)·r_s', s' the state of u. Then conj(x)·gamma carries w
+  to r_s', and its p-content is divided out in order coordinates, which
+  is exact. Vertices are reached from the root through `bttree.parent`.
 - A step witness is the `isometry_witness` of the vertex ideals of u and
   r_s', with its p-content removed. It is derived on first use and
   certified once: x lies in the order, and `_check_step_witness` checks
   that nrd(x) is a power of p and that iota(x) carries r_s' to u on the
-  tree.
+  tree, by the one canonical form the path route takes.
 - Precision: A is exact mod p^prec, and an integer matrix N with
   elementary divisors p^alpha | p^beta spans the same lattice as any
   N' ≡ N mod p^(beta + 1). For N = A·M_w, beta = e + k_w - alpha with
   p^e = nrd(gamma), p^(k_w) = det M_w and p^alpha the content of N. So a
   step from v to w needs e + k_w - alpha + 1 <= prec, which reaches as
-  deep as the ideal route's k + 2 <= prec; a step that needs more raises
-  the same InvariantViolationError as the ideal route's precision guard.
+  deep as the ideal route's k + 2 <= prec; the read-off reads N mod
+  p^(k_r + c + 1), which is within that rule whenever A·w is a neighbour
+  of r_s (k_r <= k_u + 1 = beta - alpha + 1), and is checked as well. A
+  step that needs more raises the same InvariantViolationError as the
+  ideal route's precision guard.
 
 The Hecke matrices live on a class set, not on the graph
 (`quatarith.classset`): T_ell = B(ell) at primes ell prime to disc·level
@@ -285,22 +294,32 @@ class QuotientGraph:
         return self.edge_classes.classify(reduce_ideal(self._edge_ideal(e)))
 
     def _vertex_class_by_path(self, v) -> int:
-        return self._vertex_memo[self._image(self._path(bttree.parent(v)), v)]
+        entry = self._path(bttree.parent(v))
+        return self._rep_neighbors[entry[0]][self._image(entry, v)][1]
 
     def _edge_class_by_path(self, e) -> int:
         return self.classify_moved_edge(e.source, None, e.target)
 
     def _start_paths(self):
         """Path data after the walk: each state representative r_s is its own
-        image, and its p+1 neighbours are the cells a path step lands on."""
+        image, and its p+1 neighbours are the cells a path step lands on,
+        listed in `bttree.neighbors` order with their vertex class and the
+        class of the out-edge (r_s, u) to each."""
         one = self.base_order.one_coords()
         self._paths = {}  # vertex key -> (state, gamma, iota(gamma) mod p^prec, e)
-        self._rep_neighbors = {}  # state -> {neighbour key: neighbour of r_s}
-        self._steps = {}  # (state, neighbour key) -> certified witness step
+        self._rep_neighbors = {}  # state -> [(u, class of u, class of (r_s, u))]
+        self._steps = {}  # (state, neighbour index) -> certified witness step
         for state, rep in self.parity_reps.items():
             self._paths[(rep.a, rep.b, rep.d)] = (state, one, ((1, 0), (0, 1)), 0)
-            self._rep_neighbors[state] = {(u.a, u.b, u.d): u
-                                          for u in bttree.neighbors(rep)}
+            self._rep_neighbors[state] = [
+                (u, self._vertex_memo[(u.a, u.b, u.d)],
+                 self._edge_memo[(rep.a, rep.b, rep.d, u.a, u.b, u.d)])
+                for u in bttree.neighbors(rep)]
+
+    def path_entry(self, v):
+        """(state, gamma, A, e) with A·v = r_state, after the walk (`_path`)."""
+        self.ensure_walk()
+        return self._path(v)
 
     def _path(self, v):
         """(state, gamma, A, e) with A·v = r_state, found from the root down.
@@ -317,90 +336,95 @@ class QuotientGraph:
             key = (v.a, v.b, v.d)
         entry = self._paths[key]
         for w, wkey in reversed(chain):
-            entry = self._paths[wkey] = self._descend(entry, self._image(entry, w))
+            entry = self._paths[wkey] = self.descend(entry, self._image(entry, w))
         return entry
 
-    def classify_moved_edge(self, source, unit, target, moved=None) -> int:
-        """Class of the edge (source, U·target) by one canonical form, for U =
-        `unit` an integer matrix exact mod p^prec whose determinant is a p-unit,
-        or the identity when `unit` is None (an edge off the walk's memo).
+    def classify_moved_edge(self, source, unit, target) -> int:
+        """Class of the edge (source, U·target), for U = `unit` an integer
+        matrix exact mod p^prec whose determinant is a p-unit, or the
+        identity when `unit` is None (an edge off the walk's memo): the
+        `classify_step` of source's path data. U·target is checked to be
+        adjacent to source, and no canonical form is taken."""
+        return self.classify_step(self.path_entry(source), unit, target)[0]
 
-        With (s, gamma, A, e) the path data of source, A·U·target is a
-        neighbour u of r_s (`_image` checks it), and the edge has the class of
-        the walk's out-edge (r_s, u). The check also certifies that U·target
-        is adjacent to source, since A acts on the tree as an isometry. No
-        edge is built, and U·target is not canonicalised here.
+    def classify_step(self, entry, unit, target):
+        """(class, index) of the edge (v, U·target), for v the vertex whose
+        path data is entry (`path_entry`, `descend`) and U as in
+        `classify_moved_edge`.
 
-        `moved`, when given, is the canonical form of U·target, one step
-        further from the root than source. Its path data is then memoised
-        from the same image: it is what `_path` derives from its parent, so a
-        later path through it takes no canonical form.
+        A·U·target is the neighbour u of r_s at this index in
+        `bttree.neighbors` order (`_image` reads it off and checks it), and
+        the edge has the class of the walk's out-edge (r_s, u). The check
+        also certifies that U·target is adjacent to v, since A acts on the
+        tree as an isometry. `descend(entry, index)` is the path data of
+        U·target; nothing is memoised here.
         """
-        self.ensure_walk()
-        entry = self._path(source)
-        image = self._image(entry, target, unit)
-        if moved is not None:
-            if bttree.parent(moved) != source:
-                raise UsageError("the moved target is not a child of the source")
-            key = (moved.a, moved.b, moved.d)
-            if key not in self._paths:
-                self._paths[key] = self._descend(entry, image)
-        rep = self.parity_reps[entry[0]]
-        return self._edge_memo[(rep.a, rep.b, rep.d) + image]
+        index = self._image(entry, target, unit)
+        return self._rep_neighbors[entry[0]][index][2], index
 
     def _image(self, entry, w, unit=None):
-        """Key of A·U·w for a neighbour U·w of the vertex that entry
-        describes, U = unit (det U a p-unit, exact mod p^prec) or the
-        identity; A·U·w is a neighbour of r_state, or the transport is broken.
+        """Index of A·U·w in `bttree.neighbors(r_state)`, for a neighbour U·w
+        of the vertex that entry describes, U = unit (det U a p-unit, exact
+        mod p^prec) or the identity; A·U·w is a neighbour of r_state, or the
+        transport is broken.
 
         A·U ≡ iota(gamma)·U mod p^prec, and det(A·U) has valuation e, so the
-        precision rule of `_act` holds for A·U as it does for A.
+        precision rule of `_product` holds for A·U as it does for A. The
+        index is read off the line of A·U·M_w mod p (`bttree.neighbor_index`),
+        which reads the product mod p^(k_r + c + 1), c = (e + k_w - k_r - 1)/2:
+        that reach is checked too.
         """
         state, _, mat, e = entry
+        prec = self.splitting.prec
         if unit is not None:
-            mat = _mul_mod(mat, unit, self.p ** self.splitting.prec)
-        image = self._act(mat, e, w)
-        key = (image.a, image.b, image.d)
-        if key not in self._rep_neighbors[state]:
+            mat = _mul_mod(mat, unit, self.p ** prec)
+        prod, k = self._product(mat, e, w)
+        rep = self.parity_reps[state]
+        reach, odd = divmod(k + rep.det_exponent + 1, 2)  # k_r + c + 1 for integral c
+        if not odd:
+            _check_reach(reach, prec)
+        index = bttree.neighbor_index(rep, prod, k)
+        if index is None:
             raise InvariantViolationError(
                 f"a path step left the neighbours of the state {state} "
                 f"representative; transport broken")
-        return key
+        return index
 
-    def _descend(self, entry, image):
-        """Path data of w from that of its parent and the key of A·w.
+    def descend(self, entry, index):
+        """Path data of the neighbour w of a vertex v from the path data of v
+        and the index of A·w among the neighbours of r_state (`_image`).
 
         With A·w = u = iota(x)·r' (the certified step), conj(x)·gamma carries
         w to r'; its p-content is divided out exactly, in order coordinates.
         """
         state, gamma, _, e = entry
-        state, step, e_step = self._step(state, image)
+        state, step, e_step = self._step(state, index)
         gamma, e = self._primitive(self.base_order.coords_mul(step, gamma), e + e_step)
         return state, gamma, self.splitting.apply(gamma), e
 
-    def _step(self, state, key):
-        step = self._steps.get((state, key))
+    def _step(self, state, index):
+        step = self._steps.get((state, index))
         if step is None:
-            step = self._steps[state, key] = self._certified_step(state, key)
+            step = self._steps[state, index] = self._certified_step(state, index)
         return step
 
-    def _certified_step(self, state, key):
+    def _certified_step(self, state, index):
         """(state', conj(x) in basis coordinates, v_p(nrd x)) for the
-        neighbour u = key of r_state, with u = iota(x)·r_state'.
+        neighbour u of r_state at this index, with u = iota(x)·r_state'.
 
         x is `_step_witness`, certified once, here, by `_check_step_witness`.
         """
-        nxt, coords, e = self._step_witness(state, key)
-        self._check_step_witness(state, key, coords, e)
+        nxt, coords, e = self._step_witness(state, index)
+        self._check_step_witness(state, index, coords, e)
         lat = self.base_order.lattice
         return nxt, lat.coordinates(self.base_order.alg.conj(self._element(coords)), lat.den), e
 
-    def _step_witness(self, state, key):
-        """(state', x in basis coordinates, e) for the neighbour u = key of
-        r_state: x is the isometry witness of the vertex ideals of u and
+    def _step_witness(self, state, index):
+        """(state', x in basis coordinates, e) for the neighbour u of r_state
+        at this index: x is the isometry witness of the vertex ideals of u and
         r_state' (both the walk's own), with its p-content removed, and p^e
         the p-part of nrd(x)."""
-        u, nxt, where = self._step_ends(state, key)
+        u, nxt, where = self._step_ends(state, index)
         found = isometry_witness(self._vertex_ideal(u),
                                  self._vertex_ideal(self.parity_reps[nxt]))
         if found is None:
@@ -412,23 +436,25 @@ class QuotientGraph:
         norm = self.base_order.alg.nrd(vec) // (den * den)
         return (nxt,) + self._primitive(coords, valuation(norm, self.p))
 
-    def _check_step_witness(self, state, key, coords, e):
+    def _check_step_witness(self, state, index, coords, e):
         """The witness x (basis coordinates) of the step from r_state to its
-        neighbour u = key has nrd(x) = p^e, and iota(x) carries r_state' to
-        u on the tree, state' the state of u."""
-        u, nxt, where = self._step_ends(state, key)
+        neighbour u at this index has nrd(x) = p^e, and iota(x) carries
+        r_state' to u on the tree, state' the state of u: one canonical form,
+        as it certifies that two vertices are equal."""
+        u, nxt, where = self._step_ends(state, index)
         den = self.base_order.lattice.den
         if self.base_order.alg.nrd(self._element(coords)) != self.p ** e * den * den:
             raise InvariantViolationError(f"{where}: its reduced norm is not a power of p")
-        if self._act(self.splitting.apply(coords), e, self.parity_reps[nxt]) != u:
+        prod, _ = self._product(self.splitting.apply(coords), e, self.parity_reps[nxt])
+        if bttree.canonical_vertex(self.p, prod) != u:
             raise InvariantViolationError(
                 f"{where} does not carry the representative to the neighbour")
 
-    def _step_ends(self, state, key):
+    def _step_ends(self, state, index):
         """(u, state', a name for the witness) of the step from r_state to
-        its neighbour u = key, state' the state of u."""
-        u = self._rep_neighbors[state][key]
-        nxt = (self._vertex_memo[key], u.parity())
+        its neighbour u at this index, state' the state of u."""
+        u, cls, _ = self._rep_neighbors[state][index]
+        nxt = (cls, u.parity())
         return u, nxt, f"transport witness from state {state} to state {nxt}"
 
     def _element(self, coords):
@@ -444,14 +470,16 @@ class QuotientGraph:
         q = self.p ** c
         return tuple(x // q for x in coords), e - 2 * c
 
-    def _act(self, mat, e, v):
-        """The class of A·M_v for A = iota(g) mod p^prec, nrd(g) = p^e.
+    def _product(self, mat, e, v):
+        """(A·M_v, e + k_v) for A = iota(g) mod p^prec, nrd(g) = p^e: the
+        product and the valuation of its exact determinant.
 
         With p^alpha the content of A·M_v, its elementary divisors are
         p^alpha and p^beta, beta = e + k_v - alpha, and A·M_v + p^t·E spans
         the same lattice once t >= beta + 1. A is exact mod p^prec, and alpha
         is read off the computed product whenever it is below prec, so the
-        step is exact if beta + 1 <= prec and raises otherwise.
+        product spans the lattice of iota(g)·M_v if beta + 1 <= prec, and
+        the step raises otherwise.
         """
         p, prec = self.p, self.splitting.prec
         (a00, a01), (a10, a11) = mat
@@ -459,13 +487,9 @@ class QuotientGraph:
         prod = ((a00 * m00, a00 * m01 + a01 * m11),
                 (a10 * m00, a10 * m01 + a11 * m11))
         content = math.gcd(*prod[0], *prod[1])
-        alpha = capped_valuation(content, p, prec)
-        need = e + v.det_exponent - alpha + 1
-        if need > prec:
-            raise InvariantViolationError(
-                f"transport splitting precision too low: a path step needs "
-                f"p^{need}, the splitting has p^{prec}")
-        return bttree.canonical_vertex(p, prod)
+        k = e + v.det_exponent
+        _check_reach(k - capped_valuation(content, p, prec) + 1, prec)
+        return prod, k
 
     def _vertex_ideal(self, v) -> RightIdeal:
         """{x in O : both columns of iota(x) lie in L}, for L the lattice of v.
@@ -573,6 +597,15 @@ class QuotientGraph:
     def brandt_matrix(self, ell: int):
         """T_ell on the vertex classes, for a prime ell prime to disc·level."""
         return neighbor_matrix(self.vertex_classes, ell)
+
+
+def _check_reach(need, prec):
+    """A path step that reads a product mod p^need runs on a splitting exact
+    mod p^prec only if need <= prec."""
+    if need > prec:
+        raise InvariantViolationError(
+            f"transport splitting precision too low: a path step needs "
+            f"p^{need}, the splitting has p^{prec}")
 
 
 def _mul_mod(g, h, q):

@@ -114,6 +114,44 @@ def neighbors(v: TreeVertex):
     return out
 
 
+def neighbor_index(r: TreeVertex, cols, k: int):
+    """Position in `neighbors(r)` of the class of the column span of cols,
+    or None when that class is not a neighbour of r.
+
+    cols = ((x, y), (z, w)) is an integer matrix whose determinant has
+    valuation k, and only cols mod p^(k_r + c + 1) is read, for k_r the
+    exponent of r and c = (k - k_r - 1)/2. The class is a neighbour of r
+    exactly when c is an integer and Q = adj(M_r)·cols / p^(k_r + c) is
+    integral and not 0 mod p: det Q then has valuation 1, so the columns of
+    Q span an index-p sublattice of Z_p^2, in the coordinates of the basis
+    (c1, c2) of L_r, and that sublattice is p·Z_p^2 plus the line mod p of a
+    nonzero column (s, t) of Q. In the order of `neighbors`, span{c1, p·c2}
+    is the line t = 0 (index 0) and span{p·c1, c2 + u·c1} the line s = u·t
+    (index 1 + u).
+    """
+    kr = r.det_exponent
+    if (k - kr - 1) % 2:
+        return None
+    p = r.p
+    q = p ** ((k + kr - 1) // 2)  # p^(k_r + c)
+    mod = q * p
+    (x, y), (z, w) = cols
+    # adj(M_r) = [[p^d, -b], [0, p^a]]
+    pa, pd = p ** r.a, p ** r.d
+    q00 = (pd * x - r.b * z) % mod
+    q10 = pa * z % mod
+    q01 = (pd * y - r.b * w) % mod
+    q11 = pa * w % mod
+    if q00 % q or q10 % q or q01 % q or q11 % q:
+        return None
+    s, t = q00 // q, q10 // q
+    if not (s or t):
+        s, t = q01 // q, q11 // q
+        if not (s or t):
+            return None
+    return 0 if t == 0 else 1 + s * pow(t, -1, p) % p
+
+
 def parent(v: TreeVertex) -> TreeVertex:
     """The neighbour of v one step nearer the root; v is not the root.
 

@@ -242,7 +242,11 @@ def pair_gram(ia: RightIdeal, ib: RightIdeal):
     being the Gram in the basis T/k. Neither check re-derives the rows; J
     checks `act` once, in `pair_generators`.
     """
-    k, t = _pair_basis(ia, ib)
+    return _gram_on_pair_basis(ia, *_pair_basis(ia, ib))
+
+
+def _gram_on_pair_basis(ia: RightIdeal, k, t):
+    """`pair_gram` on the pair basis (k, T) of `_pair_basis(ia, ib)`."""
     (r00, r01, r02, r03), (_, r11, r12, r13), (_, _, r22, r23), \
         (_, _, _, r33) = ia.reduced_gram()[0]
     (t00, t01, t02, t03), (_, t11, t12, t13), (_, _, t22, t23), (_, _, _, t33) = t
@@ -337,11 +341,11 @@ def isometry_witness(i1: RightIdeal, i2: RightIdeal):
     """
     if not _same_theta_key(i1, i2):
         return None
-    c = next((c for value, c in enumerate_by_value(pair_gram(i1, i2), 2) if value == 2),
-             None)
+    k, t = _pair_basis(i1, i2)
+    gram = _gram_on_pair_basis(i1, k, t)
+    c = next((c for value, c in enumerate_by_value(gram, 2) if value == 2), None)
     if c is None:
         return None
-    k, t = _pair_basis(i1, i2)
     alg, basis = i1.alg, i1.reduced_basis()
     u = [sum(ci * row[l] for ci, row in zip(c, t)) for l in range(4)]
     y = tuple(sum(ul * v[m] for ul, v in zip(u, basis)) for m in range(4))

@@ -88,8 +88,11 @@ class TorusData:
         keyf = lambda e: (e.target.a, e.target.b, e.target.d)
         ray = []
         candidates = bttree.edges_from(self.fixed_vertex)
+        fix, below = self.generator_pair(), None  # u1^(p^j), u1^(p^(j-1))
         for j in range(length):
-            good = [e for e in candidates if self._stabilizer_index_is(e, j)]
+            if j:
+                fix, below = self.pair_power(fix, self.p), fix
+            good = [e for e in candidates if self._stabilizer_index_is(e, fix, below)]
             if not good:
                 raise InvariantViolationError(
                     f"no stabilizer-correct extension at ray depth {j}")
@@ -98,21 +101,16 @@ class TorusData:
             candidates = bttree.forward_edges(edge)
         return ray
 
-    def _stabilizer_index_is(self, e, j: int) -> bool:
-        """Stab(e) in the pro-p part is exactly the index-p^j subgroup.
+    def _stabilizer_index_is(self, e, fix, below) -> bool:
+        """Stab(e) in the pro-p part is exactly the index-p^j subgroup, for
+        fix = u1^(p^j) and below = u1^(p^(j-1)), None at j = 0.
 
         For the cyclic filtration it suffices that u1^(p^j) fixes e while
         u1^(p^(j-1)) does not (the latter vacuous at j = 0).
         """
-        u1 = self.generator_pair()
-        fix = self.pair_power(u1, self.p ** j)
         if self.act_edge(fix, e) != e:
             return False
-        if j > 0:
-            below = self.pair_power(u1, self.p ** (j - 1))
-            if self.act_edge(below, e) == e:
-                return False
-        return True
+        return below is None or self.act_edge(below, e) != e
 
 
 def build_torus(disc_k: int, embedding: Embedding, graph: QuotientGraph) -> TorusData:
@@ -255,34 +253,38 @@ def edge_orbit_table(torus: TorusData, graph: QuotientGraph, m: int,
     only mod p^j: the entry of any t at level j is table[(s, t % p^j, j)],
     for every level up to m. One table serves the whole tower below m.
 
-    The table is built down the ray, one level at a time. The source of
+    The table is built down the ray, one level at a time, on path data
+    (`QuotientGraph.path_entry`), not on vertices. The source of
     tau^s u1^t ⋆ e_j is U·v_j, U = tau^s u1^t and v_j the target of e_(j-1);
     u1^(p^(j-1)) fixes e_(j-1) (certified by `edge_ray` and again by
-    `_verify_table`), so it is the target already found at (s, t mod p^(j-1),
-    j - 1), and tau^s·v_0 at j = 0. Each entry is then classified from its
-    source and U acting on the target of e_j by
-    `QuotientGraph.classify_moved_edge`: one canonical form, under the path
-    step's neighbour check and precision rule. Targets are canonicalised
-    only below level m, where they are the next level's sources.
+    `_verify_table`), so it is the target already reached at (s, t mod
+    p^(j-1), j - 1), and v_0 itself at j = 0, which every unit of the order
+    fixes. Each entry is classified from its source's path data and U
+    acting on the target of e_j by `QuotientGraph.classify_step`, which
+    reads the image's index among the neighbours of a state
+    representative off its line mod p, under the path step's neighbour
+    check and precision rule: no canonical form. Below level m, the
+    target's path data is that index's step (`QuotientGraph.descend`), and
+    it is the next level's source.
     """
     # every level the table serves gets its generator-order certificate
     groups = [level_group(torus, level) for level in range(m + 1)]
     ray = torus.edge_ray(m + 1, tie_break=tie_break)
     u1 = torus.generator_pair()
+    start = graph.path_entry(ray[0].source)
     table = {}
     for s in range(torus.torsion_order):
         tors = torus.pair_power(torus.torsion_pair, s)
-        sources = [torus.act_vertex(tors, ray[0].source)]
+        sources = [start]
         for j, edge in enumerate(ray):
             pair = tors
             targets = []
             for t in range(groups[j].order):
-                unit = torus.unit_matrix(*pair)
                 source = sources[t % len(sources)]
-                moved = bttree.act(unit, edge.target) if j < m else None
-                table[(s, t, j)] = graph.classify_moved_edge(
-                    source, unit, edge.target, moved)
-                targets.append(moved)
+                table[(s, t, j)], index = graph.classify_step(
+                    source, torus.unit_matrix(*pair), edge.target)
+                if j < m:
+                    targets.append(graph.descend(source, index))
                 pair = torus.pair_mul(pair, u1)
             sources = targets
     _verify_table(torus, graph, groups[m], ray, table)

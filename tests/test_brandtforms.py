@@ -7,7 +7,7 @@ import time
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quatlfun import brandtforms
@@ -17,11 +17,12 @@ from quatlfun.brandtforms import (AutomorphicForm, EigenSystem, QuotientGraph,
                                   eigenvector_mod, hensel_unit_root,
                                   mk_dual_graph,
                                   rational_eigensystems, tp_apply, up_apply)
-from quatlfun.bttree import TreeEdge, TreeVertex, ball, edges_from, neighbors
+from quatlfun.bttree import (TreeEdge, TreeVertex, ball, canonical_vertex, edges_from,
+                            neighbor_index, neighbors)
 from quatlfun.compgraph import character_group
 from quatlfun.errors import InvariantViolationError, UsageError
 from quatlfun.pipeline import _torus_quotient, good_primes
-from quatlfun.primes import first_coprime_prime, is_prime
+from quatlfun.primes import first_coprime_prime, is_prime, valuation
 from quatlfun.quatarith import (ClassSet, algebra_from_discriminant,
                                 class_set_avoiding,
                                 eichler_mass, eichler_order_for,
@@ -595,6 +596,108 @@ class TestPathTransport:
         # within reach, the low-precision graph gives the ideal route's class
         for v in (TreeVertex(5, 4, 1, 0), TreeVertex(5, 2, 3, 3)):
             assert low.classify_vertex(v) == low._vertex_class_by_ideal(v)
+
+    def test_reach_of_low_precision_is_pinned(self, w1_base):
+        # which sampled cells the prec-8 graph classifies and which it
+        # refuses, as the canonical-form path step split them; each class it
+        # gives is the prec-16 graph's
+        low = QuotientGraph(w1_base, 5, prec=8)
+        high = QuotientGraph(w1_base, 5)
+        refused = []
+        for i, cell in enumerate(_precision_sample()):
+            name = "classify_vertex" if isinstance(cell, TreeVertex) else "classify_edge"
+            try:
+                got = getattr(low, name)(cell)
+            except InvariantViolationError as ex:
+                assert "precision too low" in str(ex)
+                refused.append(i)
+                continue
+            assert got == getattr(high, name)(cell)
+        assert refused == _REFUSED_AT_PREC_8
+
+
+def _precision_sample():
+    """100 vertices at depths 4-10 and 100 edges out of such vertices,
+    alternating, drawn with a fixed seed."""
+    rng = random.Random(37)
+    cells = []
+    for i in range(200):
+        k = rng.randint(4, 10)
+        a = rng.randint(0, k)
+        d = k - a
+        b = rng.randrange(5 ** a) if a else 0
+        if a and d and b % 5 == 0:
+            b += 1
+        v = TreeVertex(5, a, b, d)
+        cells.append(v if i % 2 == 0 else TreeEdge(v, rng.choice(neighbors(v))))
+    return cells
+
+
+# positions in `_precision_sample()` that the prec-8 W1 graph refuses as
+# "precision too low", recorded from the canonical-form path step
+_REFUSED_AT_PREC_8 = [
+    0, 1, 3, 4, 5, 6, 9, 10, 11, 12, 13, 14, 19, 21, 22, 24, 25, 26, 27, 31, 33,
+    35, 36, 38, 43, 44, 45, 46, 47, 48, 49, 54, 55, 58, 59, 61, 64, 66, 67, 68,
+    72, 73, 74, 76, 77, 78, 79, 82, 84, 85, 86, 87, 88, 89, 91, 92, 94, 95, 96,
+    97, 99, 100, 102, 104, 106, 107, 109, 110, 113, 114, 115, 116, 117, 119,
+    123, 124, 126, 127, 128, 129, 130, 131, 133, 137, 138, 140, 143, 144, 145,
+    146, 147, 148, 149, 152, 153, 155, 157, 158, 160, 165, 166, 167, 169, 170,
+    172, 173, 174, 177, 178, 179, 180, 185, 189, 192, 193, 194, 195, 197, 198,
+    199]
+
+
+@functools.lru_cache(maxsize=None)
+def _w1_graph(p):
+    return QuotientGraph(_torus_quotient(11, 1, 5, -3)[1].base_order, p)
+
+
+def _times(mat, v):
+    """The integer product mat·M_v."""
+    (a00, a01), (a10, a11) = mat
+    (m00, m01), (m10, m11) = v.matrix()
+    return ((a00 * m00 + a01 * m10, a00 * m01 + a01 * m11),
+            (a10 * m00 + a11 * m10, a10 * m01 + a11 * m11))
+
+
+def _cell_at(v, distance, picks):
+    """A vertex at this distance from v: a walk that never steps back, taking
+    neighbour picks[i] (mod the choices) at step i."""
+    prev, cell = None, v
+    for pick in picks[:distance]:
+        options = [w for w in neighbors(cell) if w != prev]
+        prev, cell = cell, options[pick % len(options)]
+    return cell
+
+
+class TestNeighborReadOff:
+    """`bttree.neighbor_index` against the canonical form of the image."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([3, 5]), st.tuples(*[st.integers(-9, 9)] * 4),
+           st.integers(0, 10 ** 6), st.lists(st.integers(0, 9), min_size=3, max_size=3))
+    def test_index_is_the_position_of_the_canonical_image(self, p, coords, pick, picks):
+        assume(any(c % p for c in coords))
+        graph = _w1_graph(p)
+        order = graph.base_order
+        vec = tuple(sum(c * r[k] for c, r in zip(coords, order.lattice.rows))
+                    for k in range(4))
+        # gamma = vec/den in the order, p ∤ gamma; A = iota(gamma) mod p^16
+        e = valuation(order.alg.nrd(vec), p) - 2 * valuation(order.lattice.den, p)
+        mat = graph.splitting.apply(coords)
+        cells = [v for layer in ball(p, 4) for v in layer]
+        v = cells[pick % len(cells)]
+        r = canonical_vertex(p, _times(mat, v))
+        for w in neighbors(v):
+            want = neighbors(r).index(canonical_vertex(p, _times(mat, w)))
+            assert neighbor_index(r, _times(mat, w), e + w.det_exponent) == want
+        # a cell at distance 0, 2 or 3 is no neighbour, and the path step
+        # from v's own path data refuses it
+        entry = graph.path_entry(v)
+        for distance in (0, 2, 3):
+            far = _cell_at(v, distance, picks)
+            assert neighbor_index(r, _times(mat, far), e + far.det_exponent) is None
+            with pytest.raises(InvariantViolationError, match="left the neighbours"):
+                graph._image(entry, far)
 
 
 # ---------------------------------------------------------------------------

@@ -372,6 +372,15 @@ class TestIsometryWitness:
         assert lat == big.lattice
         assert Fraction(small.alg.nrd(vec), den * den) == big.nrd() * norm
 
+    def test_one_pair_basis_per_witness(self, monkeypatch):
+        cs = _WITNESS_CLASS_SETS[23]
+        calls = []
+        real = ideal_module._pair_basis
+        monkeypatch.setattr(ideal_module, "_pair_basis",
+                            lambda i1, i2: calls.append(1) or real(i1, i2))
+        assert isometry_witness(cs.reps[1], cs.reps[1]) is not None
+        assert len(calls) == 1
+
     def test_witness_lies_in_the_order(self):
         cs = _WITNESS_CLASS_SETS[23]
         spl = local_splitting(cs.order, 3, 1)

@@ -315,16 +315,17 @@ def _names_called(func):
 
 def test_one_product_gram_route():
     # the class set's pair forms, `isometric` and `isometry_witness` read
-    # I·conj(J) through one function, `ideal.pair_gram`, and the witness
-    # maps back through its index-checked pair basis; I·P_q is read off I's
+    # I·conj(J) through one function, `ideal.pair_gram`, whose Gram on its
+    # index-checked pair basis the witness reads and maps back through that
+    # basis, built once; I·P_q is read off I's
     # Gram mod q; no product lattice is built, and no two-sided prime; the
     # class set keeps no side data of its own
     from quatlfun.quatarith import classset, ideal, order
     assert classset.pair_gram is ideal.pair_gram
     assert "pair_gram" in _names_called(classset.ClassSet._pair_forms)
     assert "pair_gram" in _names_called(ideal.isometric)
-    assert {"pair_gram", "_pair_basis"} <= _names_called(ideal.isometry_witness)
-    assert "_pair_basis" in _names_called(ideal.pair_gram)
+    assert {"_gram_on_pair_basis", "_pair_basis"} <= _names_called(ideal.isometry_witness)
+    assert {"_gram_on_pair_basis", "_pair_basis"} <= _names_called(ideal.pair_gram)
     assert "kernel_mod" in _names_called(classset._times_prime)
     assert [name for module, name in ((ideal.RightIdeal, "product_lattice"),
                                       (ideal.RightIdeal, "conjugate_lattice"),

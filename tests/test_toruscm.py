@@ -6,8 +6,8 @@ from quatlfun.errors import (InvariantViolationError,
 from quatlfun.quatarith import (algebra_from_discriminant, ideal_class_set,
                                 maximal_order)
 from quatlfun.quatarith.embedding import embedding_with_base
-from quatlfun.toruscm import (_verify_table, build_torus, edge_orbit_table,
-                              level_group)
+from quatlfun.toruscm import (TorusData, _verify_table, build_torus,
+                              edge_orbit_table, level_group)
 
 from oracles import (deserialize_table, edge_orbit_table_oracle,
                      kronecker_oracle, orbit_size, project_to,
@@ -115,6 +115,17 @@ class TestEdgeRay:
         ray = torus.edge_ray(3)
         assert [orbit_size(torus, h2, ray[j]) for j in range(3)] == [1, 5, 25]
 
+    def test_each_power_once_per_depth(self, torus_setup, monkeypatch):
+        # u1^(p^j) is raised to the p-th power once per depth, and no
+        # candidate edge recomputes it
+        _, torus = torus_setup
+        calls = []
+        real = TorusData.pair_power
+        monkeypatch.setattr(TorusData, "pair_power",
+                            lambda self, pair, t: calls.append(t) or real(self, pair, t))
+        torus.edge_ray(4)
+        assert calls == [5] * 3
+
     def test_tie_breaks_differ_but_are_rays(self, torus_setup):
         _, torus = torus_setup
         a = torus.edge_ray(2, tie_break="lex_min")
@@ -209,29 +220,50 @@ class TestCompressedTable:
 
 
 @pytest.mark.parametrize("disc, p, m, disc_k", [(11, 5, 4, -3), (11, 3, 4, -4)])
-def test_orbit_table_takes_at_most_two_canonical_forms_an_entry(monkeypatch, disc, p,
-                                                                m, disc_k):
-    # lfun-tower's towers: built down the ray, an entry costs one canonical
-    # form, and one more below the deepest level for its target (about 3.4
-    # when every entry moved both ends and classified the edge afresh)
-    from quatlfun import bttree
+def test_orbit_table_takes_no_canonical_form_per_entry(monkeypatch, disc, p, m, disc_k):
+    # lfun-tower's towers: each entry is read off its line mod p, and each
+    # target's path data is passed down the ray, so the table at m and at
+    # m + 1 takes the same canonical forms, one per certified step, beside
+    # the ray's and the table's own verification
+    from quatlfun import bttree, toruscm
     from quatlfun.pipeline import _torus_quotient
-    emb, graph = _torus_quotient(disc, 1, p, disc_k)
-    graph.ensure_walk()  # as in the pipeline, whose U_p walks the graph first
-    torus = build_torus(disc_k, emb, graph)
+    counting = [True]
     calls = []
     real = bttree.canonical_vertex
-    monkeypatch.setattr(bttree, "canonical_vertex",
-                        lambda *args: calls.append(args) or real(*args))
-    table, ray = edge_orbit_table(torus, graph, m)
+
+    def counted(*args):
+        if counting[0]:
+            calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(bttree, "canonical_vertex", counted)
+
+    def uncounted(fn):
+        def run(*args, **kwargs):
+            counting[0] = False
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                counting[0] = True
+        return run
+    monkeypatch.setattr(TorusData, "edge_ray", uncounted(TorusData.edge_ray))
+    monkeypatch.setattr(toruscm, "_verify_table", uncounted(toruscm._verify_table))
+    counts = []
+    for depth in (m, m + 1):
+        emb, graph = _torus_quotient(disc, 1, p, disc_k)
+        graph.ensure_walk()  # as in the pipeline, whose U_p walks the graph first
+        torus = build_torus(disc_k, emb, graph)
+        del calls[:]
+        table, ray = edge_orbit_table(torus, graph, depth)
+        assert len(calls) == len(graph._steps)
+        counts.append(len(calls))
     monkeypatch.undo()
-    assert len(calls) <= 2 * len(table)
+    assert counts[0] == counts[1]
     # against the per-level oracle on a fresh graph, whose paths the table
     # has not touched
     emb, graph = _torus_quotient(disc, 1, p, disc_k)
     torus = build_torus(disc_k, emb, graph)
     want, want_ray = edge_orbit_table_oracle(torus, graph, m)
-    assert want_ray == ray
+    assert want_ray == ray[:m + 1]
     assert all(table[(s, t % p ** j, j)] == cls for (s, t, j), cls in want.items())
 
 
@@ -245,13 +277,3 @@ class TestClassifyMovedEdge:
         far = bttree.forward_edges(bttree.edges_from(root)[0])[0].target
         with pytest.raises(InvariantViolationError, match="left the neighbours"):
             graph.classify_moved_edge(root, torus.unit_matrix(1, 0), far)
-
-    def test_moved_must_be_a_child_of_the_source(self, torus_setup):
-        from quatlfun import bttree
-        graph, torus = torus_setup
-        root = torus.fixed_vertex
-        edge = bttree.edges_from(root)[0]
-        grandchild = bttree.forward_edges(edge)[0].target
-        with pytest.raises(UsageError, match="not a child"):
-            graph.classify_moved_edge(root, torus.unit_matrix(1, 0), edge.target,
-                                      grandchild)
