@@ -298,7 +298,7 @@ class QuotientGraph:
         return self._rep_neighbors[entry[0]][self._image(entry, v)][1]
 
     def _edge_class_by_path(self, e) -> int:
-        return self.classify_moved_edge(e.source, None, e.target)
+        return self.classify_step(self._path(e.source), None, e.target)[0]
 
     def _start_paths(self):
         """Path data after the walk: each state representative r_s is its own
@@ -339,18 +339,11 @@ class QuotientGraph:
             entry = self._paths[wkey] = self.descend(entry, self._image(entry, w))
         return entry
 
-    def classify_moved_edge(self, source, unit, target) -> int:
-        """Class of the edge (source, U·target), for U = `unit` an integer
-        matrix exact mod p^prec whose determinant is a p-unit, or the
-        identity when `unit` is None (an edge off the walk's memo): the
-        `classify_step` of source's path data. U·target is checked to be
-        adjacent to source, and no canonical form is taken."""
-        return self.classify_step(self.path_entry(source), unit, target)[0]
-
     def classify_step(self, entry, unit, target):
         """(class, index) of the edge (v, U·target), for v the vertex whose
-        path data is entry (`path_entry`, `descend`) and U as in
-        `classify_moved_edge`.
+        path data is entry (`path_entry`, `descend`) and U = `unit` an
+        integer matrix exact mod p^prec whose determinant is a p-unit, or
+        the identity when `unit` is None (an edge off the walk's memo).
 
         A·U·target is the neighbour u of r_s at this index in
         `bttree.neighbors` order (`_image` reads it off and checks it), and

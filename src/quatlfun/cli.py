@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .errors import QuatlfunError, UsageError
+from .errors import ConfigurationError, QuatlfunError, UsageError
 
 
 def _int_list(text: str):
@@ -156,10 +156,14 @@ def _table(rows):
 
 
 def _cmd_brandt(args) -> int:
-    from .quatarith import (check_count_bound, class_set_avoiding, eichler_order_for,
-                            neighbor_matrices)
+    from .quatarith import (check_brandt_prime, check_count_bound, class_set_avoiding,
+                            eichler_order_for, neighbor_matrices)
     check_count_bound(max(args.primes), "Hecke prime")
-    cs = class_set_avoiding(eichler_order_for(args.disc, args.level))
+    # the order first, so a bad disc or level is named as such, not as a bad prime
+    order = eichler_order_for(args.disc, args.level)
+    for ell in args.primes:
+        check_brandt_prime(ell, args.disc * args.level)
+    cs = class_set_avoiding(order)
     print(f"disc {args.disc}, level {args.level}: class number {len(cs)}, "
           f"mass {cs.mass}")
     mats = neighbor_matrices(cs, args.primes)
@@ -192,6 +196,8 @@ def _eigensystem_from_args(args, sample_need):
 
 def _cmd_admissible(args) -> int:
     from .admraise import search_admissible
+    if args.bound < 0:
+        raise ConfigurationError(f"bound {args.bound} must be nonnegative")
     bad = args.p * args.nplus * args.nminus
     system = _eigensystem_from_args(args, max(args.bound, 20))
     certs = search_admissible(system, args.K, args.p, args.n, args.bound, bad)

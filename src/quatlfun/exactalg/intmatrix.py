@@ -1,16 +1,18 @@
-"""Exact integer matrices: Smith forms over Z, diagonal forms over Z/p^n,
-and fraction-free elimination over Q.
+"""Exact integer matrices: diagonal forms over Z/p^n, fraction-free
+elimination over Q, and the Smith form of one row over Z.
 
 Everything is arbitrary-precision; no floating point enters anywhere in this
 package. IntMatrix values are immutable tuples of tuples, row-major. Each
-ring has one elimination. Over Z and Z/p^n (`eliminate`, `eliminate_mod`)
-it reduces a list-of-lists array in place and carries along only the blocks
-its caller appended: an identity to the right for U, below for V. Over Q,
-where no unimodular transform is read, it is one fraction-free Gauss-Jordan
-pass (`_fraction_free`), whose entries stay minors of the matrix where the
-Smith pivoting can blow up; `det`, `leading_minors` and `rational_kernel`
-read that pass. On a totally unimodular matrix, such as a graph's boundary
-map, `rational_kernel` is a Z-basis of the kernel too.
+ring has one elimination. Over Z/p^n (`eliminate_mod`) it reduces a
+list-of-lists array in place and carries along only the blocks its caller
+appended: an identity to the right for U, below for V. Over Q, where no
+unimodular transform is read, it is one fraction-free Gauss-Jordan pass
+(`_fraction_free`), whose entries stay minors of the matrix; `det`,
+`leading_minors` and `rational_kernel` read that pass. On a totally
+unimodular matrix, such as a graph's boundary map, `rational_kernel` is a
+Z-basis of the kernel too. Over Z a unimodular transform is read for one row
+only, by one extended Euclid (`smith_normal_form`): general Smith pivoting
+over Z can blow up, and no matrix of more rows needs it.
 """
 
 from __future__ import annotations
@@ -139,126 +141,52 @@ def _identity(k):
     return [[int(i == j) for j in range(k)] for i in range(k)]
 
 
-def eliminate(a, r, c):
-    """Reduce the top-left r x c block of the integer array a to Smith form, in place.
-
-    Row operations act on whole rows and column operations on whole columns,
-    so a block R right of the pivot block ends as U*R and a block B below it
-    as B*V, where U*M*V = S; rows below need only the block's c columns.
-    Appending identities therefore gives U and V, and appending nothing
-    builds neither. Pivoting is deterministic: the nonzero entry of smallest
-    absolute value, first occurrence (row-major) on ties. Returns the
-    diagonal d1 | d2 | ... of S, non-negative.
-    """
-
-    def row_op(i1, i2, q):
-        # row i2 -= q * row i1
-        a[i2] = [x - q * y for x, y in zip(a[i2], a[i1])]
-
-    def col_op(j1, j2, q):
-        for row in a:
-            row[j2] -= q * row[j1]
-
-    def swap_rows(i1, i2):
-        a[i1], a[i2] = a[i2], a[i1]
-
-    def swap_cols(j1, j2):
-        for row in a:
-            row[j1], row[j2] = row[j2], row[j1]
-
-    def pivot(t):
-        best = None
-        for i in range(t, r):
-            for j in range(t, c):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    t = 0
-    while t < min(r, c):
-        pos = pivot(t)
-        if pos is None:
-            break
-        swap_rows(t, pos[0])
-        swap_cols(t, pos[1])
-        # Clear row and column t; the pivot may shrink, so loop.
-        while True:
-            cleared = True
-            for i in range(t + 1, r):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    row_op(t, i, q)
-                    if a[i][t] != 0:  # remainder became the smaller pivot
-                        swap_rows(t, i)
-                        cleared = False
-            for j in range(t + 1, c):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    col_op(t, j, q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        cleared = False
-            if cleared:
-                break
-        t += 1
-
-    # Enforce the divisibility chain d_i | d_{i+1}.
-    k = min(r, c)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(k - 1):
-            di, dj = a[i][i], a[i + 1][i + 1]
-            if dj % (di if di else 1) != 0 or (di == 0 and dj != 0):
-                # Standard trick: fold entry (i+1,i+1) into row i and re-clear.
-                col_op(i + 1, i, -1)  # col i += col i+1
-                while True:
-                    # one elimination round on the 2x2 block
-                    if a[i + 1][i] == 0:
-                        break
-                    if a[i][i] == 0 or abs(a[i + 1][i]) < abs(a[i][i]):
-                        swap_rows(i, i + 1)
-                    q = a[i + 1][i] // a[i][i]
-                    row_op(i, i + 1, q)
-                for j in range(i + 1, c):
-                    if a[i][j] != 0:
-                        q = a[i][j] // a[i][i]
-                        col_op(i, j, q)
-                        if a[i][j] != 0:
-                            swap_cols(i, j)
-                changed = True
-    # Normalize signs.
-    for i in range(k):
-        if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
-    return tuple(a[i][i] for i in range(k))
-
-
 def smith_normal_form(M: IntMatrix):
-    """Return (U, S, V) with U*M*V = S in Smith normal form.
+    """Return (U, S, V) with U*M*V = S = (d, 0, ..., 0), for M of one row.
 
-    U, V are unimodular; S is diagonal with non-negative entries forming a
-    divisibility chain d1 | d2 | ... (see `eliminate`).
+    One extended Euclid over the row (Cohen, A Course in Computational
+    Algebraic Number Theory, 1.3): the nonzero entry of smallest absolute
+    value, first on ties, is swapped to the front and reduces every other
+    entry by column operations, and a nonzero remainder becomes the pivot,
+    until the others are 0. So d = gcd of the row, V is unimodular with its
+    first column a solution of row·x = d, and U = (±1) makes d >= 0. A
+    matrix of more than one row is refused: the Smith pivoting over Z can
+    blow up, and the package needs no more than the one row.
     """
-    r, c = M.rows, M.cols
-    a = [list(row) + e for row, e in zip(M.entries, _identity(r))] + _identity(c)
-    eliminate(a, r, c)
-    U = IntMatrix.from_rows([row[c:] for row in a[:r]])
-    S = IntMatrix.from_rows([row[:c] for row in a[:r]])
-    V = IntMatrix.from_rows(a[r:])
-    return U, S, V
+    if M.rows != 1:
+        raise UsageError(f"smith_normal_form takes one row, got {M.rows}")
+    row = list(M.entries[0])
+    cols = _identity(M.cols)  # cols[j] is column j of V
+
+    def swap(j):
+        row[0], row[j] = row[j], row[0]
+        cols[0], cols[j] = cols[j], cols[0]
+
+    nonzero = [j for j, x in enumerate(row) if x]
+    if nonzero:
+        swap(min(nonzero, key=lambda j: abs(row[j])))
+        cleared = False
+        while not cleared:
+            cleared = True
+            for j in range(1, M.cols):
+                if row[j]:
+                    q = row[j] // row[0]
+                    row[j] -= q * row[0]
+                    cols[j] = [x - q * y for x, y in zip(cols[j], cols[0])]
+                    if row[j]:  # the remainder is the smaller pivot
+                        swap(j)
+                        cleared = False
+    u = -1 if row[0] < 0 else 1
+    return (IntMatrix.from_rows([[u]]), IntMatrix.from_rows([[u * row[0]] + row[1:]]),
+            IntMatrix.from_rows(list(zip(*cols))))
 
 
 def kernel_basis(M: IntMatrix):
-    """Integer basis of ker(M) = {x : M x = 0}, as a tuple of column vectors.
-
-    The basis spans the kernel lattice saturatedly (V unimodular).
-    """
-    r, c = M.rows, M.cols
-    a = [list(row) for row in M.entries] + _identity(c)
-    rank = sum(1 for d in eliminate(a, r, c) if d)
-    return tuple(tuple(row[j] for row in a[r:]) for j in range(rank, c))
+    """Integer basis of ker(M) = {x : M x = 0} for M of one row, as a tuple
+    of column vectors: the columns of `smith_normal_form`'s V past the rank,
+    which span the kernel lattice saturatedly (V unimodular)."""
+    _, S, V = smith_normal_form(M)
+    return V.transpose().entries[1 if S[0, 0] else 0:]
 
 
 def rational_kernel(M: IntMatrix):
@@ -299,9 +227,9 @@ def rational_kernel(M: IntMatrix):
 def eliminate_mod(a, r, c, p: int, n: int):
     """Diagonalize the top-left r x c block of a over Z/p^n, in place.
 
-    As in `eliminate`, row operations act on whole rows and column operations
-    on whole columns, so a block R right of the pivot block ends as U*R and a
-    block B below it as B*V, with U, V invertible mod p^n and
+    Row operations act on whole rows and column operations on whole columns,
+    so a block R right of the pivot block ends as U*R and a block B below it
+    as B*V, with U, V invertible mod p^n and
     U*M*V ≡ diag(p^{a_1}, ...) mod p^n; every entry of a is reduced mod p^n.
     Pivots have minimal p-valuation, first occurrence (row-major) on ties.
     Returns the diagonal of the reduced block.

@@ -2,9 +2,9 @@
 
 from .algebra import (QuaternionAlgebra, algebra_from_discriminant,
                       hilbert_symbol, kronecker, legendre, ramified_primes)
-from .classset import (ClassSet, check_count_bound, class_set_avoiding,
-                       eichler_mass,
-                       ideal_class_set, neighbor_matrices, neighbor_matrix,
+from .classset import (ClassSet, check_brandt_prime, check_count_bound,
+                       class_set_avoiding, eichler_mass, ideal_class_set,
+                       neighbor_matrices, neighbor_matrix,
                        uq_by_classification, uq_from_counts, uq_matrix)
 from .embedding import Embedding, optimal_embedding, quadratic_generator
 from .ideal import RightIdeal, isometric, isometry_witness, neighbors
@@ -16,7 +16,8 @@ from .splitting import LocalSplitting, local_splitting
 __all__ = [
     "ClassSet", "Embedding", "Lattice4", "LocalSplitting", "QuaternionAlgebra",
     "QuaternionOrder", "RightIdeal", "algebra_from_discriminant",
-    "check_count_bound", "class_set_avoiding", "eichler_mass", "eichler_order", "eichler_order_for",
+    "check_brandt_prime", "check_count_bound", "class_set_avoiding",
+    "eichler_mass", "eichler_order", "eichler_order_for",
     "hilbert_symbol", "ideal_class_set", "isometric", "isometry_witness",
     "kronecker", "legendre", "local_splitting",
     "maximal_order", "neighbor_matrices", "neighbor_matrix", "neighbors",

@@ -97,6 +97,14 @@ def check_count_bound(m: int, what: str):
                                  f"{MAX_COUNT_NRD}")
 
 
+def check_brandt_prime(ell: int, bad_level: int):
+    """UsageError unless ell is a prime coprime to bad_level (disc·level),
+    the primes a Brandt matrix B(ell) is defined at."""
+    if not is_prime(ell) or bad_level % ell == 0:
+        raise UsageError(f"Brandt matrix wants a prime coprime to disc·level, "
+                         f"got {ell}")
+
+
 def eichler_mass(disc: int, level: int) -> Fraction:
     """Exact mass: sum over classes of 1/#O_left(I)^×."""
     mass = Fraction(1, 24)
@@ -325,7 +333,7 @@ def neighbor_matrix(class_set: ClassSet, ell: int):
     representation counts and w_j = #O_l(I_j)^×. Certificates: B(1) = I,
     w_j | N_ij(ell), and every row sums to ell+1.
     """
-    _check_brandt_prime(class_set, ell)
+    check_brandt_prime(ell, class_set.disc * class_set.level)
     rows = _counts_over_units(class_set, ell)
     _check_row_sums(rows, ell)
     return rows
@@ -347,14 +355,8 @@ def neighbor_matrices(class_set: ClassSet, primes):
     """
     ells = sorted(set(primes), reverse=True)
     for ell in ells:
-        _check_brandt_prime(class_set, ell)
+        check_brandt_prime(ell, class_set.disc * class_set.level)
     return {ell: neighbor_matrix(class_set, ell) for ell in ells}
-
-
-def _check_brandt_prime(class_set, ell):
-    if not is_prime(ell) or (class_set.disc * class_set.level) % ell == 0:
-        raise UsageError(f"Brandt matrix wants a prime coprime to disc·level, "
-                         f"got {ell}")
 
 
 def uq_matrix(class_set: ClassSet, q: int):

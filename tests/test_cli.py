@@ -59,15 +59,20 @@ class TestLfun:
 
 class TestLimits:
     """A Hecke prime or a sample bound past the theta-series bound exits 4,
-    and a negative sample bound exits 2, before any class set is walked."""
+    and a Hecke prime that is not a prime coprime to disc·level or a negative
+    bound exits 2, before any class set is walked."""
 
     @pytest.mark.parametrize("argv, code", [
         (["brandt", "--disc", "11", "--primes", "3,99991"], 4),
+        (["brandt", "--disc", "11", "--primes", "4"], 2),
+        (["brandt", "--disc", "11", "--primes", "11"], 2),
         (["lfun", "--nminus", "11", "--p", "5", "--K", "-3", "--mmax", "2",
           "--sample-bound", "100000"], 4),
         (["lfun", "--nminus", "11", "--p", "5", "--K", "-3", "--mmax", "2",
           "--sample-bound", "-5"], 2),
-    ], ids=["brandt-prime", "sample-bound-large", "sample-bound-negative"])
+        (["admissible", "--K", "-3", "--p", "5", "--bound", "-1"], 2),
+    ], ids=["brandt-prime", "brandt-composite", "brandt-ramified",
+            "sample-bound-large", "sample-bound-negative", "admissible-bound-negative"])
     def test_refused_before_any_class_set(self, argv, code, monkeypatch, capsys):
         def walk(*args):
             raise AssertionError("a class set was walked")

@@ -28,12 +28,12 @@ defined more than once are pinned. Characters need no elimination:
 exactalg/groupring.py reads a valuation off the (1 - zeta)-expansion and
 imports nothing from intmatrix. Every cokernel is read prime by prime, by one
 pass mod p^n per prime: the Fitting length and the component group's shape and
-class coordinates reduce no matrix over Z. compgraph.py runs no Smith
-pivoting at all: the cycle basis and the boundary preimage come from the
-fraction-free pass. `solve` is gone, and the package reaches the Smith
-pivoting over Z only through `smith_normal_form` on the embedding's trace
-row. Each falsifier of tests/test_certificates.py passes once its
-certificate is made to return True at once.
+class coordinates reduce no matrix over Z. compgraph.py runs no Smith form
+at all: the cycle basis and the boundary preimage come from the fraction-free
+pass. `solve` and the Smith pivoting over Z (`eliminate`) are gone: the one
+Smith form over Z is an extended Euclid over one row, the embedding's trace
+row, and refuses a second row. Each falsifier of tests/test_certificates.py
+passes once its certificate is made to return True at once.
 """
 
 import ast
@@ -161,27 +161,39 @@ def test_characters_need_no_elimination():
 
 def test_cokernels_read_prime_by_prime():
     # Fitting lengths and class coordinates come from passes mod p^n, and the
-    # cycle basis and the boundary preimage from the fraction-free pass: no
-    # function of compgraph.py runs the Smith pivoting over Z
+    # cycle basis and the boundary preimage from the fraction-free pass;
+    # test_one_smith_form pins that neither module reaches a Smith form
+    for rel in (os.path.join("exactalg", "fitting.py"), "compgraph.py"):
+        with open(os.path.join(SRC, rel)) as fh:
+            assert "eliminate_mod" in _calls(ast.parse(fh.read())), rel
     from quatlfun import compgraph
-    with open(os.path.join(SRC, "exactalg", "fitting.py")) as fh:
-        imported = {alias.name for node in ast.walk(ast.parse(fh.read()))
-                    if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert "eliminate" not in imported
-    assert {node.name for node in ast.walk(ast.parse(inspect.getsource(compgraph)))
-            if isinstance(node, ast.FunctionDef) and "eliminate" in _calls(node)} == set()
     assert not hasattr(compgraph.ComponentGroup, "_transform")
 
 
 def test_one_smith_form():
-    # solve is gone, and the package reaches the Smith pivoting over Z only
-    # through smith_normal_form on the embedding's trace row
-    from quatlfun.exactalg import intmatrix
+    # solve and the Smith pivoting over Z are gone: no module of the package
+    # defines, imports or calls eliminate. The embedding's trace row is the
+    # one matrix the package gives smith_normal_form (kernel_basis, kept for
+    # the benchmark's tracer, reads it and has no caller), and a matrix of
+    # two rows is refused
+    from quatlfun.errors import UsageError
+    from quatlfun.exactalg import IntMatrix, intmatrix, smith_normal_form
     assert [name for name in ("solve", "_check_rhs", "_times") if hasattr(intmatrix, name)] == []
-    callers = {(rel, name) for rel, text in _sources() for name in
-               _calls(ast.parse(text)) & {"eliminate", "smith_normal_form", "kernel_basis"}}
-    assert callers == {(os.path.join("exactalg", "intmatrix.py"), "eliminate"),
-                       (os.path.join("quatarith", "embedding.py"), "smith_normal_form")}
+    callers = set()
+    for rel, text in _sources():
+        tree = ast.parse(text)
+        names = _calls(tree) | {alias.name for node in ast.walk(tree)
+                                if isinstance(node, (ast.Import, ast.ImportFrom))
+                                for alias in node.names}
+        names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert "eliminate" not in names, rel
+        callers |= {(rel, node.name) for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef)
+                    and _calls(node) & {"smith_normal_form", "kernel_basis"}}
+    assert callers == {(os.path.join("exactalg", "intmatrix.py"), "kernel_basis"),
+                       (os.path.join("quatarith", "embedding.py"), "_trace_norm_solutions")}
+    with pytest.raises(UsageError, match="one row"):
+        smith_normal_form(IntMatrix.identity(2))
 
 
 def test_class_sets_come_from_the_walk_alone():

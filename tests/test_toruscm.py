@@ -276,4 +276,4 @@ class TestClassifyMovedEdge:
         root = torus.fixed_vertex
         far = bttree.forward_edges(bttree.edges_from(root)[0])[0].target
         with pytest.raises(InvariantViolationError, match="left the neighbours"):
-            graph.classify_moved_edge(root, torus.unit_matrix(1, 0), far)
+            graph.classify_step(graph.path_entry(root), torus.unit_matrix(1, 0), far)
