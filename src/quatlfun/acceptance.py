@@ -188,9 +188,9 @@ def criterion_3():
     start = time.monotonic()
     embedding, graph = _torus_quotient(11, 1, 5, -3)
     for n in (1, 2):
-        pipe = measure_pipeline(graph, embedding, -3, _eleven_a_target(n), [2, 3])
-        pipe.check_distribution(2)  # raises on any failed coset identity
-        check_projection_tower(pipe, 2)
+        pipe = measure_pipeline(graph, embedding, -3, _eleven_a_target(n), [2, 3], 2)
+        pipe.check_distribution()  # raises on any failed coset identity
+        check_projection_tower(pipe)
     elapsed = time.monotonic() - start
     if elapsed >= 60:
         return False, f"runtime {elapsed:.1f}s exceeds 60s"
@@ -203,11 +203,10 @@ def criterion_4():
     from .exactalg import GroupRingElement, group_ring_mul
     from .pipeline import _torus_quotient, measure_pipeline
     embedding, graph = _torus_quotient(11, 1, 5, -3)
-    pipe = measure_pipeline(graph, embedding, -3, _eleven_a_target(2), [2, 3])
-    main = full_Lp(pipe, 2)
-    alt_pipe = MeasurePipeline(graph, pipe.torus, pipe.form, pipe.alpha, 2,
-                               tie_break="lex_max")
-    alt = full_Lp(alt_pipe, 2)
+    pipe = measure_pipeline(graph, embedding, -3, _eleven_a_target(2), [2, 3], 2)
+    main = full_Lp(pipe)
+    alt = full_Lp(MeasurePipeline(graph, pipe.torus, pipe.form, pipe.alpha, m=2,
+                                  tie_break="lex_max"))
     if alt.l_p != main.l_p:
         return False, "L_p changed with the ray tie-break"
     translated = False
@@ -228,8 +227,8 @@ def criterion_5():
     from .brandtforms import AutomorphicForm
     from .pipeline import _torus_quotient, measure_pipeline
     embedding, graph = _torus_quotient(11, 1, 5, -3)
-    pipe = measure_pipeline(graph, embedding, -3, _eleven_a_target(2), [2, 3])
-    element = full_Lp(pipe, 2)
+    pipe = measure_pipeline(graph, embedding, -3, _eleven_a_target(2), [2, 3], 2)
+    element = full_Lp(pipe)
     report = mu_two_nu_check(pipe, element)
     if report.nu != 0:
         return False, f"11a edge form unexpectedly constant: nu={report.nu}"
@@ -238,9 +237,8 @@ def criterion_5():
     headline = f"11a: mu(L_p)={report.mu_lp}, nu=0"
     # synthetic fixture: p * Phi has nu >= 1 and mu(L_p) >= 2
     synth = AutomorphicForm(tuple(5 * v % 25 for v in pipe.form.values), "edge", (5, 2))
-    sp = MeasurePipeline(graph, pipe.torus, synth, pipe.alpha, 2)
-    s_el = full_Lp(sp, 2)
-    s_rep = mu_two_nu_check(sp, s_el)
+    sp = MeasurePipeline(graph, pipe.torus, synth, pipe.alpha, m=2)
+    s_rep = mu_two_nu_check(sp, full_Lp(sp))
     if s_rep.nu < 1 or s_rep.mu_lp < 2:
         return False, f"synthetic fixture bookkeeping wrong: {s_rep.describe()}"
     if report.mu_lp != 0:

@@ -230,6 +230,7 @@ def _component_group_connected(g: LengthGraph) -> ComponentGroup:
         return ComponentGroup(AbelianGroupShape(()), x, ())
     # the Gram is nonsingular, so there is no free part
     shape, local = _local_shape(gram, _check_positive_definite(gram))
+    _verify_class_map(gram, local)
     return ComponentGroup(shape, x, local)
 
 
@@ -250,8 +251,9 @@ def _local_shape(gram: IntMatrix, d: int):
     U_p*Gram*V_p = diag(p^v_i): the v_i are the p-parts of the invariant
     factors (each at most e, so none is lost mod p^(e+1)). Sorting each
     prime's valuations and multiplying position by position gives d1 | d2 | ...
-    Certificates: the valuations at p sum to e, the factors multiply to d,
-    and U_p kills the Gram image (`_verify_class_map`).
+    Certificates: the valuations at p sum to e and the factors multiply to
+    d; that U_p kills the Gram image is certified where the rows are kept for
+    `class_of` (`_verify_class_map`).
     """
     k = gram.rows
     factors = [1] * k
@@ -270,7 +272,6 @@ def _local_shape(gram: IntMatrix, d: int):
                       IntMatrix.from_rows([a[j][k:] for j in by_val])))
     if math.prod(factors) != d:
         raise InvariantViolationError("invariant factors do not multiply to det(Gram)")
-    _verify_class_map(gram, local)
     return AbelianGroupShape(tuple(f for f in factors if f > 1)), tuple(local)
 
 

@@ -102,7 +102,6 @@ class PipelineConfig:
 
 @dataclass
 class LfunResult:
-    config: PipelineConfig
     system: EigenSystem
     alpha: int
     element: LFunctionElement
@@ -122,7 +121,7 @@ class LfunResult:
             "certificate.json": json.dumps({
                 "distribution_relation": "verified",
                 "projection_tower": "verified",
-                "levels": self.element.level,
+                "levels": self.element.l_phi.level(),
                 "alpha": self.alpha,
                 "eigenvalues": {str(k): v for k, v in sorted(self.system.a.items())},
                 "u_eigenvalues": {str(k): v for k, v in sorted(self.system.u.items())},
@@ -205,23 +204,24 @@ def _torus_quotient(disc: int, level: int, p: int, disc_k: int):
 
 
 def measure_pipeline(graph, embedding, disc_k: int, target: EigenSystem,
-                     sample) -> MeasurePipeline:
-    """The measure of every L-element build: the edge eigenform realizing
-    `target` (which carries the unit root alpha as its U_p eigenvalue), cut
-    with the T_ell at the sample primes, on the torus of the embedding."""
+                     sample, m: int) -> MeasurePipeline:
+    """The measure of every L-element build, on the tower of depth m: the
+    edge eigenform realizing `target` (which carries the unit root alpha as
+    its U_p eigenvalue), cut with the T_ell at the sample primes, on the
+    torus of the embedding."""
     form = eigenvector_mod(graph, target, sample)
     torus = build_torus(disc_k, embedding, graph)
-    return MeasurePipeline(graph, torus, form, target.u[target.p], target.n)
+    return MeasurePipeline(graph, torus, form, target.u[target.p], m=m)
 
 
-def _l_element(graph, embedding, disc_k: int, target: EigenSystem, sample,
-               m: int, provenance: str):
-    """Tail of every L-element build: the measure, L_p with its certificates
-    (`full_Lp` checks the distribution relation, then the projection tower is
-    checked), and the mu report. Returns (element, report)."""
-    pipeline = measure_pipeline(graph, embedding, disc_k, target, sample)
-    element = full_Lp(pipeline, m, provenance=provenance)
-    check_projection_tower(pipeline, m)
+def _l_element(graph, embedding, disc_k: int, target: EigenSystem, sample, m: int):
+    """Tail of every L-element build: the measure on the tower of depth m,
+    L_p with its certificates (`full_Lp` checks the distribution relation,
+    then the projection tower is checked), and the mu report. Returns
+    (element, report)."""
+    pipeline = measure_pipeline(graph, embedding, disc_k, target, sample, m)
+    element = full_Lp(pipeline)
+    check_projection_tower(pipeline)
     return element, mu_two_nu_check(pipeline, element)
 
 
@@ -233,10 +233,9 @@ def run_lfun(config: PipelineConfig) -> LfunResult:
         system = select_vertex_system(graph.vertex_classes, config)
     sample = good_primes(config.sample_bound, config.p * config.n_plus * config.n_minus)
     target = p_stabilized(system, sample, config.n_minus)
-    element, report = _l_element(
-        graph, embedding, config.disc_k, target, sample, config.m_max,
-        f"disc {config.n_minus}, level {config.n_plus}, p {config.p}, K {config.disc_k}")
-    return LfunResult(config, target, target.u[config.p], element, report, sample)
+    element, report = _l_element(graph, embedding, config.disc_k, target, sample,
+                                 config.m_max)
+    return LfunResult(target, target.u[config.p], element, report, sample)
 
 
 def raised_l_element(pair, disc_k: int, n_plus: int, m: int):
@@ -264,7 +263,7 @@ def raised_l_element(pair, disc_k: int, n_plus: int, m: int):
             f"{len(found)} vertex systems on disc {new_disc} carry the raised "
             "eigenvalues; a_p needs exactly one")
     return _l_element(graph, embedding, disc_k, p_stabilized(found[0], pins, new_disc),
-                      pins, m, f"raised disc {new_disc}")
+                      pins, m)
 
 
 def write_artifacts(result: LfunResult, out_dir: str):

@@ -247,14 +247,10 @@ def eichler_order(maximal: QuaternionOrder, level: int, splitting_factory) -> Qu
     """
     if level == 1:
         return maximal
+    _check_level(level, maximal.reduced_discriminant())
     alg = maximal.alg
-    if gcd(level, maximal.reduced_discriminant()) != 1:
-        raise UsageError("level must be coprime to the discriminant")
     order = maximal
-    factors = prime_factors(level)
-    if math.prod(factors) != level:
-        raise UsageError("only squarefree levels are supported")
-    for ell in factors:
+    for ell in prime_factors(level):
         spl = splitting_factory(maximal, ell, 1)
         # sublattice of `order` where the (1,0) matrix entry vanishes mod ell
         cond = [spl.apply(maximal.lattice.coordinates(r, order.lattice.den))[1][0] % ell
@@ -267,8 +263,22 @@ def eichler_order(maximal: QuaternionOrder, level: int, splitting_factory) -> Qu
     return order
 
 
+def _check_level(level: int, disc: int):
+    """An Eichler level the orders support: positive, prime to the
+    discriminant and squarefree."""
+    if level < 1:
+        raise UsageError(f"level {level} must be positive")
+    if gcd(level, disc) != 1:
+        raise UsageError(f"level {level} must be coprime to the discriminant {disc}")
+    if math.prod(prime_factors(level)) != level:
+        raise UsageError(f"level {level} is not squarefree; "
+                         "only squarefree levels are supported")
+
+
 def eichler_order_for(disc: int, level: int) -> QuaternionOrder:
-    """The Eichler order of the given level in the maximal order of disc."""
+    """The Eichler order of the given level in the maximal order of disc; a
+    bad level is refused before the maximal order is built."""
     from .splitting import local_splitting
+    _check_level(level, disc)
     return eichler_order(maximal_order(algebra_from_discriminant(disc)), level,
                          local_splitting)

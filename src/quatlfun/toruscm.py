@@ -267,8 +267,10 @@ def edge_orbit_table(torus: TorusData, graph: QuotientGraph, m: int,
     target's path data is that index's step (`QuotientGraph.descend`), and
     it is the next level's source.
     """
-    # every level the table serves gets its generator-order certificate
-    groups = [level_group(torus, level) for level in range(m + 1)]
+    # every level the table serves gets its generator-order certificate; the
+    # top one is asked first, so a negative m is refused by `level_group`
+    top = level_group(torus, m)
+    groups = [level_group(torus, level) for level in range(m)] + [top]
     ray = torus.edge_ray(m + 1, tie_break=tie_break)
     u1 = torus.generator_pair()
     start = graph.path_entry(ray[0].source)
@@ -287,7 +289,7 @@ def edge_orbit_table(torus: TorusData, graph: QuotientGraph, m: int,
                     targets.append(graph.descend(source, index))
                 pair = torus.pair_mul(pair, u1)
             sources = targets
-    _verify_table(torus, graph, groups[m], ray, table)
+    _verify_table(torus, graph, top, ray, table)
     return table, ray
 
 

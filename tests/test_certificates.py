@@ -40,23 +40,23 @@ def _head():
 
 
 def _pipeline():
-    """A fresh measure of the 11a edge form mod 5 on that torus."""
+    """A fresh measure of the 11a edge form mod 5 on that torus, at m = 2."""
     graph, torus = _head()
     alpha = hensel_unit_root(curve_a_ell(5) % 5, 5, 1)
     target = EigenSystem(5, 1, {2: curve_a_ell(2) % 5, 3: curve_a_ell(3) % 5},
                          {5: alpha, 11: 1})
     form = eigenvector_mod(graph, target, [2, 3])
-    return MeasurePipeline(graph, torus, form, alpha, 1)
+    return MeasurePipeline(graph, torus, form, alpha, m=2)
 
 
 def falsify_distribution():
     """One orbit-table entry at level m = 2 moved to an edge class of
     another form value."""
     pipe = _pipeline()
-    table, _ = pipe.table(2)
+    table = pipe.table
     values = [v % 5 for v in pipe.form.values]
     table[0, 1, 2] = next(c for c, v in enumerate(values) if v != values[table[0, 1, 2]])
-    pipe.check_distribution(2)
+    pipe.check_distribution()
 
 
 def falsify_projection_tower():
@@ -72,7 +72,7 @@ def falsify_projection_tower():
         coeffs[0] += 1
         return GroupRingElement.make(element.ring, element.group_order, coeffs)
     pipe.partial_l = partial_l
-    padicl.check_projection_tower(pipe, 2)
+    padicl.check_projection_tower(pipe)
 
 
 def _graph():
@@ -147,7 +147,7 @@ def falsify_mu_bound():
     """The 11a element mod 5 reported against a form constant mod 5, whose
     constancy depth nu = 1 asks mu(L_p) >= 2."""
     pipe = _pipeline()
-    element = padicl.full_Lp(pipe, 1)
+    element = padicl.full_Lp(pipe)
     pipe.form = dataclasses.replace(pipe.form, values=(0,) * len(pipe.form.values))
     padicl.mu_two_nu_check(pipe, element)
 
@@ -155,7 +155,7 @@ def falsify_mu_bound():
 def falsify_involution():
     """An L_p that is the generator g, whose involution image is g^-1."""
     g = GroupRingElement.generator_power(PrimePowerRing(5, 1), 5, 1)
-    LFunctionElement(g, g, 1, 5, 1, "")
+    LFunctionElement(g, g)
 
 
 def falsify_congruence_pair():

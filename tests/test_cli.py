@@ -8,6 +8,7 @@ from quatlfun.brandtforms import QuotientGraph
 from quatlfun.cli import main
 from quatlfun.primes import is_prime
 from quatlfun.quatarith import classset
+from quatlfun.quatarith import order as order_module
 
 from oracles import curve_a_ell
 
@@ -97,6 +98,16 @@ class TestBrandt:
         captured = capsys.readouterr()
         assert code == 2
         assert "error:" in captured.err and "matrices" not in captured.out
+
+    @pytest.mark.parametrize("level", ["0", "-1"])
+    def test_nonpositive_level_exits_2_before_any_order(self, level, monkeypatch,
+                                                        capsys):
+        def build(*args):
+            raise AssertionError("a maximal order was built")
+        monkeypatch.setattr(order_module, "maximal_order", build)
+        code = main(["brandt", "--disc", "11", "--level", level, "--primes", "3"])
+        assert code == 2
+        assert f"level {level} must be positive" in capsys.readouterr().err
 
 
 class TestAdmissible:

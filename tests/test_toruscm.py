@@ -167,6 +167,12 @@ class TestOrbitTable:
         with pytest.raises(InvariantViolationError, match="stabilizer"):
             _verify_table(torus, graph, level_group(torus, 1), bad_ray, table)
 
+    def test_negative_depth_rejected(self, torus_setup):
+        # refused by level_group, as every other bad depth is, before any walk
+        graph, torus = torus_setup
+        with pytest.raises(UsageError, match="level must be nonnegative"):
+            edge_orbit_table(torus, graph, -1)
+
     def test_serialization_round_trip(self, torus_setup):
         graph, torus = torus_setup
         table, ray = edge_orbit_table(torus, graph, 1)
